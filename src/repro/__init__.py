@@ -7,9 +7,9 @@ Subpackages
 ``histogram``
     Histogram (discretized PDF) arithmetic — the SNA numeric core.
 ``symbols``
-    Noise symbols, symbolic expressions, Cartesian propagation.
+    Symbolic expressions lowered to dataflow graphs.
 ``fixedpoint``
-    Formats, quantization and bit-true value handling.
+    Formats and quantization (scalar and vectorized).
 ``dfg``
     Dataflow graphs: builders, simulators (scalar and batched),
     range analysis, sequential unrolling.

@@ -3,7 +3,7 @@
 :class:`NoiseAnalysisPipeline` wires the whole paper experiment into one
 call::
 
-    pipeline = NoiseAnalysisPipeline(word_length=12)
+    pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=12))
     report = pipeline.analyze(expr_or_dfg, input_ranges={"x": (-4, 3)})
 
 which runs, in order:
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 import time
-import warnings
 from typing import Dict, Iterable, Mapping
 
 from repro.analysis.degradation import DegradationEvent
@@ -39,7 +38,7 @@ from repro.analysis.montecarlo import (
     monte_carlo_error_sharded,
 )
 from repro.analysis.report import AnalysisReport, MethodResult
-from repro.config import UNSET, AnalysisConfig, OptimizeConfig, merge_deprecated_kwargs
+from repro.config import AnalysisConfig, OptimizeConfig
 from repro.dfg.builder import expression_to_dfg
 from repro.dfg.graph import DFG
 from repro.dfg.range_analysis import infer_ranges
@@ -75,47 +74,19 @@ class NoiseAnalysisPipeline:
     config:
         An :class:`~repro.config.AnalysisConfig` carrying word length,
         unrolling horizon, SNA bins, the default method subset, and the
-        Monte-Carlo budget/seed/workers.  A bare ``int`` is accepted as
-        a deprecated shorthand for the pre-PR-7 ``word_length``
-        positional.  The old per-field keyword arguments
-        (``word_length``, ``horizon``, ``bins``, ``mc_samples``,
-        ``seed``, ``enclosure_tol``) survive for one release as
-        deprecated aliases that override the config and emit
-        :class:`DeprecationWarning`.
+        Monte-Carlo budget/seed/workers (default: ``AnalysisConfig()``).
     """
 
     def __init__(
         self,
-        config: AnalysisConfig | int | None = None,
-        *,
-        word_length: object = UNSET,
-        horizon: object = UNSET,
-        bins: object = UNSET,
-        mc_samples: object = UNSET,
-        seed: object = UNSET,
-        enclosure_tol: object = UNSET,
+        config: AnalysisConfig | None = None,
     ) -> None:
-        if isinstance(config, int):
-            warnings.warn(
-                "passing word_length positionally is deprecated; pass "
-                "AnalysisConfig(word_length=...) via 'config' instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = AnalysisConfig(word_length=config)
-        elif config is None:
+        if config is None:
             config = AnalysisConfig()
-        config = merge_deprecated_kwargs(
-            config,
-            {
-                "word_length": word_length,
-                "horizon": horizon,
-                "bins": bins,
-                "mc_samples": mc_samples,
-                "seed": seed,
-                "enclosure_tol": enclosure_tol,
-            },
-        )
+        elif not isinstance(config, AnalysisConfig):
+            raise TypeError(
+                f"config must be an AnalysisConfig, got {type(config).__name__}"
+            )
         #: The resolved :class:`AnalysisConfig` this pipeline runs under.
         self.config = config
         self.word_length = int(config.word_length)
@@ -125,7 +96,7 @@ class NoiseAnalysisPipeline:
         self.seed = config.seed
         self.mc_workers = config.mc_workers
         self.enclosure_tol = float(config.enclosure_tol)
-        self.mc_fallback = bool(getattr(config, "mc_fallback", True))
+        self.mc_fallback = config.mc_fallback
         self.oracle_samples = int(config.oracle_samples)
         self.oracle_precision_bits = int(config.oracle_precision_bits)
         #: :class:`~repro.analysis.degradation.DegradationEvent` log —
@@ -454,9 +425,6 @@ class NoiseAnalysisPipeline:
         input_ranges: Mapping[str, RangeLike] | None = None,
         output: str | None = None,
         name: str | None = None,
-        method: object = UNSET,
-        margin_db: object = UNSET,
-        max_word_length: object = UNSET,
         **strategy_options: object,
     ) -> OptimizationResult:
         """Search for a cheap word-length assignment meeting an SNR floor.
@@ -466,18 +434,13 @@ class NoiseAnalysisPipeline:
         (defaulting the analyzer knobs to the pipeline's own config),
         then runs the requested strategy (``uniform``, ``greedy`` or
         ``anneal`` — default: the config's) against the config's analysis
-        method and engine.  ``method`` / ``margin_db`` /
-        ``max_word_length`` keywords survive as deprecated aliases.
+        method and engine.  Extra keywords configure the strategy.
         Returns the full :class:`~repro.optimize.result.OptimizationResult`
         trace; the final design is ``result.assignment`` and can be fed
         back into :meth:`analyze` for a complete report.
         """
         if config is None:
             config = OptimizeConfig(horizon=self.horizon, bins=self.bins)
-        config = merge_deprecated_kwargs(
-            config,
-            {"method": method, "margin_db": margin_db, "max_word_length": max_word_length},
-        )
         problem = self._build_problem(
             circuit, snr_floor_db, config, cost_model, input_ranges, output, name
         )

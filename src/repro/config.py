@@ -18,19 +18,14 @@ Both are frozen dataclasses: hashable, comparable, safe to share between
 a pipeline, a problem and a benchmark driver without defensive copying.
 Derive variants with :meth:`AnalysisConfig.replace` /
 :meth:`OptimizeConfig.replace`.
-
-The old per-call kwargs survive for one release as deprecated aliases.
-Entry points collect them as :data:`UNSET`-defaulted keywords and call
-:func:`merge_deprecated_kwargs`, which warns once (``DeprecationWarning``
-naming every legacy kwarg used) and folds the values onto the config.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
+import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Tuple
+from typing import Any, Tuple
 
 from repro.errors import NoiseModelError, OptimizationError
 
@@ -38,61 +33,11 @@ __all__ = [
     "AnalysisConfig",
     "OptimizeConfig",
     "ENGINES",
-    "UNSET",
-    "merge_deprecated_kwargs",
 ]
 
 
-class _Unset:
-    """Sentinel distinguishing "kwarg not supplied" from a real ``None``."""
-
-    _instance: "_Unset | None" = None
-
-    def __new__(cls) -> "_Unset":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "UNSET"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Default value of every deprecated alias keyword: "not supplied".
-UNSET = _Unset()
-
 #: Candidate-evaluation engines an :class:`OptimizeConfig` can select.
 ENGINES = ("fresh", "incremental", "batched")
-
-
-def merge_deprecated_kwargs(
-    config: Any,
-    aliases: Mapping[str, Any],
-    *,
-    stacklevel: int = 3,
-) -> Any:
-    """Fold legacy keyword values onto ``config``, warning once.
-
-    ``aliases`` maps config field names to the values the caller passed;
-    entries equal to :data:`UNSET` are ignored.  When at least one legacy
-    kwarg was supplied, a single :class:`DeprecationWarning` naming all of
-    them is emitted and a new config with those fields replaced is
-    returned; otherwise ``config`` is returned unchanged.
-    """
-    supplied = {name: value for name, value in aliases.items() if value is not UNSET}
-    if not supplied:
-        return config
-    names = ", ".join(sorted(supplied))
-    warnings.warn(
-        f"keyword argument(s) {names} are deprecated; pass a "
-        f"{type(config).__name__} via 'config' instead "
-        f"(e.g. config={type(config).__name__}({names.split(', ')[0]}=...))",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return dataclasses.replace(config, **supplied)
 
 
 @dataclass(frozen=True)
@@ -243,6 +188,8 @@ class OptimizeConfig:
             raise OptimizationError(
                 f"unknown engine {self.engine!r}; choose from {ENGINES}"
             )
+        if math.isnan(self.snr_floor_db):
+            raise OptimizationError("snr_floor_db must be a number, got nan")
         if self.margin_db < 0.0:
             raise OptimizationError(f"margin_db must be >= 0, got {self.margin_db}")
         if self.confidence is not None and not 0.0 < self.confidence <= 1.0:
@@ -255,6 +202,8 @@ class OptimizeConfig:
             )
         if self.horizon < 1:
             raise OptimizationError(f"horizon must be >= 1, got {self.horizon}")
+        if self.bins < 1:
+            raise OptimizationError(f"bins must be >= 1, got {self.bins}")
         if self.max_word_length < 2:
             raise OptimizationError(
                 f"max_word_length must be >= 2, got {self.max_word_length}"

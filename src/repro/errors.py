@@ -16,18 +16,13 @@ __all__ = [
     "DivisionByZeroIntervalError",
     "DomainError",
     "HistogramError",
-    "SymbolError",
     "ExpressionError",
     "FixedPointError",
-    "OverflowModeError",
     "DFGError",
     "NodeNotFoundError",
     "CycleError",
     "NoiseModelError",
-    "SchedulingError",
-    "AllocationError",
     "OptimizationError",
-    "InfeasibleConstraintError",
     "DesignError",
     "JobError",
     "CheckpointError",
@@ -69,20 +64,12 @@ class HistogramError(ReproError):
     """Raised for malformed histogram PDFs (bad bins, probabilities, ...)."""
 
 
-class SymbolError(ReproError):
-    """Raised for noise-symbol registry problems (duplicate names, ...)."""
-
-
 class ExpressionError(ReproError):
-    """Raised when a symbolic expression cannot be built or evaluated."""
+    """Raised when a symbolic expression cannot be built."""
 
 
 class FixedPointError(ReproError):
     """Raised for invalid fixed-point formats or conversions."""
-
-
-class OverflowModeError(FixedPointError):
-    """Raised when an unknown overflow or quantization mode is requested."""
 
 
 class DFGError(ReproError):
@@ -101,20 +88,8 @@ class NoiseModelError(ReproError):
     """Raised when a quantization-noise model cannot be constructed."""
 
 
-class SchedulingError(ReproError):
-    """Raised when a schedule cannot be produced under the constraints."""
-
-
-class AllocationError(ReproError):
-    """Raised when resource allocation or binding fails."""
-
-
 class OptimizationError(ReproError):
     """Raised when a word-length optimization cannot make progress."""
-
-
-class InfeasibleConstraintError(OptimizationError):
-    """Raised when no word-length assignment can satisfy the constraints."""
 
 
 class DesignError(ReproError):

@@ -3,12 +3,11 @@
 Provides the arithmetic characteristics the paper optimizes over: the
 word-length split into integer and fractional bits, the truncation mode
 (round-off vs truncation) and the overflow mode (saturation vs
-wrap-around), plus a bit-true value type used by the Monte-Carlo
-validation path.
+wrap-around), plus the scalar and vectorized quantizers the Monte-Carlo
+validation path simulates with.
 """
 
 from repro.fixedpoint.format import FixedPointFormat, OverflowMode, QuantizationMode
-from repro.fixedpoint.number import FixedPointNumber
 from repro.fixedpoint.quantize import (
     overflow_wrap,
     quantization_error_bounds,
@@ -20,7 +19,6 @@ __all__ = [
     "FixedPointFormat",
     "QuantizationMode",
     "OverflowMode",
-    "FixedPointNumber",
     "quantize",
     "quantize_array",
     "quantization_error_bounds",

@@ -14,8 +14,6 @@ from repro.histogram.pdf import HistogramPDF
 from repro.histogram.shapes import (
     gaussian_histogram,
     quantization_error_histogram,
-    triangular_histogram,
-    uniform_histogram,
 )
 from repro.histogram.statistics import HistogramStats, summarize
 from repro.histogram.sampling import empirical_histogram, sample_histogram
@@ -26,8 +24,6 @@ __all__ = [
     "summarize",
     "combine_histograms",
     "spread_intervals",
-    "uniform_histogram",
-    "triangular_histogram",
     "gaussian_histogram",
     "quantization_error_histogram",
     "sample_histogram",

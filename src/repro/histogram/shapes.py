@@ -2,10 +2,10 @@
 
 The paper stresses that SNA places *no restriction* on the noise-symbol
 PDFs — a symbol can carry a practically extracted or stimulus-based
-distribution.  These constructors cover the distributions most frequently
-attached to symbols in practice: uniform (round-off noise), triangular
-(sum of two round-offs), truncated Gaussian (measured noise) and the
-one-sided uniform density of magnitude truncation.
+distribution.  These constructors cover the quantization-error densities the
+noise models attach to every rounding or truncating node (uniform over
+``[-q/2, q/2]`` or ``[-q, 0]``) and a truncated Gaussian for measured
+noise.
 """
 
 from __future__ import annotations
@@ -19,49 +19,11 @@ from repro.histogram.pdf import HistogramPDF
 from repro.utils.mathutils import ulp
 
 __all__ = [
-    "uniform_histogram",
-    "triangular_histogram",
     "gaussian_histogram",
     "quantization_error_histogram",
 ]
 
 Number = Union[int, float]
-
-
-def uniform_histogram(lo: Number, hi: Number, bins: int = 16) -> HistogramPDF:
-    """Uniform density over ``[lo, hi]``."""
-    return HistogramPDF.uniform(lo, hi, bins=bins)
-
-
-def triangular_histogram(lo: Number, mode: Number, hi: Number, bins: int = 32) -> HistogramPDF:
-    """Triangular density with the given support and mode."""
-    lo = float(lo)
-    mode = float(mode)
-    hi = float(hi)
-    if not lo <= mode <= hi:
-        raise HistogramError(f"mode {mode} must lie inside [{lo}, {hi}]")
-    if hi <= lo:
-        return HistogramPDF.point(lo)
-
-    def density(x: np.ndarray) -> np.ndarray:
-        left = np.where(
-            (x >= lo) & (x <= mode),
-            2.0 * (x - lo) / ((hi - lo) * (mode - lo)) if mode > lo else 0.0,
-            0.0,
-        )
-        right = np.where(
-            (x > mode) & (x <= hi),
-            2.0 * (hi - x) / ((hi - lo) * (hi - mode)) if hi > mode else 0.0,
-            0.0,
-        )
-        values = left + right
-        if mode == lo:
-            values = np.where(x <= lo, 0.0, 2.0 * (hi - x) / (hi - lo) ** 2)
-        elif mode == hi:
-            values = np.where(x >= hi, 0.0, 2.0 * (x - lo) / (hi - lo) ** 2)
-        return np.clip(values, 0.0, None)
-
-    return HistogramPDF.from_density(density, lo, hi, bins=bins)
 
 
 def gaussian_histogram(

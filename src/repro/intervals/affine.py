@@ -104,11 +104,6 @@ class AffineContext:
 _DEFAULT_CONTEXT = AffineContext()
 
 
-def default_context() -> AffineContext:
-    """The process-wide default :class:`AffineContext`."""
-    return _DEFAULT_CONTEXT
-
-
 class AffineForm:
     """An affine combination of ``[-1, 1]`` noise symbols plus a constant."""
 

@@ -156,7 +156,7 @@ def pareto_front(
     if not unique_floors:
         raise OptimizationError("pareto_front needs at least one SNR floor")
     if strategy is None:
-        strategy = getattr(problem.config, "strategy", "greedy")
+        strategy = problem.config.strategy
     optimizer = get_optimizer(strategy, **strategy_options)
     front = ParetoFront(circuit=problem.name, strategy=str(strategy), method=problem.method)
     completed = _resume_completed(checkpoint, unique_floors)

@@ -20,11 +20,10 @@ import dataclasses
 import math
 import os
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
-from repro.config import UNSET, OptimizeConfig, merge_deprecated_kwargs
+from repro.config import OptimizeConfig
 from repro.dfg.graph import DFG
 from repro.dfg.node import OpType
 from repro.dfg.range_analysis import infer_ranges
@@ -83,12 +82,7 @@ class OptimizationProblem:
     config:
         An :class:`~repro.config.OptimizeConfig` carrying the analysis
         method, search-space box constraints, analyzer knobs and the
-        candidate-evaluation engine.  The pre-PR-7 per-field keyword
-        arguments (``method``, ``horizon``, ``bins``, ``margin_db``,
-        ``min_fractional_bits``, ``max_word_length``, ``quantization``,
-        ``overflow``, ``mc_workers``, ``use_incremental``) survive for
-        one release as deprecated aliases that override the config and
-        emit :class:`DeprecationWarning`.
+        candidate-evaluation engine.
     """
 
     def __init__(
@@ -100,42 +94,9 @@ class OptimizationProblem:
         config: OptimizeConfig | None = None,
         output: str | None = None,
         name: str | None = None,
-        *,
-        method: object = UNSET,
-        horizon: object = UNSET,
-        bins: object = UNSET,
-        margin_db: object = UNSET,
-        min_fractional_bits: object = UNSET,
-        max_word_length: object = UNSET,
-        quantization: object = UNSET,
-        overflow: object = UNSET,
-        use_incremental: object = UNSET,
-        mc_workers: object = UNSET,
     ) -> None:
         if config is None:
             config = OptimizeConfig()
-        config = merge_deprecated_kwargs(
-            config,
-            {
-                "method": method,
-                "horizon": horizon,
-                "bins": bins,
-                "margin_db": margin_db,
-                "min_fractional_bits": min_fractional_bits,
-                "max_word_length": max_word_length,
-                "quantization": quantization,
-                "overflow": overflow,
-                "mc_workers": mc_workers,
-            },
-        )
-        if use_incremental is not UNSET:
-            warnings.warn(
-                "keyword argument use_incremental is deprecated; pass "
-                "OptimizeConfig(engine='incremental'|'fresh') via 'config' instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = config.replace(engine="incremental" if use_incremental else "fresh")
         if snr_floor_db is not None:
             config = config.replace(snr_floor_db=float(snr_floor_db))
         if str(config.method).lower() not in ANALYSIS_METHODS:
@@ -243,12 +204,9 @@ class OptimizationProblem:
         #: incremental engine and additionally exposes vectorized batch
         #: pricing to strategies through :meth:`price_moves`.
         self.engine = config.engine
-        #: Whether :meth:`evaluate` routes through the incremental engine
-        #: (back-compat mirror of ``engine != "fresh"``).
-        self.use_incremental = config.engine != "fresh"
         #: Whether a broken engine degrades to the next-slower one
         #: (``batched -> incremental -> fresh``) instead of raising.
-        self.engine_fallback = bool(getattr(config, "engine_fallback", True))
+        self.engine_fallback = config.engine_fallback
         #: Structured :class:`~repro.analysis.degradation.DegradationEvent`
         #: log of every fallback this problem has taken.
         self.degradations: list = []
@@ -321,7 +279,7 @@ class OptimizationProblem:
         instead of :attr:`analyzer_calls` — annealing never re-prices a
         revisited design.  Cache misses run through a long-lived
         :class:`~repro.analysis.incremental.IncrementalAnalyzer` (unless
-        ``use_incremental=False``), which re-propagates only the
+        the engine is ``fresh``), which re-propagates only the
         downstream cone of the nodes whose formats changed since the last
         analyzed candidate; greedy single-node probes therefore cost
         O(cone) instead of O(graph).  The cache is sound because an
@@ -379,7 +337,7 @@ class OptimizationProblem:
             return float("inf")
 
     def _analyze_unchecked(self, assignment: WordLengthAssignment) -> float:
-        if not self.use_incremental:
+        if self.engine == "fresh":
             return self._analyze_fresh(assignment)
         try:
             if self._incremental is None:
@@ -438,7 +396,6 @@ class OptimizationProblem:
             )
         )
         self.engine = to_engine
-        self.use_incremental = to_engine != "fresh"
 
     def notify_accepted(self, assignment: WordLengthAssignment) -> None:
         """Tell the evaluator that ``assignment`` is the search's new current design.
@@ -609,7 +566,6 @@ class OptimizationProblem:
         samples: int = 20_000,
         seed: int | None = 0,
         workers: int | None = None,
-        confidence: "float | None | object" = UNSET,
     ) -> float:
         """Measured SNR of a design under the bit-true Monte-Carlo simulator.
 
@@ -621,12 +577,11 @@ class OptimizationProblem:
         still shards (and still parallelizes) from a fresh OS-entropy
         base seed.
 
-        ``confidence`` defaults to the problem's own level so validation
-        judges the same functional the search optimized: the sampled
-        noise measure becomes the squared empirical
+        Validation judges at the problem's own :attr:`confidence`, the
+        same functional the search optimized: with a confidence set, the
+        sampled noise measure becomes the squared empirical
         ``confidence``-quantile of ``|error|`` (``1.0`` = the squared
-        peak error).  Pass ``confidence=None`` explicitly to force the
-        legacy mean-square reading.
+        peak error); without one it is the mean-square error.
         """
         # Local import: repro.analysis imports repro.optimize at module
         # scope (pipeline wiring); importing back lazily avoids the cycle.
@@ -659,16 +614,14 @@ class OptimizationProblem:
                 output=self.output,
                 rng=seed,
             )
-        if confidence is UNSET:
-            confidence = self.confidence
-        if confidence is None:
+        if self.confidence is None:
             return self._snr_db(result.noise_power)
         import numpy as np
 
-        if confidence >= 1.0:
+        if self.confidence >= 1.0:
             level = float(np.max(np.abs(result.errors)))
         else:
-            level = float(np.quantile(np.abs(result.errors), confidence))
+            level = float(np.quantile(np.abs(result.errors), self.confidence))
         return self._snr_db(level * level)
 
     # ------------------------------------------------------------------ #

@@ -329,7 +329,7 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
         current = start
         blocked = set() if blocked is None else blocked
         best_doc = best.assignment.to_doc() if best is not None and best.feasible else None
-        use_batched = getattr(problem, "engine", "incremental") == "batched"
+        use_batched = problem.engine == "batched"
         problem.notify_accepted(current.assignment)
         for _step in range(self.max_iterations):
             if use_batched:
@@ -559,7 +559,7 @@ class SimulatedAnnealingOptimizer(WordLengthOptimizer):
         else:
             temperature_override = None
 
-        if self.chains > 1 and getattr(problem, "engine", "incremental") == "batched":
+        if self.chains > 1 and problem.engine == "batched":
             try:
                 return self._search_batched(
                     problem, trace, rng, current, best, uniform_eval, uniform_w
@@ -689,7 +689,7 @@ class SimulatedAnnealingOptimizer(WordLengthOptimizer):
                     proposals,
                     method=problem.method,
                     output=problem.output,
-                    confidence=getattr(problem, "confidence", None),
+                    confidence=problem.confidence,
                 )
                 for k, lane in enumerate(moved_lanes):
                     candidate = proposals[k]

@@ -1,31 +1,15 @@
-"""Noise symbols, symbolic expressions and the SNA propagation algorithm.
+"""Symbolic expressions lowered to dataflow graphs.
 
-This package implements Section 4 of the paper:
-
-* :class:`NoiseSymbol` — a bounded random value with an arbitrary
-  histogram PDF (the ``eps_i`` of Equation (1));
-* :class:`Expression` / :class:`Polynomial` / :class:`RationalExpression`
-  — the "fractional function of polynomials" that relates a datapath
-  value to its noise symbols;
-* :class:`CartesianPropagator` — the Cartesian-product-of-bins algorithm
-  that turns symbol PDFs into the output PDF (the SNA core);
-* :class:`SequentialPropagator` — node-by-node histogram arithmetic,
-  cheaper but blind to dependencies, used for ablation comparisons.
+:class:`Expression` trees built from :class:`Symbol` and
+:class:`Constant` leaves are the symbolic front end of the pipeline:
+:func:`~repro.dfg.builder.expression_to_dfg` lowers them into the DFGs
+every analysis method and word-length search runs on.
 """
 
-from repro.symbols.cartesian import CartesianPropagator, PropagationResult, SequentialPropagator
-from repro.symbols.expression import Constant, Expression, Polynomial, RationalExpression, Symbol
-from repro.symbols.noise_symbol import NoiseSymbol, SymbolTable
+from repro.symbols.expression import Constant, Expression, Symbol
 
 __all__ = [
-    "NoiseSymbol",
-    "SymbolTable",
     "Expression",
     "Symbol",
     "Constant",
-    "Polynomial",
-    "RationalExpression",
-    "CartesianPropagator",
-    "SequentialPropagator",
-    "PropagationResult",
 ]

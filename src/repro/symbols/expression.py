@@ -1,28 +1,17 @@
-"""Symbolic expressions over noise symbols.
+"""Symbolic expressions over uncertain inputs.
 
-Equation (1) of the paper writes an uncertain value as a *fractional
-function of polynomials* in the noise symbols.  This module provides
-three cooperating representations:
-
-* :class:`Expression` — an operator-overloaded expression tree.  It can be
-  evaluated in any algebra that supports ``+ - * / **`` with Python
-  numbers (floats, :class:`~repro.intervals.interval.Interval`,
-  :class:`~repro.intervals.affine.AffineForm`,
-  :class:`~repro.intervals.taylor.TaylorModel`,
-  :class:`~repro.histogram.pdf.HistogramPDF`), which is how the same
-  symbolic description feeds IA, AA, Taylor and SNA analyses.
-* :class:`Polynomial` — a canonical expanded multivariate polynomial,
-  used when a closed normal form is preferable (step 2 of the SNA
-  algorithm: "polynomial operations to build up the output error
-  relationship with the noise symbol sources").
-* :class:`RationalExpression` — a ratio of two polynomials, produced when
-  an expression contains division by a non-constant.
+:class:`Expression` is an operator-overloaded expression tree: build it
+from :class:`Symbol` and :class:`Constant` leaves with ``+ - * / **``,
+then lower it into a dataflow graph with
+:func:`~repro.dfg.builder.expression_to_dfg`.  Integer powers are kept
+as dedicated :class:`Pow` nodes so the lowering can emit a
+dependency-aware square instead of a plain multiplication.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Mapping, Tuple, Union
+from typing import Union
 
 from repro.errors import ExpressionError
 
@@ -30,13 +19,10 @@ __all__ = [
     "Expression",
     "Symbol",
     "Constant",
-    "Polynomial",
-    "RationalExpression",
     "as_expression",
 ]
 
 Number = Union[int, float]
-Monomial = Tuple[Tuple[str, int], ...]
 
 
 def as_expression(value: "Expression | Number") -> "Expression":
@@ -86,43 +72,6 @@ class Expression:
             )
         return Pow(self, exponent)
 
-    # -- analysis ------------------------------------------------------- #
-    def symbols(self) -> frozenset[str]:
-        """All symbol names appearing in the expression."""
-        raise NotImplementedError
-
-    def evaluate(self, env: Mapping[str, Any]) -> Any:
-        """Evaluate with symbol values drawn from ``env``.
-
-        ``env`` may map names to floats, intervals, affine forms, Taylor
-        models or histogram PDFs — anything supporting the arithmetic
-        operators used by the expression.  A missing symbol raises
-        :class:`ExpressionError`.
-        """
-        raise NotImplementedError
-
-    def expand(self) -> "RationalExpression":
-        """Expand into a ratio of canonical polynomials."""
-        raise NotImplementedError
-
-    def to_polynomial(self) -> "Polynomial":
-        """Expand into a single polynomial (fails if a true division remains)."""
-        rational = self.expand()
-        if not rational.denominator.is_constant():
-            raise ExpressionError("expression is a proper rational function, not a polynomial")
-        scale = rational.denominator.constant_value()
-        if scale == 0.0:
-            raise ExpressionError("expression denominator is identically zero")
-        return rational.numerator.scale(1.0 / scale)
-
-    def depth(self) -> int:
-        """Height of the expression tree (constants/symbols have depth 1)."""
-        raise NotImplementedError
-
-    def count_operations(self) -> int:
-        """Number of arithmetic operator nodes in the tree."""
-        raise NotImplementedError
-
 
 class Constant(Expression):
     """A literal real constant."""
@@ -134,21 +83,6 @@ class Constant(Expression):
         if math.isnan(value):
             raise ExpressionError("constant must not be NaN")
         self.value = value
-
-    def symbols(self) -> frozenset[str]:
-        return frozenset()
-
-    def evaluate(self, env: Mapping[str, Any]) -> Any:
-        return self.value
-
-    def expand(self) -> "RationalExpression":
-        return RationalExpression(Polynomial.constant(self.value), Polynomial.constant(1.0))
-
-    def depth(self) -> int:
-        return 1
-
-    def count_operations(self) -> int:
-        return 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.value:g}"
@@ -164,23 +98,6 @@ class Symbol(Expression):
             raise ExpressionError("symbol name must be non-empty")
         self.name = str(name)
 
-    def symbols(self) -> frozenset[str]:
-        return frozenset({self.name})
-
-    def evaluate(self, env: Mapping[str, Any]) -> Any:
-        if self.name not in env:
-            raise ExpressionError(f"no value provided for symbol {self.name!r}")
-        return env[self.name]
-
-    def expand(self) -> "RationalExpression":
-        return RationalExpression(Polynomial.symbol(self.name), Polynomial.constant(1.0))
-
-    def depth(self) -> int:
-        return 1
-
-    def count_operations(self) -> int:
-        return 0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 
@@ -193,15 +110,6 @@ class _BinaryOp(Expression):
         self.left = left
         self.right = right
 
-    def symbols(self) -> frozenset[str]:
-        return self.left.symbols() | self.right.symbols()
-
-    def depth(self) -> int:
-        return 1 + max(self.left.depth(), self.right.depth())
-
-    def count_operations(self) -> int:
-        return 1 + self.left.count_operations() + self.right.count_operations()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.left!r} {self._symbol} {self.right!r})"
 
@@ -211,23 +119,11 @@ class Add(_BinaryOp):
 
     _symbol = "+"
 
-    def evaluate(self, env: Mapping[str, Any]) -> Any:
-        return self.left.evaluate(env) + self.right.evaluate(env)
-
-    def expand(self) -> "RationalExpression":
-        return self.left.expand() + self.right.expand()
-
 
 class Sub(_BinaryOp):
     """Difference of two sub-expressions."""
 
     _symbol = "-"
-
-    def evaluate(self, env: Mapping[str, Any]) -> Any:
-        return self.left.evaluate(env) - self.right.evaluate(env)
-
-    def expand(self) -> "RationalExpression":
-        return self.left.expand() - self.right.expand()
 
 
 class Mul(_BinaryOp):
@@ -235,23 +131,11 @@ class Mul(_BinaryOp):
 
     _symbol = "*"
 
-    def evaluate(self, env: Mapping[str, Any]) -> Any:
-        return self.left.evaluate(env) * self.right.evaluate(env)
-
-    def expand(self) -> "RationalExpression":
-        return self.left.expand() * self.right.expand()
-
 
 class Div(_BinaryOp):
     """Quotient of two sub-expressions."""
 
     _symbol = "/"
-
-    def evaluate(self, env: Mapping[str, Any]) -> Any:
-        return self.left.evaluate(env) / self.right.evaluate(env)
-
-    def expand(self) -> "RationalExpression":
-        return self.left.expand() / self.right.expand()
 
 
 class Neg(Expression):
@@ -261,21 +145,6 @@ class Neg(Expression):
 
     def __init__(self, operand: Expression) -> None:
         self.operand = operand
-
-    def symbols(self) -> frozenset[str]:
-        return self.operand.symbols()
-
-    def evaluate(self, env: Mapping[str, Any]) -> Any:
-        return -self.operand.evaluate(env)
-
-    def expand(self) -> "RationalExpression":
-        return -self.operand.expand()
-
-    def depth(self) -> int:
-        return 1 + self.operand.depth()
-
-    def count_operations(self) -> int:
-        return 1 + self.operand.count_operations()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"(-{self.operand!r})"
@@ -301,280 +170,5 @@ class Pow(Expression):
         self.operand = operand
         self.exponent = exponent
 
-    def symbols(self) -> frozenset[str]:
-        return self.operand.symbols() if self.exponent > 0 else frozenset()
-
-    def evaluate(self, env: Mapping[str, Any]) -> Any:
-        if self.exponent == 0:
-            return 1.0
-        value = self.operand.evaluate(env)
-        if hasattr(value, "square") and self.exponent == 2:
-            return value.square()
-        return value ** self.exponent
-
-    def expand(self) -> "RationalExpression":
-        result = RationalExpression(Polynomial.constant(1.0), Polynomial.constant(1.0))
-        base = self.operand.expand()
-        for _ in range(self.exponent):
-            result = result * base
-        return result
-
-    def depth(self) -> int:
-        return 1 + self.operand.depth()
-
-    def count_operations(self) -> int:
-        return 1 + self.operand.count_operations()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.operand!r} ** {self.exponent})"
-
-
-# ---------------------------------------------------------------------- #
-# canonical polynomial form
-# ---------------------------------------------------------------------- #
-class Polynomial:
-    """A multivariate polynomial in symbols, stored as monomial -> coefficient.
-
-    A monomial key is a tuple of ``(symbol, exponent)`` pairs sorted by
-    symbol name; the empty tuple is the constant term.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, Number] | None = None) -> None:
-        cleaned: Dict[Monomial, float] = {}
-        for monomial, coeff in (terms or {}).items():
-            coeff = float(coeff)
-            if coeff == 0.0:
-                continue
-            key = tuple(sorted((str(s), int(p)) for s, p in monomial if int(p) != 0))
-            cleaned[key] = cleaned.get(key, 0.0) + coeff
-        self.terms = {k: v for k, v in cleaned.items() if v != 0.0}
-
-    # -- constructors --------------------------------------------------- #
-    @classmethod
-    def constant(cls, value: Number) -> "Polynomial":
-        """The constant polynomial ``value``."""
-        return cls({(): float(value)} if float(value) != 0.0 else {})
-
-    @classmethod
-    def symbol(cls, name: str) -> "Polynomial":
-        """The polynomial consisting of a single symbol."""
-        return cls({((str(name), 1),): 1.0})
-
-    # -- queries --------------------------------------------------------- #
-    def symbols(self) -> frozenset[str]:
-        """All symbols with a non-zero coefficient somewhere."""
-        names: set[str] = set()
-        for monomial in self.terms:
-            for name, _power in monomial:
-                names.add(name)
-        return frozenset(names)
-
-    def degree(self) -> int:
-        """Total degree (0 for constants and the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return max(sum(power for _name, power in monomial) for monomial in self.terms)
-
-    def is_constant(self) -> bool:
-        """True when no symbol appears."""
-        return all(not monomial for monomial in self.terms)
-
-    def constant_value(self) -> float:
-        """The constant term (the whole value if :meth:`is_constant`)."""
-        return self.terms.get((), 0.0)
-
-    def coefficient(self, monomial: Iterable[Tuple[str, int]]) -> float:
-        """Coefficient of the given monomial (0 when absent)."""
-        key = tuple(sorted((str(s), int(p)) for s, p in monomial if int(p) != 0))
-        return self.terms.get(key, 0.0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if not self.terms:
-            return "Polynomial(0)"
-        parts = []
-        for monomial in sorted(self.terms, key=lambda m: (sum(p for _s, p in m), m)):
-            coeff = self.terms[monomial]
-            factors = "*".join(f"{s}^{p}" if p > 1 else s for s, p in monomial)
-            parts.append(f"{coeff:+g}" + (f"*{factors}" if factors else ""))
-        return f"Polynomial({' '.join(parts)})"
-
-    # -- arithmetic ------------------------------------------------------ #
-    def __add__(self, other: "Polynomial | Number") -> "Polynomial":
-        other = other if isinstance(other, Polynomial) else Polynomial.constant(other)
-        terms = dict(self.terms)
-        for monomial, coeff in other.terms.items():
-            terms[monomial] = terms.get(monomial, 0.0) + coeff
-        return Polynomial(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial | Number") -> "Polynomial":
-        other = other if isinstance(other, Polynomial) else Polynomial.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other: "Polynomial | Number") -> "Polynomial":
-        return (-self) + other
-
-    def scale(self, factor: Number) -> "Polynomial":
-        """Multiply every coefficient by ``factor``."""
-        return Polynomial({m: c * float(factor) for m, c in self.terms.items()})
-
-    @staticmethod
-    def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
-        powers: Dict[str, int] = {}
-        for name, power in a:
-            powers[name] = powers.get(name, 0) + power
-        for name, power in b:
-            powers[name] = powers.get(name, 0) + power
-        return tuple(sorted((n, p) for n, p in powers.items() if p != 0))
-
-    def __mul__(self, other: "Polynomial | Number") -> "Polynomial":
-        if isinstance(other, (int, float)):
-            return self.scale(other)
-        terms: Dict[Monomial, float] = {}
-        for mono_a, coeff_a in self.terms.items():
-            for mono_b, coeff_b in other.terms.items():
-                key = self._merge_monomials(mono_a, mono_b)
-                terms[key] = terms.get(key, 0.0) + coeff_a * coeff_b
-        return Polynomial(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ExpressionError(
-                f"only non-negative integer powers are supported, got {exponent!r}"
-            )
-        result = Polynomial.constant(1.0)
-        base = self
-        power = exponent
-        while power:
-            if power & 1:
-                result = result * base
-            power >>= 1
-            if power:
-                base = base * base
-        return result
-
-    # -- evaluation ------------------------------------------------------ #
-    def evaluate(self, env: Mapping[str, Any]) -> Any:
-        """Evaluate in any algebra supporting ``+ * **`` with numbers.
-
-        Symbol powers use the algebra's own ``**`` (or ``.square()`` for
-        exponent 2 when available) so interval-like algebras keep the
-        dependency refinement of even powers.
-        """
-        total: Any = 0.0
-        for monomial, coeff in self.terms.items():
-            term: Any = coeff
-            for name, power in monomial:
-                if name not in env:
-                    raise ExpressionError(f"no value provided for symbol {name!r}")
-                value = env[name]
-                if power == 2 and hasattr(value, "square"):
-                    factor = value.square()
-                elif power == 1:
-                    factor = value
-                else:
-                    factor = value ** power
-                term = factor * term
-            total = total + term
-        return total
-
-    def gradient(self) -> Dict[str, "Polynomial"]:
-        """Partial derivatives with respect to every symbol."""
-        grads: Dict[str, Polynomial] = {}
-        for name in self.symbols():
-            terms: Dict[Monomial, float] = {}
-            for monomial, coeff in self.terms.items():
-                powers = dict(monomial)
-                power = powers.get(name, 0)
-                if power == 0:
-                    continue
-                new_powers = dict(powers)
-                new_powers[name] = power - 1
-                key = tuple(sorted((n, p) for n, p in new_powers.items() if p != 0))
-                terms[key] = terms.get(key, 0.0) + coeff * power
-            grads[name] = Polynomial(terms)
-        return grads
-
-
-class RationalExpression:
-    """A ratio of two polynomials — Equation (1)'s ``Fx``."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: Polynomial, denominator: Polynomial) -> None:
-        if not denominator.terms:
-            raise ExpressionError("denominator polynomial is identically zero")
-        self.numerator = numerator
-        self.denominator = denominator
-        self._normalize()
-
-    def _normalize(self) -> None:
-        if self.denominator.is_constant():
-            value = self.denominator.constant_value()
-            if value != 1.0 and value != 0.0:
-                self.numerator = self.numerator.scale(1.0 / value)
-                self.denominator = Polynomial.constant(1.0)
-
-    # -- queries --------------------------------------------------------- #
-    def symbols(self) -> frozenset[str]:
-        """All symbols of numerator and denominator."""
-        return self.numerator.symbols() | self.denominator.symbols()
-
-    def is_polynomial(self) -> bool:
-        """True when the denominator is the constant 1."""
-        return self.denominator.is_constant() and self.denominator.constant_value() == 1.0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RationalExpression({self.numerator!r} / {self.denominator!r})"
-
-    # -- arithmetic ------------------------------------------------------ #
-    def __add__(self, other: "RationalExpression") -> "RationalExpression":
-        return RationalExpression(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __sub__(self, other: "RationalExpression") -> "RationalExpression":
-        return RationalExpression(
-            self.numerator * other.denominator - other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __neg__(self) -> "RationalExpression":
-        return RationalExpression(-self.numerator, self.denominator)
-
-    def __mul__(self, other: "RationalExpression") -> "RationalExpression":
-        return RationalExpression(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    def __truediv__(self, other: "RationalExpression") -> "RationalExpression":
-        if not other.numerator.terms:
-            raise ExpressionError("division by an identically zero expression")
-        return RationalExpression(
-            self.numerator * other.denominator, self.denominator * other.numerator
-        )
-
-    # -- evaluation ------------------------------------------------------ #
-    def evaluate(self, env: Mapping[str, Any]) -> Any:
-        """Evaluate numerator and denominator, then divide (if needed)."""
-        numerator = self.numerator.evaluate(env)
-        if self.is_polynomial():
-            return numerator
-        return numerator / self.denominator.evaluate(env)

@@ -1,59 +1,11 @@
-"""Numeric helpers shared by the fixed-point, HLS and optimization layers."""
+"""Numeric helpers shared by the fixed-point, range-analysis and optimization layers."""
 
 from __future__ import annotations
 
-import math
-
 __all__ = [
-    "clog2",
-    "flog2",
-    "next_power_of_two",
-    "is_power_of_two",
-    "sign",
     "ulp",
     "integer_bits_for_range",
-    "lcm",
 ]
-
-
-def clog2(value: float) -> int:
-    """Return ``ceil(log2(value))`` for a strictly positive value.
-
-    ``clog2(1)`` is 0, ``clog2(2)`` is 1, ``clog2(3)`` is 2.  This is the
-    usual "number of bits needed to index ``value`` distinct items" helper
-    used in hardware sizing.
-    """
-    if value <= 0:
-        raise ValueError(f"clog2 requires a positive value, got {value!r}")
-    return int(math.ceil(math.log2(value)))
-
-
-def flog2(value: float) -> int:
-    """Return ``floor(log2(value))`` for a strictly positive value."""
-    if value <= 0:
-        raise ValueError(f"flog2 requires a positive value, got {value!r}")
-    return int(math.floor(math.log2(value)))
-
-
-def next_power_of_two(value: int) -> int:
-    """Return the smallest power of two greater than or equal to ``value``."""
-    if value <= 0:
-        raise ValueError(f"next_power_of_two requires a positive value, got {value!r}")
-    return 1 << clog2(value)
-
-
-def is_power_of_two(value: int) -> bool:
-    """Return True when ``value`` is a positive integer power of two."""
-    return isinstance(value, int) and value > 0 and (value & (value - 1)) == 0
-
-
-def sign(value: float) -> int:
-    """Return -1, 0 or +1 according to the sign of ``value``."""
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
 
 
 def ulp(fractional_bits: int) -> float:
@@ -100,9 +52,3 @@ def integer_bits_for_range(lo: float, hi: float, signed: bool = True) -> int:
         bits += 1
     return bits
 
-
-def lcm(a: int, b: int) -> int:
-    """Least common multiple of two positive integers."""
-    if a <= 0 or b <= 0:
-        raise ValueError("lcm requires positive integers")
-    return a * b // math.gcd(a, b)

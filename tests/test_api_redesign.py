@@ -4,8 +4,8 @@ Four subsystems landed together and are tested together because their
 contracts interlock:
 
 * the frozen :class:`~repro.config.AnalysisConfig` /
-  :class:`~repro.config.OptimizeConfig` objects and the deprecated
-  keyword aliases every public constructor now funnels through them;
+  :class:`~repro.config.OptimizeConfig` objects, the only way to
+  configure the public entry points;
 * the :class:`~repro.analysis.batched.BatchedAnalyzer` — whole-graph
   vectorized pricing that must be **bit-equal** to the fresh and
   incremental engines (exactly for IA, which compiles to the vector
@@ -21,19 +21,13 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 
 import pytest
 
 from repro.analysis import BatchedAnalyzer, NoiseAnalysisPipeline
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
-from repro.config import (
-    ENGINES,
-    AnalysisConfig,
-    OptimizeConfig,
-    merge_deprecated_kwargs,
-)
+from repro.config import ENGINES, AnalysisConfig, OptimizeConfig
 from repro.dfg.graph import DFG, DFG_FORMAT
 from repro.dfg.range_analysis import infer_ranges
 from repro.errors import DFGError, NoiseModelError, OptimizationError
@@ -242,96 +236,69 @@ def test_anneal_rejects_bad_chains():
 
 
 # --------------------------------------------------------------------- #
-# configs and deprecated keyword aliases
+# configs: the one calling convention
 # --------------------------------------------------------------------- #
 
 
 def test_configs_are_frozen_and_validated():
     with pytest.raises(Exception):
         AnalysisConfig(word_length=12).word_length = 16  # type: ignore[misc]
-    with pytest.raises(OptimizationError):
-        OptimizeConfig(engine="warp")
+    for bad in ({"engine": "warp"}, {"bins": 0}, {"snr_floor_db": math.nan}):
+        with pytest.raises(OptimizationError):
+            OptimizeConfig(**bad)
     assert set(ENGINES) == {"fresh", "incremental", "batched"}
     assert OptimizeConfig().replace(engine="batched").engine == "batched"
 
 
-def test_merge_deprecated_kwargs_names_every_kwarg():
-    config = OptimizeConfig()
-    with pytest.warns(DeprecationWarning, match="horizon") as caught:
-        merged = merge_deprecated_kwargs(config, {"horizon": 4, "bins": 8})
-    assert merged.horizon == 4 and merged.bins == 8
-    assert any("bins" in str(w.message) for w in caught)
+#: Keywords the config objects replaced; each entry point now rejects them.
+RETIRED_KEYWORDS = {
+    "pipeline": {
+        "word_length": 10,
+        "horizon": 4,
+        "bins": 16,
+        "mc_samples": 500,
+        "seed": 3,
+        "enclosure_tol": 1e-9,
+    },
+    "problem": {
+        "method": "ia",
+        "horizon": 4,
+        "bins": 8,
+        "margin_db": 2.0,
+        "min_fractional_bits": 1,
+        "max_word_length": 20,
+        "quantization": "truncate",
+        "overflow": "wrap",
+        "mc_workers": 1,
+    },
+    "optimize": {"method": "ia", "margin_db": 0.5, "max_word_length": 20},
+}
 
 
-def test_pipeline_positional_word_length_warns():
-    with pytest.warns(DeprecationWarning, match="word_length"):
-        pipeline = NoiseAnalysisPipeline(10)
-    assert pipeline.config.word_length == 10
-    assert NoiseAnalysisPipeline(AnalysisConfig(word_length=10)).word_length == 10
+def _retired_calls():
+    for entry, keywords in RETIRED_KEYWORDS.items():
+        for keyword, value in keywords.items():
+            yield pytest.param(entry, (), {keyword: value}, keyword, id=f"{entry}-{keyword}")
+    # the pre-config positional word length: NoiseAnalysisPipeline(10)
+    yield pytest.param("pipeline", (10,), {}, "AnalysisConfig", id="pipeline-positional")
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"word_length": 10},
-        {"horizon": 4},
-        {"bins": 16},
-        {"mc_samples": 500},
-        {"seed": 3},
-        {"enclosure_tol": 1e-9},
-    ],
-)
-def test_pipeline_ctor_aliases_warn_and_apply(kwargs):
-    with pytest.warns(DeprecationWarning, match=next(iter(kwargs))):
-        pipeline = NoiseAnalysisPipeline(**kwargs)
-    (field, value), = kwargs.items()
-    assert getattr(pipeline.config, field) == value
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"method": "ia"},
-        {"horizon": 4},
-        {"bins": 8},
-        {"margin_db": 2.0},
-        {"min_fractional_bits": 1},
-        {"max_word_length": 20},
-        {"quantization": "truncate"},
-        {"overflow": "wrap"},
-        {"mc_workers": 1},
-    ],
-)
-def test_problem_ctor_aliases_warn_and_apply(kwargs):
+@pytest.mark.parametrize("entry, args, kwargs, message", _retired_calls())
+def test_retired_calling_conventions_raise_type_error(entry, args, kwargs, message):
     circuit = get_circuit("quadratic")
-    (field, value), = kwargs.items()
-    with pytest.warns(DeprecationWarning, match=field):
-        problem = OptimizationProblem.from_circuit(circuit, 50.0, **kwargs)
-    assert getattr(problem.config, field) == value
-    clean = OptimizationProblem.from_circuit(
-        circuit, 50.0, config=OptimizeConfig(snr_floor_db=50.0, **{field: value})
-    )
-    assert getattr(clean.config, field) == value
+    with pytest.raises(TypeError, match=message):
+        if entry == "pipeline":
+            NoiseAnalysisPipeline(*args, **kwargs)
+        elif entry == "problem":
+            OptimizationProblem.from_circuit(circuit, 50.0, **kwargs)
+        else:
+            pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4, bins=8))
+            pipeline.optimize(circuit, 50.0, **kwargs)
 
 
-@pytest.mark.parametrize("use_incremental, engine", [(True, "incremental"), (False, "fresh")])
-def test_problem_use_incremental_alias(use_incremental, engine):
-    circuit = get_circuit("quadratic")
-    with pytest.warns(DeprecationWarning, match="use_incremental"):
-        problem = OptimizationProblem.from_circuit(
-            circuit, 50.0, use_incremental=use_incremental
-        )
-    assert problem.engine == engine
-    assert problem.use_incremental is use_incremental
-
-
-def test_pipeline_optimize_aliases_warn_and_match_config_path():
+def test_pipeline_optimize_matches_config_path():
     circuit = get_circuit("quadratic")
     pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=12, horizon=4, bins=8))
-    with pytest.warns(DeprecationWarning, match="max_word_length"):
-        legacy = pipeline.optimize(
-            circuit, 50.0, method="ia", margin_db=0.5, max_word_length=20
-        )
     config = OptimizeConfig(
         snr_floor_db=50.0,
         method="ia",
@@ -340,11 +307,11 @@ def test_pipeline_optimize_aliases_warn_and_match_config_path():
         horizon=4,
         bins=8,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        modern = pipeline.optimize(circuit, 50.0, config=config)
-    assert legacy.cost == modern.cost
-    assert legacy.assignment.key() == modern.assignment.key()
+    via_pipeline = pipeline.optimize(circuit, 50.0, config=config)
+    problem = OptimizationProblem.from_circuit(circuit, 50.0, config=config)
+    direct = get_optimizer("greedy").optimize(problem)
+    assert via_pipeline.cost == direct.cost
+    assert via_pipeline.assignment.key() == direct.assignment.key()
 
 
 # --------------------------------------------------------------------- #

@@ -121,7 +121,7 @@ class TestScaleDriver:
         out = tmp_path / "BENCH_scale_smoke.json"
         code = scale_main(
             [
-                "--smoke",
+                "--spec", "fir_cascade:taps=4,samples=6",
                 "--samples", "256",
                 "--out", str(out),
             ]

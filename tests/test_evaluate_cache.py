@@ -17,8 +17,6 @@ def make_problem(circuit_name="quadratic", method="aa", **options):
     options.setdefault("horizon", 4)
     options.setdefault("bins", 8)
     options.setdefault("margin_db", 1.0)
-    if "use_incremental" in options:
-        options["engine"] = "incremental" if options.pop("use_incremental") else "fresh"
     config = OptimizeConfig(snr_floor_db=FLOOR, method=method, **options)
     return OptimizationProblem.from_circuit(get_circuit(circuit_name), FLOOR, config=config)
 
@@ -93,14 +91,12 @@ class TestEvaluatorEquivalence:
     @pytest.mark.parametrize("method", ["ia", "aa", "sna"])
     def test_incremental_and_legacy_paths_agree(self, circuit_name, method):
         results = {}
-        for use_incremental in (True, False):
-            problem = make_problem(
-                circuit_name, method=method, use_incremental=use_incremental
-            )
+        for engine in ("incremental", "fresh"):
+            problem = make_problem(circuit_name, method=method, engine=engine)
             result = get_optimizer("greedy").optimize(problem)
             assert result.feasible
-            results[use_incremental] = result
-        incremental, legacy = results[True], results[False]
+            results[engine] = result
+        incremental, legacy = results["incremental"], results["fresh"]
         assert incremental.cost == legacy.cost
         assert incremental.snr_db == pytest.approx(legacy.snr_db, rel=1e-9)
         assert incremental.assignment.key() == legacy.assignment.key()
@@ -108,7 +104,7 @@ class TestEvaluatorEquivalence:
     def test_annealing_deterministic_across_evaluators(self):
         first = get_optimizer("anneal", iterations=40, seed=7).optimize(make_problem())
         second = get_optimizer("anneal", iterations=40, seed=7).optimize(
-            make_problem(use_incremental=False)
+            make_problem(engine="fresh")
         )
         assert first.cost == pytest.approx(second.cost)
         assert first.assignment.key() == second.assignment.key()
@@ -124,7 +120,7 @@ class TestEvaluatorEquivalence:
         for seed in (2001, 2002, 2003):
             circuit = random_circuit_factory(seed)
             results = {}
-            for use_incremental in (True, False):
+            for engine in ("incremental", "fresh"):
                 problem = OptimizationProblem.from_circuit(
                     circuit,
                     FLOOR,
@@ -134,11 +130,11 @@ class TestEvaluatorEquivalence:
                         horizon=4,
                         bins=8,
                         margin_db=1.0,
-                        engine="incremental" if use_incremental else "fresh",
+                        engine=engine,
                     ),
                 )
-                results[use_incremental] = get_optimizer("greedy").optimize(problem)
-            incremental, legacy = results[True], results[False]
+                results[engine] = get_optimizer("greedy").optimize(problem)
+            incremental, legacy = results["incremental"], results["fresh"]
             assert incremental.feasible == legacy.feasible
             if incremental.feasible:
                 assert incremental.cost == legacy.cost

@@ -590,3 +590,11 @@ class TestCliDiagnostics:
 
         assert main(["optimize", "fir4", "--cost-table", "nosuch"]) == 2
         assert "cost table" in capsys.readouterr().err
+
+    def test_zero_bins_exits_2(self, capsys):
+        from repro.cli import main
+
+        assert main(["optimize", "fir4", "--bins", "0", "--method", "sna"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert "bins" in err

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fixedpoint.format import FixedPointFormat
-from repro.utils.mathutils import clog2, integer_bits_for_range, ulp
+from repro.utils.mathutils import integer_bits_for_range, ulp
 
 
 class TestIntegerBitsForRange:
@@ -58,9 +58,6 @@ class TestIntegerBitsForRange:
 
 
 class TestSmallHelpers:
-    def test_clog2(self):
-        assert [clog2(v) for v in (1, 2, 3, 4, 5)] == [0, 1, 2, 2, 3]
-
     def test_ulp(self):
         assert ulp(4) == 2.0**-4
         assert ulp(-1) == 2.0
