@@ -51,12 +51,10 @@ from repro.noisemodel.analyzer import (
     NoiseReport,
     propagation_algebra,
 )
-from repro.noisemodel.assignment import WordLengthAssignment
+from repro.noisemodel.assignment import WordLengthAssignment, changed_formats
 from repro.noisemodel.sources import source_for_node
 
 __all__ = ["IncrementalAnalyzer", "IncrementalStats"]
-
-_MISSING = object()
 
 
 @dataclass
@@ -239,28 +237,6 @@ class IncrementalAnalyzer:
     # ------------------------------------------------------------------ #
     # source / assignment synchronization
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _diff(new: Mapping[str, Any], old: Mapping[str, Any]) -> List[str]:
-        if new is old:
-            return []
-        changed = []
-        matched = 0
-        get = old.get
-        for base, fmt in new.items():
-            prior = get(base, _MISSING)
-            if prior is _MISSING:
-                changed.append(base)
-                continue
-            matched += 1
-            # Identity first: assignments derived via with_fractional_bits /
-            # coverage widening share untouched FixedPointFormat objects,
-            # which skips the dataclass field comparison almost everywhere.
-            if prior is not fmt and prior != fmt:
-                changed.append(base)
-        if matched != len(old):
-            changed.extend(base for base in old if base not in new)
-        return changed
-
     def _sync_sources(self, assignment: WordLengthAssignment) -> None:
         """Point the analyzer's quantization sources at ``assignment``."""
         if (
@@ -273,7 +249,7 @@ class IncrementalAnalyzer:
             )
         if assignment.formats is self._source_sync_token:
             return
-        changed = self._diff(assignment.formats, self._source_formats)
+        changed = changed_formats(assignment.formats, self._source_formats)
         self._source_sync_token = assignment.formats
         if not changed:
             return
@@ -367,7 +343,7 @@ class IncrementalAnalyzer:
                 self.stats.last_recomputed = ()
                 return state.errors
 
-        stale = self._diff(assignment.formats, state.formats)
+        stale = changed_formats(assignment.formats, state.formats)
         if not stale:
             self.stats.cache_reuses += 1
             self.stats.last_recomputed = ()

@@ -25,12 +25,25 @@ class DFG:
     cycles: a feedback loop is legal as long as every cycle passes through
     at least one ``DELAY`` node, which is the usual definition of a
     realizable synchronous datapath.
+
+    Every mutation bumps :attr:`version`, which lets caches derived from
+    the graph (its own consumer index, an ``OptimizationProblem``'s
+    pricing tables) notice that they are out of date.
     """
 
     def __init__(self, name: str = "dfg") -> None:
         self.name = name
         self._nodes: Dict[str, Node] = {}
         self._op_counters: Counter = Counter()
+        #: Mutation counter: bumped by every change to nodes or wiring.
+        self.version = 0
+        # Consumer index (name -> consumers in insertion order), built
+        # lazily by _consumer_index and dropped on every mutation.
+        self._consumers: Dict[str, List[str]] | None = None
+
+    def _mutated(self) -> None:
+        self.version += 1
+        self._consumers = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -67,6 +80,7 @@ class DFG:
                 raise NodeNotFoundError(f"operand {operand!r} of node {name!r} does not exist")
         node = Node(name=name, op=op, inputs=inputs, value=value, label=label)
         self._nodes[name] = node
+        self._mutated()
         return name
 
     # convenience constructors ------------------------------------------------
@@ -149,6 +163,7 @@ class DFG:
         # Temporarily self-referential; must be re-wired via connect_delay.
         node = Node(name=name, op=OpType.DELAY, inputs=(name,))
         self._nodes[name] = node
+        self._mutated()
         return name
 
     def connect_delay(self, delay_name: str, source: str) -> None:
@@ -161,6 +176,7 @@ class DFG:
         self._nodes[delay_name] = Node(
             name=node.name, op=OpType.DELAY, inputs=(source,), label=node.label
         )
+        self._mutated()
 
     def add_output(self, source: str, name: str | None = None, label: str = "") -> str:
         """Mark ``source`` as an external output (through an OUTPUT node)."""
@@ -226,14 +242,30 @@ class DFG:
         """Operand names of a node."""
         return list(self.node(name).inputs)
 
+    def _consumer_index(self) -> Dict[str, List[str]]:
+        if self._consumers is None:
+            index: Dict[str, List[str]] = {name: [] for name in self._nodes}
+            for node in self._nodes.values():
+                # dict.fromkeys: a node reading one operand twice
+                # (``MUL(x, x)``) is still a single consumer.
+                for operand in dict.fromkeys(node.inputs):
+                    index[operand].append(node.name)
+            self._consumers = index
+        return self._consumers
+
+    def _consumers_of(self, name: str) -> List[str]:
+        try:
+            return self._consumer_index()[name]
+        except KeyError as exc:
+            raise NodeNotFoundError(f"unknown node {name!r}") from exc
+
     def successors(self, name: str) -> List[str]:
-        """Nodes that consume the value of ``name``."""
-        self.node(name)
-        return [n.name for n in self if name in n.inputs]
+        """Nodes that consume the value of ``name``, in insertion order."""
+        return list(self._consumers_of(name))
 
     def fanout(self, name: str) -> int:
         """Number of consumers of a node's value."""
-        return len(self.successors(name))
+        return len(self._consumers_of(name))
 
     # ------------------------------------------------------------------ #
     # structure
@@ -295,7 +327,10 @@ class DFG:
         self.topological_order()
 
     def copy(self, name: str | None = None) -> "DFG":
-        """A structural copy of the graph (nodes are immutable and shared)."""
+        """A structural copy of the graph (nodes are immutable and shared).
+
+        The copy builds its own consumer index on first use.
+        """
         clone = DFG(name or self.name)
         clone._nodes = dict(self._nodes)
         clone._op_counters = Counter(self._op_counters)
@@ -362,6 +397,7 @@ class DFG:
                         inputs=placeholder.inputs,
                         label=str(entry["label"]),
                     )
+                    graph._mutated()
                 if inputs:
                     pending_delays.append((name, inputs[0]))
                 continue

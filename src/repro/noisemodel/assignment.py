@@ -9,7 +9,7 @@ analyzer consumes, and the HLS cost model prices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping
+from typing import Any, Dict, Iterator, List, Mapping
 
 from repro.dfg.graph import DFG
 from repro.dfg.node import OpType
@@ -18,7 +18,9 @@ from repro.fixedpoint.format import FixedPointFormat, OverflowMode, Quantization
 from repro.intervals.interval import Interval
 from repro.utils.mathutils import integer_bits_for_range
 
-__all__ = ["WordLengthAssignment", "ensure_range_coverage"]
+__all__ = ["WordLengthAssignment", "changed_formats", "ensure_range_coverage"]
+
+_MISSING = object()
 
 
 @dataclass
@@ -247,3 +249,32 @@ def ensure_range_coverage(
     if not changed:
         return assignment
     return WordLengthAssignment(formats, assignment.quantization, assignment.overflow)
+
+
+def changed_formats(new: Mapping[str, Any], old: Mapping[str, Any]) -> List[str]:
+    """Nodes whose format differs between two ``formats`` mappings.
+
+    Covers changed, added and removed nodes: changed and added ones in
+    ``new``'s order, then removed ones in ``old``'s order.  Formats are
+    compared by identity first — assignments derived through
+    :meth:`WordLengthAssignment.with_fractional_bits` or
+    :func:`ensure_range_coverage` share every untouched
+    :class:`FixedPointFormat` object, which skips the dataclass field
+    comparison almost everywhere.
+    """
+    if new is old:
+        return []
+    changed = []
+    matched = 0
+    get = old.get
+    for base, fmt in new.items():
+        prior = get(base, _MISSING)
+        if prior is _MISSING:
+            changed.append(base)
+            continue
+        matched += 1
+        if prior is not fmt and prior != fmt:
+            changed.append(base)
+    if matched != len(old):
+        changed.extend(base for base in old if base not in new)
+    return changed

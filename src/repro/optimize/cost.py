@@ -36,7 +36,7 @@ bits anywhere can never make the design cheaper.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Mapping
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.dfg.graph import DFG
 from repro.dfg.node import Node, OpType
@@ -261,36 +261,39 @@ class HardwareCostModel:
         return sum(self.node_cost(graph, node, assignment) for node in graph)
 
     @staticmethod
-    def affected_by(graph: DFG, node: str) -> set[str]:
+    def affected_by(graph: DFG, node: str) -> Tuple[str, ...]:
         """Nodes whose price can change when ``node``'s format changes.
 
         The node itself, its direct consumers (operand widths), and —
         because registers forward their source's width — everything a
-        downstream DELAY chain re-exposes that width to.
+        downstream DELAY chain re-exposes that width to.  The nodes come
+        in discovery order, which depends only on the graph's insertion
+        order, so summing over them is independent of ``PYTHONHASHSEED``.
         """
-        affected = {node}
+        affected = {node: None}
         frontier = [node]
         while frontier:
             current = frontier.pop()
             for successor in graph.successors(current):
                 if successor in affected:
                     continue
-                affected.add(successor)
+                affected[successor] = None
                 if graph.node(successor).op is OpType.DELAY:
                     frontier.append(successor)
-        return affected
+        return tuple(affected)
 
     def reprice(
         self,
         graph: DFG,
         before: WordLengthAssignment,
         after: WordLengthAssignment,
-        nodes: set[str],
+        nodes: Iterable[str],
     ) -> float:
         """Cost delta (after - before) when only ``nodes`` can have changed.
 
         Pass :meth:`affected_by` of every mutated node; equals
-        ``total(after) - total(before)`` at a fraction of the price.
+        ``total(after) - total(before)`` at a fraction of the price.  The
+        per-node deltas are summed in the order ``nodes`` yields them.
         """
         delta = 0.0
         for name in nodes:

@@ -21,7 +21,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.config import OptimizeConfig
 from repro.dfg.graph import DFG
@@ -147,6 +147,9 @@ class OptimizationProblem:
         self.quantization = config.quantization
         self.overflow = config.overflow
         self.name = name or graph.name
+        #: :attr:`DFG.version` the problem was built against; every cache
+        #: below assumes the graph has not changed since.
+        self._graph_version = graph.version
 
         range_result = infer_ranges(graph, self.input_ranges)
         if not range_result.converged:
@@ -221,6 +224,17 @@ class OptimizationProblem:
         self._batched = None  # lazily-built BatchedAnalyzer
         self._gain_sq: Dict[str, float] | None = None
         self._gain_abs: Dict[str, float] | None = None
+        # Filled in place by pricing_neighbourhood(), so rescoped clones
+        # share it whichever of them computes it first.
+        self._pricing: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
+
+    def _check_graph(self) -> None:
+        """Raise when the graph changed after this problem was built."""
+        if self.graph.version != self._graph_version:
+            raise OptimizationError(
+                f"graph {self.graph.name!r} was modified after its OptimizationProblem "
+                "was built; build a new problem for the modified graph"
+            )
 
     # ------------------------------------------------------------------ #
     # candidate construction
@@ -285,8 +299,11 @@ class OptimizationProblem:
         O(cone) instead of O(graph).  The cache is sound because an
         evaluation depends only on the assignment and on problem-level
         constants (graph, ranges, method, floor, cost model); mutate any
-        of those and the problem must be rebuilt, not reused.
+        of those and the problem must be rebuilt, not reused.  A graph
+        mutation is detected (through :attr:`DFG.version`) and raises
+        :class:`OptimizationError`.
         """
+        self._check_graph()
         assignment = ensure_range_coverage(assignment, self.ranges)
         key = assignment.key()
         cached = self._eval_cache.get(key)
@@ -468,6 +485,7 @@ class OptimizationProblem:
         One vectorized pass replaces ``len(moves)`` analyzer probes; no
         caches or counters are touched.
         """
+        self._check_graph()
         engine = self.batched_engine()  # compile failures degrade in there
         started = time.perf_counter()
         started_cpu = time.process_time()
@@ -650,6 +668,31 @@ class OptimizationProblem:
             gain_abs[base] = gain_abs.get(base, 0.0) + magnitude
         self._gain_sq = gain_sq
         self._gain_abs = gain_abs
+
+    def pricing_neighbourhood(self) -> Mapping[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]:
+        """Per node, ``(affected, readers)``: what a format change there can re-price.
+
+        ``affected`` is :meth:`HardwareCostModel.affected_by` of the node:
+        the nodes whose price can move when its format changes.
+        ``readers`` are the tunable nodes whose one-bit shave price reads
+        the node's format — those whose own ``affected`` set meets it —
+        so after an accepted move only their shaves need re-pricing.
+        Computed once per problem and shared with :meth:`rescoped` clones.
+        """
+        self._check_graph()
+        if not self._pricing:
+            graph, model = self.graph, self.cost_model
+            affected = {name: model.affected_by(graph, name) for name in graph.names()}
+            priced_by: Dict[str, List[str]] = {name: [] for name in affected}
+            for node in self.tunable:
+                for name in affected[node]:
+                    priced_by[name].append(node)
+            neighbourhood = {}
+            for name, scope in affected.items():
+                readers = dict.fromkeys(r for member in scope for r in priced_by[member])
+                neighbourhood[name] = (scope, tuple(readers))
+            self._pricing.update(neighbourhood)
+        return self._pricing
 
     def noise_gain(self, node: str) -> float:
         """Sum over time instances of the squared output gain of ``node``."""

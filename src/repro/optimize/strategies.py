@@ -15,7 +15,9 @@ return the same :class:`~repro.optimize.result.OptimizationResult`:
   precomputed adjoint noise gains — no analyzer call per candidate — and
   only the chosen shave is re-analyzed; an infeasible shave blocks that
   node for the rest of the descent (noise only grows, so a failed shave
-  can never become feasible later).
+  can never become feasible later).  Each shave's price is kept across
+  steps and recomputed only after an accepted move changes a format it
+  reads, so a step re-prices the move's neighbourhood, not every node.
 * :class:`SimulatedAnnealingOptimizer` performs Metropolis moves (+-1
   fractional bit on a random node) over an energy mixing cost with an
   SNR-deficit penalty, keeping the best feasible design it visits.
@@ -41,13 +43,17 @@ from __future__ import annotations
 import abc
 import math
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.errors import NoiseModelError, OptimizationError
 from repro.jobs.checkpoint import SearchCheckpoint
-from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
+from repro.noisemodel.assignment import (
+    WordLengthAssignment,
+    changed_formats,
+    ensure_range_coverage,
+)
 from repro.optimize.problem import DesignEvaluation, OptimizationProblem
 from repro.optimize.result import IterationRecord, OptimizationResult
 
@@ -223,6 +229,77 @@ class UniformSweepOptimizer(WordLengthOptimizer):
         return evaluation, evaluation.cost, word_length
 
 
+class _ShaveRanking:
+    """Every tunable node's one-bit shave, priced against one current design.
+
+    A descent keeps one ranking.  Each node's entry — ``(new_frac, saved)``,
+    or ``None`` when the node sits at its precision floor or the shave
+    saves nothing — and its scalar score are computed on first use with
+    exactly the arithmetic of a from-scratch ranking, then kept.  When
+    the current design moves, :meth:`sync` diffs the old and new formats
+    (coverage widening included) and drops only the entries of the
+    tunable nodes whose shave price reads a changed format (see
+    :meth:`OptimizationProblem.pricing_neighbourhood`); every other entry
+    would be recomputed bit for bit, so it stays.
+    """
+
+    def __init__(self, problem: OptimizationProblem, assignment: WordLengthAssignment) -> None:
+        self.problem = problem
+        self.assignment = assignment
+        self._shaves: Dict[str, Tuple[int, float] | None] = {}
+        self._scores: Dict[str, float] = {}
+
+    def sync(self, assignment: WordLengthAssignment) -> None:
+        """Make ``assignment`` the design the entries are priced against."""
+        neighbourhood = self.problem.pricing_neighbourhood()  # raises if the graph changed
+        for node in changed_formats(assignment.formats, self.assignment.formats):
+            for reader in neighbourhood[node][1]:
+                self._shaves.pop(reader, None)
+                self._scores.pop(reader, None)
+        self.assignment = assignment
+
+    def _shave(self, node: str) -> Tuple[int, float] | None:
+        try:
+            return self._shaves[node]
+        except KeyError:
+            pass
+        problem = self.problem
+        current = self.assignment
+        entry = None
+        fmt = current.formats.get(node)
+        if fmt is not None and fmt.fractional_bits > problem.min_fractional_bits:
+            new_frac = fmt.fractional_bits - 1
+            shaved = current.with_fractional_bits(node, new_frac)
+            saved = -problem.cost_model.reprice(
+                problem.graph,
+                current,
+                shaved,
+                problem.pricing_neighbourhood()[node][0],
+            )
+            if saved > 0.0:
+                entry = (new_frac, saved)
+        self._shaves[node] = entry
+        return entry
+
+    def shaves(self, blocked: set[str]) -> Iterator[Tuple[str, int, float]]:
+        """``(node, new_frac, saved)`` of every unblocked saving shave, in tunable order."""
+        for node in self.problem.tunable:
+            if node in blocked:
+                continue
+            entry = self._shave(node)
+            if entry is not None:
+                yield node, entry[0], entry[1]
+
+    def score(self, node: str, new_frac: int, saved: float) -> float:
+        """Cost saved per predicted noise added by one shave."""
+        score = self._scores.get(node)
+        if score is None:
+            added = self.problem.predicted_noise_increase(self.assignment, node, new_frac)
+            score = saved / max(added, 1e-30)
+            self._scores[node] = score
+        return score
+
+
 class GreedyBitStealingOptimizer(WordLengthOptimizer):
     """Feasible-start descent shaving the best cost/noise fractional bit.
 
@@ -330,18 +407,19 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
         blocked = set() if blocked is None else blocked
         best_doc = best.assignment.to_doc() if best is not None and best.feasible else None
         use_batched = problem.engine == "batched"
+        ranking = _ShaveRanking(problem, current.assignment)
         problem.notify_accepted(current.assignment)
         for _step in range(self.max_iterations):
             if use_batched:
                 try:
-                    candidate = self._best_candidate_batched(problem, current, blocked)
+                    candidate = self._best_candidate_batched(problem, current, blocked, ranking)
                 except NoiseModelError:
                     # batched setup failed (e.g. uncoverable baseline) —
                     # the incremental path answers the same question.
                     use_batched = False
-                    candidate = self._best_candidate(problem, current, blocked)
+                    candidate = self._best_candidate(current, blocked, ranking)
             else:
-                candidate = self._best_candidate(problem, current, blocked)
+                candidate = self._best_candidate(current, blocked, ranking)
             if candidate is None:
                 break
             node, new_frac = candidate
@@ -373,32 +451,17 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
 
     def _best_candidate(
         self,
-        problem: OptimizationProblem,
         current: DesignEvaluation,
         blocked: set[str],
+        ranking: _ShaveRanking,
     ) -> Tuple[str, int] | None:
         """Rank one-bit shaves by cost saved per predicted noise added."""
+        ranking.sync(current.assignment)
         best_node: str | None = None
         best_frac = 0
         best_score = 0.0
-        for node in problem.tunable:
-            if node in blocked:
-                continue
-            fmt = current.assignment.formats.get(node)
-            if fmt is None or fmt.fractional_bits <= problem.min_fractional_bits:
-                continue
-            new_frac = fmt.fractional_bits - 1
-            shaved = current.assignment.with_fractional_bits(node, new_frac)
-            saved = -problem.cost_model.reprice(
-                problem.graph,
-                current.assignment,
-                shaved,
-                problem.cost_model.affected_by(problem.graph, node),
-            )
-            if saved <= 0.0:
-                continue
-            added = problem.predicted_noise_increase(current.assignment, node, new_frac)
-            score = saved / max(added, 1e-30)
+        for node, new_frac, saved in ranking.shaves(blocked):
+            score = ranking.score(node, new_frac, saved)
             if best_node is None or score > best_score:
                 best_node, best_frac, best_score = node, new_frac, score
         if best_node is None:
@@ -410,6 +473,7 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
         problem: OptimizationProblem,
         current: DesignEvaluation,
         blocked: set[str],
+        ranking: _ShaveRanking,
     ) -> Tuple[str, int] | None:
         """One vectorized pass pricing *every* unblocked one-bit shave.
 
@@ -419,26 +483,13 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
         and blocks every shave the floor already rejects — noise only
         grows as the descent progresses, so a rejected shave stays
         rejected (the same monotonicity argument the scalar path uses,
-        applied to the whole frontier at once).
+        applied to the whole frontier at once).  The cost savings come
+        from ``ranking``.
         """
+        ranking.sync(current.assignment)
         moves: List[Tuple[str, int]] = []
         savings: List[float] = []
-        for node in problem.tunable:
-            if node in blocked:
-                continue
-            fmt = current.assignment.formats.get(node)
-            if fmt is None or fmt.fractional_bits <= problem.min_fractional_bits:
-                continue
-            new_frac = fmt.fractional_bits - 1
-            shaved = current.assignment.with_fractional_bits(node, new_frac)
-            saved = -problem.cost_model.reprice(
-                problem.graph,
-                current.assignment,
-                shaved,
-                problem.cost_model.affected_by(problem.graph, node),
-            )
-            if saved <= 0.0:
-                continue
+        for node, new_frac, saved in ranking.shaves(blocked):
             moves.append((node, new_frac))
             savings.append(saved)
         if not moves:

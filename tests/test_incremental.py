@@ -11,7 +11,11 @@ from repro.analysis.incremental import IncrementalAnalyzer
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.dfg.range_analysis import infer_ranges
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer
-from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
+from repro.noisemodel.assignment import (
+    WordLengthAssignment,
+    changed_formats,
+    ensure_range_coverage,
+)
 
 HORIZON = 5
 BINS = 12
@@ -175,9 +179,9 @@ def test_overlay_probe_leaves_committed_state_untouched():
 
 def test_diff_detects_removed_keys_at_equal_size():
     """A same-size key swap must report both the added and removed node."""
-    assert sorted(IncrementalAnalyzer._diff({"b": 1}, {"a": 1})) == ["a", "b"]
-    assert IncrementalAnalyzer._diff({"a": 1}, {"a": 1}) == []
-    assert IncrementalAnalyzer._diff({}, {"a": 1}) == ["a"]
+    assert changed_formats({"b": 1}, {"a": 1}) == ["b", "a"]
+    assert changed_formats({"a": 1}, {"a": 1}) == []
+    assert changed_formats({}, {"a": 1}) == ["a"]
 
 
 @pytest.mark.parametrize("method", ANALYSIS_METHODS)
