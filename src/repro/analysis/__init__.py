@@ -12,7 +12,7 @@ validator on request.
 """
 
 from repro.analysis.batched import BatchedAnalyzer
-from repro.analysis.degradation import ENGINE_CHAIN, DegradationEvent
+from repro.analysis.degradation import DegradationEvent
 from repro.analysis.incremental import IncrementalAnalyzer, IncrementalStats
 from repro.analysis.montecarlo import MonteCarloResult, draw_stimulus, monte_carlo_error
 from repro.analysis.oracle import OracleResult, oracle_agreement, oracle_error
@@ -39,7 +39,6 @@ __all__ = [
     "IncrementalStats",
     "BatchedAnalyzer",
     "DegradationEvent",
-    "ENGINE_CHAIN",
     "AnalysisConfig",
     "OptimizeConfig",
 ]

@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["DegradationEvent", "ENGINE_CHAIN"]
-
-#: Candidate-evaluation fallback order, fastest first.
-ENGINE_CHAIN = ("batched", "incremental", "fresh")
+__all__ = ["DegradationEvent"]
 
 
 @dataclass(frozen=True)

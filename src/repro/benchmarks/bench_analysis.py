@@ -22,140 +22,103 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import time
-from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.pipeline import ALL_METHODS, NoiseAnalysisPipeline
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.benchmarks.runner_options import (
+    add_config_arguments,
+    add_driver_arguments,
     add_runner_arguments,
     checkpoint_from_args,
-    fault_summary,
+    clamped,
+    config_from_args,
+    job_row,
+    platform_block,
+    print_parallel,
+    run_jobs,
     runner_from_args,
+    write_document,
 )
 from repro.config import AnalysisConfig
-from repro.jobs import JobCheckpoint, JobRunner, JobSpec, derive_seed, summarize_run
+from repro.jobs import JobCheckpoint, JobRunner, JobSpec, derive_seed
 
 __all__ = ["run_benchmarks", "main"]
 
 DEFAULT_OUTPUT = "BENCH_analysis.json"
+SUITE = "noise-analysis-pipeline"
+
+#: The driver's defaults, and the fields its flags expose.
+DEFAULTS = AnalysisConfig(mc_samples=50_000)
+FIELDS = ("word_length", "horizon", "bins", "mc_samples")
 
 #: Methods whose enclosure verdict gates the exit code (sound bounds).
 GATED_METHODS = ("ia", "aa", "taylor")
 
 
-def _analysis_job(
-    name: str,
-    word_length: int,
-    horizon: int,
-    bins: int,
-    mc_samples: int,
-    seed: int,
-    methods: tuple[str, ...] | None,
-    oracle_samples: int = 256,
-    oracle_precision_bits: int = 128,
-) -> dict:
+def _analysis_job(name: str, config: AnalysisConfig) -> dict:
     """Analyze one circuit (module-level: picklable for process workers)."""
-    pipeline = NoiseAnalysisPipeline(
-        AnalysisConfig(
-            word_length=word_length,
-            horizon=horizon,
-            bins=bins,
-            mc_samples=mc_samples,
-            seed=seed,
-            oracle_samples=oracle_samples,
-            oracle_precision_bits=oracle_precision_bits,
-        )
-    )
+    pipeline = NoiseAnalysisPipeline(config)
     circuit = get_circuit(name)
     started = time.perf_counter()
-    report = pipeline.analyze(circuit, output=circuit.output, method=methods)
+    report = pipeline.analyze(circuit, output=circuit.output, method=config.methods)
     total = time.perf_counter() - started
     entry = report.to_dict()
     entry["description"] = circuit.description
     entry["tags"] = list(circuit.tags)
-    entry["seed"] = seed
+    entry["seed"] = config.seed
     entry["total_runtime_s"] = total
     return entry
 
 
+def config_block(config: AnalysisConfig) -> dict:
+    """The document's ``config`` block; the checkpoint meta adds the circuits."""
+    return {
+        "word_length": config.word_length,
+        "horizon": config.horizon,
+        "bins": config.bins,
+        "mc_samples": config.mc_samples,
+        "seed": config.seed,
+        "methods": list(config.methods or ALL_METHODS),
+        "oracle_samples": config.oracle_samples,
+        "oracle_precision_bits": config.oracle_precision_bits,
+    }
+
+
 def run_benchmarks(
+    config: AnalysisConfig = DEFAULTS,
     circuits: Sequence[str] | None = None,
-    word_length: int = 12,
-    horizon: int = 8,
-    bins: int = 32,
-    mc_samples: int = 50_000,
-    seed: int = 0,
-    methods: Sequence[str] | None = None,
     workers: int = 1,
     runner: JobRunner | None = None,
     checkpoint: JobCheckpoint | None = None,
-    oracle_samples: int = 256,
-    oracle_precision_bits: int = 128,
 ) -> dict:
     """Run the full benchmark matrix and return the report document.
 
     ``workers`` shards the per-circuit jobs over a process pool; each
     job's Monte-Carlo seed is :func:`~repro.jobs.spec.derive_seed` of
-    ``seed`` and the circuit name, so the merged document is independent
-    of worker count and scheduling order.
+    ``config.seed`` and the circuit name, so the merged document is
+    independent of worker count and scheduling order.
     """
     names = list(circuits) if circuits else list(CIRCUITS)
-    method_tuple = tuple(methods) if methods is not None else None
     document: dict = {
-        "suite": "noise-analysis-pipeline",
-        "config": {
-            "word_length": word_length,
-            "horizon": horizon,
-            "bins": bins,
-            "mc_samples": mc_samples,
-            "seed": seed,
-            "methods": list(method_tuple or ALL_METHODS),
-            "oracle_samples": oracle_samples,
-            "oracle_precision_bits": oracle_precision_bits,
-        },
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "suite": SUITE,
+        "config": config_block(config),
+        "platform": platform_block(),
         "circuits": {},
     }
     specs = [
         JobSpec(
             key=f"analysis/{name}",
             fn=_analysis_job,
-            args=(
-                name,
-                word_length,
-                horizon,
-                bins,
-                mc_samples,
-                derive_seed(seed, "analysis", name),
-                method_tuple,
-                oracle_samples,
-                oracle_precision_bits,
-            ),
-            seed=derive_seed(seed, "analysis", name),
+            args=(name, config.replace(seed=derive_seed(config.seed, "analysis", name))),
+            seed=derive_seed(config.seed, "analysis", name),
         )
         for name in names
     ]
-    if runner is None:
-        runner = JobRunner(workers=workers)
-    started = time.perf_counter()
-    results = runner.run(specs, check=True, checkpoint=checkpoint)
-    elapsed = time.perf_counter() - started
+    results, execution = run_jobs(specs, runner or JobRunner(workers=workers), checkpoint)
     for name, result in zip(names, results):
-        entry = dict(result.value)
-        entry["job_attempts"] = result.attempts
-        entry["job_timeouts"] = result.timeouts
-        if result.resumed:
-            entry["job_resumed"] = True
-        document["circuits"][name] = entry
+        document["circuits"][name] = job_row(result)
     verdicts = [
         entry["enclosure"][method]
         for entry in document["circuits"].values()
@@ -166,10 +129,7 @@ def run_benchmarks(
     # None (not a vacuous True) when no Monte-Carlo validation ran at
     # all — e.g. a method-restricted run without "montecarlo".
     document["all_enclosed"] = all(verdicts) if verdicts else None
-    document["parallel"] = summarize_run(runner, results, elapsed)
-    faults = fault_summary(runner)
-    if faults is not None:
-        document["fault_injection"] = faults
+    document.update(execution)
     return document
 
 
@@ -184,77 +144,31 @@ def _print_document(document: dict) -> None:
                 f"power={row['noise_power']:.3e} t={row['runtime_s'] * 1e3:8.2f}ms{tag}"
             )
         print(f"  total {entry['total_runtime_s'] * 1e3:.1f}ms")
-    parallel = document["parallel"]
-    print(
-        f"\n{parallel['jobs']} jobs on {parallel['workers']} worker(s) "
-        f"[{parallel['backend']}]: wall {parallel['wall_s']:.2f}s, "
-        f"serial estimate {parallel['serial_estimate_s']:.2f}s "
-        f"({parallel['parallel_speedup']:.2f}x)"
-    )
+    print_parallel(document)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=DEFAULT_OUTPUT, help="output JSON path")
-    parser.add_argument("--word-length", type=int, default=12)
-    parser.add_argument("--horizon", type=int, default=8)
-    parser.add_argument("--bins", type=int, default=32)
-    parser.add_argument("--samples", type=int, default=50_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-parallel shard count (1 = serial; results are identical)",
-    )
-    parser.add_argument(
-        "--circuit",
-        action="append",
-        choices=list(CIRCUITS),
-        help="restrict to specific circuits (repeatable)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small, fast configuration for CI smoke runs",
-    )
+    add_config_arguments(parser, DEFAULTS, FIELDS)
+    add_driver_arguments(parser, DEFAULT_OUTPUT)
     add_runner_arguments(parser)
     args = parser.parse_args(argv)
 
+    config = config_from_args(args, DEFAULTS, FIELDS, seed=args.seed)
     if args.smoke:
-        args.samples = min(args.samples, 2_000)
-        args.bins = min(args.bins, 16)
-        args.horizon = min(args.horizon, 4)
-
-    runner = runner_from_args(args, workers=args.workers, seed=args.seed)
-    checkpoint = checkpoint_from_args(
-        args,
-        meta={
-            "suite": "noise-analysis-pipeline",
-            "circuits": sorted(args.circuit or CIRCUITS),
-            "word_length": args.word_length,
-            "horizon": args.horizon,
-            "bins": args.bins,
-            "mc_samples": args.samples,
-            "seed": args.seed,
-        },
-    )
+        config = config.replace(**clamped(config, mc_samples=2_000, bins=16, horizon=4))
+    names = args.circuit or list(CIRCUITS)
     document = run_benchmarks(
-        circuits=args.circuit,
-        word_length=args.word_length,
-        horizon=args.horizon,
-        bins=args.bins,
-        mc_samples=args.samples,
-        seed=args.seed,
+        config,
+        circuits=names,
         workers=args.workers,
-        runner=runner,
-        checkpoint=checkpoint,
+        runner=runner_from_args(args, workers=args.workers, seed=args.seed),
+        checkpoint=checkpoint_from_args(
+            args, {"suite": SUITE, "circuits": sorted(names), **config_block(config)}
+        ),
     )
-
     _print_document(document)
-    out_path = Path(args.out)
-    out_path.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nwrote {out_path} (all_enclosed={document['all_enclosed']})")
+    write_document(document, args.out, all_enclosed=document["all_enclosed"])
     # None means "no enclosure checks ran" (not a violation): still 0.
     return 1 if document["all_enclosed"] is False else 0
 

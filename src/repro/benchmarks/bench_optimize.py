@@ -47,23 +47,28 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import time
-from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.benchmarks.runner_options import (
+    add_config_arguments,
+    add_driver_arguments,
     add_runner_arguments,
     checkpoint_from_args,
-    fault_summary,
+    clamped,
+    config_from_args,
+    job_row,
+    platform_block,
+    print_parallel,
+    run_jobs,
     runner_from_args,
+    strategy_options,
+    write_document,
 )
 from repro.config import OptimizeConfig
-from repro.jobs import JobCheckpoint, JobRunner, JobSpec, derive_seed, summarize_run
-from repro.optimize import COST_TABLES, HardwareCostModel, OptimizationProblem, get_optimizer
+from repro.jobs import JobCheckpoint, JobRunner, JobSpec, derive_seed
+from repro.optimize import COST_TABLES, OptimizationProblem, get_optimizer
 
 __all__ = ["run_optimize_benchmarks", "main", "METHODS", "STRATEGIES"]
 
@@ -79,66 +84,58 @@ STRATEGIES = ("uniform", "greedy", "anneal")
 #: Margin escalation ladder of the per-cell Monte-Carlo validation loop.
 ESCALATION_DB = (0.0, 1.0, 2.0, 4.0)
 
+SUITE = "word-length-optimization"
 
-def _strategy_options(strategy: str, seed: int, anneal_iterations: int) -> dict:
-    if strategy == "anneal":
-        return {"iterations": anneal_iterations, "seed": seed}
-    return {}
+#: The driver's defaults (``confidence`` is the level of the
+#: probabilistic-vs-worst-case comparison), and the fields its flags expose.
+DEFAULTS = OptimizeConfig(margin_db=1.0, horizon=6, bins=16, confidence=0.999)
+FIELDS = (
+    "snr_floor_db",
+    "margin_db",
+    "horizon",
+    "bins",
+    "max_word_length",
+    "cost_table",
+    "confidence",
+)
 
 
 def _optimize_job(
     circuit_name: str,
-    method: str,
-    strategy: str,
-    snr_floor_db: float,
-    margin_db: float,
-    horizon: int,
-    bins: int,
-    max_word_length: int,
+    config: OptimizeConfig,
     mc_samples: int,
     anneal_iterations: int,
-    cost_table: str,
     seed: int,
-    confidence: float | None = None,
 ) -> dict:
     """Optimize-and-validate one (circuit, method, strategy) cell.
 
     Module-level so process workers can pickle it.  All randomness —
     the annealer's proposal stream and the Monte-Carlo validator — is
     seeded from ``seed`` (derived from the cell key by the caller), and
-    the validator runs sharded (``mc_workers=1``: fixed chunk seeds on
-    the serial backend), so the cell's numbers do not depend on which
-    worker ran it or on how many workers exist.
+    the validator runs sharded (``config.mc_workers=1``: fixed chunk
+    seeds on the serial backend), so the cell's numbers do not depend on
+    which worker ran it or on how many workers exist.
 
-    ``confidence`` selects the noise measure the SNR constraint judges
-    (see :class:`~repro.config.OptimizeConfig`); the Monte-Carlo check
-    automatically validates against the matching empirical statistic.
+    ``config.confidence`` selects the noise measure the SNR constraint
+    judges; the Monte-Carlo check automatically validates against the
+    matching empirical statistic.
     """
     circuit = get_circuit(circuit_name)
-    config = OptimizeConfig(
-        strategy=strategy,
-        method=method,
-        confidence=confidence,
-        snr_floor_db=snr_floor_db,
-        margin_db=margin_db,
-        cost_table=cost_table,
-        horizon=horizon,
-        bins=bins,
-        max_word_length=max_word_length,
-        mc_workers=1,
-    )
+    snr_floor_db = config.snr_floor_db
 
     def make_problem(margin: float) -> OptimizationProblem:
         return OptimizationProblem.from_circuit(
             circuit, snr_floor_db, config=config.replace(margin_db=margin)
         )
 
-    problem = make_problem(margin_db)
-    optimizer = get_optimizer(strategy, **_strategy_options(strategy, seed, anneal_iterations))
+    problem = make_problem(config.margin_db)
+    optimizer = get_optimizer(
+        config.strategy, **strategy_options(config.strategy, seed, anneal_iterations)
+    )
     started = time.perf_counter()
     row: dict = {}
     for attempt, extra in enumerate(ESCALATION_DB):
-        attempt_problem = problem if extra == 0.0 else make_problem(margin_db + extra)
+        attempt_problem = problem if extra == 0.0 else make_problem(config.margin_db + extra)
         result = optimizer.optimize(attempt_problem)
         row = result.to_dict(include_trace=False)
         row["attempts"] = attempt + 1
@@ -193,28 +190,48 @@ def _oracle_job(
     )
 
 
-def run_optimize_benchmarks(
-    circuits: Sequence[str] | None = None,
+def config_block(
+    config: OptimizeConfig,
     methods: Sequence[str] = METHODS,
     strategies: Sequence[str] = STRATEGIES,
-    snr_floor_db: float = 60.0,
-    margin_db: float = 1.0,
-    horizon: int = 6,
-    bins: int = 16,
-    max_word_length: int = 28,
     mc_samples: int = 20_000,
     seed: int = 0,
     anneal_iterations: int = 120,
-    cost_table: str = "lut4",
-    workers: int = 1,
-    runner: JobRunner | None = None,
-    checkpoint: JobCheckpoint | None = None,
-    confidence: float = 0.999,
     oracle_samples: int = 128,
     oracle_precision_bits: int = 128,
 ) -> dict:
+    """The document's ``config`` block; the checkpoint meta adds the circuits."""
+    return {
+        "snr_floor_db": config.snr_floor_db,
+        "margin_db": config.margin_db,
+        "horizon": config.horizon,
+        "bins": config.bins,
+        "max_word_length": config.max_word_length,
+        "mc_samples": mc_samples,
+        "seed": seed,
+        "anneal_iterations": anneal_iterations,
+        "cost_table": COST_TABLES[config.cost_table].to_dict(),
+        "methods": list(methods),
+        "strategies": list(strategies),
+        "confidence": config.confidence,
+        "oracle_samples": oracle_samples,
+        "oracle_precision_bits": oracle_precision_bits,
+    }
+
+
+def run_optimize_benchmarks(
+    config: OptimizeConfig = DEFAULTS,
+    circuits: Sequence[str] | None = None,
+    workers: int = 1,
+    runner: JobRunner | None = None,
+    checkpoint: JobCheckpoint | None = None,
+    **settings: Any,
+) -> dict:
     """Run the optimization benchmark matrix and return the report document.
 
+    ``config`` carries the search knobs shared by every cell (its
+    ``confidence`` is the probabilistic comparison's level); the
+    ``settings`` are the sweep's own (see :func:`config_block`).
     ``runner`` overrides the default :class:`JobRunner` (to add timeouts,
     retries or fault injection); ``checkpoint`` streams completed cells
     to disk and, when opened with ``resume=True``, skips the cells it
@@ -223,30 +240,14 @@ def run_optimize_benchmarks(
     :func:`~repro.jobs.canonical.canonical_document` strips.
     """
     names = list(circuits) if circuits else list(CIRCUITS)
-    cost_model = HardwareCostModel(COST_TABLES[cost_table])
+    block = config_block(config, **settings)
+    methods, strategies, seed = block["methods"], block["strategies"], block["seed"]
+    job_args = (block["mc_samples"], block["anneal_iterations"])
+    cell_config = config.replace(confidence=None, mc_workers=1)
     document: dict = {
-        "suite": "word-length-optimization",
-        "config": {
-            "snr_floor_db": snr_floor_db,
-            "margin_db": margin_db,
-            "horizon": horizon,
-            "bins": bins,
-            "max_word_length": max_word_length,
-            "mc_samples": mc_samples,
-            "seed": seed,
-            "anneal_iterations": anneal_iterations,
-            "cost_table": cost_model.table.to_dict(),
-            "methods": list(methods),
-            "strategies": list(strategies),
-            "confidence": confidence,
-            "oracle_samples": oracle_samples,
-            "oracle_precision_bits": oracle_precision_bits,
-        },
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "suite": SUITE,
+        "config": block,
+        "platform": platform_block(),
         "circuits": {},
     }
     cells = [
@@ -261,16 +262,8 @@ def run_optimize_benchmarks(
             fn=_optimize_job,
             args=(
                 name,
-                method,
-                strategy,
-                snr_floor_db,
-                margin_db,
-                horizon,
-                bins,
-                max_word_length,
-                mc_samples,
-                anneal_iterations,
-                cost_table,
+                cell_config.replace(method=method, strategy=strategy),
+                *job_args,
                 derive_seed(seed, "optimize", name, method, strategy),
             ),
             seed=derive_seed(seed, "optimize", name, method, strategy),
@@ -283,7 +276,11 @@ def run_optimize_benchmarks(
     # both greedy, both Monte-Carlo validated with the matching
     # statistic.  A third job per circuit referees the float64 validator
     # against the arbitrary-precision oracle.
-    prob_modes = {"worstcase": ("aa", 1.0), "probabilistic": ("pna", confidence)}
+    greedy = cell_config.replace(strategy="greedy")
+    prob_modes = {
+        "worstcase": greedy.replace(method="aa", confidence=1.0),
+        "probabilistic": greedy.replace(method="pna", confidence=config.confidence),
+    }
     prob_cells = [(name, mode) for name in names for mode in prob_modes]
     prob_specs = [
         JobSpec(
@@ -291,18 +288,9 @@ def run_optimize_benchmarks(
             fn=_optimize_job,
             args=(
                 name,
-                prob_modes[mode][0],
-                "greedy",
-                snr_floor_db,
-                margin_db,
-                horizon,
-                bins,
-                max_word_length,
-                mc_samples,
-                anneal_iterations,
-                cost_table,
+                prob_modes[mode],
+                *job_args,
                 derive_seed(seed, "probabilistic", name, mode),
-                prob_modes[mode][1],
             ),
             seed=derive_seed(seed, "probabilistic", name, mode),
         )
@@ -315,39 +303,24 @@ def run_optimize_benchmarks(
             args=(
                 name,
                 12,
-                horizon,
-                oracle_samples,
-                oracle_precision_bits,
+                config.horizon,
+                block["oracle_samples"],
+                block["oracle_precision_bits"],
                 derive_seed(seed, "probabilistic", name, "oracle"),
             ),
             seed=derive_seed(seed, "probabilistic", name, "oracle"),
         )
         for name in names
     ]
-    if runner is None:
-        runner = JobRunner(workers=workers)
-    started = time.perf_counter()
-    all_results = runner.run(
-        specs + prob_specs + oracle_specs, check=True, checkpoint=checkpoint
+    all_results, execution = run_jobs(
+        specs + prob_specs + oracle_specs, runner or JobRunner(workers=workers), checkpoint
     )
-    elapsed = time.perf_counter() - started
     results = all_results[: len(specs)]
     prob_results = all_results[len(specs) : len(specs) + len(prob_specs)]
     oracle_results = all_results[len(specs) + len(prob_specs) :]
-    def _job_row(result) -> dict:
-        # volatile per-row execution counters (stripped from the
-        # canonical document; "attempts" itself is the deterministic
-        # margin-escalation count and stays untouched)
-        row = dict(result.value)
-        row["job_attempts"] = result.attempts
-        row["job_timeouts"] = result.timeouts
-        if result.resumed:
-            row["job_resumed"] = True
-        return row
-
-    rows_by_cell: dict = {}
-    for cell, result in zip(cells, results):
-        rows_by_cell[cell] = _job_row(result)
+    # "job_attempts" counts retries; a row's own "attempts" is the
+    # deterministic margin-escalation count and stays untouched.
+    rows_by_cell = {cell: job_row(result) for cell, result in zip(cells, results)}
 
     all_validated = True
     all_improved = True
@@ -386,8 +359,8 @@ def run_optimize_benchmarks(
             }
         document["circuits"][name] = circuit_entry
 
-    prob_rows = {cell: _job_row(result) for cell, result in zip(prob_cells, prob_results)}
-    oracle_rows = {name: _job_row(result) for name, result in zip(names, oracle_results)}
+    prob_rows = {cell: job_row(result) for cell, result in zip(prob_cells, prob_results)}
+    oracle_rows = {name: job_row(result) for name, result in zip(names, oracle_results)}
     # "strictly cheaper on >= 3 circuits" is a claim about the full suite;
     # a subset run (e.g. --circuit quadratic) can only be held to the
     # per-circuit ordering and validation gates, not the count.
@@ -428,8 +401,8 @@ def run_optimize_benchmarks(
         and oracle_all_agreed
     )
     document["probabilistic"] = {
-        "snr_floor_db": snr_floor_db,
-        "confidence": confidence,
+        "snr_floor_db": config.snr_floor_db,
+        "confidence": config.confidence,
         "circuits": prob_circuits,
         "cheaper_circuits": cheaper,
         "cheaper_target": cheaper_target,
@@ -442,10 +415,7 @@ def run_optimize_benchmarks(
     document["all_validated"] = all_validated
     document["all_improved"] = all_improved
     document["passed"] = all_validated and all_improved and prob_passed
-    document["parallel"] = summarize_run(runner, all_results, elapsed)
-    faults = fault_summary(runner)
-    if faults is not None:
-        document["fault_injection"] = faults
+    document.update(execution)
     return document
 
 
@@ -489,44 +459,26 @@ def _print_document(document: dict) -> None:
         f"never more expensive: {prob['never_more_expensive']}, "
         f"oracle agreed: {prob['oracle_all_agreed']}"
     )
-    parallel = document["parallel"]
-    print(
-        f"\n{parallel['jobs']} jobs on {parallel['workers']} worker(s) "
-        f"[{parallel['backend']}]: wall {parallel['wall_s']:.2f}s, "
-        f"serial estimate {parallel['serial_estimate_s']:.2f}s "
-        f"({parallel['parallel_speedup']:.2f}x)"
-    )
+    print_parallel(document)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=DEFAULT_OUTPUT, help="output JSON path")
-    parser.add_argument("--snr-floor", type=float, default=60.0, dest="snr_floor_db")
-    parser.add_argument("--margin", type=float, default=1.0, dest="margin_db")
-    parser.add_argument("--horizon", type=int, default=6)
-    parser.add_argument("--bins", type=int, default=16)
-    parser.add_argument("--max-word-length", type=int, default=28)
-    parser.add_argument("--samples", type=int, default=20_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--anneal-iterations", type=int, default=120)
-    parser.add_argument("--cost-table", choices=list(COST_TABLES), default="lut4")
-    parser.add_argument(
-        "--confidence",
-        type=float,
-        default=0.999,
-        help="confidence level of the probabilistic-vs-worst-case comparison",
+    add_config_arguments(
+        parser,
+        DEFAULTS,
+        FIELDS,
+        cost_table={"choices": list(COST_TABLES)},
+        confidence={"help": "confidence level of the probabilistic-vs-worst-case comparison"},
     )
+    add_driver_arguments(parser, DEFAULT_OUTPUT)
+    parser.add_argument("--samples", type=int, default=20_000)
+    parser.add_argument("--anneal-iterations", type=int, default=120)
     parser.add_argument(
         "--oracle-samples",
         type=int,
         default=128,
         help="sample budget of the per-circuit oracle agreement check",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-parallel shard count (1 = serial; results are identical)",
     )
     parser.add_argument(
         "--method",
@@ -540,79 +492,43 @@ def main(argv: Sequence[str] | None = None) -> int:
         choices=list(STRATEGIES),
         help="restrict to specific strategies (repeatable; uniform is always implied)",
     )
-    parser.add_argument(
-        "--circuit",
-        action="append",
-        choices=list(CIRCUITS),
-        help="restrict to specific circuits (repeatable)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small, fast configuration for CI smoke runs",
-    )
     add_runner_arguments(parser)
     args = parser.parse_args(argv)
 
+    config = config_from_args(args, DEFAULTS, FIELDS)
     if args.smoke:
-        args.samples = min(args.samples, 2_000)
-        args.bins = min(args.bins, 8)
-        args.horizon = min(args.horizon, 4)
-        args.anneal_iterations = min(args.anneal_iterations, 50)
-        args.oracle_samples = min(args.oracle_samples, 64)
-
+        config = config.replace(**clamped(config, bins=8, horizon=4))
+        vars(args).update(
+            clamped(args, samples=2_000, anneal_iterations=50, oracle_samples=64)
+        )
     strategies = list(STRATEGIES)
     if args.strategy:
         strategies = ["uniform"] + [s for s in STRATEGIES if s != "uniform" and s in args.strategy]
-
-    runner = runner_from_args(args, workers=args.workers, seed=args.seed)
-    checkpoint = checkpoint_from_args(
-        args,
-        meta={
-            "suite": "word-length-optimization",
-            "circuits": sorted(args.circuit or CIRCUITS),
-            "methods": sorted(args.method or METHODS),
-            "strategies": strategies,
-            "snr_floor_db": args.snr_floor_db,
-            "margin_db": args.margin_db,
-            "horizon": args.horizon,
-            "bins": args.bins,
-            "max_word_length": args.max_word_length,
-            "mc_samples": args.samples,
-            "seed": args.seed,
-            "anneal_iterations": args.anneal_iterations,
-            "cost_table": args.cost_table,
-            "confidence": args.confidence,
-            "oracle_samples": args.oracle_samples,
-        },
-    )
-    document = run_optimize_benchmarks(
-        circuits=args.circuit,
+    names = args.circuit or list(CIRCUITS)
+    settings = dict(
         methods=args.method or METHODS,
         strategies=strategies,
-        snr_floor_db=args.snr_floor_db,
-        margin_db=args.margin_db,
-        horizon=args.horizon,
-        bins=args.bins,
-        max_word_length=args.max_word_length,
         mc_samples=args.samples,
         seed=args.seed,
         anneal_iterations=args.anneal_iterations,
-        cost_table=args.cost_table,
-        workers=args.workers,
-        runner=runner,
-        checkpoint=checkpoint,
-        confidence=args.confidence,
         oracle_samples=args.oracle_samples,
     )
-
+    meta = {"suite": SUITE, "circuits": sorted(names), **config_block(config, **settings)}
+    document = run_optimize_benchmarks(
+        config,
+        circuits=names,
+        workers=args.workers,
+        runner=runner_from_args(args, workers=args.workers, seed=args.seed),
+        checkpoint=checkpoint_from_args(args, meta),
+        **settings,
+    )
     _print_document(document)
-    out_path = Path(args.out)
-    out_path.write_text(json.dumps(document, indent=2) + "\n")
-    print(
-        f"\nwrote {out_path} (all_validated={document['all_validated']}, "
-        f"all_improved={document['all_improved']}, "
-        f"probabilistic_passed={document['probabilistic']['passed']})"
+    write_document(
+        document,
+        args.out,
+        all_validated=document["all_validated"],
+        all_improved=document["all_improved"],
+        probabilistic_passed=document["probabilistic"]["passed"],
     )
     return 0 if document["passed"] else 1
 

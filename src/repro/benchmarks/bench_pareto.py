@@ -34,42 +34,47 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import time
-from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
-from repro.config import ENGINES, OptimizeConfig
 from repro.benchmarks.runner_options import (
+    add_config_arguments,
+    add_driver_arguments,
     add_runner_arguments,
     checkpoint_from_args,
-    fault_summary,
+    clamped,
+    config_from_args,
+    job_row,
+    platform_block,
+    print_parallel,
+    run_jobs,
     runner_from_args,
+    strategy_options,
+    write_document,
 )
-from repro.jobs import JobCheckpoint, JobRunner, JobSpec, derive_seed, summarize_run
+from repro.config import OptimizeConfig
+from repro.jobs import JobCheckpoint, JobRunner, JobSpec, derive_seed
 from repro.optimize import OptimizationProblem
 
 __all__ = ["run_pareto_benchmarks", "main"]
 
 DEFAULT_OUTPUT = "BENCH_pareto.json"
 
+SUITE = "pareto-front"
+
 #: SNR floors of the default sweep (dB), loosest to tightest.
 DEFAULT_FLOORS = (45.0, 50.0, 55.0, 60.0, 65.0)
+
+#: The driver's defaults, and the fields its flags expose.
+DEFAULTS = OptimizeConfig(method="ia", engine="batched", margin_db=1.0, horizon=6, bins=16)
+FIELDS = ("strategy", "method", "engine", "margin_db", "horizon", "bins", "max_word_length")
 
 
 def _pareto_job(
     circuit_name: str,
     floors: tuple[float, ...],
-    strategy: str,
-    method: str,
-    engine: str,
-    margin_db: float,
-    horizon: int,
-    bins: int,
-    max_word_length: int,
+    config: OptimizeConfig,
     mc_samples: int,
     anneal_iterations: int,
     seed: int,
@@ -83,23 +88,10 @@ def _pareto_job(
     which worker ran it.
     """
     circuit = get_circuit(circuit_name)
-    config = OptimizeConfig(
-        strategy=strategy,
-        method=method,
-        snr_floor_db=max(floors),
-        margin_db=margin_db,
-        engine=engine,
-        horizon=horizon,
-        bins=bins,
-        max_word_length=max_word_length,
-        mc_workers=1,
-    )
     problem = OptimizationProblem.from_circuit(circuit, max(floors), config=config)
-    options = (
-        {"iterations": anneal_iterations, "seed": seed} if strategy == "anneal" else {}
-    )
+    options = strategy_options(config.strategy, seed, anneal_iterations)
     started = time.perf_counter()
-    front = problem.pareto(floors, strategy=strategy, **options)
+    front = problem.pareto(floors, strategy=config.strategy, **options)
     row = front.to_dict()
     all_validated = True
     for point, result, doc in zip(front.points, front.results, row["points"]):
@@ -123,46 +115,51 @@ def _pareto_job(
     return row
 
 
-def run_pareto_benchmarks(
-    circuits: Sequence[str] | None = None,
+def config_block(
+    config: OptimizeConfig,
     floors: Sequence[float] = DEFAULT_FLOORS,
-    strategy: str = "greedy",
-    method: str = "ia",
-    engine: str = "batched",
-    margin_db: float = 1.0,
-    horizon: int = 6,
-    bins: int = 16,
-    max_word_length: int = 28,
     mc_samples: int = 20_000,
     seed: int = 0,
     anneal_iterations: int = 120,
+) -> dict:
+    """The document's ``config`` block; the checkpoint meta adds the circuits."""
+    return {
+        "floors": sorted({float(f) for f in floors}),
+        "strategy": config.strategy,
+        "method": config.method,
+        "engine": config.engine,
+        "margin_db": config.margin_db,
+        "horizon": config.horizon,
+        "bins": config.bins,
+        "max_word_length": config.max_word_length,
+        "mc_samples": mc_samples,
+        "seed": seed,
+        "anneal_iterations": anneal_iterations,
+    }
+
+
+def run_pareto_benchmarks(
+    config: OptimizeConfig = DEFAULTS,
+    circuits: Sequence[str] | None = None,
     workers: int = 1,
     runner: JobRunner | None = None,
     checkpoint: JobCheckpoint | None = None,
+    **settings: Any,
 ) -> dict:
-    """Run the Pareto benchmark matrix and return the report document."""
+    """Run the Pareto benchmark matrix and return the report document.
+
+    ``config`` carries the search knobs (its SNR floor is replaced by the
+    tightest swept floor); the ``settings`` are the sweep's own (see
+    :func:`config_block`).
+    """
     names = list(circuits) if circuits else list(CIRCUITS)
-    floor_tuple = tuple(sorted({float(f) for f in floors}))
+    block = config_block(config, **settings)
+    floor_tuple = tuple(block["floors"])
+    job_config = config.replace(snr_floor_db=max(floor_tuple), mc_workers=1)
     document: dict = {
-        "suite": "pareto-front",
-        "config": {
-            "floors": list(floor_tuple),
-            "strategy": strategy,
-            "method": method,
-            "engine": engine,
-            "margin_db": margin_db,
-            "horizon": horizon,
-            "bins": bins,
-            "max_word_length": max_word_length,
-            "mc_samples": mc_samples,
-            "seed": seed,
-            "anneal_iterations": anneal_iterations,
-        },
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "suite": SUITE,
+        "config": block,
+        "platform": platform_block(),
         "circuits": {},
     }
     specs = [
@@ -172,36 +169,21 @@ def run_pareto_benchmarks(
             args=(
                 name,
                 floor_tuple,
-                strategy,
-                method,
-                engine,
-                margin_db,
-                horizon,
-                bins,
-                max_word_length,
-                mc_samples,
-                anneal_iterations,
-                derive_seed(seed, "pareto", name),
+                job_config,
+                block["mc_samples"],
+                block["anneal_iterations"],
+                derive_seed(block["seed"], "pareto", name),
             ),
-            seed=derive_seed(seed, "pareto", name),
+            seed=derive_seed(block["seed"], "pareto", name),
         )
         for name in names
     ]
-    if runner is None:
-        runner = JobRunner(workers=workers)
-    started = time.perf_counter()
-    results = runner.run(specs, check=True, checkpoint=checkpoint)
-    elapsed = time.perf_counter() - started
+    results, execution = run_jobs(specs, runner or JobRunner(workers=workers), checkpoint)
     all_monotone = True
     all_feasible = True
     all_validated = True
     for name, result in zip(names, results):
-        row = dict(result.value)
-        row["job_attempts"] = result.attempts
-        row["job_timeouts"] = result.timeouts
-        if result.resumed:
-            row["job_resumed"] = True
-        document["circuits"][name] = row
+        row = document["circuits"][name] = job_row(result)
         all_monotone = all_monotone and row["monotone"]
         all_feasible = all_feasible and row["feasible_floors"] > 0
         all_validated = all_validated and row["all_validated"]
@@ -209,10 +191,7 @@ def run_pareto_benchmarks(
     document["all_feasible"] = all_feasible
     document["all_validated"] = all_validated
     document["passed"] = all_monotone and all_feasible and all_validated
-    document["parallel"] = summarize_run(runner, results, elapsed)
-    faults = fault_summary(runner)
-    if faults is not None:
-        document["fault_injection"] = faults
+    document.update(execution)
     return document
 
 
@@ -235,18 +214,18 @@ def _print_document(document: dict) -> None:
             f"sweeps, {row['fallback_probes']} fallback probes, "
             f"{row['total_runtime_s'] * 1e3:.1f}ms"
         )
-    parallel = document["parallel"]
-    print(
-        f"\n{parallel['jobs']} jobs on {parallel['workers']} worker(s) "
-        f"[{parallel['backend']}]: wall {parallel['wall_s']:.2f}s, "
-        f"serial estimate {parallel['serial_estimate_s']:.2f}s "
-        f"({parallel['parallel_speedup']:.2f}x)"
-    )
+    print_parallel(document)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=DEFAULT_OUTPUT, help="output JSON path")
+    add_config_arguments(parser, DEFAULTS, FIELDS)
+    add_driver_arguments(
+        parser,
+        DEFAULT_OUTPUT,
+        smoke="small, fast configuration for CI smoke runs (two floors, "
+        "fewer Monte-Carlo samples)",
+    )
     parser.add_argument(
         "--floor",
         action="append",
@@ -254,90 +233,40 @@ def main(argv: Sequence[str] | None = None) -> int:
         dest="floors",
         help=f"SNR floor in dB (repeatable; default {list(DEFAULT_FLOORS)})",
     )
-    parser.add_argument("--strategy", default="greedy", help="uniform / greedy / anneal")
-    parser.add_argument("--method", default="ia", help="ia / aa / taylor / sna")
-    parser.add_argument("--engine", choices=list(ENGINES), default="batched")
-    parser.add_argument("--margin", type=float, default=1.0, dest="margin_db")
-    parser.add_argument("--horizon", type=int, default=6)
-    parser.add_argument("--bins", type=int, default=16)
-    parser.add_argument("--max-word-length", type=int, default=28)
     parser.add_argument("--samples", type=int, default=20_000)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--anneal-iterations", type=int, default=120)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-parallel shard count (1 = serial; results are identical)",
-    )
-    parser.add_argument(
-        "--circuit",
-        action="append",
-        choices=list(CIRCUITS),
-        help="restrict to specific circuits (repeatable)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small, fast configuration for CI smoke runs (two floors, "
-        "fewer Monte-Carlo samples)",
-    )
     add_runner_arguments(parser)
     args = parser.parse_args(argv)
 
+    config = config_from_args(args, DEFAULTS, FIELDS)
     floors = args.floors or list(DEFAULT_FLOORS)
     if args.smoke:
-        args.samples = min(args.samples, 2_000)
-        args.bins = min(args.bins, 8)
-        args.horizon = min(args.horizon, 4)
-        args.anneal_iterations = min(args.anneal_iterations, 50)
-        if not args.floors:
-            floors = [50.0, 60.0]
-
-    runner = runner_from_args(args, workers=args.workers, seed=args.seed)
-    checkpoint = checkpoint_from_args(
-        args,
-        meta={
-            "suite": "pareto-front",
-            "circuits": sorted(args.circuit or CIRCUITS),
-            "floors": sorted({float(f) for f in floors}),
-            "strategy": args.strategy,
-            "method": args.method,
-            "engine": args.engine,
-            "margin_db": args.margin_db,
-            "horizon": args.horizon,
-            "bins": args.bins,
-            "max_word_length": args.max_word_length,
-            "mc_samples": args.samples,
-            "seed": args.seed,
-            "anneal_iterations": args.anneal_iterations,
-        },
-    )
-    document = run_pareto_benchmarks(
-        circuits=args.circuit,
+        config = config.replace(**clamped(config, bins=8, horizon=4))
+        vars(args).update(clamped(args, samples=2_000, anneal_iterations=50))
+        floors = args.floors or [50.0, 60.0]
+    names = args.circuit or list(CIRCUITS)
+    settings = dict(
         floors=floors,
-        strategy=args.strategy,
-        method=args.method,
-        engine=args.engine,
-        margin_db=args.margin_db,
-        horizon=args.horizon,
-        bins=args.bins,
-        max_word_length=args.max_word_length,
         mc_samples=args.samples,
         seed=args.seed,
         anneal_iterations=args.anneal_iterations,
-        workers=args.workers,
-        runner=runner,
-        checkpoint=checkpoint,
     )
-
+    meta = {"suite": SUITE, "circuits": sorted(names), **config_block(config, **settings)}
+    document = run_pareto_benchmarks(
+        config,
+        circuits=names,
+        workers=args.workers,
+        runner=runner_from_args(args, workers=args.workers, seed=args.seed),
+        checkpoint=checkpoint_from_args(args, meta),
+        **settings,
+    )
     _print_document(document)
-    out_path = Path(args.out)
-    out_path.write_text(json.dumps(document, indent=2) + "\n")
-    print(
-        f"\nwrote {out_path} (all_monotone={document['all_monotone']}, "
-        f"all_feasible={document['all_feasible']}, "
-        f"all_validated={document['all_validated']})"
+    write_document(
+        document,
+        args.out,
+        all_monotone=document["all_monotone"],
+        all_feasible=document["all_feasible"],
+        all_validated=document["all_validated"],
     )
     return 0 if document["passed"] else 1
 

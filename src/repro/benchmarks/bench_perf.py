@@ -68,26 +68,29 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import random
 import time
-from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.analysis.batched import BatchedAnalyzer
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
-from repro.config import OptimizeConfig
-from repro.errors import NoiseModelError
 from repro.benchmarks.runner_options import (
+    add_config_arguments,
+    add_driver_arguments,
     add_runner_arguments,
     checkpoint_from_args,
-    fault_summary,
+    clamped,
+    config_from_args,
+    platform_block,
+    print_parallel,
+    run_jobs,
     runner_from_args,
+    write_document,
 )
-from repro.jobs import JobCheckpoint, JobRunner, JobSpec, derive_seed, summarize_run
+from repro.config import OptimizeConfig
+from repro.errors import NoiseModelError
+from repro.jobs import JobCheckpoint, JobRunner, JobSpec, derive_seed
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer
 from repro.noisemodel.assignment import ensure_range_coverage
 from repro.optimize import OptimizationProblem
@@ -96,6 +99,11 @@ from repro.optimize.strategies import GreedyBitStealingOptimizer, _sweep_uniform
 __all__ = ["run_perf_benchmarks", "main"]
 
 DEFAULT_OUTPUT = "BENCH_perf.json"
+SUITE = "incremental-performance"
+
+#: The driver's defaults, and the fields its flags expose.
+DEFAULTS = OptimizeConfig(snr_floor_db=58.0, margin_db=1.0, horizon=6, bins=16)
+FIELDS = ("snr_floor_db", "horizon", "bins")
 
 #: Circuits whose inner-loop speedup is exit-gated.
 GATE_CIRCUITS = ("fft_butterfly", "matmul2")
@@ -208,9 +216,7 @@ def _check_equivalence(
     return ok, worst, batched_ok, batched_worst
 
 
-def _greedy_inner_loop(
-    circuit, method: str, snr_floor_db: float, horizon: int, bins: int, reps: int
-) -> dict:
+def _greedy_inner_loop(circuit, config: OptimizeConfig, reps: int) -> dict:
     """Greedy-descent analysis time: incremental engine vs full replay.
 
     Wall and CPU times are captured side by side: the wall number is the
@@ -223,14 +229,9 @@ def _greedy_inner_loop(
     full_times: list[float] = []
     full_cpu_times: list[float] = []
     probes = 0
+    method = config.method
     for _ in range(reps):
-        problem = OptimizationProblem.from_circuit(
-            circuit,
-            snr_floor_db,
-            config=OptimizeConfig(
-                method=method, snr_floor_db=snr_floor_db, margin_db=1.0, horizon=horizon, bins=bins
-            ),
-        )
+        problem = OptimizationProblem.from_circuit(circuit, config.snr_floor_db, config=config)
         trace: list = []
         feasible, word_length, _last = _sweep_uniform(problem, trace)
         if feasible is None or word_length is None:
@@ -272,9 +273,7 @@ def _greedy_inner_loop(
     }
 
 
-def _batched_inner_loop(
-    circuit, snr_floor_db: float, horizon: int, bins: int, reps: int
-) -> dict:
+def _batched_inner_loop(circuit, config: OptimizeConfig, reps: int) -> dict:
     """Batched greedy frontier pricing vs the incremental probes it replaced.
 
     Runs the batched greedy descent once (deterministic) while logging
@@ -284,15 +283,8 @@ def _batched_inner_loop(
     have no compiled vector program, so their "batched" path *is* the
     incremental probe loop and the ratio is 1 by construction.
     """
-    config = OptimizeConfig(
-        engine="batched",
-        method="ia",
-        snr_floor_db=snr_floor_db,
-        margin_db=1.0,
-        horizon=horizon,
-        bins=bins,
-    )
-    problem = OptimizationProblem.from_circuit(circuit, snr_floor_db, config=config)
+    config = config.replace(engine="batched", method="ia")
+    problem = OptimizationProblem.from_circuit(circuit, config.snr_floor_db, config=config)
     trace: list = []
     feasible, word_length, _last = _sweep_uniform(problem, trace)
     if feasible is None or word_length is None:
@@ -356,27 +348,19 @@ def _batched_inner_loop(
     }
 
 
-def _greedy_end_to_end(
-    circuit, method: str, snr_floor_db: float, horizon: int, bins: int
-) -> dict:
+def _greedy_end_to_end(circuit, config: OptimizeConfig) -> dict:
     """Wall time of the whole greedy optimization, both evaluator paths."""
     timings = {}
     for label, engine in (("incremental", "incremental"), ("full", "fresh")):
-        config = OptimizeConfig(
-            method=method,
-            snr_floor_db=snr_floor_db,
-            margin_db=1.0,
-            horizon=horizon,
-            bins=bins,
-            engine=engine,
+        problem = OptimizationProblem.from_circuit(
+            circuit, config.snr_floor_db, config=config.replace(engine=engine)
         )
-        problem = OptimizationProblem.from_circuit(circuit, snr_floor_db, config=config)
         started = time.perf_counter()
         result = GreedyBitStealingOptimizer().optimize(problem)
         timings[label] = time.perf_counter() - started
         timings[f"{label}_cost"] = result.cost
     assert timings["incremental_cost"] == timings["full_cost"], (
-        f"{circuit.name}/{method}: evaluator paths disagree on the optimum"
+        f"{circuit.name}/{config.method}: evaluator paths disagree on the optimum"
     )
     return {
         "incremental_s": timings["incremental"],
@@ -388,46 +372,36 @@ def _greedy_end_to_end(
 
 def _perf_job(
     circuit_name: str,
-    method: str,
-    snr_floor_db: float,
-    horizon: int,
-    bins: int,
+    config: OptimizeConfig,
     reps: int,
     equiv_trials: int,
     seed: int,
 ) -> dict:
-    """Equivalence + speedup measurement of one (circuit, method) pair.
+    """Equivalence + speedup measurement of one (circuit, ``config.method``) pair.
 
     Module-level so process workers can pickle it; the perturbation RNG
     is seeded from the pair key by the caller, so verdicts and bounds
     are identical for any worker count.
     """
     circuit = get_circuit(circuit_name)
+    method = config.method
     probe_problem = OptimizationProblem.from_circuit(
-        circuit,
-        snr_floor_db,
-        config=OptimizeConfig(
-            method="ia", snr_floor_db=snr_floor_db, margin_db=1.0, horizon=horizon, bins=bins
-        ),
+        circuit, config.snr_floor_db, config=config.replace(method="ia")
     )
     equivalent, max_err, batched_equivalent, batched_max_err = _check_equivalence(
         probe_problem, method, trials=equiv_trials, seed=seed
     )
-    inner = _greedy_inner_loop(circuit, method, snr_floor_db, horizon, bins, reps)
-    batched = (
-        _batched_inner_loop(circuit, snr_floor_db, horizon, bins, reps)
-        if method == "ia"
-        else None
-    )
-    e2e = _greedy_end_to_end(circuit, method, snr_floor_db, horizon, bins)
+    inner = _greedy_inner_loop(circuit, config, reps)
+    batched = _batched_inner_loop(circuit, config, reps) if method == "ia" else None
+    e2e = _greedy_end_to_end(circuit, config)
     # Bounds of the analysis at the uniform baseline, so compare_bench
     # can diff widths across revisions too.
     report = DatapathNoiseAnalyzer(
         probe_problem.graph,
         probe_problem.uniform(12),
         probe_problem.input_ranges,
-        horizon=horizon,
-        bins=bins,
+        horizon=config.horizon,
+        bins=config.bins,
     ).analyze(method, output=probe_problem.output)
     return {
         "result": {
@@ -452,50 +426,63 @@ def _perf_job(
     }
 
 
-def run_perf_benchmarks(
-    circuits: Sequence[str] | None = None,
+def config_block(
+    config: OptimizeConfig,
+    names: Sequence[str],
     methods: Sequence[str] = ANALYSIS_METHODS,
-    snr_floor_db: float = 58.0,
-    horizon: int = 6,
-    bins: int = 16,
     reps: int = 7,
     equiv_trials: int = 12,
     min_speedup: float = 5.0,
     min_batched_speedup: float = 3.0,
     seed: int = 0,
     gate_metric: str = "wall",
+) -> dict:
+    """The document's ``config`` block; the checkpoint meta adds the circuits."""
+    if gate_metric not in GATE_METRICS:
+        raise ValueError(f"unknown gate_metric {gate_metric!r}; choose from {GATE_METRICS}")
+    batched_gate = [name for name in BATCHED_GATE_CIRCUITS if name in names]
+    return {
+        "snr_floor_db": config.snr_floor_db,
+        "horizon": config.horizon,
+        "bins": config.bins,
+        "reps": reps,
+        "equiv_trials": equiv_trials,
+        "equiv_rtol": EQUIV_RTOL,
+        "min_speedup": min_speedup,
+        "min_batched_speedup": min_batched_speedup,
+        "gate_metric": gate_metric,
+        "seed": seed,
+        "methods": list(methods),
+        "gate_circuits": [name for name in GATE_CIRCUITS if name in names],
+        "batched_gate_circuits": batched_gate,
+        "batched_gate_quorum": min(BATCHED_GATE_QUORUM, len(batched_gate)),
+    }
+
+
+def run_perf_benchmarks(
+    config: OptimizeConfig = DEFAULTS,
+    circuits: Sequence[str] | None = None,
     workers: int = 1,
     runner: JobRunner | None = None,
     checkpoint: JobCheckpoint | None = None,
+    **settings: Any,
 ) -> dict:
-    """Run the performance benchmark matrix and return the report document."""
-    if gate_metric not in GATE_METRICS:
-        raise ValueError(f"unknown gate_metric {gate_metric!r}; choose from {GATE_METRICS}")
+    """Run the performance benchmark matrix and return the report document.
+
+    ``config`` carries the search knobs of every measured problem (each
+    pair replaces its ``method``); the ``settings`` are the sweep's own
+    (see :func:`config_block`).
+    """
     names = list(circuits) if circuits else list(CIRCUITS)
-    batched_gate = [name for name in BATCHED_GATE_CIRCUITS if name in names]
+    block = config_block(config, names, **settings)
+    methods, seed = block["methods"], block["seed"]
+    gate_metric = block["gate_metric"]
+    min_speedup, min_batched_speedup = block["min_speedup"], block["min_batched_speedup"]
+    batched_gate = block["batched_gate_circuits"]
     document: dict = {
-        "suite": "incremental-performance",
-        "config": {
-            "snr_floor_db": snr_floor_db,
-            "horizon": horizon,
-            "bins": bins,
-            "reps": reps,
-            "equiv_trials": equiv_trials,
-            "equiv_rtol": EQUIV_RTOL,
-            "min_speedup": min_speedup,
-            "min_batched_speedup": min_batched_speedup,
-            "gate_metric": gate_metric,
-            "seed": seed,
-            "methods": list(methods),
-            "gate_circuits": [name for name in GATE_CIRCUITS if name in names],
-            "batched_gate_circuits": batched_gate,
-            "batched_gate_quorum": min(BATCHED_GATE_QUORUM, len(batched_gate)),
-        },
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "suite": SUITE,
+        "config": block,
+        "platform": platform_block(),
         "circuits": {},
     }
     pairs = [(name, method) for name in names for method in methods]
@@ -505,23 +492,16 @@ def run_perf_benchmarks(
             fn=_perf_job,
             args=(
                 name,
-                method,
-                snr_floor_db,
-                horizon,
-                bins,
-                reps,
-                equiv_trials,
+                config.replace(method=method),
+                block["reps"],
+                block["equiv_trials"],
                 derive_seed(seed, "perf", name, method),
             ),
             seed=derive_seed(seed, "perf", name, method),
         )
         for name, method in pairs
     ]
-    if runner is None:
-        runner = JobRunner(workers=workers)
-    started = time.perf_counter()
-    job_results = runner.run(specs, check=True, checkpoint=checkpoint)
-    elapsed = time.perf_counter() - started
+    job_results, execution = run_jobs(specs, runner or JobRunner(workers=workers), checkpoint)
     by_pair = {pair: result for pair, result in zip(pairs, job_results)}
 
     equivalence_ok = True
@@ -592,10 +572,7 @@ def run_perf_benchmarks(
     document["passed"] = (
         equivalence_ok and batched_equivalence_ok and speedup_ok and batched_speedup_ok
     )
-    document["parallel"] = summarize_run(runner, job_results, elapsed)
-    faults = fault_summary(runner)
-    if faults is not None:
-        document["fault_injection"] = faults
+    document.update(execution)
     return document
 
 
@@ -629,21 +606,21 @@ def _print_document(document: dict) -> None:
                 f"{batched['speedup_cpu']:.2f}x cpu; {batched['sweeps']} sweeps, "
                 f"{batched['moves']} moves){batched_tag}"
             )
-    parallel = document["parallel"]
-    print(
-        f"\n{parallel['jobs']} jobs on {parallel['workers']} worker(s) "
-        f"[{parallel['backend']}]: wall {parallel['wall_s']:.2f}s, "
-        f"serial estimate {parallel['serial_estimate_s']:.2f}s "
-        f"({parallel['parallel_speedup']:.2f}x)"
-    )
+    print_parallel(document)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=DEFAULT_OUTPUT, help="output JSON path")
-    parser.add_argument("--snr-floor", type=float, default=58.0, dest="snr_floor_db")
-    parser.add_argument("--horizon", type=int, default=6)
-    parser.add_argument("--bins", type=int, default=16)
+    add_config_arguments(parser, DEFAULTS, FIELDS)
+    add_driver_arguments(
+        parser,
+        DEFAULT_OUTPUT,
+        workers="process-parallel shard count (1 = serial; verdicts are identical)",
+        smoke="small, fast configuration for CI smoke runs; relaxes the "
+        "speedup floor to 2x and gates it on CPU time (shared-runner wall "
+        "clocks are too noisy for millisecond-scale loops) but keeps the "
+        "equivalence gate strict",
+    )
     parser.add_argument("--reps", type=int, default=7, help="timing repetitions (min taken)")
     parser.add_argument("--equiv-trials", type=int, default=12)
     parser.add_argument("--min-speedup", type=float, default=5.0)
@@ -653,7 +630,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=3.0,
         help="floor of the batched frontier-pricing speedup gate",
     )
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--gate-metric",
         choices=list(GATE_METRICS),
@@ -661,82 +637,46 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="speedup metric the gate uses (default: wall; --smoke defaults to cpu)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-parallel shard count (1 = serial; verdicts are identical)",
-    )
-    parser.add_argument(
         "--method",
         action="append",
         choices=list(ANALYSIS_METHODS),
         help="restrict to specific analysis methods (repeatable)",
     )
-    parser.add_argument(
-        "--circuit",
-        action="append",
-        choices=list(CIRCUITS),
-        help="restrict to specific circuits (repeatable)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small, fast configuration for CI smoke runs; relaxes the "
-        "speedup floor to 2x and gates it on CPU time (shared-runner wall "
-        "clocks are too noisy for millisecond-scale loops) but keeps the "
-        "equivalence gate strict",
-    )
     add_runner_arguments(parser)
     args = parser.parse_args(argv)
 
     if args.smoke:
-        args.reps = min(args.reps, 3)
-        args.equiv_trials = min(args.equiv_trials, 6)
-        args.min_speedup = min(args.min_speedup, 2.0)
-        args.min_batched_speedup = min(args.min_batched_speedup, 1.5)
-        if args.gate_metric is None:
-            args.gate_metric = "cpu"
-    if args.gate_metric is None:
-        args.gate_metric = "wall"
-
-    document = run_perf_benchmarks(
-        circuits=args.circuit,
+        vars(args).update(
+            clamped(args, reps=3, equiv_trials=6, min_speedup=2.0, min_batched_speedup=1.5)
+        )
+    names = args.circuit or list(CIRCUITS)
+    config = config_from_args(args, DEFAULTS, FIELDS)
+    settings = dict(
         methods=args.method or ANALYSIS_METHODS,
-        snr_floor_db=args.snr_floor_db,
-        horizon=args.horizon,
-        bins=args.bins,
         reps=args.reps,
         equiv_trials=args.equiv_trials,
         min_speedup=args.min_speedup,
         min_batched_speedup=args.min_batched_speedup,
         seed=args.seed,
-        gate_metric=args.gate_metric,
+        gate_metric=args.gate_metric or ("cpu" if args.smoke else "wall"),
+    )
+    meta = {"suite": SUITE, "circuits": sorted(names), **config_block(config, names, **settings)}
+    document = run_perf_benchmarks(
+        config,
+        circuits=names,
         workers=args.workers,
         runner=runner_from_args(args, workers=args.workers, seed=args.seed),
-        checkpoint=checkpoint_from_args(
-            args,
-            meta={
-                "suite": "incremental-performance",
-                "circuits": sorted(args.circuit or CIRCUITS),
-                "methods": sorted(args.method or ANALYSIS_METHODS),
-                "snr_floor_db": args.snr_floor_db,
-                "horizon": args.horizon,
-                "bins": args.bins,
-                "reps": args.reps,
-                "equiv_trials": args.equiv_trials,
-                "seed": args.seed,
-            },
-        ),
+        checkpoint=checkpoint_from_args(args, meta),
+        **settings,
     )
-
     _print_document(document)
-    out_path = Path(args.out)
-    out_path.write_text(json.dumps(document, indent=2) + "\n")
-    print(
-        f"\nwrote {out_path} (equivalence_ok={document['equivalence_ok']}, "
-        f"batched_equivalence_ok={document['batched_equivalence_ok']}, "
-        f"speedup_ok={document['speedup_ok']}, "
-        f"batched_speedup_ok={document['batched_speedup_ok']})"
+    write_document(
+        document,
+        args.out,
+        equivalence_ok=document["equivalence_ok"],
+        batched_equivalence_ok=document["batched_equivalence_ok"],
+        speedup_ok=document["speedup_ok"],
+        batched_speedup_ok=document["batched_speedup_ok"],
     )
     return 0 if document["passed"] else 1
 

@@ -35,14 +35,18 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
+import dataclasses
 import time
-from pathlib import Path
 from typing import Sequence
 
 from repro.benchmarks.generators import generate_circuit
+from repro.benchmarks.runner_options import (
+    add_config_arguments,
+    add_driver_arguments,
+    config_from_args,
+    platform_block,
+    write_document,
+)
 from repro.config import OptimizeConfig
 from repro.dfg.node import OpType
 from repro.errors import CheckpointError
@@ -52,6 +56,18 @@ from repro.optimize import COST_TABLES, OptimizationProblem, get_optimizer
 __all__ = ["run_scale_benchmarks", "main", "FULL_POINTS", "SMOKE_POINTS"]
 
 DEFAULT_OUTPUT = "BENCH_scale.json"
+SUITE = "scaling"
+
+#: The driver's defaults, and the fields its flags expose.
+DEFAULTS = OptimizeConfig(strategy="decomposed", method="ia")
+FIELDS = (
+    "snr_floor_db",
+    "margin_db",
+    "method",
+    "max_word_length",
+    "cost_table",
+    "outer_iterations",
+)
 
 #: Full sweep: sizes from greedy-comparable to the >= 5,000-node
 #: headline point.  ``partitions`` of ``None`` lets the optimizer
@@ -92,16 +108,11 @@ def _result_row(result, mc_snr_db, snr_floor_db: float, runtime_s: float) -> dic
 
 
 def run_scale_benchmarks(
+    config: OptimizeConfig = DEFAULTS,
     points: Sequence[dict] = FULL_POINTS,
-    snr_floor_db: float = 60.0,
-    margin_db: float = 0.0,
-    method: str = "ia",
-    max_word_length: int = 28,
     mc_samples: int = 4096,
     seed: int = 0,
-    cost_table: str = "lut4",
     workers: int = 1,
-    outer_iterations: int = 3,
     timeout_s: float | None = None,
     retries: int = 1,
     time_budget_s: float = 600.0,
@@ -113,46 +124,36 @@ def run_scale_benchmarks(
 ) -> dict:
     """Run the scaling sweep and return the report document.
 
+    ``config`` carries the search knobs of every point (the decomposed
+    solve; the greedy comparison replaces the strategy).
     ``checkpoint_path`` snapshots the decomposed outer loop of each point
     to ``<path>.<index>.json`` (a :class:`~repro.jobs.SearchCheckpoint`);
     with ``resume`` a killed sweep re-enters mid-loop and, by the
     strategy's design, lands on the bit-identical design.
     """
+    config = config.replace(mc_workers=1)
+    snr_floor_db = config.snr_floor_db
     document: dict = {
-        "suite": "scaling",
+        "suite": SUITE,
         "config": {
             "snr_floor_db": snr_floor_db,
-            "margin_db": margin_db,
-            "method": method,
-            "max_word_length": max_word_length,
+            "margin_db": config.margin_db,
+            "method": config.method,
+            "max_word_length": config.max_word_length,
             "mc_samples": mc_samples,
             "seed": seed,
-            "cost_table": cost_table,
+            "cost_table": config.cost_table,
             "workers": workers,
-            "outer_iterations": outer_iterations,
+            "outer_iterations": config.outer_iterations,
             "time_budget_s": time_budget_s,
             "quality_gap_limit": quality_gap_limit,
             "greedy_node_limit": greedy_node_limit,
             "require_nodes": require_nodes,
             "points": [dict(point) for point in points],
         },
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "platform": platform_block(),
         "points": [],
     }
-    config = OptimizeConfig(
-        strategy="decomposed",
-        method=method,
-        snr_floor_db=snr_floor_db,
-        margin_db=margin_db,
-        cost_table=cost_table,
-        max_word_length=max_word_length,
-        outer_iterations=outer_iterations,
-        mc_workers=1,
-    )
     all_passed = True
     largest = 0
     for index, point in enumerate(points):
@@ -175,8 +176,12 @@ def run_scale_benchmarks(
         if checkpoint_path is not None:
             checkpoint = SearchCheckpoint(
                 f"{checkpoint_path}.{index}.json",
-                meta={"suite": "scaling", "spec": spec, "seed": seed,
-                      "snr_floor_db": snr_floor_db, "method": method},
+                meta={
+                    "suite": SUITE,
+                    "spec": spec,
+                    "seed": seed,
+                    "config": dataclasses.asdict(config),
+                },
             )
             if not resume:
                 checkpoint.clear()
@@ -266,25 +271,20 @@ def _print_document(document: dict) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=DEFAULT_OUTPUT, help="output JSON path")
-    parser.add_argument("--snr-floor", type=float, default=60.0, dest="snr_floor_db")
-    parser.add_argument("--margin", type=float, default=0.0, dest="margin_db")
-    parser.add_argument(
-        "--method",
-        default="ia",
-        help="noise-analysis method of the inner solves (ia recommended at scale)",
+    add_config_arguments(
+        parser,
+        DEFAULTS,
+        FIELDS,
+        method={"help": "noise-analysis method of the inner solves (ia recommended at scale)"},
+        cost_table={"choices": list(COST_TABLES)},
     )
-    parser.add_argument("--max-word-length", type=int, default=28)
+    add_driver_arguments(
+        parser,
+        DEFAULT_OUTPUT,
+        workers="subproblem worker processes inside the decomposed optimizer",
+        circuit=False,
+    )
     parser.add_argument("--samples", type=int, default=4096)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cost-table", choices=list(COST_TABLES), default="lut4")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="subproblem worker processes inside the decomposed optimizer",
-    )
-    parser.add_argument("--outer-iterations", type=int, default=3)
     parser.add_argument(
         "--time-budget",
         type=float,
@@ -308,11 +308,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--spec",
         action="append",
         help="replace the sweep with these generator specs (repeatable)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small, fast configuration for CI smoke runs",
     )
     group = parser.add_argument_group("fault tolerance")
     group.add_argument(
@@ -357,16 +352,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         points = FULL_POINTS
 
     document = run_scale_benchmarks(
+        config_from_args(args, DEFAULTS, FIELDS),
         points=points,
-        snr_floor_db=args.snr_floor_db,
-        margin_db=args.margin_db,
-        method=args.method,
-        max_word_length=args.max_word_length,
         mc_samples=args.samples,
         seed=args.seed,
-        cost_table=args.cost_table,
         workers=args.workers,
-        outer_iterations=args.outer_iterations,
         timeout_s=args.timeout,
         retries=args.retries,
         time_budget_s=args.time_budget_s,
@@ -378,9 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
     _print_document(document)
-    out_path = Path(args.out)
-    out_path.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nwrote {out_path} (passed={document['passed']})")
+    write_document(document, args.out, passed=document["passed"])
     return 0 if document["passed"] else 1
 
 

@@ -30,29 +30,63 @@ Subcommands
 
 Analysis and optimization knobs are carried by the frozen
 :class:`~repro.config.AnalysisConfig` / :class:`~repro.config.OptimizeConfig`
-objects; the CLI builds one from its flags and hands it down, which is
-the same calling convention library users follow.
+objects.  Each subcommand declares its defaults once, as one config
+value; its flags are generated from that value and parsed back into a
+config that is handed down — the calling convention library users follow.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from repro import __version__
-from repro.config import ENGINES
-from repro.errors import CheckpointError, DesignError, OptimizationError, ReproError
+from repro.benchmarks.bench_pareto import DEFAULT_FLOORS
+from repro.benchmarks.runner_options import (
+    add_config_arguments,
+    add_driver_arguments,
+    config_from_args,
+    strategy_options,
+    write_document,
+)
+from repro.config import AnalysisConfig, OptimizeConfig
+from repro.errors import CheckpointError, DesignError, ReproError
 
 __all__ = ["main"]
 
 #: Benchmark drivers reachable through ``repro bench <suite>``.
 BENCH_SUITES = ("analysis", "optimize", "perf", "pareto", "scale", "compare")
 
-#: Default SNR floors of the ``repro pareto`` sweep (dB).
-DEFAULT_PARETO_FLOORS = (45.0, 50.0, 55.0, 60.0, 65.0)
+#: ``repro analyze`` defaults.
+ANALYZE_DEFAULTS = AnalysisConfig()
+ANALYZE_FIELDS = (
+    "word_length",
+    "horizon",
+    "bins",
+    "mc_samples",
+    "methods",
+    "oracle_samples",
+    "oracle_precision_bits",
+)
+
+#: ``repro optimize`` defaults (``repro pareto`` sweeps on the batched engine).
+OPTIMIZE_DEFAULTS = OptimizeConfig(margin_db=1.0, horizon=6, bins=16)
+PARETO_DEFAULTS = OPTIMIZE_DEFAULTS.replace(engine="batched")
+_SEARCH_FIELDS = (
+    "margin_db",
+    "strategy",
+    "method",
+    "confidence",
+    "horizon",
+    "bins",
+    "max_word_length",
+    "cost_table",
+    "engine",
+)
+OPTIMIZE_FIELDS = ("snr_floor_db", *_SEARCH_FIELDS, "partitions", "outer_iterations")
+PARETO_FIELDS = _SEARCH_FIELDS
 
 
 def _add_analyze_parser(sub) -> None:
@@ -65,94 +99,18 @@ def _add_analyze_parser(sub) -> None:
     parser.add_argument(
         "circuits", nargs="*", metavar="CIRCUIT", help="circuit names (default: all)"
     )
-    parser.add_argument("--word-length", type=int, default=12)
-    parser.add_argument("--horizon", type=int, default=8)
-    parser.add_argument("--bins", type=int, default=32)
-    parser.add_argument("--samples", type=int, default=20_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--method",
-        action="append",
-        help="restrict methods (repeatable; 'oracle' opts into the "
-        "arbitrary-precision referee)",
-    )
-    parser.add_argument("--workers", type=int, default=1, help="process-parallel shards")
-    parser.add_argument(
-        "--oracle-samples",
-        type=int,
-        default=256,
-        help="sample budget of the arbitrary-precision oracle (when requested)",
-    )
-    parser.add_argument(
-        "--oracle-precision-bits",
-        type=int,
-        default=128,
-        help="mpmath working precision of the oracle (>= 64)",
-    )
-    parser.add_argument("--out", default=None, help="also write the JSON document here")
+    add_config_arguments(parser, ANALYZE_DEFAULTS, ANALYZE_FIELDS)
+    add_driver_arguments(parser, None, workers="process-parallel shards", circuit=False, smoke=None)
 
 
-def _add_optimize_parser(sub) -> None:
-    parser = sub.add_parser(
-        "optimize",
-        help="word-length optimization of one circuit",
-        description="Search for a cheap word-length assignment of one "
-        "benchmark circuit meeting an SNR floor, then Monte-Carlo "
-        "validate the returned design.",
-    )
-    parser.add_argument("circuit", metavar="CIRCUIT", help="benchmark circuit name")
-    parser.add_argument("--snr-floor", type=float, default=60.0, dest="snr_floor_db")
-    parser.add_argument("--margin", type=float, default=1.0, dest="margin_db")
+def _add_search_arguments(parser, defaults, fields, workers: str | None) -> None:
+    """Flags ``repro optimize`` and ``repro pareto`` share."""
     parser.add_argument(
-        "--strategy", default="greedy", help="uniform / greedy / anneal / decomposed"
+        "circuit", metavar="CIRCUIT", help="benchmark circuit name or generator spec"
     )
-    parser.add_argument("--method", default="aa", help="ia / aa / taylor / sna / pna")
-    parser.add_argument(
-        "--confidence",
-        type=float,
-        default=None,
-        help="accept designs whose SNR floor holds with this probability "
-        "(fractional values need a PDF method such as pna; 1.0 = worst case; "
-        "default: legacy mean-square noise)",
-    )
-    parser.add_argument("--horizon", type=int, default=6)
-    parser.add_argument("--bins", type=int, default=16)
-    parser.add_argument("--max-word-length", type=int, default=28)
-    parser.add_argument("--samples", type=int, default=20_000, help="MC validation samples")
-    parser.add_argument("--seed", type=int, default=0)
+    add_config_arguments(parser, defaults, fields)
+    add_driver_arguments(parser, None, workers=workers, circuit=False, smoke=None)
     parser.add_argument("--anneal-iterations", type=int, default=120)
-    parser.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        help="partition count of --strategy decomposed (default: auto-sized)",
-    )
-    parser.add_argument(
-        "--outer-iterations",
-        type=int,
-        default=3,
-        help="consensus-iteration budget of --strategy decomposed",
-    )
-    parser.add_argument(
-        "--inner",
-        default="greedy",
-        help="inner strategy of --strategy decomposed (greedy / anneal / uniform)",
-    )
-    parser.add_argument("--cost-table", default="lut4")
-    parser.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default="incremental",
-        help="noise-analysis engine the strategy's inner loop uses",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="Monte-Carlo validation shard workers (and, for --strategy "
-        "decomposed, the subproblem worker processes)",
-    )
-    parser.add_argument("--out", default=None, help="also write the result JSON here")
     parser.add_argument(
         "--checkpoint",
         default=None,
@@ -166,6 +124,29 @@ def _add_optimize_parser(sub) -> None:
     )
 
 
+def _add_optimize_parser(sub) -> None:
+    parser = sub.add_parser(
+        "optimize",
+        help="word-length optimization of one circuit",
+        description="Search for a cheap word-length assignment of one "
+        "benchmark circuit meeting an SNR floor, then Monte-Carlo "
+        "validate the returned design.",
+    )
+    _add_search_arguments(
+        parser,
+        OPTIMIZE_DEFAULTS,
+        OPTIMIZE_FIELDS,
+        workers="Monte-Carlo validation shard workers (and, for --strategy "
+        "decomposed, the subproblem worker processes)",
+    )
+    parser.add_argument("--samples", type=int, default=20_000, help="MC validation samples")
+    parser.add_argument(
+        "--inner",
+        default="greedy",
+        help="inner strategy of --strategy decomposed (greedy / anneal / uniform)",
+    )
+
+
 def _add_pareto_parser(sub) -> None:
     parser = sub.add_parser(
         "pareto",
@@ -174,48 +155,13 @@ def _add_pareto_parser(sub) -> None:
         "floor, sharing analysis state and warm starts across floors, "
         "and print the (monotone) cost-vs-SNR front.",
     )
-    parser.add_argument("circuit", metavar="CIRCUIT", help="benchmark circuit name")
+    _add_search_arguments(parser, PARETO_DEFAULTS, PARETO_FIELDS, workers=None)
     parser.add_argument(
         "--floor",
         action="append",
         type=float,
         dest="floors",
-        help=f"SNR floor in dB (repeatable; default {list(DEFAULT_PARETO_FLOORS)})",
-    )
-    parser.add_argument("--margin", type=float, default=1.0, dest="margin_db")
-    parser.add_argument("--strategy", default="greedy", help="uniform / greedy / anneal")
-    parser.add_argument("--method", default="aa", help="ia / aa / taylor / sna / pna")
-    parser.add_argument(
-        "--confidence",
-        type=float,
-        default=None,
-        help="accept designs whose SNR floor holds with this probability "
-        "(fractional values need a PDF method such as pna; 1.0 = worst case; "
-        "default: legacy mean-square noise)",
-    )
-    parser.add_argument("--horizon", type=int, default=6)
-    parser.add_argument("--bins", type=int, default=16)
-    parser.add_argument("--max-word-length", type=int, default=28)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--anneal-iterations", type=int, default=120)
-    parser.add_argument("--cost-table", default="lut4")
-    parser.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default="batched",
-        help="noise-analysis engine (default: batched — the sweep's point)",
-    )
-    parser.add_argument("--out", default=None, help="also write the front JSON here")
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="persist each completed floor here so an interrupted sweep can --resume",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume the sweep from an existing --checkpoint snapshot",
+        help=f"SNR floor in dB (repeatable; default {list(DEFAULT_FLOORS)})",
     )
 
 
@@ -243,75 +189,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise DesignError(
             f"unknown circuit(s): {', '.join(unknown)}; available: {', '.join(CIRCUITS)}"
         )
-    document = run_benchmarks(
-        circuits=args.circuits or None,
-        word_length=args.word_length,
-        horizon=args.horizon,
-        bins=args.bins,
-        mc_samples=args.samples,
-        seed=args.seed,
-        methods=args.method,
-        workers=args.workers,
-        oracle_samples=args.oracle_samples,
-        oracle_precision_bits=args.oracle_precision_bits,
-    )
+    config = config_from_args(args, ANALYZE_DEFAULTS, ANALYZE_FIELDS, seed=args.seed)
+    document = run_benchmarks(config, circuits=args.circuits or None, workers=args.workers)
     _print_document(document)
     if args.out:
-        Path(args.out).write_text(json.dumps(document, indent=2) + "\n")
-        print(f"\nwrote {args.out}")
+        write_document(document, args.out)
     if document["all_enclosed"] is None:
         print("note: no Monte-Carlo enclosure checks ran (montecarlo not requested)")
     return 1 if document["all_enclosed"] is False else 0
 
 
-def _optimize_config(args: argparse.Namespace, engine: str):
-    """One ``OptimizeConfig`` from the optimize/pareto flag namespace."""
-    from repro.config import OptimizeConfig
-    from repro.optimize import COST_TABLES
-
-    if args.cost_table not in COST_TABLES:
-        raise OptimizationError(
-            f"unknown cost table {args.cost_table!r}; available: {', '.join(COST_TABLES)}"
-        )
-    return OptimizeConfig(
-        strategy=args.strategy,
-        method=args.method,
-        confidence=args.confidence,
-        snr_floor_db=args.snr_floor_db,
-        margin_db=args.margin_db,
-        cost_table=args.cost_table,
-        engine=engine,
-        horizon=args.horizon,
-        bins=args.bins,
-        max_word_length=args.max_word_length,
-    )
-
-
-def _strategy_options(args: argparse.Namespace) -> dict:
-    if args.strategy == "anneal":
-        return {"iterations": args.anneal_iterations, "seed": args.seed}
-    if args.strategy == "decomposed":
-        inner = getattr(args, "inner", "greedy")
-        options: dict = {
-            "partitions": getattr(args, "partitions", None),
-            "outer_iterations": getattr(args, "outer_iterations", None),
-            "inner": inner,
-            "workers": getattr(args, "workers", 1),
-            "seed": args.seed,
-        }
-        if inner == "anneal":
-            options["inner_options"] = {
-                "iterations": args.anneal_iterations,
-                "seed": args.seed,
-            }
-        return options
-    return {}
-
-
-def _search_checkpoint(args: argparse.Namespace, command: str, **extra_meta: object):
+def _search_checkpoint(
+    args: argparse.Namespace, config: OptimizeConfig, command: str, **extra_meta: object
+):
     """The ``--checkpoint`` snapshot of an optimize/pareto run, or ``None``.
 
-    The snapshot's fingerprint covers the search-relevant flags, so
+    The snapshot's fingerprint covers the search config and options, so
     ``--resume`` refuses a file written under a different configuration.
     Without ``--resume`` a stale snapshot is cleared first — a fresh run
     must not silently continue an old one.
@@ -325,24 +218,11 @@ def _search_checkpoint(args: argparse.Namespace, command: str, **extra_meta: obj
     meta = {
         "command": command,
         "circuit": args.circuit,
-        "strategy": args.strategy,
-        "method": args.method,
-        "confidence": args.confidence,
-        "margin_db": args.margin_db,
-        "horizon": args.horizon,
-        "bins": args.bins,
-        "max_word_length": args.max_word_length,
+        "config": dataclasses.asdict(config),
         "seed": args.seed,
         "anneal_iterations": args.anneal_iterations,
-        "cost_table": args.cost_table,
-        "engine": args.engine,
-        "partitions": getattr(args, "partitions", None),
-        "outer_iterations": getattr(args, "outer_iterations", None),
-        "inner": getattr(args, "inner", None),
         **extra_meta,
     }
-    if command == "optimize":
-        meta["snr_floor_db"] = args.snr_floor_db
     checkpoint = SearchCheckpoint(args.checkpoint, meta=meta)
     if not args.resume:
         checkpoint.clear()
@@ -370,18 +250,21 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     from repro.optimize import OptimizationProblem, get_optimizer
 
     circuit = _resolve_circuit(args.circuit)
-    config = _optimize_config(args, args.engine).replace(mc_workers=args.workers)
-    problem = OptimizationProblem.from_circuit(circuit, args.snr_floor_db, config=config)
-    checkpoint = _search_checkpoint(args, command="optimize")
-    result = get_optimizer(args.strategy, **_strategy_options(args)).optimize(
-        problem, checkpoint=checkpoint
+    config = config_from_args(args, OPTIMIZE_DEFAULTS, OPTIMIZE_FIELDS)
+    problem = OptimizationProblem.from_circuit(
+        circuit, config.snr_floor_db, config=config.replace(mc_workers=args.workers)
     )
+    checkpoint = _search_checkpoint(args, config, "optimize", inner=args.inner)
+    options = strategy_options(
+        config.strategy, args.seed, args.anneal_iterations, inner=args.inner, workers=args.workers
+    )
+    result = get_optimizer(config.strategy, **options).optimize(problem, checkpoint=checkpoint)
     print(result.summary())
     document = result.to_dict(include_trace=False)
     mc_validated = False
     if result.feasible and result.assignment is not None:
         mc_snr = problem.monte_carlo_snr(result.assignment, samples=args.samples, seed=args.seed)
-        mc_validated = bool(mc_snr >= args.snr_floor_db)
+        mc_validated = bool(mc_snr >= config.snr_floor_db)
         document["mc_snr_db"] = mc_snr
         document["mc_validated"] = mc_validated
         print(f"monte-carlo: {mc_snr:.2f} dB ({'ok' if mc_validated else 'BELOW FLOOR'})")
@@ -389,25 +272,23 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         for node, bits in sorted(result.assignment.word_lengths().items()):
             print(f"  {node:20s} {bits:3d} bits")
     if args.out:
-        Path(args.out).write_text(json.dumps(document, indent=2) + "\n")
-        print(f"wrote {args.out}")
+        write_document(document, args.out)
     return 0 if result.feasible and mc_validated else 1
 
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
-    from repro.benchmarks.circuits import CIRCUITS, get_circuit
     from repro.optimize import OptimizationProblem
 
-    if args.circuit not in CIRCUITS:
-        raise DesignError(f"unknown circuit {args.circuit!r}; available: {', '.join(CIRCUITS)}")
-    floors = args.floors or list(DEFAULT_PARETO_FLOORS)
-    args.snr_floor_db = max(floors)
-    circuit = get_circuit(args.circuit)
-    config = _optimize_config(args, args.engine)
-    problem = OptimizationProblem.from_circuit(circuit, args.snr_floor_db, config=config)
-    checkpoint = _search_checkpoint(args, command="pareto", floors=sorted(floors))
+    circuit = _resolve_circuit(args.circuit)
+    floors = args.floors or list(DEFAULT_FLOORS)
+    config = config_from_args(args, PARETO_DEFAULTS, PARETO_FIELDS, snr_floor_db=max(floors))
+    problem = OptimizationProblem.from_circuit(circuit, config.snr_floor_db, config=config)
+    checkpoint = _search_checkpoint(args, config, "pareto", floors=sorted(floors))
     front = problem.pareto(
-        floors, strategy=args.strategy, checkpoint=checkpoint, **_strategy_options(args)
+        floors,
+        strategy=config.strategy,
+        checkpoint=checkpoint,
+        **strategy_options(config.strategy, args.seed, args.anneal_iterations),
     )
     print(front.summary())
     monotone = front.is_monotone()
@@ -420,8 +301,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
         f"{problem.fallback_probes} fallback probes"
     )
     if args.out:
-        Path(args.out).write_text(json.dumps(front.to_dict(), indent=2) + "\n")
-        print(f"wrote {args.out}")
+        write_document(front.to_dict(), args.out)
     return 0 if monotone and feasible > 0 else 1
 
 

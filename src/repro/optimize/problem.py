@@ -484,33 +484,37 @@ class OptimizationProblem:
         be coverage-widened (every ``DesignEvaluation.assignment`` is).
         One vectorized pass replaces ``len(moves)`` analyzer probes; no
         caches or counters are touched.
+
+        A broken batched engine is the problem's call, not the caller's: a
+        ``batched`` problem with :attr:`engine_fallback` degrades onto the
+        incremental engine (recording a
+        :class:`~repro.analysis.degradation.DegradationEvent`) and returns
+        ``None`` — strategies then follow :attr:`engine`.  Otherwise the
+        error propagates.
         """
         self._check_graph()
-        engine = self.batched_engine()  # compile failures degrade in there
-        started = time.perf_counter()
-        started_cpu = time.process_time()
+        degradable = self.engine == "batched" and self.engine_fallback
         try:
-            noise = engine.price_moves(
-                assignment,
-                moves,
-                method=self.method,
-                output=self.output,
-                confidence=self.confidence,
-            )
+            engine = self.batched_engine()  # compile failures degrade in there
+            started = time.perf_counter()
+            started_cpu = time.process_time()
+            try:
+                return engine.price_moves(
+                    assignment,
+                    moves,
+                    method=self.method,
+                    output=self.output,
+                    confidence=self.confidence,
+                )
+            finally:
+                self.analysis_time_s += time.perf_counter() - started
+                self.analysis_cpu_s += time.process_time() - started_cpu
         except ReproError as exc:
-            if not self.engine_fallback:
+            if not degradable:
                 raise
             if self.engine == "batched":
                 self._degrade("batched-price", "incremental", exc)
-            if isinstance(exc, NoiseModelError):
-                raise
-            raise NoiseModelError(
-                f"batched pricing failed for {self.name!r}: {exc}"
-            ) from exc
-        finally:
-            self.analysis_time_s += time.perf_counter() - started
-            self.analysis_cpu_s += time.process_time() - started_cpu
-        return noise
+            return None
 
     @property
     def batched_calls(self) -> int:

@@ -207,34 +207,6 @@ def test_batched_greedy_never_worse_than_incremental():
         assert costs["batched"] <= costs["incremental"], name
 
 
-def test_anneal_chains_batched_deterministic():
-    """Multi-chain annealing is feasible and a pure function of the seed."""
-    circuit = get_circuit("fir4")
-
-    def solve():
-        problem = OptimizationProblem.from_circuit(
-            circuit,
-            55.0,
-            config=OptimizeConfig(snr_floor_db=55.0, method="ia", engine="batched"),
-        )
-        optimizer = get_optimizer("anneal", iterations=60, seed=7, chains=8)
-        return get_optimizer_result(optimizer, problem)
-
-    def get_optimizer_result(optimizer, problem):
-        result = optimizer.optimize(problem)
-        assert result.feasible
-        return result
-
-    first, second = solve(), solve()
-    assert first.cost == second.cost
-    assert first.assignment.key() == second.assignment.key()
-
-
-def test_anneal_rejects_bad_chains():
-    with pytest.raises(OptimizationError):
-        get_optimizer("anneal", chains=0)
-
-
 # --------------------------------------------------------------------- #
 # configs: the one calling convention
 # --------------------------------------------------------------------- #

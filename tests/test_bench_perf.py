@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from repro.benchmarks.bench_perf import run_perf_benchmarks
+from repro.benchmarks.bench_perf import DEFAULTS, run_perf_benchmarks
 from repro.benchmarks.compare_bench import compare_documents
 
 
 def small_run():
     return run_perf_benchmarks(
+        DEFAULTS.replace(horizon=3, bins=8),
         circuits=["quadratic", "fft_butterfly"],
         methods=("ia", "sna"),
-        horizon=3,
-        bins=8,
         reps=1,
         equiv_trials=3,
         min_speedup=0.0,  # timings on a loaded test machine are not gated here
@@ -49,10 +48,9 @@ def test_cpu_gate_metric():
     import pytest
 
     document = run_perf_benchmarks(
+        DEFAULTS.replace(horizon=3, bins=8),
         circuits=["fft_butterfly"],
         methods=("ia",),
-        horizon=3,
-        bins=8,
         reps=1,
         equiv_trials=2,
         min_speedup=0.0,

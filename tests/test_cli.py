@@ -129,6 +129,15 @@ class TestPareto:
         assert main(["pareto", "nope"]) == 2
         assert "unknown circuit" in capsys.readouterr().err
 
+    def test_generator_spec(self, tmp_path, capsys):
+        out = tmp_path / "front.json"
+        code = main(
+            ["pareto", "fir_cascade:taps=2,samples=4", "--method", "ia", "--floor", "40",
+             "--floor", "50", "--bins", "8", "--horizon", "3", "--out", str(out)]
+        )
+        assert code == 0
+        assert [p["snr_floor_db"] for p in json.loads(out.read_text())["points"]] == [40.0, 50.0]
+
 
 class TestBenchDispatch:
     def test_bench_analysis_smoke(self, tmp_path, capsys):

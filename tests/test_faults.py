@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.benchmarks.bench_optimize import run_optimize_benchmarks
+from repro.benchmarks.bench_optimize import DEFAULTS, run_optimize_benchmarks
 from repro.benchmarks.compare_bench import strip_execution_counters
 from repro.config import AnalysisConfig, OptimizeConfig
 from repro.errors import (
@@ -423,6 +423,57 @@ class TestEngineDegradation:
         # the problem still evaluates designs on the degraded engine
         assert problem.evaluate_uniform(12).feasible
 
+    @staticmethod
+    def _break_batched(monkeypatch, hook: str) -> None:
+        import repro.analysis.batched as batched_module
+
+        def _broken(self, *args, **kwargs):
+            raise NoiseModelError(f"synthetic batched {hook} failure")
+
+        monkeypatch.setattr(batched_module.BatchedAnalyzer, hook, _broken)
+
+    @staticmethod
+    def _batched_problem(engine_fallback: bool):
+        from repro.benchmarks.circuits import get_circuit
+        from repro.optimize import OptimizationProblem
+
+        return OptimizationProblem.from_circuit(
+            get_circuit("fir4"),
+            55.0,
+            config=OptimizeConfig(method="ia", engine="batched", engine_fallback=engine_fallback),
+        )
+
+    @pytest.mark.parametrize("hook", ["__init__", "price_moves"])
+    def test_batched_failure_without_fallback_aborts_greedy(self, monkeypatch, hook):
+        from repro.optimize import get_optimizer
+
+        problem = self._batched_problem(engine_fallback=False)
+        self._break_batched(monkeypatch, hook)
+        with pytest.raises(NoiseModelError, match="synthetic batched"):
+            get_optimizer("greedy").optimize(problem)
+        assert problem.engine == "batched"
+        assert problem.degradations == []
+
+    @pytest.mark.parametrize(
+        "hook, stage", [("__init__", "batched-compile"), ("price_moves", "batched-price")]
+    )
+    def test_batched_failure_with_fallback_degrades_greedy(self, monkeypatch, hook, stage):
+        from repro.benchmarks.circuits import get_circuit
+        from repro.optimize import OptimizationProblem, get_optimizer
+
+        reference = get_optimizer("greedy").optimize(
+            OptimizationProblem.from_circuit(
+                get_circuit("fir4"), 55.0, config=OptimizeConfig(method="ia")
+            )
+        )
+        problem = self._batched_problem(engine_fallback=True)
+        self._break_batched(monkeypatch, hook)
+        result = get_optimizer("greedy").optimize(problem)
+        assert problem.engine == "incremental"
+        assert [event.stage for event in problem.degradations] == [stage]
+        # degraded before its first shave, the search is the incremental one
+        assert result.assignment.key() == reference.assignment.key()
+
     def test_degradation_events_serialize(self):
         from repro.analysis.degradation import DegradationEvent
 
@@ -476,12 +527,11 @@ class TestPipelineMonteCarloFallback:
 class TestBenchDeterminismUnderFaults:
     def test_faulted_bench_optimize_matches_clean(self):
         kwargs = dict(
+            config=DEFAULTS.replace(bins=8, horizon=4),
             circuits=["quadratic"],
             methods=("aa",),
             strategies=("uniform", "greedy"),
             mc_samples=2_000,
-            bins=8,
-            horizon=4,
         )
         clean = run_optimize_benchmarks(workers=1, **kwargs)
         faulted = run_optimize_benchmarks(
@@ -505,12 +555,11 @@ class TestBenchDeterminismUnderFaults:
 
     def test_resumed_bench_optimize_matches_clean(self, tmp_path):
         kwargs = dict(
+            config=DEFAULTS.replace(bins=8, horizon=4),
             circuits=["quadratic"],
             methods=("aa",),
             strategies=("uniform", "greedy"),
             mc_samples=2_000,
-            bins=8,
-            horizon=4,
         )
         path = tmp_path / "bench.jsonl"
         meta = {"suite": "unit-bench"}

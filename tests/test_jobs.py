@@ -7,11 +7,12 @@ import os
 import numpy as np
 import pytest
 
+from repro.benchmarks import bench_optimize, bench_perf
 from repro.benchmarks.bench_analysis import run_benchmarks
 from repro.benchmarks.bench_optimize import run_optimize_benchmarks
 from repro.benchmarks.bench_perf import run_perf_benchmarks
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
-from repro.config import OptimizeConfig
+from repro.config import AnalysisConfig, OptimizeConfig
 from repro.errors import JobError
 from repro.jobs import (
     JobRunner,
@@ -225,7 +226,9 @@ class TestShardedMonteCarlo:
         assert np.isfinite(entropic)
 
 
-SMOKE_ANALYSIS = dict(word_length=10, horizon=2, bins=8, mc_samples=300, seed=5)
+SMOKE_ANALYSIS = dict(
+    config=AnalysisConfig(word_length=10, horizon=2, bins=8, mc_samples=300, seed=5)
+)
 
 
 class TestSerialParallelBitIdentity:
@@ -242,12 +245,10 @@ class TestSerialParallelBitIdentity:
 
     def test_bench_optimize_worker_count_sweep(self):
         config = dict(
+            config=bench_optimize.DEFAULTS.replace(snr_floor_db=45.0, horizon=2, bins=8),
             circuits=["quadratic", "fir4", "sigmoid_neuron"],
             methods=("ia",),
             strategies=("uniform", "greedy"),
-            snr_floor_db=45.0,
-            horizon=2,
-            bins=8,
             mc_samples=1000,
             seed=2,
         )
@@ -259,10 +260,9 @@ class TestSerialParallelBitIdentity:
 
     def test_bench_perf_serial_vs_parallel(self):
         config = dict(
+            config=bench_perf.DEFAULTS.replace(horizon=3, bins=8),
             circuits=["quadratic", "fft_butterfly"],
             methods=("ia", "sna"),
-            horizon=3,
-            bins=8,
             reps=1,
             equiv_trials=2,
             min_speedup=0.0,
