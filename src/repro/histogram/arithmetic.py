@@ -109,12 +109,16 @@ def _spread_core(
     if lo.size == 0:
         return np.zeros(n_bins, dtype=float)
 
+    # Searching the interior edges yields the bin index already clipped to
+    # [0, n_bins - 1]: one binary search per value and no index arithmetic.
+    inner = edges[1:-1]
+    lower = edges[:-1]
+    upper = edges[1:]
     width = hi - lo
     is_point = width <= 0.0
     point_mass = None
     if is_point.any():
-        points = lo[is_point]
-        idx = _clip_index(np.searchsorted(edges, points, side="right") - 1, n_bins - 1)
+        idx = inner.searchsorted(lo[is_point], "right")
         point_mass = np.bincount(idx, weights=prob[is_point], minlength=n_bins)
         has_width = ~is_point
         if not has_width.any():
@@ -126,24 +130,24 @@ def _spread_core(
         density = prob / width
 
     # np.bincount beats np.add.at by a wide margin for these scatter sizes.
-    first = _clip_index(np.searchsorted(edges, lo, side="right") - 1, n_bins - 1)
-    last = _clip_index(np.searchsorted(edges, hi, side="left") - 1, n_bins - 1)
-    lo_c = np.maximum(lo, edges[first])
-    hi_c = np.minimum(hi, edges[last + 1])
+    first = inner.searchsorted(lo, "right")
+    last = inner.searchsorted(hi, "left")
+    lo_c = np.maximum(lo, lower[first])
+    hi_c = np.minimum(hi, upper[last])
 
     # First and last (possibly partial) bin of every interval, plus the
     # full interior bins through a density difference array.  A
     # single-bin interval needs no special case: head + tail double-count
     # one bin width, and the difference-array ramp contributes exactly
     # minus that width at the same bin, so the sum is density * overlap.
-    head = density * (edges[first + 1] - lo_c)
-    tail = density * (hi_c - edges[last])
+    head = density * (upper[first] - lo_c)
+    tail = density * (hi_c - lower[last])
     out = np.bincount(first, weights=head, minlength=n_bins)
     out += np.bincount(last, weights=tail, minlength=n_bins)
 
     ramp = np.bincount(first + 1, weights=density, minlength=n_bins + 2)
     ramp -= np.bincount(last, weights=density, minlength=n_bins + 2)
-    out += np.cumsum(ramp[:n_bins]) * (edges[1:] - edges[:-1])
+    out += ramp[:n_bins].cumsum() * (upper - lower)
     # The cancellation above is exact up to rounding; clamp the float dust
     # so zero-mass bins cannot go (harmlessly but confusingly) negative.
     np.maximum(out, 0.0, out=out)
@@ -151,12 +155,6 @@ def _spread_core(
     if point_mass is not None:
         out += point_mass
     return out
-
-
-def _clip_index(idx: np.ndarray, top: int) -> np.ndarray:
-    """``np.clip(idx, 0, top)`` for int index arrays without the ufunc-limits
-    machinery ``np.clip`` drags in on every call."""
-    return np.minimum(np.maximum(idx, 0), top)
 
 
 def pairwise_op(

@@ -60,6 +60,9 @@ class HistogramPDF:
                 f"probs must have len(edges) - 1 = {edges_arr.size - 1} entries, "
                 f"got {probs_arr.size}"
             )
+        finite = np.isfinite(edges_arr)
+        if not finite.all():
+            raise HistogramError(f"edges must be finite, got {float(edges_arr[~finite][0])!r}")
         if np.any(np.diff(edges_arr) <= 0):
             raise HistogramError("edges must be strictly increasing")
         if np.any(probs_arr < -1e-15):
@@ -99,12 +102,15 @@ class HistogramPDF:
     @classmethod
     def uniform(cls, lo: Number, hi: Number, bins: int = 16) -> "HistogramPDF":
         """A uniform density over ``[lo, hi]`` discretized into ``bins`` bins."""
+        bins = int(bins)
+        if bins < 1:
+            raise HistogramError(f"bins must be >= 1, got {bins}")
         lo = float(lo)
         hi = float(hi)
         if hi <= lo:
             return cls.point(lo)
-        edges = np.linspace(lo, hi, int(bins) + 1)
-        probs = np.full(int(bins), 1.0 / int(bins))
+        edges = np.linspace(lo, hi, bins + 1)
+        probs = np.full(bins, 1.0 / bins)
         return cls(edges, probs, normalize=False)
 
     @classmethod
@@ -597,6 +603,13 @@ class HistogramPDF:
             and abs(self.mean() - other.mean()) <= moment_tol
             and abs(self.variance() - other.variance()) <= moment_tol
         )
+
+    def copy(self) -> "HistogramPDF":
+        """An independent copy (the arrays are copied, not re-validated)."""
+        pdf = object.__new__(HistogramPDF)
+        pdf.edges = self.edges.copy()
+        pdf.probs = self.probs.copy()
+        return pdf
 
     def total_mass(self) -> float:
         """Total probability (1.0 up to floating-point rounding)."""

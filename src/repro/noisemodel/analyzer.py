@@ -228,6 +228,9 @@ class DatapathNoiseAnalyzer:
         # value distributions, never on the assignment: one per node.
         self._select_prob_cache: Dict[str, float] = {}
         self._ancestor_cache: Dict[str, frozenset] = {}
+        # The pna confidence read resumes each convolution from the
+        # previous one's shared prefix (repro.analysis.probabilistic).
+        self._pna_chain: Any = None
 
     def working_formats(self, assignment: WordLengthAssignment) -> Dict[str, Any]:
         """Per-instance formats of ``assignment`` on the working graph.
@@ -1036,13 +1039,19 @@ class DatapathNoiseAnalyzer:
         of a sound enclosure of the error (any method).  A fractional
         confidence is the squared ``confidence``-quantile of |error|,
         read from the propagated error distribution — available for the
-        PDF-producing methods ("pna", "sna").
+        PDF-producing methods ("pna", "sna").  Successive "pna" reads on
+        this analyzer share one :class:`UniformChain`, which changes their
+        cost but never their result.
         """
         if confidence is None:
             return self.noise_power_of(method, error)
-        from repro.analysis.probabilistic import confidence_noise_power
+        from repro.analysis.probabilistic import UniformChain, confidence_noise_power
 
-        return confidence_noise_power(method, error, confidence, bins=self.bins)
+        if self._pna_chain is None:
+            self._pna_chain = UniformChain()
+        return confidence_noise_power(
+            method, error, confidence, bins=self.bins, chain=self._pna_chain
+        )
 
     def _report_sna(
         self, target: str, error: Any, values: Dict[str, Any], with_contributions: bool = True

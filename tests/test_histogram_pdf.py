@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import HistogramError
 from repro.histogram.pdf import HistogramPDF
 from repro.histogram.shapes import gaussian_histogram
 from repro.intervals.interval import Interval
@@ -40,6 +41,37 @@ class TestDegenerateBins:
         pdf = HistogramPDF.point(2.5)
         assert pdf.mean() == pytest.approx(2.5)
         assert pdf.variance() == pytest.approx(0.0, abs=1e-20)
+
+
+class TestConstructorValidation:
+    """Malformed edges and bin counts raise instead of yielding NaN histograms."""
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0)]
+    )
+    def test_uniform_rejects_non_finite_bounds(self, lo, hi):
+        with np.errstate(invalid="ignore"), pytest.raises(HistogramError, match="must be finite"):
+            HistogramPDF.uniform(lo, hi)
+
+    def test_constructor_rejects_nan_edges(self):
+        with pytest.raises(HistogramError, match="edges must be finite, got nan"):
+            HistogramPDF([0.0, float("nan"), 1.0], [0.5, 0.5])
+
+    def test_point_rejects_a_non_finite_value(self):
+        with pytest.raises(HistogramError, match="edges must be finite"):
+            HistogramPDF.point(float("inf"))
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_uniform_rejects_fewer_than_one_bin(self, bins):
+        with pytest.raises(HistogramError, match=f"bins must be >= 1, got {bins}"):
+            HistogramPDF.uniform(0.0, 1.0, bins=bins)
+
+    def test_copy_is_independent(self):
+        pdf = HistogramPDF.uniform(-1.0, 1.0, bins=4)
+        twin = pdf.copy()
+        twin.probs[0] = 0.0
+        twin.edges[0] = -2.0
+        assert pdf.probs[0] == 0.25 and pdf.edges[0] == -1.0
 
 
 class TestCdfQuantileRoundTrip:

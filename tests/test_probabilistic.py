@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,9 +15,12 @@ from repro.analysis import (
     NoiseAnalysisPipeline,
     affine_error_pdf,
     confidence_noise_power,
+    probabilistic,
 )
 from repro.analysis.montecarlo import draw_stimulus, monte_carlo_error
+from repro.analysis.probabilistic import UniformChain
 from repro.benchmarks.circuits import get_circuit
+from repro.benchmarks.generators import generate_circuit
 from repro.config import OptimizeConfig
 from repro.dfg.range_analysis import infer_ranges
 from repro.errors import HistogramError, NoiseModelError, OptimizationError
@@ -23,6 +30,7 @@ from repro.intervals.affine import AffineForm
 from repro.intervals.interval import Interval
 from repro.noisemodel.assignment import WordLengthAssignment
 from repro.optimize import OptimizationProblem, get_optimizer
+from repro.optimize.strategies import GreedyBitStealingOptimizer
 
 
 def quadratic_bits(word_length: int = 12):
@@ -157,6 +165,203 @@ class TestPnaMethod:
         pdf = affine_error_pdf(0.25)
         assert pdf.mean() == pytest.approx(0.25, abs=1e-9)
         assert pdf.edges[-1] - pdf.edges[0] < 1e-6
+
+
+# --------------------------------------------------------------------- #
+# the fused uniform-convolution kernel
+# --------------------------------------------------------------------- #
+def reference_error_pdf(error, bins):
+    """The composed convolution ``affine_error_pdf`` must reproduce bit for bit."""
+    if not isinstance(error, AffineForm):
+        return HistogramPDF.point(float(error))
+    radii = sorted((abs(c) for c in error.terms.values() if c != 0.0), reverse=True)
+    if not radii:
+        return HistogramPDF.point(error.center)
+    pdf = HistogramPDF.uniform(error.center - radii[0], error.center + radii[0], bins=bins)
+    for radius in radii[1:]:
+        pdf = pdf.add(HistogramPDF.uniform(-radius, radius, bins=bins), bins=bins)
+    return pdf
+
+
+def outcome(read):
+    """``("pdf", edges, probs)``, or ``("raises", message)`` for a HistogramError."""
+    try:
+        pdf = read()
+    except HistogramError as exc:
+        return ("raises", str(exc))
+    return ("pdf", pdf.edges, pdf.probs)
+
+
+def assert_same_outcome(expected, got):
+    assert expected[0] == got[0], (expected, got)
+    if expected[0] == "raises":
+        assert expected[1] == got[1]
+    else:
+        assert np.array_equal(expected[1], got[1]), "edges differ"
+        assert np.array_equal(expected[2], got[2]), "probs differ"
+
+
+def random_forms(seed, count):
+    """Seeded affine forms: 1-40 symbols, radii 1e-12..1e3, some tied radii."""
+    rng = np.random.default_rng(seed)
+    forms = []
+    for k in range(count):
+        terms = int(rng.integers(1, 41))
+        coeffs = rng.choice([-1.0, 1.0], size=terms) * 10.0 ** rng.uniform(-12, 3, size=terms)
+        if k % 3 == 1:
+            coeffs[: max(1, terms // 2)] = coeffs[0]
+        center = 0.0 if k % 2 == 0 else float(rng.normal() * 10.0 ** rng.uniform(-6, 2))
+        forms.append(AffineForm(center, {f"s{i}": float(c) for i, c in enumerate(coeffs)}))
+    return forms
+
+
+TINY = sys.float_info.min
+SPECIAL_FORMS = [
+    AffineForm(0.0, {"a": 0.75}),  # one term
+    AffineForm(-2.5, {"a": 1e-12}),  # one narrow term off zero
+    AffineForm(0.25, {}),  # a constant form
+    0.25,  # a plain constant
+    AffineForm(0.0, {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}),  # all radii equal
+    AffineForm(0.0, {"a": 1.0, "b": TINY, "c": TINY / 2.0}),  # at/below the normal range
+    AffineForm(1.0, {"a": 2.0 * TINY, "b": TINY}),  # only tiny radii
+    AffineForm(1e6, {"a": 1e-12, "b": 1e-12}),  # center swamps the spread
+    AffineForm(0.0, {f"s{i}": 1e307 for i in range(40)}),  # hull overflows
+]
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("bins", [1, 2, 16, 32, 64])
+    def test_bit_identical_to_the_composed_convolution(self, bins):
+        forms = SPECIAL_FORMS + random_forms(seed=bins, count=16)
+        with np.errstate(all="ignore"):
+            for form in forms:
+                assert_same_outcome(
+                    outcome(lambda: reference_error_pdf(form, bins)),
+                    outcome(lambda: affine_error_pdf(form, bins=bins)),
+                )
+
+    @pytest.mark.parametrize(
+        "error, named",
+        [
+            (AffineForm(float("nan"), {"e1": 0.5}), "non-finite center nan"),
+            (AffineForm(0.0, {"e1": 0.5, "e2": float("inf")}), "'e2' coefficient is inf"),
+            (AffineForm(0.0, {"e1": float("-nan")}), "'e1' coefficient is nan"),
+            (float("-inf"), "non-finite constant error -inf"),
+        ],
+    )
+    def test_non_finite_forms_are_named(self, error, named):
+        with pytest.raises(HistogramError, match=named):
+            affine_error_pdf(error, bins=16)
+
+    def test_zero_bins_raise_a_histogram_error(self):
+        with pytest.raises(HistogramError, match="bins must be >= 1"):
+            affine_error_pdf(AffineForm(0.0, {"e1": 0.5}), bins=0)
+
+
+class TestUniformChain:
+    @staticmethod
+    def family(seed):
+        """Forms sharing long prefixes: one base form with varied narrow tails."""
+        base = random_forms(seed, 1)[0]
+        terms = dict(base.terms)
+        narrowest = min(terms, key=lambda name: abs(terms[name]))
+        forms = [base]
+        for factor in (0.5, 2.0, -1.0):
+            forms.append(AffineForm(base.center, {**terms, narrowest: terms[narrowest] * factor}))
+        forms.append(AffineForm(base.center, {**terms, "extra": 1e-13}))
+        forms.append(AffineForm(base.center, {k: v for k, v in terms.items() if k != narrowest}))
+        forms.append(AffineForm(base.center + 1e-3, terms))
+        forms.append(AffineForm(-0.0, terms))
+        forms.append(AffineForm(0.0, terms))
+        return forms
+
+    def test_shuffled_interleaved_reads_match_fresh_calls(self, monkeypatch):
+        forms = [form for seed in (3, 4) for form in self.family(seed)]
+        fresh = {
+            (i, bins): outcome(lambda: affine_error_pdf(form, bins=bins))
+            for i, form in enumerate(forms)
+            for bins in (8, 16)
+        }
+        steps = []
+        fused = probabilistic._add_uniform
+        monkeypatch.setattr(
+            probabilistic,
+            "_add_uniform",
+            lambda pdf, radius, *tables: steps.append(radius) or fused(pdf, radius, *tables),
+        )
+        rng = np.random.default_rng(11)
+        chain = UniformChain()
+        for _round in range(3):
+            for i in rng.permutation(len(forms)):
+                bins = 16 if rng.random() < 0.8 else 8
+                got = outcome(lambda: affine_error_pdf(forms[i], bins=bins, chain=chain))
+                assert_same_outcome(fresh[(int(i), bins)], got)
+                assert len(chain.states) == len(chain.radii) <= len(forms[i].terms)
+        full = 3 * sum(len(form.terms) - 1 for form in forms)
+        assert 0 < len(steps) < full, "the chain never resumed from a shared prefix"
+
+    def test_results_do_not_alias_the_chain(self):
+        form = random_forms(5, 1)[0]
+        chain = UniformChain()
+        first = affine_error_pdf(form, bins=16, chain=chain)
+        expected = first.probs.copy()
+        first.probs[:] = 0.0
+        again = affine_error_pdf(form, bins=16, chain=chain)
+        assert np.array_equal(again.probs, expected)
+
+    def test_failed_step_leaves_a_consistent_chain(self):
+        chain = UniformChain()
+        good = AffineForm(0.0, {"a": 1.0, "b": 0.5})
+        with np.errstate(all="ignore"), pytest.raises(HistogramError):
+            affine_error_pdf(AffineForm(0.0, {f"s{i}": 1e307 for i in range(40)}), chain=chain)
+        assert len(chain.states) == len(chain.radii)
+        assert_same_outcome(
+            outcome(lambda: reference_error_pdf(good, 32)),
+            outcome(lambda: affine_error_pdf(good, chain=chain)),
+        )
+        # The first step can fail too: 1e15 +- 1 has no 32 distinct edges.
+        with pytest.raises(HistogramError, match="strictly increasing"):
+            affine_error_pdf(AffineForm(1e15, {"a": 1.0}), chain=chain)
+        assert len(chain.states) == len(chain.radii) == 0
+        wide = AffineForm(1e15, {"a": 1e3, "b": 1.0})
+        assert_same_outcome(
+            outcome(lambda: reference_error_pdf(wide, 32)),
+            outcome(lambda: affine_error_pdf(wide, chain=chain)),
+        )
+
+
+#: SHA-256 of [assignment doc, repr(cost), [[action, accepted], ...]] of
+#: greedy on mlp_layer:inputs=2,neurons=2 (pna at confidence 0.999, 50 dB,
+#: margin 0, horizon 4, 16 bins), recorded with the composed uniform().add()
+#: convolution the fused, chained kernel replaced.
+PNA_GOLDEN = (
+    "780.5399999999998",
+    207,
+    "c9895dbb6b7abf4313c5647cce60d1072e1b937caa7be12240a399b979e19a45",
+)
+
+
+def test_pna_greedy_design_unchanged_on_mlp_layer():
+    config = OptimizeConfig(
+        snr_floor_db=50.0,
+        method="pna",
+        confidence=0.999,
+        engine="incremental",
+        horizon=4,
+        bins=16,
+        margin_db=0.0,
+    )
+    problem = OptimizationProblem.from_circuit(
+        generate_circuit("mlp_layer:inputs=2,neurons=2"), 50.0, config=config
+    )
+    result = GreedyBitStealingOptimizer().optimize(problem)
+    document = [
+        result.assignment.to_doc(),
+        repr(result.cost),
+        [[record.action, record.accepted] for record in result.iterations],
+    ]
+    digest = hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
+    assert (repr(result.cost), len(result.iterations), digest) == PNA_GOLDEN
 
 
 # --------------------------------------------------------------------- #
