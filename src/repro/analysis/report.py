@@ -131,10 +131,6 @@ class AnalysisReport:
         """Methods present in the report, in insertion order."""
         return list(self.results)
 
-    def bounds_table(self) -> List[dict]:
-        """Per-method rows suitable for tabular rendering."""
-        return [self.results[m].to_dict() for m in self.results]
-
     def to_dict(self) -> dict:
         """JSON-serializable view of the whole report."""
         return {

@@ -238,10 +238,6 @@ class DFG:
         """Number of nodes per operation type."""
         return Counter(n.op for n in self)
 
-    def predecessors(self, name: str) -> List[str]:
-        """Operand names of a node."""
-        return list(self.node(name).inputs)
-
     def _consumer_index(self) -> Dict[str, List[str]]:
         if self._consumers is None:
             index: Dict[str, List[str]] = {name: [] for name in self._nodes}

@@ -125,20 +125,3 @@ class Node:
     def is_arithmetic(self) -> bool:
         """True for nodes that consume an arithmetic functional unit."""
         return self.op in ARITHMETIC_OPS
-
-    @property
-    def is_source(self) -> bool:
-        """True for nodes with no operands (inputs and constants)."""
-        return OP_ARITY[self.op] == 0
-
-    @property
-    def is_multiplier_class(self) -> bool:
-        """True for operations mapped onto multiplier-like (array) resources."""
-        return self.op in (
-            OpType.MUL,
-            OpType.DIV,
-            OpType.SQUARE,
-            OpType.SQRT,
-            OpType.EXP,
-            OpType.LOG,
-        )

@@ -107,11 +107,6 @@ class Partitioning:
     cut_edges: Tuple[Tuple[str, str], ...]
     sizes: Tuple[int, ...]
 
-    @property
-    def cut_signals(self) -> Tuple[str, ...]:
-        """Sorted producers of cut edges — the consensus variables."""
-        return tuple(sorted({src for src, _dst in self.cut_edges}))
-
     def nodes_in(self, part: int) -> List[str]:
         """Sorted names of the nodes assigned to ``part``."""
         return sorted(n for n, p in self.assignment.items() if p == part)

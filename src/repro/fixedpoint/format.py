@@ -135,22 +135,6 @@ class FixedPointFormat:
         return f"{prefix}{self.integer_bits}.{self.fractional_bits}"
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    def for_range(
-        cls,
-        lo: float,
-        hi: float,
-        fractional_bits: int,
-        signed: bool | None = None,
-    ) -> "FixedPointFormat":
-        """Smallest format with the given precision covering ``[lo, hi]``."""
-        from repro.utils.mathutils import integer_bits_for_range
-
-        if signed is None:
-            signed = lo < 0
-        integer_bits = integer_bits_for_range(lo, hi, signed=signed)
-        return cls(integer_bits=integer_bits, fractional_bits=fractional_bits, signed=signed)
-
     def with_fractional_bits(self, fractional_bits: int) -> "FixedPointFormat":
         """Copy of this format with a different fractional precision."""
         return FixedPointFormat(self.integer_bits, fractional_bits, self.signed)

@@ -204,10 +204,6 @@ class HistogramPDF:
         """Bin widths."""
         return np.diff(self.edges)
 
-    def bin_intervals(self) -> list[Interval]:
-        """Bins as :class:`Interval` objects (in order)."""
-        return [Interval(float(a), float(b)) for a, b in zip(self.edges[:-1], self.edges[1:])]
-
     def _degenerate_bins(self) -> np.ndarray:
         """Boolean mask of bins too narrow to carry a meaningful density.
 
@@ -371,24 +367,6 @@ class HistogramPDF:
         probs = spread_intervals(self.edges[:-1], self.edges[1:], self.probs, new_edges)
         return HistogramPDF(new_edges, probs)
 
-    def widen_to(self, interval: Interval, bins: int | None = None) -> "HistogramPDF":
-        """Return the same distribution expressed on bins covering ``interval``."""
-        if not interval.contains(self.support, tol=1e-12):
-            interval = interval.hull(self.support)
-        bins = self.nbins if bins is None else int(bins)
-        new_edges = np.linspace(interval.lo, interval.hi, bins + 1)
-        probs = spread_intervals(self.edges[:-1], self.edges[1:], self.probs, new_edges)
-        return HistogramPDF(new_edges, probs)
-
-    def trim(self, mass_tol: float = 0.0) -> "HistogramPDF":
-        """Drop leading/trailing bins whose probability is <= ``mass_tol``."""
-        significant = np.nonzero(self.probs > mass_tol)[0]
-        if significant.size == 0:
-            return self
-        first = int(significant[0])
-        last = int(significant[-1])
-        return HistogramPDF(self.edges[first : last + 2], self.probs[first : last + 1])
-
     # ------------------------------------------------------------------ #
     # unary arithmetic
     # ------------------------------------------------------------------ #
@@ -463,20 +441,6 @@ class HistogramPDF:
             [(pdf.edges, pdf.probs, weight) for pdf, weight in items], int(bins)
         )
         return cls._trusted(edges, probs)
-
-    def apply_monotone(
-        self, func: Callable[[float], float], bins: int | None = None
-    ) -> "HistogramPDF":
-        """Distribution of ``f(X)`` for a monotone scalar function ``f``."""
-        bins = self.nbins if bins is None else int(bins)
-        intervals = []
-        for a, b, p in zip(self.edges[:-1], self.edges[1:], self.probs):
-            if p <= 0:
-                continue
-            fa = float(func(float(a)))
-            fb = float(func(float(b)))
-            intervals.append((Interval(min(fa, fb), max(fa, fb)), float(p)))
-        return HistogramPDF.from_weighted_intervals(intervals, bins=bins)
 
     # ------------------------------------------------------------------ #
     # binary arithmetic (independent operands)

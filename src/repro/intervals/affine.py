@@ -94,12 +94,6 @@ class AffineContext:
         terms = {name: radius} if radius != 0.0 else {}
         return AffineForm(midpoint, terms, context=self)
 
-    def from_interval(self, interval: Interval, name: str | None = None) -> "AffineForm":
-        """Wrap an :class:`Interval` as an affine form with one symbol."""
-        if name is None:
-            name = self.fresh()
-        return self.variable(name, interval.lo, interval.hi)
-
 
 _DEFAULT_CONTEXT = AffineContext()
 

@@ -106,14 +106,6 @@ class Interval:
         return cls(float(value), float(value))
 
     @classmethod
-    def from_midpoint_radius(cls, midpoint: Number, radius: Number) -> "Interval":
-        """Build ``[midpoint - radius, midpoint + radius]`` (radius >= 0)."""
-        radius = float(radius)
-        if radius < 0:
-            raise IntervalError(f"radius must be non-negative, got {radius}")
-        return cls(float(midpoint) - radius, float(midpoint) + radius)
-
-    @classmethod
     def hull_of(cls, intervals: Iterable["Interval | Number"]) -> "Interval":
         """Smallest interval containing every interval/number in ``intervals``."""
         items = [_as_interval(iv) for iv in intervals]
@@ -160,15 +152,6 @@ class Interval:
         other = _as_interval(value)
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
 
-    def strictly_contains_zero(self) -> bool:
-        """True when zero is in the open interior of the interval."""
-        return self.lo < 0.0 < self.hi
-
-    def overlaps(self, other: "Interval | Number") -> bool:
-        """True when the two intervals share at least one point."""
-        other = _as_interval(other)
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def clamp(self, value: Number) -> float:
         """Clamp ``value`` into the interval."""
         return min(max(float(value), self.lo), self.hi)
@@ -196,11 +179,6 @@ class Interval:
         if lo > hi:
             raise EmptyIntervalError(f"{self} and {other} do not intersect")
         return Interval(lo, hi)
-
-    def intersection_length(self, other: "Interval | Number") -> float:
-        """Length of the overlap between the two intervals (0 if disjoint)."""
-        other = _as_interval(other)
-        return max(0.0, min(self.hi, other.hi) - max(self.lo, other.lo))
 
     def split(self, pieces: int) -> list["Interval"]:
         """Partition the interval into ``pieces`` equal-width sub-intervals."""

@@ -137,11 +137,6 @@ class NoiseReport:
             return float("-inf")
         return 10.0 * math.log10(signal_power / self.noise_power)
 
-    def dominant_sources(self, count: int = 5) -> List[Tuple[str, float]]:
-        """Largest per-node error contributions, descending."""
-        ranked = sorted(self.contributions.items(), key=lambda item: item[1], reverse=True)
-        return ranked[:count]
-
     def as_row(self) -> dict:
         """Plain-dict view for tables and JSON reports."""
         return {
@@ -231,17 +226,6 @@ class DatapathNoiseAnalyzer:
         # The pna confidence read resumes each convolution from the
         # previous one's shared prefix (repro.analysis.probabilistic).
         self._pna_chain: Any = None
-
-    def working_formats(self, assignment: WordLengthAssignment) -> Dict[str, Any]:
-        """Per-instance formats of ``assignment`` on the working graph.
-
-        Maps a caller-facing assignment (keyed by original node names)
-        onto the unrolled instances exactly the way the constructor did
-        for the baseline assignment; combinational graphs pass through.
-        """
-        if self.unrolled is None:
-            return dict(assignment.formats)
-        return self.unrolled.map_formats(assignment.formats)  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ #
     def _resolve_output(self, output: str | None) -> str:

@@ -301,9 +301,5 @@ class HardwareCostModel:
             delta += self.node_cost(graph, node, after) - self.node_cost(graph, node, before)
         return delta
 
-    def with_table(self, table: CostTable) -> "HardwareCostModel":
-        """A model over a different cost table."""
-        return HardwareCostModel(table)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HardwareCostModel(table={self.table.name!r})"

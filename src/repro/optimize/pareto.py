@@ -2,15 +2,17 @@
 
 The paper's experiments trade hardware cost against output SNR one floor
 at a time; :func:`pareto_front` runs the whole trade-off curve in one
-call.  Floors are swept **tightest first**, and every subsequent (looser)
-floor is attacked by a :meth:`~repro.optimize.problem.OptimizationProblem.rescoped`
-clone of the same problem: the evaluation cache, adjoint gains and the
-incremental/batched engines carry over, and the previous floor's
-solution seeds the next search as a ``warm_start``.  Because a design
-feasible at a tight floor stays feasible at every looser one, each point
-starts from a known-feasible design at most as expensive as its
-predecessor — the returned curve is monotone (cost non-increasing as the
-floor relaxes) *by construction*, not by luck.
+call.  Floors are swept **tightest first**, each by a
+:meth:`~repro.optimize.problem.OptimizationProblem.rescoped` view of the
+caller's problem.  The views share one search state with it — the
+evaluation cache, adjoint gains, incremental/batched engines and
+counters — so every floor reuses the work of the earlier ones, and the
+caller's problem is left warm even by an interrupted sweep.  The
+previous floor's solution seeds the next search as a ``warm_start``.
+Because a design feasible at a tight floor stays feasible at every
+looser one, each point starts from a known-feasible design at most as
+expensive as its predecessor — the returned curve is monotone (cost
+non-increasing as the floor relaxes) *by construction*, not by luck.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ class ParetoFront:
 
 
 def _floor_key(floor: float) -> str:
-    return f"{floor:g}"
+    """Checkpoint key of one floor: ``repr`` round-trips the exact float."""
+    return repr(float(floor))
 
 
 def _resume_completed(checkpoint, unique_floors: Sequence[float]) -> Dict[str, dict]:
@@ -161,12 +164,7 @@ def pareto_front(
     front = ParetoFront(circuit=problem.name, strategy=str(strategy), method=problem.method)
     completed = _resume_completed(checkpoint, unique_floors)
     warm_start = None
-    scoped = problem
     for floor in unique_floors:
-        # Chain clones (not problem.rescoped each time): every floor
-        # inherits the evaluation cache and lazily-built engines of the
-        # previous one, which is the whole economy of the sweep.
-        scoped = scoped.rescoped(floor)
         record = completed.get(_floor_key(floor))
         if record is not None:
             point = ParetoPoint(**{**record["point"], "word_lengths": dict(record["point"].get("word_lengths", {}))})
@@ -190,7 +188,7 @@ def pareto_front(
                 extra={"resumed": True},
             )
         else:
-            result = optimizer.optimize(scoped, warm_start=warm_start)
+            result = optimizer.optimize(problem.rescoped(floor), warm_start=warm_start)
             point = ParetoPoint(
                 snr_floor_db=floor,
                 cost=result.cost,
@@ -219,12 +217,6 @@ def pareto_front(
         front.points.append(point)
         if result.feasible and result.assignment is not None:
             warm_start = result.assignment
-    # Fold the sweep's accumulated caches, engines and counters back into
-    # the caller's problem (feasibility re-judged at its own floor), so
-    # the work stays warm for whatever the caller does next.
-    log = problem.analysis_log
-    problem.__dict__.update(scoped.rescoped(problem.snr_floor_db, problem.margin_db).__dict__)
-    problem.analysis_log = log
     front.points.reverse()
     front.results.reverse()
     if checkpoint is not None:

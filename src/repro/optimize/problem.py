@@ -16,11 +16,13 @@ An :class:`OptimizationProblem` bundles everything a strategy needs:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.config import OptimizeConfig
@@ -61,7 +63,50 @@ class DesignEvaluation:
     noise_power: float
     feasible: bool
     breakdown: CostBreakdown
-    index: int  # analyzer-call number that produced this evaluation
+    # Analyzer-call number that produced this evaluation, counted across
+    # the problem and all its rescoped views, so unique among them.
+    index: int
+
+
+@dataclass(eq=False)
+class _SearchState:
+    """The mutable, floor-independent state of one problem's search.
+
+    A problem and every :meth:`OptimizationProblem.rescoped` view of it
+    hold the same instance, so engines, caches, counters and the
+    degradation log are built, warmed and advanced once, whichever view
+    does the work.
+    """
+
+    #: Candidate-evaluation engine (``fresh`` / ``incremental`` /
+    #: ``batched``); ``batched`` keeps evaluation on the incremental
+    #: engine and additionally exposes vectorized batch pricing to
+    #: strategies through ``price_moves``.  A fallback rewrites it.
+    engine: str
+    #: Structured :class:`~repro.analysis.degradation.DegradationEvent`
+    #: log of every engine fallback taken.
+    degradations: list = field(default_factory=list)
+    #: Evaluations by widened-assignment key.  ``feasible`` is the verdict
+    #: of the view that analyzed it; readers re-judge it at their floor.
+    evaluations: Dict[tuple, DesignEvaluation] = field(default_factory=dict)
+    uniform: Dict[int, DesignEvaluation] = field(default_factory=dict)
+    incremental: object = None  # lazily-built IncrementalAnalyzer
+    batched: object = None  # lazily-built BatchedAnalyzer
+    gain_sq: Dict[str, float] | None = None
+    gain_abs: Dict[str, float] | None = None
+    pricing: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] | None = None
+    #: Analyzer invocations so far (strategies report deltas of this).
+    analyzer_calls: int = 0
+    #: Memoized evaluations served without an analyzer call.
+    evaluate_cache_hits: int = 0
+    #: Wall time spent inside noise analysis (evaluations + baseline
+    #: commits), excluding costing/widening/caching — the optimizer
+    #: "inner loop" number the perf benchmarks report.
+    analysis_time_s: float = 0.0
+    #: CPU time (``time.process_time``) over the same region as
+    #: ``analysis_time_s`` — immune to scheduling noise on shared CI
+    #: runners, so smoke-speedup gates prefer it.
+    analysis_cpu_s: float = 0.0
 
 
 class OptimizationProblem:
@@ -186,47 +231,29 @@ class OptimizationProblem:
             if node.op not in (OpType.OUTPUT, OpType.DELAY)
         ]
 
-        #: Analyzer invocations so far (strategies report deltas of this).
-        self.analyzer_calls = 0
-        #: Memoized :meth:`evaluate` results served without an analyzer call.
-        self.evaluate_cache_hits = 0
-        #: Wall time spent inside noise analysis (evaluations + baseline
-        #: commits), excluding costing/widening/caching — the optimizer
-        #: "inner loop" number the perf benchmarks report.
-        self.analysis_time_s = 0.0
-        #: CPU time (``time.process_time``) over the same region as
-        #: :attr:`analysis_time_s` — immune to scheduling noise on
-        #: shared CI runners, so smoke-speedup gates prefer it.
-        self.analysis_cpu_s = 0.0
         #: When set to a list, evaluate() appends every (widened) assignment
         #: it actually analyzes — benchmarks replay these through other
-        #: evaluators for apples-to-apples timing.
+        #: evaluators for apples-to-apples timing.  Owned by each view.
         self.analysis_log: list | None = None
-        #: Candidate-evaluation engine (``fresh`` / ``incremental`` /
-        #: ``batched``); ``batched`` keeps :meth:`evaluate` on the
-        #: incremental engine and additionally exposes vectorized batch
-        #: pricing to strategies through :meth:`price_moves`.
-        self.engine = config.engine
         #: Whether a broken engine degrades to the next-slower one
         #: (``batched -> incremental -> fresh``) instead of raising.
         self.engine_fallback = config.engine_fallback
-        #: Structured :class:`~repro.analysis.degradation.DegradationEvent`
-        #: log of every fallback this problem has taken.
-        self.degradations: list = []
         #: Default worker count of :meth:`monte_carlo_snr`.  ``None``
         #: keeps the legacy single-stream validator; any integer selects
         #: the sharded validator, whose numbers are identical for every
         #: worker count (``1`` shards serially, ``N`` in processes).
         self.mc_workers = config.mc_workers
-        self._uniform_cache: Dict[int, DesignEvaluation] = {}
-        self._eval_cache: Dict[tuple, DesignEvaluation] = {}
-        self._incremental = None  # lazily-built IncrementalAnalyzer
-        self._batched = None  # lazily-built BatchedAnalyzer
-        self._gain_sq: Dict[str, float] | None = None
-        self._gain_abs: Dict[str, float] | None = None
-        # Filled in place by pricing_neighbourhood(), so rescoped clones
-        # share it whichever of them computes it first.
-        self._pricing: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
+        # Everything mutable and floor-independent; shared with every
+        # rescoped() view by reference.
+        self._state = _SearchState(engine=config.engine)
+
+    # Read-only, so no view can fork them; documented on _SearchState.
+    analyzer_calls = property(attrgetter("_state.analyzer_calls"))
+    evaluate_cache_hits = property(attrgetter("_state.evaluate_cache_hits"))
+    analysis_time_s = property(attrgetter("_state.analysis_time_s"))
+    analysis_cpu_s = property(attrgetter("_state.analysis_cpu_s"))
+    engine = property(attrgetter("_state.engine"))
+    degradations = property(attrgetter("_state.degradations"))
 
     def _check_graph(self) -> None:
         """Raise when the graph changed after this problem was built."""
@@ -255,10 +282,6 @@ class OptimizationProblem:
         )
         return ensure_range_coverage(assignment, self.ranges)
 
-    def max_fractional_bits(self, node: str) -> int:
-        """Largest fractional precision of ``node`` under the word cap."""
-        return self.max_word_length - self.integer_bits.get(node, 1)
-
     def evaluate_uniform(self, word_length: int) -> DesignEvaluation:
         """Cached :meth:`evaluate` of the uniform design at ``word_length``.
 
@@ -266,11 +289,10 @@ class OptimizationProblem:
         baseline; on a shared problem the cache means only the first
         strategy pays the analyzer for it.
         """
-        cached = self._uniform_cache.get(word_length)
+        cached = self._state.uniform.get(word_length)
         if cached is None:
-            cached = self.evaluate(self.uniform(word_length))
-            self._uniform_cache[word_length] = cached
-        return cached
+            cached = self._state.uniform[word_length] = self.evaluate(self.uniform(word_length))
+        return self._judged(cached)
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -291,33 +313,36 @@ class OptimizationProblem:
         candidates that widen to the same design return the same (cached)
         evaluation, cost nothing, and bump :attr:`evaluate_cache_hits`
         instead of :attr:`analyzer_calls` — annealing never re-prices a
-        revisited design.  Cache misses run through a long-lived
+        revisited design.  The cache is shared with every
+        :meth:`rescoped` view; a hit's ``feasible`` verdict is re-judged
+        against this view's floor.  Cache misses run through a long-lived
         :class:`~repro.analysis.incremental.IncrementalAnalyzer` (unless
         the engine is ``fresh``), which re-propagates only the
         downstream cone of the nodes whose formats changed since the last
         analyzed candidate; greedy single-node probes therefore cost
         O(cone) instead of O(graph).  The cache is sound because an
         evaluation depends only on the assignment and on problem-level
-        constants (graph, ranges, method, floor, cost model); mutate any
+        constants (graph, ranges, method, cost model); mutate any
         of those and the problem must be rebuilt, not reused.  A graph
         mutation is detected (through :attr:`DFG.version`) and raises
         :class:`OptimizationError`.
         """
         self._check_graph()
+        state = self._state
         assignment = ensure_range_coverage(assignment, self.ranges)
         key = assignment.key()
-        cached = self._eval_cache.get(key)
+        cached = state.evaluations.get(key)
         if cached is not None:
-            self.evaluate_cache_hits += 1
-            return cached
+            state.evaluate_cache_hits += 1
+            return self._judged(cached)
         if self.analysis_log is not None:
             self.analysis_log.append(assignment)
         started = time.perf_counter()
         started_cpu = time.process_time()
         noise_power = self._analyze(assignment)
-        self.analysis_time_s += time.perf_counter() - started
-        self.analysis_cpu_s += time.process_time() - started_cpu
-        self.analyzer_calls += 1
+        state.analysis_time_s += time.perf_counter() - started
+        state.analysis_cpu_s += time.process_time() - started_cpu
+        state.analyzer_calls += 1
         snr_db = self._snr_db(noise_power)
         breakdown = self.cost_model.price(self.graph, assignment)
         evaluation = DesignEvaluation(
@@ -327,10 +352,17 @@ class OptimizationProblem:
             noise_power=noise_power,
             feasible=snr_db >= self.snr_floor_db + self.margin_db,
             breakdown=breakdown,
-            index=self.analyzer_calls,
+            index=state.analyzer_calls,
         )
-        self._eval_cache[key] = evaluation
+        state.evaluations[key] = evaluation
         return evaluation
+
+    def _judged(self, evaluation: DesignEvaluation) -> DesignEvaluation:
+        """``evaluation`` with its ``feasible`` verdict at this view's floor."""
+        feasible = evaluation.snr_db >= self.snr_floor_db + self.margin_db
+        if feasible == evaluation.feasible:
+            return evaluation
+        return dataclasses.replace(evaluation, feasible=feasible)
 
     def _snr_db(self, noise_power: float) -> float:
         if noise_power <= 0.0:
@@ -354,22 +386,23 @@ class OptimizationProblem:
             return float("inf")
 
     def _analyze_unchecked(self, assignment: WordLengthAssignment) -> float:
-        if self.engine == "fresh":
+        state = self._state
+        if state.engine == "fresh":
             return self._analyze_fresh(assignment)
         try:
-            if self._incremental is None:
+            if state.incremental is None:
                 # Local import: repro.analysis imports repro.optimize at module
                 # scope (pipeline wiring); importing back lazily avoids the cycle.
                 from repro.analysis.incremental import IncrementalAnalyzer
 
-                self._incremental = IncrementalAnalyzer(
+                state.incremental = IncrementalAnalyzer(
                     self.graph,
                     assignment,
                     self.input_ranges,
                     horizon=self.horizon,
                     bins=self.bins,
                 )
-            return self._incremental.noise_power(
+            return state.incremental.noise_power(
                 assignment, self.method, output=self.output, confidence=self.confidence
             )
         except (DomainError, DivisionByZeroIntervalError):
@@ -378,7 +411,7 @@ class OptimizationProblem:
             if not self.engine_fallback:
                 raise
             self._degrade("incremental", "fresh", exc)
-            self._incremental = None
+            state.incremental = None
             return self._analyze_fresh(assignment)
 
     def _analyze_fresh(self, assignment: WordLengthAssignment) -> float:
@@ -399,20 +432,21 @@ class OptimizationProblem:
         return analyzer.effective_noise_power(self.method, errors[target], self.confidence)
 
     def _degrade(self, stage: str, to_engine: str, exc: Exception) -> None:
-        """Record one engine fallback and switch the problem onto it."""
+        """Record one engine fallback and switch the problem and its views onto it."""
         # Local import: repro.analysis imports repro.optimize at module
         # scope (pipeline wiring); importing back lazily avoids the cycle.
         from repro.analysis.degradation import DegradationEvent
 
-        self.degradations.append(
+        state = self._state
+        state.degradations.append(
             DegradationEvent(
                 stage=stage,
-                from_engine=self.engine,
+                from_engine=state.engine,
                 to_engine=to_engine,
                 reason=f"{type(exc).__name__}: {exc}",
             )
         )
-        self.engine = to_engine
+        state.engine = to_engine
 
     def notify_accepted(self, assignment: WordLengthAssignment) -> None:
         """Tell the evaluator that ``assignment`` is the search's new current design.
@@ -424,12 +458,13 @@ class OptimizationProblem:
         (probe + drift-since-baseline).  Purely a performance hint —
         results are identical without it.
         """
-        if self._incremental is not None:
+        state = self._state
+        if state.incremental is not None:
             started = time.perf_counter()
             started_cpu = time.process_time()
-            self._incremental.commit(assignment)
-            self.analysis_time_s += time.perf_counter() - started
-            self.analysis_cpu_s += time.process_time() - started_cpu
+            state.incremental.commit(assignment)
+            state.analysis_time_s += time.perf_counter() - started
+            state.analysis_cpu_s += time.process_time() - started_cpu
 
     # ------------------------------------------------------------------ #
     # batched candidate pricing
@@ -443,13 +478,14 @@ class OptimizationProblem:
         :attr:`engine` — strategies consult :attr:`engine` to decide
         whether to route their inner loops through it.
         """
-        if self._batched is None:
+        state = self._state
+        if state.batched is None:
             # Local import: repro.analysis imports repro.optimize at module
             # scope (pipeline wiring); importing back lazily avoids the cycle.
             from repro.analysis.batched import BatchedAnalyzer
 
             try:
-                self._batched = BatchedAnalyzer(
+                state.batched = BatchedAnalyzer(
                     self.graph,
                     self.uniform(self.min_word_length),
                     self.input_ranges,
@@ -461,14 +497,14 @@ class OptimizationProblem:
             except ReproError as exc:
                 if not self.engine_fallback:
                     raise
-                if self.engine == "batched":
+                if state.engine == "batched":
                     self._degrade("batched-compile", "incremental", exc)
                 if isinstance(exc, NoiseModelError):
                     raise
                 raise NoiseModelError(
                     f"batched engine unavailable for {self.name!r}: {exc}"
                 ) from exc
-        return self._batched
+        return state.batched
 
     def price_moves(
         self,
@@ -493,7 +529,8 @@ class OptimizationProblem:
         error propagates.
         """
         self._check_graph()
-        degradable = self.engine == "batched" and self.engine_fallback
+        state = self._state
+        degradable = state.engine == "batched" and self.engine_fallback
         try:
             engine = self.batched_engine()  # compile failures degrade in there
             started = time.perf_counter()
@@ -507,19 +544,20 @@ class OptimizationProblem:
                     confidence=self.confidence,
                 )
             finally:
-                self.analysis_time_s += time.perf_counter() - started
-                self.analysis_cpu_s += time.process_time() - started_cpu
+                state.analysis_time_s += time.perf_counter() - started
+                state.analysis_cpu_s += time.process_time() - started_cpu
         except ReproError as exc:
             if not degradable:
                 raise
-            if self.engine == "batched":
+            if state.engine == "batched":
                 self._degrade("batched-price", "incremental", exc)
             return None
 
     @property
     def batched_calls(self) -> int:
         """Vectorized sweeps priced by the batched engine (0 if unused)."""
-        return self._batched.batched_calls if self._batched is not None else 0
+        batched = self._state.batched
+        return batched.batched_calls if batched is not None else 0
 
     @property
     def fallback_probes(self) -> int:
@@ -529,7 +567,8 @@ class OptimizationProblem:
         batched engine answers them one candidate at a time through the
         incremental analyzer; this counts those probes.
         """
-        return self._batched.fallback_probes if self._batched is not None else 0
+        batched = self._state.batched
+        return batched.fallback_probes if batched is not None else 0
 
     # ------------------------------------------------------------------ #
     # re-scoping and Pareto sweeps
@@ -537,34 +576,25 @@ class OptimizationProblem:
     def rescoped(
         self, snr_floor_db: float, margin_db: float | None = None
     ) -> "OptimizationProblem":
-        """A warm-started clone of this problem under a different SNR floor.
+        """A view of this problem under a different SNR floor (and margin).
 
-        The clone shares every floor-independent artifact — ranges, gains,
-        the incremental and batched engines, and the evaluation cache
-        (with each entry's ``feasible`` verdict re-judged against the new
-        floor) — so sweeping a Pareto front pays the analyzer only for
-        designs no earlier floor visited.  The clone's ``analysis_log``
-        starts disabled regardless of this problem's.
+        The view owns only its ``config``, ``snr_floor_db``, ``margin_db``
+        and ``analysis_log`` (which starts disabled).  It shares the rest
+        by reference: the immutable circuit data, and the one search
+        state holding the engines, gains, pricing neighbourhood,
+        evaluation caches, counters and degradation log.  Work done
+        through any view therefore warms, counts and degrades them all,
+        and a Pareto sweep pays the analyzer only for designs no earlier
+        floor visited.  Cached evaluations are re-judged against the
+        reading view's floor.
         """
-        clone = object.__new__(OptimizationProblem)
-        clone.__dict__.update(self.__dict__)
-        clone.snr_floor_db = float(snr_floor_db)
-        if margin_db is not None:
-            clone.margin_db = float(margin_db)
-        clone.config = self.config.replace(
-            snr_floor_db=clone.snr_floor_db, margin_db=clone.margin_db
-        )
-        clone.analysis_log = None
-        threshold = clone.snr_floor_db + clone.margin_db
-        clone._eval_cache = {
-            key: dataclasses.replace(ev, feasible=ev.snr_db >= threshold)
-            for key, ev in self._eval_cache.items()
-        }
-        clone._uniform_cache = {
-            w: clone._eval_cache[ev.assignment.key()]
-            for w, ev in self._uniform_cache.items()
-        }
-        return clone
+        margin = self.margin_db if margin_db is None else float(margin_db)
+        view = copy.copy(self)  # attributes are immutable or the shared _state
+        view.config = self.config.replace(snr_floor_db=float(snr_floor_db), margin_db=margin)
+        view.snr_floor_db = float(snr_floor_db)
+        view.margin_db = margin
+        view.analysis_log = None
+        return view
 
     def pareto(
         self,
@@ -575,8 +605,8 @@ class OptimizationProblem:
         """Cost-vs-SNR Pareto front over a list of SNR floors in one call.
 
         See :func:`repro.optimize.pareto.pareto_front` — floors are swept
-        tightest-first with warm-started state so the resulting curve is
-        monotone by construction.
+        tightest-first over rescoped views of this problem, so the resulting
+        curve is monotone by construction and this problem stays warm.
         """
         from repro.optimize.pareto import pareto_front
 
@@ -670,8 +700,8 @@ class OptimizationProblem:
             magnitude = profile.magnitude_of(inst)
             gain_sq[base] = gain_sq.get(base, 0.0) + magnitude * magnitude
             gain_abs[base] = gain_abs.get(base, 0.0) + magnitude
-        self._gain_sq = gain_sq
-        self._gain_abs = gain_abs
+        self._state.gain_sq = gain_sq
+        self._state.gain_abs = gain_abs
 
     def pricing_neighbourhood(self) -> Mapping[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]:
         """Per node, ``(affected, readers)``: what a format change there can re-price.
@@ -681,10 +711,12 @@ class OptimizationProblem:
         ``readers`` are the tunable nodes whose one-bit shave price reads
         the node's format — those whose own ``affected`` set meets it —
         so after an accepted move only their shaves need re-pricing.
-        Computed once per problem and shared with :meth:`rescoped` clones.
+        Computed once per problem, by whichever :meth:`rescoped` view asks
+        first, and shared with all of them.
         """
         self._check_graph()
-        if not self._pricing:
+        state = self._state
+        if state.pricing is None:
             graph, model = self.graph, self.cost_model
             affected = {name: model.affected_by(graph, name) for name in graph.names()}
             priced_by: Dict[str, List[str]] = {name: [] for name in affected}
@@ -695,15 +727,14 @@ class OptimizationProblem:
             for name, scope in affected.items():
                 readers = dict.fromkeys(r for member in scope for r in priced_by[member])
                 neighbourhood[name] = (scope, tuple(readers))
-            self._pricing.update(neighbourhood)
-        return self._pricing
+            state.pricing = neighbourhood
+        return state.pricing
 
     def noise_gain(self, node: str) -> float:
         """Sum over time instances of the squared output gain of ``node``."""
-        if self._gain_sq is None:
+        if self._state.gain_sq is None:
             self._compute_gains()
-        assert self._gain_sq is not None
-        return self._gain_sq.get(node, 0.0)
+        return self._state.gain_sq.get(node, 0.0)
 
     def predicted_noise_increase(
         self, assignment: WordLengthAssignment, node: str, new_fractional_bits: int
@@ -726,10 +757,9 @@ class OptimizationProblem:
             old_res = quantize(value, fmt, assignment.quantization, assignment.overflow) - value
             new_fmt = fmt.with_fractional_bits(new_fractional_bits)
             new_res = quantize(value, new_fmt, assignment.quantization, assignment.overflow) - value
-            if self._gain_abs is None:
+            if self._state.gain_abs is None:
                 self._compute_gains()
-            assert self._gain_abs is not None
-            gain = self._gain_abs.get(node, 0.0)
+            gain = self._state.gain_abs.get(node, 0.0)
             return max(0.0, (gain * new_res) ** 2 - (gain * old_res) ** 2)
         q_old = 2.0 ** (-fmt.fractional_bits)
         q_new = 2.0 ** (-new_fractional_bits)

@@ -317,7 +317,7 @@ def test_pareto_front_shares_state_across_floors():
     front = problem.pareto([50.0, 55.0, 60.0])
     assert front.is_monotone()
     calls_after_sweep = problem.analyzer_calls
-    assert calls_after_sweep > 0  # counters folded back into the caller
+    assert calls_after_sweep > 0  # the sweep's views share the caller's counters
     # Re-solving the tightest floor hits the evaluation cache entirely.
     result = get_optimizer("greedy").optimize(problem)
     assert result.feasible

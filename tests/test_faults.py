@@ -367,6 +367,36 @@ def test_interrupted_pareto_resumes_to_identical_designs(tmp_path):
     assert not path.exists()
 
 
+def test_interrupted_pareto_leaves_the_caller_warm(tmp_path):
+    from repro.optimize.pareto import pareto_front
+
+    problem = _make_problem(65.0)
+    dying = _DieAfterSaves(SearchCheckpoint(tmp_path / "p.json", meta={"suite": "pareto"}), 1)
+    with pytest.raises(KeyboardInterrupt):
+        pareto_front(problem, [45.0, 55.0, 65.0], checkpoint=dying)
+    assert problem.analyzer_calls > 0  # the sweep's views share its state
+
+
+def test_resumed_pareto_keeps_floors_closer_than_six_digits(tmp_path):
+    from repro.optimize.pareto import pareto_front
+
+    floors = [60.0, 60.0000001]
+    reference = pareto_front(_make_problem(60.0), floors)
+    path = tmp_path / "pareto.json"
+    dying = _DieAfterSaves(SearchCheckpoint(path, meta={"suite": "pareto"}), die_on=1)
+    with pytest.raises(KeyboardInterrupt):
+        pareto_front(_make_problem(60.0), floors, checkpoint=dying)
+
+    resumed = pareto_front(
+        _make_problem(60.0), floors, checkpoint=SearchCheckpoint(path, meta={"suite": "pareto"})
+    )
+    assert [p.snr_floor_db for p in resumed.points] == floors
+    volatile = {"runtime_s", "analyzer_calls"}
+    for ref_point, res_point in zip(reference.points, resumed.points):
+        ref_doc, res_doc = ref_point.to_dict(), res_point.to_dict()
+        assert {k for k in ref_doc if ref_doc[k] != res_doc[k]} <= volatile
+
+
 # --------------------------------------------------------------------- #
 # engine degradation
 # --------------------------------------------------------------------- #
