@@ -29,24 +29,35 @@ can be supplied via ``CostTable.from_dict`` or a literal ``CostTable``:
 >>> CostTable.from_dict({"name": "my-lib", "mul_per_bit_pair": 1.5})
 CostTable(name='my-lib', ...)
 
-Every coefficient must be ``>= 0`` so the model stays *monotone*: adding
-bits anywhere can never make the design cheaper.
+Every coefficient must be finite and ``>= 0`` so the model stays
+*monotone*: adding bits anywhere can never make the design cheaper.
+
+Totals
+------
+:meth:`HardwareCostModel.price`, :meth:`HardwareCostModel.total` and
+:class:`CostLedger` all add per-node prices left to right in graph order,
+skipping zeros, through one helper.  A design therefore has one total,
+bit for bit, whichever of them priced it.  Builtin ``sum`` is not used:
+from Python 3.12 on it compensates float rounding and would disagree in
+the last ulp.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.dfg.graph import DFG
 from repro.dfg.node import Node, OpType
 from repro.errors import OptimizationError
 from repro.fixedpoint.format import FixedPointFormat
-from repro.noisemodel.assignment import WordLengthAssignment
+from repro.noisemodel.assignment import WordLengthAssignment, changed_formats
 
 __all__ = [
     "CostTable",
     "CostBreakdown",
+    "CostLedger",
     "HardwareCostModel",
     "DEFAULT_COST_TABLE",
     "ASIC_COST_TABLE",
@@ -78,15 +89,17 @@ class CostTable:
         for key, value in asdict(self).items():
             if key == "name":
                 continue
-            if float(value) < 0.0:
+            # NaN fails every comparison, so test finiteness explicitly: a
+            # NaN price would make every "cheaper than" test false.
+            if not math.isfinite(float(value)) or float(value) < 0.0:
                 raise OptimizationError(
-                    f"cost-table coefficient {key} must be >= 0, got {value!r}"
+                    f"cost-table coefficient {key} must be finite and >= 0, got {value!r}"
                 )
 
     def scaled(self, factor: float, name: str | None = None) -> "CostTable":
         """A copy with every coefficient multiplied by ``factor``."""
-        if factor < 0.0:
-            raise OptimizationError(f"scale factor must be >= 0, got {factor}")
+        if not math.isfinite(factor) or factor < 0.0:
+            raise OptimizationError(f"scale factor must be finite and >= 0, got {factor}")
         fields = {
             key: value * factor for key, value in asdict(self).items() if key != "name"
         }
@@ -138,6 +151,19 @@ COST_TABLES: Dict[str, CostTable] = {
 }
 
 
+def _summed(costs: Iterable[float]) -> float:
+    """Left-to-right float sum of ``costs``, skipping zeros.
+
+    The one summation behind every total in this module (see the module
+    docstring), so totals reached by different paths agree bit for bit.
+    """
+    total = 0.0
+    for cost in costs:
+        if cost != 0.0:
+            total += cost
+    return total
+
+
 @dataclass(frozen=True)
 class CostBreakdown:
     """Total and per-node / per-op-class area of one priced design."""
@@ -166,6 +192,14 @@ class HardwareCostModel:
     Sequential designs are priced on the *original* (rolled) graph — the
     hardware is one instance of each operator plus the delay registers,
     regardless of the unrolling horizon the error analysis uses.
+
+    **The node_cost contract.**  :meth:`node_cost` may read only the
+    node's own format and the word lengths of its operands, each resolved
+    through DELAY chains to the producing node.  So a format change at a
+    node can move the price of exactly the nodes :meth:`affected_by`
+    returns for it.  :class:`CostLedger` and greedy's incremental shave
+    ranking re-price only those nodes; a subclass whose ``node_cost``
+    reads anything else breaks both.
     """
 
     def __init__(self, table: CostTable = DEFAULT_COST_TABLE) -> None:
@@ -246,19 +280,18 @@ class HardwareCostModel:
         """Price the whole design and return the breakdown."""
         per_node: Dict[str, float] = {}
         per_op: Dict[str, float] = {}
-        total = 0.0
         for node in graph:
             cost = self.node_cost(graph, node, assignment)
             if cost == 0.0:
                 continue
             per_node[node.name] = cost
             per_op[node.op.value] = per_op.get(node.op.value, 0.0) + cost
-            total += cost
-        return CostBreakdown(total=total, per_node=per_node, per_op=per_op)
+        # per_node holds the nonzero prices in graph order.
+        return CostBreakdown(total=_summed(per_node.values()), per_node=per_node, per_op=per_op)
 
     def total(self, graph: DFG, assignment: WordLengthAssignment) -> float:
-        """Total area only (cheaper than :meth:`price` for inner loops)."""
-        return sum(self.node_cost(graph, node, assignment) for node in graph)
+        """Total area only: :meth:`price`'s ``total``, without the breakdown dicts."""
+        return _summed(self.node_cost(graph, node, assignment) for node in graph)
 
     @staticmethod
     def affected_by(graph: DFG, node: str) -> Tuple[str, ...]:
@@ -303,3 +336,52 @@ class HardwareCostModel:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HardwareCostModel(table={self.table.name!r})"
+
+
+class CostLedger:
+    """Per-node prices of the last design priced, re-priced where a design differs.
+
+    Holds the formats of the last design :meth:`total` priced and its
+    :meth:`HardwareCostModel.node_cost` vector in graph order.  A new
+    design re-prices only the nodes in ``scopes`` of the nodes whose
+    formats changed, then sums the whole vector with the loop
+    :meth:`HardwareCostModel.price` uses, so ``ledger.total(a) ==
+    model.price(graph, a).total`` exactly.  ``scopes`` maps every graph
+    node to :meth:`HardwareCostModel.affected_by` of it.  The first
+    design is priced in full.  The ledger moves to a new design only
+    after all of its prices are computed, so a ``node_cost`` that raises
+    leaves it on the previous design.
+    """
+
+    def __init__(
+        self,
+        model: HardwareCostModel,
+        graph: DFG,
+        scopes: Mapping[str, Sequence[str]],
+    ) -> None:
+        self.model = model
+        self.graph = graph
+        self._scopes = scopes
+        self._nodes = list(graph)
+        self._position = {node.name: index for index, node in enumerate(self._nodes)}
+        self._formats: Dict[str, FixedPointFormat] | None = None
+        self._costs: List[float] = []
+
+    def total(self, assignment: WordLengthAssignment) -> float:
+        """``price(graph, assignment).total``, re-pricing only what changed."""
+        model, graph, nodes = self.model, self.graph, self._nodes
+        if self._formats is None:
+            costs = [model.node_cost(graph, node, assignment) for node in nodes]
+        else:
+            costs = list(self._costs)
+            scopes, position = self._scopes, self._position
+            changed = changed_formats(assignment.formats, self._formats)
+            # Formats of names outside the graph are never priced.
+            stale = dict.fromkeys(name for node in changed for name in scopes.get(node, ()))
+            for name in stale:
+                index = position[name]
+                costs[index] = model.node_cost(graph, nodes[index], assignment)
+        # A copy, so a caller mutating its assignment cannot move the ledger.
+        self._formats = dict(assignment.formats)
+        self._costs = costs
+        return _summed(costs)

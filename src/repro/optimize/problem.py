@@ -47,7 +47,7 @@ from repro.noisemodel.analyzer import (
 )
 from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
 from repro.noisemodel.gains import transfer_gains
-from repro.optimize.cost import COST_TABLES, CostBreakdown, HardwareCostModel
+from repro.optimize.cost import COST_TABLES, CostLedger, HardwareCostModel
 from repro.utils.mathutils import integer_bits_for_range
 
 __all__ = ["DesignEvaluation", "OptimizationProblem"]
@@ -62,7 +62,6 @@ class DesignEvaluation:
     snr_db: float
     noise_power: float
     feasible: bool
-    breakdown: CostBreakdown
     # Analyzer-call number that produced this evaluation, counted across
     # the problem and all its rescoped views, so unique among them.
     index: int
@@ -95,6 +94,7 @@ class _SearchState:
     gain_sq: Dict[str, float] | None = None
     gain_abs: Dict[str, float] | None = None
     pricing: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] | None = None
+    ledger: CostLedger | None = None  # built by the first evaluate()
     #: Analyzer invocations so far (strategies report deltas of this).
     analyzer_calls: int = 0
     #: Memoized evaluations served without an analyzer call.
@@ -326,6 +326,16 @@ class OptimizationProblem:
         of those and the problem must be rebuilt, not reused.  A graph
         mutation is detected (through :attr:`DFG.version`) and raises
         :class:`OptimizationError`.
+
+        **Pricing.**  A miss is priced by one :class:`CostLedger` shared
+        with every view.  It holds the per-node prices of the last design
+        priced and re-prices only the ``affected`` sets of
+        :meth:`pricing_neighbourhood` around the nodes whose formats
+        differ from that design, which is O(changed) ``node_cost`` calls
+        for a greedy or annealing probe.  The total is re-summed in graph
+        order, so ``evaluation.cost`` equals
+        ``cost_model.price(graph, evaluation.assignment).total`` exactly.
+        Call ``cost_model.price`` directly for a per-node breakdown.
         """
         self._check_graph()
         state = self._state
@@ -344,14 +354,15 @@ class OptimizationProblem:
         state.analysis_cpu_s += time.process_time() - started_cpu
         state.analyzer_calls += 1
         snr_db = self._snr_db(noise_power)
-        breakdown = self.cost_model.price(self.graph, assignment)
+        if state.ledger is None:
+            scopes = {name: entry[0] for name, entry in self.pricing_neighbourhood().items()}
+            state.ledger = CostLedger(self.cost_model, self.graph, scopes)
         evaluation = DesignEvaluation(
             assignment=assignment,
-            cost=breakdown.total,
+            cost=state.ledger.total(assignment),
             snr_db=snr_db,
             noise_power=noise_power,
             feasible=snr_db >= self.snr_floor_db + self.margin_db,
-            breakdown=breakdown,
             index=state.analyzer_calls,
         )
         state.evaluations[key] = evaluation
@@ -581,8 +592,8 @@ class OptimizationProblem:
         The view owns only its ``config``, ``snr_floor_db``, ``margin_db``
         and ``analysis_log`` (which starts disabled).  It shares the rest
         by reference: the immutable circuit data, and the one search
-        state holding the engines, gains, pricing neighbourhood,
-        evaluation caches, counters and degradation log.  Work done
+        state holding the engines, gains, pricing neighbourhood, cost
+        ledger, evaluation caches, counters and degradation log.  Work done
         through any view therefore warms, counts and degrades them all,
         and a Pareto sweep pays the analyzer only for designs no earlier
         floor visited.  Cached evaluations are re-judged against the

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.benchmarks.circuits import get_circuit
+from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.dfg.node import OpType
 from repro.dfg.range_analysis import infer_ranges
 from repro.errors import OptimizationError
@@ -87,6 +89,19 @@ class TestBreakdown:
             if node.op in (OpType.INPUT, OpType.OUTPUT):
                 assert node.name not in breakdown.per_node
 
+    @pytest.mark.parametrize("table", [DEFAULT_COST_TABLE, ASIC_COST_TABLE])
+    @pytest.mark.parametrize("circuit_name", sorted(CIRCUITS))
+    def test_total_equals_price_total_exactly(self, circuit_name, table):
+        # Builtin sum() is compensated from Python 3.12 on; total() must
+        # still add in price()'s order (poly3, lut4, W=8 used to differ).
+        circuit = get_circuit(circuit_name)
+        ranges = infer_ranges(circuit.graph, circuit.input_ranges).ranges
+        model = HardwareCostModel(table)
+        for word_length in range(8, 29):
+            design = WordLengthAssignment.uniform(circuit.graph, word_length, ranges)
+            total = model.total(circuit.graph, design)
+            assert total == model.price(circuit.graph, design).total, word_length
+
     def test_missing_format_raises(self):
         graph, _ = uniform_design("quadratic")
         with pytest.raises(OptimizationError, match="no fixed-point format"):
@@ -121,6 +136,17 @@ class TestCostTable:
             CostTable(add_per_bit=-1.0)
         with pytest.raises(OptimizationError, match=">= 0"):
             DEFAULT_COST_TABLE.scaled(-2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, value):
+        with pytest.raises(OptimizationError, match="add_per_bit must be finite"):
+            CostTable.from_dict({"add_per_bit": value})
+        with pytest.raises(OptimizationError, match="scale factor must be finite"):
+            DEFAULT_COST_TABLE.scaled(value)
+
+    def test_overflowing_scale_names_the_coefficient(self):
+        with pytest.raises(OptimizationError, match="div_per_bit_pair must be finite"):
+            DEFAULT_COST_TABLE.scaled(1e308)
 
     def test_from_dict_round_trip_and_unknown_keys(self):
         table = CostTable.from_dict({"name": "custom", "mul_per_bit_pair": 1.25})
