@@ -30,11 +30,15 @@ The compiled program reproduces the scalar ``ia`` engine *exactly*:
   when the scalar engine raises — and its arrays are sanitized so the
   garbage cannot leak into other lanes.
 
-Methods other than ``ia`` (``aa`` / ``taylor`` / ``sna``) carry state
-that does not vectorize into endpoint arrays; for them :meth:`price`
-falls back to per-candidate probes of the (bit-identical)
-:class:`~repro.analysis.incremental.IncrementalAnalyzer`, so callers can
-use one engine object regardless of method.
+Methods other than ``ia`` (``aa`` / ``taylor`` / ``sna`` / ``pna``), and
+every ``confidence`` batch, carry state that does not vectorize into
+endpoint arrays; for them :meth:`price` falls back to per-candidate
+probes of an :class:`~repro.analysis.incremental.IncrementalAnalyzer`,
+which reproduces a from-scratch analysis exactly, so callers can use one
+engine object regardless of method.  An optimization problem hands its
+own search engine in (``engine=``): the search commits each accepted
+design to it, so every probe re-propagates only its own move's cone.  A
+standalone analyzer builds a private engine on first use.
 """
 
 from __future__ import annotations
@@ -175,6 +179,11 @@ class BatchedAnalyzer:
         :meth:`OptimizationProblem.evaluate` widens them, so batched
         prices match evaluated prices bit for bit; without ranges the
         caller must pass pre-widened assignments.
+    engine:
+        The :class:`~repro.analysis.incremental.IncrementalAnalyzer` the
+        per-candidate fallback probes (same graph, input ranges, horizon
+        and bins).  Probes never commit; whoever owns the engine does.
+        ``None`` builds a private one on the first fallback probe.
     """
 
     def __init__(
@@ -187,6 +196,7 @@ class BatchedAnalyzer:
         bins: int = 32,
         method: str = "ia",
         ranges: Mapping[str, Interval] | None = None,
+        engine: Any = None,
     ) -> None:
         method = str(method).lower()
         if method not in ANALYSIS_METHODS:
@@ -207,10 +217,11 @@ class BatchedAnalyzer:
         self._value_failure: Exception | None = None
         self._programs: Dict[str, _Program] = {}
         self._residue_cache: Dict[Tuple[str, int, int], float] = {}
-        self._fallback = None  # lazily-built IncrementalAnalyzer
+        self._engine = engine
         #: Compiled-path invocations (n candidates each) — perf telemetry.
         self.batched_calls = 0
-        #: Per-candidate fallback probes routed through the incremental engine.
+        #: Per-candidate probes routed through the incremental engine: one
+        #: per priceable candidate of a non-``ia`` or ``confidence`` batch.
         self.fallback_probes = 0
 
     # ------------------------------------------------------------------ #
@@ -289,15 +300,29 @@ class BatchedAnalyzer:
         the whole shaved assignment, so lane *k* prices the very design
         ``evaluate(assignment.with_fractional_bits(*moves[k]))`` analyzes.
 
-        This is the greedy inner loop: arrays stay single-lane wherever
-        no move disturbs them, so the pass costs one vectorized sweep
-        rather than ``len(moves)`` cone re-propagations.  A non-``None``
-        ``confidence`` routes through the incremental fallback (the
-        compiled program prices mean-square power only).
+        This is the greedy inner loop: for ``ia`` arrays stay single-lane
+        wherever no move disturbs them, so the pass costs one vectorized
+        sweep rather than ``len(moves)`` cone re-propagations.  Other
+        methods and a non-``None`` ``confidence`` (the compiled program
+        prices mean-square power only) probe the incremental engine once
+        per priceable lane, each probe counted in :attr:`fallback_probes`;
+        against an engine whose committed baseline is ``assignment``
+        (a problem's engine after ``notify_accepted``) a probe
+        re-propagates only its own move's cone.
         """
         method = self.method if method is None else str(method).lower()
         if method != "ia" or confidence is not None:
-            candidates = [self._move_candidate(assignment, node, frac) for node, frac in moves]
+            candidates: List[WordLengthAssignment | None] = []
+            for node, new_frac in moves:
+                widened = self._moved_format(assignment, node, new_frac)
+                if widened is None:
+                    candidates.append(None)
+                    continue
+                formats = dict(assignment.formats)
+                formats[node] = widened
+                candidates.append(
+                    WordLengthAssignment(formats, assignment.quantization, assignment.overflow)
+                )
             return self._price_fallback(candidates, method, output, confidence)
         n = len(moves)
         program = self._compile(self._analyzer._resolve_output(output))
@@ -310,10 +335,8 @@ class BatchedAnalyzer:
             base_f[base] = np.array([fmt.fractional_bits], dtype=np.int64)
         unpriceable = np.zeros(n, dtype=bool)
         for j, (node, new_frac) in enumerate(moves):
-            fmt = assignment.format_of(node)
-            try:
-                widened = self._widen_format(node, fmt.with_fractional_bits(new_frac))
-            except NoiseModelError:
+            widened = self._moved_format(assignment, node, new_frac)
+            if widened is None:
                 unpriceable[j] = True
                 continue
             if base_i[node].shape[0] == 1:
@@ -350,11 +373,22 @@ class BatchedAnalyzer:
             widened = widened.with_integer_bits(widened.integer_bits + 1)
         return widened
 
-    def _move_candidate(
-        self, assignment: WordLengthAssignment, node: str, new_frac: int
-    ) -> WordLengthAssignment | None:
+    def _moved_format(self, assignment: WordLengthAssignment, node: str, new_frac: int):
+        """The widened format of move ``(node, new_frac)``, or ``None`` if it has none.
+
+        The one widening rule of both :meth:`price_moves` paths.  On an
+        already-widened ``assignment`` only the moved node can need
+        widening, so this is the format :func:`ensure_range_coverage`
+        gives that node in the whole shaved assignment.  A move to
+        negative fractional bits, or one whose range the widening cap
+        cannot cover, has no format (its lane prices ``inf``).
+        """
+        if new_frac < 0:
+            return None
         try:
-            return self._widen(assignment.with_fractional_bits(node, new_frac))
+            return self._widen_format(
+                node, assignment.format_of(node).with_fractional_bits(new_frac)
+            )
         except NoiseModelError:
             return None
 
@@ -385,13 +419,13 @@ class BatchedAnalyzer:
             raise NoiseModelError(
                 f"unknown analysis method {method!r}; choose from {ANALYSIS_METHODS}"
             )
-        if self._fallback is None:
+        if self._engine is None:
             # Local import: repro.analysis.incremental imports the analyzer
             # stack this module also sits on; resolving lazily keeps import
             # order flexible for callers.
             from repro.analysis.incremental import IncrementalAnalyzer
 
-            self._fallback = IncrementalAnalyzer(
+            self._engine = IncrementalAnalyzer(
                 self.original,
                 self.baseline,
                 self._analyzer.input_ranges,
@@ -406,7 +440,7 @@ class BatchedAnalyzer:
             self._check_candidate(candidate)
             self.fallback_probes += 1
             try:
-                noise[j] = self._fallback.noise_power(
+                noise[j] = self._engine.noise_power(
                     candidate, method, output=output, commit=False, confidence=confidence
                 )
             except (DomainError, DivisionByZeroIntervalError):

@@ -29,10 +29,12 @@ O(1) change.
 
 Because the cone re-propagation calls the very same per-node rules
 (:meth:`DatapathNoiseAnalyzer._error_of`) as the full sweep, incremental
-reports match a from-scratch analysis — exactly for IA / Taylor / SNA,
-and up to float summation order (sub-ulp on the reductions) for AA,
-whose fresh linearization symbols are allocated in a different order.
-``repro.benchmarks.bench_perf`` gates this equivalence in CI.
+reports match a from-scratch analysis exactly, for every method.  AA's
+fresh linearization symbols get other names than in a full sweep, but a
+name only identifies a symbol: each form's terms are built in the same
+order by the same float operations, so every reduction adds the same
+numbers in the same order.  ``repro.benchmarks.bench_perf`` gates this
+equivalence (relative error 0) in CI.
 """
 
 from __future__ import annotations

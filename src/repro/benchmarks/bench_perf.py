@@ -6,9 +6,8 @@ Measures, per circuit x analysis method:
   perturbations analyzed both incrementally
   (:class:`~repro.analysis.incremental.IncrementalAnalyzer`) and from
   scratch (:class:`~repro.noisemodel.analyzer.DatapathNoiseAnalyzer`),
-  compared field by field.  IA / Taylor / SNA match bit for bit; AA
-  reductions may differ by float summation order, so the comparison
-  allows a relative tolerance of ``1e-9`` (a few ulps);
+  compared field by field.  Every method must match bit for bit
+  (``EQUIV_RTOL`` is 0);
 * **greedy inner-loop speedup** — the greedy bit-stealing descent is run
   on an incremental problem while logging every candidate it actually
   analyzes; the logged candidates are then re-analyzed from scratch
@@ -21,9 +20,9 @@ Measures, per circuit x analysis method:
   incremental engine vs the from-scratch (``engine="fresh"``) evaluator;
 * **batched equivalence** — the same perturbations priced in one
   :class:`~repro.analysis.batched.BatchedAnalyzer` array pass vs the
-  from-scratch report.  IA compiles to the vectorized program and must
-  match **exactly** (relative error 0); other methods route through the
-  incremental fallback, so they inherit the ``1e-9`` AA tolerance;
+  from-scratch report.  IA compiles to the vectorized program, other
+  methods route through incremental probes; both must match
+  **exactly** (relative error 0);
 * **batched greedy inner-loop speedup** (IA only — the method with a
   compiled vector path) — the batched greedy descent is run while
   logging every ``price_moves`` sweep; the logged sweeps are then
@@ -121,10 +120,10 @@ BATCHED_GATE_QUORUM = 2
 #: Speedup metrics the gate can run on.
 GATE_METRICS = ("wall", "cpu")
 
-#: Relative tolerance of the equivalence gate (AA reductions may differ
-#: from a from-scratch run by float summation order; everything else is
-#: bit-identical).
-EQUIV_RTOL = 1e-9
+#: Relative tolerance of the equivalence gate: none.  The incremental and
+#: batched engines run the from-scratch analyzer's float operations in
+#: the same order, so every method is bit-identical.
+EQUIV_RTOL = 0.0
 
 
 def _rel_err(got: float, want: float) -> float:
@@ -156,12 +155,11 @@ def _check_equivalence(
 
     The same random perturbations are analyzed three ways: by the
     incremental engine (field-by-field comparison against the
-    from-scratch analyzer, ``EQUIV_RTOL``) and by one
-    :class:`BatchedAnalyzer` array pass (noise-power comparison; IA runs
-    the compiled vector program and must match with relative error
-    exactly 0, other methods route through the incremental fallback and
-    inherit the tolerance).  Returns ``(incremental_ok, incremental_worst,
-    batched_ok, batched_worst)``.
+    from-scratch analyzer) and by one :class:`BatchedAnalyzer` array pass
+    (noise-power comparison; IA runs the compiled vector program, other
+    methods route through incremental probes).  Both must match within
+    ``EQUIV_RTOL``, i.e. exactly.  Returns ``(incremental_ok,
+    incremental_worst, batched_ok, batched_worst)``.
     """
     circuit_graph = problem.graph
     baseline = problem.uniform(12)
@@ -183,7 +181,6 @@ def _check_equivalence(
     )
     candidates = _perturbations(problem, trials, seed)
     batched_noise = batched.price(candidates, method=method, output=problem.output)
-    batched_rtol = 0.0 if method == "ia" else EQUIV_RTOL
     worst = 0.0
     batched_worst = 0.0
     ok = True
@@ -212,7 +209,7 @@ def _check_equivalence(
         ok = ok and got.source_count == want.source_count
         batched_err = _rel_err(float(batched_noise[index]), want.noise_power)
         batched_worst = max(batched_worst, batched_err)
-        batched_ok = batched_ok and batched_err <= batched_rtol
+        batched_ok = batched_ok and batched_err <= EQUIV_RTOL
     return ok, worst, batched_ok, batched_worst
 
 

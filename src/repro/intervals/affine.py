@@ -34,6 +34,7 @@ from repro.intervals.linearize import (
     log_linearization,
     sqrt_linearization,
 )
+from repro.utils.mathutils import summed
 
 __all__ = ["AffineContext", "AffineForm"]
 
@@ -98,6 +99,13 @@ class AffineContext:
 _DEFAULT_CONTEXT = AffineContext()
 
 
+def _nonzero(terms: Dict[str, float]) -> Dict[str, float]:
+    """``terms`` without its exact zeros, order kept (``terms`` itself when it has none)."""
+    if 0.0 in terms.values():
+        return {name: coeff for name, coeff in terms.items() if coeff != 0.0}
+    return terms
+
+
 class AffineForm:
     """An affine combination of ``[-1, 1]`` noise symbols plus a constant."""
 
@@ -119,13 +127,32 @@ class AffineForm:
                 self.context.register(str(name))
         self.terms = cleaned
 
+    @classmethod
+    def _trusted(
+        cls, center: float, terms: Dict[str, float], context: AffineContext
+    ) -> "AffineForm":
+        """Wrap an already-clean term dict without re-cleaning it.
+
+        For results built from forms of ``context`` itself: ``center``
+        and every coefficient are floats, ``terms`` holds no exact zero,
+        and every name is one the context already issued or registered.
+        The public constructor would return an equal form (same center,
+        same terms in the same order, same ``context.symbols``); this
+        skips its per-term ``float``/``str`` conversion and ``register``.
+        """
+        form = object.__new__(cls)
+        form.center = center
+        form.terms = terms
+        form.context = context
+        return form
+
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     @property
     def radius(self) -> float:
         """Total deviation ``sum(|x_i|)`` — half the enclosing width."""
-        return sum(abs(c) for c in self.terms.values())
+        return summed(abs(c) for c in self.terms.values())
 
     def coefficient(self, name: str) -> float:
         """Coefficient of noise symbol ``name`` (0 when absent)."""
@@ -167,7 +194,7 @@ class AffineForm:
         if isinstance(other, AffineForm):
             return other
         if isinstance(other, (int, float)):
-            return AffineForm(float(other), {}, context=self.context)
+            return AffineForm._trusted(float(other), {}, self.context)
         raise TypeError(f"cannot combine AffineForm with {type(other).__name__}")
 
     def _merged_symbols(self, other: "AffineForm") -> Iterable[str]:
@@ -185,15 +212,19 @@ class AffineForm:
     # linear arithmetic (exact)
     # ------------------------------------------------------------------ #
     def __neg__(self) -> "AffineForm":
-        return AffineForm(-self.center, {k: -v for k, v in self.terms.items()}, self.context)
+        # Negating a non-zero coefficient never yields zero.
+        return AffineForm._trusted(
+            -self.center, {k: -v for k, v in self.terms.items()}, self.context
+        )
 
     def __add__(self, other: "AffineForm | Number") -> "AffineForm":
         other = self._coerce(other)
-        terms = {
-            name: self.coefficient(name) + other.coefficient(name)
-            for name in self._merged_symbols(other)
-        }
-        return AffineForm(self.center + other.center, terms, self.context)
+        mine = self.terms.get
+        theirs = other.terms.get
+        terms = {name: mine(name, 0.0) + theirs(name, 0.0) for name in self._merged_symbols(other)}
+        if other.context is not self.context:
+            return AffineForm(self.center + other.center, terms, self.context)
+        return AffineForm._trusted(self.center + other.center, _nonzero(terms), self.context)
 
     __radd__ = __add__
 
@@ -227,6 +258,8 @@ class AffineForm:
             context = forms[0].context if forms else _DEFAULT_CONTEXT
         if not forms:
             return cls(center, {}, context)
+        # Terms of forms from another context must be registered in this one.
+        build = cls._trusted if all(form.context is context for form in forms) else cls
         if sum(len(form.terms) for form in forms) <= 24:
             # Below the numpy break-even point a plain single-pass dict
             # accumulation wins; per-symbol addition order is unchanged.
@@ -234,7 +267,7 @@ class AffineForm:
             for form in forms:
                 for name, coeff in form.terms.items():
                     small[name] = small.get(name, 0.0) + coeff
-            return cls(center, small, context)
+            return build(center, _nonzero(small), context)
         slot: Dict[str, int] = {}
         for form in forms:
             for name in form.terms:
@@ -248,21 +281,22 @@ class AffineForm:
                 (slot[name] for name in form.terms), dtype=np.intp, count=len(form.terms)
             )
             coeffs[idx] += np.fromiter(form.terms.values(), dtype=float, count=len(form.terms))
-        terms = {name: coeffs[i] for name, i in slot.items() if coeffs[i] != 0.0}
-        return cls(center, terms, context)
+        values = coeffs.tolist()
+        terms = {name: values[i] for name, i in slot.items() if values[i] != 0.0}
+        return build(center, terms, context)
 
     def scale(self, factor: Number) -> "AffineForm":
         """Multiply by an exact scalar (no new noise symbol)."""
         factor = float(factor)
-        return AffineForm(
+        return AffineForm._trusted(
             self.center * factor,
-            {name: coeff * factor for name, coeff in self.terms.items()},
+            _nonzero({name: coeff * factor for name, coeff in self.terms.items()}),
             self.context,
         )
 
     def shift(self, offset: Number) -> "AffineForm":
         """Add an exact scalar."""
-        return AffineForm(self.center + float(offset), dict(self.terms), self.context)
+        return AffineForm._trusted(self.center + float(offset), dict(self.terms), self.context)
 
     # ------------------------------------------------------------------ #
     # nonlinear arithmetic (introduces fresh symbols)
@@ -283,15 +317,20 @@ class AffineForm:
         #   zi = x0*yi + y0*xi       (first-order terms)
         #   new symbol with coefficient rad(x)*rad(y)  (second-order bound)
         center = self.center * other.center
+        x0, y0 = self.center, other.center
+        mine = self.terms.get
+        theirs = other.terms.get
         terms: Dict[str, float] = {}
         for name in self._merged_symbols(other):
-            coeff = self.center * other.coefficient(name) + other.center * self.coefficient(name)
+            coeff = x0 * theirs(name, 0.0) + y0 * mine(name, 0.0)
             if coeff != 0.0:
                 terms[name] = coeff
         nonlinear = self.radius * other.radius
         if nonlinear != 0.0:
             terms[self.context.fresh()] = nonlinear
-        return AffineForm(center, terms, self.context)
+        if other.context is not self.context:
+            return AffineForm(center, terms, self.context)
+        return AffineForm._trusted(center, terms, self.context)
 
     def __rmul__(self, other: "AffineForm | Number") -> "AffineForm":
         return self * other

@@ -28,6 +28,7 @@ from repro.intervals.linearize import (
     log_linearization,
     sqrt_linearization,
 )
+from repro.utils.mathutils import summed
 
 __all__ = ["TaylorModel"]
 
@@ -227,8 +228,8 @@ class TaylorModel:
         def _poly_abs_bound(
             linear_terms: Mapping[str, float], quad_terms: Mapping[PairKey, float]
         ) -> float:
-            linear_sum = sum(abs(v) for v in linear_terms.values())
-            return linear_sum + sum(abs(v) for v in quad_terms.values())
+            linear_sum = summed(abs(v) for v in linear_terms.values())
+            return linear_sum + summed(abs(v) for v in quad_terms.values())
 
         cross_hi = (
             _poly_abs_bound(self.linear, {}) * _poly_abs_bound({}, other.quadratic)

@@ -73,6 +73,7 @@ from repro.intervals.taylor import TaylorModel
 from repro.noisemodel.assignment import WordLengthAssignment
 from repro.noisemodel.gains import transfer_gains
 from repro.noisemodel.sources import QuantizationSource, build_sources, sources_by_node
+from repro.utils.mathutils import summed
 
 __all__ = [
     "DatapathNoiseAnalyzer",
@@ -958,13 +959,13 @@ class DatapathNoiseAnalyzer:
 
     @staticmethod
     def _moments_aa(error: AffineForm) -> tuple[float, float]:
-        variance = sum(coeff * coeff for coeff in error.terms.values()) / 3.0
+        variance = summed(coeff * coeff for coeff in error.terms.values()) / 3.0
         return error.center, variance
 
     @staticmethod
     def _moments_taylor(error: TaylorModel) -> tuple[float, float]:
         mean = error.constant + error.remainder.midpoint
-        variance = sum(c * c for c in error.linear.values()) / 3.0
+        variance = summed(c * c for c in error.linear.values()) / 3.0
         for (a, b), coeff in error.quadratic.items():
             if a == b:
                 mean += coeff / 3.0

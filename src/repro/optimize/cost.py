@@ -35,11 +35,12 @@ Every coefficient must be finite and ``>= 0`` so the model stays
 Totals
 ------
 :meth:`HardwareCostModel.price`, :meth:`HardwareCostModel.total` and
-:class:`CostLedger` all add per-node prices left to right in graph order,
-skipping zeros, through one helper.  A design therefore has one total,
-bit for bit, whichever of them priced it.  Builtin ``sum`` is not used:
-from Python 3.12 on it compensates float rounding and would disagree in
-the last ulp.
+:class:`CostLedger` all add per-node prices left to right in graph order
+through one helper, :func:`repro.utils.mathutils.summed` (a zero price,
+which ``price`` leaves out, never moves the running total).  A design
+therefore has one total, bit for bit, whichever of them priced it.
+Builtin ``sum`` is not used: from Python 3.12 on it compensates float
+rounding and would disagree in the last ulp.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from repro.dfg.node import Node, OpType
 from repro.errors import OptimizationError
 from repro.fixedpoint.format import FixedPointFormat
 from repro.noisemodel.assignment import WordLengthAssignment, changed_formats
+from repro.utils.mathutils import summed
 
 __all__ = [
     "CostTable",
@@ -149,19 +151,6 @@ COST_TABLES: Dict[str, CostTable] = {
     "lut4": DEFAULT_COST_TABLE,
     "asic": ASIC_COST_TABLE,
 }
-
-
-def _summed(costs: Iterable[float]) -> float:
-    """Left-to-right float sum of ``costs``, skipping zeros.
-
-    The one summation behind every total in this module (see the module
-    docstring), so totals reached by different paths agree bit for bit.
-    """
-    total = 0.0
-    for cost in costs:
-        if cost != 0.0:
-            total += cost
-    return total
 
 
 @dataclass(frozen=True)
@@ -287,11 +276,11 @@ class HardwareCostModel:
             per_node[node.name] = cost
             per_op[node.op.value] = per_op.get(node.op.value, 0.0) + cost
         # per_node holds the nonzero prices in graph order.
-        return CostBreakdown(total=_summed(per_node.values()), per_node=per_node, per_op=per_op)
+        return CostBreakdown(total=summed(per_node.values()), per_node=per_node, per_op=per_op)
 
     def total(self, graph: DFG, assignment: WordLengthAssignment) -> float:
         """Total area only: :meth:`price`'s ``total``, without the breakdown dicts."""
-        return _summed(self.node_cost(graph, node, assignment) for node in graph)
+        return summed(self.node_cost(graph, node, assignment) for node in graph)
 
     @staticmethod
     def affected_by(graph: DFG, node: str) -> Tuple[str, ...]:
@@ -384,4 +373,4 @@ class CostLedger:
         # A copy, so a caller mutating its assignment cannot move the ledger.
         self._formats = dict(assignment.formats)
         self._costs = costs
-        return _summed(costs)
+        return summed(costs)

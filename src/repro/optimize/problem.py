@@ -401,19 +401,7 @@ class OptimizationProblem:
         if state.engine == "fresh":
             return self._analyze_fresh(assignment)
         try:
-            if state.incremental is None:
-                # Local import: repro.analysis imports repro.optimize at module
-                # scope (pipeline wiring); importing back lazily avoids the cycle.
-                from repro.analysis.incremental import IncrementalAnalyzer
-
-                state.incremental = IncrementalAnalyzer(
-                    self.graph,
-                    assignment,
-                    self.input_ranges,
-                    horizon=self.horizon,
-                    bins=self.bins,
-                )
-            return state.incremental.noise_power(
+            return self._incremental_engine(assignment).noise_power(
                 assignment, self.method, output=self.output, confidence=self.confidence
             )
         except (DomainError, DivisionByZeroIntervalError):
@@ -424,6 +412,28 @@ class OptimizationProblem:
             self._degrade("incremental", "fresh", exc)
             state.incremental = None
             return self._analyze_fresh(assignment)
+
+    def _incremental_engine(self, assignment: WordLengthAssignment):
+        """The search's one :class:`IncrementalAnalyzer`, built from ``assignment`` on first use.
+
+        Evaluations and the batched engine's fallback probes share it,
+        and :meth:`notify_accepted` commits it, so a probe from the
+        current design re-propagates only its own move's cone.
+        """
+        state = self._state
+        if state.incremental is None:
+            # Local import: repro.analysis imports repro.optimize at module
+            # scope (pipeline wiring); importing back lazily avoids the cycle.
+            from repro.analysis.incremental import IncrementalAnalyzer
+
+            state.incremental = IncrementalAnalyzer(
+                self.graph,
+                assignment,
+                self.input_ranges,
+                horizon=self.horizon,
+                bins=self.bins,
+            )
+        return state.incremental
 
     def _analyze_fresh(self, assignment: WordLengthAssignment) -> float:
         analyzer = DatapathNoiseAnalyzer(
@@ -485,9 +495,11 @@ class OptimizationProblem:
 
         The engine compiles the (unrolled) graph into a vectorized NumPy
         program once; afterwards :meth:`price_moves` prices whole batches
-        of candidate shaves in one array pass.  Available regardless of
-        :attr:`engine` — strategies consult :attr:`engine` to decide
-        whether to route their inner loops through it.
+        of candidate shaves in one array pass.  Methods without a compiled
+        program probe the problem's own incremental engine, the one
+        evaluations use and :meth:`notify_accepted` commits.  Available
+        regardless of :attr:`engine` — strategies consult :attr:`engine`
+        to decide whether to route their inner loops through it.
         """
         state = self._state
         if state.batched is None:
@@ -496,14 +508,16 @@ class OptimizationProblem:
             from repro.analysis.batched import BatchedAnalyzer
 
             try:
+                baseline = self.uniform(self.min_word_length)
                 state.batched = BatchedAnalyzer(
                     self.graph,
-                    self.uniform(self.min_word_length),
+                    baseline,
                     self.input_ranges,
                     horizon=self.horizon,
                     bins=self.bins,
                     method=self.method,
                     ranges=self.ranges,
+                    engine=self._incremental_engine(baseline),
                 )
             except ReproError as exc:
                 if not self.engine_fallback:
@@ -574,9 +588,10 @@ class OptimizationProblem:
     def fallback_probes(self) -> int:
         """Per-candidate probes the batched engine routed incrementally.
 
-        Non-``"ia"`` methods have no compiled vector program, so the
-        batched engine answers them one candidate at a time through the
-        incremental analyzer; this counts those probes.
+        Non-``"ia"`` methods (and ``confidence`` problems) have no compiled
+        vector program, so the batched engine answers them one candidate
+        at a time through the problem's shared incremental analyzer; this
+        counts those probes.  Evaluations are not counted.
         """
         batched = self._state.batched
         return batched.fallback_probes if batched is not None else 0

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 __all__ = [
     "ulp",
     "integer_bits_for_range",
+    "summed",
 ]
+
+
+def summed(values: Iterable[float]) -> float:
+    """Left-to-right float sum ``((0.0 + v1) + v2) + ...``.
+
+    Every float reduction whose result must not depend on the Python
+    version goes through this loop: from Python 3.12 on, builtin ``sum``
+    compensates float rounding and disagrees with it in the last ulp.
+    On earlier versions the two are bit-identical.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def ulp(fractional_bits: int) -> float:

@@ -8,8 +8,8 @@ contracts interlock:
   configure the public entry points;
 * the :class:`~repro.analysis.batched.BatchedAnalyzer` — whole-graph
   vectorized pricing that must be **bit-equal** to the fresh and
-  incremental engines (exactly for IA, which compiles to the vector
-  program; within the AA summation-order tolerance otherwise);
+  incremental engines (for IA through the compiled vector program,
+  for every other method through incremental probes);
 * one-call Pareto sweeps (:func:`~repro.optimize.pareto.pareto_front`)
   whose curves are monotone by construction;
 * canonical DFG serialization (``to_dict``/``from_dict``/``save``/
@@ -40,10 +40,6 @@ from repro.optimize import (
     get_optimizer,
     pareto_front,
 )
-
-#: Tolerance for methods whose reductions may differ by summation order.
-RTOL = 1e-9
-
 
 def _perturbed_candidates(problem, count, seed, max_shave=3):
     """Deterministic coverage-widened perturbations of the uniform-12 base."""
@@ -108,12 +104,8 @@ def test_batched_matches_fresh_and_incremental_all_methods(name):
                 assignment, method, output=problem.output, commit=False
             )
             got = float(prices[lane])
-            if method == "ia":
-                assert got == fresh.noise_power, (name, method, lane)
-                assert got == inc, (name, method, lane)
-            else:
-                assert got == pytest.approx(fresh.noise_power, rel=RTOL)
-                assert got == pytest.approx(inc, rel=RTOL)
+            assert got == fresh.noise_power, (name, method, lane)
+            assert got == inc, (name, method, lane)
 
 
 def test_batched_price_moves_matches_evaluate():

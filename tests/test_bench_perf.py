@@ -28,7 +28,7 @@ def test_document_shape_and_equivalence_gate():
         assert set(entry["results"]) == {"ia", "sna"}
         for row in entry["results"].values():
             assert row["equivalent"] is True
-            assert row["max_rel_err"] <= 1e-9
+            assert row["max_rel_err"] == 0.0
             assert row["probes"] > 0
             assert row["runtime_s"] > 0.0
             assert row["full_runtime_s"] > 0.0

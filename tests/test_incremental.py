@@ -19,11 +19,6 @@ from repro.noisemodel.assignment import (
 
 HORIZON = 5
 BINS = 12
-RTOL = 1e-9
-
-
-def _relative_close(got: float, want: float) -> bool:
-    return abs(got - want) <= RTOL * max(1.0, abs(want))
 
 
 def _setup(circuit_name: str):
@@ -63,11 +58,11 @@ def test_incremental_equals_full_on_random_perturbations(circuit_name, method):
         want = DatapathNoiseAnalyzer(
             circuit.graph, assignment, circuit.input_ranges, horizon=HORIZON, bins=BINS
         ).analyze(method, output=circuit.output)
-        assert _relative_close(got.mean, want.mean)
-        assert _relative_close(got.variance, want.variance)
-        assert _relative_close(got.noise_power, want.noise_power)
-        assert _relative_close(got.bounds.lo, want.bounds.lo)
-        assert _relative_close(got.bounds.hi, want.bounds.hi)
+        assert got.mean == want.mean
+        assert got.variance == want.variance
+        assert got.noise_power == want.noise_power
+        assert got.bounds.lo == want.bounds.lo
+        assert got.bounds.hi == want.bounds.hi
         assert got.source_count == want.source_count
 
 
@@ -82,7 +77,7 @@ def test_noise_power_fast_path_matches_report(method):
         assignment = _perturb(baseline, ranges, rng, 1)
         power = engine.noise_power(assignment, method, output=circuit.output)
         report = engine.analyze(assignment, method, output=circuit.output)
-        assert _relative_close(power, report.noise_power)
+        assert power == report.noise_power
 
 
 def _true_downstream(engine, bases):
@@ -157,7 +152,7 @@ def test_off_path_perturbation_recomputes_nothing():
     want = DatapathNoiseAnalyzer(
         circuit.graph, shaved, circuit.input_ranges, horizon=HORIZON, bins=BINS
     ).analyze("sna", output="x1")
-    assert _relative_close(report.noise_power, want.noise_power)
+    assert report.noise_power == want.noise_power
 
 
 def test_overlay_probe_leaves_committed_state_untouched():
@@ -217,9 +212,9 @@ def test_incremental_equals_full_on_generated_graphs(method, random_circuit_fact
             want = DatapathNoiseAnalyzer(
                 circuit.graph, assignment, circuit.input_ranges, horizon=HORIZON, bins=BINS
             ).analyze(method, output=circuit.output)
-            assert _relative_close(got.noise_power, want.noise_power)
-            assert _relative_close(got.bounds.lo, want.bounds.lo)
-            assert _relative_close(got.bounds.hi, want.bounds.hi)
+            assert got.noise_power == want.noise_power
+            assert got.bounds.lo == want.bounds.lo
+            assert got.bounds.hi == want.bounds.hi
 
 
 def test_mode_change_is_rejected():
