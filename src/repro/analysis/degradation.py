@@ -1,17 +1,17 @@
 """Structured records of graceful engine degradation.
 
-When a fast evaluation engine breaks — the batched compiler rejects a
-graph, a compiled probe raises, the incremental analyzer trips over an
-overlay — the optimization should *keep going* on the next-slower
-engine, not die hundreds of accepted moves into a search.  Each such
-fallback is recorded as a :class:`DegradationEvent` on the owning
-problem/pipeline (``batched → incremental → fresh`` for candidate
-evaluation, ``sharded → in-process`` for Monte-Carlo validation), so a
-run that silently lost its fast path is still diagnosable after the
-fact.
+When a fast engine breaks — the batched compiler rejects a graph, or a
+batched pricing sweep raises — the optimization should *keep going* on
+the slower engine, not die hundreds of accepted moves into a search.
+Each such fallback is recorded as a :class:`DegradationEvent` on the
+owning problem/pipeline (``batched → incremental`` for candidate
+pricing, ``sharded → in-process`` for Monte-Carlo validation), so a run
+that silently lost its fast path is still diagnosable after the fact.
+The incremental engine is the one candidate evaluator and has nothing
+below it: its failures propagate.
 
 Degradation changes *which engine computes* an answer, never the answer
-itself: every engine is bit-compatible by the equivalence gates in
+itself: the engines are bit-compatible by the equivalence gates in
 ``bench_perf``, which is what makes the fallback safe to take silently.
 """
 
@@ -30,7 +30,7 @@ class DegradationEvent:
     ----------
     stage:
         Where the failure surfaced (``"batched-compile"``,
-        ``"batched-price"``, ``"incremental"``, ``"montecarlo-sharded"``).
+        ``"batched-price"``, ``"montecarlo-sharded"``).
     from_engine / to_engine:
         The engine abandoned and the engine the run continued on.
     reason:

@@ -23,7 +23,7 @@ O(1) change.
   probes of different nodes from the same current design each pay one
   cone, not two.  When a search accepts a move it promotes the candidate
   with :meth:`commit` (see ``OptimizationProblem.notify_accepted``), and
-  a candidate that drifts ``>= auto_commit_after`` nodes away from the
+  a candidate that drifts ``>= AUTO_COMMIT_AFTER`` nodes away from the
   committed baseline is committed automatically so un-notified callers
   degrade gracefully instead of re-propagating ever-growing cones.
 
@@ -57,6 +57,11 @@ from repro.noisemodel.assignment import WordLengthAssignment, changed_formats
 from repro.noisemodel.sources import source_for_node
 
 __all__ = ["IncrementalAnalyzer", "IncrementalStats"]
+
+#: A probe whose formats differ from the committed baseline at this many
+#: original nodes or more is committed even when the caller asked for an
+#: overlay, so later cones stay small.
+AUTO_COMMIT_AFTER = 8
 
 
 @dataclass
@@ -111,7 +116,6 @@ class IncrementalAnalyzer:
         input_pdfs: Mapping[str, HistogramPDF] | None = None,
         horizon: int = 8,
         bins: int = 32,
-        auto_commit_after: int = 8,
     ) -> None:
         self.analyzer = DatapathNoiseAnalyzer(
             graph,
@@ -121,7 +125,6 @@ class IncrementalAnalyzer:
             horizon=horizon,
             bins=bins,
         )
-        self.auto_commit_after = int(auto_commit_after)
         work = self.analyzer.graph
         self._position: Dict[str, int] = {
             name: i for i, name in enumerate(self.analyzer.topo_order)
@@ -351,7 +354,7 @@ class IncrementalAnalyzer:
             self.stats.last_recomputed = ()
             return state.errors
 
-        committing = commit or len(stale) >= self.auto_commit_after
+        committing = commit or len(stale) >= AUTO_COMMIT_AFTER
         if committing:
             self._pending_overlay = None
 
@@ -411,7 +414,7 @@ class IncrementalAnalyzer:
         baseline.  With ``commit=False`` the cone is evaluated in a
         scratch overlay and discarded — the mode an optimizer's probe
         loop wants — unless the candidate has drifted
-        ``auto_commit_after`` or more nodes from the baseline, in which
+        :data:`AUTO_COMMIT_AFTER` or more nodes from the baseline, in which
         case it is committed anyway to keep later cones small.
         ``contributions`` is forwarded to the report builders (see
         :meth:`DatapathNoiseAnalyzer.analyze`).
@@ -463,15 +466,3 @@ class IncrementalAnalyzer:
         """
         for method, target in list(self._states):
             self._update(assignment, method, target, commit=True)
-
-    def analyze_all(
-        self,
-        assignment: WordLengthAssignment,
-        output: str | None = None,
-        commit: bool = True,
-    ) -> Dict[str, NoiseReport]:
-        """Run every analysis method on the same output."""
-        return {
-            method: self.analyze(assignment, method, output=output, commit=commit)
-            for method in ANALYSIS_METHODS
-        }

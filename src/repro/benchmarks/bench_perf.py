@@ -8,16 +8,17 @@ Measures, per circuit x analysis method:
   scratch (:class:`~repro.noisemodel.analyzer.DatapathNoiseAnalyzer`),
   compared field by field.  Every method must match bit for bit
   (``EQUIV_RTOL`` is 0);
-* **greedy inner-loop speedup** — the greedy bit-stealing descent is run
-  on an incremental problem while logging every candidate it actually
-  analyzes; the logged candidates are then re-analyzed from scratch
-  (exactly what the evaluator did before this engine existed).  The
-  ratio of full-replay time to the engine's measured analysis time is
-  the speedup of the optimizer's inner loop — recorded both in
-  wall-clock (``time.perf_counter``) and CPU (``time.process_time``)
-  terms, because shared CI runners make wall clocks noisy;
-* **end-to-end optimizer wall time** — ``greedy.optimize()`` with the
-  incremental engine vs the from-scratch (``engine="fresh"``) evaluator;
+* **greedy inner-loop speedup and trajectory** — the greedy
+  bit-stealing descent is run on an incremental problem while logging
+  every candidate it actually analyzes; the logged candidates are then
+  re-analyzed from scratch.  The ratio of full-replay time to the
+  engine's measured analysis time is the speedup of the optimizer's
+  inner loop — recorded both in wall-clock (``time.perf_counter``) and
+  CPU (``time.process_time``) terms, because shared CI runners make wall
+  clocks noisy.  Every replayed noise power must also equal the
+  problem's evaluation of that candidate exactly (``trajectory_ok``,
+  folded into ``equivalent``): the same evaluation sequence means the
+  search is the one a from-scratch evaluator would have run;
 * **batched equivalence** — the same perturbations priced in one
   :class:`~repro.analysis.batched.BatchedAnalyzer` array pass vs the
   from-scratch report.  IA compiles to the vectorized program, other
@@ -219,13 +220,15 @@ def _greedy_inner_loop(circuit, config: OptimizeConfig, reps: int) -> dict:
     Wall and CPU times are captured side by side: the wall number is the
     user-facing speedup, the CPU number is what smoke gates use on
     shared runners (scheduling noise inflates wall clocks, never CPU
-    time).
+    time).  ``trajectory_ok`` is whether every replayed noise power
+    equals the problem's evaluation of the same candidate (``==``).
     """
     inc_times: list[float] = []
     inc_cpu_times: list[float] = []
     full_times: list[float] = []
     full_cpu_times: list[float] = []
     probes = 0
+    trajectory_ok = True
     method = config.method
     for _ in range(reps):
         problem = OptimizationProblem.from_circuit(circuit, config.snr_floor_db, config=config)
@@ -243,18 +246,24 @@ def _greedy_inner_loop(circuit, config: OptimizeConfig, reps: int) -> dict:
         inc_times.append(problem.analysis_time_s - before)
         inc_cpu_times.append(problem.analysis_cpu_s - before_cpu)
         probes = len(log)
+        replayed: list[float] = []
         started = time.perf_counter()
         started_cpu = time.process_time()
         for assignment in log:
-            DatapathNoiseAnalyzer(
+            report = DatapathNoiseAnalyzer(
                 problem.graph,
                 assignment,
                 problem.input_ranges,
                 horizon=problem.horizon,
                 bins=problem.bins,
             ).analyze(method, output=problem.output)
+            replayed.append(report.noise_power)
         full_times.append(time.perf_counter() - started)
         full_cpu_times.append(time.process_time() - started_cpu)
+        trajectory_ok = trajectory_ok and all(
+            problem.evaluate(assignment).noise_power == noise
+            for assignment, noise in zip(log, replayed)
+        )
     inc = min(inc_times)
     full = min(full_times)
     inc_cpu = min(inc_cpu_times)
@@ -267,6 +276,7 @@ def _greedy_inner_loop(circuit, config: OptimizeConfig, reps: int) -> dict:
         "full_cpu_s": full_cpu,
         "inner_loop_speedup": full / inc if inc > 0 else float("inf"),
         "inner_loop_speedup_cpu": full_cpu / inc_cpu if inc_cpu > 0 else float("inf"),
+        "trajectory_ok": trajectory_ok,
     }
 
 
@@ -345,28 +355,6 @@ def _batched_inner_loop(circuit, config: OptimizeConfig, reps: int) -> dict:
     }
 
 
-def _greedy_end_to_end(circuit, config: OptimizeConfig) -> dict:
-    """Wall time of the whole greedy optimization, both evaluator paths."""
-    timings = {}
-    for label, engine in (("incremental", "incremental"), ("full", "fresh")):
-        problem = OptimizationProblem.from_circuit(
-            circuit, config.snr_floor_db, config=config.replace(engine=engine)
-        )
-        started = time.perf_counter()
-        result = GreedyBitStealingOptimizer().optimize(problem)
-        timings[label] = time.perf_counter() - started
-        timings[f"{label}_cost"] = result.cost
-    assert timings["incremental_cost"] == timings["full_cost"], (
-        f"{circuit.name}/{config.method}: evaluator paths disagree on the optimum"
-    )
-    return {
-        "incremental_s": timings["incremental"],
-        "full_s": timings["full"],
-        "speedup": timings["full"] / timings["incremental"],
-        "cost": timings["incremental_cost"],
-    }
-
-
 def _perf_job(
     circuit_name: str,
     config: OptimizeConfig,
@@ -390,7 +378,6 @@ def _perf_job(
     )
     inner = _greedy_inner_loop(circuit, config, reps)
     batched = _batched_inner_loop(circuit, config, reps) if method == "ia" else None
-    e2e = _greedy_end_to_end(circuit, config)
     # Bounds of the analysis at the uniform baseline, so compare_bench
     # can diff widths across revisions too.
     report = DatapathNoiseAnalyzer(
@@ -412,14 +399,14 @@ def _perf_job(
             "probes": inner["probes"],
             "inner_loop_speedup": inner["inner_loop_speedup"],
             "inner_loop_speedup_cpu": inner["inner_loop_speedup_cpu"],
-            "equivalent": equivalent,
+            "trajectory_ok": inner["trajectory_ok"],
+            "equivalent": equivalent and inner["trajectory_ok"],
             "max_rel_err": max_err,
             "batched_equivalent": batched_equivalent,
             "batched_max_rel_err": batched_max_err,
             "seed": seed,
         },
         "batched_inner_loop": batched,
-        "greedy_end_to_end": e2e,
     }
 
 
@@ -509,7 +496,6 @@ def run_perf_benchmarks(
         circuit = get_circuit(name)
         results: dict = {}
         enclosure: dict = {}
-        greedy: dict = {}
         batched_inner = None
         best = {"wall": 0.0, "cpu": 0.0}
         best_method = {"wall": None, "cpu": None}
@@ -521,7 +507,6 @@ def run_perf_benchmarks(
             batched_equivalence_ok = batched_equivalence_ok and row["batched_equivalent"]
             results[method] = row
             enclosure[method] = row["equivalent"] and row["batched_equivalent"]
-            greedy[method] = job.value["greedy_end_to_end"]
             if job.value.get("batched_inner_loop") is not None:
                 batched_inner = job.value["batched_inner_loop"]
             circuit_wall += job.wall_s
@@ -544,7 +529,6 @@ def run_perf_benchmarks(
             "tags": list(circuit.tags),
             "results": results,
             "enclosure": enclosure,
-            "greedy_end_to_end": greedy,
             "batched_inner_loop": batched_inner,
             "inner_loop_speedup": best["wall"],
             "inner_loop_method": best_method["wall"],
@@ -578,13 +562,14 @@ def _print_document(document: dict) -> None:
         print(f"\n== {name}: {entry['description']}")
         for method, row in entry["results"].items():
             verdict = "ok" if row["equivalent"] else "NOT EQUIVALENT"
+            if not row["trajectory_ok"]:
+                verdict = "TRAJECTORY DIVERGED"
             batched_verdict = "ok" if row["batched_equivalent"] else "NOT EQUIVALENT"
             print(
                 f"  {method:6s} inner-loop {row['full_runtime_s'] * 1e3:8.2f}ms -> "
                 f"{row['runtime_s'] * 1e3:7.2f}ms ({row['inner_loop_speedup']:6.2f}x wall, "
                 f"{row['inner_loop_speedup_cpu']:6.2f}x cpu, "
-                f"{row['probes']} probes)  e2e "
-                f"{entry['greedy_end_to_end'][method]['speedup']:5.2f}x  "
+                f"{row['probes']} probes)  "
                 f"equiv {verdict} (max rel err {row['max_rel_err']:.1e})  "
                 f"batched {batched_verdict} (max rel err {row['batched_max_rel_err']:.1e})"
             )

@@ -10,9 +10,9 @@ truth that replaces them:
 * :class:`AnalysisConfig` — how to *analyze* a circuit (word length,
   unrolling horizon, SNA bins, which methods, Monte-Carlo budget).
 * :class:`OptimizeConfig` — how to *search* word lengths (strategy,
-  SNR floor, cost table, and which pricing engine evaluates candidates:
-  ``fresh`` full re-analysis, ``incremental`` cone re-propagation, or
-  ``batched`` whole-graph vectorized candidate pricing).
+  SNR floor, cost table, and which engine prices candidates:
+  ``incremental`` cone re-propagation, or ``batched``, which adds
+  whole-frontier vectorized pricing on top of it).
 
 Both are frozen dataclasses: hashable, comparable, safe to share between
 a pipeline, a problem and a benchmark driver without defensive copying.
@@ -37,7 +37,7 @@ __all__ = [
 
 
 #: Candidate-evaluation engines an :class:`OptimizeConfig` can select.
-ENGINES = ("fresh", "incremental", "batched")
+ENGINES = ("incremental", "batched")
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ class OptimizeConfig:
         Named hardware cost table (see ``repro.optimize.COST_TABLES``);
         an explicit ``cost_model`` argument always wins over this.
     engine:
-        Candidate-evaluation engine: ``fresh`` rebuilds an analyzer per
-        candidate, ``incremental`` re-propagates changed cones, and
+        Candidate-pricing engine.  Every evaluation runs on one
+        incremental analyzer that re-propagates changed cones;
         ``batched`` additionally compiles the graph into a vectorized
         program that prices whole candidate batches in one array pass
         (strategies fall back to the incremental engine wherever a
@@ -144,10 +144,11 @@ class OptimizeConfig:
     mc_workers:
         Default worker count of Monte-Carlo validation.
     engine_fallback:
-        Whether a broken engine degrades down the
-        ``batched -> incremental -> fresh`` chain (each fallback logged
-        as a :class:`~repro.analysis.degradation.DegradationEvent` on
-        the problem) instead of aborting the search.
+        Whether a broken ``batched`` engine degrades onto the
+        incremental one (logged as a
+        :class:`~repro.analysis.degradation.DegradationEvent` on the
+        problem) instead of aborting the search.  That is all it
+        governs: an incremental failure always propagates.
     partitions:
         Partition count of the ``decomposed`` strategy (``None`` sizes
         it automatically from the graph: one partition per ~250

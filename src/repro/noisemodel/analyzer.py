@@ -821,10 +821,6 @@ class DatapathNoiseAnalyzer:
         builder = getattr(self, f"_report_{method}")
         return builder(target, error, values, contributions)
 
-    def analyze_all(self, output: str | None = None) -> Dict[str, NoiseReport]:
-        """Run every analysis method on the same output."""
-        return {method: self.analyze(method, output=output) for method in ANALYSIS_METHODS}
-
     def _aggregate_contributions(self, raw: Mapping[str, float]) -> Dict[str, float]:
         merged: Dict[str, float] = {}
         for symbol, magnitude in raw.items():

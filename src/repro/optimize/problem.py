@@ -38,13 +38,9 @@ from repro.errors import (
     OptimizationError,
     ReproError,
 )
+from repro.fixedpoint.format import OverflowMode, QuantizationMode
 from repro.intervals.interval import Interval, RangeLike, coerce_interval, uniform_power
-from repro.noisemodel.analyzer import (
-    ANALYSIS_METHODS,
-    PDF_METHODS,
-    DatapathNoiseAnalyzer,
-    propagation_algebra,
-)
+from repro.noisemodel.analyzer import ANALYSIS_METHODS, PDF_METHODS
 from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
 from repro.noisemodel.gains import transfer_gains
 from repro.optimize.cost import COST_TABLES, CostLedger, HardwareCostModel
@@ -77,10 +73,10 @@ class _SearchState:
     does the work.
     """
 
-    #: Candidate-evaluation engine (``fresh`` / ``incremental`` /
-    #: ``batched``); ``batched`` keeps evaluation on the incremental
-    #: engine and additionally exposes vectorized batch pricing to
-    #: strategies through ``price_moves``.  A fallback rewrites it.
+    #: Candidate-pricing engine (``incremental`` / ``batched``).  Both
+    #: evaluate on the one incremental engine; ``batched`` additionally
+    #: exposes vectorized batch pricing to strategies through
+    #: ``price_moves``.  A batched failure degrades it to ``incremental``.
     engine: str
     #: Structured :class:`~repro.analysis.degradation.DegradationEvent`
     #: log of every engine fallback taken.
@@ -189,8 +185,8 @@ class OptimizationProblem:
         self.margin_db = float(config.margin_db)
         self.min_fractional_bits = int(config.min_fractional_bits)
         self.max_word_length = int(config.max_word_length)
-        self.quantization = config.quantization
-        self.overflow = config.overflow
+        self.quantization = QuantizationMode.coerce(config.quantization)
+        self.overflow = OverflowMode.coerce(config.overflow)
         self.name = name or graph.name
         #: :attr:`DFG.version` the problem was built against; every cache
         #: below assumes the graph has not changed since.
@@ -235,8 +231,8 @@ class OptimizationProblem:
         #: it actually analyzes — benchmarks replay these through other
         #: evaluators for apples-to-apples timing.  Owned by each view.
         self.analysis_log: list | None = None
-        #: Whether a broken engine degrades to the next-slower one
-        #: (``batched -> incremental -> fresh``) instead of raising.
+        #: Whether a broken batched engine degrades onto the incremental
+        #: one instead of raising.  Incremental failures always raise.
         self.engine_fallback = config.engine_fallback
         #: Default worker count of :meth:`monte_carlo_snr`.  ``None``
         #: keeps the legacy single-stream validator; any integer selects
@@ -315,12 +311,14 @@ class OptimizationProblem:
         instead of :attr:`analyzer_calls` — annealing never re-prices a
         revisited design.  The cache is shared with every
         :meth:`rescoped` view; a hit's ``feasible`` verdict is re-judged
-        against this view's floor.  Cache misses run through a long-lived
-        :class:`~repro.analysis.incremental.IncrementalAnalyzer` (unless
-        the engine is ``fresh``), which re-propagates only the
-        downstream cone of the nodes whose formats changed since the last
-        analyzed candidate; greedy single-node probes therefore cost
-        O(cone) instead of O(graph).  The cache is sound because an
+        against this view's floor.  Cache misses run through the search's
+        one :class:`~repro.analysis.incremental.IncrementalAnalyzer`,
+        which re-propagates only the downstream cone of the nodes whose
+        formats changed since the committed design; greedy single-node
+        probes therefore cost O(cone) instead of O(graph).  The engine
+        is built for the problem's quantization and overflow modes, so
+        an assignment in any other mode raises
+        :class:`OptimizationError`.  The cache is sound because an
         evaluation depends only on the assignment and on problem-level
         constants (graph, ranges, method, cost model); mutate any
         of those and the problem must be rebuilt, not reused.  A graph
@@ -338,6 +336,15 @@ class OptimizationProblem:
         Call ``cost_model.price`` directly for a per-node breakdown.
         """
         self._check_graph()
+        if assignment.quantization is not self.quantization or (
+            assignment.overflow is not self.overflow
+        ):
+            raise OptimizationError(
+                f"assignment modes ({assignment.quantization.value}, "
+                f"{assignment.overflow.value}) differ from the problem's "
+                f"({self.quantization.value}, {self.overflow.value}); build a "
+                "problem with those modes to evaluate it"
+            )
         state = self._state
         assignment = ensure_range_coverage(assignment, self.ranges)
         key = assignment.key()
@@ -383,35 +390,22 @@ class OptimizationProblem:
         return 10.0 * math.log10(self.signal_power / noise_power)
 
     def _analyze(self, assignment: WordLengthAssignment) -> float:
-        """Output noise power of one candidate (incremental when enabled).
+        """Output noise power of one candidate, on the incremental engine.
 
         A candidate whose errors grow past a nonlinear operator's domain
         premise (``sqrt``/``log`` enclosures crossing their boundary, a
         divisor enclosure swallowing zero) cannot be analyzed soundly;
         it is reported as infinite noise power — i.e. infeasible — so
-        the search simply backs away from it instead of crashing.
+        the search simply backs away from it instead of crashing.  Any
+        other analysis error propagates: there is no slower engine to
+        fall back to.
         """
-        try:
-            return self._analyze_unchecked(assignment)
-        except (DomainError, DivisionByZeroIntervalError):
-            return float("inf")
-
-    def _analyze_unchecked(self, assignment: WordLengthAssignment) -> float:
-        state = self._state
-        if state.engine == "fresh":
-            return self._analyze_fresh(assignment)
         try:
             return self._incremental_engine(assignment).noise_power(
                 assignment, self.method, output=self.output, confidence=self.confidence
             )
         except (DomainError, DivisionByZeroIntervalError):
-            raise  # candidate-level infeasibility, judged by _analyze
-        except ReproError as exc:
-            if not self.engine_fallback:
-                raise
-            self._degrade("incremental", "fresh", exc)
-            state.incremental = None
-            return self._analyze_fresh(assignment)
+            return float("inf")
 
     def _incremental_engine(self, assignment: WordLengthAssignment):
         """The search's one :class:`IncrementalAnalyzer`, built from ``assignment`` on first use.
@@ -435,39 +429,28 @@ class OptimizationProblem:
             )
         return state.incremental
 
-    def _analyze_fresh(self, assignment: WordLengthAssignment) -> float:
-        analyzer = DatapathNoiseAnalyzer(
-            self.graph,
-            assignment,
-            self.input_ranges,
-            horizon=self.horizon,
-            bins=self.bins,
-        )
-        if self.confidence is None:
-            report = analyzer.analyze(self.method, output=self.output, contributions=False)
-            return report.noise_power
-        target = analyzer._resolve_output(self.output)
-        _values, errors, _context = analyzer._propagate(
-            propagation_algebra(self.method), target
-        )
-        return analyzer.effective_noise_power(self.method, errors[target], self.confidence)
+    def _degrade(self, stage: str, exc: Exception) -> None:
+        """Move a ``batched`` problem and its views onto incremental, logging why.
 
-    def _degrade(self, stage: str, to_engine: str, exc: Exception) -> None:
-        """Record one engine fallback and switch the problem and its views onto it."""
+        A no-op once the problem is off the batched engine (or never on
+        it), so each search records at most one degradation.
+        """
         # Local import: repro.analysis imports repro.optimize at module
         # scope (pipeline wiring); importing back lazily avoids the cycle.
         from repro.analysis.degradation import DegradationEvent
 
         state = self._state
+        if state.engine != "batched":
+            return
         state.degradations.append(
             DegradationEvent(
                 stage=stage,
-                from_engine=state.engine,
-                to_engine=to_engine,
+                from_engine="batched",
+                to_engine="incremental",
                 reason=f"{type(exc).__name__}: {exc}",
             )
         )
-        state.engine = to_engine
+        state.engine = "incremental"
 
     def notify_accepted(self, assignment: WordLengthAssignment) -> None:
         """Tell the evaluator that ``assignment`` is the search's new current design.
@@ -522,8 +505,7 @@ class OptimizationProblem:
             except ReproError as exc:
                 if not self.engine_fallback:
                     raise
-                if state.engine == "batched":
-                    self._degrade("batched-compile", "incremental", exc)
+                self._degrade("batched-compile", exc)
                 if isinstance(exc, NoiseModelError):
                     raise
                 raise NoiseModelError(
@@ -574,8 +556,7 @@ class OptimizationProblem:
         except ReproError as exc:
             if not degradable:
                 raise
-            if state.engine == "batched":
-                self._degrade("batched-price", "incremental", exc)
+            self._degrade("batched-price", exc)
             return None
 
     @property

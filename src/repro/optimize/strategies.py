@@ -28,10 +28,11 @@ its contract: it prices *every* unblocked one-bit shave in a single
 vectorized pass (:meth:`OptimizationProblem.price_moves`) and ranks by
 **exact** noise added instead of the adjoint-gain estimate.  Accepted
 designs are always confirmed through :meth:`OptimizationProblem.evaluate`,
-so traces and results stay grounded in the same evaluator as the scalar
-engines.  Strategies follow :attr:`OptimizationProblem.engine`; whether a
-broken batched engine degrades to the incremental path or aborts the
-search is the problem's decision (``engine_fallback``).
+the one candidate evaluator (the problem's incremental engine), so
+traces and results stay grounded in it whichever engine ranked them.
+Strategies follow :attr:`OptimizationProblem.engine`; whether a broken
+batched engine degrades to the incremental path or aborts the search is
+the problem's decision (``engine_fallback``).
 
 Every strategy also accepts a ``warm_start`` assignment — Pareto sweeps
 hand the previous floor's solution to the next one so most of the

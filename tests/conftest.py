@@ -8,10 +8,14 @@ property-based suites: ``test_differential`` asserts the enclosure
 hierarchy on hundreds of generated graphs, while ``test_incremental``
 and ``test_evaluate_cache`` fuzz their equivalence properties over
 generated graphs instead of only the hand-written benchmark library.
+
+:func:`reference_noise` is the from-scratch evaluator those suites hold
+``OptimizationProblem.evaluate`` to with ``==``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from pathlib import Path
@@ -27,7 +31,11 @@ from repro.dfg.range_analysis import infer_ranges  # noqa: E402
 from repro.dfg.trace import TracedCircuit, mux  # noqa: E402
 from repro.errors import DivisionByZeroIntervalError, DomainError  # noqa: E402
 from repro.intervals.interval import Interval  # noqa: E402
-from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer  # noqa: E402
+from repro.noisemodel.analyzer import (  # noqa: E402
+    ANALYSIS_METHODS,
+    DatapathNoiseAnalyzer,
+    propagation_algebra,
+)
 from repro.noisemodel.assignment import (  # noqa: E402
     WordLengthAssignment,
     ensure_range_coverage,
@@ -227,3 +235,31 @@ def random_circuit_factory():
         return cache[key]
 
     return factory
+
+
+def reference_noise(problem, assignment) -> float:
+    """From-scratch noise power of ``assignment`` under ``problem``'s settings.
+
+    Builds a new :class:`DatapathNoiseAnalyzer` per call, so nothing is
+    shared with the problem's incremental engine.  A domain error reads
+    as ``inf`` (the problem's infeasibility convention), and a
+    ``confidence`` problem is read through ``effective_noise_power``.
+    """
+    analyzer = DatapathNoiseAnalyzer(
+        problem.graph,
+        assignment,
+        problem.input_ranges,
+        horizon=problem.horizon,
+        bins=problem.bins,
+    )
+    try:
+        if problem.confidence is None:
+            report = analyzer.analyze(problem.method, output=problem.output, contributions=False)
+            return report.noise_power
+        target = analyzer._resolve_output(problem.output)
+        _values, errors, _context = analyzer._propagate(
+            propagation_algebra(problem.method), target
+        )
+        return analyzer.effective_noise_power(problem.method, errors[target], problem.confidence)
+    except (DomainError, DivisionByZeroIntervalError):
+        return math.inf

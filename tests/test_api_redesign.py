@@ -7,8 +7,8 @@ contracts interlock:
   :class:`~repro.config.OptimizeConfig` objects, the only way to
   configure the public entry points;
 * the :class:`~repro.analysis.batched.BatchedAnalyzer` — whole-graph
-  vectorized pricing that must be **bit-equal** to the fresh and
-  incremental engines (for IA through the compiled vector program,
+  vectorized pricing that must be **bit-equal** to the from-scratch
+  analyzer and the incremental engine (for IA through the compiled vector program,
   for every other method through incremental probes);
 * one-call Pareto sweeps (:func:`~repro.optimize.pareto.pareto_front`)
   whose curves are monotone by construction;
@@ -207,10 +207,10 @@ def test_batched_greedy_never_worse_than_incremental():
 def test_configs_are_frozen_and_validated():
     with pytest.raises(Exception):
         AnalysisConfig(word_length=12).word_length = 16  # type: ignore[misc]
-    for bad in ({"engine": "warp"}, {"bins": 0}, {"snr_floor_db": math.nan}):
+    for bad in ({"engine": "warp"}, {"engine": "fresh"}, {"bins": 0}, {"snr_floor_db": math.nan}):
         with pytest.raises(OptimizationError):
             OptimizeConfig(**bad)
-    assert set(ENGINES) == {"fresh", "incremental", "batched"}
+    assert set(ENGINES) == {"incremental", "batched"}
     assert OptimizeConfig().replace(engine="batched").engine == "batched"
 
 

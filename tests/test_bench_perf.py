@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.benchmarks.bench_perf import DEFAULTS, run_perf_benchmarks
 from repro.benchmarks.compare_bench import compare_documents
 
@@ -28,6 +30,7 @@ def test_document_shape_and_equivalence_gate():
         assert set(entry["results"]) == {"ia", "sna"}
         for row in entry["results"].values():
             assert row["equivalent"] is True
+            assert row["trajectory_ok"] is True
             assert row["max_rel_err"] == 0.0
             assert row["probes"] > 0
             assert row["runtime_s"] > 0.0
@@ -38,10 +41,33 @@ def test_document_shape_and_equivalence_gate():
         assert entry["enclosure"] == {"ia": True, "sna": True}
         assert entry["inner_loop_method"] in ("ia", "sna")
         assert entry["inner_loop_method_cpu"] in ("ia", "sna")
-        for e2e in entry["greedy_end_to_end"].values():
-            assert e2e["incremental_s"] > 0.0 and e2e["full_s"] > 0.0
     assert document["circuits"]["fft_butterfly"]["gated"] is True
     assert document["circuits"]["quadratic"]["gated"] is False
+
+
+def test_trajectory_gate_catches_a_one_ulp_evaluation_drift(monkeypatch):
+    """Every greedy candidate's evaluation is replayed from scratch with ``==``."""
+    from repro.analysis.incremental import IncrementalAnalyzer
+
+    real = IncrementalAnalyzer.noise_power
+
+    def nudged(self, *args, **kwargs):
+        return math.nextafter(real(self, *args, **kwargs), math.inf)
+
+    monkeypatch.setattr(IncrementalAnalyzer, "noise_power", nudged)
+    document = run_perf_benchmarks(
+        DEFAULTS.replace(horizon=3, bins=8),
+        circuits=["fft_butterfly"],
+        methods=("ia",),
+        reps=1,
+        equiv_trials=2,
+        min_speedup=0.0,
+    )
+    row = document["circuits"]["fft_butterfly"]["results"]["ia"]
+    assert row["trajectory_ok"] is False
+    assert row["equivalent"] is False
+    assert document["equivalence_ok"] is False
+    assert document["passed"] is False
 
 
 def test_cpu_gate_metric():

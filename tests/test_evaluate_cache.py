@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import reference_noise
 from repro.benchmarks.circuits import get_circuit
 from repro.config import OptimizeConfig
 from repro.dfg.range_analysis import infer_ranges
+from repro.errors import OptimizationError
+from repro.fixedpoint.format import OverflowMode, QuantizationMode
 from repro.noisemodel.assignment import WordLengthAssignment
 from repro.optimize import OptimizationProblem, get_optimizer
 
@@ -43,8 +46,6 @@ class TestAssignmentKey:
             node, assignment.format_of(node).fractional_bits - 1
         )
         assert assignment.key() != shaved.key()
-        from repro.fixedpoint.format import QuantizationMode
-
         truncated = WordLengthAssignment(
             dict(assignment.formats), QuantizationMode.TRUNCATE, assignment.overflow
         )
@@ -86,56 +87,120 @@ class TestEvaluateMemoization:
         assert problem.analysis_time_s > 0.0
 
 
+def assert_trajectory_matches_reference(problem):
+    """Every candidate the search evaluated equals the from-scratch reference."""
+    assert problem.analysis_log, "the search evaluated nothing"
+    for assignment in problem.analysis_log:
+        evaluation = problem.evaluate(assignment)
+        assert evaluation.noise_power == reference_noise(problem, assignment), assignment.key()
+
+
 class TestEvaluatorEquivalence:
+    """Searches on the incremental engine evaluate what a from-scratch analyzer would.
+
+    Each search logs every candidate it analyzes; every logged
+    candidate's evaluation must equal :func:`reference_noise` with
+    ``==``.  The same evaluation sequence means the same search, so the
+    whole trajectory is the one the from-scratch evaluator would take.
+    """
+
     @pytest.mark.parametrize("circuit_name", ["poly3", "fft_butterfly", "iir_biquad"])
-    @pytest.mark.parametrize("method", ["ia", "aa", "sna"])
+    @pytest.mark.parametrize("method", ["ia", "aa", "sna", "pna@0.999", "aa@1.0"])
     def test_incremental_and_legacy_paths_agree(self, circuit_name, method):
-        results = {}
-        for engine in ("incremental", "fresh"):
-            problem = make_problem(circuit_name, method=method, engine=engine)
-            result = get_optimizer("greedy").optimize(problem)
-            assert result.feasible
-            results[engine] = result
-        incremental, legacy = results["incremental"], results["fresh"]
-        assert incremental.cost == legacy.cost
-        assert incremental.snr_db == pytest.approx(legacy.snr_db, rel=1e-9)
-        assert incremental.assignment.key() == legacy.assignment.key()
+        method, _, confidence = method.partition("@")
+        problem = make_problem(
+            circuit_name, method=method, confidence=float(confidence) if confidence else None
+        )
+        problem.analysis_log = []
+        result = get_optimizer("greedy").optimize(problem)
+        assert result.feasible
+        assert_trajectory_matches_reference(problem)
 
     def test_annealing_deterministic_across_evaluators(self):
-        first = get_optimizer("anneal", iterations=40, seed=7).optimize(make_problem())
-        second = get_optimizer("anneal", iterations=40, seed=7).optimize(
-            make_problem(engine="fresh")
-        )
-        assert first.cost == pytest.approx(second.cost)
+        results = []
+        for _ in range(2):
+            problem = make_problem()
+            problem.analysis_log = []
+            results.append(get_optimizer("anneal", iterations=40, seed=7).optimize(problem))
+            assert_trajectory_matches_reference(problem)
+        first, second = results
+        assert first.cost == second.cost
         assert first.assignment.key() == second.assignment.key()
 
     @pytest.mark.parametrize("method", ["ia", "sna"])
     def test_evaluator_paths_agree_on_generated_graphs(self, method, random_circuit_factory):
-        """Optimizer equivalence fuzzed over generated circuits.
+        """Trajectory equivalence fuzzed over generated circuits.
 
         Generated graphs exercise the nonlinear operator rules (and the
-        domain-error-means-infeasible handling) through the memoized
-        incremental evaluator and the from-scratch one alike.
+        domain-error-means-infeasible handling) through the incremental
+        evaluator and the from-scratch reference alike.
         """
         for seed in (2001, 2002, 2003):
-            circuit = random_circuit_factory(seed)
-            results = {}
-            for engine in ("incremental", "fresh"):
-                problem = OptimizationProblem.from_circuit(
-                    circuit,
-                    FLOOR,
-                    config=OptimizeConfig(
-                        snr_floor_db=FLOOR,
-                        method=method,
-                        horizon=4,
-                        bins=8,
-                        margin_db=1.0,
-                        engine=engine,
-                    ),
-                )
-                results[engine] = get_optimizer("greedy").optimize(problem)
-            incremental, legacy = results["incremental"], results["fresh"]
-            assert incremental.feasible == legacy.feasible
-            if incremental.feasible:
-                assert incremental.cost == legacy.cost
-                assert incremental.assignment.key() == legacy.assignment.key()
+            problem = OptimizationProblem.from_circuit(
+                random_circuit_factory(seed),
+                FLOOR,
+                config=OptimizeConfig(
+                    snr_floor_db=FLOOR, method=method, horizon=4, bins=8, margin_db=1.0
+                ),
+            )
+            problem.analysis_log = []
+            get_optimizer("greedy").optimize(problem)
+            assert_trajectory_matches_reference(problem)
+
+
+def with_modes(assignment, quantization=None, overflow=None):
+    return WordLengthAssignment(
+        dict(assignment.formats),
+        quantization or assignment.quantization,
+        overflow or assignment.overflow,
+    )
+
+
+class TestForeignModes:
+    """``evaluate`` rejects assignments whose modes differ from the problem's.
+
+    The one incremental engine is built for the problem's quantization
+    and overflow modes, so a foreign-mode candidate is a caller error,
+    raised before the cache lookup and before any engine is built.
+    """
+
+    @pytest.mark.parametrize(
+        "modes",
+        [{"quantization": QuantizationMode.TRUNCATE}, {"overflow": OverflowMode.WRAP}],
+        ids=["truncate", "wrap"],
+    )
+    def test_evaluate_raises_on_foreign_modes(self, modes):
+        problem = make_problem("fir4", method="ia")
+        design = problem.uniform(12)
+        problem.evaluate(design)
+        calls = problem.analyzer_calls
+        foreign = with_modes(design, **modes)
+        with pytest.raises(OptimizationError, match="modes"):
+            problem.evaluate(foreign)
+        assert problem.analyzer_calls == calls
+        assert problem.degradations == []
+        assert problem.engine == "incremental"
+
+    @pytest.mark.parametrize("strategy", ["greedy", "anneal"])
+    def test_truncate_warm_start_raises(self, strategy):
+        problem = make_problem("fir4", method="ia")
+        warm = with_modes(problem.uniform(14), QuantizationMode.TRUNCATE)
+        with pytest.raises(OptimizationError, match="modes"):
+            get_optimizer(strategy).optimize(problem, warm_start=warm)
+        assert problem.degradations == []
+
+    def test_foreign_first_evaluation_builds_no_engine(self):
+        problem = make_problem("fir4", method="ia")
+        design = problem.uniform(12)
+        with pytest.raises(OptimizationError):
+            problem.evaluate(with_modes(design, QuantizationMode.TRUNCATE))
+        assert problem._state.incremental is None
+        assert problem.evaluate(design).noise_power == reference_noise(problem, design)
+
+    def test_problem_modes_come_from_the_config(self):
+        problem = make_problem("fir4", method="ia", quantization="truncate")
+        design = problem.uniform(12)
+        assert design.quantization is QuantizationMode.TRUNCATE
+        assert problem.evaluate(design).noise_power == reference_noise(problem, design)
+        with pytest.raises(OptimizationError):
+            problem.evaluate(with_modes(design, QuantizationMode.ROUND))

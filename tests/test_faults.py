@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from conftest import reference_noise
 from repro.benchmarks.bench_optimize import DEFAULTS, run_optimize_benchmarks
 from repro.benchmarks.compare_bench import strip_execution_counters
 from repro.config import AnalysisConfig, OptimizeConfig
@@ -401,37 +402,33 @@ def test_resumed_pareto_keeps_floors_closer_than_six_digits(tmp_path):
 # engine degradation
 # --------------------------------------------------------------------- #
 class TestEngineDegradation:
-    def test_incremental_failure_degrades_to_fresh(self, monkeypatch):
-        from repro.analysis.incremental import IncrementalAnalyzer
+    @pytest.mark.parametrize("engine_fallback", [True, False], ids=["fallback", "no-fallback"])
+    def test_incremental_failure_raises(self, monkeypatch, engine_fallback):
+        """The incremental engine is the one evaluator: its failures propagate.
 
-        problem = _make_problem()
-        reference = _make_problem().evaluate_uniform(12)
-
-        def _broken(self, *args, **kwargs):
-            raise DFGError("synthetic incremental-engine failure")
-
-        monkeypatch.setattr(IncrementalAnalyzer, "noise_power", _broken)
-        evaluation = problem.evaluate_uniform(12)
-        assert evaluation.noise_power == reference.noise_power
-        assert problem.engine == "fresh"
-        stages = [event.stage for event in problem.degradations]
-        assert "incremental" in stages
-
-    def test_incremental_failure_without_fallback_raises(self, monkeypatch):
+        ``engine_fallback`` governs only batched -> incremental, so there
+        is no rung below and nothing to record; once the fault is gone
+        the same problem evaluates exactly again.
+        """
         from repro.analysis.incremental import IncrementalAnalyzer
         from repro.benchmarks.circuits import get_circuit
         from repro.optimize import OptimizationProblem
 
         problem = OptimizationProblem.from_circuit(
-            get_circuit("fir4"), 55.0, config=OptimizeConfig(engine_fallback=False)
+            get_circuit("fir4"), 55.0, config=OptimizeConfig(engine_fallback=engine_fallback)
         )
 
         def _broken(self, *args, **kwargs):
             raise DFGError("synthetic incremental-engine failure")
 
-        monkeypatch.setattr(IncrementalAnalyzer, "noise_power", _broken)
-        with pytest.raises(ReproError):
-            problem.evaluate_uniform(12)
+        with monkeypatch.context() as patch:
+            patch.setattr(IncrementalAnalyzer, "noise_power", _broken)
+            with pytest.raises(DFGError, match="synthetic incremental-engine failure"):
+                problem.evaluate_uniform(12)
+        assert problem.degradations == []
+        assert problem.engine == "incremental"
+        design = problem.uniform(12)
+        assert problem.evaluate_uniform(12).noise_power == reference_noise(problem, design)
 
     def test_batched_compile_failure_degrades_to_incremental(self, monkeypatch):
         import repro.analysis.batched as batched_module

@@ -24,6 +24,7 @@ import pytest
 
 import repro.analysis.batched as batched_module
 import repro.analysis.incremental as incremental_module
+from conftest import reference_noise
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.config import OptimizeConfig
@@ -170,16 +171,6 @@ def test_probe_from_committed_design_recomputes_only_its_cone(circuit_name):
         assert recomputed == len(engine.cone_of(node, target)), node
 
 
-def fresh_noise(problem, assignment):
-    analyzer = DatapathNoiseAnalyzer(
-        problem.graph, assignment, problem.input_ranges, horizon=HORIZON, bins=BINS
-    )
-    try:
-        return analyzer.analyze(problem.method, output=problem.output).noise_power
-    except (DomainError, DivisionByZeroIntervalError):
-        return math.inf
-
-
 def test_shared_engine_failure_degrades_once_and_stays_exact(monkeypatch):
     problem = make_problem("iir_biquad")
     problem.analysis_log = []
@@ -216,7 +207,7 @@ def test_shared_engine_failure_degrades_once_and_stays_exact(monkeypatch):
     evaluations = problem._state.evaluations
     assert len(problem.analysis_log) > 25
     for assignment in problem.analysis_log:
-        assert evaluations[assignment.key()].noise_power == fresh_noise(problem, assignment)
+        assert evaluations[assignment.key()].noise_power == reference_noise(problem, assignment)
 
 
 def design_digest(result):
