@@ -1,21 +1,23 @@
 """Whole-graph vectorized candidate pricing with a leading batch axis.
 
-:class:`BatchedAnalyzer` compiles an (unrolled) dataflow graph into a
-straight-line NumPy program once per analyzed output, then prices *n*
-candidate word-length assignments in one array pass: every propagated
-error interval becomes a pair of ``(n,)`` endpoint arrays, and every IA
-propagation rule of :class:`~repro.noisemodel.analyzer.DatapathNoiseAnalyzer`
-becomes a handful of elementwise array operations.  One call to
-:meth:`price` replaces *n* per-node Python dispatch sweeps — the
-word-length optimizer's greedy inner loop prices every candidate shave
-at once, and annealing can run many chains against one program.
+:class:`BatchedAnalyzer` is the compiled-IA kernel of one
+:class:`~repro.analysis.incremental.IncrementalAnalyzer`.  It compiles
+that engine's (unrolled) dataflow graph into a straight-line NumPy
+program once per analyzed output, then prices *n* single-node
+word-length moves in one array pass: every propagated error interval
+becomes a pair of ``(n,)`` endpoint arrays, and every IA propagation rule
+of :class:`~repro.noisemodel.analyzer.DatapathNoiseAnalyzer` becomes a
+handful of elementwise array operations.  One call to
+:meth:`~BatchedAnalyzer.price_moves` replaces *n* cone re-propagations —
+the word-length optimizer's greedy inner loop prices every candidate
+shave at once.
 
 Bit-equivalence contract
 ------------------------
 The compiled program reproduces the scalar ``ia`` engine *exactly*:
 
-* Value enclosures never depend on the assignment, so they are computed
-  once with the scalar engine and baked into the program as constants.
+* Value enclosures never depend on the assignment, so the program bakes
+  in the engine's own IA value sweep as constants.
 * Every error rule is evaluated with the same float operations in the
   same order as the scalar rule, so each batch lane carries the same
   endpoints the scalar analyzer would produce for that candidate (up to
@@ -28,17 +30,17 @@ The compiled program reproduces the scalar ``ia`` engine *exactly*:
   swallowing zero, ``sqrt``/``log`` crossing the boundary) is priced at
   ``inf`` — the same verdict :meth:`OptimizationProblem._analyze` gives
   when the scalar engine raises — and its arrays are sanitized so the
-  garbage cannot leak into other lanes.
+  garbage cannot leak into other lanes.  A value sweep that already
+  violates a premise prices every lane ``inf``.
 
 Methods other than ``ia`` (``aa`` / ``taylor`` / ``sna`` / ``pna``), and
 every ``confidence`` batch, carry state that does not vectorize into
-endpoint arrays; for them :meth:`price` falls back to per-candidate
-probes of an :class:`~repro.analysis.incremental.IncrementalAnalyzer`,
-which reproduces a from-scratch analysis exactly, so callers can use one
-engine object regardless of method.  An optimization problem hands its
-own search engine in (``engine=``): the search commits each accepted
-design to it, so every probe re-propagates only its own move's cone.  A
-standalone analyzer builds a private engine on first use.
+endpoint arrays; for them :meth:`~BatchedAnalyzer.price_moves` probes the
+same incremental engine once per lane, which reproduces a from-scratch
+analysis exactly, so callers use one object regardless of method.  An
+optimization problem builds its kernel over its own search engine, which
+the search commits after each accepted design, so every probe
+re-propagates only its own move's cone.
 """
 
 from __future__ import annotations
@@ -48,15 +50,14 @@ from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.dfg.graph import DFG
 from repro.dfg.node import OpType
 from repro.dfg.unroll import base_name as _base_name
 from repro.errors import DivisionByZeroIntervalError, DomainError, NoiseModelError
 from repro.fixedpoint.format import QuantizationMode
 from repro.fixedpoint.quantize import quantize
 from repro.intervals.interval import Interval
-from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer
-from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
+from repro.noisemodel.analyzer import ANALYSIS_METHODS
+from repro.noisemodel.assignment import WordLengthAssignment
 
 __all__ = ["BatchedAnalyzer"]
 
@@ -161,63 +162,29 @@ class _Program:
 
 
 class BatchedAnalyzer:
-    """Prices batches of word-length candidates in one vectorized pass.
+    """The compiled-IA pricing kernel of one incremental engine.
 
     Parameters
     ----------
-    graph / assignment / input_ranges / horizon / bins:
-        Exactly as for :class:`DatapathNoiseAnalyzer`; ``assignment`` is
-        the *baseline* design every candidate batch must share format
-        coverage (and quantization/overflow modes) with.
-    method:
-        Default analysis method of :meth:`price` / :meth:`price_moves`.
-        Only ``ia`` runs on the compiled path; other methods fall back
-        to per-candidate incremental probes.
-    ranges:
-        Optional per-node value ranges.  When given, candidates are
-        coverage-widened exactly like
-        :meth:`OptimizationProblem.evaluate` widens them, so batched
-        prices match evaluated prices bit for bit; without ranges the
-        caller must pass pre-widened assignments.
     engine:
-        The :class:`~repro.analysis.incremental.IncrementalAnalyzer` the
-        per-candidate fallback probes (same graph, input ranges, horizon
-        and bins).  Probes never commit; whoever owns the engine does.
-        ``None`` builds a private one on the first fallback probe.
+        The :class:`~repro.analysis.incremental.IncrementalAnalyzer` this
+        kernel compiles from and probes.  The compiler reads its
+        analyzer's working graph, topological order, ancestor closures
+        and source table, and takes value enclosures from the engine's
+        own IA sweep.  Fallback probes never commit; whoever owns the
+        engine does.
+    ranges:
+        Per-node value ranges.  Each move is coverage-widened exactly
+        like :meth:`OptimizationProblem.evaluate` widens a candidate, so
+        batched prices match evaluated prices bit for bit.
     """
 
-    def __init__(
-        self,
-        graph: DFG,
-        assignment: WordLengthAssignment,
-        input_ranges: Mapping[str, Interval],
-        *,
-        horizon: int = 8,
-        bins: int = 32,
-        method: str = "ia",
-        ranges: Mapping[str, Interval] | None = None,
-        engine: Any = None,
-    ) -> None:
-        method = str(method).lower()
-        if method not in ANALYSIS_METHODS:
-            raise NoiseModelError(
-                f"unknown analysis method {method!r}; choose from {ANALYSIS_METHODS}"
-            )
-        self.method = method
-        self.original = graph
-        self.baseline = assignment
-        self.horizon = int(horizon)
-        self.bins = int(bins)
-        self.node_ranges = dict(ranges) if ranges is not None else None
-        self._analyzer = DatapathNoiseAnalyzer(
-            graph, assignment, input_ranges, horizon=horizon, bins=bins
-        )
-        self._format_keys = frozenset(assignment.formats)
-        self._values: Dict[str, Interval] | None = None
-        self._value_failure: Exception | None = None
-        self._programs: Dict[str, _Program] = {}
-        self._residue_cache: Dict[Tuple[str, int, int], float] = {}
+    def __init__(self, engine: Any, ranges: Mapping[str, Interval]) -> None:
         self._engine = engine
+        self._analyzer = engine.analyzer
+        self.node_ranges = dict(ranges)
+        self._programs: Dict[str, _Program] = {}
+        self._residue_cache: Dict[Tuple[str, bool, int, int], float] = {}
         #: Compiled-path invocations (n candidates each) — perf telemetry.
         self.batched_calls = 0
         #: Per-candidate probes routed through the incremental engine: one
@@ -227,67 +194,11 @@ class BatchedAnalyzer:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def price(
-        self,
-        assignments: Sequence[WordLengthAssignment],
-        method: str | None = None,
-        output: str | None = None,
-        confidence: float | None = None,
-    ) -> np.ndarray:
-        """Output noise power of every candidate: ``noise_power[n]``.
-
-        Candidates must share the baseline's format coverage and
-        quantization/overflow modes (a word-length search never changes
-        either).  A candidate that cannot be analyzed — domain violation,
-        or range coverage impossible within the widening cap — prices to
-        ``inf``, the "infeasible, back away" verdict of the scalar path.
-
-        A non-``None`` ``confidence`` switches the priced functional to
-        the confidence-bounded noise measure; the compiled IA program
-        only computes mean-square power, so those batches route through
-        the incremental fallback regardless of method.
-        """
-        method = self.method if method is None else str(method).lower()
-        candidates: List[WordLengthAssignment | None] = []
-        for assignment in assignments:
-            try:
-                candidates.append(self._widen(assignment))
-            except NoiseModelError:
-                candidates.append(None)
-        if method != "ia" or confidence is not None:
-            return self._price_fallback(candidates, method, output, confidence)
-        n = len(candidates)
-        program = self._compile(self._analyzer._resolve_output(output))
-        if program.failed is not None:
-            return np.full(n, np.inf)
-        base_i: Dict[str, np.ndarray] = {}
-        base_f: Dict[str, np.ndarray] = {}
-        for base in self._format_keys:
-            base_i[base] = np.empty(n, dtype=np.int64)
-            base_f[base] = np.empty(n, dtype=np.int64)
-        unpriceable = np.zeros(n, dtype=bool)
-        for j, candidate in enumerate(candidates):
-            if candidate is None:
-                unpriceable[j] = True
-                for base in self._format_keys:
-                    fmt = self.baseline.formats[base]
-                    base_i[base][j] = fmt.integer_bits
-                    base_f[base][j] = fmt.fractional_bits
-                continue
-            self._check_candidate(candidate)
-            for base, fmt in candidate.formats.items():
-                base_i[base][j] = fmt.integer_bits
-                base_f[base][j] = fmt.fractional_bits
-        noise = self._execute(program, base_i, base_f, n)
-        if unpriceable.any():
-            noise = np.where(unpriceable, np.inf, noise)
-        return noise
-
     def price_moves(
         self,
         assignment: WordLengthAssignment,
         moves: Sequence[Tuple[str, int]],
-        method: str | None = None,
+        method: str,
         output: str | None = None,
         confidence: float | None = None,
     ) -> np.ndarray:
@@ -295,10 +206,15 @@ class BatchedAnalyzer:
 
         ``moves`` is a list of ``(node, new_fractional_bits)`` deltas
         against ``assignment`` (which must already be coverage-widened —
-        every ``DesignEvaluation.assignment`` is).  Each move is widened
-        per-node exactly like :func:`ensure_range_coverage` would widen
-        the whole shaved assignment, so lane *k* prices the very design
+        every ``DesignEvaluation.assignment`` is — and carry the engine's
+        quantization and overflow modes).  Each move is widened per-node
+        exactly like :func:`ensure_range_coverage` would widen the whole
+        shaved assignment, so lane *k* prices the very design
         ``evaluate(assignment.with_fractional_bits(*moves[k]))`` analyzes.
+        A lane that cannot be analyzed — a domain violation, a negative
+        fractional-bit count, or a range the widening cap cannot cover —
+        prices ``inf``, the "infeasible, back away" verdict of the
+        scalar path.
 
         This is the greedy inner loop: for ``ia`` arrays stay single-lane
         wherever no move disturbs them, so the pass costs one vectorized
@@ -310,7 +226,13 @@ class BatchedAnalyzer:
         (a problem's engine after ``notify_accepted``) a probe
         re-propagates only its own move's cone.
         """
-        method = self.method if method is None else str(method).lower()
+        engine = self._engine
+        if assignment.quantization is not engine.quantization or (
+            assignment.overflow is not engine.overflow
+        ):
+            raise NoiseModelError(
+                "batched pricing requires the engine's quantization and overflow modes"
+            )
         if method != "ia" or confidence is not None:
             candidates: List[WordLengthAssignment | None] = []
             for node, new_frac in moves:
@@ -344,7 +266,7 @@ class BatchedAnalyzer:
                 base_f[node] = np.repeat(base_f[node], n)
             base_i[node][j] = widened.integer_bits
             base_f[node][j] = widened.fractional_bits
-        noise = self._execute(program, base_i, base_f, n)
+        noise = self._execute(program, assignment, base_i, base_f, n)
         if unpriceable.any():
             noise = np.where(unpriceable, np.inf, noise)
         return noise
@@ -352,15 +274,8 @@ class BatchedAnalyzer:
     # ------------------------------------------------------------------ #
     # candidate plumbing
     # ------------------------------------------------------------------ #
-    def _widen(self, assignment: WordLengthAssignment) -> WordLengthAssignment:
-        if self.node_ranges is None:
-            return assignment
-        return ensure_range_coverage(assignment, self.node_ranges)
-
     def _widen_format(self, node: str, fmt):
         """Per-node replica of the :func:`ensure_range_coverage` loop."""
-        if self.node_ranges is None:
-            return fmt
         interval = self.node_ranges.get(node)
         if interval is None:
             return fmt
@@ -392,52 +307,23 @@ class BatchedAnalyzer:
         except NoiseModelError:
             return None
 
-    def _check_candidate(self, candidate: WordLengthAssignment) -> None:
-        if frozenset(candidate.formats) != self._format_keys:
-            raise NoiseModelError(
-                "batched pricing requires every candidate to format the same node "
-                "set as the baseline assignment"
-            )
-        if (
-            candidate.quantization is not self.baseline.quantization
-            or candidate.overflow is not self.baseline.overflow
-        ):
-            raise NoiseModelError(
-                "batched pricing requires candidates to share the baseline's "
-                "quantization and overflow modes"
-            )
-
     def _price_fallback(
         self,
         candidates: Sequence[WordLengthAssignment | None],
         method: str,
         output: str | None,
-        confidence: float | None = None,
+        confidence: float | None,
     ) -> np.ndarray:
         """Bit-equivalent per-candidate probes through the incremental engine."""
         if method not in ANALYSIS_METHODS:
             raise NoiseModelError(
                 f"unknown analysis method {method!r}; choose from {ANALYSIS_METHODS}"
             )
-        if self._engine is None:
-            # Local import: repro.analysis.incremental imports the analyzer
-            # stack this module also sits on; resolving lazily keeps import
-            # order flexible for callers.
-            from repro.analysis.incremental import IncrementalAnalyzer
-
-            self._engine = IncrementalAnalyzer(
-                self.original,
-                self.baseline,
-                self._analyzer.input_ranges,
-                horizon=self.horizon,
-                bins=self.bins,
-            )
         noise = np.empty(len(candidates))
         for j, candidate in enumerate(candidates):
             if candidate is None:
                 noise[j] = np.inf
                 continue
-            self._check_candidate(candidate)
             self.fallback_probes += 1
             try:
                 noise[j] = self._engine.noise_power(
@@ -450,43 +336,25 @@ class BatchedAnalyzer:
     # ------------------------------------------------------------------ #
     # compilation
     # ------------------------------------------------------------------ #
-    def _value_sweep(self) -> Dict[str, Interval]:
-        """Scalar IA value enclosures of every instance (assignment-free)."""
-        if self._value_failure is not None:
-            raise self._value_failure
-        if self._values is None:
-            analyzer = self._analyzer
-            values: Dict[str, Interval] = {}
-            try:
-                for name in analyzer.topo_order:
-                    node = analyzer.graph.node(name)
-                    values[name] = analyzer._value_of("ia", name, node, values, None)
-            except (DomainError, DivisionByZeroIntervalError) as exc:
-                self._value_failure = exc
-                raise
-            self._values = values
-        return self._values
-
     def _compile(self, target: str) -> _Program:
         program = self._programs.get(target)
         if program is None:
             try:
-                values = self._value_sweep()
+                values = self._engine._values_of("ia")
             except (DomainError, DivisionByZeroIntervalError) as exc:
                 program = _Program(target, [], failed=exc)
-                self._programs[target] = program
-                return program
-            analyzer = self._analyzer
-            closure = analyzer._ancestor_closure(target)
-            steps = []
-            for name in analyzer.topo_order:
-                if name not in closure:
-                    continue
-                node = analyzer.graph.node(name)
-                source = analyzer._sources_by_node.get(name)
-                source_base = _base_name(name) if source is not None else None
-                steps.append((name, source_base, self._compile_step(node, values)))
-            program = _Program(target, steps)
+            else:
+                analyzer = self._analyzer
+                closure = analyzer._ancestor_closure(target)
+                sources = analyzer._sources_by_node
+                steps = []
+                for name in analyzer.topo_order:
+                    if name not in closure:
+                        continue
+                    source_base = _base_name(name) if name in sources else None
+                    node = analyzer.graph.node(name)
+                    steps.append((name, source_base, self._compile_step(node, values)))
+                program = _Program(target, steps)
             self._programs[target] = program
         return program
 
@@ -754,20 +622,23 @@ class BatchedAnalyzer:
     def _own_error_arrays(
         self,
         program: _Program,
+        assignment: WordLengthAssignment,
         base_i: Mapping[str, np.ndarray],
         base_f: Mapping[str, np.ndarray],
     ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
         """Per-candidate quantization-error intervals of every source base.
 
         Non-constant sources depend only on the fractional bits (and the
-        quantization mode); constant sources carry their deterministic
-        rounding residue, which also depends on the integer bits through
-        saturation — those go through the scalar :func:`quantize` with a
-        per-``(node, i, f)`` cache, so repeated formats cost a dict hit.
+        engine's quantization mode); constant sources carry their
+        deterministic rounding residue, which also depends on the integer
+        bits through saturation and on the signedness of the format
+        ``assignment`` gives them — those go through the scalar
+        :func:`quantize` with a per-``(node, signed, i, f)`` cache, so
+        repeated formats cost a dict hit.
         """
-        graph = self.original
-        quantization = self.baseline.quantization
-        overflow = self.baseline.overflow
+        graph = self._analyzer.original
+        quantization = self._engine.quantization
+        overflow = self._engine.overflow
         rounding = quantization is QuantizationMode.ROUND
         own: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         needed = {source_base for _name, source_base, _fn in program.steps if source_base}
@@ -777,14 +648,14 @@ class BatchedAnalyzer:
             f_arr = base_f[base]
             if node.op is OpType.CONST:
                 value = float(node.value)
+                fmt = assignment.formats[base]
                 residues = np.empty(f_arr.shape[0])
                 for j in range(f_arr.shape[0]):
-                    key = (base, int(i_arr[j]), int(f_arr[j]))
+                    key = (base, fmt.signed, int(i_arr[j]), int(f_arr[j]))
                     residue = self._residue_cache.get(key)
                     if residue is None:
-                        fmt = self.baseline.formats[base]
-                        fmt = fmt.with_integer_bits(key[1]).with_fractional_bits(key[2])
-                        residue = quantize(value, fmt, quantization, overflow) - value
+                        lane_fmt = fmt.with_integer_bits(key[2]).with_fractional_bits(key[3])
+                        residue = quantize(value, lane_fmt, quantization, overflow) - value
                         self._residue_cache[key] = residue
                     residues[j] = residue
                 own[base] = (residues, residues)
@@ -799,12 +670,13 @@ class BatchedAnalyzer:
     def _execute(
         self,
         program: _Program,
+        assignment: WordLengthAssignment,
         base_i: Mapping[str, np.ndarray],
         base_f: Mapping[str, np.ndarray],
         n: int,
     ) -> np.ndarray:
         self.batched_calls += 1
-        own = self._own_error_arrays(program, base_i, base_f)
+        own = self._own_error_arrays(program, assignment, base_i, base_f)
         ctx = _Context(n)
         false = ctx.false
         E: Dict[str, _Err] = {}

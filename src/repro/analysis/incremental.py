@@ -68,19 +68,15 @@ AUTO_COMMIT_AFTER = 8
 class IncrementalStats:
     """Bookkeeping of how much work the incremental engine actually did.
 
-    ``last_recomputed`` is the tuple of working-graph node names whose
-    error was re-propagated by the most recent
+    ``nodes_recomputed`` counts the node errors re-propagated by cone
+    updates.  ``last_recomputed`` is the tuple of working-graph node
+    names whose error was re-propagated by the most recent
     :meth:`IncrementalAnalyzer.analyze` call — the cone-of-influence
     property tests assert it never leaves the true downstream cone of
     the perturbed nodes.
     """
 
-    analyses: int = 0
-    full_propagations: int = 0
-    incremental_updates: int = 0
-    commits: int = 0
     nodes_recomputed: int = 0
-    cache_reuses: int = 0
     last_recomputed: Tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -150,8 +146,9 @@ class IncrementalAnalyzer:
             self._no_effect_bases = frozenset(
                 base for base in unrolled.instances if base not in self._instances
             )
-        self._quantization = assignment.quantization
-        self._overflow = assignment.overflow
+        #: The fixed modes every analyzed assignment must carry.
+        self.quantization = assignment.quantization
+        self.overflow = assignment.overflow
         #: Original-node formats the analyzer's sources currently reflect.
         self._source_formats: Dict[str, Any] = dict(assignment.formats)
         #: The formats dict object last synced — accept-after-probe passes
@@ -245,8 +242,8 @@ class IncrementalAnalyzer:
     def _sync_sources(self, assignment: WordLengthAssignment) -> None:
         """Point the analyzer's quantization sources at ``assignment``."""
         if (
-            assignment.quantization is not self._quantization
-            or assignment.overflow is not self._overflow
+            assignment.quantization is not self.quantization
+            or assignment.overflow is not self.overflow
         ):
             raise NoiseModelError(
                 "incremental analysis requires fixed quantization/overflow modes; "
@@ -272,7 +269,7 @@ class IncrementalAnalyzer:
                 source = self._source_cache.get(key)
                 if source is None:
                     source = source_for_node(
-                        graph.node(inst), fmt, self._quantization, self._overflow
+                        graph.node(inst), fmt, self.quantization, self.overflow
                     )
                     self._source_cache[key] = source
                 by_node[inst] = source
@@ -326,7 +323,6 @@ class IncrementalAnalyzer:
                 )
             state = _TargetState(errors, dict(assignment.formats))
             self._states[state_key] = state
-            self.stats.full_propagations += 1
             self.stats.last_recomputed = tuple(schedule)
             return state.errors
 
@@ -344,13 +340,11 @@ class IncrementalAnalyzer:
                 self._pending_overlay = None
                 state.errors.update(pending[2])
                 state.formats = dict(assignment.formats)
-                self.stats.commits += 1
                 self.stats.last_recomputed = ()
                 return state.errors
 
         stale = changed_formats(assignment.formats, state.formats)
         if not stale:
-            self.stats.cache_reuses += 1
             self.stats.last_recomputed = ()
             return state.errors
 
@@ -371,7 +365,6 @@ class IncrementalAnalyzer:
         if committing:
             errors = state.errors
             state.formats = dict(assignment.formats)
-            self.stats.commits += 1
         else:
             errors = ChainMap({}, state.errors)
         try:
@@ -395,7 +388,6 @@ class IncrementalAnalyzer:
                 errors.maps[0],
                 state.formats,
             )
-        self.stats.incremental_updates += 1
         self.stats.nodes_recomputed += len(order)
         self.stats.last_recomputed = tuple(order)
         return errors
@@ -426,7 +418,6 @@ class IncrementalAnalyzer:
             )
         analyzer = self.analyzer
         target = analyzer._resolve_output(output)
-        self.stats.analyses += 1
         # The probabilistic method rides the AA propagation rules and
         # caches (state keys are per *algebra*, so "pna" and "aa" probes
         # share cones); only the report/noise-measure stage differs.
@@ -453,7 +444,6 @@ class IncrementalAnalyzer:
         """
         analyzer = self.analyzer
         target = analyzer._resolve_output(output)
-        self.stats.analyses += 1
         errors = self._update(assignment, propagation_algebra(method), target, commit)
         return analyzer.effective_noise_power(method, errors[target], confidence)
 

@@ -19,11 +19,13 @@ Measures, per circuit x analysis method:
   problem's evaluation of that candidate exactly (``trajectory_ok``,
   folded into ``equivalent``): the same evaluation sequence means the
   search is the one a from-scratch evaluator would have run;
-* **batched equivalence** — the same perturbations priced in one
-  :class:`~repro.analysis.batched.BatchedAnalyzer` array pass vs the
-  from-scratch report.  IA compiles to the vectorized program, other
-  methods route through incremental probes; both must match
-  **exactly** (relative error 0);
+* **batched equivalence** — each of the same perturbations is the base
+  of one ``price_moves`` call of the problem's
+  :class:`~repro.analysis.batched.BatchedAnalyzer`, whose lanes are
+  one-bit shaves of up to 3 seeded nodes; every lane is compared with
+  the from-scratch report of its design.  IA compiles to the vectorized
+  program, other methods route through incremental probes; both must
+  match **exactly** (relative error 0);
 * **batched greedy inner-loop speedup** (IA only — the method with a
   compiled vector path) — the batched greedy descent is run while
   logging every ``price_moves`` sweep; the logged sweeps are then
@@ -72,7 +74,6 @@ import random
 import time
 from typing import Any, Sequence
 
-from repro.analysis.batched import BatchedAnalyzer
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.benchmarks.runner_options import (
@@ -89,7 +90,7 @@ from repro.benchmarks.runner_options import (
     write_document,
 )
 from repro.config import OptimizeConfig
-from repro.errors import NoiseModelError
+from repro.errors import DivisionByZeroIntervalError, DomainError, NoiseModelError
 from repro.jobs import JobCheckpoint, JobRunner, JobSpec, derive_seed
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer
 from repro.noisemodel.assignment import ensure_range_coverage
@@ -149,18 +150,43 @@ def _perturbations(problem: OptimizationProblem, trials: int, seed: int) -> list
     return candidates
 
 
+def _shave_moves(candidate, rng: random.Random) -> list:
+    """One-bit shaves of up to 3 seeded nodes that still have a fractional bit."""
+    nodes = sorted(node for node, fmt in candidate.formats.items() if fmt.fractional_bits > 0)
+    return [
+        (node, candidate.format_of(node).fractional_bits - 1)
+        for node in rng.sample(nodes, min(3, len(nodes)))
+    ]
+
+
+def _from_scratch_noise(problem: OptimizationProblem, assignment, method: str) -> float:
+    """From-scratch noise power of one design, ``inf`` where it cannot be analyzed."""
+    try:
+        return DatapathNoiseAnalyzer(
+            problem.graph,
+            ensure_range_coverage(assignment, problem.ranges),
+            problem.input_ranges,
+            horizon=problem.horizon,
+            bins=problem.bins,
+        ).analyze(method, output=problem.output).noise_power
+    except (NoiseModelError, DomainError, DivisionByZeroIntervalError):
+        return float("inf")
+
+
 def _check_equivalence(
     problem: OptimizationProblem, method: str, trials: int, seed: int
 ) -> tuple[bool, float, bool, float]:
     """Incremental and batched engines vs from-scratch reports.
 
-    The same random perturbations are analyzed three ways: by the
-    incremental engine (field-by-field comparison against the
-    from-scratch analyzer) and by one :class:`BatchedAnalyzer` array pass
-    (noise-power comparison; IA runs the compiled vector program, other
-    methods route through incremental probes).  Both must match within
-    ``EQUIV_RTOL``, i.e. exactly.  Returns ``(incremental_ok,
-    incremental_worst, batched_ok, batched_worst)``.
+    The same random perturbations are analyzed by the incremental engine
+    (field-by-field comparison against the from-scratch analyzer) and
+    used as the bases of the problem's batched engine: each perturbed
+    candidate is priced by one ``price_moves`` call whose lanes are
+    one-bit shaves of up to 3 seeded nodes, and every lane is compared
+    with a from-scratch report of its design (IA runs the compiled
+    vector program, other methods route through incremental probes).
+    Both must match within ``EQUIV_RTOL``, i.e. exactly.  Returns
+    ``(incremental_ok, incremental_worst, batched_ok, batched_worst)``.
     """
     circuit_graph = problem.graph
     baseline = problem.uniform(12)
@@ -171,17 +197,9 @@ def _check_equivalence(
         horizon=problem.horizon,
         bins=problem.bins,
     )
-    batched = BatchedAnalyzer(
-        circuit_graph,
-        baseline,
-        problem.input_ranges,
-        horizon=problem.horizon,
-        bins=problem.bins,
-        method=method,
-        ranges=problem.ranges,
-    )
+    batched = problem.batched_engine()
     candidates = _perturbations(problem, trials, seed)
-    batched_noise = batched.price(candidates, method=method, output=problem.output)
+    lane_rng = random.Random(seed + 1)
     worst = 0.0
     batched_worst = 0.0
     ok = True
@@ -208,9 +226,15 @@ def _check_equivalence(
             worst = max(worst, err)
             ok = ok and err <= EQUIV_RTOL
         ok = ok and got.source_count == want.source_count
-        batched_err = _rel_err(float(batched_noise[index]), want.noise_power)
-        batched_worst = max(batched_worst, batched_err)
-        batched_ok = batched_ok and batched_err <= EQUIV_RTOL
+        moves = _shave_moves(assignment, lane_rng)
+        lanes = batched.price_moves(assignment, moves, method, output=problem.output)
+        for (node, new_frac), lane in zip(moves, lanes):
+            lane_want = _from_scratch_noise(
+                problem, assignment.with_fractional_bits(node, new_frac), method
+            )
+            batched_err = 0.0 if float(lane) == lane_want else _rel_err(float(lane), lane_want)
+            batched_worst = max(batched_worst, batched_err)
+            batched_ok = batched_ok and batched_err <= EQUIV_RTOL
     return ok, worst, batched_ok, batched_worst
 
 

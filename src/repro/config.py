@@ -151,7 +151,8 @@ class OptimizeConfig:
         governs: an incremental failure always propagates.
     partitions:
         Partition count of the ``decomposed`` strategy (``None`` sizes
-        it automatically from the graph: one partition per ~250
+        it automatically from the graph: one partition per about
+        :data:`~repro.optimize.decomposed.AUTO_NODES_PER_PARTITION`
         arithmetic nodes).  Ignored by the whole-graph strategies.
     outer_iterations:
         Consensus-iteration budget of the ``decomposed`` strategy's

@@ -336,15 +336,7 @@ class OptimizationProblem:
         Call ``cost_model.price`` directly for a per-node breakdown.
         """
         self._check_graph()
-        if assignment.quantization is not self.quantization or (
-            assignment.overflow is not self.overflow
-        ):
-            raise OptimizationError(
-                f"assignment modes ({assignment.quantization.value}, "
-                f"{assignment.overflow.value}) differ from the problem's "
-                f"({self.quantization.value}, {self.overflow.value}); build a "
-                "problem with those modes to evaluate it"
-            )
+        self._check_modes(assignment)
         state = self._state
         assignment = ensure_range_coverage(assignment, self.ranges)
         key = assignment.key()
@@ -374,6 +366,22 @@ class OptimizationProblem:
         )
         state.evaluations[key] = evaluation
         return evaluation
+
+    def _check_modes(self, assignment: WordLengthAssignment) -> None:
+        """Reject an assignment whose quantization/overflow modes differ from the problem's.
+
+        The search's engines are built for the problem's modes, so such an
+        assignment can be neither evaluated nor priced.
+        """
+        if assignment.quantization is not self.quantization or (
+            assignment.overflow is not self.overflow
+        ):
+            raise OptimizationError(
+                f"assignment modes ({assignment.quantization.value}, "
+                f"{assignment.overflow.value}) differ from the problem's "
+                f"({self.quantization.value}, {self.overflow.value}); build a "
+                "problem with those modes to analyze it"
+            )
 
     def _judged(self, evaluation: DesignEvaluation) -> DesignEvaluation:
         """``evaluation`` with its ``feasible`` verdict at this view's floor."""
@@ -476,13 +484,15 @@ class OptimizationProblem:
     def batched_engine(self):
         """The problem's lazily-built, shared :class:`BatchedAnalyzer`.
 
-        The engine compiles the (unrolled) graph into a vectorized NumPy
-        program once; afterwards :meth:`price_moves` prices whole batches
-        of candidate shaves in one array pass.  Methods without a compiled
-        program probe the problem's own incremental engine, the one
-        evaluations use and :meth:`notify_accepted` commits.  Available
-        regardless of :attr:`engine` — strategies consult :attr:`engine`
-        to decide whether to route their inner loops through it.
+        It is the compiled-IA kernel of the problem's one incremental
+        engine, the one evaluations use and :meth:`notify_accepted`
+        commits: it compiles that engine's (unrolled) graph and IA value
+        enclosures into a vectorized NumPy program once, after which
+        :meth:`price_moves` prices whole batches of candidate shaves in
+        one array pass.  Methods without a compiled program probe the
+        same engine.  Available regardless of :attr:`engine` — strategies
+        consult :attr:`engine` to decide whether to route their inner
+        loops through it.
         """
         state = self._state
         if state.batched is None:
@@ -491,16 +501,8 @@ class OptimizationProblem:
             from repro.analysis.batched import BatchedAnalyzer
 
             try:
-                baseline = self.uniform(self.min_word_length)
                 state.batched = BatchedAnalyzer(
-                    self.graph,
-                    baseline,
-                    self.input_ranges,
-                    horizon=self.horizon,
-                    bins=self.bins,
-                    method=self.method,
-                    ranges=self.ranges,
-                    engine=self._incremental_engine(baseline),
+                    self._incremental_engine(self.uniform(self.min_word_length)), self.ranges
                 )
             except ReproError as exc:
                 if not self.engine_fallback:
@@ -524,7 +526,9 @@ class OptimizationProblem:
         analyze for ``assignment.with_fractional_bits(*moves[k])`` — the
         per-move coverage widening included — with domain-violating or
         uncoverable lanes priced at ``inf``.  ``assignment`` must already
-        be coverage-widened (every ``DesignEvaluation.assignment`` is).
+        be coverage-widened (every ``DesignEvaluation.assignment`` is);
+        one in other quantization/overflow modes than the problem's raises
+        :class:`OptimizationError`, as :meth:`evaluate` does.
         One vectorized pass replaces ``len(moves)`` analyzer probes; no
         caches or counters are touched.
 
@@ -536,6 +540,7 @@ class OptimizationProblem:
         error propagates.
         """
         self._check_graph()
+        self._check_modes(assignment)
         state = self._state
         degradable = state.engine == "batched" and self.engine_fallback
         try:

@@ -28,9 +28,18 @@ from repro.analysis import BatchedAnalyzer, NoiseAnalysisPipeline
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.config import ENGINES, AnalysisConfig, OptimizeConfig
+from repro.dfg.builder import DFGBuilder
 from repro.dfg.graph import DFG, DFG_FORMAT
 from repro.dfg.range_analysis import infer_ranges
-from repro.errors import DFGError, NoiseModelError, OptimizationError
+from repro.errors import (
+    DFGError,
+    DivisionByZeroIntervalError,
+    DomainError,
+    NoiseModelError,
+    OptimizationError,
+)
+from repro.fixedpoint.format import QuantizationMode
+from repro.intervals.interval import Interval
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer
 from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
 from repro.optimize import (
@@ -58,6 +67,23 @@ def _perturbed_candidates(problem, count, seed, max_shave=3):
     return candidates
 
 
+def _seeded_moves(candidate, rng, deltas, count):
+    """``(node, new_fractional_bits)`` moves of up to ``count`` seeded nodes."""
+    nodes = sorted(candidate.formats)
+    return [
+        (node, max(0, candidate.format_of(node).fractional_bits + rng.choice(deltas)))
+        for node in rng.sample(nodes, min(count, len(nodes)))
+    ]
+
+
+def _moved(candidate, node, new_frac, ranges):
+    """The coverage-widened design lane ``(node, new_frac)`` prices, or ``None``."""
+    try:
+        return ensure_range_coverage(candidate.with_fractional_bits(node, new_frac), ranges)
+    except NoiseModelError:
+        return None
+
+
 # --------------------------------------------------------------------- #
 # batched engine: equivalence against fresh and incremental
 # --------------------------------------------------------------------- #
@@ -65,7 +91,7 @@ def _perturbed_candidates(problem, count, seed, max_shave=3):
 
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
 def test_batched_matches_fresh_and_incremental_all_methods(name):
-    """One array pass equals per-candidate analysis on every circuit."""
+    """Every ``price_moves`` lane equals per-candidate analysis on every circuit."""
     circuit = get_circuit(name)
     problem = OptimizationProblem.from_circuit(
         circuit,
@@ -73,39 +99,33 @@ def test_batched_matches_fresh_and_incremental_all_methods(name):
         config=OptimizeConfig(snr_floor_db=58.0, method="ia", horizon=6, bins=16),
     )
     candidates = _perturbed_candidates(problem, 6, seed=hash(name) & 0xFFFF)
-    baseline = problem.uniform(12)
+    batched = problem.batched_engine()
     for method in ANALYSIS_METHODS:
-        batched = BatchedAnalyzer(
-            problem.graph,
-            baseline,
-            problem.input_ranges,
-            horizon=problem.horizon,
-            bins=problem.bins,
-            method=method,
-            ranges=problem.ranges,
-        )
-        prices = batched.price(candidates, method=method, output=problem.output)
+        rng = random.Random(f"{name}/{method}")
         incremental = IncrementalAnalyzer(
             problem.graph,
-            baseline,
+            problem.uniform(12),
             problem.input_ranges,
             horizon=problem.horizon,
             bins=problem.bins,
         )
-        for lane, assignment in enumerate(candidates):
-            fresh = DatapathNoiseAnalyzer(
-                problem.graph,
-                assignment,
-                problem.input_ranges,
-                horizon=problem.horizon,
-                bins=problem.bins,
-            ).analyze(method, output=problem.output)
-            inc = incremental.noise_power(
-                assignment, method, output=problem.output, commit=False
-            )
-            got = float(prices[lane])
-            assert got == fresh.noise_power, (name, method, lane)
-            assert got == inc, (name, method, lane)
+        for trial, candidate in enumerate(candidates):
+            moves = _seeded_moves(candidate, rng, (-2, -1, 1), 2)
+            prices = batched.price_moves(candidate, moves, method, output=problem.output)
+            for lane, (node, new_frac) in enumerate(moves):
+                design = _moved(candidate, node, new_frac, problem.ranges)
+                assert design is not None, (name, method, trial, lane)
+                fresh = DatapathNoiseAnalyzer(
+                    problem.graph,
+                    design,
+                    problem.input_ranges,
+                    horizon=problem.horizon,
+                    bins=problem.bins,
+                ).analyze(method, output=problem.output)
+                inc = incremental.noise_power(design, method, output=problem.output, commit=False)
+                got = float(prices[lane])
+                assert got == fresh.noise_power, (name, method, trial, lane)
+                assert got == inc, (name, method, trial, lane)
 
 
 def test_batched_price_moves_matches_evaluate():
@@ -132,54 +152,82 @@ def test_batched_price_moves_matches_evaluate():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_batched_property_random_circuits(random_circuit_factory, seed):
-    """Batched IA pricing is exact on generated graphs, inf on domain failures."""
+    """Compiled IA lanes are exact on generated graphs, inf on domain failures."""
     circuit = random_circuit_factory(seed, max_ops=8)
     ranges = infer_ranges(circuit.graph, circuit.input_ranges).ranges
     base = ensure_range_coverage(
         WordLengthAssignment.uniform(circuit.graph, 14, ranges), ranges
     )
-    batched = BatchedAnalyzer(
-        circuit.graph, base, circuit.input_ranges, horizon=6, bins=12, ranges=ranges
-    )
+    engine = IncrementalAnalyzer(circuit.graph, base, circuit.input_ranges, horizon=6, bins=12)
+    batched = BatchedAnalyzer(engine, ranges)
     rng = random.Random(seed)
     nodes = sorted(base.formats)
-    candidates = []
     for trial in range(6):
-        assignment = base
-        # Aggressive shaves (up to -9 fractional bits) so some candidates
+        candidate = base
+        for node in rng.sample(nodes, min(1 + trial % 2, len(nodes))):
+            frac = candidate.format_of(node).fractional_bits
+            candidate = candidate.with_fractional_bits(node, max(0, frac - rng.choice((1, 3))))
+        candidate = ensure_range_coverage(candidate, ranges)
+        # Aggressive shaves (moves reach -9 fractional bits) so some lanes
         # cross sqrt/log/div domain boundaries — the scalar analyzer
         # raises there and the batched lane must price inf instead.
-        for node in rng.sample(nodes, min(1 + trial % 2, len(nodes))):
-            frac = assignment.format_of(node).fractional_bits
-            assignment = assignment.with_fractional_bits(
-                node, max(0, frac - rng.choice((1, 3, 9)))
-            )
-        candidates.append(ensure_range_coverage(assignment, ranges))
-    prices = batched.price(candidates, method="ia", output=circuit.output)
-    for lane, assignment in enumerate(candidates):
-        try:
-            want = DatapathNoiseAnalyzer(
-                circuit.graph, assignment, circuit.input_ranges, horizon=6, bins=12
-            ).analyze("ia", output=circuit.output).noise_power
-        except NoiseModelError:
-            assert math.isinf(float(prices[lane])), (seed, lane)
-        else:
-            assert float(prices[lane]) == want, (seed, lane)
+        moves = _seeded_moves(candidate, rng, (-1, -3, -9), 3)
+        prices = batched.price_moves(candidate, moves, "ia", output=circuit.output)
+        for lane, (node, new_frac) in enumerate(moves):
+            design = _moved(candidate, node, new_frac, ranges)
+            try:
+                if design is None:
+                    raise NoiseModelError("uncoverable lane")
+                want = DatapathNoiseAnalyzer(
+                    circuit.graph, design, circuit.input_ranges, horizon=6, bins=12
+                ).analyze("ia", output=circuit.output).noise_power
+            except (NoiseModelError, DomainError, DivisionByZeroIntervalError):
+                assert math.isinf(float(prices[lane])), (seed, trial, lane)
+            else:
+                assert float(prices[lane]) == want, (seed, trial, lane)
 
 
-def test_batched_rejects_foreign_candidates():
-    """Candidates must share the baseline's format keys and modes."""
-    fir4 = get_circuit("fir4")
-    quadratic = get_circuit("quadratic")
-    ranges = infer_ranges(fir4.graph, fir4.input_ranges).ranges
-    base = ensure_range_coverage(
-        WordLengthAssignment.uniform(fir4.graph, 12, ranges), ranges
+def test_batched_failed_value_sweep_prices_every_lane_inf():
+    """A value sweep that raises compiles to a program whose lanes all price inf."""
+    builder = DFGBuilder("sqrt_of_signed")
+    x = builder.input("x")
+    root = x.sqrt()
+    builder.output(root, name="y")
+    graph = builder.graph
+    # sqrt's range is stated, not inferred: range analysis would raise on
+    # the same domain violation the engine's IA value sweep hits.
+    ranges = {"x": Interval(-1.0, 1.0), root.node_name: Interval(0.0, 1.0)}
+    design = WordLengthAssignment.uniform(graph, 12, ranges)
+    engine = IncrementalAnalyzer(graph, design, {"x": Interval(-1.0, 1.0)})
+    moves = [(node, design.format_of(node).fractional_bits - 1) for node in sorted(ranges)]
+    prices = BatchedAnalyzer(engine, ranges).price_moves(design, moves, "ia", output="y")
+    assert list(prices) == [math.inf, math.inf]
+    with pytest.raises(DomainError):
+        engine.noise_power(design, "ia", output="y")
+
+
+@pytest.mark.parametrize("method", ["ia", "aa"])
+def test_price_moves_rejects_foreign_modes(method):
+    """A foreign-mode base raises like ``evaluate``: no price, no degradation."""
+    problem = OptimizationProblem.from_circuit(
+        get_circuit("fir4"), 55.0, config=OptimizeConfig(method=method, engine="batched")
     )
-    batched = BatchedAnalyzer(fir4.graph, base, fir4.input_ranges, ranges=ranges)
-    foreign_ranges = infer_ranges(quadratic.graph, quadratic.input_ranges).ranges
-    foreign = WordLengthAssignment.uniform(quadratic.graph, 12, foreign_ranges)
-    with pytest.raises(NoiseModelError):
-        batched.price([foreign], output=fir4.output)
+    design = ensure_range_coverage(problem.uniform(14), problem.ranges)
+    node = problem.tunable[1]
+    moves = [(node, design.format_of(node).fractional_bits - 1)]
+    foreign = WordLengthAssignment(
+        dict(design.formats), QuantizationMode.TRUNCATE, design.overflow
+    )
+    with pytest.raises(OptimizationError, match="modes"):
+        problem.price_moves(foreign, moves)
+    assert problem.degradations == [] and problem.engine == "batched"
+    assert problem._state.incremental is None and problem._state.batched is None
+    # The problem's own modes still price the move exactly.
+    lane = problem.price_moves(design, moves)[0]
+    assert lane == problem.evaluate(design.with_fractional_bits(*moves[0])).noise_power
+    # The kernel itself refuses modes its engine was not built for.
+    with pytest.raises(NoiseModelError, match="modes"):
+        problem.batched_engine().price_moves(foreign, moves, method)
 
 
 def test_batched_greedy_never_worse_than_incremental():

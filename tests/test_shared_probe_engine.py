@@ -130,20 +130,37 @@ def test_shared_confidence_probes_equal_private_engine(circuit_name, method, con
     assert problem.fallback_probes > 0
 
 
-def test_pareto_sweep_builds_one_incremental_engine(monkeypatch):
+@pytest.mark.parametrize("method", ("ia", "aa"))
+def test_pareto_sweep_builds_one_incremental_engine(monkeypatch, method):
+    """One search builds one incremental engine and one analyzer beneath it.
+
+    The batched engine is that incremental engine's compiled kernel: it
+    reads the engine's analyzer rather than building a second one.
+    """
     built = []
+    analyzers = []
     real_init = IncrementalAnalyzer.__init__
+    real_analyzer_init = DatapathNoiseAnalyzer.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
         real_init(self, *args, **kwargs)
 
+    def counting_analyzer_init(self, *args, **kwargs):
+        analyzers.append(self)
+        real_analyzer_init(self, *args, **kwargs)
+
     monkeypatch.setattr(incremental_module.IncrementalAnalyzer, "__init__", counting_init)
-    problem = make_problem("fir4")
+    monkeypatch.setattr(DatapathNoiseAnalyzer, "__init__", counting_analyzer_init)
+    problem = make_problem("fir4", method)
     front = pareto_front(problem, [45.0, 55.0, 65.0], strategy="greedy")
     assert front.is_monotone()
-    assert problem.fallback_probes > 0
+    if method == "ia":
+        assert problem.batched_calls > 0
+    else:
+        assert problem.fallback_probes > 0
     assert built == [problem._state.incremental]
+    assert analyzers == [built[0].analyzer]
     assert problem.batched_engine()._engine is built[0]
 
 
