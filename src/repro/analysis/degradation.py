@@ -11,8 +11,11 @@ The incremental engine is the one candidate evaluator and has nothing
 below it: its failures propagate.
 
 Degradation changes *which engine computes* an answer, never the answer
-itself: the engines are bit-compatible by the equivalence gates in
-``bench_perf``, which is what makes the fallback safe to take silently.
+itself: ``tests/test_api_redesign.py``
+(``test_batched_matches_fresh_and_incremental_all_methods``,
+``test_batched_property_random_circuits``) holds every batched lane to
+a from-scratch analysis with ``==``, which is what makes the fallback
+safe to take silently.
 """
 
 from __future__ import annotations

@@ -33,8 +33,11 @@ reports match a from-scratch analysis exactly, for every method.  AA's
 fresh linearization symbols get other names than in a full sweep, but a
 name only identifies a symbol: each form's terms are built in the same
 order by the same float operations, so every reduction adds the same
-numbers in the same order.  ``repro.benchmarks.bench_perf`` gates this
-equivalence (relative error 0) in CI.
+numbers in the same order.  ``tests/test_incremental.py``
+(``test_incremental_equals_full_on_random_perturbations``) holds every
+report field to a from-scratch analysis with ``==``, and
+``tests/test_evaluate_cache.py`` (``TestEvaluatorEquivalence``) holds
+every candidate of whole greedy searches to it the same way.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ from repro.errors import CheckpointError, DesignError, ReproError
 __all__ = ["main"]
 
 #: Benchmark drivers reachable through ``repro bench <suite>``.
-BENCH_SUITES = ("analysis", "optimize", "perf", "pareto", "scale", "compare")
+BENCH_SUITES = ("analysis", "optimize", "pareto", "scale", "compare")
 
 #: ``repro analyze`` defaults.
 ANALYZE_DEFAULTS = AnalysisConfig()
@@ -313,8 +313,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         from repro.benchmarks.bench_analysis import main as driver
     elif args.suite == "optimize":
         from repro.benchmarks.bench_optimize import main as driver
-    elif args.suite == "perf":
-        from repro.benchmarks.bench_perf import main as driver
     elif args.suite == "pareto":
         from repro.benchmarks.bench_pareto import main as driver
     elif args.suite == "scale":

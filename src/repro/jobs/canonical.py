@@ -9,8 +9,8 @@ documents can be compared with ``==``:
 
 * every key ending in ``_s`` (``runtime_s``, ``wall_s``, ``cpu_total_s``,
   ``incremental_s``, ...);
-* every key containing ``speedup`` (timing ratios) and the
-  timing-derived verdicts ``speedup_ok`` / ``passed`` of the perf suite;
+* every key containing ``speedup`` (timing ratios) and the ``passed``
+  verdict, which timing-derived gates may feed;
 * the ``parallel`` block and any embedded ``workers`` count;
 * the fault-tolerance bookkeeping (``job_attempts`` / ``job_timeouts``
   per row, plus the retry/timeout/pool-restart counters inside the
@@ -29,15 +29,10 @@ __all__ = ["canonical_document", "is_volatile_key"]
 
 #: Keys dropped wholesale (execution-shape records and timing-derived
 #: gate verdicts, which may legitimately differ between backends).
-#: ``inner_loop_method*`` names the *fastest measured* method — a
-#: timing comparison, so it is as volatile as the timings themselves.
 _VOLATILE_KEYS = {
     "parallel",
     "workers",
-    "speedup_ok",
     "passed",
-    "inner_loop_method",
-    "inner_loop_method_cpu",
     # Fault-tolerance layer: how many tries a row took (and whether it
     # was replayed from a checkpoint) is execution-shape, not answer.
     "job_attempts",

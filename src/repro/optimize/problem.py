@@ -20,7 +20,6 @@ import copy
 import dataclasses
 import math
 import os
-import time
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -95,14 +94,6 @@ class _SearchState:
     analyzer_calls: int = 0
     #: Memoized evaluations served without an analyzer call.
     evaluate_cache_hits: int = 0
-    #: Wall time spent inside noise analysis (evaluations + baseline
-    #: commits), excluding costing/widening/caching — the optimizer
-    #: "inner loop" number the perf benchmarks report.
-    analysis_time_s: float = 0.0
-    #: CPU time (``time.process_time``) over the same region as
-    #: ``analysis_time_s`` — immune to scheduling noise on shared CI
-    #: runners, so smoke-speedup gates prefer it.
-    analysis_cpu_s: float = 0.0
 
 
 class OptimizationProblem:
@@ -228,8 +219,8 @@ class OptimizationProblem:
         ]
 
         #: When set to a list, evaluate() appends every (widened) assignment
-        #: it actually analyzes — benchmarks replay these through other
-        #: evaluators for apples-to-apples timing.  Owned by each view.
+        #: it actually analyzes, so a caller can replay a search's
+        #: candidates through a reference evaluator.  Owned by each view.
         self.analysis_log: list | None = None
         #: Whether a broken batched engine degrades onto the incremental
         #: one instead of raising.  Incremental failures always raise.
@@ -246,8 +237,6 @@ class OptimizationProblem:
     # Read-only, so no view can fork them; documented on _SearchState.
     analyzer_calls = property(attrgetter("_state.analyzer_calls"))
     evaluate_cache_hits = property(attrgetter("_state.evaluate_cache_hits"))
-    analysis_time_s = property(attrgetter("_state.analysis_time_s"))
-    analysis_cpu_s = property(attrgetter("_state.analysis_cpu_s"))
     engine = property(attrgetter("_state.engine"))
     degradations = property(attrgetter("_state.degradations"))
 
@@ -346,11 +335,7 @@ class OptimizationProblem:
             return self._judged(cached)
         if self.analysis_log is not None:
             self.analysis_log.append(assignment)
-        started = time.perf_counter()
-        started_cpu = time.process_time()
         noise_power = self._analyze(assignment)
-        state.analysis_time_s += time.perf_counter() - started
-        state.analysis_cpu_s += time.process_time() - started_cpu
         state.analyzer_calls += 1
         snr_db = self._snr_db(noise_power)
         if state.ledger is None:
@@ -470,13 +455,9 @@ class OptimizationProblem:
         (probe + drift-since-baseline).  Purely a performance hint —
         results are identical without it.
         """
-        state = self._state
-        if state.incremental is not None:
-            started = time.perf_counter()
-            started_cpu = time.process_time()
-            state.incremental.commit(assignment)
-            state.analysis_time_s += time.perf_counter() - started
-            state.analysis_cpu_s += time.process_time() - started_cpu
+        incremental = self._state.incremental
+        if incremental is not None:
+            incremental.commit(assignment)
 
     # ------------------------------------------------------------------ #
     # batched candidate pricing
@@ -541,23 +522,16 @@ class OptimizationProblem:
         """
         self._check_graph()
         self._check_modes(assignment)
-        state = self._state
-        degradable = state.engine == "batched" and self.engine_fallback
+        degradable = self._state.engine == "batched" and self.engine_fallback
         try:
             engine = self.batched_engine()  # compile failures degrade in there
-            started = time.perf_counter()
-            started_cpu = time.process_time()
-            try:
-                return engine.price_moves(
-                    assignment,
-                    moves,
-                    method=self.method,
-                    output=self.output,
-                    confidence=self.confidence,
-                )
-            finally:
-                state.analysis_time_s += time.perf_counter() - started
-                state.analysis_cpu_s += time.process_time() - started_cpu
+            return engine.price_moves(
+                assignment,
+                moves,
+                method=self.method,
+                output=self.output,
+                confidence=self.confidence,
+            )
         except ReproError as exc:
             if not degradable:
                 raise

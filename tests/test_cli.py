@@ -140,6 +140,12 @@ class TestPareto:
 
 
 class TestBenchDispatch:
+    def test_unknown_suite_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["bench", "perf", "--", "--smoke"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
     def test_bench_analysis_smoke(self, tmp_path, capsys):
         out = tmp_path / "BENCH.json"
         code = main(

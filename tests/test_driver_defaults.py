@@ -82,8 +82,8 @@ OPTIMIZE = dict(
 
 #: argv -> the first config it hands the library.  Drivers report their
 #: first job's config: analysis jobs derive a per-circuit seed from 0,
-#: bench_optimize starts with the (ia, uniform) cell, bench_perf with its
-#: ia probe problem, bench_scale with the first point's decomposed solve.
+#: bench_optimize starts with the (ia, uniform) cell, bench_scale with
+#: the first point's decomposed solve.
 PINNED = {
     "analyze": (["analyze"], {**ANALYSIS, "seed": 1046662790}),
     "optimize": (["optimize", "fir4"], OPTIMIZE),
@@ -99,10 +99,6 @@ PINNED = {
     "bench-pareto": (
         ["bench", "pareto"],
         {**OPTIMIZE, "method": "ia", "engine": "batched", "snr_floor_db": 65.0},
-    ),
-    "bench-perf": (
-        ["bench", "perf"],
-        {**OPTIMIZE, "method": "ia", "snr_floor_db": 58.0, "mc_workers": None},
     ),
     "bench-scale": (
         ["bench", "scale"],

@@ -7,10 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.benchmarks import bench_optimize, bench_perf
+from repro.benchmarks import bench_optimize
 from repro.benchmarks.bench_analysis import run_benchmarks
 from repro.benchmarks.bench_optimize import run_optimize_benchmarks
-from repro.benchmarks.bench_perf import run_perf_benchmarks
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.config import AnalysisConfig, OptimizeConfig
 from repro.errors import JobError
@@ -257,21 +256,6 @@ class TestSerialParallelBitIdentity:
         for document in documents[1:]:
             assert canonical_document(document) == first
         assert documents[0]["all_validated"] is True
-
-    def test_bench_perf_serial_vs_parallel(self):
-        config = dict(
-            config=bench_perf.DEFAULTS.replace(horizon=3, bins=8),
-            circuits=["quadratic", "fft_butterfly"],
-            methods=("ia", "sna"),
-            reps=1,
-            equiv_trials=2,
-            min_speedup=0.0,
-            seed=4,
-        )
-        serial = run_perf_benchmarks(workers=1, **config)
-        parallel = run_perf_benchmarks(workers=2, **config)
-        assert canonical_document(serial) == canonical_document(parallel)
-        assert serial["equivalence_ok"] and parallel["equivalence_ok"]
 
     def test_derived_seeds_differ_per_job(self):
         document = run_benchmarks(workers=1, **SMOKE_ANALYSIS)

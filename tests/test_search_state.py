@@ -57,7 +57,6 @@ def test_counters_and_evaluation_indices_are_shared():
     again = problem.evaluate(problem.uniform(12))  # a cache hit for every view
     assert again.index == a.index
     assert problem.analyzer_calls == 2 and first.evaluate_cache_hits == 1
-    assert first.analysis_time_s == problem.analysis_time_s > 0.0
     assert problem.analysis_log == []  # each view owns its log
 
 

@@ -6,8 +6,10 @@ For methods without a compiled vector program (everything but mean-square
 engine the same incremental engine its evaluations use, and
 ``notify_accepted`` commits it, so a probe re-propagates only its own
 move's cone.  These tests hold every lane to a private engine with
-``==``, count engines and recomputed nodes, inject a failure into the
-shared engine, and pin golden designs.  They also check that the trusted
+``==``, count engines and recomputed nodes, bound the nodes a whole
+greedy search re-propagates, check that compiled ``ia`` searches never
+fall back to probes, inject a failure into the shared engine, and pin
+golden designs.  They also check that the trusted
 :class:`AffineForm` constructor behind the affine kernels builds exactly
 what the public constructor builds, and that the affine and Taylor
 reductions add left to right on every Python version.
@@ -31,7 +33,7 @@ from repro.config import OptimizeConfig
 from repro.errors import DivisionByZeroIntervalError, DomainError, NoiseModelError
 from repro.intervals.affine import AffineContext, AffineForm
 from repro.intervals.taylor import TaylorModel
-from repro.noisemodel.analyzer import DatapathNoiseAnalyzer
+from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer
 from repro.noisemodel.assignment import ensure_range_coverage
 from repro.optimize import OptimizationProblem
 from repro.optimize.pareto import pareto_front
@@ -186,6 +188,38 @@ def test_probe_from_committed_design_recomputes_only_its_cone(circuit_name):
         assert math.isfinite(noise[0])
         recomputed = engine.stats.nodes_recomputed - before
         assert recomputed == len(engine.cone_of(node, target)), node
+
+
+#: The greedy searches the recompute and compiled-lane bounds run.
+SEARCH_CONFIG = OptimizeConfig(snr_floor_db=58.0, margin_db=1.0, horizon=6, bins=16)
+
+
+@pytest.mark.parametrize("circuit_name", ("fft_butterfly", "matmul2"))
+@pytest.mark.parametrize("method", ANALYSIS_METHODS)
+def test_greedy_recomputes_under_half_a_graph_per_analysis(circuit_name, method):
+    """A whole greedy search re-propagates at most half a graph per analysis.
+
+    A from-scratch evaluator propagates the whole graph per analysis, so
+    this is the node-count form of a 2x inner-loop floor, with no clock
+    in it.  A search whose accepted moves are never committed re-pays
+    their cones on every probe and crosses the bound on ``fft_butterfly``.
+    """
+    config = SEARCH_CONFIG.replace(method=method)
+    problem = OptimizationProblem.from_circuit(get_circuit(circuit_name), 58.0, config=config)
+    assert GreedyBitStealingOptimizer().optimize(problem).feasible
+    recomputed = problem._state.incremental.stats.nodes_recomputed
+    assert recomputed <= 0.5 * problem.analyzer_calls * len(problem.graph)
+
+
+@pytest.mark.parametrize("circuit_name", ("iir_biquad", "matmul2", "rms_normalize"))
+def test_batched_ia_greedy_prices_every_lane_compiled(circuit_name):
+    """Mean-square ``ia`` frontiers run on the compiled program, never on probes."""
+    config = SEARCH_CONFIG.replace(method="ia", engine="batched")
+    problem = OptimizationProblem.from_circuit(get_circuit(circuit_name), 58.0, config=config)
+    assert GreedyBitStealingOptimizer().optimize(problem).feasible
+    assert problem.engine == "batched"
+    assert problem.batched_calls > 0
+    assert problem.fallback_probes == 0
 
 
 def test_shared_engine_failure_degrades_once_and_stays_exact(monkeypatch):
