@@ -57,7 +57,7 @@ from repro.fixedpoint.format import QuantizationMode
 from repro.fixedpoint.quantize import quantize
 from repro.intervals.interval import Interval
 from repro.noisemodel.analyzer import ANALYSIS_METHODS
-from repro.noisemodel.assignment import WordLengthAssignment
+from repro.noisemodel.assignment import WordLengthAssignment, covering_format
 
 __all__ = ["BatchedAnalyzer"]
 
@@ -237,13 +237,8 @@ class BatchedAnalyzer:
             candidates: List[WordLengthAssignment | None] = []
             for node, new_frac in moves:
                 widened = self._moved_format(assignment, node, new_frac)
-                if widened is None:
-                    candidates.append(None)
-                    continue
-                formats = dict(assignment.formats)
-                formats[node] = widened
                 candidates.append(
-                    WordLengthAssignment(formats, assignment.quantization, assignment.overflow)
+                    None if widened is None else assignment.with_formats({node: widened})
                 )
             return self._price_fallback(candidates, method, output, confidence)
         n = len(moves)
@@ -274,36 +269,26 @@ class BatchedAnalyzer:
     # ------------------------------------------------------------------ #
     # candidate plumbing
     # ------------------------------------------------------------------ #
-    def _widen_format(self, node: str, fmt):
-        """Per-node replica of the :func:`ensure_range_coverage` loop."""
-        interval = self.node_ranges.get(node)
-        if interval is None:
-            return fmt
-        widened = fmt
-        while not (widened.min_value <= interval.lo and interval.hi <= widened.max_value):
-            if widened.integer_bits - fmt.integer_bits >= 4:
-                raise NoiseModelError(
-                    f"format of node {node!r} cannot cover its range within the widening cap"
-                )
-            widened = widened.with_integer_bits(widened.integer_bits + 1)
-        return widened
-
     def _moved_format(self, assignment: WordLengthAssignment, node: str, new_frac: int):
         """The widened format of move ``(node, new_frac)``, or ``None`` if it has none.
 
-        The one widening rule of both :meth:`price_moves` paths.  On an
-        already-widened ``assignment`` only the moved node can need
-        widening, so this is the format :func:`ensure_range_coverage`
-        gives that node in the whole shaved assignment.  A move to
-        negative fractional bits, or one whose range the widening cap
-        cannot cover, has no format (its lane prices ``inf``).
+        The one widening rule of both :meth:`price_moves` paths:
+        :func:`covering_format`, the per-node rule of
+        :func:`ensure_range_coverage`.  On an already-widened
+        ``assignment`` only the moved node can need widening, so this is
+        the format :func:`ensure_range_coverage` gives that node in the
+        whole shaved assignment.  A move to negative fractional bits, or
+        one whose range the widening cap cannot cover, has no format (its
+        lane prices ``inf``).
         """
         if new_frac < 0:
             return None
+        fmt = assignment.format_of(node).with_fractional_bits(new_frac)
+        interval = self.node_ranges.get(node)
+        if interval is None:
+            return fmt
         try:
-            return self._widen_format(
-                node, assignment.format_of(node).with_fractional_bits(new_frac)
-            )
+            return covering_format(node, fmt, interval)
         except NoiseModelError:
             return None
 

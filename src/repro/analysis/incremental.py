@@ -88,14 +88,13 @@ class _TargetState:
     """Cached error propagation of one (method, output) pair.
 
     ``errors`` covers exactly the ancestor closure of the target output
-    and always reflects the *committed* baseline whose original per-node
-    formats are ``formats``; overlay probes never touch it.  Value
-    enclosures and AA contexts live per method on the engine (they are
-    target-independent).
+    and always reflects the *committed* baseline ``assignment``; overlay
+    probes never touch it.  Value enclosures and AA contexts live per
+    method on the engine (they are target-independent).
     """
 
     errors: Dict[str, Any]
-    formats: Dict[str, Any]
+    assignment: WordLengthAssignment
 
 
 class IncrementalAnalyzer:
@@ -152,11 +151,8 @@ class IncrementalAnalyzer:
         #: The fixed modes every analyzed assignment must carry.
         self.quantization = assignment.quantization
         self.overflow = assignment.overflow
-        #: Original-node formats the analyzer's sources currently reflect.
-        self._source_formats: Dict[str, Any] = dict(assignment.formats)
-        #: The formats dict object last synced — accept-after-probe passes
-        #: the identical object, skipping the diff outright.
-        self._source_sync_token: Any = assignment.formats
+        #: The assignment the analyzer's sources currently reflect.
+        self._synced = assignment
         #: (instance, format) -> QuantizationSource; probes toggle between
         #: adjacent precisions of the same nodes, so sources recur heavily.
         self._source_cache: Dict[Tuple[str, Any], Any] = {}
@@ -252,21 +248,16 @@ class IncrementalAnalyzer:
                 "incremental analysis requires fixed quantization/overflow modes; "
                 "build a new IncrementalAnalyzer to change them"
             )
-        if assignment.formats is self._source_sync_token:
+        if assignment is self._synced:
             return
-        changed = changed_formats(assignment.formats, self._source_formats)
-        self._source_sync_token = assignment.formats
-        if not changed:
-            return
-        analyzer = self.analyzer
-        by_node = analyzer._sources_by_node
-        graph = analyzer.graph
-        for base in changed:
+        graph = self.analyzer.graph
+        sources: List[Tuple[str, Any]] = []
+        for base in changed_formats(assignment, self._synced):
             fmt = assignment.formats.get(base)
             instances = [base] if self._instances is None else self._instances.get(base, [])
             for inst in instances:
                 if fmt is None:
-                    by_node.pop(inst, None)
+                    sources.append((inst, None))
                     continue
                 key = (inst, fmt)
                 source = self._source_cache.get(key)
@@ -275,11 +266,16 @@ class IncrementalAnalyzer:
                         graph.node(inst), fmt, self.quantization, self.overflow
                     )
                     self._source_cache[key] = source
-                by_node[inst] = source
-            if fmt is None:
-                self._source_formats.pop(base, None)
+                sources.append((inst, source))
+        # Applied only once every source is built, so a failure leaves
+        # the sources on the previous assignment.
+        by_node = self.analyzer._sources_by_node
+        for inst, source in sources:
+            if source is None:
+                by_node.pop(inst, None)
             else:
-                self._source_formats[base] = fmt
+                by_node[inst] = source
+        self._synced = assignment
 
     # ------------------------------------------------------------------ #
     # analysis
@@ -324,7 +320,7 @@ class IncrementalAnalyzer:
                 errors[name] = analyzer._error_of(
                     method, name, graph.node(name), values, errors, context
                 )
-            state = _TargetState(errors, dict(assignment.formats))
+            state = _TargetState(errors, assignment)
             self._states[state_key] = state
             self.stats.last_recomputed = tuple(schedule)
             return state.errors
@@ -334,19 +330,19 @@ class IncrementalAnalyzer:
             if (
                 pending is not None
                 and pending[0] == state_key
-                and pending[1] is assignment.formats
-                and pending[3] is state.formats
+                and pending[1] is assignment
+                and pending[3] is state.assignment
             ):
                 # The candidate being committed is exactly the overlay we
                 # just probed: adopt its scratch layer wholesale, no diff
                 # or re-propagation needed.
                 self._pending_overlay = None
                 state.errors.update(pending[2])
-                state.formats = dict(assignment.formats)
+                state.assignment = assignment
                 self.stats.last_recomputed = ()
                 return state.errors
 
-        stale = changed_formats(assignment.formats, state.formats)
+        stale = changed_formats(assignment, state.assignment)
         if not stale:
             self.stats.last_recomputed = ()
             return state.errors
@@ -367,7 +363,7 @@ class IncrementalAnalyzer:
         context = self._contexts[method]
         if committing:
             errors = state.errors
-            state.formats = dict(assignment.formats)
+            state.assignment = assignment
         else:
             errors = ChainMap({}, state.errors)
         try:
@@ -387,9 +383,9 @@ class IncrementalAnalyzer:
         if not committing:
             self._pending_overlay = (
                 state_key,
-                assignment.formats,
+                assignment,
                 errors.maps[0],
-                state.formats,
+                state.assignment,
             )
         self.stats.nodes_recomputed += len(order)
         self.stats.last_recomputed = tuple(order)

@@ -330,10 +330,12 @@ class HardwareCostModel:
 class CostLedger:
     """Per-node prices of the last design priced, re-priced where a design differs.
 
-    Holds the formats of the last design :meth:`total` priced and its
+    Holds the last design :meth:`total` priced and its
     :meth:`HardwareCostModel.node_cost` vector in graph order.  A new
     design re-prices only the nodes in ``scopes`` of the nodes whose
-    formats changed, then sums the whole vector with the loop
+    formats changed (:func:`changed_formats`, which is O(changed) when
+    the two designs are derived from one another or share a parent),
+    then sums the whole vector with the loop
     :meth:`HardwareCostModel.price` uses, so ``ledger.total(a) ==
     model.price(graph, a).total`` exactly.  ``scopes`` maps every graph
     node to :meth:`HardwareCostModel.affected_by` of it.  The first
@@ -353,24 +355,23 @@ class CostLedger:
         self._scopes = scopes
         self._nodes = list(graph)
         self._position = {node.name: index for index, node in enumerate(self._nodes)}
-        self._formats: Dict[str, FixedPointFormat] | None = None
+        self._last: WordLengthAssignment | None = None
         self._costs: List[float] = []
 
     def total(self, assignment: WordLengthAssignment) -> float:
         """``price(graph, assignment).total``, re-pricing only what changed."""
         model, graph, nodes = self.model, self.graph, self._nodes
-        if self._formats is None:
+        if self._last is None:
             costs = [model.node_cost(graph, node, assignment) for node in nodes]
         else:
             costs = list(self._costs)
             scopes, position = self._scopes, self._position
-            changed = changed_formats(assignment.formats, self._formats)
+            changed = changed_formats(assignment, self._last)
             # Formats of names outside the graph are never priced.
             stale = dict.fromkeys(name for node in changed for name in scopes.get(node, ()))
             for name in stale:
                 index = position[name]
                 costs[index] = model.node_cost(graph, nodes[index], assignment)
-        # A copy, so a caller mutating its assignment cannot move the ledger.
-        self._formats = dict(assignment.formats)
+        self._last = assignment
         self._costs = costs
         return summed(costs)

@@ -42,6 +42,7 @@ descent is already paid for.
 from __future__ import annotations
 
 import abc
+import heapq
 import math
 import time
 from typing import Dict, Iterator, List, Tuple
@@ -233,11 +234,16 @@ class _ShaveRanking:
     or ``None`` when the node sits at its precision floor or the shave
     saves nothing — and its scalar score are computed on first use with
     exactly the arithmetic of a from-scratch ranking, then kept.  When
-    the current design moves, :meth:`sync` diffs the old and new formats
+    the current design moves, :meth:`sync` diffs the old and new designs
     (coverage widening included) and drops only the entries of the
     tunable nodes whose shave price reads a changed format (see
     :meth:`OptimizationProblem.pricing_neighbourhood`); every other entry
     would be recomputed bit for bit, so it stays.
+
+    :meth:`best` keeps the scalar argmax in a heap of ``(-score, tunable
+    index)`` entries.  Only the nodes :meth:`sync` dropped (and every
+    node at first) are scored and pushed again; entries of blocked nodes
+    and entries whose score was dropped are popped when they surface.
     """
 
     def __init__(self, problem: OptimizationProblem, assignment: WordLengthAssignment) -> None:
@@ -245,14 +251,19 @@ class _ShaveRanking:
         self.assignment = assignment
         self._shaves: Dict[str, Tuple[int, float] | None] = {}
         self._scores: Dict[str, float] = {}
+        self._index = {node: index for index, node in enumerate(problem.tunable)}
+        #: Nodes whose score has no heap entry yet, in tunable order at first.
+        self._unranked: Dict[str, None] = dict.fromkeys(problem.tunable)
+        self._heap: List[Tuple[float, int]] = []
 
     def sync(self, assignment: WordLengthAssignment) -> None:
         """Make ``assignment`` the design the entries are priced against."""
         neighbourhood = self.problem.pricing_neighbourhood()  # raises if the graph changed
-        for node in changed_formats(assignment.formats, self.assignment.formats):
+        for node in changed_formats(assignment, self.assignment):
             for reader in neighbourhood[node][1]:
                 self._shaves.pop(reader, None)
                 self._scores.pop(reader, None)
+                self._unranked[reader] = None
         self.assignment = assignment
 
     def _shave(self, node: str) -> Tuple[int, float] | None:
@@ -295,6 +306,26 @@ class _ShaveRanking:
             score = saved / max(added, 1e-30)
             self._scores[node] = score
         return score
+
+    def best(self, blocked: set[str]) -> Tuple[str, int] | None:
+        """The unblocked shave of highest :meth:`score`, the first in tunable order on ties."""
+        heap = self._heap
+        for node in self._unranked:
+            if node in blocked:
+                continue
+            entry = self._shave(node)
+            if entry is not None:
+                heapq.heappush(heap, (-self.score(node, *entry), self._index[node]))
+        self._unranked.clear()
+        tunable = self.problem.tunable
+        while heap:
+            negated, index = heap[0]
+            node = tunable[index]
+            if node in blocked or self._scores.get(node) != -negated:
+                heapq.heappop(heap)
+                continue
+            return node, self._shaves[node][0]
+        return None
 
 
 class GreedyBitStealingOptimizer(WordLengthOptimizer):
@@ -448,16 +479,7 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
     ) -> Tuple[str, int] | None:
         """Rank one-bit shaves by cost saved per predicted noise added."""
         ranking.sync(current.assignment)
-        best_node: str | None = None
-        best_frac = 0
-        best_score = 0.0
-        for node, new_frac, saved in ranking.shaves(blocked):
-            score = ranking.score(node, new_frac, saved)
-            if best_node is None or score > best_score:
-                best_node, best_frac, best_score = node, new_frac, score
-        if best_node is None:
-            return None
-        return best_node, best_frac
+        return ranking.best(blocked)
 
     def _best_candidate_batched(
         self,

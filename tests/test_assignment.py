@@ -1,15 +1,34 @@
-"""Tests for repro.noisemodel.assignment: constructors, queries, coverage."""
+"""Tests for repro.noisemodel.assignment: constructors, queries, coverage.
+
+Also the derivation records: every whole-design walk answered from a
+design's recorded delta (``changed_formats``, ``ensure_range_coverage``,
+``key()``) must equal the full walk, and a greedy search must take the
+full walk only when it moves to another lineage.
+"""
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 
+import repro.noisemodel.assignment as assignment_module
+from repro.benchmarks.circuits import get_circuit
+from repro.benchmarks.generators import generate_circuit
+from repro.config import OptimizeConfig
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.range_analysis import infer_ranges
 from repro.errors import NoiseModelError
 from repro.fixedpoint.format import FixedPointFormat, QuantizationMode
 from repro.intervals.interval import Interval
-from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
+from repro.noisemodel.assignment import (
+    WordLengthAssignment,
+    changed_formats,
+    ensure_range_coverage,
+)
+from repro.optimize import OptimizationProblem
+from repro.optimize.strategies import GreedyBitStealingOptimizer
 
 
 def small_graph():
@@ -115,12 +134,16 @@ class TestQueries:
         with pytest.raises(NoiseModelError, match="no fixed-point format"):
             assignment.format_of("nope")
 
-    def test_copy_is_independent(self):
+    def test_formats_are_read_only(self):
         graph = small_graph()
         assignment = WordLengthAssignment.uniform(graph, 8, full_ranges(graph))
-        clone = assignment.copy()
-        node = next(iter(clone.formats))
-        clone.formats[node] = clone.formats[node].with_fractional_bits(0)
+        node = next(iter(assignment.formats))
+        with pytest.raises(TypeError):
+            assignment.formats[node] = assignment.formats[node].with_fractional_bits(0)
+        with pytest.raises(AttributeError):
+            assignment.quantization = QuantizationMode.TRUNCATE
+        derived = assignment.with_formats({node: assignment.formats[node].with_fractional_bits(0)})
+        assert derived.format_of(node).fractional_bits == 0
         assert assignment.format_of(node).fractional_bits != 0
 
 
@@ -146,3 +169,147 @@ class TestEnsureRangeCoverage:
     def test_ignores_nodes_without_ranges(self):
         assignment = WordLengthAssignment(formats={"n": FixedPointFormat(1, 3)})
         assert ensure_range_coverage(assignment, {}) is assignment
+
+
+class TestDerivationRecords:
+    def test_pickle_and_doc_carry_formats_only(self):
+        graph = small_graph()
+        ranges = full_ranges(graph)
+        design = WordLengthAssignment.uniform(graph, 8, ranges).with_fractional_bits("x", 3)
+        restored = pickle.loads(pickle.dumps(design))
+        assert restored == design and restored.key() == design.key()
+        assert restored._lineage == () and design._lineage != ()
+        assert WordLengthAssignment.from_doc(design.to_doc())._lineage == ()
+
+    def test_equality_is_format_by_format(self):
+        graph = small_graph()
+        design = WordLengthAssignment.uniform(graph, 8, full_ranges(graph))
+        fmt = design.format_of("x")
+        twin = design.with_fractional_bits("x", 1).with_fractional_bits("x", fmt.fractional_bits)
+        assert twin == design and twin.key() == design.key()
+        assert twin != design.with_fractional_bits("x", 1)
+        with pytest.raises(TypeError):
+            hash(design)
+
+
+def walk_problem(circuit):
+    config = OptimizeConfig(snr_floor_db=45.0, method="ia", margin_db=0.0, horizon=4, bins=8)
+    return OptimizationProblem.from_circuit(circuit, 45.0, config=config)
+
+
+def derive(rng, problem, base):
+    """One random derivation of ``base``: a shave, a multi-node change or a coverage pass."""
+    kind = rng.random()
+    if kind < 0.4:
+        return base.with_fractional_bits(rng.choice(problem.tunable), rng.randint(0, 14))
+    if kind < 0.8:
+        changes = {}
+        for node in rng.sample(problem.tunable, min(len(problem.tunable), rng.randint(1, 4))):
+            fmt = base.format_of(node)
+            if rng.random() < 0.3 and fmt.integer_bits > 1:
+                # Clips the node's range: a later coverage pass must widen it back.
+                fmt = fmt.with_integer_bits(fmt.integer_bits - 1)
+            changes[node] = fmt.with_fractional_bits(rng.randint(0, 14))
+        return base.with_formats(changes)
+    return ensure_range_coverage(base, problem.ranges)
+
+
+def twin_of(design):
+    """The same design built from scratch: no derivation record."""
+    return WordLengthAssignment(dict(design.formats), design.quantization, design.overflow)
+
+
+def assert_delta_equals_full_diff(new, old, related):
+    delta = changed_formats(new, old)
+    full = assignment_module._diff_formats(new.formats, old.formats)
+    assert set(delta) == set(full)
+    assert len(delta) == len(full)
+    assert (assignment_module._delta(new, old) is not None) == related
+
+
+@pytest.mark.parametrize(
+    "source", ["random-0", "random-1", "random-2", "fir4", "iir_biquad", "sigmoid_neuron"]
+)
+def test_delta_walks_equal_full_walks(source, random_circuit_factory):
+    """Seeded random derivation walks: deltas, keys and evaluations match from-scratch twins."""
+    name, _, seed = source.partition("-")
+    circuit = random_circuit_factory(int(seed)) if name == "random" else get_circuit(name)
+    problem = walk_problem(circuit)
+    fresh = walk_problem(circuit)
+    rng = random.Random(source)
+    designs = [problem.uniform(problem.min_word_length + 6)]
+    parent = [None]
+    unrelated = problem.uniform(problem.min_word_length + 7)
+    for _ in range(40):
+        base_index = rng.randrange(max(0, len(designs) - 3), len(designs))
+        base = designs[base_index]
+        if rng.random() < 0.5:
+            base.key()  # a cached key makes the children patch it
+        design = derive(rng, problem, base)
+        if design is base:
+            continue
+        designs.append(design)
+        parent.append(base_index)
+        index = len(designs) - 1
+        grandparent = parent[base_index]
+        assert_delta_equals_full_diff(design, base, related=True)
+        assert_delta_equals_full_diff(base, design, related=False)
+        if grandparent is not None:
+            assert_delta_equals_full_diff(design, designs[grandparent], related=True)
+        for sibling in (j for j in range(index) if parent[j] == base_index):
+            assert_delta_equals_full_diff(design, designs[sibling], related=True)
+        assert_delta_equals_full_diff(design, unrelated, related=False)
+        assert_delta_equals_full_diff(design, twin_of(base), related=False)
+
+        twin = twin_of(design)
+        assert design.key() == twin.key()
+        covered = ensure_range_coverage(design, problem.ranges)
+        assert covered == ensure_range_coverage(twin, problem.ranges)
+        assert covered.key() == ensure_range_coverage(twin, problem.ranges).key()
+        ours, theirs = problem.evaluate(design), fresh.evaluate(twin)
+        assert ours.cost == theirs.cost
+        assert ours.noise_power == theirs.noise_power
+        assert ours.snr_db == theirs.snr_db
+    assert len(designs) > 30
+
+
+def test_greedy_walks_whole_designs_only_between_lineages(monkeypatch):
+    """The counter form of O(changed) bookkeeping, on the 158-node FIR cascade.
+
+    A search derives every candidate from its current design, so a full
+    diff or a full coverage scan is due only for a design derived from
+    nothing: a rung of the uniform ladder or a descent start.  Three
+    consumers diff each design against their own last one (the cost
+    ledger, the engine's sources and its committed state), so each lineage
+    switch costs at most three full diffs.  The from-scratch walks this
+    replaced ran 2,314 diffs and 593 scans here.
+    """
+    counts = dict.fromkeys(("underived", "diffs", "scans"), 0)
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        WordLengthAssignment, "__init__", counted("underived", WordLengthAssignment.__init__)
+    )
+    monkeypatch.setattr(
+        assignment_module, "_diff_formats", counted("diffs", assignment_module._diff_formats)
+    )
+    monkeypatch.setattr(
+        assignment_module, "_widened_all", counted("scans", assignment_module._widened_all)
+    )
+    config = OptimizeConfig(snr_floor_db=60.0, method="ia", margin_db=0.0, horizon=8, bins=32)
+    circuit = generate_circuit("fir_cascade:taps=8,samples=12")
+    problem = OptimizationProblem.from_circuit(circuit, 60.0, config=config)
+    result = GreedyBitStealingOptimizer().optimize(problem)
+    assert result.feasible
+    assert problem.analyzer_calls == 581
+    # Every underived design but the first switches lineage once when
+    # evaluated; each of the two descents switches once when it starts.
+    switches = counts["underived"] - 1 + 2
+    assert counts["scans"] <= counts["underived"]
+    assert counts["diffs"] <= 3 * switches

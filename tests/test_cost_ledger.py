@@ -99,9 +99,7 @@ def walk_candidate(rng, problem, design):
     fmt = design.format_of(node)
     if fmt.integer_bits < 2:
         return design
-    candidate = design.copy()
-    candidate.formats[node] = fmt.with_integer_bits(fmt.integer_bits - 1)
-    return candidate
+    return design.with_formats({node: fmt.with_integer_bits(fmt.integer_bits - 1)})
 
 
 def walk(problem, seed, steps):
@@ -210,12 +208,12 @@ def test_ledger_total_matches_price_and_ignores_foreign_formats():
     ledger = CostLedger(model, problem.graph, scopes)
     design = problem.uniform(12)
     assert ledger.total(design) == model.price(problem.graph, design).total
-    foreign = design.copy()
-    foreign.formats["not_a_node"] = design.format_of(problem.tunable[0])
+    foreign = design.with_formats({"not_a_node": design.format_of(problem.tunable[0])})
     assert ledger.total(foreign) == model.price(problem.graph, foreign).total
-    # Mutating the priced assignment afterwards must not fool the ledger.
+    # A later change to the priced design must not fool the ledger.
     node = problem.tunable[-1]
-    foreign.formats[node] = foreign.format_of(node).with_fractional_bits(1)
+    derived = foreign.with_formats({node: foreign.format_of(node).with_fractional_bits(1)})
+    assert ledger.total(derived) == model.price(problem.graph, derived).total
     assert ledger.total(foreign) == model.price(problem.graph, foreign).total
 
 

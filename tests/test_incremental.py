@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.dfg.range_analysis import infer_ranges
+from repro.fixedpoint.format import FixedPointFormat
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer
 from repro.noisemodel.assignment import (
     WordLengthAssignment,
@@ -174,9 +175,11 @@ def test_overlay_probe_leaves_committed_state_untouched():
 
 def test_diff_detects_removed_keys_at_equal_size():
     """A same-size key swap must report both the added and removed node."""
-    assert changed_formats({"b": 1}, {"a": 1}) == ["b", "a"]
-    assert changed_formats({"a": 1}, {"a": 1}) == []
-    assert changed_formats({}, {"a": 1}) == ["a"]
+    fmt = FixedPointFormat(2, 6)
+    only_a = WordLengthAssignment({"a": fmt})
+    assert changed_formats(WordLengthAssignment({"b": fmt}), only_a) == ["b", "a"]
+    assert changed_formats(WordLengthAssignment({"a": fmt}), only_a) == []
+    assert changed_formats(WordLengthAssignment(), only_a) == ["a"]
 
 
 @pytest.mark.parametrize("method", ANALYSIS_METHODS)
