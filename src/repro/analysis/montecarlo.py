@@ -61,44 +61,59 @@ def draw_stimulus(
     arbitrary-precision oracle so both see *identical* stimulus for the
     same ``rng`` state.
     """
+    _check_stimulus_inputs(graph, input_ranges, input_pdfs, out_of_range)
+    input_pdfs = dict(input_pdfs or {})
+    stimulus: Dict[str, np.ndarray] = {}
+    for name in graph.inputs():
+        interval = input_ranges.get(name)
+        if name in input_pdfs:
+            draw = sample_histogram(input_pdfs[name], samples * steps, rng=rng)
+            if interval is not None:
+                draw = np.clip(draw, interval.lo, interval.hi)
+        else:
+            draw = rng.uniform(interval.lo, interval.hi, size=samples * steps)
+        stimulus[name] = draw.reshape(samples, steps)
+    return stimulus
+
+
+def _check_stimulus_inputs(
+    graph: DFG,
+    input_ranges: Mapping[str, Interval],
+    input_pdfs: Mapping[str, HistogramPDF] | None,
+    out_of_range: str,
+) -> None:
+    """Raise :class:`NoiseModelError` for stimulus :func:`draw_stimulus` cannot draw.
+
+    Checks the ``out_of_range`` policy, that every input without a PDF
+    has a declared range, and (under ``"raise"``) that every PDF's
+    support lies inside its input's declared range.
+    """
     if out_of_range not in OUT_OF_RANGE_POLICIES:
         raise NoiseModelError(
             f"unknown out_of_range policy {out_of_range!r}; "
             f"expected one of {OUT_OF_RANGE_POLICIES}"
         )
-    input_pdfs = dict(input_pdfs or {})
-    stimulus: Dict[str, np.ndarray] = {}
+    input_pdfs = input_pdfs or {}
     for name in graph.inputs():
-        if name in input_pdfs:
-            pdf = input_pdfs[name]
-            interval = input_ranges.get(name)
-            if interval is not None:
-                support = Interval(float(pdf.edges[0]), float(pdf.edges[-1]))
-                slack = 1e-12 * max(1.0, abs(interval.lo), abs(interval.hi))
-                inside = (
-                    support.lo >= interval.lo - slack
-                    and support.hi <= interval.hi + slack
-                )
-                if not inside and out_of_range == "raise":
-                    raise NoiseModelError(
-                        f"input PDF for {name!r} has support "
-                        f"[{support.lo!r}, {support.hi!r}] outside the declared "
-                        f"range [{interval.lo!r}, {interval.hi!r}]; samples out "
-                        "of range would exercise overflow behaviour the "
-                        "analytic models never saw — narrow the PDF, widen the "
-                        "range, or pass out_of_range='clip' to clip the draws"
-                    )
-            draw = sample_histogram(pdf, samples * steps, rng=rng)
-            if interval is not None:
-                draw = np.clip(draw, interval.lo, interval.hi)
-        else:
-            try:
-                interval = input_ranges[name]
-            except KeyError as exc:
-                raise NoiseModelError(f"missing input range for {name!r}") from exc
-            draw = rng.uniform(interval.lo, interval.hi, size=samples * steps)
-        stimulus[name] = draw.reshape(samples, steps)
-    return stimulus
+        interval = input_ranges.get(name)
+        if name not in input_pdfs:
+            if interval is None:
+                raise NoiseModelError(f"missing input range for {name!r}")
+            continue
+        if interval is None or out_of_range != "raise":
+            continue
+        pdf = input_pdfs[name]
+        support = Interval(float(pdf.edges[0]), float(pdf.edges[-1]))
+        slack = 1e-12 * max(1.0, abs(interval.lo), abs(interval.hi))
+        if not (support.lo >= interval.lo - slack and support.hi <= interval.hi + slack):
+            raise NoiseModelError(
+                f"input PDF for {name!r} has support "
+                f"[{support.lo!r}, {support.hi!r}] outside the declared "
+                f"range [{interval.lo!r}, {interval.hi!r}]; samples out "
+                "of range would exercise overflow behaviour the "
+                "analytic models never saw — narrow the PDF, widen the "
+                "range, or pass out_of_range='clip' to clip the draws"
+            )
 
 
 @dataclass(frozen=True)
@@ -269,6 +284,9 @@ def monte_carlo_error_sharded(
         raise NoiseModelError(f"samples must be >= 1, got {samples}")
     if chunk_size < 1:
         raise NoiseModelError(f"chunk_size must be >= 1, got {chunk_size}")
+    # Bad input is the caller's error, not a pool failure: reject it here
+    # before any chunk job can fail on it.
+    _check_stimulus_inputs(graph, input_ranges, input_pdfs, out_of_range)
     sizes = [chunk_size] * (samples // chunk_size)
     if samples % chunk_size:
         sizes.append(samples % chunk_size)

@@ -335,7 +335,6 @@ def runner_from_args(args: argparse.Namespace, workers: int, seed: int = 0) -> J
         retries = 3 if args.inject_faults > 0.0 else 1
     if retries < 1:
         raise CheckpointError(f"--retries must be >= 1, got {retries}")
-    retry = RetryPolicy(max_attempts=retries) if retries > 1 else None
     fault_plan = None
     if args.inject_faults > 0.0:
         kinds = tuple(k.strip() for k in str(args.fault_kinds).split(",") if k.strip())
@@ -343,7 +342,7 @@ def runner_from_args(args: argparse.Namespace, workers: int, seed: int = 0) -> J
     return JobRunner(
         workers=workers,
         timeout_s=args.timeout,
-        retry=retry,
+        retry=RetryPolicy(max_attempts=retries),
         fault_plan=fault_plan,
     )
 

@@ -10,8 +10,9 @@ Monte-Carlo validation — decompose into independent
 * :func:`~repro.jobs.spec.derive_seed` derives per-job seeds from the
   job *key*, never from scheduling, so any worker count reproduces the
   same numbers;
-* :class:`~repro.jobs.runner.JobRunner` executes a batch on a serial
-  loop or a :class:`~concurrent.futures.ProcessPoolExecutor`, returning
+* :class:`~repro.jobs.runner.JobRunner` executes a batch through one
+  attempt scheduler, in-process or on a
+  :class:`~concurrent.futures.ProcessPoolExecutor`, returning
   results in submission order, with per-job timeouts, a
   :class:`~repro.jobs.policy.RetryPolicy` (deterministic jittered
   backoff), and broken-pool respawn-and-resubmit recovery;
@@ -32,11 +33,10 @@ from repro.jobs.canonical import canonical_document, is_volatile_key
 from repro.jobs.checkpoint import CHECKPOINT_FORMAT, JobCheckpoint, SearchCheckpoint
 from repro.jobs.faults import FAULT_KINDS, FaultPlan
 from repro.jobs.policy import NO_RETRY, ExecutionContext, RetryPolicy
-from repro.jobs.runner import BACKENDS, JobRunner, RunStats, execute_job, summarize_run
+from repro.jobs.runner import JobRunner, RunStats, execute_job, summarize_run
 from repro.jobs.spec import JobResult, JobSpec, derive_seed
 
 __all__ = [
-    "BACKENDS",
     "CHECKPOINT_FORMAT",
     "FAULT_KINDS",
     "ExecutionContext",

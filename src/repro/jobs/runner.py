@@ -1,22 +1,25 @@
 """Process-parallel execution of independent job shards, fault-tolerantly.
 
 :class:`JobRunner` runs a batch of :class:`~repro.jobs.spec.JobSpec`
-work units on one of two backends:
+work units through one attempt scheduler: a min-heap of
+``(ready_at, index, attempt, timeouts)`` entries, and one method,
+:meth:`JobRunner._settle`, that books every finished attempt (timeout
+conversion, retry and backoff, run statistics, checkpoint record).  A
+retry waits in the heap until its backoff expires, so it never blocks
+the other jobs.  Two executors drain the heap:
 
-``serial``
-    A plain in-process loop — the reference semantics, no pickling
-    requirements, and the fallback when ``workers == 1`` or process
-    pools are unavailable.
-``process``
-    A :class:`concurrent.futures.ProcessPoolExecutor`.  Without
-    fault-tolerance options the pool is fed through a chunked ``map``
-    (jobs dispatched in submission order, chunk size amortizing
-    pickling).  With a retry policy, timeout, fault plan, or checkpoint
-    the runner switches to a resilient submit-per-job loop that can
-    kill hung workers, respawn a broken pool, and resubmit only the
-    unfinished jobs.
+in-process
+    Pops the next entry, sleeps until it is ready and runs it with
+    :func:`execute_job`.  It serves ``workers == 1``, runners inside a
+    pool worker, and batches a pool cannot speed up (one pending job,
+    no timeout, no fault plan).  It cannot preempt, so a job past its
+    timeout is detected when it returns and discarded like a killed one.
+pool
+    A :class:`concurrent.futures.ProcessPoolExecutor` fed one job per
+    submission.  It kills jobs past their deadline, respawns a broken
+    pool and resubmits only the unfinished jobs.
 
-Both backends return results **in submission order**, never completion
+Both executors return results **in submission order**, never completion
 order, and every per-job seed derives from the job key alone — so a
 merge over the result list is bit-identical for any worker count, any
 retry schedule, and any resume point.  A job that raises is captured as
@@ -44,20 +47,18 @@ from repro.jobs.faults import FaultPlan
 from repro.jobs.policy import NO_RETRY, ExecutionContext, RetryPolicy
 from repro.jobs.spec import JobResult, JobSpec
 
-__all__ = ["JobRunner", "RunStats", "execute_job", "summarize_run", "BACKENDS"]
+__all__ = ["JobRunner", "RunStats", "execute_job", "summarize_run"]
 
-BACKENDS = ("serial", "process")
-
-#: Poll interval of the resilient process loop; bounds how late a
-#: timeout kill can fire past the deadline.
+#: Poll interval of the pool executor; bounds how late a timeout kill
+#: can fire past the deadline.
 _POLL_S = 0.05
 
 #: Environment marker set inside every pool worker process.  A
 #: :class:`JobRunner` constructed under it (a job that itself shards —
-#: e.g. a benchmark cell running the decomposed optimizer) silently
-#: degrades to the serial backend instead of spawning a pool-inside-a-
-#: pool that oversubscribes the machine.  Results are unaffected: both
-#: backends are bit-identical by design.
+#: e.g. a benchmark cell running the decomposed optimizer) runs every
+#: job in-process instead of spawning a pool-inside-a-pool that
+#: oversubscribes the machine.  Results are unaffected: both executors
+#: are bit-identical by design.
 _WORKER_ENV = "REPRO_JOBS_WORKER"
 
 
@@ -69,8 +70,8 @@ def _mark_worker_process() -> None:
 def execute_job(spec: JobSpec, context: ExecutionContext | None = None) -> JobResult:
     """Run one job, timing it and converting any exception into data.
 
-    Module-level so the process backend can pickle it; the serial
-    backend calls it directly, guaranteeing identical semantics.  The
+    Module-level so the pool executor can pickle it; the in-process
+    executor calls it directly, guaranteeing identical semantics.  The
     optional ``context`` carries the attempt number and the fault plan
     (consulted *before* the job body, so injected faults never perturb
     a surviving attempt's value).
@@ -128,63 +129,67 @@ class RunStats:
         }
 
 
+class _Batch:
+    """Scheduler state of one :meth:`JobRunner.run` call."""
+
+    def __init__(self, specs: Sequence[JobSpec], checkpoint: JobCheckpoint | None) -> None:
+        self.specs = specs
+        self.checkpoint = checkpoint
+        # Min-heap of (ready_at, index, attempt, timeouts); sorted, so
+        # already a heap.
+        self.pending: List[Tuple[float, int, int, int]] = [
+            (0.0, index, 1, 0) for index in range(len(specs))
+        ]
+        self.results: Dict[int, JobResult] = {}
+
+    def completed(self) -> List[JobResult]:
+        return [result for result in self.results.values() if result.ok]
+
+
 class JobRunner:
-    """Execute independent jobs serially or on a process pool.
+    """Execute independent jobs in-process or on a process pool.
 
     Parameters
     ----------
     workers:
-        Worker-process count.  ``1`` selects the serial backend unless
-        ``backend`` overrides it; values above 1 select the process
-        backend by default.
-    backend:
-        ``"serial"`` or ``"process"``; ``None`` picks from ``workers``.
-    chunksize:
-        Jobs per pickled batch on the chunked process path; defaults to
-        ``ceil(len(jobs) / (workers * 4))`` so the work queue stays
-        balanced even when job durations are skewed.
+        Worker-process count.  ``1`` runs every job in-process; above 1
+        a pool of that many processes runs every batch it can speed up.
     timeout_s:
-        Per-job wall-clock budget.  On the resilient process path a job
-        past its deadline is killed (pool terminated and respawned; the
-        other in-flight jobs are resubmitted uncharged); on the serial
-        path the overrun is detected after the fact and the result is
-        converted to a timeout failure.  Each kill charges one attempt.
+        Per-job wall-clock budget.  The pool kills a job past its
+        deadline (pool terminated and respawned; the other in-flight
+        jobs are resubmitted uncharged); in-process the overrun is
+        detected after the fact and the result is converted to a
+        timeout failure.  Each kill charges one attempt.
     retry:
         :class:`~repro.jobs.policy.RetryPolicy` governing re-execution
-        of failed, timed-out, or pool-killed jobs.  ``None`` means run
-        once (the historical behavior).
+        of failed, timed-out, or pool-killed jobs.  The default,
+        :data:`~repro.jobs.policy.NO_RETRY`, runs each job once.
     fault_plan:
         Optional :class:`~repro.jobs.faults.FaultPlan` injecting
         deterministic faults ahead of each attempt — the test harness
         for every recovery path above.
+
+    ``backend`` is ``"serial"`` when jobs can only run in-process
+    (``workers == 1``, or this runner lives inside a pool worker) and
+    ``"process"`` otherwise.
     """
 
     def __init__(
         self,
         workers: int = 1,
-        backend: str | None = None,
-        chunksize: int | None = None,
         timeout_s: float | None = None,
-        retry: RetryPolicy | None = None,
+        retry: RetryPolicy = NO_RETRY,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         workers = int(workers)
         if workers < 1:
             raise JobError(f"workers must be >= 1, got {workers}")
-        if backend is None:
-            backend = "process" if workers > 1 else "serial"
-        if backend not in BACKENDS:
-            raise JobError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-        self.nested = bool(os.environ.get(_WORKER_ENV))
-        if backend == "process" and self.nested:
-            backend = "serial"  # never nest pools inside a pool worker
-        if chunksize is not None and chunksize < 1:
-            raise JobError(f"chunksize must be >= 1, got {chunksize}")
         if timeout_s is not None and timeout_s <= 0.0:
             raise JobError(f"timeout_s must be > 0, got {timeout_s}")
+        # Never nest pools inside a pool worker.
+        nested = bool(os.environ.get(_WORKER_ENV))
         self.workers = workers
-        self.backend = backend
-        self.chunksize = chunksize
+        self.backend = "serial" if workers == 1 or nested else "process"
         self.timeout_s = timeout_s
         self.retry = retry
         self.fault_plan = fault_plan
@@ -222,191 +227,45 @@ class JobRunner:
             if checkpoint is not None:
                 resumed = checkpoint.begin(ordered)
                 self.last_stats.resumed_jobs = len(resumed)
-            pending = [spec for spec in ordered if spec.key not in resumed]
-            if self.backend == "serial":
-                computed = self._run_serial(pending, checkpoint)
-            elif self._resilient_needed(checkpoint):
-                computed = self._run_process_resilient(pending, checkpoint)
-            elif len(pending) == 1:
-                computed = self._run_serial(pending, checkpoint)
+            batch = _Batch([spec for spec in ordered if spec.key not in resumed], checkpoint)
+            if self._pool_helps(len(batch.specs)):
+                self._run_pool(batch)
             else:
-                computed = self._run_process_chunked(pending)
+                self._run_in_process(batch)
         finally:
             if checkpoint is not None:
                 checkpoint.close()
         by_key = dict(resumed)
-        by_key.update({result.key: result for result in computed})
+        by_key.update({result.key: result for result in batch.results.values()})
         results = [by_key[spec.key] for spec in ordered]
         if check:
             self.raise_on_failure(results)
         return results
 
-    def _resilient_needed(self, checkpoint: JobCheckpoint | None) -> bool:
-        return (
-            self.retry is not None
-            or self.timeout_s is not None
-            or self.fault_plan is not None
-            or checkpoint is not None
-        )
+    def _pool_helps(self, pending: int) -> bool:
+        """Start a pool only to overlap jobs or to isolate one that a
+        timeout must kill or an injected fault may crash."""
+        if self.backend == "serial" or pending == 0:
+            return False
+        return pending > 1 or self.timeout_s is not None or self.fault_plan is not None
 
     # ------------------------------------------------------------------ #
-    # serial backend (with post-hoc timeout detection)
+    # the scheduler: one place books every attempt
     # ------------------------------------------------------------------ #
-    def _run_serial(
-        self, ordered: Sequence[JobSpec], checkpoint: JobCheckpoint | None
-    ) -> List[JobResult]:
-        results: List[JobResult] = []
-        for spec in ordered:
-            result = self._serial_attempts(spec)
-            if checkpoint is not None:
-                checkpoint.record(result)
-            results.append(result)
-        return results
-
-    def _serial_attempts(self, spec: JobSpec) -> JobResult:
-        retry = self.retry or NO_RETRY
-        attempt = 0
-        timeouts = 0
-        while True:
-            attempt += 1
-            context = ExecutionContext(attempt=attempt, fault_plan=self.fault_plan)
-            result = execute_job(spec, context)
-            if self.timeout_s is not None and result.wall_s > self.timeout_s:
-                # The serial loop cannot preempt, so the kill is post hoc:
-                # the overrun attempt is discarded exactly as a killed one.
-                timeouts += 1
-                self.last_stats.timeouts += 1
-                result = replace(
-                    result,
-                    ok=False,
-                    value=None,
-                    error=(
-                        f"TimeoutError: job exceeded the {self.timeout_s:g}s wall-clock "
-                        f"budget (ran {result.wall_s:.2f}s)"
-                    ),
-                    traceback=None,
-                )
-            result = replace(result, attempts=attempt, timeouts=timeouts)
-            if result.ok or not retry.allows(attempt):
-                return result
-            self.last_stats.retries += 1
-            delay = retry.delay_s(spec.key, attempt, spec.seed)
-            if delay > 0.0:
-                time.sleep(delay)
-
-    # ------------------------------------------------------------------ #
-    # chunked process backend (legacy fast path, no policies engaged)
-    # ------------------------------------------------------------------ #
-    def _run_process_chunked(self, ordered: Sequence[JobSpec]) -> List[JobResult]:
-        workers = min(self.workers, len(ordered))
-        chunksize = self.chunksize or max(1, -(-len(ordered) // (workers * 4)))
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_mark_worker_process
-            ) as pool:
-                # map() preserves submission order regardless of which
-                # worker finishes first — the determinism anchor.
-                return list(pool.map(execute_job, ordered, chunksize=chunksize))
-        except BrokenProcessPool as exc:
-            raise JobError(
-                "a worker process died without reporting a result (killed, "
-                "out-of-memory, or a hard crash); re-run with workers=1 to "
-                f"localize the failing job among {len(ordered)} submitted"
-            ) from exc
-
-    # ------------------------------------------------------------------ #
-    # resilient process backend (timeouts, retries, pool respawn)
-    # ------------------------------------------------------------------ #
-    def _run_process_resilient(
-        self, ordered: Sequence[JobSpec], checkpoint: JobCheckpoint | None
-    ) -> List[JobResult]:
-        retry = self.retry or NO_RETRY
-        workers = min(self.workers, max(len(ordered), 1))
-        window = workers * 2
-        max_restarts = len(ordered) * max(retry.max_attempts, 1) + 4
-        results: Dict[int, JobResult] = {}
-        # Min-heap of (ready_at, index, attempt, timeouts): retry backoff
-        # delays re-submission without blocking the other jobs.
-        pending: List[Tuple[float, int, int, int]] = [
-            (0.0, index, 1, 0) for index in range(len(ordered))
-        ]
-        heapq.heapify(pending)
-        futures: Dict[Future, Tuple[int, int, int, float | None]] = {}
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_mark_worker_process
-        )
-        pool_broken = False
-        try:
-            while pending or futures:
-                pool, pool_broken = self._submit_ready(
-                    pool, pool_broken, pending, futures, ordered, window, workers, max_restarts, results
-                )
-                if not futures:
-                    if pending:
-                        wait_s = max(pending[0][0] - time.monotonic(), 0.0)
-                        if wait_s > 0.0:
-                            time.sleep(min(wait_s, _POLL_S))
-                    continue
-                done, _running = wait(set(futures), timeout=_POLL_S, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, attempt, timeouts, _deadline = futures.pop(future)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        self._charge_pool_death(
-                            index, attempt, timeouts, pending, results, ordered, retry
-                        )
-                        continue
-                    except Exception as exc:  # noqa: BLE001 - result unpickling etc.
-                        result = JobResult(
-                            key=ordered[index].key,
-                            ok=False,
-                            error=f"{type(exc).__name__}: {exc}",
-                            seed=ordered[index].seed,
-                        )
-                    self._settle(
-                        index, result, attempt, timeouts, pending, results, ordered, retry, checkpoint
-                    )
-                if self.timeout_s is not None and futures:
-                    pool = self._kill_expired(
-                        pool, pending, futures, results, ordered, retry, checkpoint, workers, max_restarts
-                    )
-                if pool_broken and not futures:
-                    pool = self._respawn(pool, workers, max_restarts, results)
-                    pool_broken = False
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-        return [results[index] for index in sorted(results)]
-
-    def _submit_ready(self, pool, pool_broken, pending, futures, ordered, window, workers, max_restarts, results):
-        while pending and len(futures) < window and not pool_broken:
-            ready_at, index, attempt, timeouts = pending[0]
-            if ready_at > time.monotonic():
-                break
-            heapq.heappop(pending)
-            context = ExecutionContext(attempt=attempt, fault_plan=self.fault_plan)
-            try:
-                future = pool.submit(execute_job, ordered[index], context)
-            except (BrokenProcessPool, RuntimeError):
-                # The pool died between loop iterations; requeue and respawn.
-                heapq.heappush(pending, (ready_at, index, attempt, timeouts))
-                if futures:
-                    pool_broken = True
-                else:
-                    pool = self._respawn(pool, workers, max_restarts, results)
-                break
-            deadline = time.monotonic() + self.timeout_s if self.timeout_s is not None else None
-            futures[future] = (index, attempt, timeouts, deadline)
-        return pool, pool_broken
-
     def _settle(
-        self, index, result, attempt, timeouts, pending, results, ordered, retry, checkpoint
+        self,
+        batch: _Batch,
+        index: int,
+        result: JobResult,
+        attempt: int,
+        timeouts: int,
+        killed: bool = False,
     ) -> None:
-        spec = ordered[index]
-        if self.timeout_s is not None and result.wall_s > self.timeout_s:
-            # Completed past the deadline before the kill scan caught it:
-            # count it as a timeout so the outcome matches a real kill.
+        spec = batch.specs[index]
+        if killed or (self.timeout_s is not None and result.wall_s > self.timeout_s):
+            # Killed at the deadline, or finished past it before a kill
+            # could land (in-process attempts always do): either way the
+            # overrun attempt is discarded.
             timeouts += 1
             self.last_stats.timeouts += 1
             result = replace(
@@ -420,32 +279,112 @@ class JobRunner:
                 traceback=None,
             )
         result = replace(result, attempts=attempt, timeouts=timeouts, seed=spec.seed)
-        if result.ok or not retry.allows(attempt):
-            if checkpoint is not None:
-                checkpoint.record(result)
-            results[index] = result
+        if result.ok or not self.retry.allows(attempt):
+            if batch.checkpoint is not None:
+                batch.checkpoint.record(result)
+            batch.results[index] = result
             return
-        self.last_stats.retries += 1
-        ready_at = time.monotonic() + retry.delay_s(spec.key, attempt, spec.seed)
-        heapq.heappush(pending, (ready_at, index, attempt + 1, timeouts))
+        self._requeue(batch, index, attempt, timeouts)
 
-    def _charge_pool_death(self, index, attempt, timeouts, pending, results, ordered, retry) -> None:
-        spec = ordered[index]
-        if retry.allows(attempt):
-            self.last_stats.retries += 1
-            ready_at = time.monotonic() + retry.delay_s(spec.key, attempt, spec.seed)
-            heapq.heappush(pending, (ready_at, index, attempt + 1, timeouts))
+    def _requeue(self, batch: _Batch, index: int, attempt: int, timeouts: int) -> None:
+        spec = batch.specs[index]
+        self.last_stats.retries += 1
+        ready_at = time.monotonic() + self.retry.delay_s(spec.key, attempt, spec.seed)
+        heapq.heappush(batch.pending, (ready_at, index, attempt + 1, timeouts))
+
+    # ------------------------------------------------------------------ #
+    # in-process executor
+    # ------------------------------------------------------------------ #
+    def _run_in_process(self, batch: _Batch) -> None:
+        while batch.pending:
+            ready_at, index, attempt, timeouts = heapq.heappop(batch.pending)
+            wait_s = ready_at - time.monotonic()
+            if wait_s > 0.0:
+                time.sleep(wait_s)
+            context = ExecutionContext(attempt=attempt, fault_plan=self.fault_plan)
+            result = execute_job(batch.specs[index], context)
+            self._settle(batch, index, result, attempt, timeouts)
+
+    # ------------------------------------------------------------------ #
+    # pool executor (timeout kills, pool respawn)
+    # ------------------------------------------------------------------ #
+    def _run_pool(self, batch: _Batch) -> None:
+        workers = min(self.workers, len(batch.specs))
+        window = workers * 2
+        max_restarts = len(batch.specs) * self.retry.max_attempts + 4
+        futures: Dict[Future, Tuple[int, int, int, float | None]] = {}
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_mark_worker_process
+        )
+        pool_broken = False
+        try:
+            while batch.pending or futures:
+                pool, pool_broken = self._submit_ready(
+                    batch, pool, pool_broken, futures, window, workers, max_restarts
+                )
+                if not futures:
+                    if batch.pending:
+                        wait_s = max(batch.pending[0][0] - time.monotonic(), 0.0)
+                        if wait_s > 0.0:
+                            time.sleep(min(wait_s, _POLL_S))
+                    continue
+                done, _running = wait(set(futures), timeout=_POLL_S, return_when=FIRST_COMPLETED)
+                for future in done:
+                    index, attempt, timeouts, _deadline = futures.pop(future)
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        pool_broken = True
+                        self._charge_pool_death(batch, index, attempt, timeouts)
+                        continue
+                    except Exception as exc:  # noqa: BLE001 - result unpickling etc.
+                        result = JobResult(
+                            key=batch.specs[index].key,
+                            ok=False,
+                            error=f"{type(exc).__name__}: {exc}",
+                        )
+                    self._settle(batch, index, result, attempt, timeouts)
+                if self.timeout_s is not None and futures:
+                    pool = self._kill_expired(batch, pool, futures, workers, max_restarts)
+                if pool_broken and not futures:
+                    pool = self._respawn(batch, pool, workers, max_restarts)
+                    pool_broken = False
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _submit_ready(self, batch, pool, pool_broken, futures, window, workers, max_restarts):
+        while batch.pending and len(futures) < window and not pool_broken:
+            ready_at, index, attempt, timeouts = batch.pending[0]
+            if ready_at > time.monotonic():
+                break
+            heapq.heappop(batch.pending)
+            context = ExecutionContext(attempt=attempt, fault_plan=self.fault_plan)
+            try:
+                future = pool.submit(execute_job, batch.specs[index], context)
+            except (BrokenProcessPool, RuntimeError):
+                # The pool died between loop iterations; requeue and respawn.
+                heapq.heappush(batch.pending, (ready_at, index, attempt, timeouts))
+                if futures:
+                    pool_broken = True
+                else:
+                    pool = self._respawn(batch, pool, workers, max_restarts)
+                break
+            deadline = time.monotonic() + self.timeout_s if self.timeout_s is not None else None
+            futures[future] = (index, attempt, timeouts, deadline)
+        return pool, pool_broken
+
+    def _charge_pool_death(self, batch: _Batch, index: int, attempt: int, timeouts: int) -> None:
+        if self.retry.allows(attempt):
+            self._requeue(batch, index, attempt, timeouts)
             return
         raise JobError(
             "a worker process died without reporting a result (killed, "
-            f"out-of-memory, or a hard crash); job {spec.key!r} exhausted its "
+            f"out-of-memory, or a hard crash); job {batch.specs[index].key!r} exhausted its "
             f"{attempt} attempt(s); re-run with workers=1 to localize the failure",
-            completed=[result for result in results.values() if result.ok],
+            completed=batch.completed(),
         )
 
-    def _kill_expired(
-        self, pool, pending, futures, results, ordered, retry, checkpoint, workers, max_restarts
-    ):
+    def _kill_expired(self, batch, pool, futures, workers, max_restarts):
         now = time.monotonic()
         expired = [
             future
@@ -455,38 +394,20 @@ class JobRunner:
         if not expired:
             return pool
         for future in expired:
-            index, attempt, timeouts, _deadline = futures.pop(future)
-            spec = ordered[index]
-            timeouts += 1
-            self.last_stats.timeouts += 1
-            if retry.allows(attempt):
-                self.last_stats.retries += 1
-                ready_at = time.monotonic() + retry.delay_s(spec.key, attempt, spec.seed)
-                heapq.heappush(pending, (ready_at, index, attempt + 1, timeouts))
-            else:
-                result = JobResult(
-                    key=spec.key,
-                    ok=False,
-                    error=(
-                        f"TimeoutError: job exceeded the {self.timeout_s:g}s wall-clock "
-                        "budget and its retry budget; killed"
-                    ),
-                    seed=spec.seed,
-                    attempts=attempt,
-                    timeouts=timeouts,
-                )
-                if checkpoint is not None:
-                    checkpoint.record(result)
-                results[index] = result
+            index, attempt, timeouts, deadline = futures.pop(future)
+            killed = JobResult(
+                key=batch.specs[index].key, ok=False, wall_s=self.timeout_s + now - deadline
+            )
+            self._settle(batch, index, killed, attempt, timeouts, killed=True)
         # The pool API cannot kill one task, so terminate every worker
         # and resubmit the innocent in-flight jobs uncharged.
         for future, (index, attempt, timeouts, _deadline) in list(futures.items()):
             if future.done():
                 continue  # finished in the race window; settled next loop
             futures.pop(future)
-            heapq.heappush(pending, (0.0, index, attempt, timeouts))
+            heapq.heappush(batch.pending, (0.0, index, attempt, timeouts))
         self._terminate_pool(pool)
-        return self._respawn(pool, workers, max_restarts, results)
+        return self._respawn(batch, pool, workers, max_restarts)
 
     @staticmethod
     def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -494,7 +415,7 @@ class JobRunner:
         for process in list(processes.values()):
             process.terminate()
 
-    def _respawn(self, pool, workers, max_restarts, results) -> ProcessPoolExecutor:
+    def _respawn(self, batch, pool, workers, max_restarts) -> ProcessPoolExecutor:
         # Join the dead pool fully — a half-closed executor leaks file
         # descriptors its atexit hook later trips over.
         pool.shutdown(wait=True, cancel_futures=True)
@@ -502,7 +423,7 @@ class JobRunner:
             raise JobError(
                 f"the process pool died {self.last_stats.pool_restarts} times; giving up "
                 "(persistent worker crash or resource exhaustion)",
-                completed=[result for result in results.values() if result.ok],
+                completed=batch.completed(),
             )
         self.last_stats.pool_restarts += 1
         return ProcessPoolExecutor(

@@ -50,7 +50,7 @@ class JobSpec:
         Unique, deterministic identifier (e.g. ``"optimize/fir4/aa/greedy"``).
         Results are reported and merged under this key.
     fn:
-        The callable to execute.  For the process backend it must be a
+        The callable to execute.  For the pool executor it must be a
         **module-level** function (``ProcessPoolExecutor`` pickles it).
     args / kwargs:
         Positional and keyword arguments, likewise picklable.

@@ -217,9 +217,10 @@ class DecomposedOptimizer(WordLengthOptimizer):
         return max(1, min(int(requested), weighted))
 
     def _runner(self) -> JobRunner:
-        retry = RetryPolicy(max_attempts=self.retries) if self.retries > 1 else None
         return JobRunner(
-            workers=self.workers, timeout_s=self.timeout_s, retry=retry
+            workers=self.workers,
+            timeout_s=self.timeout_s,
+            retry=RetryPolicy(max_attempts=self.retries),
         )
 
     def _local_config(self, problem: OptimizationProblem, floor_db: float) -> dict:

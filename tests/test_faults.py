@@ -103,18 +103,25 @@ class TestFaultPlan:
 # --------------------------------------------------------------------- #
 # hardened runner
 # --------------------------------------------------------------------- #
+# Both executors share one scheduler, so the retry and resume tests below
+# hold the in-process executor (workers=1) and the pool (workers=2) to the
+# same bookkeeping.
+WORKER_COUNTS = (1, 2)
+
+
 class TestRetries:
     def test_faulted_serial_run_matches_clean(self):
         clean = JobRunner(workers=1).run(_specs(), check=True)
-        faulted = JobRunner(
-            workers=1,
-            retry=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
-            fault_plan=FaultPlan(rate=1.0, seed=0, kinds=("exception",)),
-        )
-        results = faulted.run(_specs(), check=True)
-        assert [r.value for r in results] == [r.value for r in clean]
-        assert all(r.attempts == 2 for r in results)
-        assert faulted.last_stats.retries == len(results)
+        for workers in WORKER_COUNTS:
+            faulted = JobRunner(
+                workers=workers,
+                retry=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
+                fault_plan=FaultPlan(rate=1.0, seed=0, kinds=("exception",)),
+            )
+            results = faulted.run(_specs(), check=True)
+            assert [r.value for r in results] == [r.value for r in clean], workers
+            assert all(r.attempts == 2 for r in results), workers
+            assert faulted.last_stats.retries == len(results), workers
 
     def test_faulted_process_run_matches_clean(self):
         clean = JobRunner(workers=1).run(_specs(), check=True)
@@ -127,13 +134,18 @@ class TestRetries:
         assert [r.value for r in results] == [r.value for r in clean]
 
     def test_exhausted_retries_keep_the_failure(self):
-        runner = JobRunner(
-            workers=1,
-            retry=RetryPolicy(max_attempts=2, backoff_s=0.0, jitter=0.0),
-        )
-        results = runner.run([JobSpec(key="bad", fn=_boom, args=(1,))])
-        assert not results[0].ok
-        assert results[0].attempts == 2
+        # Two jobs, so workers=2 runs them on the pool.
+        specs = [JobSpec(key="bad", fn=_boom, args=(1,)), JobSpec(key="ok", fn=_triple, args=(1,))]
+        for workers in WORKER_COUNTS:
+            runner = JobRunner(
+                workers=workers,
+                retry=RetryPolicy(max_attempts=2, backoff_s=0.0, jitter=0.0),
+            )
+            results = runner.run(specs)
+            assert not results[0].ok, workers
+            assert results[0].attempts == 2, workers
+            assert results[1].ok and results[1].attempts == 1, workers
+            assert runner.last_stats.retries == 1, workers
 
     def test_job_error_carries_completed_results(self):
         specs = [
@@ -141,11 +153,12 @@ class TestRetries:
             JobSpec(key="bad", fn=_boom, args=(2,)),
             JobSpec(key="ok/2", fn=_triple, args=(3,)),
         ]
-        with pytest.raises(JobError) as excinfo:
-            JobRunner(workers=1).run(specs, check=True)
-        completed = excinfo.value.completed
-        assert {r.key for r in completed} == {"ok/1", "ok/2"}
-        assert all(r.ok for r in completed)
+        for workers in WORKER_COUNTS:
+            with pytest.raises(JobError) as excinfo:
+                JobRunner(workers=workers).run(specs, check=True)
+            completed = excinfo.value.completed
+            assert {r.key for r in completed} == {"ok/1", "ok/2"}, workers
+            assert all(r.ok for r in completed), workers
 
 
 def _hang_job(value):  # pragma: no cover - killed by the timeout
@@ -205,37 +218,41 @@ class TestWorkerCrashes:
 # --------------------------------------------------------------------- #
 class TestJobCheckpoint:
     def test_full_resume_skips_every_job(self, tmp_path):
-        path = tmp_path / "run.jsonl"
         meta = {"suite": "unit"}
-        first = JobRunner(workers=1).run(
-            _specs(), check=True, checkpoint=JobCheckpoint(path, meta=meta)
-        )
-        resumed_runner = JobRunner(workers=1)
-        resumed = resumed_runner.run(
-            _specs(), check=True, checkpoint=JobCheckpoint(path, meta=meta, resume=True)
-        )
-        assert [r.value for r in resumed] == [r.value for r in first]
-        assert all(r.resumed for r in resumed)
-        assert resumed_runner.last_stats.resumed_jobs == len(resumed)
+        for workers in WORKER_COUNTS:
+            path = tmp_path / f"run-{workers}.jsonl"
+            first = JobRunner(workers=workers).run(
+                _specs(), check=True, checkpoint=JobCheckpoint(path, meta=meta)
+            )
+            resumed_runner = JobRunner(workers=workers)
+            resumed = resumed_runner.run(
+                _specs(), check=True, checkpoint=JobCheckpoint(path, meta=meta, resume=True)
+            )
+            assert [r.value for r in resumed] == [r.value for r in first], workers
+            assert all(r.resumed for r in resumed), workers
+            assert resumed_runner.last_stats.resumed_jobs == len(resumed), workers
 
     def test_partial_resume_recomputes_only_missing(self, tmp_path):
         """Acceptance proof: after losing the tail of the log (the on-disk
         state a mid-run SIGKILL leaves), --resume recomputes exactly the
         missing jobs and merges to the identical result list."""
-        path = tmp_path / "run.jsonl"
         meta = {"suite": "unit"}
-        first = JobRunner(workers=1).run(
-            _specs(), check=True, checkpoint=JobCheckpoint(path, meta=meta)
-        )
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:4]))  # header + 3 completed records
+        for workers in WORKER_COUNTS:
+            path = tmp_path / f"run-{workers}.jsonl"
+            first = JobRunner(workers=workers).run(
+                _specs(), check=True, checkpoint=JobCheckpoint(path, meta=meta)
+            )
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(lines[:4]))  # header + 3 completed records
 
-        resumed = JobRunner(workers=1).run(
-            _specs(), check=True, checkpoint=JobCheckpoint(path, meta=meta, resume=True)
-        )
-        assert [r.value for r in resumed] == [r.value for r in first]
-        assert sum(1 for r in resumed if r.resumed) == 3
-        assert sum(1 for r in resumed if not r.resumed) == 3
+            resumed_runner = JobRunner(workers=workers)
+            resumed = resumed_runner.run(
+                _specs(), check=True, checkpoint=JobCheckpoint(path, meta=meta, resume=True)
+            )
+            assert [r.value for r in resumed] == [r.value for r in first], workers
+            assert sum(1 for r in resumed if r.resumed) == 3, workers
+            assert sum(1 for r in resumed if not r.resumed) == 3, workers
+            assert resumed_runner.last_stats.resumed_jobs == 3, workers
 
     def test_torn_trailing_line_is_tolerated(self, tmp_path):
         path = tmp_path / "run.jsonl"

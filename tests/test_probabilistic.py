@@ -17,7 +17,11 @@ from repro.analysis import (
     confidence_noise_power,
     probabilistic,
 )
-from repro.analysis.montecarlo import draw_stimulus, monte_carlo_error
+from repro.analysis.montecarlo import (
+    draw_stimulus,
+    monte_carlo_error,
+    monte_carlo_error_sharded,
+)
 from repro.analysis.probabilistic import UniformChain
 from repro.benchmarks.circuits import get_circuit
 from repro.benchmarks.generators import generate_circuit
@@ -102,6 +106,33 @@ class TestStimulusRangeGuard:
                 rng=np.random.default_rng(0),
                 out_of_range="ignore",
             )
+
+    def test_sharded_pdf_outside_declared_range_raises_in_the_parent(self):
+        circuit, assignment = quadratic_bits()
+        lo, hi = circuit.input_ranges["x"].lo, circuit.input_ranges["x"].hi
+        wide = HistogramPDF.uniform(lo - 1.0, hi + 1.0, bins=16)
+        with pytest.raises(NoiseModelError, match="outside the declared"):
+            monte_carlo_error_sharded(
+                circuit.graph,
+                assignment,
+                circuit.input_ranges,
+                samples=64,
+                input_pdfs={"x": wide},
+                workers=2,
+            )
+
+    @pytest.mark.parametrize("mc_workers", [None, 1, 2])
+    def test_pipeline_reports_bad_stimulus_for_any_mc_workers(self, mc_workers):
+        """Bad input is a NoiseModelError, never a pool failure to degrade from."""
+        circuit = get_circuit("quadratic")
+        interval = circuit.input_ranges["x"]
+        wide = HistogramPDF.uniform(interval.lo - 1.0, interval.hi + 1.0, bins=16)
+        pipeline = NoiseAnalysisPipeline(
+            AnalysisConfig(mc_samples=256, horizon=2, bins=8, mc_workers=mc_workers)
+        )
+        with pytest.raises(NoiseModelError, match="outside the declared"):
+            pipeline.analyze(circuit, method="montecarlo", input_pdfs={"x": wide})
+        assert pipeline.degradation_log == []
 
 
 # --------------------------------------------------------------------- #
