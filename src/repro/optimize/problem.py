@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from repro.config import OptimizeConfig
 from repro.dfg.graph import DFG
 from repro.dfg.node import OpType
@@ -90,6 +92,12 @@ class _SearchState:
     gain_abs: Dict[str, float] | None = None
     pricing: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] | None = None
     ledger: CostLedger | None = None  # built by the first evaluate()
+    #: Lane prices by design: ``priced[key][(node, new_frac)]`` is the
+    #: noise power ``price_moves`` returned for that move from the design
+    #: whose ``key()`` is ``key``.  A lane depends only on the design and
+    #: its move, so a descent re-entering a design (at the same floor or
+    #: a looser one) prices only moves no earlier batch priced from it.
+    priced: Dict[tuple, Dict[Tuple[str, int], float]] = field(default_factory=dict)
     #: Analyzer invocations so far (strategies report deltas of this).
     analyzer_calls: int = 0
     #: Memoized evaluations served without an analyzer call.
@@ -509,34 +517,56 @@ class OptimizationProblem:
         uncoverable lanes priced at ``inf``.  ``assignment`` must already
         be coverage-widened (every ``DesignEvaluation.assignment`` is);
         one in other quantization/overflow modes than the problem's raises
-        :class:`OptimizationError`, as :meth:`evaluate` does.
-        One vectorized pass replaces ``len(moves)`` analyzer probes; no
-        caches or counters are touched.
+        :class:`OptimizationError`, as :meth:`evaluate` does, and so does
+        a move naming a node ``assignment`` has no format for.
+
+        **Memo.**  Lane prices are memoized per design in the search state
+        shared with every :meth:`rescoped` view (``_SearchState.priced``,
+        keyed on :meth:`WordLengthAssignment.key` and the move).  Only the
+        moves no earlier call priced from this design go to the batched
+        engine, in one vectorized pass, and their prices are stored once
+        that pass returns; the result is a float64 array in ``moves``
+        order.  A repeat, subset or re-entered frontier therefore costs
+        the engine nothing.  The evaluation cache and its counters are
+        untouched.
 
         A broken batched engine is the problem's call, not the caller's: a
         ``batched`` problem with :attr:`engine_fallback` degrades onto the
         incremental engine (recording a
         :class:`~repro.analysis.degradation.DegradationEvent`) and returns
         ``None`` — strategies then follow :attr:`engine`.  Otherwise the
-        error propagates.
+        error propagates.  Neither stores a lane.
         """
         self._check_graph()
         self._check_modes(assignment)
-        degradable = self._state.engine == "batched" and self.engine_fallback
-        try:
-            engine = self.batched_engine()  # compile failures degrade in there
-            return engine.price_moves(
-                assignment,
-                moves,
-                method=self.method,
-                output=self.output,
-                confidence=self.confidence,
+        unknown = sorted({node for node, _ in moves if node not in assignment.formats})
+        if unknown:
+            raise OptimizationError(
+                f"moves name nodes without a fixed-point format: {', '.join(unknown)}"
             )
-        except ReproError as exc:
-            if not degradable:
-                raise
-            self._degrade("batched-price", exc)
-            return None
+        state = self._state
+        key = assignment.key()
+        known = state.priced.get(key, {})
+        missing = [move for move in dict.fromkeys(moves) if move not in known]
+        if missing:
+            degradable = state.engine == "batched" and self.engine_fallback
+            try:
+                engine = self.batched_engine()  # compile failures degrade in there
+                noise = engine.price_moves(
+                    assignment,
+                    missing,
+                    method=self.method,
+                    output=self.output,
+                    confidence=self.confidence,
+                )
+            except ReproError as exc:
+                if not degradable:
+                    raise
+                self._degrade("batched-price", exc)
+                return None
+            known = state.priced.setdefault(key, {})
+            known.update(zip(missing, noise.tolist()))
+        return np.array([known[move] for move in moves], dtype=np.float64)
 
     @property
     def batched_calls(self) -> int:
@@ -568,11 +598,11 @@ class OptimizationProblem:
         and ``analysis_log`` (which starts disabled).  It shares the rest
         by reference: the immutable circuit data, and the one search
         state holding the engines, gains, pricing neighbourhood, cost
-        ledger, evaluation caches, counters and degradation log.  Work done
-        through any view therefore warms, counts and degrades them all,
-        and a Pareto sweep pays the analyzer only for designs no earlier
-        floor visited.  Cached evaluations are re-judged against the
-        reading view's floor.
+        ledger, evaluation caches, lane-price memo, counters and
+        degradation log.  Work done through any view therefore warms,
+        counts and degrades them all, and a Pareto sweep pays the
+        analyzer only for designs no earlier floor visited.  Cached
+        evaluations are re-judged against the reading view's floor.
         """
         margin = self.margin_db if margin_db is None else float(margin_db)
         view = copy.copy(self)  # attributes are immutable or the shared _state
