@@ -407,8 +407,7 @@ class IncrementalAnalyzer:
         loop wants — unless the candidate has drifted
         :data:`AUTO_COMMIT_AFTER` or more nodes from the baseline, in which
         case it is committed anyway to keep later cones small.
-        ``contributions`` is forwarded to the report builders (see
-        :meth:`DatapathNoiseAnalyzer.analyze`).
+        ``contributions`` is forwarded to :meth:`DatapathNoiseAnalyzer.report`.
         """
         method = str(method).lower()
         if method not in ANALYSIS_METHODS:
@@ -422,8 +421,7 @@ class IncrementalAnalyzer:
         # share cones); only the report/noise-measure stage differs.
         algebra = propagation_algebra(method)
         errors = self._update(assignment, algebra, target, commit)
-        builder = getattr(analyzer, f"_report_{method}")
-        return builder(target, errors[target], self._values[algebra], contributions)
+        return analyzer.report(method, target, errors[target], self._values[algebra], contributions)
 
     def noise_power(
         self,

@@ -26,7 +26,6 @@ which runs, in order:
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from typing import Dict, Iterable, Mapping
@@ -54,6 +53,7 @@ from repro.optimize import (
     get_optimizer,
 )
 from repro.symbols.expression import Expression
+from repro.utils.mathutils import snr_db
 
 __all__ = ["NoiseAnalysisPipeline", "ALL_METHODS", "OPTIONAL_METHODS"]
 
@@ -225,20 +225,14 @@ class NoiseAnalysisPipeline:
                         rng=self.seed,
                     )
                 elapsed = time.perf_counter() - started
-                noise_power = mc_result.noise_power
-                snr = (
-                    10.0 * math.log10(signal_power / noise_power)
-                    if noise_power > 0 and signal_power > 0
-                    else float("inf")
-                )
                 results[method_name] = MethodResult(
                     method="montecarlo",
                     lower=mc_result.lower,
                     upper=mc_result.upper,
                     mean=mc_result.mean,
                     variance=mc_result.variance,
-                    noise_power=noise_power,
-                    snr_db=snr,
+                    noise_power=mc_result.noise_power,
+                    snr_db=snr_db(signal_power, mc_result.noise_power),
                     runtime_s=elapsed,
                     extra={"samples": float(mc_result.samples), "steps": float(mc_result.steps)},
                 )
@@ -259,20 +253,14 @@ class NoiseAnalysisPipeline:
                     precision_bits=self.oracle_precision_bits,
                 )
                 elapsed = time.perf_counter() - started
-                noise_power = oracle_result.noise_power
-                snr = (
-                    10.0 * math.log10(signal_power / noise_power)
-                    if noise_power > 0 and signal_power > 0
-                    else float("inf")
-                )
                 results[method_name] = MethodResult(
                     method="oracle",
                     lower=oracle_result.lower,
                     upper=oracle_result.upper,
                     mean=oracle_result.mean,
                     variance=oracle_result.variance,
-                    noise_power=noise_power,
-                    snr_db=snr,
+                    noise_power=oracle_result.noise_power,
+                    snr_db=snr_db(signal_power, oracle_result.noise_power),
                     runtime_s=elapsed,
                     extra={
                         "samples": float(oracle_result.samples),

@@ -16,7 +16,7 @@ prefix of steps it shares with the previous read (:class:`UniformChain`).
 
 Two consumers:
 
-* :meth:`DatapathNoiseAnalyzer._report_pna` attaches the convolved PDF to
+* :meth:`DatapathNoiseAnalyzer.report` attaches the convolved PDF to
   the report (``NoiseReport.error_pdf``) so pipelines and tables can show
   distribution-level results next to the worst-case rows.
 * :func:`confidence_noise_power` turns ``OptimizeConfig(confidence=...)``

@@ -43,6 +43,7 @@ from repro.benchmarks.runner_options import (
 )
 from repro.config import AnalysisConfig
 from repro.jobs import JobCheckpoint, JobRunner, JobSpec, derive_seed
+from repro.noisemodel.analyzer import BOUND_METHODS
 
 __all__ = ["run_benchmarks", "main"]
 
@@ -52,9 +53,6 @@ SUITE = "noise-analysis-pipeline"
 #: The driver's defaults, and the fields its flags expose.
 DEFAULTS = AnalysisConfig(mc_samples=50_000)
 FIELDS = ("word_length", "horizon", "bins", "mc_samples")
-
-#: Methods whose enclosure verdict gates the exit code (sound bounds).
-GATED_METHODS = ("ia", "aa", "taylor")
 
 
 def _analysis_job(name: str, config: AnalysisConfig) -> dict:
@@ -122,7 +120,7 @@ def run_benchmarks(
     verdicts = [
         entry["enclosure"][method]
         for entry in document["circuits"].values()
-        for method in GATED_METHODS
+        for method in BOUND_METHODS
         if method in entry["enclosure"]
     ]
     document["enclosure_checks"] = len(verdicts)

@@ -51,6 +51,8 @@ import os
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
+from repro.noisemodel.analyzer import BOUND_METHODS
+
 __all__ = [
     "compare_documents",
     "compare_pareto_documents",
@@ -61,9 +63,6 @@ __all__ = [
     "strip_execution_counters",
     "main",
 ]
-
-#: Methods whose bounds are sound enclosures and therefore gated.
-GATED_METHODS = ("ia", "aa", "taylor")
 
 #: Fault-tolerance execution counters: how a run *executed* (retries,
 #: timeouts, resumed cells, injected faults), never what it *computed*.
@@ -141,7 +140,7 @@ def compare_documents(
             base_enclosed = base_entry.get("enclosure", {}).get(method)
             head_enclosed = head_entry.get("enclosure", {}).get(method)
             unsound = (
-                method in GATED_METHODS
+                method in BOUND_METHODS
                 and base_enclosed is True
                 and head_enclosed is False
             )

@@ -24,7 +24,7 @@ Subcommands
     cost-vs-SNR curve is monotone by construction.
 ``bench``
     Dispatch to the full benchmark drivers (``analysis`` / ``optimize``
-    / ``perf`` / ``pareto`` / ``compare``), forwarding every remaining
+    / ``pareto`` / ``scale`` / ``compare``), forwarding every remaining
     argument, so CI and humans spell benchmark invocations exactly one
     way.
 
@@ -168,7 +168,7 @@ def _add_pareto_parser(sub) -> None:
 def _add_bench_parser(sub) -> None:
     parser = sub.add_parser(
         "bench",
-        help="run a full benchmark driver (analysis / optimize / perf / pareto / compare)",
+        help=f"run a full benchmark driver ({' / '.join(BENCH_SUITES)})",
         description="Forward the remaining arguments to a benchmark "
         "driver; exit code is the driver's gate.",
     )

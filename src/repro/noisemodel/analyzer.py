@@ -49,6 +49,10 @@ The same engine runs in four algebras, selected by name:
   uniform random value, every quantization point contributes its error
   PDF, and the output is a full error distribution, not just bounds).
 
+One readout, :meth:`DatapathNoiseAnalyzer.report`, turns a propagated
+output error into every method's :class:`NoiseReport`; it and
+:meth:`DatapathNoiseAnalyzer.noise_power_of` read moments from one table.
+
 Sequential graphs are analyzed over a finite horizon by unrolling
 (:mod:`repro.dfg.unroll`), which makes the bounds directly comparable to
 a zero-initial-state time-stepped simulation of the same length.
@@ -73,13 +77,14 @@ from repro.intervals.taylor import TaylorModel
 from repro.noisemodel.assignment import WordLengthAssignment
 from repro.noisemodel.gains import transfer_gains
 from repro.noisemodel.sources import QuantizationSource, build_sources, sources_by_node
-from repro.utils.mathutils import summed
+from repro.utils.mathutils import snr_db, summed
 
 __all__ = [
     "DatapathNoiseAnalyzer",
     "NoiseReport",
     "ANALYSIS_METHODS",
     "PDF_METHODS",
+    "BOUND_METHODS",
     "propagation_algebra",
 ]
 
@@ -88,6 +93,10 @@ ANALYSIS_METHODS = ("ia", "aa", "taylor", "sna", "pna")
 #: Methods whose propagated error carries a full distribution, i.e. the
 #: ones a fractional confidence level can be evaluated against.
 PDF_METHODS = ("pna", "sna")
+
+#: Methods whose ``bounds`` soundly enclose the error, i.e. the ones a
+#: sampled error must never escape (the PDF methods bound a binned support).
+BOUND_METHODS = ("ia", "aa", "taylor")
 
 #: Methods whose propagation reuses another method's term algebra.  The
 #: probabilistic method ("pna") propagates plain affine forms — the shared
@@ -132,11 +141,7 @@ class NoiseReport:
 
     def snr_db(self, signal_power: float) -> float:
         """Signal-to-noise ratio in dB for a given signal power."""
-        if self.noise_power <= 0.0:
-            return float("inf")
-        if signal_power <= 0.0:
-            return float("-inf")
-        return 10.0 * math.log10(signal_power / self.noise_power)
+        return snr_db(signal_power, self.noise_power)
 
     def as_row(self) -> dict:
         """Plain-dict view for tables and JSON reports."""
@@ -817,24 +822,67 @@ class DatapathNoiseAnalyzer:
             )
         target = self._resolve_output(output)
         values, errors, _context = self._propagate(propagation_algebra(method), target)
-        error = errors[target]
-        builder = getattr(self, f"_report_{method}")
-        return builder(target, error, values, contributions)
+        return self.report(method, target, errors[target], values, contributions)
 
-    def _aggregate_contributions(self, raw: Mapping[str, float]) -> Dict[str, float]:
-        merged: Dict[str, float] = {}
-        for symbol, magnitude in raw.items():
-            node = symbol[2:] if symbol.startswith("e_") else symbol
-            merged[_base_name(node)] = merged.get(_base_name(node), 0.0) + abs(magnitude)
-        return merged
-
-    def _report_ia(
-        self, target: str, error: Any, values: Dict[str, Any], with_contributions: bool = True
+    def report(
+        self,
+        method: str,
+        target: str,
+        error: Any,
+        values: Mapping[str, Any],
+        contributions: bool = True,
     ) -> NoiseReport:
-        bounds = error if isinstance(error, Interval) else Interval.point(float(error))
-        mean, variance = self._moments_ia(bounds)
-        contributions: Dict[str, float] = {}
-        if with_contributions:
+        """Summarize the propagated ``error`` of output ``target`` under ``method``.
+
+        The readout of :meth:`analyze` and of the incremental engine.  An
+        exact-zero float error reads as the algebra's point.  SNA reads its
+        histogram's statistics; the others read the error's enclosure and
+        :data:`_MOMENTS`, and ``pna`` attaches the convolved error PDF.
+        ``values`` are the value enclosures IA's contributions linearize around.
+        """
+        if isinstance(error, float):
+            error = self._make_const(propagation_algebra(method), float(error), None)
+        error_pdf = None
+        if method == "sna":
+            stats = summarize(error)
+            bounds, mean, variance = stats.bounds, stats.mean, stats.variance
+            noise_power = stats.noise_power
+            error_pdf = error
+        else:
+            bounds = _enclosure_of(error)
+            mean, variance = _MOMENTS[method](error)
+            noise_power = mean * mean + variance
+            if method == "pna":
+                # Lazy import: repro.analysis imports this module at package
+                # init.  The convolution treats only *distinct* noise symbols
+                # as independent: correlated reconvergent paths already
+                # combined symbolically during the AA propagation.
+                from repro.analysis.probabilistic import affine_error_pdf
+
+                error_pdf = affine_error_pdf(error, bins=self.bins)
+        return NoiseReport(
+            method=method,
+            output=target,
+            bounds=bounds,
+            mean=mean,
+            variance=variance,
+            noise_power=noise_power,
+            source_count=len(self._sources_by_node),
+            contributions=(
+                self._contributions(method, target, error, values)
+                if contributions and method != "sna"
+                else {}
+            ),
+            error_pdf=error_pdf,
+        )
+
+    def _contributions(
+        self, method: str, target: str, error: Any, values: Mapping[str, Any]
+    ) -> Dict[str, float]:
+        """Per-source error magnitude at ``target``, keyed by base node name:
+        adjoint gain times error magnitude for IA, the ``e_`` symbols' linear
+        coefficients otherwise."""
+        if method == "ia":
             # The propagated values ARE the per-node IA enclosures; reuse
             # them as the ranges the adjoint gain sweep linearizes around.
             # Values never depend on the word-length assignment, so the
@@ -843,115 +891,26 @@ class DatapathNoiseAnalyzer:
             if profile is None:
                 profile = transfer_gains(self.graph, values, output=target)
                 self._gain_cache[target] = profile
-            contributions = self._aggregate_contributions(
-                {
-                    source.node: profile.magnitude_of(source.node)
-                    * source.error_interval.magnitude
-                    for source in self._sources_by_node.values()
-                }
-            )
-        return NoiseReport(
-            method="ia",
-            output=target,
-            bounds=bounds,
-            mean=mean,
-            variance=variance,
-            noise_power=mean * mean + variance,
-            source_count=len(self._sources_by_node),
-            contributions=contributions,
-        )
-
-    def _report_aa(
-        self, target: str, error: Any, values: Dict[str, Any], with_contributions: bool = True
-    ) -> NoiseReport:
-        if not isinstance(error, AffineForm):
-            error = AffineForm(float(error), {})
-        bounds = error.to_interval()
-        mean, variance = self._moments_aa(error)
-        contributions: Dict[str, float] = {}
-        if with_contributions:
-            contributions = self._aggregate_contributions(
-                {name: coeff for name, coeff in error.terms.items() if name.startswith("e_")}
-            )
-        return NoiseReport(
-            method="aa",
-            output=target,
-            bounds=bounds,
-            mean=mean,
-            variance=variance,
-            noise_power=mean * mean + variance,
-            source_count=len(self._sources_by_node),
-            contributions=contributions,
-        )
-
-    def _report_pna(
-        self, target: str, error: Any, values: Dict[str, Any], with_contributions: bool = True
-    ) -> NoiseReport:
-        """Probabilistic report: the AA error form read as an error PDF.
-
-        The affine form's shared noise symbols already account for
-        correlated reconvergent paths (they combine symbolically during
-        propagation), so convolving the per-symbol uniform contributions
-        here treats only *distinct* symbols as independent — exactly the
-        AA independence model, but producing a full distribution instead
-        of two moments.
-        """
-        # Lazy import: repro.analysis imports this module at package init.
-        from repro.analysis.probabilistic import affine_error_pdf
-
-        if not isinstance(error, AffineForm):
-            error = AffineForm(float(error), {})
-        bounds = error.to_interval()
-        mean, variance = self._moments_aa(error)
-        contributions: Dict[str, float] = {}
-        if with_contributions:
-            contributions = self._aggregate_contributions(
-                {name: coeff for name, coeff in error.terms.items() if name.startswith("e_")}
-            )
-        return NoiseReport(
-            method="pna",
-            output=target,
-            bounds=bounds,
-            mean=mean,
-            variance=variance,
-            noise_power=mean * mean + variance,
-            source_count=len(self._sources_by_node),
-            contributions=contributions,
-            error_pdf=affine_error_pdf(error, bins=self.bins),
-        )
-
-    def _report_taylor(
-        self, target: str, error: Any, values: Dict[str, Any], with_contributions: bool = True
-    ) -> NoiseReport:
-        if not isinstance(error, TaylorModel):
-            error = TaylorModel.constant_model(float(error))
-        bounds = error.bound()
-        mean, variance = self._moments_taylor(error)
-        contributions: Dict[str, float] = {}
-        if with_contributions:
-            contributions = self._aggregate_contributions(
-                {name: coeff for name, coeff in error.linear.items() if name.startswith("e_")}
-            )
-        return NoiseReport(
-            method="taylor",
-            output=target,
-            bounds=bounds,
-            mean=mean,
-            variance=variance,
-            noise_power=mean * mean + variance,
-            source_count=len(self._sources_by_node),
-            contributions=contributions,
-        )
+            raw = {
+                source.node: profile.magnitude_of(source.node) * source.error_interval.magnitude
+                for source in self._sources_by_node.values()
+            }
+        else:
+            terms = error.linear if method == "taylor" else error.terms
+            raw = {name: coeff for name, coeff in terms.items() if name.startswith("e_")}
+        merged: Dict[str, float] = {}
+        for symbol, magnitude in raw.items():
+            node = _base_name(symbol[2:] if symbol.startswith("e_") else symbol)
+            merged[node] = merged.get(node, 0.0) + abs(magnitude)
+        return merged
 
     # ------------------------------------------------------------------ #
-    # per-method error moments — single source of truth shared by the
-    # report builders and the optimizer's noise-power fast path
+    # per-method error moments — the one source of truth shared by the
+    # reports and the optimizer's noise-power fast path
     # ------------------------------------------------------------------ #
     @staticmethod
     def _moments_ia(error: Interval) -> tuple[float, float]:
-        mean = error.midpoint
-        width = error.width
-        return mean, width * width / 12.0
+        return error.midpoint, error.width * error.width / 12.0
 
     @staticmethod
     def _moments_aa(error: AffineForm) -> tuple[float, float]:
@@ -971,44 +930,19 @@ class DatapathNoiseAnalyzer:
         variance += error.remainder.radius * error.remainder.radius / 3.0
         return mean, variance
 
-    def _noise_power_ia(self, error: Any) -> float:
-        if not isinstance(error, Interval):
-            value = float(error)
-            return value * value
-        mean, variance = self._moments_ia(error)
-        return mean * mean + variance
-
-    def _noise_power_aa(self, error: Any) -> float:
-        if not isinstance(error, AffineForm):
-            value = float(error)
-            return value * value
-        mean, variance = self._moments_aa(error)
-        return mean * mean + variance
-
-    def _noise_power_taylor(self, error: Any) -> float:
-        if not isinstance(error, TaylorModel):
-            value = float(error)
-            return value * value
-        mean, variance = self._moments_taylor(error)
-        return mean * mean + variance
-
-    def _noise_power_sna(self, error: Any) -> float:
-        if not isinstance(error, HistogramPDF):
-            value = float(error)
-            return value * value
-        return error.mean_square()
-
-    def _noise_power_pna(self, error: Any) -> float:
-        # The mean-square of the convolved PDF equals mean² + variance of
-        # the affine form analytically; the moment form skips the binning
-        # error entirely, so pna's plain noise power IS aa's.
-        return self._noise_power_aa(error)
-
     def noise_power_of(self, method: str, error: Any) -> float:
         """Output noise power of a propagated error — the single number the
         word-length search needs per candidate, computed without building
-        a full :class:`NoiseReport` (identical to the report's value)."""
-        return getattr(self, f"_noise_power_{method}")(error)
+        a full :class:`NoiseReport` (identical to the report's value).
+
+        ``pna`` reads AA's moments, which its PDF's mean-square equals
+        analytically, without the binning error."""
+        if isinstance(error, float):
+            return error * error
+        if method == "sna":
+            return error.mean_square()
+        mean, variance = _MOMENTS[method](error)
+        return mean * mean + variance
 
     def effective_noise_power(
         self, method: str, error: Any, confidence: float | None = None
@@ -1034,22 +968,15 @@ class DatapathNoiseAnalyzer:
             method, error, confidence, bins=self.bins, chain=self._pna_chain
         )
 
-    def _report_sna(
-        self, target: str, error: Any, values: Dict[str, Any], with_contributions: bool = True
-    ) -> NoiseReport:
-        if not isinstance(error, HistogramPDF):
-            error = HistogramPDF.point(float(error))
-        stats = summarize(error)
-        return NoiseReport(
-            method="sna",
-            output=target,
-            bounds=stats.bounds,
-            mean=stats.mean,
-            variance=stats.variance,
-            noise_power=stats.noise_power,
-            source_count=len(self._sources_by_node),
-            error_pdf=error,
-        )
+
+#: ``(mean, variance)`` of a propagated error, per moment-read method
+#: ("sna" reads its histogram's own statistics instead).
+_MOMENTS = {
+    "ia": DatapathNoiseAnalyzer._moments_ia,
+    "aa": DatapathNoiseAnalyzer._moments_aa,
+    "pna": DatapathNoiseAnalyzer._moments_aa,
+    "taylor": DatapathNoiseAnalyzer._moments_taylor,
+}
 
 
 def _is_zero(value: Any) -> bool:

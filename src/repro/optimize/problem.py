@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import math
 import os
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -45,7 +44,7 @@ from repro.noisemodel.analyzer import ANALYSIS_METHODS, PDF_METHODS
 from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
 from repro.noisemodel.gains import transfer_gains
 from repro.optimize.cost import COST_TABLES, CostLedger, HardwareCostModel
-from repro.utils.mathutils import integer_bits_for_range
+from repro.utils.mathutils import integer_bits_for_range, snr_db
 
 __all__ = ["DesignEvaluation", "OptimizationProblem"]
 
@@ -384,11 +383,7 @@ class OptimizationProblem:
         return dataclasses.replace(evaluation, feasible=feasible)
 
     def _snr_db(self, noise_power: float) -> float:
-        if noise_power <= 0.0:
-            return float("inf")
-        if math.isinf(noise_power) or self.signal_power <= 0.0:
-            return float("-inf")
-        return 10.0 * math.log10(self.signal_power / noise_power)
+        return snr_db(self.signal_power, noise_power)
 
     def _analyze(self, assignment: WordLengthAssignment) -> float:
         """Output noise power of one candidate, on the incremental engine.
@@ -684,8 +679,6 @@ class OptimizationProblem:
             )
         if self.confidence is None:
             return self._snr_db(result.noise_power)
-        import numpy as np
-
         if self.confidence >= 1.0:
             level = float(np.max(np.abs(result.errors)))
         else:

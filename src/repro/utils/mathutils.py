@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 __all__ = [
     "ulp",
     "integer_bits_for_range",
+    "snr_db",
     "summed",
 ]
+
+
+def snr_db(signal_power: float, noise_power: float) -> float:
+    """``10·log10(signal / noise)`` in dB: ``+inf`` without noise, ``-inf``
+    with infinite noise or no signal."""
+    if noise_power <= 0.0:
+        return float("inf")
+    if math.isinf(noise_power) or signal_power <= 0.0:
+        return float("-inf")
+    return 10.0 * math.log10(signal_power / noise_power)
 
 
 def summed(values: Iterable[float]) -> float:

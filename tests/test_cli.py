@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import BENCH_SUITES, main
 
 FAST_ANALYZE = ["--samples", "500", "--bins", "8", "--horizon", "2"]
 
@@ -145,6 +145,14 @@ class TestBenchDispatch:
             main(["bench", "perf", "--", "--smoke"])
         assert exited.value.code == 2
         assert "invalid choice: 'perf'" in capsys.readouterr().err
+
+    def test_help_names_every_suite_and_no_retired_one(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        words = capsys.readouterr().out.replace("(", " ").replace(")", " ").split()
+        assert all(suite in words for suite in BENCH_SUITES)
+        assert "perf" not in words
 
     def test_bench_analysis_smoke(self, tmp_path, capsys):
         out = tmp_path / "BENCH.json"

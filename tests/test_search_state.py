@@ -43,6 +43,25 @@ def test_sibling_views_share_gains_engine_and_neighbourhood(monkeypatch):
     assert views[2].pricing_neighbourhood() is views[1].pricing_neighbourhood()
 
 
+def test_rescoped_view_owns_only_its_floor_margin_config_and_log():
+    """A view rebinds exactly four attributes; everything else is the parent's object.
+
+    A per-problem mutable attribute added later fails here instead of
+    being silently shared between a problem and its views.
+    """
+    problem = _batched_problem()
+    problem.analysis_log = []
+    problem.evaluate(problem.uniform(12))  # warm the shared state first
+    view = problem.rescoped(45.0, margin_db=2.0)
+    owned = {"config", "snr_floor_db", "margin_db", "analysis_log"}
+    assert set(vars(view)) == set(vars(problem))
+    rebound = {name for name in vars(view) if vars(view)[name] is not vars(problem)[name]}
+    assert rebound == owned
+    assert view._state is problem._state
+    assert view.config == problem.config.replace(snr_floor_db=45.0, margin_db=2.0)
+    assert (view.snr_floor_db, view.margin_db, view.analysis_log) == (45.0, 2.0, None)
+
+
 def test_counters_and_evaluation_indices_are_shared():
     problem = _batched_problem()
     problem.analysis_log = []
