@@ -1,27 +1,45 @@
 """Whole-graph vectorized candidate pricing with a leading batch axis.
 
-:class:`BatchedAnalyzer` is the compiled-IA kernel of one
+:class:`BatchedAnalyzer` is the compiled IA and AA kernel of one
 :class:`~repro.analysis.incremental.IncrementalAnalyzer`.  It compiles
 that engine's (unrolled) dataflow graph into a straight-line NumPy
-program once per analyzed output, then prices *n* single-node
-word-length moves in one array pass: every propagated error interval
-becomes a pair of ``(n,)`` endpoint arrays, and every IA propagation rule
+program once per algebra and analyzed output, then prices *n*
+single-node word-length moves in one array pass; every propagation rule
 of :class:`~repro.noisemodel.analyzer.DatapathNoiseAnalyzer` becomes a
 handful of elementwise array operations.  One call to
 :meth:`~BatchedAnalyzer.price_moves` replaces *n* cone re-propagations —
 the word-length optimizer's greedy inner loop prices every candidate
 shave at once.
 
+* Under ``ia`` every propagated error interval is a pair of ``(n,)``
+  endpoint arrays.
+* Under ``aa`` (and mean-square ``pna``, which propagates AA forms and
+  reads AA's moments) every propagated error is an affine form over the
+  lanes: an ``(n, 1)`` center and an ``(n, S)`` coefficient matrix over
+  one symbol layout fixed at compile time.  The layout holds the value
+  forms' symbols, one column per source instance (``e_<inst>``), and one
+  column per fresh-symbol site of each rule (a product's nonlinear term,
+  a Chebyshev or reciprocal deviation, a selection blur).
+
+Arrays stay single-lane wherever no move disturbs them.
+
 Bit-equivalence contract
 ------------------------
-The compiled program reproduces the scalar ``ia`` engine *exactly*:
+The compiled program reproduces the scalar engine *exactly*:
 
 * Value enclosures never depend on the assignment, so the program bakes
-  in the engine's own IA value sweep as constants.
+  in the engine's own value sweep as constants.
 * Every error rule is evaluated with the same float operations in the
   same order as the scalar rule, so each batch lane carries the same
-  endpoints the scalar analyzer would produce for that candidate (up to
-  the sign of IEEE zeros, which no decision or moment depends on).
+  endpoints / center and coefficients the scalar analyzer would produce
+  for that candidate (up to the sign of IEEE zeros, which no decision or
+  moment depends on).  A symbol the scalar form drops as an exact zero
+  is a zero column here, and adding zero is exact.
+* Cross-symbol reductions (an affine radius, the AA variance) are
+  ``math.fsum`` in both engines, once per lane.  It is correctly
+  rounded, so the result depends neither on dict order nor on column
+  order.  The rare nonlinear steps (``sqrt`` / ``exp`` / ``log``) call
+  the scalar Chebyshev helpers once per lane, like ``_libm_exp`` does.
 * The scalar engine's structural-zero shortcuts (``_is_zero``) are
   mirrored with per-lane boolean "error is the float 0.0" masks, so the
   domain checks that scalar zero-errors *skip* (``sqrt`` / ``log`` of a
@@ -33,14 +51,14 @@ The compiled program reproduces the scalar ``ia`` engine *exactly*:
   garbage cannot leak into other lanes.  A value sweep that already
   violates a premise prices every lane ``inf``.
 
-Methods other than ``ia`` (``aa`` / ``taylor`` / ``sna`` / ``pna``), and
-every ``confidence`` batch, carry state that does not vectorize into
-endpoint arrays; for them :meth:`~BatchedAnalyzer.price_moves` probes the
-same incremental engine once per lane, which reproduces a from-scratch
-analysis exactly, so callers use one object regardless of method.  An
-optimization problem builds its kernel over its own search engine, which
-the search commits after each accepted design, so every probe
-re-propagates only its own move's cone.
+The other methods (``taylor`` / ``sna``), and every ``confidence``
+batch, carry state that does not vectorize into these arrays; for them
+:meth:`~BatchedAnalyzer.price_moves` probes the same incremental engine
+once per lane, which reproduces a from-scratch analysis exactly, so
+callers use one object regardless of method.  An optimization problem
+builds its kernel over its own search engine, which the search commits
+after each accepted design, so every probe re-propagates only its own
+move's cone.
 """
 
 from __future__ import annotations
@@ -53,13 +71,16 @@ import numpy as np
 from repro.dfg.node import OpType
 from repro.dfg.unroll import base_name as _base_name
 from repro.errors import DivisionByZeroIntervalError, DomainError, NoiseModelError
-from repro.fixedpoint.format import QuantizationMode
-from repro.fixedpoint.quantize import quantize
+from repro.fixedpoint.quantize import quantization_error_bounds, quantize
 from repro.intervals.interval import Interval
-from repro.noisemodel.analyzer import ANALYSIS_METHODS
+from repro.intervals.linearize import exp_linearization, log_linearization, sqrt_linearization
+from repro.noisemodel.analyzer import ANALYSIS_METHODS, propagation_algebra
 from repro.noisemodel.assignment import WordLengthAssignment, covering_format
 
 __all__ = ["BatchedAnalyzer"]
+
+#: Propagation algebras with a compiled program (mean-square power only).
+_COMPILED = ("ia", "aa")
 
 #: Elementwise libm wrappers: ``np.exp`` / ``np.log`` are not guaranteed
 #: bit-identical to the C library calls the scalar Interval methods make,
@@ -134,35 +155,270 @@ class _Context:
         self.invalid = np.zeros(n, dtype=bool)
 
 
-class _Program:
-    """One compiled output: an ordered list of vectorized error rules.
+# ---------------------------------------------------------------------- #
+# affine forms over the lanes (the compiled ``aa`` program)
+# ---------------------------------------------------------------------- #
+def _fsum_rows(terms: np.ndarray, support: np.ndarray | None) -> np.ndarray:
+    """Per-lane ``math.fsum`` of ``terms`` over the ``support`` columns, as ``(L, 1)``.
 
-    ``steps`` is a list of ``(instance, source_base, fn)``: ``fn`` maps
-    the error environment to the node's pre-quantization error arrays;
+    Columns outside the support are zero on every lane, and a correctly
+    rounded sum does not change when zeros join or leave it.
+    """
+    if support is not None:
+        terms = terms[:, support]
+    if terms.shape[1] == 1:
+        return terms
+    return np.array(list(map(math.fsum, terms.tolist()))).reshape(-1, 1)
+
+
+class _Lanes:
+    """One affine form per lane: ``center + coeffs @ eps``.
+
+    ``center`` is ``(L, 1)`` and ``coeffs`` ``(L, S)``, with ``L`` either 1
+    (no move reaches the form) or the batch size.  ``zero`` is the per-lane
+    "error is the float 0.0" mask of a node's error (``None`` on
+    intermediate forms).  ``support`` lists the columns that can be
+    non-zero (``None``: all).  The radius, ``AffineForm.radius`` per lane,
+    is computed once, on first use.
+    """
+
+    __slots__ = ("center", "coeffs", "zero", "support", "_radius")
+
+    def __init__(
+        self,
+        center: np.ndarray,
+        coeffs: np.ndarray,
+        zero: np.ndarray | None = None,
+        support: np.ndarray | None = None,
+        radius: np.ndarray | None = None,
+    ) -> None:
+        self.center = center
+        self.coeffs = coeffs
+        self.zero = zero
+        self.support = support
+        self._radius = radius
+
+    def radius(self) -> np.ndarray:
+        if self._radius is None:
+            self._radius = _fsum_rows(np.abs(self.coeffs), self.support)
+        return self._radius
+
+    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``AffineForm.to_interval`` per lane: ``center -/+ radius``."""
+        radius = self.radius()
+        return self.center - radius, self.center + radius
+
+
+class _AffineContext:
+    """Per-execution scratch shared by the compiled ``aa`` steps."""
+
+    __slots__ = ("zero", "false", "invalid")
+
+    def __init__(self, n: int, width: int) -> None:
+        self.false = np.zeros((1, 1), dtype=bool)
+        self.zero = _Lanes(
+            np.zeros((1, 1)), np.zeros((1, width)), np.ones((1, 1), dtype=bool),
+            np.zeros(0, dtype=np.intp), np.zeros((1, 1)),
+        )
+        self.invalid = np.zeros((n, 1), dtype=bool)
+
+
+def _source_lanes(
+    center: Any, radius: Any, column: int, width: int, support: np.ndarray
+) -> _Lanes:
+    """A source leaf's error ``AffineForm(center, {e_<inst>: radius})`` over the lanes."""
+    center = np.array(center, dtype=np.float64).reshape(-1, 1)
+    radius = np.array(radius, dtype=np.float64).reshape(-1, 1)
+    coeffs = np.zeros((center.shape[0], width))
+    coeffs[:, column : column + 1] = radius
+    return _Lanes(center, coeffs, np.zeros((1, 1), dtype=bool), support, radius)
+
+
+def _aa_add(a: _Lanes, b: _Lanes, support: np.ndarray) -> _Lanes:
+    """``a + b``: per-symbol sums (a missing symbol adds an exact zero)."""
+    return _Lanes(a.center + b.center, a.coeffs + b.coeffs, support=support)
+
+
+def _aa_mul(x: _Lanes, y: _Lanes, site: int, support: np.ndarray) -> _Lanes:
+    """``AffineForm.__mul__``: ``x0*y_i + y0*x_i`` per symbol, ``rad(x)*rad(y)`` on ``site``.
+
+    The scalar shortcut for a term-free operand (a plain scale) gives the
+    same floats: the other operand's missing coefficients add exact zeros
+    and the linearization term is zero.
+    """
+    coeffs = x.center * y.coeffs + y.center * x.coeffs
+    coeffs[:, site : site + 1] = x.radius() * y.radius()
+    return _Lanes(x.center * y.center, coeffs, support=support)
+
+
+def _aa_reciprocal(
+    x: _Lanes, site: int, support: np.ndarray
+) -> Tuple[_Lanes, np.ndarray]:
+    """``AffineForm.reciprocal`` per lane, and the lanes whose enclosure holds zero.
+
+    Those lanes raise ``DivisionByZeroIntervalError`` in the scalar engine;
+    here they compute from the dummy enclosure ``[1, 1]``, and the caller
+    prices them ``inf`` and clears them.
+    """
+    lo, hi = x.bounds()
+    bad = (lo <= 0.0) & (hi >= 0.0)
+    a = np.where(bad, 1.0, lo)
+    b = np.where(bad, 1.0, hi)
+    alpha = -1.0 / (a * b)
+    root = np.sqrt(a * b)
+    ends = 1.0 / a + 1.0 / b
+    positive = a > 0
+    d_max = np.where(positive, ends, -2.0 / root)
+    d_min = np.where(positive, 2.0 / root, ends)
+    coeffs = x.coeffs * alpha
+    coeffs[:, site : site + 1] = 0.5 * (d_max - d_min)
+    center = x.center * alpha + 0.5 * (d_max + d_min)
+    return _Lanes(center, coeffs, support=support), bad
+
+
+def _aa_chebyshev(
+    x: _Lanes,
+    linearize: Callable[[float, float], Any],
+    point: Callable[[float], float],
+    site: int,
+    support: np.ndarray,
+) -> Tuple[_Lanes, np.ndarray]:
+    """``AffineForm.sqrt`` / ``exp`` / ``log`` per lane, and the domain-failure lanes.
+
+    The shared linearization helper runs once per lane on that lane's
+    enclosure, exactly as the scalar method calls it.  The min-max line
+    ``alpha*x + zeta +/- delta`` is kept where its enclosure is no wider
+    than the exact image; elsewhere the image is wrapped in the same
+    fresh column (``_tightest_selection``).  A point enclosure gives the
+    constant ``point(lo)``.  A lane whose helper raises ``DomainError``
+    gets zeros; the caller prices it ``inf``.
+    """
+    lo, hi = x.bounds()
+    rows = []
+    for a, b in zip(lo[:, 0].tolist(), hi[:, 0].tolist()):
+        try:
+            line = linearize(a, b)
+        except DomainError:
+            rows.append((0.0, 0.0, 0.0, 0.0, 0.0, 2.0))
+            continue
+        if line is None:
+            value = point(a)
+            rows.append((0.0, 0.0, 0.0, value, value, 1.0))
+        else:
+            alpha, zeta, delta, exact = line
+            rows.append((alpha, zeta, delta, exact.lo, exact.hi, 0.0))
+    table = np.array(rows)
+    alpha, zeta, delta, exact_lo, exact_hi, kind = (table[:, k : k + 1] for k in range(6))
+    line_center = x.center * alpha + zeta
+    line = x.coeffs * alpha
+    line[:, site : site + 1] = delta
+    line_radius = _fsum_rows(np.abs(line), support)
+    keep = (kind == 0.0) & (
+        (line_center + line_radius) - (line_center - line_radius) <= exact_hi - exact_lo
+    )
+    image_radius = 0.5 * (exact_hi - exact_lo)
+    image_center = np.where(kind == 1.0, exact_lo, 0.5 * (exact_lo + exact_hi))
+    coeffs = np.where(keep, line, 0.0)
+    coeffs[:, site : site + 1] = np.where(keep, delta, image_radius)
+    return (
+        _Lanes(
+            np.where(keep, line_center, image_center),
+            coeffs,
+            support=support,
+            radius=np.where(keep, line_radius, image_radius),
+        ),
+        kind == 2.0,
+    )
+
+
+def _aa_clear(x: _Lanes, clear: np.ndarray, zero: np.ndarray, support: np.ndarray) -> _Lanes:
+    """``x`` as a node error with mask ``zero``; lanes in ``clear`` set to exact zeros."""
+    if not clear.any():
+        return _Lanes(x.center, x.coeffs, zero, support, x._radius)
+    return _Lanes(
+        np.where(clear, 0.0, x.center), np.where(clear, 0.0, x.coeffs), zero, support
+    )
+
+
+def _aa_select(
+    first: np.ndarray | bool,
+    second: np.ndarray | bool,
+    a: _Lanes,
+    b: _Lanes,
+    rest_center: np.ndarray,
+    rest_coeffs: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per lane: ``a`` where ``first``, else ``b`` where ``second``, else the rest."""
+    return (
+        np.where(first, a.center, np.where(second, b.center, rest_center)),
+        np.where(first, a.coeffs, np.where(second, b.coeffs, rest_coeffs)),
+    )
+
+
+#: Fresh-symbol sites per op in the compiled ``aa`` rules (one column each).
+_AA_SITES = {
+    OpType.SQUARE: 2,  # va * ea, ea.square()
+    OpType.MUL: 3,  # va * eb, vb * ea, ea * eb
+    OpType.DIV: 3,  # exact * eb, 1 / denominator, numerator * (1 / denominator)
+    OpType.SQRT: 3,  # sqrt(va + ea), 1 / denominator, ea * (1 / denominator)
+    OpType.EXP: 2,  # exp(ea), value * (exp(ea) - 1)
+    OpType.LOG: 3,  # 1 / va, ea * (1 / va), log(ea / va + 1)
+    OpType.ABS: 1,  # the sign blur
+    OpType.MIN: 1,  # the selection blur
+    OpType.MAX: 1,
+    OpType.MUX: 1,  # the branch hull
+}
+
+
+#: Ops whose ``aa`` error rule multiplies by value forms (the others read
+#: only value enclosures).
+_AA_VALUE_READERS = frozenset(
+    (OpType.SQUARE, OpType.MUL, OpType.DIV, OpType.SQRT, OpType.EXP, OpType.LOG)
+)
+
+
+class _Program:
+    """One compiled (algebra, output): an ordered list of vectorized error rules.
+
+    ``steps`` is a list of ``(instance, source_base, column, fn)``: ``fn``
+    maps the error environment to the node's pre-quantization error;
     ``source_base`` names the caller-level node whose per-candidate own
-    error is added afterwards (``None`` for source-free instances).
+    error is added afterwards (``None`` for source-free instances), and
+    ``column`` is that source's symbol column (``aa`` only; an ``aa``
+    source leaf has no ``fn``: its error is its own error alone).
+    ``sources`` is the set of source bases; ``support`` maps each ``aa``
+    instance to the columns its error can use, of ``width`` in all, and
+    ``leaves`` caches unmoved source leaves per own error.
     ``failed`` carries the value-sweep exception for graphs whose value
     enclosures already violate a domain premise — every candidate then
     prices to ``inf``, matching the scalar engine's behavior.
     """
 
-    __slots__ = ("target", "steps", "failed")
+    __slots__ = (
+        "algebra", "target", "steps", "sources", "support", "width", "leaves", "failed"
+    )
 
     def __init__(
         self,
+        algebra: str,
         target: str,
-        steps: List[
-            Tuple[str, str | None, Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]]]
-        ],
+        steps: List[Tuple[str, str | None, int | None, Callable[..., Any]]],
+        support: Mapping[str, np.ndarray] | None = None,
+        width: int = 0,
         failed: Exception | None = None,
     ) -> None:
+        self.algebra = algebra
         self.target = target
         self.steps = steps
+        self.sources = frozenset(step[1] for step in steps if step[1] is not None)
+        self.support = support or {}
+        self.width = width
+        self.leaves: Dict[Tuple[str, float, float], "_Lanes"] = {}
         self.failed = failed
 
 
 class BatchedAnalyzer:
-    """The compiled-IA pricing kernel of one incremental engine.
+    """The compiled IA/AA pricing kernel of one incremental engine.
 
     Parameters
     ----------
@@ -171,8 +427,9 @@ class BatchedAnalyzer:
         kernel compiles from and probes.  The compiler reads its
         analyzer's working graph, topological order, ancestor closures
         and source table, and takes value enclosures from the engine's
-        own IA sweep.  Fallback probes never commit; whoever owns the
-        engine does.
+        own IA or AA sweep.  Fallback probes (``taylor`` / ``sna`` and
+        ``confidence`` batches) never commit; whoever owns the engine
+        does.
     ranges:
         Per-node value ranges.  Each move is coverage-widened exactly
         like :meth:`OptimizationProblem.evaluate` widens a candidate, so
@@ -183,12 +440,14 @@ class BatchedAnalyzer:
         self._engine = engine
         self._analyzer = engine.analyzer
         self.node_ranges = dict(ranges)
-        self._programs: Dict[str, _Program] = {}
-        self._residue_cache: Dict[Tuple[str, bool, int, int], float] = {}
+        self._programs: Dict[Tuple[str, str], _Program] = {}
+        self._own_cache: Dict[Tuple[str, str, int, int, bool], Tuple[float, float]] = {}
+        self._widened: Dict[Tuple[str, int, int, bool, int], Any] = {}
         #: Compiled-path invocations (n candidates each) — perf telemetry.
         self.batched_calls = 0
         #: Per-candidate probes routed through the incremental engine: one
-        #: per priceable candidate of a non-``ia`` or ``confidence`` batch.
+        #: per priceable candidate of a ``taylor`` / ``sna`` or
+        #: ``confidence`` batch.
         self.fallback_probes = 0
 
     # ------------------------------------------------------------------ #
@@ -216,15 +475,16 @@ class BatchedAnalyzer:
         prices ``inf``, the "infeasible, back away" verdict of the
         scalar path.
 
-        This is the greedy inner loop: for ``ia`` arrays stay single-lane
-        wherever no move disturbs them, so the pass costs one vectorized
-        sweep rather than ``len(moves)`` cone re-propagations.  Other
-        methods and a non-``None`` ``confidence`` (the compiled program
-        prices mean-square power only) probe the incremental engine once
-        per priceable lane, each probe counted in :attr:`fallback_probes`;
-        against an engine whose committed baseline is ``assignment``
-        (a problem's engine after ``notify_accepted``) a probe
-        re-propagates only its own move's cone.
+        This is the greedy inner loop: for ``ia``, ``aa`` and mean-square
+        ``pna`` arrays stay single-lane wherever no move disturbs them, so
+        the pass costs one vectorized sweep rather than ``len(moves)``
+        cone re-propagations.  ``taylor`` / ``sna`` and a non-``None``
+        ``confidence`` (the compiled programs price mean-square power
+        only) probe the incremental engine once per priceable lane, each
+        probe counted in :attr:`fallback_probes`; against an engine whose
+        committed baseline is ``assignment`` (a problem's engine after
+        ``notify_accepted``) a probe re-propagates only its own move's
+        cone.
         """
         engine = self._engine
         if assignment.quantization is not engine.quantization or (
@@ -233,7 +493,8 @@ class BatchedAnalyzer:
             raise NoiseModelError(
                 "batched pricing requires the engine's quantization and overflow modes"
             )
-        if method != "ia" or confidence is not None:
+        algebra = propagation_algebra(method)
+        if algebra not in _COMPILED or confidence is not None:
             candidates: List[WordLengthAssignment | None] = []
             for node, new_frac in moves:
                 widened = self._moved_format(assignment, node, new_frac)
@@ -242,26 +503,20 @@ class BatchedAnalyzer:
                 )
             return self._price_fallback(candidates, method, output, confidence)
         n = len(moves)
-        program = self._compile(self._analyzer._resolve_output(output))
+        program = self._compile(algebra, self._analyzer._resolve_output(output))
         if program.failed is not None:
             return np.full(n, np.inf)
-        base_i: Dict[str, np.ndarray] = {}
-        base_f: Dict[str, np.ndarray] = {}
-        for base, fmt in assignment.formats.items():
-            base_i[base] = np.array([fmt.integer_bits], dtype=np.int64)
-            base_f[base] = np.array([fmt.fractional_bits], dtype=np.int64)
+        # The widened format of every lane a move changes, per node; the
+        # other lanes keep the node's format.
+        moved: Dict[str, List[Tuple[int, Any]]] = {}
         unpriceable = np.zeros(n, dtype=bool)
         for j, (node, new_frac) in enumerate(moves):
             widened = self._moved_format(assignment, node, new_frac)
             if widened is None:
                 unpriceable[j] = True
-                continue
-            if base_i[node].shape[0] == 1:
-                base_i[node] = np.repeat(base_i[node], n)
-                base_f[node] = np.repeat(base_f[node], n)
-            base_i[node][j] = widened.integer_bits
-            base_f[node][j] = widened.fractional_bits
-        noise = self._execute(program, assignment, base_i, base_f, n)
+            else:
+                moved.setdefault(node, []).append((j, widened))
+        noise = self._execute(program, assignment, moved, n)
         if unpriceable.any():
             noise = np.where(unpriceable, np.inf, noise)
         return noise
@@ -279,18 +534,23 @@ class BatchedAnalyzer:
         the format :func:`ensure_range_coverage` gives that node in the
         whole shaved assignment.  A move to negative fractional bits, or
         one whose range the widening cap cannot cover, has no format (its
-        lane prices ``inf``).
+        lane prices ``inf``).  Cached per node, format and move.
         """
         if new_frac < 0:
             return None
-        fmt = assignment.format_of(node).with_fractional_bits(new_frac)
+        fmt = assignment.format_of(node)
+        key = (node, fmt.integer_bits, fmt.fractional_bits, fmt.signed, new_frac)
+        if key in self._widened:
+            return self._widened[key]
+        widened = fmt.with_fractional_bits(new_frac)
         interval = self.node_ranges.get(node)
-        if interval is None:
-            return fmt
-        try:
-            return covering_format(node, fmt, interval)
-        except NoiseModelError:
-            return None
+        if interval is not None:
+            try:
+                widened = covering_format(node, widened, interval)
+            except NoiseModelError:
+                widened = None
+        self._widened[key] = widened
+        return widened
 
     def _price_fallback(
         self,
@@ -321,27 +581,33 @@ class BatchedAnalyzer:
     # ------------------------------------------------------------------ #
     # compilation
     # ------------------------------------------------------------------ #
-    def _compile(self, target: str) -> _Program:
-        program = self._programs.get(target)
+    def _compile(self, algebra: str, target: str) -> _Program:
+        key = (algebra, target)
+        program = self._programs.get(key)
         if program is None:
             try:
-                values = self._engine._values_of("ia")
+                values = self._engine._values_of(algebra)
             except (DomainError, DivisionByZeroIntervalError) as exc:
-                program = _Program(target, [], failed=exc)
+                program = _Program(algebra, target, [], failed=exc)
             else:
                 analyzer = self._analyzer
                 closure = analyzer._ancestor_closure(target)
-                sources = analyzer._sources_by_node
-                steps = []
-                for name in analyzer.topo_order:
-                    if name not in closure:
-                        continue
-                    source_base = _base_name(name) if name in sources else None
-                    node = analyzer.graph.node(name)
-                    steps.append((name, source_base, self._compile_step(node, values)))
-                program = _Program(target, steps)
-            self._programs[target] = program
+                order = [name for name in analyzer.topo_order if name in closure]
+                if algebra == "ia":
+                    steps = [
+                        (name, self._source_base(name), None,
+                         self._compile_step(analyzer.graph.node(name), values))
+                        for name in order
+                    ]
+                    program = _Program(algebra, target, steps)
+                else:
+                    program = self._compile_aa(target, order, values)
+            self._programs[key] = program
         return program
+
+    def _source_base(self, instance: str) -> str | None:
+        """The caller-level node whose own error ``instance`` injects, if any."""
+        return _base_name(instance) if instance in self._analyzer._sources_by_node else None
 
     def _compile_step(
         self, node: Any, values: Mapping[str, Interval]
@@ -601,82 +867,489 @@ class BatchedAnalyzer:
             f"unsupported operation {op!r} at node {name!r} in batched noise propagation"
         )
 
+    def _compile_aa(
+        self, target: str, order: Sequence[str], values: Mapping[str, Any]
+    ) -> _Program:
+        """The ``aa`` program of ``target``: its symbol layout, supports and rules.
+
+        Columns follow the topological order: first every symbol of the
+        closure's value forms, then per node its source symbol (keyed by
+        name, as the scalar forms key it) and its fresh-symbol sites.  A
+        node's support is every column its rule can make non-zero: its
+        own column and sites, its error operands' supports, and the value
+        forms it multiplies by.
+        """
+        analyzer = self._analyzer
+        graph = analyzer.graph
+        sources = analyzer._sources_by_node
+        columns: Dict[Any, int] = {}
+
+        def column(key: Any) -> int:
+            return columns.setdefault(key, len(columns))
+
+        for name in order:
+            for symbol in values[name].terms:
+                column(symbol)
+        layout = []
+        for name in order:
+            node = graph.node(name)
+            own = column(sources[name].symbol) if name in sources else None
+            sites = [column((name, k)) for k in range(_AA_SITES.get(node.op, 0))]
+            layout.append((node, own, sites))
+        width = len(columns)
+
+        value_lanes: Dict[str, _Lanes] = {}
+        value_cols: Dict[str, set] = {}
+        for name in order:
+            form = values[name]
+            row = np.zeros((1, width))
+            cols = [columns[symbol] for symbol in form.terms]
+            row[0, cols] = list(form.terms.values())
+            value_cols[name] = set(cols)
+            value_lanes[name] = _Lanes(
+                np.array([[form.center]]), row, radius=np.array([[form.radius]])
+            )
+
+        error_cols: Dict[str, set] = {}
+        support: Dict[str, np.ndarray] = {}
+        steps = []
+        for node, own, sites in layout:
+            name = node.name
+            cols = set(sites)
+            if own is not None:
+                cols.add(own)
+            operands = node.inputs[1:] if node.op is OpType.MUX else node.inputs
+            for operand in operands:
+                cols |= error_cols[operand]
+            if node.op in _AA_VALUE_READERS:
+                for operand in (*node.inputs, name):
+                    cols |= value_cols[operand]
+            error_cols[name] = cols
+            node_support = np.array(sorted(cols), dtype=np.intp)
+            support[name] = node_support
+            if own is not None and node.op in (OpType.INPUT, OpType.CONST):
+                fn = None  # a source leaf: its own error, built by _execute_aa
+            else:
+                fn = self._compile_aa_step(node, values, value_lanes, sites, node_support, width)
+            steps.append((name, self._source_base(name), own, fn))
+        return _Program("aa", target, steps, support=support, width=width)
+
+    @staticmethod
+    def _compile_aa_step(
+        node: Any,
+        values: Mapping[str, Any],
+        V: Mapping[str, _Lanes],
+        sites: Sequence[int],
+        support: np.ndarray,
+        width: int,
+    ) -> Callable[[Dict[str, _Lanes], _AffineContext], _Lanes]:
+        """One node's AA error rule as a closure over its value forms.
+
+        Each closure mirrors ``DatapathNoiseAnalyzer._error_rule`` and the
+        :class:`~repro.intervals.affine.AffineForm` arithmetic it calls —
+        same formulas, same evaluation order, same branch precedence —
+        with the batch axis broadcast through every operation, each fresh
+        symbol on its own ``sites`` column, and the scalar structural-zero
+        shortcuts carried as per-lane masks.
+        """
+        op = node.op
+        name = node.name
+
+        if op in (OpType.INPUT, OpType.CONST):
+
+            def rule_leaf(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                return ctx.zero
+
+            return rule_leaf
+
+        if (
+            op is OpType.OUTPUT
+            or (op in (OpType.MIN, OpType.MAX) and node.inputs[0] == node.inputs[1])
+            or (op is OpType.MUX and node.inputs[1] == node.inputs[2])
+        ):
+            a = node.inputs[0] if op is not OpType.MUX else node.inputs[1]
+
+            def rule_forward(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                return E[a]
+
+            return rule_forward
+
+        if op is OpType.NEG:
+            a = node.inputs[0]
+
+            def rule_neg(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                e = E[a]
+                return _Lanes(-e.center, -e.coeffs, e.zero, support, e._radius)
+
+            return rule_neg
+
+        if op is OpType.SQUARE:
+            a = node.inputs[0]
+            va = V[a]
+            s_mul, s_square = sites
+
+            def rule_square(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                # 2.0 * (va * ea) + ea.square()
+                e = E[a]
+                linear = _aa_mul(va, e, s_mul, support)
+                radius = e.radius()
+                half = 0.5 * radius * radius
+                square = (2.0 * e.center) * e.coeffs
+                square[:, s_square : s_square + 1] = half
+                center = 2.0 * linear.center + (e.center * e.center + half)
+                return _Lanes(center, 2.0 * linear.coeffs + square, e.zero, support)
+
+            return rule_square
+
+        if op in (OpType.ADD, OpType.SUB):
+            a, b = node.inputs
+            subtract = op is OpType.SUB
+
+            def rule_addsub(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                ea, eb = E[a], E[b]
+                if subtract:
+                    center = ea.center - eb.center
+                    coeffs = ea.coeffs - eb.coeffs
+                else:
+                    center = ea.center + eb.center
+                    coeffs = ea.coeffs + eb.coeffs
+                return _Lanes(center, coeffs, ea.zero & eb.zero, support)
+
+            return rule_addsub
+
+        if op is OpType.MUL:
+            a, b = node.inputs
+            va, vb = V[a], V[b]
+            s1, s2, s3 = sites
+
+            def rule_mul(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                # va * eb + vb * ea + ea * eb, summed left to right
+                ea, eb = E[a], E[b]
+                t1 = _aa_mul(va, eb, s1, support)
+                t2 = _aa_mul(vb, ea, s2, support)
+                t3 = _aa_mul(ea, eb, s3, support)
+                return _Lanes(
+                    (t1.center + t2.center) + t3.center,
+                    (t1.coeffs + t2.coeffs) + t3.coeffs,
+                    ea.zero & eb.zero,
+                    support,
+                )
+
+            return rule_mul
+
+        if op is OpType.DIV:
+            a, b = node.inputs
+            vb, exact = V[b], V[name]
+            s1, s2, s3 = sites
+
+            def rule_div(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                # (ea - exact * eb) * (1 / (vb + eb))
+                ea, eb = E[a], E[b]
+                scaled = _aa_mul(exact, eb, s1, support)
+                numerator = _Lanes(
+                    ea.center - scaled.center, ea.coeffs - scaled.coeffs, support=support
+                )
+                inverse, bad = _aa_reciprocal(_aa_add(vb, eb, support), s2, support)
+                zero = ea.zero & eb.zero
+                bad = bad & ~zero
+                ctx.invalid |= bad
+                out = _aa_mul(numerator, inverse, s3, support)
+                return _aa_clear(out, bad | zero, zero, support)
+
+            return rule_div
+
+        if op is OpType.SQRT:
+            a = node.inputs[0]
+            va, value = V[a], V[name]
+            s1, s2, s3 = sites
+
+            def rule_sqrt(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                # ea * (1 / (sqrt(va + ea) + value))
+                e = E[a]
+                root, bad = _aa_chebyshev(
+                    _aa_add(va, e, support), sqrt_linearization, math.sqrt, s1, support
+                )
+                inverse, bad_den = _aa_reciprocal(_aa_add(root, value, support), s2, support)
+                bad = (bad | bad_den) & ~e.zero
+                ctx.invalid |= bad
+                out = _aa_mul(e, inverse, s3, support)
+                return _aa_clear(out, bad | e.zero, e.zero, support)
+
+            return rule_sqrt
+
+        if op is OpType.EXP:
+            a = node.inputs[0]
+            value = V[name]
+            s1, s2 = sites
+
+            def rule_exp(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                # value * (exp(ea) - 1.0)
+                e = E[a]
+                grown, _never = _aa_chebyshev(e, exp_linearization, math.exp, s1, support)
+                grown = _Lanes(
+                    grown.center - 1.0, grown.coeffs, support=support, radius=grown._radius
+                )
+                return _aa_clear(_aa_mul(value, grown, s2, support), e.zero, e.zero, support)
+
+            return rule_exp
+
+        if op is OpType.LOG:
+            a = node.inputs[0]
+            s1, s2, s3 = sites
+            # V[a]'s enclosure is positive: the value sweep took its log.
+            inverse, _never = _aa_reciprocal(V[a], s1, support)
+
+            def rule_log(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                # log(ea * (1 / va) + 1.0)
+                e = E[a]
+                ratio = _aa_mul(e, inverse, s2, support)
+                inner = _Lanes(
+                    ratio.center + 1.0, ratio.coeffs, support=support, radius=ratio._radius
+                )
+                out, bad = _aa_chebyshev(inner, log_linearization, math.log, s3, support)
+                bad = bad & ~e.zero
+                ctx.invalid |= bad
+                return _aa_clear(out, bad | e.zero, e.zero, support)
+
+            return rule_log
+
+        if op is OpType.ABS:
+            a = node.inputs[0]
+            operand = values[a].to_interval()
+            lo_nonneg = operand.lo >= 0.0
+            hi_nonpos = operand.hi <= 0.0
+            (site,) = sites
+
+            def rule_abs(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                # ea, -ea, or the blur AffineForm(0, {abs: |ea|})
+                e = E[a]
+                lo, hi = e.bounds()
+                c1 = (operand.lo + lo >= 0.0) if lo_nonneg else False
+                c2 = (operand.hi + hi <= 0.0) if hi_nonpos else False
+                decided = c1 | c2
+                magnitude = np.maximum(np.abs(lo), np.abs(hi))
+                sign = np.where(c1, 1.0, np.where(c2, -1.0, 0.0))
+                coeffs = e.coeffs * sign
+                coeffs[:, site : site + 1] = np.where(decided, 0.0, magnitude)
+                return _Lanes(
+                    e.center * sign,
+                    coeffs,
+                    e.zero,
+                    support,
+                    np.where(decided, e.radius(), magnitude),
+                )
+
+            return rule_abs
+
+        if op in (OpType.MIN, OpType.MAX):
+            a, b = node.inputs
+            diff = values[a].to_interval() - values[b].to_interval()
+            is_min = op is OpType.MIN
+            diff_lo_nonneg = diff.lo >= 0.0
+            diff_hi_nonpos = diff.hi <= 0.0
+            (site,) = sites
+
+            def rule_minmax(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                ea, eb = E[a], E[b]
+                alo, ahi = ea.bounds()
+                blo, bhi = eb.bounds()
+                ed_lo = alo - bhi
+                ed_hi = ahi - blo
+                c1 = (diff.lo + ed_lo >= 0.0) if diff_lo_nonneg else False
+                c2 = (diff.hi + ed_hi <= 0.0) if diff_hi_nonpos else False
+                # a >= b in both datapaths: min forwards e_b, max e_a.
+                first, second = (eb, ea) if is_min else (ea, eb)
+                # otherwise (ea + eb + AffineForm(0, {sel: |ea - eb|})) * 0.5
+                blend = (ea.coeffs + eb.coeffs) * 0.5
+                blend[:, site : site + 1] = np.maximum(np.abs(ed_lo), np.abs(ed_hi)) * 0.5
+                center, coeffs = _aa_select(
+                    c1, c2, first, second, (ea.center + eb.center) * 0.5, blend
+                )
+                zero = (
+                    (ea.zero & eb.zero)
+                    | (c1 & first.zero)
+                    | (~np.asarray(c1) & c2 & second.zero)
+                )
+                return _Lanes(center, coeffs, zero, support)
+
+            return rule_minmax
+
+        if op is OpType.MUX:
+            s, a, b = node.inputs
+            selector = values[s].to_interval()
+            enc_a, enc_b = values[a].to_interval(), values[b].to_interval()
+            sel_lo_nonneg = selector.lo >= 0.0
+            sel_hi_neg = selector.hi < 0.0
+            (site,) = sites
+
+            def rule_mux(E: Dict[str, _Lanes], ctx: _AffineContext) -> _Lanes:
+                es, ea, eb = E[s], E[a], E[b]
+                slo, shi = es.bounds()
+                alo, ahi = ea.bounds()
+                blo, bhi = eb.bounds()
+                c1 = (selector.lo + slo >= 0.0) if sel_lo_nonneg else False
+                c2 = (selector.hi + shi < 0.0) if sel_hi_neg else False
+                # otherwise AffineForm(mid, {mux: rad}) of the hull of both
+                # branch errors (and the branch-swap residuals)
+                can_flip = (slo != 0.0) | (shi != 0.0)
+                hull_lo = np.minimum(alo, blo)
+                hull_hi = np.maximum(ahi, bhi)
+                swap1_lo = (enc_b.lo + blo) - enc_a.hi
+                swap1_hi = (enc_b.hi + bhi) - enc_a.lo
+                swap2_lo = (enc_a.lo + alo) - enc_b.hi
+                swap2_hi = (enc_a.hi + ahi) - enc_b.lo
+                flip_lo = np.minimum(hull_lo, np.minimum(swap1_lo, swap2_lo))
+                flip_hi = np.maximum(hull_hi, np.maximum(swap1_hi, swap2_hi))
+                h_lo = np.where(can_flip, flip_lo, hull_lo)
+                h_hi = np.where(can_flip, flip_hi, hull_hi)
+                hull = np.zeros((h_lo.shape[0], width))
+                hull[:, site : site + 1] = 0.5 * (h_hi - h_lo)
+                center, coeffs = _aa_select(c1, c2, ea, eb, 0.5 * (h_lo + h_hi), hull)
+                zero = (c1 & ea.zero) | (~np.asarray(c1) & c2 & eb.zero)
+                return _Lanes(center, coeffs, zero, support)
+
+            return rule_mux
+
+        raise NoiseModelError(
+            f"unsupported operation {op!r} at node {name!r} in batched noise propagation"
+        )
+
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _own_error_arrays(
+    def _own_errors(
         self,
         program: _Program,
         assignment: WordLengthAssignment,
-        base_i: Mapping[str, np.ndarray],
-        base_f: Mapping[str, np.ndarray],
-    ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        """Per-candidate quantization-error intervals of every source base.
+        moved: Mapping[str, Sequence[Tuple[int, Any]]],
+        n: int,
+    ) -> Dict[str, Tuple[Any, Any]]:
+        """The own quantization error of every source base the program reads.
 
-        Non-constant sources depend only on the fractional bits (and the
-        engine's quantization mode); constant sources carry their
-        deterministic rounding residue, which also depends on the integer
-        bits through saturation and on the signedness of the format
-        ``assignment`` gives them — those go through the scalar
-        :func:`quantize` with a per-``(node, signed, i, f)`` cache, so
-        repeated formats cost a dict hit.
+        A base no move changes has one format on every lane, so its error
+        is a pair of floats; a moved base gets a pair of per-lane arrays
+        (``(n,)`` for ``ia``, ``(n, 1)`` for ``aa``).
         """
-        graph = self._analyzer.original
-        quantization = self._engine.quantization
-        overflow = self._engine.overflow
-        rounding = quantization is QuantizationMode.ROUND
-        own: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        needed = {source_base for _name, source_base, _fn in program.steps if source_base}
-        for base in needed:
-            node = graph.node(base)
-            i_arr = base_i[base]
-            f_arr = base_f[base]
+        algebra = program.algebra
+        own: Dict[str, Tuple[Any, Any]] = {}
+        for base in program.sources:
+            pair = self._own_pair(algebra, base, assignment.formats[base])
+            lanes = moved.get(base)
+            if lanes is not None:
+                table = np.array([pair] * n)
+                for j, fmt in lanes:
+                    table[j] = self._own_pair(algebra, base, fmt)
+                if algebra == "aa":
+                    pair = (table[:, 0:1], table[:, 1:2])
+                else:
+                    pair = (table[:, 0], table[:, 1])
+            own[base] = pair
+        return own
+
+    def _own_pair(self, algebra: str, base: str, fmt: Any) -> Tuple[float, float]:
+        """One source's own error under ``fmt``, cached per algebra, base and format.
+
+        ``ia`` reads the source's error interval as ``(lo, hi)``; ``aa``
+        reads ``AffineForm(midpoint, {e_<inst>: radius})`` of that interval
+        as ``(midpoint, radius)``.  A non-constant source's interval is
+        :func:`quantization_error_bounds`; a constant carries its
+        deterministic rounding residue, from the scalar :func:`quantize`.
+        """
+        key = (algebra, base, fmt.integer_bits, fmt.fractional_bits, fmt.signed)
+        pair = self._own_cache.get(key)
+        if pair is None:
+            node = self._analyzer.original.node(base)
+            quantization = self._engine.quantization
             if node.op is OpType.CONST:
                 value = float(node.value)
-                fmt = assignment.formats[base]
-                residues = np.empty(f_arr.shape[0])
-                for j in range(f_arr.shape[0]):
-                    key = (base, fmt.signed, int(i_arr[j]), int(f_arr[j]))
-                    residue = self._residue_cache.get(key)
-                    if residue is None:
-                        lane_fmt = fmt.with_integer_bits(key[2]).with_fractional_bits(key[3])
-                        residue = quantize(value, lane_fmt, quantization, overflow) - value
-                        self._residue_cache[key] = residue
-                    residues[j] = residue
-                own[base] = (residues, residues)
-                continue
-            step = np.power(2.0, -f_arr.astype(np.float64))
-            if rounding:
-                own[base] = (-0.5 * step, 0.5 * step)
+                lo = hi = quantize(value, fmt, quantization, self._engine.overflow) - value
             else:
-                own[base] = (-step, np.zeros_like(step))
-        return own
+                interval = quantization_error_bounds(fmt, quantization)
+                lo, hi = interval.lo, interval.hi
+            pair = (0.5 * (lo + hi), 0.5 * (hi - lo)) if algebra == "aa" else (lo, hi)
+            self._own_cache[key] = pair
+        return pair
 
     def _execute(
         self,
         program: _Program,
         assignment: WordLengthAssignment,
-        base_i: Mapping[str, np.ndarray],
-        base_f: Mapping[str, np.ndarray],
+        moved: Mapping[str, Sequence[Tuple[int, Any]]],
         n: int,
     ) -> np.ndarray:
+        """One compiled pass over ``n`` lanes: the noise power of each."""
         self.batched_calls += 1
-        own = self._own_error_arrays(program, assignment, base_i, base_f)
+        own = self._own_errors(program, assignment, moved, n)
+        with np.errstate(all="ignore"):
+            if program.algebra == "ia":
+                return self._execute_ia(program, own, n)
+            return self._execute_aa(program, own, n)
+
+    @staticmethod
+    def _execute_ia(
+        program: _Program, own: Mapping[str, Tuple[Any, Any]], n: int
+    ) -> np.ndarray:
         ctx = _Context(n)
         false = ctx.false
         E: Dict[str, _Err] = {}
-        with np.errstate(all="ignore"):
-            for name, source_base, fn in program.steps:
-                lo, hi, z = fn(E, ctx)
-                if source_base is not None:
-                    own_lo, own_hi = own[source_base]
-                    lo = lo + own_lo
-                    hi = hi + own_hi
-                    z = false
-                E[name] = (lo, hi, z)
-            lo, hi, _z = E[program.target]
-            mean = 0.5 * (lo + hi)
-            width = hi - lo
-            noise = mean * mean + width * width / 12.0
+        for name, source_base, _column, fn in program.steps:
+            lo, hi, z = fn(E, ctx)
+            if source_base is not None:
+                own_lo, own_hi = own[source_base]
+                lo = lo + own_lo
+                hi = hi + own_hi
+                z = false
+            E[name] = (lo, hi, z)
+        lo, hi, _z = E[program.target]
+        mean = 0.5 * (lo + hi)
+        width = hi - lo
+        noise = mean * mean + width * width / 12.0
         noise = np.broadcast_to(noise, (n,))
         return np.where(ctx.invalid, np.inf, noise)
+
+    @staticmethod
+    def _execute_aa(
+        program: _Program, own: Mapping[str, Tuple[Any, Any]], n: int
+    ) -> np.ndarray:
+        """Run a compiled ``aa`` program; reads ``center² + fsum(c²)/3`` per lane.
+
+        A source's own error is ``AffineForm(midpoint, {e_<inst>: radius})``
+        of its error interval, added to the rule's result; a source leaf's
+        error is that form alone.
+        """
+        ctx = _AffineContext(n, program.width)
+        support = program.support
+        leaves = program.leaves
+        E: Dict[str, _Lanes] = {}
+        for name, source_base, column, fn in program.steps:
+            if fn is None:
+                # A source leaf's error is its own error alone; an unmoved
+                # leaf's is the same on every call that gives it its format.
+                own_center, own_radius = own[source_base]
+                key = (name, own_center, own_radius) if isinstance(own_center, float) else None
+                err = leaves.get(key) if key is not None else None
+                if err is None:
+                    err = _source_lanes(
+                        own_center, own_radius, column, program.width, support[name]
+                    )
+                    if key is not None:
+                        leaves[key] = err
+            else:
+                err = fn(E, ctx)
+                if source_base is not None:
+                    own_center, own_radius = own[source_base]
+                    center = err.center + own_center
+                    coeffs = err.coeffs
+                    lanes = center.shape[0]
+                    if coeffs.shape[0] < lanes:
+                        coeffs = np.repeat(coeffs, lanes, axis=0)
+                    else:
+                        coeffs = coeffs.copy()
+                    coeffs[:, column : column + 1] += own_radius
+                    err = _Lanes(center, coeffs, ctx.false, support[name])
+            E[name] = err
+        out = E[program.target]
+        variance = _fsum_rows(out.coeffs * out.coeffs, out.support) / 3.0
+        noise = out.center * out.center + variance
+        noise = np.broadcast_to(noise[:, 0], (n,))
+        return np.where(ctx.invalid[:, 0], np.inf, noise)

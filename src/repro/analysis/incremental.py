@@ -31,9 +31,11 @@ Because the cone re-propagation calls the very same per-node rules
 (:meth:`DatapathNoiseAnalyzer._error_of`) as the full sweep, incremental
 reports match a from-scratch analysis exactly, for every method.  AA's
 fresh linearization symbols get other names than in a full sweep, but a
-name only identifies a symbol: each form's terms are built in the same
-order by the same float operations, so every reduction adds the same
-numbers in the same order.  ``tests/test_incremental.py``
+name only identifies a symbol: each coefficient is built by the same
+float operations.  The AA reductions (``AffineForm.radius`` and the AA
+variance) are ``math.fsum``, which is correctly rounded, so they do not
+depend on the order of a form's terms at all; the Taylor reductions add
+the same numbers in the same order.  ``tests/test_incremental.py``
 (``test_incremental_equals_full_on_random_perturbations``) holds every
 report field to a from-scratch analysis with ``==``, and
 ``tests/test_evaluate_cache.py`` (``TestEvaluatorEquivalence``) holds

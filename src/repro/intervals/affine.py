@@ -34,7 +34,6 @@ from repro.intervals.linearize import (
     log_linearization,
     sqrt_linearization,
 )
-from repro.utils.mathutils import summed
 
 __all__ = ["AffineContext", "AffineForm"]
 
@@ -151,8 +150,12 @@ class AffineForm:
     # ------------------------------------------------------------------ #
     @property
     def radius(self) -> float:
-        """Total deviation ``sum(|x_i|)`` — half the enclosing width."""
-        return summed(abs(c) for c in self.terms.values())
+        """Total deviation ``sum(|x_i|)`` — half the enclosing width.
+
+        Correctly rounded (:func:`math.fsum`), so it depends neither on the
+        order of :attr:`terms` nor on the Python version.
+        """
+        return math.fsum(abs(c) for c in self.terms.values())
 
     def coefficient(self, name: str) -> float:
         """Coefficient of noise symbol ``name`` (0 when absent)."""

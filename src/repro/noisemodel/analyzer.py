@@ -834,32 +834,39 @@ class DatapathNoiseAnalyzer:
     ) -> NoiseReport:
         """Summarize the propagated ``error`` of output ``target`` under ``method``.
 
-        The readout of :meth:`analyze` and of the incremental engine.  An
-        exact-zero float error reads as the algebra's point.  SNA reads its
-        histogram's statistics; the others read the error's enclosure and
-        :data:`_MOMENTS`, and ``pna`` attaches the convolved error PDF.
-        ``values`` are the value enclosures IA's contributions linearize around.
+        The readout of :meth:`analyze` and of the incremental engine.  A
+        float error ``v`` is exact: every method reads mean ``v``, variance
+        0, noise power ``v * v`` and bounds ``[v, v]``, as
+        :meth:`noise_power_of` does, and its contributions and PDF come
+        from the algebra's point.  Otherwise SNA reads its histogram's
+        statistics; the others read the error's enclosure and
+        :data:`_MOMENTS`.  ``sna`` attaches its error histogram and ``pna``
+        the convolved error PDF.  ``values`` are the value enclosures IA's
+        contributions linearize around.
         """
         if isinstance(error, float):
-            error = self._make_const(propagation_algebra(method), float(error), None)
-        error_pdf = None
-        if method == "sna":
+            bounds, mean, variance = Interval.point(error), error, 0.0
+            noise_power = error * error
+            error = self._make_const(propagation_algebra(method), error, None)
+        elif method == "sna":
             stats = summarize(error)
             bounds, mean, variance = stats.bounds, stats.mean, stats.variance
             noise_power = stats.noise_power
-            error_pdf = error
         else:
             bounds = _enclosure_of(error)
             mean, variance = _MOMENTS[method](error)
             noise_power = mean * mean + variance
-            if method == "pna":
-                # Lazy import: repro.analysis imports this module at package
-                # init.  The convolution treats only *distinct* noise symbols
-                # as independent: correlated reconvergent paths already
-                # combined symbolically during the AA propagation.
-                from repro.analysis.probabilistic import affine_error_pdf
+        error_pdf = None
+        if method == "sna":
+            error_pdf = error
+        elif method == "pna":
+            # Lazy import: repro.analysis imports this module at package
+            # init.  The convolution treats only *distinct* noise symbols
+            # as independent: correlated reconvergent paths already
+            # combined symbolically during the AA propagation.
+            from repro.analysis.probabilistic import affine_error_pdf
 
-                error_pdf = affine_error_pdf(error, bins=self.bins)
+            error_pdf = affine_error_pdf(error, bins=self.bins)
         return NoiseReport(
             method=method,
             output=target,
@@ -914,7 +921,7 @@ class DatapathNoiseAnalyzer:
 
     @staticmethod
     def _moments_aa(error: AffineForm) -> tuple[float, float]:
-        variance = summed(coeff * coeff for coeff in error.terms.values()) / 3.0
+        variance = math.fsum(coeff * coeff for coeff in error.terms.values()) / 3.0
         return error.center, variance
 
     @staticmethod

@@ -468,9 +468,9 @@ class OptimizationProblem:
     def batched_engine(self):
         """The problem's lazily-built, shared :class:`BatchedAnalyzer`.
 
-        It is the compiled-IA kernel of the problem's one incremental
+        It is the compiled IA/AA kernel of the problem's one incremental
         engine, the one evaluations use and :meth:`notify_accepted`
-        commits: it compiles that engine's (unrolled) graph and IA value
+        commits: it compiles that engine's (unrolled) graph and value
         enclosures into a vectorized NumPy program once, after which
         :meth:`price_moves` prices whole batches of candidate shaves in
         one array pass.  Methods without a compiled program probe the
@@ -573,7 +573,7 @@ class OptimizationProblem:
     def fallback_probes(self) -> int:
         """Per-candidate probes the batched engine routed incrementally.
 
-        Non-``"ia"`` methods (and ``confidence`` problems) have no compiled
+        ``taylor`` / ``sna`` (and ``confidence`` problems) have no compiled
         vector program, so the batched engine answers them one candidate
         at a time through the problem's shared incremental analyzer; this
         counts those probes.  Evaluations are not counted.

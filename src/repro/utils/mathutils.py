@@ -26,10 +26,13 @@ def snr_db(signal_power: float, noise_power: float) -> float:
 def summed(values: Iterable[float]) -> float:
     """Left-to-right float sum ``((0.0 + v1) + v2) + ...``.
 
-    Every float reduction whose result must not depend on the Python
-    version goes through this loop: from Python 3.12 on, builtin ``sum``
-    compensates float rounding and disagrees with it in the last ulp.
-    On earlier versions the two are bit-identical.
+    Taylor-model reductions and cost totals go through this loop, so
+    their results do not depend on the Python version: from Python 3.12
+    on, builtin ``sum`` compensates float rounding and disagrees with it
+    in the last ulp.  On earlier versions the two are bit-identical.
+    Affine-form reductions (``AffineForm.radius`` and the AA moments) use
+    :func:`math.fsum` instead: it is correctly rounded, so their results
+    depend neither on the Python version nor on the order of the terms.
     """
     total = 0.0
     for value in values:

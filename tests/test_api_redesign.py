@@ -150,10 +150,8 @@ def test_batched_price_moves_matches_evaluate():
         assert float(price) == evaluation.noise_power, node
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_batched_property_random_circuits(random_circuit_factory, seed):
-    """Compiled IA lanes are exact on generated graphs, inf on domain failures."""
-    circuit = random_circuit_factory(seed, max_ops=8)
+def _check_random_circuit_lanes(circuit, seed, method):
+    """Every compiled lane of ``method`` ``==`` a fresh analysis; inf where it raises."""
     ranges = infer_ranges(circuit.graph, circuit.input_ranges).ranges
     base = ensure_range_coverage(
         WordLengthAssignment.uniform(circuit.graph, 14, ranges), ranges
@@ -172,7 +170,7 @@ def test_batched_property_random_circuits(random_circuit_factory, seed):
         # cross sqrt/log/div domain boundaries — the scalar analyzer
         # raises there and the batched lane must price inf instead.
         moves = _seeded_moves(candidate, rng, (-1, -3, -9), 3)
-        prices = batched.price_moves(candidate, moves, "ia", output=circuit.output)
+        prices = batched.price_moves(candidate, moves, method, output=circuit.output)
         for lane, (node, new_frac) in enumerate(moves):
             design = _moved(candidate, node, new_frac, ranges)
             try:
@@ -180,11 +178,29 @@ def test_batched_property_random_circuits(random_circuit_factory, seed):
                     raise NoiseModelError("uncoverable lane")
                 want = DatapathNoiseAnalyzer(
                     circuit.graph, design, circuit.input_ranges, horizon=6, bins=12
-                ).analyze("ia", output=circuit.output).noise_power
+                ).analyze(method, output=circuit.output).noise_power
             except (NoiseModelError, DomainError, DivisionByZeroIntervalError):
                 assert math.isinf(float(prices[lane])), (seed, trial, lane)
             else:
                 assert float(prices[lane]) == want, (seed, trial, lane)
+    assert batched.fallback_probes == 0 and batched.batched_calls == 6
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_property_random_circuits(random_circuit_factory, seed):
+    """Compiled IA lanes are exact on generated graphs, inf on domain failures."""
+    _check_random_circuit_lanes(random_circuit_factory(seed, max_ops=8), seed, "ia")
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_batched_aa_property_random_circuits(random_circuit_factory, seed):
+    """Compiled AA lanes are exact on generated graphs, inf on domain failures.
+
+    The generator draws every op the compiled program covers (div, sqrt,
+    exp, log, abs, min, max and mux included), so the per-lane Chebyshev
+    steps, the selection blurs and every domain-failure mask run here.
+    """
+    _check_random_circuit_lanes(random_circuit_factory(seed, max_ops=8), seed, "aa")
 
 
 def test_batched_failed_value_sweep_prices_every_lane_inf():

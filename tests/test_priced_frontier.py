@@ -126,26 +126,25 @@ class TestMemo:
         design = problem.evaluate(problem.uniform(14)).assignment
         moves = shaves(design, problem.tunable)
         engine = problem.batched_engine()
-        incremental = problem._state.incremental
-        real_noise_power = incremental.noise_power
+        real_mul = batched_module._aa_mul
         seen = []
 
         def failing_execute(*args, **kwargs):
             seen.append(True)
             raise NoiseModelError("synthetic mid-batch failure")
 
-        def failing_noise_power(*args, **kwargs):
-            # Fail partway through the batch's fallback probes.
+        def failing_mul(*args, **kwargs):
+            # Fail partway through the compiled aa sweep.
             seen.append(True)
             if len(seen) == 3:
                 raise NoiseModelError("synthetic mid-batch failure")
-            return real_noise_power(*args, **kwargs)
+            return real_mul(*args, **kwargs)
 
         with monkeypatch.context() as patch:
             if method == "ia":
                 patch.setattr(engine, "_execute", failing_execute)
             else:
-                patch.setattr(incremental, "noise_power", failing_noise_power)
+                patch.setattr(batched_module, "_aa_mul", failing_mul)
             if engine_fallback:
                 assert problem.price_moves(design, moves) is None
                 assert [e.stage for e in problem.degradations] == ["batched-price"]

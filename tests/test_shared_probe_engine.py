@@ -1,23 +1,26 @@
-"""Batched fallback probes run on the problem's own incremental engine.
+"""Batched pricing shares the problem's own incremental engine.
 
-For methods without a compiled vector program (everything but mean-square
-``ia``), ``BatchedAnalyzer.price_moves`` prices each move by probing an
+Mean-square ``ia``, ``aa`` and ``pna`` run on compiled vector programs.
+For the other methods (``taylor`` / ``sna``) and ``confidence``
+problems, ``BatchedAnalyzer.price_moves`` prices each move by probing an
 :class:`IncrementalAnalyzer`.  An optimization problem hands the batched
 engine the same incremental engine its evaluations use, and
 ``notify_accepted`` commits it, so a probe re-propagates only its own
 move's cone.  These tests hold every lane to a private engine with
 ``==``, count engines and recomputed nodes, bound the nodes a whole
-greedy search re-propagates, check that compiled ``ia`` searches never
-fall back to probes, inject a failure into the shared engine, and pin
-golden designs.  They also check that the trusted
-:class:`AffineForm` constructor behind the affine kernels builds exactly
-what the public constructor builds, and that the affine and Taylor
-reductions add left to right on every Python version.
+greedy search re-propagates, check that compiled ``ia`` and ``aa``
+searches never fall back to probes, inject failures into the shared
+engine and into the compiled ``aa`` kernel, and pin golden designs.
+They also check that the trusted :class:`AffineForm` constructor behind
+the affine kernels builds exactly what the public constructor builds,
+that the affine reductions do not depend on term order, and that the
+Taylor reductions add left to right on every Python version.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -121,7 +124,10 @@ def walk_and_compare(problem, seed, steps=10, width=8):
 def test_shared_probes_equal_private_engine(circuit_name, method):
     problem = make_problem(circuit_name, method)
     assert walk_and_compare(problem, f"{circuit_name}/{method}") > 0
-    assert problem.fallback_probes > 0
+    if method == "aa":
+        assert problem.batched_calls > 0 and problem.fallback_probes == 0
+    else:
+        assert problem.fallback_probes > 0
 
 
 @pytest.mark.parametrize("circuit_name", ("fir4", "poly3", "sigmoid_neuron"))
@@ -157,10 +163,7 @@ def test_pareto_sweep_builds_one_incremental_engine(monkeypatch, method):
     problem = make_problem("fir4", method)
     front = pareto_front(problem, [45.0, 55.0, 65.0], strategy="greedy")
     assert front.is_monotone()
-    if method == "ia":
-        assert problem.batched_calls > 0
-    else:
-        assert problem.fallback_probes > 0
+    assert problem.batched_calls > 0 and problem.fallback_probes == 0
     assert built == [problem._state.incremental]
     assert analyzers == [built[0].analyzer]
     assert problem.batched_engine()._engine is built[0]
@@ -168,7 +171,8 @@ def test_pareto_sweep_builds_one_incremental_engine(monkeypatch, method):
 
 @pytest.mark.parametrize("circuit_name", ("fir4", "iir_biquad", "matmul2"))
 def test_probe_from_committed_design_recomputes_only_its_cone(circuit_name):
-    problem = make_problem(circuit_name)
+    # taylor still prices its lanes by probing the shared engine.
+    problem = make_problem(circuit_name, "taylor")
     rng = random.Random(circuit_name)
     current = problem.evaluate(problem.uniform(12))
     problem.notify_accepted(current.assignment)
@@ -222,8 +226,36 @@ def test_batched_ia_greedy_prices_every_lane_compiled(circuit_name):
     assert problem.fallback_probes == 0
 
 
+@pytest.mark.parametrize(
+    "circuit_name",
+    ("rms_normalize", "sigmoid_neuron", "log_energy", "newton_inverse", "complex_magnitude"),
+)
+def test_batched_aa_greedy_prices_every_lane_compiled(monkeypatch, circuit_name):
+    """Mean-square ``aa`` frontiers run on the compiled program, never on probes.
+
+    The circuits cover div, sqrt, exp, log, abs, min, max and mux.  The
+    search returns the very design a probe-priced search returns.
+    """
+    config = SEARCH_CONFIG.replace(method="aa", engine="batched")
+
+    def search():
+        problem = OptimizationProblem.from_circuit(get_circuit(circuit_name), 58.0, config=config)
+        result = GreedyBitStealingOptimizer().optimize(problem)
+        assert result.feasible and problem.engine == "batched"
+        return problem, design_digest(result)
+
+    problem, compiled = search()
+    assert problem.batched_calls > 0
+    assert problem.fallback_probes == 0
+    monkeypatch.setattr(batched_module, "_COMPILED", ("ia",))
+    problem, probed = search()
+    assert problem.batched_calls == 0 and problem.fallback_probes > 0
+    assert compiled == probed
+
+
 def test_shared_engine_failure_degrades_once_and_stays_exact(monkeypatch):
-    problem = make_problem("iir_biquad")
+    # taylor still prices its lanes by probing the shared engine.
+    problem = make_problem("iir_biquad", "taylor")
     problem.analysis_log = []
     inside = []
     real_price_moves = batched_module.BatchedAnalyzer.price_moves
@@ -261,6 +293,37 @@ def test_shared_engine_failure_degrades_once_and_stays_exact(monkeypatch):
         assert evaluations[assignment.key()].noise_power == reference_noise(problem, assignment)
 
 
+def test_compiled_aa_failure_degrades_once_and_stays_exact(monkeypatch):
+    """A failure inside the compiled ``aa`` kernel degrades the search once.
+
+    The search falls back onto the incremental engine, finishes feasible,
+    and every design it evaluated still equals a from-scratch analysis.
+    """
+    problem = make_problem("iir_biquad")
+    problem.analysis_log = []
+    real_mul = batched_module._aa_mul
+    injected = []
+
+    def failing_mul(*args, **kwargs):
+        # Fail once, mid-sweep, after the kernel has priced some frontiers.
+        if problem.batched_calls == 10 and not injected:
+            injected.append(True)
+            raise NoiseModelError("synthetic compiled-kernel failure")
+        return real_mul(*args, **kwargs)
+
+    monkeypatch.setattr(batched_module, "_aa_mul", failing_mul)
+    result = GreedyBitStealingOptimizer().optimize(problem)
+    assert injected and result.feasible
+    assert [(e.stage, e.from_engine, e.to_engine) for e in problem.degradations] == [
+        ("batched-price", "batched", "incremental")
+    ]
+    assert problem.engine == "incremental" and problem.fallback_probes == 0
+    evaluations = problem._state.evaluations
+    assert len(problem.analysis_log) > 10
+    for assignment in problem.analysis_log:
+        assert evaluations[assignment.key()].noise_power == reference_noise(problem, assignment)
+
+
 def design_digest(result):
     document = [
         result.assignment.to_doc(),
@@ -274,8 +337,11 @@ def design_digest(result):
 
 
 #: ``(repr(cost), iterations, design_digest)`` of batched aa greedy at
-#: 55 dB (margin 1, horizon 4, 8 bins), recorded with a private,
-#: never-committed probe engine inside the batched analyzer.
+#: 55 dB (margin 1, horizon 4, 8 bins).  fir4 and matmul2 were recorded
+#: with per-lane probes through a private, never-committed engine; the
+#: compiled kernel returns the same designs.  iir_biquad was re-recorded
+#: when AA radii and variances became ``math.fsum`` reductions: same cost
+#: and iterations, last-ulp moves in the recorded SNRs.
 GOLDEN = {
     "fir4": (
         "155.48",
@@ -285,7 +351,7 @@ GOLDEN = {
     "iir_biquad": (
         "284.83",
         52,
-        "78f2309a8cf9a5fadb0afe1ed22f30d9ebf09f5a72cf7c0bf80a76c001c8b835",
+        "099e12915b7bbbdfdb41dfdcaa147eeb44d4fb08a1f3537a1a7834144e48a8a8",
     ),
     "matmul2": (
         "232.60000000000002",
@@ -299,7 +365,8 @@ GOLDEN = {
 def test_batched_aa_greedy_designs_unchanged(circuit_name):
     problem = make_problem(circuit_name)
     result = GreedyBitStealingOptimizer().optimize(problem)
-    assert result.feasible and problem.fallback_probes > 0
+    assert result.feasible
+    assert problem.batched_calls > 0 and problem.fallback_probes == 0
     observed = (repr(result.cost), len(result.iterations), design_digest(result))
     assert observed == GOLDEN[circuit_name]
 
@@ -450,16 +517,27 @@ def test_cross_context_operations_register_foreign_symbols():
 
 
 # ---------------------------------------------------------------------- #
-# version-independent reductions
+# order- and version-independent reductions
 # ---------------------------------------------------------------------- #
-def test_affine_radius_adds_left_to_right():
-    # Compensated summation (builtin sum on Python 3.12+) gives 1 + 2**-52.
-    assert AffineForm(0.0, {"a": 1.0, "b": 1e-16, "c": 1e-16}).radius == 1.0
+#: Terms whose left-to-right sum (1.0) differs from the correctly rounded
+#: one (1 + 2**-52), in every order.
+UNEVEN_TERMS = {"a": 1.0, "b": 1e-16, "c": 1e-16}
 
 
-def test_affine_variance_adds_left_to_right():
-    error = AffineForm(0.0, {"a": 1.0, "b": 1e-8, "c": 1e-8})
-    assert DatapathNoiseAnalyzer._moments_aa(error) == (0.0, 1.0 / 3.0)
+def test_affine_radius_is_order_independent():
+    for order in itertools.permutations(UNEVEN_TERMS):
+        form = AffineForm(0.0, {name: UNEVEN_TERMS[name] for name in order})
+        assert form.radius == math.fsum(UNEVEN_TERMS.values()) == 1.0 + 2.0**-52
+
+
+def test_affine_variance_is_order_independent():
+    # Squared, the coefficients are the uneven terms (1e-8 ** 2 ~ 1e-16).
+    coeffs = {"a": 1.0, "b": 1e-8, "c": 1e-8}
+    want = math.fsum(c * c for c in coeffs.values()) / 3.0
+    assert want == (1.0 + 2.0**-52) / 3.0
+    for order in itertools.permutations(coeffs):
+        error = AffineForm(0.25, {name: coeffs[name] for name in order})
+        assert DatapathNoiseAnalyzer._moments_aa(error) == (0.25, want)
 
 
 def test_taylor_moments_and_bounds_add_left_to_right():
