@@ -56,9 +56,13 @@ batch, carry state that does not vectorize into these arrays; for them
 :meth:`~BatchedAnalyzer.price_moves` probes the same incremental engine
 once per lane, which reproduces a from-scratch analysis exactly, so
 callers use one object regardless of method.  An optimization problem
-builds its kernel over its own search engine, which the search commits
-after each accepted design, so every probe re-propagates only its own
-move's cone.
+builds its kernel over its own search engine.  The problem memoizes
+every lane it prices and serves a later evaluation of a priced move from
+that lane, so a greedy descent analyzes none of the shaves it accepts.
+It commits each accepted design to the engine only when the engine is
+next used, an analysis or a probing batch, so a probe re-propagates
+only its own move's cone, and a compiled ``ia``/``aa`` descent commits
+once per descent, not once per step.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from repro.fixedpoint.quantize import quantization_error_bounds, quantize
 from repro.intervals.interval import Interval
 from repro.intervals.linearize import exp_linearization, log_linearization, sqrt_linearization
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, propagation_algebra
-from repro.noisemodel.assignment import WordLengthAssignment, covering_format
+from repro.noisemodel.assignment import WordLengthAssignment, moved_format
 
 __all__ = ["BatchedAnalyzer"]
 
@@ -482,9 +486,9 @@ class BatchedAnalyzer:
         ``confidence`` (the compiled programs price mean-square power
         only) probe the incremental engine once per priceable lane, each
         probe counted in :attr:`fallback_probes`; against an engine whose
-        committed baseline is ``assignment`` (a problem's engine after
-        ``notify_accepted``) a probe re-propagates only its own move's
-        cone.
+        committed baseline is ``assignment`` (a problem commits its
+        accepted design before such a batch, see :meth:`probes`) a probe
+        re-propagates only its own move's cone.
         """
         engine = self._engine
         if assignment.quantization is not engine.quantization or (
@@ -493,8 +497,7 @@ class BatchedAnalyzer:
             raise NoiseModelError(
                 "batched pricing requires the engine's quantization and overflow modes"
             )
-        algebra = propagation_algebra(method)
-        if algebra not in _COMPILED or confidence is not None:
+        if self.probes(method, confidence):
             candidates: List[WordLengthAssignment | None] = []
             for node, new_frac in moves:
                 widened = self._moved_format(assignment, node, new_frac)
@@ -503,6 +506,7 @@ class BatchedAnalyzer:
                 )
             return self._price_fallback(candidates, method, output, confidence)
         n = len(moves)
+        algebra = propagation_algebra(method)
         program = self._compile(algebra, self._analyzer._resolve_output(output))
         if program.failed is not None:
             return np.full(n, np.inf)
@@ -521,6 +525,16 @@ class BatchedAnalyzer:
             noise = np.where(unpriceable, np.inf, noise)
         return noise
 
+    @staticmethod
+    def probes(method: str, confidence: float | None = None) -> bool:
+        """Whether :meth:`price_moves` prices ``method`` by probing the engine.
+
+        True for ``taylor`` / ``sna`` and for every ``confidence``
+        batch: the compiled programs price mean-square power of the
+        ``ia`` and ``aa`` algebras only.
+        """
+        return propagation_algebra(method) not in _COMPILED or confidence is not None
+
     # ------------------------------------------------------------------ #
     # candidate plumbing
     # ------------------------------------------------------------------ #
@@ -528,29 +542,20 @@ class BatchedAnalyzer:
         """The widened format of move ``(node, new_frac)``, or ``None`` if it has none.
 
         The one widening rule of both :meth:`price_moves` paths:
-        :func:`covering_format`, the per-node rule of
-        :func:`ensure_range_coverage`.  On an already-widened
-        ``assignment`` only the moved node can need widening, so this is
-        the format :func:`ensure_range_coverage` gives that node in the
-        whole shaved assignment.  A move to negative fractional bits, or
-        one whose range the widening cap cannot cover, has no format (its
-        lane prices ``inf``).  Cached per node, format and move.
+        :func:`moved_format`, which applies :func:`covering_format`, the
+        per-node rule of :func:`ensure_range_coverage`.  On an
+        already-widened ``assignment`` only the moved node can need
+        widening, so this is the format :func:`ensure_range_coverage`
+        gives that node in the whole shaved assignment.  A move to
+        negative fractional bits, or one whose range the widening cap
+        cannot cover, has no format (its lane prices ``inf``).  Cached
+        per node, format and move.
         """
-        if new_frac < 0:
-            return None
         fmt = assignment.format_of(node)
         key = (node, fmt.integer_bits, fmt.fractional_bits, fmt.signed, new_frac)
-        if key in self._widened:
-            return self._widened[key]
-        widened = fmt.with_fractional_bits(new_frac)
-        interval = self.node_ranges.get(node)
-        if interval is not None:
-            try:
-                widened = covering_format(node, widened, interval)
-            except NoiseModelError:
-                widened = None
-        self._widened[key] = widened
-        return widened
+        if key not in self._widened:
+            self._widened[key] = moved_format(node, fmt, new_frac, self.node_ranges)
+        return self._widened[key]
 
     def _price_fallback(
         self,

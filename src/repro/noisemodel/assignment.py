@@ -23,6 +23,7 @@ __all__ = [
     "changed_formats",
     "covering_format",
     "ensure_range_coverage",
+    "moved_format",
 ]
 
 _MISSING = object()
@@ -314,6 +315,28 @@ class WordLengthAssignment:
             return (self.quantization.value, self.overflow.value, tuple(entries))
         return None
 
+    def one_node_ancestors(self) -> Iterator[Tuple[tuple, str, FixedPointFormat]]:
+        """``(key, node, format)`` of each recorded ancestor one node away from this design.
+
+        Walks the parent, then the grandparent, skipping an ancestor
+        whose :meth:`key` was never computed.  An ancestor qualifies
+        when exactly one node's format differs from this assignment's,
+        and that node has a format in both; ``format`` is the ancestor's.
+        Read-only and O(changed), like :func:`changed_formats`.
+        """
+        formats = self._design.formats
+        for ancestor, changed in self._ancestors():
+            if ancestor.key is None:
+                continue
+            prior = ancestor.formats
+            differing = []
+            for name in dict.fromkeys(changed):
+                old, new = prior.get(name, _MISSING), formats.get(name, _MISSING)
+                if old is not new and old != new:
+                    differing.append(name)
+            if len(differing) == 1 and differing[0] in prior and differing[0] in formats:
+                yield ancestor.key, differing[0], prior[differing[0]]
+
     def __iter__(self) -> Iterator[str]:
         return iter(self.formats)
 
@@ -356,6 +379,32 @@ def covering_format(
             )
         widened = widened.with_integer_bits(widened.integer_bits + 1)
     return widened
+
+
+def moved_format(
+    node: str,
+    fmt: FixedPointFormat,
+    fractional_bits: int,
+    ranges: Mapping[str, Interval],
+) -> FixedPointFormat | None:
+    """The format of move ``(node, fractional_bits)`` from ``fmt``, or ``None`` if it has none.
+
+    ``fmt`` at ``fractional_bits`` fractional bits, widened by
+    :func:`covering_format` to ``node``'s range (when ``ranges`` has
+    one) — the format :func:`ensure_range_coverage` gives the moved node
+    of a covered design.  A negative bit count, or a range the widening
+    cap cannot cover, has no format.
+    """
+    if fractional_bits < 0:
+        return None
+    moved = fmt.with_fractional_bits(fractional_bits)
+    interval = ranges.get(node)
+    if interval is None:
+        return moved
+    try:
+        return covering_format(node, moved, interval)
+    except NoiseModelError:
+        return None
 
 
 def _widened(

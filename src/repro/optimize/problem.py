@@ -41,7 +41,11 @@ from repro.errors import (
 from repro.fixedpoint.format import OverflowMode, QuantizationMode
 from repro.intervals.interval import Interval, RangeLike, coerce_interval, uniform_power
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, PDF_METHODS
-from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
+from repro.noisemodel.assignment import (
+    WordLengthAssignment,
+    ensure_range_coverage,
+    moved_format,
+)
 from repro.noisemodel.gains import transfer_gains
 from repro.optimize.cost import COST_TABLES, CostLedger, HardwareCostModel
 from repro.utils.mathutils import integer_bits_for_range, snr_db
@@ -95,8 +99,12 @@ class _SearchState:
     #: noise power ``price_moves`` returned for that move from the design
     #: whose ``key()`` is ``key``.  A lane depends only on the design and
     #: its move, so a descent re-entering a design (at the same floor or
-    #: a looser one) prices only moves no earlier batch priced from it.
+    #: a looser one) prices only moves no earlier batch priced from it,
+    #: and ``evaluate`` serves the moved design from its lane.
     priced: Dict[tuple, Dict[Tuple[str, int], float]] = field(default_factory=dict)
+    #: The design the search last accepted, not yet committed to
+    #: ``incremental``; the next use of that engine commits it first.
+    accepted: WordLengthAssignment | None = None
     #: Analyzer invocations so far (strategies report deltas of this).
     analyzer_calls: int = 0
     #: Memoized evaluations served without an analyzer call.
@@ -307,11 +315,19 @@ class OptimizationProblem:
         instead of :attr:`analyzer_calls` — annealing never re-prices a
         revisited design.  The cache is shared with every
         :meth:`rescoped` view; a hit's ``feasible`` verdict is re-judged
-        against this view's floor.  Cache misses run through the search's
-        one :class:`~repro.analysis.incremental.IncrementalAnalyzer`,
-        which re-propagates only the downstream cone of the nodes whose
-        formats changed since the committed design; greedy single-node
-        probes therefore cost O(cone) instead of O(graph).  The engine
+        against this view's floor.  A miss that is one priced move away
+        from a design :meth:`price_moves` priced (the move's node alone
+        changed, to the format its lane priced) takes that lane's noise
+        power, which equals the analysis bit for bit; a batched greedy
+        descent therefore analyzes none of the shaves it accepts.  Every
+        other miss runs through the search's one
+        :class:`~repro.analysis.incremental.IncrementalAnalyzer`, which
+        re-propagates only the downstream cone of the nodes whose formats
+        changed since the committed design; greedy single-node probes
+        therefore cost O(cone) instead of O(graph).  Either way a miss is
+        logged in :attr:`analysis_log`, counts in :attr:`analyzer_calls`
+        and gets the next evaluation ``index``, so results and traces do
+        not depend on which of the two produced it.  The engine
         is built for the problem's quantization and overflow modes, so
         an assignment in any other mode raises
         :class:`OptimizationError`.  The cache is sound because an
@@ -342,7 +358,9 @@ class OptimizationProblem:
             return self._judged(cached)
         if self.analysis_log is not None:
             self.analysis_log.append(assignment)
-        noise_power = self._analyze(assignment)
+        noise_power = self._lane(assignment)
+        if noise_power is None:
+            noise_power = self._analyze(assignment)
         state.analyzer_calls += 1
         snr_db = self._snr_db(noise_power)
         if state.ledger is None:
@@ -403,12 +421,37 @@ class OptimizationProblem:
         except (DomainError, DivisionByZeroIntervalError):
             return float("inf")
 
+    def _lane(self, assignment: WordLengthAssignment) -> float | None:
+        """The memoized lane price of ``assignment``, or ``None`` if no lane priced it.
+
+        Lane ``(node, f)`` of a design prices exactly one design: that
+        design with ``node``'s format set to its format at ``f``
+        fractional bits, coverage-widened as :meth:`evaluate` widens it.
+        So ``assignment`` is served only when a recorded ancestor with
+        lanes differs from it at one node, and that node's format is the
+        very format the lane priced.
+        """
+        priced = self._state.priced
+        if not priced:
+            return None
+        for key, node, prior in assignment.one_node_ancestors():
+            lanes = priced.get(key)
+            if lanes is None:
+                continue
+            fmt = assignment.formats[node]
+            frac = fmt.fractional_bits
+            lane = lanes.get((node, frac))
+            if lane is not None and fmt == moved_format(node, prior, frac, self.ranges):
+                return lane
+        return None
+
     def _incremental_engine(self, assignment: WordLengthAssignment):
         """The search's one :class:`IncrementalAnalyzer`, built from ``assignment`` on first use.
 
-        Evaluations and the batched engine's fallback probes share it,
-        and :meth:`notify_accepted` commits it, so a probe from the
-        current design re-propagates only its own move's cone.
+        Evaluations and the batched engine's fallback probes share it.
+        The design :meth:`notify_accepted` last recorded is committed
+        here, before the engine is used, so a probe from the current
+        design re-propagates only its own move's cone.
         """
         state = self._state
         if state.incremental is None:
@@ -423,6 +466,9 @@ class OptimizationProblem:
                 horizon=self.horizon,
                 bins=self.bins,
             )
+        elif state.accepted is not None:
+            accepted, state.accepted = state.accepted, None
+            state.incremental.commit(accepted)
         return state.incremental
 
     def _degrade(self, stage: str, exc: Exception) -> None:
@@ -452,15 +498,18 @@ class OptimizationProblem:
         """Tell the evaluator that ``assignment`` is the search's new current design.
 
         Strategies call this when they accept a move (passing the widened
-        ``evaluation.assignment``).  The incremental engine then commits
-        the design as its re-propagation baseline, so every subsequent
-        probe pays only the cone of its own perturbation instead of
-        (probe + drift-since-baseline).  Purely a performance hint —
-        results are identical without it.
+        ``evaluation.assignment``).  The incremental engine commits the
+        design as its re-propagation baseline, so every later probe pays
+        only the cone of its own perturbation instead of (probe +
+        drift-since-baseline).  The commit is deferred until the engine
+        is next used (an evaluation it analyzes, or a batch the batched
+        engine prices by probing it); a later call replaces the recorded
+        design, so a descent whose evaluations are served from priced
+        lanes commits once, not once per step.  Purely a performance
+        hint — results are identical without it.
         """
-        incremental = self._state.incremental
-        if incremental is not None:
-            incremental.commit(assignment)
+        if self._state.incremental is not None:
+            self._state.accepted = assignment
 
     # ------------------------------------------------------------------ #
     # batched candidate pricing
@@ -485,9 +534,12 @@ class OptimizationProblem:
             from repro.analysis.batched import BatchedAnalyzer
 
             try:
-                state.batched = BatchedAnalyzer(
-                    self._incremental_engine(self.uniform(self.min_word_length)), self.ranges
-                )
+                # Compiling reads no committed errors, so an existing engine
+                # is taken as it is, leaving the accepted design uncommitted.
+                engine = state.incremental
+                if engine is None:
+                    engine = self._incremental_engine(self.uniform(self.min_word_length))
+                state.batched = BatchedAnalyzer(engine, self.ranges)
             except ReproError as exc:
                 if not self.engine_fallback:
                     raise
@@ -523,7 +575,10 @@ class OptimizationProblem:
         that pass returns; the result is a float64 array in ``moves``
         order.  A repeat, subset or re-entered frontier therefore costs
         the engine nothing.  The evaluation cache and its counters are
-        untouched.
+        untouched here; :meth:`evaluate` later serves a priced move from
+        its lane instead of analyzing it.  A batch priced by probing the
+        incremental engine first commits the design
+        :meth:`notify_accepted` recorded.
 
         A broken batched engine is the problem's call, not the caller's: a
         ``batched`` problem with :attr:`engine_fallback` degrades onto the
@@ -547,6 +602,8 @@ class OptimizationProblem:
             degradable = state.engine == "batched" and self.engine_fallback
             try:
                 engine = self.batched_engine()  # compile failures degrade in there
+                if engine.probes(self.method, self.confidence):
+                    self._incremental_engine(assignment)  # commits the accepted design
                 noise = engine.price_moves(
                     assignment,
                     missing,

@@ -24,6 +24,7 @@ import random
 
 import pytest
 
+from conftest import reference_noise
 from repro.analysis import BatchedAnalyzer, NoiseAnalysisPipeline
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
@@ -148,6 +149,9 @@ def test_batched_price_moves_matches_evaluate():
         shaved = current.assignment.with_fractional_bits(node, new_frac)
         evaluation = problem.evaluate(shaved)
         assert float(price) == evaluation.noise_power, node
+        # evaluate() serves a priced move from its lane, so also hold the
+        # lane to a from-scratch analysis.
+        assert float(price) == reference_noise(problem, evaluation.assignment), node
 
 
 def _check_random_circuit_lanes(circuit, seed, method):
@@ -223,6 +227,37 @@ def test_batched_failed_value_sweep_prices_every_lane_inf():
 
 
 @pytest.mark.parametrize("method", ["ia", "aa"])
+def test_batched_sqrt_of_an_unformatted_operand_from_zero(method):
+    """Lanes skip the sqrt domain checks where the scalar engine skips them.
+
+    ``x`` carries no format, so its error is the float ``0.0`` and the
+    scalar sqrt rule returns at once.  The compiled rule still evaluates
+    its formula, and with ``x``'s value enclosure starting at 0 the
+    denominator ``sqrt(x) + value`` touches 0; only the float-zero mask
+    keeps those lanes from pricing ``inf``.
+    """
+    builder = DFGBuilder("sqrt_from_zero")
+    x, w = builder.input("x"), builder.input("w")
+    builder.output(x.sqrt() * w, name="y")
+    graph = builder.build()
+    input_ranges = {"x": Interval(0.0, 4.0), "w": Interval(-1.0, 1.0)}
+    ranges = infer_ranges(graph, input_ranges).ranges
+    uniform = WordLengthAssignment.uniform(graph, 12, ranges)
+    design = WordLengthAssignment({n: f for n, f in uniform.formats.items() if n != "x"})
+    design = ensure_range_coverage(design, ranges)
+    engine = IncrementalAnalyzer(graph, design, input_ranges, horizon=4, bins=8)
+    batched = BatchedAnalyzer(engine, ranges)
+    moves = [(n, f.fractional_bits - k) for n, f in sorted(design.formats.items()) for k in (1, 3)]
+    prices = batched.price_moves(design, moves, method, output="y")
+    assert batched.batched_calls == 1 and batched.fallback_probes == 0
+    for lane, (node, new_frac) in enumerate(moves):
+        candidate = ensure_range_coverage(design.with_fractional_bits(node, new_frac), ranges)
+        fresh = DatapathNoiseAnalyzer(graph, candidate, input_ranges, horizon=4, bins=8)
+        want = fresh.analyze(method, output="y").noise_power
+        assert math.isfinite(want) and float(prices[lane]) == want, (node, new_frac)
+
+
+@pytest.mark.parametrize("method", ["ia", "aa"])
 def test_price_moves_rejects_foreign_modes(method):
     """A foreign-mode base raises like ``evaluate``: no price, no degradation."""
     problem = OptimizationProblem.from_circuit(
@@ -240,7 +275,9 @@ def test_price_moves_rejects_foreign_modes(method):
     assert problem._state.incremental is None and problem._state.batched is None
     # The problem's own modes still price the move exactly.
     lane = problem.price_moves(design, moves)[0]
-    assert lane == problem.evaluate(design.with_fractional_bits(*moves[0])).noise_power
+    evaluation = problem.evaluate(design.with_fractional_bits(*moves[0]))
+    assert lane == evaluation.noise_power
+    assert lane == reference_noise(problem, evaluation.assignment)
     # The kernel itself refuses modes its engine was not built for.
     with pytest.raises(NoiseModelError, match="modes"):
         problem.batched_engine().price_moves(foreign, moves, method)
