@@ -41,9 +41,12 @@ The compiled program reproduces the scalar engine *exactly*:
   order.  The rare nonlinear steps (``sqrt`` / ``exp`` / ``log``) call
   the scalar Chebyshev helpers once per lane, like ``_libm_exp`` does.
 * The scalar engine's structural-zero shortcuts (``_is_zero``) are
-  mirrored with per-lane boolean "error is the float 0.0" masks, so the
-  domain checks that scalar zero-errors *skip* (``sqrt`` / ``log`` of a
-  perturbed operand) are skipped on exactly the same lanes.
+  mirrored with per-lane boolean "error is the float 0.0" masks.  The
+  one domain check a zero lane can fail, the ``sqrt`` denominator of an
+  operand whose enclosure starts at 0, is skipped on exactly the lanes
+  the scalar engine skips it.  The others cannot fire on a zero lane (a
+  ``log`` operand's enclosure is positive, and a divisor's excludes 0
+  once the value sweep succeeded), so they carry no mask.
 * A lane whose candidate violates a domain premise (divisor enclosure
   swallowing zero, ``sqrt``/``log`` crossing the boundary) is priced at
   ``inf`` — the same verdict :meth:`OptimizationProblem._analyze` gives
@@ -726,7 +729,7 @@ class BatchedAnalyzer:
                 lo, hi, z = E[a]
                 inner_lo = va.lo + lo
                 inner_hi = va.hi + hi
-                bad = (inner_lo < 0.0) & ~z
+                bad = inner_lo < 0.0
                 inner_lo = np.where(bad, 0.0, inner_lo)
                 inner_hi = np.where(bad, 0.0, inner_hi)
                 den_lo = np.sqrt(inner_lo) + value.lo
@@ -769,7 +772,7 @@ class BatchedAnalyzer:
                 ratio_lo, ratio_hi = _mul_sa(recip, lo, hi)
                 inner_lo = ratio_lo + 1.0
                 inner_hi = ratio_hi + 1.0
-                bad = (inner_lo <= 0.0) & ~z
+                bad = inner_lo <= 0.0
                 ctx.invalid |= bad
                 inner_lo = np.where(bad, 1.0, inner_lo)
                 inner_hi = np.where(bad, 1.0, inner_hi)
@@ -1056,7 +1059,6 @@ class BatchedAnalyzer:
                 )
                 inverse, bad = _aa_reciprocal(_aa_add(vb, eb, support), s2, support)
                 zero = ea.zero & eb.zero
-                bad = bad & ~zero
                 ctx.invalid |= bad
                 out = _aa_mul(numerator, inverse, s3, support)
                 return _aa_clear(out, bad | zero, zero, support)
@@ -1112,7 +1114,6 @@ class BatchedAnalyzer:
                     ratio.center + 1.0, ratio.coeffs, support=support, radius=ratio._radius
                 )
                 out, bad = _aa_chebyshev(inner, log_linearization, math.log, s3, support)
-                bad = bad & ~e.zero
                 ctx.invalid |= bad
                 return _aa_clear(out, bad | e.zero, e.zero, support)
 

@@ -34,6 +34,11 @@ Every coefficient must be finite and ``>= 0`` so the model stays
 
 Totals
 ------
+A model compiles each graph once into one :class:`NodePricer` per node:
+the names whose word lengths the node's price reads (DELAY chains
+already resolved) and a closure over the table coefficients.  Every
+entry point evaluates those pricers on ``formats[name].word_length``, so
+a node has one price, bit for bit, whichever entry point asked.
 :meth:`HardwareCostModel.price`, :meth:`HardwareCostModel.total` and
 :class:`CostLedger` all add per-node prices left to right in graph order
 through one helper, :func:`repro.utils.mathutils.summed` (a zero price,
@@ -46,8 +51,9 @@ rounding and would disagree in the last ulp.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.dfg.graph import DFG
 from repro.dfg.node import Node, OpType
@@ -61,6 +67,7 @@ __all__ = [
     "CostBreakdown",
     "CostLedger",
     "HardwareCostModel",
+    "NodePricer",
     "DEFAULT_COST_TABLE",
     "ASIC_COST_TABLE",
     "COST_TABLES",
@@ -175,6 +182,148 @@ class CostBreakdown:
         }
 
 
+class NodePricer(NamedTuple):
+    """One node's compiled price: the word lengths it reads and the area they give.
+
+    ``cost`` is called with the word lengths of :attr:`reads`, in that
+    order, and returns the node's area.  It sees nothing else of the
+    design, so a node's price can depend only on the formats named here.
+    """
+
+    #: The node's own name when its price reads its own word length, else ``None``.
+    own: str | None
+    #: The DELAY-resolved producers of the operands whose widths it reads.
+    operands: Tuple[str, ...]
+    cost: Callable[..., float]
+
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        """``own`` (when set), then ``operands``: the arguments of :attr:`cost`."""
+        return self.operands if self.own is None else (self.own, *self.operands)
+
+
+#: ``(reads, cost)`` of one compiled node, the form the pricing loops unpack.
+_Entry = Tuple[Tuple[str, ...], Callable[..., float]]
+
+#: The coefficient each arithmetic op scales its operand-width term by.
+_COEFFICIENT = {
+    OpType.ADD: "add_per_bit",
+    OpType.SUB: "add_per_bit",
+    OpType.MIN: "minmax_per_bit",
+    OpType.MAX: "minmax_per_bit",
+    OpType.NEG: "neg_per_bit",
+    OpType.ABS: "abs_per_bit",
+    OpType.MUL: "mul_per_bit_pair",
+    OpType.DIV: "div_per_bit_pair",
+    OpType.SQUARE: "mul_per_bit_pair",
+    OpType.SQRT: "sqrt_per_bit_pair",
+    OpType.EXP: "exp_per_bit_pair",
+    OpType.LOG: "log_per_bit_pair",
+    OpType.MUX: "mux_per_bit",
+}
+
+
+def _free() -> float:
+    return 0.0
+
+
+def _per_bit(coefficient: float) -> Callable[[int], float]:
+    def cost(width: int) -> float:
+        return coefficient * width
+
+    return cost
+
+
+def _arithmetic(op: OpType, table: CostTable) -> Callable[..., float]:
+    """``(own width, *operand widths) -> area`` of an arithmetic op.
+
+    Every op pays ``op_overhead + result_per_bit * own`` for rounding
+    into its own format, plus a term in its operand widths.
+    """
+    base, per_result = table.op_overhead, table.result_per_bit
+    k = getattr(table, _COEFFICIENT[op])
+    if op in (OpType.ADD, OpType.SUB, OpType.MIN, OpType.MAX):
+
+        def cost(own: int, a: int, b: int) -> float:
+            return base + per_result * own + k * max(a, b)
+
+    elif op in (OpType.NEG, OpType.ABS):
+
+        def cost(own: int, w: int) -> float:
+            return base + per_result * own + k * w
+
+    elif op in (OpType.MUL, OpType.DIV):
+
+        def cost(own: int, a: int, b: int) -> float:
+            return base + per_result * own + k * a * b
+
+    elif op in (OpType.SQUARE, OpType.SQRT):
+
+        def cost(own: int, w: int) -> float:
+            return base + per_result * own + k * (w * (w + 1)) / 2.0
+
+    elif op in (OpType.EXP, OpType.LOG):
+
+        def cost(own: int, w: int) -> float:
+            return base + per_result * own + k * w * w
+
+    else:  # MUX
+
+        def cost(own: int, select: int, a: int, b: int) -> float:
+            # The select contributes only its sign bit; the datapath pays
+            # per bit of the wider forwarded operand.
+            return base + per_result * own + k * max(a, b)
+
+    return cost
+
+
+def _producer(graph: DFG, name: str) -> str:
+    """The node whose word ``name`` presents to its consumers.
+
+    DELAY chains are resolved to the producing node: a register
+    forwards its source's already-quantized word, so its own nominal
+    format is irrelevant to both the noise model and the hardware.
+    """
+    seen = set()
+    while graph.node(name).op is OpType.DELAY:
+        if name in seen:
+            raise OptimizationError(f"delay cycle through {name!r}; cannot size the register")
+        seen.add(name)
+        name = graph.node(name).inputs[0]
+    return name
+
+
+def _operand_producers(graph: DFG, node: Node) -> Tuple[str, ...]:
+    """The producers whose widths ``node`` may read (a register: its source's)."""
+    if node.op is OpType.DELAY:
+        return (_producer(graph, node.name),)
+    return tuple(_producer(graph, operand) for operand in node.inputs)
+
+
+def _priced(entry: _Entry, formats: Mapping[str, FixedPointFormat]) -> float:
+    """Evaluate one compiled node on ``formats``."""
+    reads, cost = entry
+    try:
+        widths = [formats[name].word_length for name in reads]
+    except KeyError as missing:
+        raise OptimizationError(
+            f"node {missing.args[0]!r} has no fixed-point format to price; the cost "
+            "model needs an assignment covering every non-OUTPUT node"
+        ) from None
+    return cost(*widths)
+
+
+class _PricingTables(weakref.WeakKeyDictionary):
+    """``graph -> (graph.version, {name: entry})``, holding no graph alive.
+
+    Pickles empty: the compiled closures do not pickle, and a model
+    rebuilds a table the first time it prices a graph again.
+    """
+
+    def __reduce__(self):
+        return type(self), ()
+
+
 class HardwareCostModel:
     """Prices a :class:`WordLengthAssignment` on a dataflow graph.
 
@@ -182,95 +331,79 @@ class HardwareCostModel:
     hardware is one instance of each operator plus the delay registers,
     regardless of the unrolling horizon the error analysis uses.
 
-    **The node_cost contract.**  :meth:`node_cost` may read only the
-    node's own format and the word lengths of its operands, each resolved
-    through DELAY chains to the producing node.  So a format change at a
-    node can move the price of exactly the nodes :meth:`affected_by`
-    returns for it.  :class:`CostLedger` and greedy's incremental shave
-    ranking re-price only those nodes; a subclass whose ``node_cost``
-    reads anything else breaks both.
+    **Compiled pricers.**  The model compiles a graph once into one
+    :class:`NodePricer` per node (:meth:`node_pricer`), keeps that table
+    per graph (weakly; it is rebuilt when :attr:`DFG.version` changes)
+    and evaluates it on ``formats[name].word_length`` in :meth:`node_cost`,
+    :meth:`price`, :meth:`total`, :meth:`reprice` and :class:`CostLedger`.
+    A missing format raises :class:`OptimizationError` when priced; a
+    delay cycle raises it at compile time, naming the register.
+
+    **The pricer contract.**  A pricer reads only the node's own word
+    length and the word lengths of its operands, each resolved through
+    DELAY chains to the producing node; compilation rejects a pricer
+    that names any other node.  So a format change at a node can move
+    the price of exactly the nodes :meth:`affected_by` returns for it,
+    which is what :class:`CostLedger` and greedy's incremental shave
+    ranking re-price.  :meth:`node_pricer` is the one override point: a
+    subclass that overrides :meth:`node_cost` raises :class:`TypeError`
+    when it is defined, because the pricing loops never call it.
     """
 
     def __init__(self, table: CostTable = DEFAULT_COST_TABLE) -> None:
         self.table = table
+        self._tables = _PricingTables()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.node_cost is not HardwareCostModel.node_cost:
+            raise TypeError(
+                f"{cls.__name__} overrides node_cost, which price, total, reprice and "
+                "CostLedger never call; override node_pricer to change a node's price"
+            )
 
     # ------------------------------------------------------------------ #
-    def _format_of(self, assignment: WordLengthAssignment, name: str) -> FixedPointFormat:
-        fmt = assignment.formats.get(name)
-        if fmt is None:
-            raise OptimizationError(
-                f"node {name!r} has no fixed-point format to price; the cost model "
-                "needs an assignment covering every non-OUTPUT node"
-            )
-        return fmt
+    def node_pricer(self, graph: DFG, node: Node) -> NodePricer:
+        """Compile ``node``'s price under this model's table (0 for pure ports)."""
+        op = node.op
+        if op in (OpType.INPUT, OpType.OUTPUT):
+            return NodePricer(None, (), _free)
+        if op is OpType.CONST:
+            return NodePricer(node.name, (), _per_bit(self.table.const_per_bit))
+        operands = _operand_producers(graph, node)
+        if op is OpType.DELAY:
+            return NodePricer(None, operands, _per_bit(self.table.register_per_bit))
+        return NodePricer(node.name, operands, _arithmetic(op, self.table))
 
-    def _operand_width(self, graph: DFG, assignment: WordLengthAssignment, name: str) -> int:
-        """Word length a node presents to its consumers.
-
-        DELAY chains are resolved to the producing node: a register
-        forwards its source's already-quantized word, so its own nominal
-        format is irrelevant to both the noise model and the hardware.
-        """
-        seen = set()
-        while graph.node(name).op is OpType.DELAY:
-            if name in seen:
+    def _pricers(self, graph: DFG) -> Dict[str, _Entry]:
+        """``graph``'s compiled ``{name: (reads, cost)}``, in graph order."""
+        cached = self._tables.get(graph)
+        if cached is not None and cached[0] == graph.version:
+            return cached[1]
+        pricers: Dict[str, _Entry] = {}
+        for node in graph:
+            pricer = self.node_pricer(graph, node)
+            allowed = _operand_producers(graph, node)
+            if pricer.own not in (None, node.name) or not set(pricer.operands) <= set(allowed):
                 raise OptimizationError(
-                    f"delay cycle through {name!r}; cannot size the register"
+                    f"the pricer of {node.name!r} reads {pricer.reads}; a node's price may "
+                    f"read only its own word length and those of {allowed}"
                 )
-            seen.add(name)
-            name = graph.node(name).inputs[0]
-        return self._format_of(assignment, name).word_length
+            pricers[node.name] = (pricer.reads, pricer.cost)
+        self._tables[graph] = (graph.version, pricers)
+        return pricers
 
     def node_cost(self, graph: DFG, node: Node, assignment: WordLengthAssignment) -> float:
         """Area of one node under ``assignment`` (0 for pure ports)."""
-        table = self.table
-        if node.op in (OpType.INPUT, OpType.OUTPUT):
-            return 0.0
-        if node.op is OpType.CONST:
-            return table.const_per_bit * self._format_of(assignment, node.name).word_length
-        if node.op is OpType.DELAY:
-            return table.register_per_bit * self._operand_width(graph, assignment, node.name)
-        widths = [self._operand_width(graph, assignment, operand) for operand in node.inputs]
-        rounding = (
-            table.op_overhead
-            + table.result_per_bit * self._format_of(assignment, node.name).word_length
-        )
-        if node.op in (OpType.ADD, OpType.SUB):
-            return rounding + table.add_per_bit * max(widths)
-        if node.op is OpType.NEG:
-            return rounding + table.neg_per_bit * widths[0]
-        if node.op is OpType.ABS:
-            return rounding + table.abs_per_bit * widths[0]
-        if node.op is OpType.MUL:
-            return rounding + table.mul_per_bit_pair * widths[0] * widths[1]
-        if node.op is OpType.SQUARE:
-            w = widths[0]
-            return rounding + table.mul_per_bit_pair * (w * (w + 1)) / 2.0
-        if node.op is OpType.DIV:
-            return rounding + table.div_per_bit_pair * widths[0] * widths[1]
-        if node.op is OpType.SQRT:
-            w = widths[0]
-            return rounding + table.sqrt_per_bit_pair * (w * (w + 1)) / 2.0
-        if node.op is OpType.EXP:
-            w = widths[0]
-            return rounding + table.exp_per_bit_pair * w * w
-        if node.op is OpType.LOG:
-            w = widths[0]
-            return rounding + table.log_per_bit_pair * w * w
-        if node.op in (OpType.MIN, OpType.MAX):
-            return rounding + table.minmax_per_bit * max(widths)
-        if node.op is OpType.MUX:
-            # The select contributes only its sign bit; the datapath pays
-            # per bit of the wider forwarded operand.
-            return rounding + table.mux_per_bit * max(widths[1], widths[2])
-        raise OptimizationError(f"cannot price operation {node.op!r}")  # pragma: no cover
+        return _priced(self._pricers(graph)[node.name], assignment.formats)
 
     def price(self, graph: DFG, assignment: WordLengthAssignment) -> CostBreakdown:
         """Price the whole design and return the breakdown."""
+        pricers, formats = self._pricers(graph), assignment.formats
         per_node: Dict[str, float] = {}
         per_op: Dict[str, float] = {}
         for node in graph:
-            cost = self.node_cost(graph, node, assignment)
+            cost = _priced(pricers[node.name], formats)
             if cost == 0.0:
                 continue
             per_node[node.name] = cost
@@ -280,7 +413,8 @@ class HardwareCostModel:
 
     def total(self, graph: DFG, assignment: WordLengthAssignment) -> float:
         """Total area only: :meth:`price`'s ``total``, without the breakdown dicts."""
-        return summed(self.node_cost(graph, node, assignment) for node in graph)
+        formats = assignment.formats
+        return summed(_priced(entry, formats) for entry in self._pricers(graph).values())
 
     @staticmethod
     def affected_by(graph: DFG, node: str) -> Tuple[str, ...]:
@@ -317,10 +451,12 @@ class HardwareCostModel:
         ``total(after) - total(before)`` at a fraction of the price.  The
         per-node deltas are summed in the order ``nodes`` yields them.
         """
+        pricers = self._pricers(graph)
+        new, old = after.formats, before.formats
         delta = 0.0
         for name in nodes:
-            node = graph.node(name)
-            delta += self.node_cost(graph, node, after) - self.node_cost(graph, node, before)
+            entry = pricers[name]
+            delta += _priced(entry, new) - _priced(entry, old)
         return delta
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -330,18 +466,19 @@ class HardwareCostModel:
 class CostLedger:
     """Per-node prices of the last design priced, re-priced where a design differs.
 
-    Holds the last design :meth:`total` priced and its
-    :meth:`HardwareCostModel.node_cost` vector in graph order.  A new
-    design re-prices only the nodes in ``scopes`` of the nodes whose
-    formats changed (:func:`changed_formats`, which is O(changed) when
-    the two designs are derived from one another or share a parent),
-    then sums the whole vector with the loop
+    Holds the last design :meth:`total` priced and its per-node prices,
+    evaluated from the model's compiled pricers in graph order.  A new
+    design re-evaluates only the pricers of the nodes in ``scopes`` of
+    the nodes whose formats changed (:func:`changed_formats`, which is
+    O(changed) when the two designs are derived from one another or
+    share a parent), then sums the whole vector with the loop
     :meth:`HardwareCostModel.price` uses, so ``ledger.total(a) ==
     model.price(graph, a).total`` exactly.  ``scopes`` maps every graph
     node to :meth:`HardwareCostModel.affected_by` of it.  The first
-    design is priced in full.  The ledger moves to a new design only
-    after all of its prices are computed, so a ``node_cost`` that raises
-    leaves it on the previous design.
+    design, and the first after the model recompiled the graph, is
+    priced in full.  The ledger moves to a new design only after all of
+    its prices are computed, so a pricer that raises leaves it on the
+    previous design.
     """
 
     def __init__(
@@ -353,25 +490,24 @@ class CostLedger:
         self.model = model
         self.graph = graph
         self._scopes = scopes
-        self._nodes = list(graph)
-        self._position = {node.name: index for index, node in enumerate(self._nodes)}
         self._last: WordLengthAssignment | None = None
-        self._costs: List[float] = []
+        #: The compiled table ``_costs`` was evaluated from.
+        self._pricers: Dict[str, _Entry] | None = None
+        self._costs: Dict[str, float] = {}
 
     def total(self, assignment: WordLengthAssignment) -> float:
         """``price(graph, assignment).total``, re-pricing only what changed."""
-        model, graph, nodes = self.model, self.graph, self._nodes
-        if self._last is None:
-            costs = [model.node_cost(graph, node, assignment) for node in nodes]
+        pricers = self.model._pricers(self.graph)
+        formats = assignment.formats
+        if self._last is None or pricers is not self._pricers:
+            costs = {name: _priced(entry, formats) for name, entry in pricers.items()}
         else:
-            costs = list(self._costs)
-            scopes, position = self._scopes, self._position
+            costs = dict(self._costs)
+            scopes = self._scopes
             changed = changed_formats(assignment, self._last)
             # Formats of names outside the graph are never priced.
             stale = dict.fromkeys(name for node in changed for name in scopes.get(node, ()))
             for name in stale:
-                index = position[name]
-                costs[index] = model.node_cost(graph, nodes[index], assignment)
-        self._last = assignment
-        self._costs = costs
-        return summed(costs)
+                costs[name] = _priced(pricers[name], formats)
+        self._last, self._pricers, self._costs = assignment, pricers, costs
+        return summed(costs.values())

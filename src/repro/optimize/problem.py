@@ -341,8 +341,8 @@ class OptimizationProblem:
         with every view.  It holds the per-node prices of the last design
         priced and re-prices only the ``affected`` sets of
         :meth:`pricing_neighbourhood` around the nodes whose formats
-        differ from that design, which is O(changed) ``node_cost`` calls
-        for a greedy or annealing probe.  The total is re-summed in graph
+        differ from that design: O(changed) evaluations of the cost
+        model's compiled per-node pricers for a greedy or annealing probe.  The total is re-summed in graph
         order, so ``evaluation.cost`` equals
         ``cost_model.price(graph, evaluation.assignment).total`` exactly.
         Call ``cost_model.price`` directly for a per-node breakdown.

@@ -18,6 +18,8 @@ return the same :class:`~repro.optimize.result.OptimizationResult`:
   can never become feasible later).  Each shave's price is kept across
   steps and recomputed only after an accepted move changes a format it
   reads, so a step re-prices the move's neighbourhood, not every node.
+  A shave is priced by :meth:`HardwareCostModel.reprice`, which
+  evaluates the cost model's per-node pricers, compiled once per graph.
 * :class:`SimulatedAnnealingOptimizer` performs Metropolis moves (+-1
   fractional bit on a random node) over an energy mixing cost with an
   SNR-deficit penalty, keeping the best feasible design it visits.
@@ -232,8 +234,10 @@ class _ShaveRanking:
 
     A descent keeps one ranking.  Each node's entry — ``(new_frac, saved)``,
     or ``None`` when the node sits at its precision floor or the shave
-    saves nothing — and its scalar score are computed on first use with
-    exactly the arithmetic of a from-scratch ranking, then kept.  When
+    saves nothing, ``saved`` from :meth:`HardwareCostModel.reprice` over
+    the shaved node's ``affected`` set — and its scalar score are
+    computed on first use with exactly the arithmetic of a from-scratch
+    ranking, then kept.  When
     the current design moves, :meth:`sync` diffs the old and new designs
     (coverage widening included) and drops only the entries of the
     tunable nodes whose shave price reads a changed format (see

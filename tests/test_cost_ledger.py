@@ -5,7 +5,7 @@ change can move, then re-summing the per-node vector in graph order.
 These tests hold every evaluation to a fresh ``HardwareCostModel.price``
 with ``==``.  They cover seeded random walks over library, generated and
 sequential circuits, interleaved across two rescoped views; a
-``node_cost`` that raises partway through an update; and golden greedy
+pricer that raises partway through an update; and golden greedy
 and anneal designs.
 """
 
@@ -163,19 +163,24 @@ def test_walks_cover_const_mux_and_div(random_circuit_factory):
 
 
 class FlakyCostModel(HardwareCostModel):
-    """Raises from the ``fail_after``-th ``node_cost`` call once it is armed."""
+    """Its pricers raise from the ``fail_after``-th node priced once it is armed."""
 
     def __init__(self) -> None:
         super().__init__()
         self.fail_after = None
 
-    def node_cost(self, graph, node, assignment):
-        if self.fail_after is not None:
-            self.fail_after -= 1
-            if self.fail_after == 0:
-                self.fail_after = None
-                raise RuntimeError("flaky node_cost")
-        return super().node_cost(graph, node, assignment)
+    def node_pricer(self, graph, node):
+        pricer = super().node_pricer(graph, node)
+
+        def cost(*widths):
+            if self.fail_after is not None:
+                self.fail_after -= 1
+                if self.fail_after == 0:
+                    self.fail_after = None
+                    raise RuntimeError("flaky pricer")
+            return pricer.cost(*widths)
+
+        return pricer._replace(cost=cost)
 
 
 def test_failed_update_leaves_the_ledger_on_the_previous_design():
