@@ -1242,7 +1242,7 @@ class BatchedAnalyzer:
             pair = self._own_pair(algebra, base, assignment.formats[base])
             lanes = moved.get(base)
             if lanes is not None:
-                table = np.array([pair] * n)
+                table = np.full((n, 2), pair)
                 for j, fmt in lanes:
                     table[j] = self._own_pair(algebra, base, fmt)
                 if algebra == "aa":

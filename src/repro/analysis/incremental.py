@@ -19,35 +19,52 @@ O(1) change.
 * quantization sources are diffed per node, so only changed nodes pay
   ``quantize``/interval reconstruction;
 * probes are *overlays* by default inside an optimizer loop: the cone
-  result is read out of a scratch layer and discarded, so consecutive
-  probes of different nodes from the same current design each pay one
-  cone, not two.  When a search accepts a move it promotes the candidate
+  result is written to a scratch dict that holds only the cone (reads of
+  any other node fall through to the committed errors, which are never
+  copied), read out and discarded.  A probe therefore costs O(cone) even
+  on a graph of thousands of nodes, and consecutive probes of different
+  nodes from the same current design each pay one cone, not two.  When a
+  search accepts a move it promotes the candidate
   with :meth:`commit` (see ``OptimizationProblem.notify_accepted``), and
   a candidate that drifts ``>= AUTO_COMMIT_AFTER`` nodes away from the
   committed baseline is committed automatically so un-notified callers
   degrade gracefully instead of re-propagating ever-growing cones.
 
-Because the cone re-propagation calls the very same per-node rules
-(:meth:`DatapathNoiseAnalyzer._error_of`) as the full sweep, incremental
-reports match a from-scratch analysis exactly, for every method.  AA's
-fresh linearization symbols get other names than in a full sweep, but a
-name only identifies a symbol: each coefficient is built by the same
-float operations.  The AA reductions (``AffineForm.radius`` and the AA
-variance) are ``math.fsum``, which is correctly rounded, so they do not
-depend on the order of a form's terms at all; the Taylor reductions add
-the same numbers in the same order.  ``tests/test_incremental.py``
+The cone re-propagation of ``aa``, ``taylor``, ``sna`` and ``pna``
+calls the very same per-node rules
+(:meth:`DatapathNoiseAnalyzer._error_of`) as the full sweep.  ``ia``, the
+scalar search's method, runs a compiled twin of those rules instead: on
+first ``ia`` use the engine builds one closure per working-graph node
+(:func:`_compile_ia_rule`) with its operand names and value enclosures
+bound, which repeats the generic rule's float operations in the same
+order — the same endpoint-product tuples fed to ``min``/``max``, the same
+left fold of live terms, the same float-zero shortcuts — so its errors
+are bit-identical, signed zeros included.  The rare ops (div, sqrt, exp,
+log, abs, min, max, mux) keep the generic rule.
+
+Either way incremental reports match a from-scratch analysis exactly,
+for every method.  AA's fresh linearization symbols get other names than
+in a full sweep, but a name only identifies a symbol: each coefficient is
+built by the same float operations.  The AA reductions
+(``AffineForm.radius`` and the AA variance) are ``math.fsum``, which is
+correctly rounded, so they do not depend on the order of a form's terms
+at all; the Taylor reductions add the same numbers in the same order.
+``tests/test_incremental.py``
 (``test_incremental_equals_full_on_random_perturbations``) holds every
-report field to a from-scratch analysis with ``==``, and
-``tests/test_evaluate_cache.py`` (``TestEvaluatorEquivalence``) holds
-every candidate of whole greedy searches to it the same way.
+report field to a from-scratch analysis with ``==``,
+``tests/test_compiled_ia_rules.py`` holds every compiled ``ia`` rule to
+the generic one, and ``tests/test_evaluate_cache.py``
+(``TestEvaluatorEquivalence``) holds every candidate of whole greedy
+searches to a from-scratch analysis the same way.
 """
 
 from __future__ import annotations
 
-from collections import ChainMap, deque
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Tuple
 
+from repro.dfg.node import OpType
 from repro.errors import NoiseModelError
 from repro.histogram.pdf import HistogramPDF
 from repro.intervals.affine import AffineContext
@@ -83,6 +100,165 @@ class IncrementalStats:
 
     nodes_recomputed: int = 0
     last_recomputed: Tuple[str, ...] = field(default_factory=tuple)
+
+
+#: One node's error rule: ``rule(errors)`` reads the node's operand errors
+#: from ``errors`` and returns the node's own error.
+ErrorRule = Callable[[Mapping[str, Any]], Any]
+
+
+class _Overlay(dict):
+    """A probe's scratch layer: the cone's errors over the committed ones.
+
+    Holds only the nodes the probe re-propagates; reading any other node
+    falls through ``__missing__`` to the committed errors, which are
+    neither copied nor written.
+    """
+
+    __slots__ = ("committed",)
+
+    def __init__(self, committed: Dict[str, Any]) -> None:
+        super().__init__()
+        self.committed = committed
+
+    def __missing__(self, name: str) -> Any:
+        return self.committed[name]
+
+
+def _generic_rule(
+    analyzer: DatapathNoiseAnalyzer, method: str, name: str, node, values, context
+) -> ErrorRule:
+    """One node's rule through :meth:`DatapathNoiseAnalyzer._error_of`."""
+
+    def rule(errors):
+        return analyzer._error_of(method, name, node, values, errors, context)
+
+    return rule
+
+
+def _compile_ia_rule(analyzer: DatapathNoiseAnalyzer, name: str, node, values) -> ErrorRule | None:
+    """The compiled twin of ``_error_rule(method="ia")`` for one node.
+
+    Operand names and value enclosures are bound here; the node's own
+    quantization source is read at call time, because the engine swaps
+    sources in place as the assignment moves.  Each closure performs the
+    generic rule's float operations in the same order: an exact-zero
+    error (``ia`` errors are the float ``0.0`` or an :class:`Interval`) is
+    no term, the live terms are left-folded with ``own`` last, and every
+    interval product feeds its four endpoint products to ``min``/``max``
+    as one tuple.  The results are therefore bit-identical, signed zeros
+    included.  Returns ``None`` for the rare ops, which keep the generic
+    rule.
+    """
+    op = node.op
+    get_source = analyzer._sources_by_node.get
+    fast = Interval._fast
+    if op is OpType.INPUT or op is OpType.CONST:
+
+        def rule(errors):
+            source = get_source(name)
+            return source.error_interval if source else 0.0
+
+    elif op is OpType.OUTPUT:
+        (a,) = node.inputs
+
+        def rule(errors):
+            return errors[a]
+
+    elif op is OpType.NEG:
+        (a,) = node.inputs
+
+        def rule(errors):
+            ea = errors[a]
+            source = get_source(name)
+            if ea.__class__ is float:
+                return source.error_interval if source else 0.0
+            if source:
+                own = source.error_interval
+                return fast(-ea.hi + own.lo, -ea.lo + own.hi)
+            return fast(-ea.hi, -ea.lo)
+
+    elif op is OpType.ADD or op is OpType.SUB:
+        a, b = node.inputs
+        negate = op is OpType.SUB
+
+        def rule(errors):
+            ea = errors[a]
+            eb = errors[b]
+            source = get_source(name)
+            if ea.__class__ is float:
+                if eb.__class__ is float:
+                    return source.error_interval if source else 0.0
+                lo, hi = (-eb.hi, -eb.lo) if negate else (eb.lo, eb.hi)
+            elif eb.__class__ is float:
+                lo, hi = ea.lo, ea.hi
+            elif negate:
+                lo, hi = ea.lo + -eb.hi, ea.hi + -eb.lo
+            else:
+                lo, hi = ea.lo + eb.lo, ea.hi + eb.hi
+            if source:
+                own = source.error_interval
+                return fast(lo + own.lo, hi + own.hi)
+            return fast(lo, hi)
+
+    elif op is OpType.MUL:
+        a, b = node.inputs
+        valo, vahi = values[a].lo, values[a].hi
+        vblo, vbhi = values[b].lo, values[b].hi
+
+        def rule(errors):
+            ea = errors[a]
+            eb = errors[b]
+            source = get_source(name)
+            if eb.__class__ is float:
+                if ea.__class__ is float:
+                    return source.error_interval if source else 0.0
+                # vb * ea
+                p = (vblo * ea.lo, vblo * ea.hi, vbhi * ea.lo, vbhi * ea.hi)
+                lo, hi = min(p), max(p)
+            else:
+                # va * eb, then vb * ea and ea * eb when ea is live
+                p = (valo * eb.lo, valo * eb.hi, vahi * eb.lo, vahi * eb.hi)
+                lo, hi = min(p), max(p)
+                if ea.__class__ is not float:
+                    p = (vblo * ea.lo, vblo * ea.hi, vbhi * ea.lo, vbhi * ea.hi)
+                    lo, hi = lo + min(p), hi + max(p)
+                    p = (ea.lo * eb.lo, ea.lo * eb.hi, ea.hi * eb.lo, ea.hi * eb.hi)
+                    lo, hi = lo + min(p), hi + max(p)
+            if source:
+                own = source.error_interval
+                return fast(lo + own.lo, hi + own.hi)
+            return fast(lo, hi)
+
+    elif op is OpType.SQUARE:
+        (a,) = node.inputs
+        valo, vahi = values[a].lo, values[a].hi
+
+        def rule(errors):
+            ea = errors[a]
+            source = get_source(name)
+            if ea.__class__ is float:
+                return source.error_interval if source else 0.0
+            elo, ehi = ea.lo, ea.hi
+            # 2.0 * (va * ea)
+            p = (valo * elo, valo * ehi, vahi * elo, vahi * ehi)
+            mlo, mhi = min(p), max(p)
+            p = (mlo * 2.0, mlo * 2.0, mhi * 2.0, mhi * 2.0)
+            lo, hi = min(p), max(p)
+            # + ea.square(), the dependency-aware image of ea ** 2
+            slo, shi = elo**2, ehi**2
+            if elo <= 0.0 <= ehi:
+                lo, hi = lo + 0.0, hi + max(slo, shi)
+            else:
+                lo, hi = lo + min(slo, shi), hi + max(slo, shi)
+            if source:
+                own = source.error_interval
+                return fast(lo + own.lo, hi + own.hi)
+            return fast(lo, hi)
+
+    else:
+        return None
+    return rule
 
 
 @dataclass
@@ -162,11 +338,12 @@ class IncrementalAnalyzer:
         self._cones: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         self._values: Dict[str, Dict[str, Any]] = {}
         self._contexts: Dict[str, AffineContext | None] = {}
+        self._rules: Dict[str, Dict[str, ErrorRule]] = {}
         self._states: Dict[Tuple[str, str], _TargetState] = {}
         # Last discarded overlay, kept one call long: when a search accepts
         # the probe it just evaluated, commit() merges the overlay instead
         # of re-propagating the identical cone.
-        self._pending_overlay: Tuple[Tuple[str, str], Any, Dict[str, Any], Any] | None = None
+        self._pending_overlay: Tuple[Tuple[str, str], Any, _Overlay, Any] | None = None
         self.stats = IncrementalStats()
 
     # ------------------------------------------------------------------ #
@@ -297,31 +474,48 @@ class IncrementalAnalyzer:
             self._contexts[method] = context
         return values
 
+    def _rules_of(self, method: str) -> Dict[str, ErrorRule]:
+        """One error rule per working-graph node (built once per method).
+
+        ``ia`` nodes get their compiled twin where one exists; every
+        other node calls the generic :meth:`DatapathNoiseAnalyzer._error_of`.
+        """
+        rules = self._rules.get(method)
+        if rules is None:
+            analyzer = self.analyzer
+            values = self._values_of(method)
+            context = self._contexts[method]
+            rules = {}
+            for name in analyzer.topo_order:
+                node = analyzer.graph.node(name)
+                rule = _compile_ia_rule(analyzer, name, node, values) if method == "ia" else None
+                rules[name] = rule or _generic_rule(analyzer, method, name, node, values, context)
+            self._rules[method] = rules
+        return rules
+
     def _update(
         self, assignment: WordLengthAssignment, method: str, target: str, commit: bool
     ) -> Mapping[str, Any]:
         """Bring the cached errors of ``(method, target)`` up to date.
 
-        Returns the error mapping reflecting the candidate — the
-        committed ``state.errors`` dict itself, or a discardable overlay
-        layered on top of it for non-committing probes.
+        Each re-propagated node runs its rule from :meth:`_rules_of` —
+        compiled float code for the hot ``ia`` ops.  Returns the error
+        mapping reflecting the candidate: the committed ``state.errors``
+        dict itself, updated in place, or for non-committing probes an
+        :class:`_Overlay` holding just the cone and reading every other
+        node from the committed errors, so a probe costs O(cone).
         """
-        analyzer = self.analyzer
-        graph = analyzer.graph
         self._sync_sources(assignment)
+        rules = self._rules_of(method)
 
         state_key = (method, target)
         state = self._states.get(state_key)
         if state is None:
-            values = self._values_of(method)
-            context = self._contexts[method]
             ancestors = self.ancestors_of(target)
             errors: Any = {}
-            schedule = [name for name in analyzer.topo_order if name in ancestors]
+            schedule = [name for name in self.analyzer.topo_order if name in ancestors]
             for name in schedule:
-                errors[name] = analyzer._error_of(
-                    method, name, graph.node(name), values, errors, context
-                )
+                errors[name] = rules[name](errors)
             state = _TargetState(errors, assignment)
             self._states[state_key] = state
             self.stats.last_recomputed = tuple(schedule)
@@ -361,18 +555,14 @@ class IncrementalAnalyzer:
             for base in stale:
                 cone.update(self.cone_of(base, target))
             order = sorted(cone, key=self._position.__getitem__)
-        values = self._values[method]
-        context = self._contexts[method]
         if committing:
             errors = state.errors
             state.assignment = assignment
         else:
-            errors = ChainMap({}, state.errors)
+            errors = _Overlay(state.errors)
         try:
             for name in order:
-                errors[name] = analyzer._error_of(
-                    method, name, graph.node(name), values, errors, context
-                )
+                errors[name] = rules[name](errors)
         except Exception:
             if committing:
                 # A rule that raised mid-cone (e.g. a DomainError from a
@@ -383,12 +573,7 @@ class IncrementalAnalyzer:
                 self._states.pop(state_key, None)
             raise
         if not committing:
-            self._pending_overlay = (
-                state_key,
-                assignment,
-                errors.maps[0],
-                state.assignment,
-            )
+            self._pending_overlay = (state_key, assignment, errors, state.assignment)
         self.stats.nodes_recomputed += len(order)
         self.stats.last_recomputed = tuple(order)
         return errors

@@ -482,7 +482,8 @@ class DatapathNoiseAnalyzer:
         Shared by the full sweep above and by the incremental engine
         (:class:`repro.analysis.incremental.IncrementalAnalyzer`), which
         re-invokes it only for nodes inside the cone of influence of a
-        word-length change; both paths therefore produce the same floats.
+        word-length change (through a compiled twin for the hot ``ia``
+        ops, see :meth:`_error_rule`); both paths produce the same floats.
         Domain violations name the offending node, like :meth:`_value_of`.
         """
         try:
@@ -501,6 +502,18 @@ class DatapathNoiseAnalyzer:
         errors: Mapping[str, Any],
         context: AffineContext | None,
     ) -> Any:
+        """The per-op error rules behind :meth:`_error_of`.
+
+        ``ia`` has a compiled twin for the hot ops (input, const, output,
+        neg, add, sub, mul, square):
+        :func:`repro.analysis.incremental._compile_ia_rule`, which the
+        incremental engine runs instead of this method.  It repeats these
+        rules' float operations in the same order, so a change here must
+        be made there too; ``tests/test_compiled_ia_rules.py``
+        (``test_every_op_matches_the_generic_rule`` and
+        ``test_generated_graphs_match_node_by_node``) holds the two equal,
+        signed zeros included.
+        """
         source = self._sources_by_node.get(name)
         own = self._make_error_term(method, source, context) if source else None
         if node.op in (OpType.INPUT, OpType.CONST):

@@ -157,20 +157,36 @@ def test_off_path_perturbation_recomputes_nothing():
 
 
 def test_overlay_probe_leaves_committed_state_untouched():
-    """A non-committing probe must not disturb later analyses."""
+    """A non-committing probe must not disturb later analyses.
+
+    Its overlay holds exactly the nodes it re-propagated, and the
+    committed errors keep their keys and value objects: a probe neither
+    copies nor writes the committed state, so it costs O(cone).
+    """
     circuit, ranges, baseline = _setup("poly3")
-    engine = IncrementalAnalyzer(
-        circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON, bins=BINS
-    )
-    reference = engine.analyze(baseline, "aa", output=circuit.output)
-    rng = random.Random("overlay")
-    for _ in range(5):
-        engine.analyze(_perturb(baseline, ranges, rng, 1), "aa",
-                       output=circuit.output, commit=False)
-    again = engine.analyze(baseline, "aa", output=circuit.output)
-    assert again.noise_power == reference.noise_power
-    assert again.bounds.lo == reference.bounds.lo
-    assert again.bounds.hi == reference.bounds.hi
+    for method in ("aa", "ia"):
+        engine = IncrementalAnalyzer(
+            circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON, bins=BINS
+        )
+        reference = engine.analyze(baseline, method, output=circuit.output)
+        state = engine._states[(method, engine.analyzer._resolve_output(circuit.output))]
+        committed = dict(state.errors)
+        smaller = False
+        rng = random.Random("overlay")
+        for _ in range(5):
+            candidate = _perturb(baseline, ranges, rng, 1)
+            engine.analyze(candidate, method, output=circuit.output, commit=False)
+            overlay = engine._pending_overlay[2]
+            assert engine._pending_overlay[1] is candidate
+            assert sorted(overlay) == sorted(engine.stats.last_recomputed)
+            smaller |= len(overlay) < len(committed)
+            assert state.errors.keys() == committed.keys()
+            assert all(state.errors[name] is error for name, error in committed.items())
+        assert smaller
+        again = engine.analyze(baseline, method, output=circuit.output)
+        assert again.noise_power == reference.noise_power
+        assert again.bounds.lo == reference.bounds.lo
+        assert again.bounds.hi == reference.bounds.hi
 
 
 def test_diff_detects_removed_keys_at_equal_size():
