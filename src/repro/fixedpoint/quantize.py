@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 import numpy as np
@@ -68,8 +69,34 @@ def quantize(
     quantization: QuantizationMode | str = QuantizationMode.ROUND,
     overflow: OverflowMode | str = OverflowMode.SATURATE,
 ) -> float:
-    """Quantize a single real value into the given fixed-point format."""
-    result = quantize_array(np.asarray([float(value)]), fmt, quantization, overflow)
+    """Quantize a single real value into the given fixed-point format.
+
+    Returns, bit for bit and signs of zeros included, what
+    :func:`quantize_array` returns for ``[value]``, from the same float
+    operations on Python floats.  ``WRAP``, a non-finite scaled value and
+    a zero result on a zero range bound take the array path: the first
+    two need its ``mod`` and ``floor`` semantics, and how ``np.clip``
+    signs a zero tied with its bound has changed across NumPy releases.
+    """
+    quantization = QuantizationMode.coerce(quantization)
+    overflow = OverflowMode.coerce(overflow)
+    value = float(value)
+    step = fmt.step
+    scaled = value / step
+    if overflow is OverflowMode.SATURATE and math.isfinite(scaled):
+        if quantization is QuantizationMode.ROUND:
+            quantized = math.copysign(math.floor(abs(scaled) + 0.5), scaled) * step
+        else:
+            # math.floor(-0.0) is the int 0; np.floor(-0.0) is -0.0.
+            quantized = (math.floor(scaled) if scaled else scaled) * step
+        lo, hi = fmt.min_value, fmt.max_value
+        if quantized < lo:
+            return lo
+        if quantized > hi:
+            return hi
+        if quantized or (lo and hi):
+            return quantized
+    result = quantize_array(np.asarray([value]), fmt, quantization, overflow)
     return float(result[0])
 
 

@@ -300,11 +300,16 @@ def _operand_producers(graph: DFG, node: Node) -> Tuple[str, ...]:
     return tuple(_producer(graph, operand) for operand in node.inputs)
 
 
-def _priced(entry: _Entry, formats: Mapping[str, FixedPointFormat]) -> float:
-    """Evaluate one compiled node on ``formats``."""
+def _priced(
+    entry: _Entry,
+    formats: Mapping[str, FixedPointFormat],
+    moved: str | None = None,
+    width: int = 0,
+) -> float:
+    """Evaluate one compiled node on ``formats``, reading ``width`` as ``moved``'s word length."""
     reads, cost = entry
     try:
-        widths = [formats[name].word_length for name in reads]
+        widths = [width if name == moved else formats[name].word_length for name in reads]
     except KeyError as missing:
         raise OptimizationError(
             f"node {missing.args[0]!r} has no fixed-point format to price; the cost "
@@ -442,21 +447,47 @@ class HardwareCostModel:
         self,
         graph: DFG,
         before: WordLengthAssignment,
-        after: WordLengthAssignment,
+        after: WordLengthAssignment | None,
         nodes: Iterable[str],
+        *,
+        prices: Dict[str, float] | None = None,
+        moved: Tuple[str, int] | None = None,
     ) -> float:
         """Cost delta (after - before) when only ``nodes`` can have changed.
 
-        Pass :meth:`affected_by` of every mutated node; equals
-        ``total(after) - total(before)`` at a fraction of the price.  The
-        per-node deltas are summed in the order ``nodes`` yields them.
+        Pass :meth:`affected_by` of every mutated node.  The result is
+        ``delta += new - old`` over ``nodes``, in the order they come, with
+        ``new`` and ``old`` a node's price under ``after`` and ``before``.
+        That matches ``total(after) - total(before)`` up to float rounding
+        only: the totals are summed over every node in graph order.
+
+        **Table form** (``after=None``, both keywords given): ``prices``
+        is a per-node price table of ``before``, and ``moved = (node,
+        word_length)`` makes ``after`` ``before`` with that one node's
+        word length substituted, so no ``after`` assignment is built.  An
+        entry present in ``prices`` is read as ``old``; a missing one is
+        priced from ``before`` and stored.  The caller keeps the table
+        valid by dropping the :meth:`affected_by` scope of every node
+        whose format changes in ``before``.  The table form returns, bit
+        for bit, what the four-argument call returns for the same designs.
         """
         pricers = self._pricers(graph)
-        new, old = after.formats, before.formats
+        old_formats = before.formats
         delta = 0.0
+        if prices is None:
+            new_formats = after.formats
+            for name in nodes:
+                entry = pricers[name]
+                delta += _priced(entry, new_formats) - _priced(entry, old_formats)
+            return delta
+        node, width = moved
         for name in nodes:
             entry = pricers[name]
-            delta += _priced(entry, new) - _priced(entry, old)
+            new = _priced(entry, old_formats, node, width)
+            old = prices.get(name)
+            if old is None:
+                old = prices[name] = _priced(entry, old_formats)
+            delta += new - old
         return delta
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -476,9 +507,10 @@ class CostLedger:
     model.price(graph, a).total`` exactly.  ``scopes`` maps every graph
     node to :meth:`HardwareCostModel.affected_by` of it.  The first
     design, and the first after the model recompiled the graph, is
-    priced in full.  The ledger moves to a new design only after all of
-    its prices are computed, so a pricer that raises leaves it on the
-    previous design.
+    priced in full.  The stale prices are computed into a small dict
+    and written into the table in place only once every pricer has
+    returned, so a pricer that raises leaves the ledger on the previous
+    design, and no update copies the whole table.
     """
 
     def __init__(
@@ -502,12 +534,14 @@ class CostLedger:
         if self._last is None or pricers is not self._pricers:
             costs = {name: _priced(entry, formats) for name, entry in pricers.items()}
         else:
-            costs = dict(self._costs)
             scopes = self._scopes
             changed = changed_formats(assignment, self._last)
             # Formats of names outside the graph are never priced.
             stale = dict.fromkeys(name for node in changed for name in scopes.get(node, ()))
-            for name in stale:
-                costs[name] = _priced(pricers[name], formats)
+            fresh = {name: _priced(pricers[name], formats) for name in stale}
+            # Every pricer has returned: move the table in place (existing
+            # keys keep their graph-order positions).
+            costs = self._costs
+            costs.update(fresh)
         self._last, self._pricers, self._costs = assignment, pricers, costs
         return summed(costs.values())

@@ -18,8 +18,11 @@ return the same :class:`~repro.optimize.result.OptimizationResult`:
   can never become feasible later).  Each shave's price is kept across
   steps and recomputed only after an accepted move changes a format it
   reads, so a step re-prices the move's neighbourhood, not every node.
-  A shave is priced by :meth:`HardwareCostModel.reprice`, which
-  evaluates the cost model's per-node pricers, compiled once per graph.
+  A shave is priced by one :meth:`HardwareCostModel.reprice` call in its
+  table form: the current design's per-node prices come from a table the
+  ranking keeps across steps, and only the shaved side is evaluated, with
+  the shaved node's word length substituted; no shaved assignment is
+  built, and no shave re-prices the current design.
 * :class:`SimulatedAnnealingOptimizer` performs Metropolis moves (+-1
   fractional bit on a random node) over an energy mixing cost with an
   SNR-deficit penalty, keeping the best feasible design it visits.
@@ -237,10 +240,15 @@ class _ShaveRanking:
     saves nothing, ``saved`` from :meth:`HardwareCostModel.reprice` over
     the shaved node's ``affected`` set — and its scalar score are
     computed on first use with exactly the arithmetic of a from-scratch
-    ranking, then kept.  When
-    the current design moves, :meth:`sync` diffs the old and new designs
-    (coverage widening included) and drops only the entries of the
-    tunable nodes whose shave price reads a changed format (see
+    ranking, then kept.  The ranking also keeps a per-node price table
+    of the current design, which ``reprice`` reads as the before side
+    and fills on a miss; the shaved side is priced with the node's word
+    length set to ``integer_bits + new_frac``, so no shaved assignment
+    is built and ``saved`` equals the four-argument ``reprice`` bit for
+    bit.  When the current design moves, :meth:`sync` diffs the old and
+    new designs (coverage widening included) and, for each changed node,
+    drops the price-table entries of its ``affected`` set and the shave
+    entries of the tunable nodes whose shave price reads its format (see
     :meth:`OptimizationProblem.pricing_neighbourhood`); every other entry
     would be recomputed bit for bit, so it stays.
 
@@ -253,6 +261,9 @@ class _ShaveRanking:
     def __init__(self, problem: OptimizationProblem, assignment: WordLengthAssignment) -> None:
         self.problem = problem
         self.assignment = assignment
+        self._neighbourhood = problem.pricing_neighbourhood()
+        #: Per-node prices of ``assignment``, filled as shaves read them.
+        self._prices: Dict[str, float] = {}
         self._shaves: Dict[str, Tuple[int, float] | None] = {}
         self._scores: Dict[str, float] = {}
         self._index = {node: index for index, node in enumerate(problem.tunable)}
@@ -263,8 +274,13 @@ class _ShaveRanking:
     def sync(self, assignment: WordLengthAssignment) -> None:
         """Make ``assignment`` the design the entries are priced against."""
         neighbourhood = self.problem.pricing_neighbourhood()  # raises if the graph changed
+        self._neighbourhood = neighbourhood
+        prices = self._prices
         for node in changed_formats(assignment, self.assignment):
-            for reader in neighbourhood[node][1]:
+            affected, readers = neighbourhood[node]
+            for name in affected:
+                prices.pop(name, None)
+            for reader in readers:
                 self._shaves.pop(reader, None)
                 self._scores.pop(reader, None)
                 self._unranked[reader] = None
@@ -281,12 +297,13 @@ class _ShaveRanking:
         fmt = current.formats.get(node)
         if fmt is not None and fmt.fractional_bits > problem.min_fractional_bits:
             new_frac = fmt.fractional_bits - 1
-            shaved = current.with_fractional_bits(node, new_frac)
             saved = -problem.cost_model.reprice(
                 problem.graph,
                 current,
-                shaved,
-                problem.pricing_neighbourhood()[node][0],
+                None,
+                self._neighbourhood[node][0],
+                prices=self._prices,
+                moved=(node, fmt.integer_bits + new_frac),
             )
             if saved > 0.0:
                 entry = (new_frac, saved)

@@ -196,24 +196,38 @@ def walk_step(rng, graph, design):
 
 
 def check_walk(model, graph, seed, steps):
-    """Walk ``steps`` moves, holding reprice and a ledger to the reference."""
+    """Walk ``steps`` moves, holding reprice (both forms) and a ledger to the reference.
+
+    ``prices`` is a price table of the walk's current design, kept the
+    way greedy's ranking keeps it: a move drops the ``affected_by``
+    scope of every node it changed.
+    """
     rng = random.Random(seed)
     table = model.table
     scopes = {name: model.affected_by(graph, name) for name in graph.names()}
     ledger = CostLedger(model, graph, scopes)
     design = random_design(rng, graph)
+    prices = {}
     assert ledger.total(design) == assert_prices_match(model, graph, design)
     for _ in range(steps):
         candidate, moved = walk_step(rng, graph, design)
         nodes = tuple(dict.fromkeys(name for node in moved for name in scopes[node]))
         expected = reference_reprice(table, graph, design, candidate, nodes)
         assert model.reprice(graph, design, candidate, nodes) == expected
+        if len(moved) == 1:
+            substituted = (moved[0], candidate.format_of(moved[0]).word_length)
+            table_form = model.reprice(graph, design, None, nodes, prices=prices, moved=substituted)
+            assert table_form == expected
         assert ledger.total(candidate) == reference_total(table, graph, candidate)
         if rng.random() < 0.1:
             # An unrelated design: the ledger diffs it in full.
             candidate = random_design(rng, graph)
             assert ledger.total(candidate) == assert_prices_match(model, graph, candidate)
+            moved = tuple(candidate)
         if rng.random() < 0.7:
+            for node in moved:
+                for name in scopes.get(node, ()):
+                    prices.pop(name, None)
             design = candidate
 
 
@@ -381,6 +395,9 @@ def test_a_missing_format_raises_from_every_entry_point():
         lambda: model.price(graph, partial),
         lambda: model.node_cost(graph, graph.node("q"), partial),
         lambda: model.reprice(graph, design, partial, model.affected_by(graph, "m")),
+        lambda: model.reprice(
+            graph, partial, None, model.affected_by(graph, "q"), prices={}, moved=("q", 9)
+        ),
         lambda: ledger.total(partial),
     ):
         with pytest.raises(OptimizationError, match="'m' has no fixed-point format"):

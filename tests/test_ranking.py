@@ -21,9 +21,10 @@ import pytest
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.benchmarks.generators import generate_circuit
 from repro.config import OptimizeConfig
+from repro.dfg.graph import DFG
 from repro.errors import OptimizationError
-from repro.optimize import OptimizationProblem
-from repro.optimize.strategies import GreedyBitStealingOptimizer
+from repro.optimize import HardwareCostModel, OptimizationProblem
+from repro.optimize.strategies import GreedyBitStealingOptimizer, _ShaveRanking
 
 
 def reference_shaves(problem, current, blocked):
@@ -175,6 +176,93 @@ def test_greedy_results_unchanged_on_fir_cascade(engine):
     ]
     digest = hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
     assert (repr(result.cost), len(result.iterations), digest) == GOLDEN[engine]
+
+
+def tight_circuit():
+    """Inputs ``x`` and ``z`` whose ranges end one 12-bit step below 1.0.
+
+    At 12 bits each gets ``Q1.11``, whose top value equals the range's
+    end, so any shave coverage-widens it to two integer bits.
+    """
+    graph = DFG("tight")
+    x = graph.add_input("x")
+    z = graph.add_input("z")
+    product = graph.add_mul(x, graph.add_const(0.75, name="c"), name="m")
+    total = graph.add_add(product, z, name="s")
+    graph.add_output(graph.add_sub(total, x, name="d"), name="y")
+    end = 1.0 - 2.0**-11
+    return graph, {"x": (-1.0, end), "z": (-1.0, end)}
+
+
+def test_ranking_follows_coverage_widened_moves():
+    """Moves that widen integer bits re-price the moved node's readers from scratch.
+
+    ``x`` is shaved one bit (coverage adds an integer bit, so its word
+    length stays but its next shave reads the new integer bits); ``z``
+    drops two fractional bits at once (one integer bit added, so its
+    consumers' prices change and the price table must drop them).
+    """
+    graph, ranges = tight_circuit()
+    config = OptimizeConfig(
+        snr_floor_db=30.0, method="ia", engine="incremental", horizon=4, bins=8, margin_db=0.0
+    )
+    problem = OptimizationProblem.from_circuit(graph, 30.0, input_ranges=ranges, config=config)
+    model = problem.cost_model
+    current = problem.evaluate(problem.uniform(12))
+    ranking = _ShaveRanking(problem, current.assignment)
+    widened = []
+    for node, bits in [("x", 1), ("z", 2), ("m", 1), ("x", 1), ("s", 3), ("z", 1)]:
+        ranking.sync(current.assignment)
+        assert list(ranking.shaves(set())) == reference_shaves(problem, current, set())
+        assert ranking.best(set()) == reference_best(problem, current, set())
+        fresh = model.price(graph, current.assignment).per_node
+        assert ranking._prices and all(
+            price == fresh.get(name, 0.0) for name, price in ranking._prices.items()
+        )
+        before = current.assignment.format_of(node)
+        current = problem.evaluate(
+            current.assignment.with_fractional_bits(node, before.fractional_bits - bits)
+        )
+        after = current.assignment.format_of(node)
+        if after.integer_bits != before.integer_bits:
+            widened.append((node, after.word_length - before.word_length))
+    assert widened == [("x", 0), ("z", -1)]
+    ranking.sync(current.assignment)
+    assert list(ranking.shaves(set())) == reference_shaves(problem, current, set())
+
+
+class CountingCostModel(HardwareCostModel):
+    """Counts every evaluation of its compiled per-node pricers."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.evaluations = 0
+
+    def node_pricer(self, graph, node):
+        pricer = super().node_pricer(graph, node)
+
+        def cost(*widths):
+            self.evaluations += 1
+            return pricer.cost(*widths)
+
+        return pricer._replace(cost=cost)
+
+
+def test_greedy_search_pricer_evaluations_are_pinned():
+    """Each shave prices only its moved side; the current design's prices are kept.
+
+    Pricing both sides of every shave, as a from-scratch ranking does,
+    evaluates the pricers 29,182 times in this search.
+    """
+    circuit = generate_circuit("fir_cascade:taps=8,samples=12")
+    config = OptimizeConfig(
+        snr_floor_db=60.0, method="ia", engine="incremental", horizon=4, bins=8, margin_db=0.0
+    )
+    model = CountingCostModel()
+    problem = OptimizationProblem.from_circuit(circuit, 60.0, config=config, cost_model=model)
+    result = GreedyBitStealingOptimizer().optimize(problem)
+    assert result.feasible
+    assert model.evaluations == 18_333
 
 
 class TestGraphMutation:
