@@ -1,45 +1,44 @@
-"""Whole-graph vectorized candidate pricing with a leading batch axis.
+"""Batched candidate pricing: one call prices every single-node move.
 
-:class:`BatchedAnalyzer` is the compiled IA and AA kernel of one
-:class:`~repro.analysis.incremental.IncrementalAnalyzer`.  It compiles
-that engine's (unrolled) dataflow graph into a straight-line NumPy
-program once per algebra and analyzed output, then prices *n*
-single-node word-length moves in one array pass; every propagation rule
-of :class:`~repro.noisemodel.analyzer.DatapathNoiseAnalyzer` becomes a
-handful of elementwise array operations.  One call to
-:meth:`~BatchedAnalyzer.price_moves` replaces *n* cone re-propagations —
-the word-length optimizer's greedy inner loop prices every candidate
-shave at once.
+:class:`BatchedAnalyzer` prices *n* single-node word-length moves of one
+design for one :class:`~repro.analysis.incremental.IncrementalAnalyzer`.
+It has two paths:
 
-* Under ``ia`` every propagated error interval is a pair of ``(n,)``
-  endpoint arrays.
-* Under ``aa`` (and mean-square ``pna``, which propagates AA forms and
-  reads AA's moments) every propagated error is an affine form over the
-  lanes: an ``(n, 1)`` center and an ``(n, S)`` coefficient matrix over
-  one symbol layout fixed at compile time.  The layout holds the value
-  forms' symbols, one column per source instance (``e_<inst>``), and one
-  column per fresh-symbol site of each rule (a product's nonlinear term,
-  a Chebyshev or reciprocal deviation, a selection blur).
+* Mean-square ``aa`` (and mean-square ``pna``, which propagates AA forms
+  and reads AA's moments) runs a compiled NumPy program.  The engine's
+  (unrolled) dataflow graph is compiled once per analyzed output into a
+  straight-line program with a leading batch axis; every propagation
+  rule of :class:`~repro.noisemodel.analyzer.DatapathNoiseAnalyzer`
+  becomes a handful of array operations.  Every propagated error is an
+  affine form over the lanes: an ``(n, 1)`` center and an ``(n, S)``
+  coefficient matrix over one symbol layout fixed at compile time.  The
+  layout holds the value forms' symbols, one column per source instance
+  (``e_<inst>``), and one column per fresh-symbol site of each rule (a
+  product's nonlinear term, a Chebyshev or reciprocal deviation, a
+  selection blur).  Arrays stay single-lane wherever no move disturbs
+  them.
+* Every other batch (``ia``, ``taylor``, ``sna``, and any ``confidence``
+  batch) goes to :meth:`IncrementalAnalyzer.probe_moves`, which commits
+  the design and prices each move by one cone re-propagation over the
+  committed errors.  ``ia`` cones run the engine's compiled scalar rules.
 
-Arrays stay single-lane wherever no move disturbs them.
-
-Bit-equivalence contract
-------------------------
+Bit-equivalence contract of the ``aa`` program
+----------------------------------------------
 The compiled program reproduces the scalar engine *exactly*:
 
 * Value enclosures never depend on the assignment, so the program bakes
   in the engine's own value sweep as constants.
 * Every error rule is evaluated with the same float operations in the
   same order as the scalar rule, so each batch lane carries the same
-  endpoints / center and coefficients the scalar analyzer would produce
-  for that candidate (up to the sign of IEEE zeros, which no decision or
-  moment depends on).  A symbol the scalar form drops as an exact zero
-  is a zero column here, and adding zero is exact.
+  center and coefficients the scalar analyzer would produce for that
+  candidate (up to the sign of IEEE zeros, which no decision or moment
+  depends on).  A symbol the scalar form drops as an exact zero is a
+  zero column here, and adding zero is exact.
 * Cross-symbol reductions (an affine radius, the AA variance) are
   ``math.fsum`` in both engines, once per lane.  It is correctly
   rounded, so the result depends neither on dict order nor on column
   order.  The rare nonlinear steps (``sqrt`` / ``exp`` / ``log``) call
-  the scalar Chebyshev helpers once per lane, like ``_libm_exp`` does.
+  the scalar Chebyshev helpers once per lane.
 * The scalar engine's structural-zero shortcuts (``_is_zero``) are
   mirrored with per-lane boolean "error is the float 0.0" masks.  The
   one domain check a zero lane can fail, the ``sqrt`` denominator of an
@@ -54,18 +53,12 @@ The compiled program reproduces the scalar engine *exactly*:
   garbage cannot leak into other lanes.  A value sweep that already
   violates a premise prices every lane ``inf``.
 
-The other methods (``taylor`` / ``sna``), and every ``confidence``
-batch, carry state that does not vectorize into these arrays; for them
-:meth:`~BatchedAnalyzer.price_moves` probes the same incremental engine
-once per lane, which reproduces a from-scratch analysis exactly, so
-callers use one object regardless of method.  An optimization problem
-builds its kernel over its own search engine.  The problem memoizes
-every lane it prices and serves a later evaluation of a priced move from
-that lane, so a greedy descent analyzes none of the shaves it accepts.
-It commits each accepted design to the engine only when the engine is
-next used, an analysis or a probing batch, so a probe re-propagates
-only its own move's cone, and a compiled ``ia``/``aa`` descent commits
-once per descent, not once per step.
+An optimization problem builds its pricer over its own search engine.
+The problem memoizes every lane it prices and serves a later evaluation
+of a priced move from that lane, so a greedy descent analyzes none of
+the shaves it accepts.  It commits each accepted design to the engine
+only when the engine is next used, an analysis or a probing batch, so a
+compiled ``aa`` descent commits once per descent, not once per step.
 """
 
 from __future__ import annotations
@@ -81,86 +74,13 @@ from repro.errors import DivisionByZeroIntervalError, DomainError, NoiseModelErr
 from repro.fixedpoint.quantize import quantization_error_bounds, quantize
 from repro.intervals.interval import Interval
 from repro.intervals.linearize import exp_linearization, log_linearization, sqrt_linearization
-from repro.noisemodel.analyzer import ANALYSIS_METHODS, propagation_algebra
+from repro.noisemodel.analyzer import propagation_algebra
 from repro.noisemodel.assignment import WordLengthAssignment, moved_format
 
 __all__ = ["BatchedAnalyzer"]
 
 #: Propagation algebras with a compiled program (mean-square power only).
-_COMPILED = ("ia", "aa")
-
-#: Elementwise libm wrappers: ``np.exp`` / ``np.log`` are not guaranteed
-#: bit-identical to the C library calls the scalar Interval methods make,
-#: so the (rare) exp/log nodes go through the exact same libm symbols.
-_EXP = np.frompyfunc(math.exp, 1, 1)
-_LOG = np.frompyfunc(math.log, 1, 1)
-
-
-def _libm_exp(values: np.ndarray) -> np.ndarray:
-    return _EXP(values).astype(np.float64)
-
-
-def _libm_log(values: np.ndarray) -> np.ndarray:
-    return _LOG(values).astype(np.float64)
-
-
-def _mul_sa(
-    iv: Interval, lo: np.ndarray, hi: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Scalar-interval x array-interval product (four endpoint products)."""
-    p1 = iv.lo * lo
-    p2 = iv.lo * hi
-    p3 = iv.hi * lo
-    p4 = iv.hi * hi
-    return (
-        np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
-        np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)),
-    )
-
-
-def _mul_aa(
-    alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Array-interval x array-interval product."""
-    p1 = alo * blo
-    p2 = alo * bhi
-    p3 = ahi * blo
-    p4 = ahi * bhi
-    return (
-        np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
-        np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)),
-    )
-
-
-def _square_arr(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact image of ``x ** 2``, matching ``Interval.__pow__(2)``."""
-    lo_p = lo * lo
-    hi_p = hi * hi
-    contains_zero = (lo <= 0.0) & (0.0 <= hi)
-    return (
-        np.where(contains_zero, 0.0, np.minimum(lo_p, hi_p)),
-        np.maximum(lo_p, hi_p),
-    )
-
-
-#: One propagated error: ``(lo, hi, is_float_zero)`` arrays.  ``lo``/``hi``
-#: broadcast against the batch axis (shape ``(n,)`` or ``(1,)`` when the
-#: lane content is uniform); the boolean mirrors the scalar engine's
-#: "error is exactly the float 0.0" state per lane.
-_Err = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-class _Context:
-    """Per-execution scratch shared by the compiled steps."""
-
-    __slots__ = ("zero", "true", "false", "invalid")
-
-    def __init__(self, n: int) -> None:
-        self.zero = np.zeros(1)
-        self.true = np.ones(1, dtype=bool)
-        self.false = np.zeros(1, dtype=bool)
-        self.invalid = np.zeros(n, dtype=bool)
-
+_COMPILED = ("aa",)
 
 # ---------------------------------------------------------------------- #
 # affine forms over the lanes (the compiled ``aa`` program)
@@ -385,15 +305,15 @@ _AA_VALUE_READERS = frozenset(
 
 
 class _Program:
-    """One compiled (algebra, output): an ordered list of vectorized error rules.
+    """One compiled ``aa`` output: an ordered list of vectorized error rules.
 
     ``steps`` is a list of ``(instance, source_base, column, fn)``: ``fn``
     maps the error environment to the node's pre-quantization error;
     ``source_base`` names the caller-level node whose per-candidate own
     error is added afterwards (``None`` for source-free instances), and
-    ``column`` is that source's symbol column (``aa`` only; an ``aa``
-    source leaf has no ``fn``: its error is its own error alone).
-    ``sources`` is the set of source bases; ``support`` maps each ``aa``
+    ``column`` is that source's symbol column (a source leaf has no
+    ``fn``: its error is its own error alone).
+    ``sources`` is the set of source bases; ``support`` maps each
     instance to the columns its error can use, of ``width`` in all, and
     ``leaves`` caches unmoved source leaves per own error.
     ``failed`` carries the value-sweep exception for graphs whose value
@@ -401,20 +321,16 @@ class _Program:
     prices to ``inf``, matching the scalar engine's behavior.
     """
 
-    __slots__ = (
-        "algebra", "target", "steps", "sources", "support", "width", "leaves", "failed"
-    )
+    __slots__ = ("target", "steps", "sources", "support", "width", "leaves", "failed")
 
     def __init__(
         self,
-        algebra: str,
         target: str,
         steps: List[Tuple[str, str | None, int | None, Callable[..., Any]]],
         support: Mapping[str, np.ndarray] | None = None,
         width: int = 0,
         failed: Exception | None = None,
     ) -> None:
-        self.algebra = algebra
         self.target = target
         self.steps = steps
         self.sources = frozenset(step[1] for step in steps if step[1] is not None)
@@ -425,18 +341,17 @@ class _Program:
 
 
 class BatchedAnalyzer:
-    """The compiled IA/AA pricing kernel of one incremental engine.
+    """The batched move pricer of one incremental engine.
 
     Parameters
     ----------
     engine:
         The :class:`~repro.analysis.incremental.IncrementalAnalyzer` this
-        kernel compiles from and probes.  The compiler reads its
+        pricer compiles from and probes.  The ``aa`` compiler reads its
         analyzer's working graph, topological order, ancestor closures
         and source table, and takes value enclosures from the engine's
-        own IA or AA sweep.  Fallback probes (``taylor`` / ``sna`` and
-        ``confidence`` batches) never commit; whoever owns the engine
-        does.
+        own AA sweep.  A probed batch commits the priced design as the
+        engine's baseline (:meth:`IncrementalAnalyzer.probe_moves`).
     ranges:
         Per-node value ranges.  Each move is coverage-widened exactly
         like :meth:`OptimizationProblem.evaluate` widens a candidate, so
@@ -447,14 +362,13 @@ class BatchedAnalyzer:
         self._engine = engine
         self._analyzer = engine.analyzer
         self.node_ranges = dict(ranges)
-        self._programs: Dict[Tuple[str, str], _Program] = {}
-        self._own_cache: Dict[Tuple[str, str, int, int, bool], Tuple[float, float]] = {}
+        self._programs: Dict[str, _Program] = {}
+        self._own_cache: Dict[Tuple[str, int, int, bool], Tuple[float, float]] = {}
         self._widened: Dict[Tuple[str, int, int, bool, int], Any] = {}
-        #: Compiled-path invocations (n candidates each) — perf telemetry.
+        #: Compiled ``aa`` lane passes (n candidates each) — perf telemetry.
         self.batched_calls = 0
-        #: Per-candidate probes routed through the incremental engine: one
-        #: per priceable candidate of a ``taylor`` / ``sna`` or
-        #: ``confidence`` batch.
+        #: Move probes on the incremental engine: one per priceable lane of
+        #: every batch that is not mean-square ``aa`` / ``pna``.
         self.fallback_probes = 0
 
     # ------------------------------------------------------------------ #
@@ -482,16 +396,13 @@ class BatchedAnalyzer:
         prices ``inf``, the "infeasible, back away" verdict of the
         scalar path.
 
-        This is the greedy inner loop: for ``ia``, ``aa`` and mean-square
-        ``pna`` arrays stay single-lane wherever no move disturbs them, so
-        the pass costs one vectorized sweep rather than ``len(moves)``
-        cone re-propagations.  ``taylor`` / ``sna`` and a non-``None``
-        ``confidence`` (the compiled programs price mean-square power
-        only) probe the incremental engine once per priceable lane, each
-        probe counted in :attr:`fallback_probes`; against an engine whose
-        committed baseline is ``assignment`` (a problem commits its
-        accepted design before such a batch, see :meth:`probes`) a probe
-        re-propagates only its own move's cone.
+        This is the greedy inner loop.  Mean-square ``aa`` and ``pna``
+        run the compiled program, whose arrays stay single-lane wherever
+        no move disturbs them, so the pass costs one vectorized sweep.
+        Every other batch (see :meth:`probes`) goes to
+        :meth:`IncrementalAnalyzer.probe_moves`, which makes
+        ``assignment`` the engine's baseline and re-propagates one cone
+        per priceable lane, each counted in :attr:`fallback_probes`.
         """
         engine = self._engine
         if assignment.quantization is not engine.quantization or (
@@ -500,25 +411,21 @@ class BatchedAnalyzer:
             raise NoiseModelError(
                 "batched pricing requires the engine's quantization and overflow modes"
             )
+        formats = [self._moved_format(assignment, node, new_frac) for node, new_frac in moves]
         if self.probes(method, confidence):
-            candidates: List[WordLengthAssignment | None] = []
-            for node, new_frac in moves:
-                widened = self._moved_format(assignment, node, new_frac)
-                candidates.append(
-                    None if widened is None else assignment.with_formats({node: widened})
-                )
-            return self._price_fallback(candidates, method, output, confidence)
+            lanes = [(node, fmt) for (node, _), fmt in zip(moves, formats)]
+            self.fallback_probes += sum(fmt is not None for fmt in formats)
+            prices = engine.probe_moves(assignment, lanes, method, output, confidence)
+            return np.array(prices, dtype=np.float64)
         n = len(moves)
-        algebra = propagation_algebra(method)
-        program = self._compile(algebra, self._analyzer._resolve_output(output))
+        program = self._compile(self._analyzer._resolve_output(output))
         if program.failed is not None:
             return np.full(n, np.inf)
         # The widened format of every lane a move changes, per node; the
         # other lanes keep the node's format.
         moved: Dict[str, List[Tuple[int, Any]]] = {}
         unpriceable = np.zeros(n, dtype=bool)
-        for j, (node, new_frac) in enumerate(moves):
-            widened = self._moved_format(assignment, node, new_frac)
+        for j, ((node, _), widened) in enumerate(zip(moves, formats)):
             if widened is None:
                 unpriceable[j] = True
             else:
@@ -532,9 +439,9 @@ class BatchedAnalyzer:
     def probes(method: str, confidence: float | None = None) -> bool:
         """Whether :meth:`price_moves` prices ``method`` by probing the engine.
 
-        True for ``taylor`` / ``sna`` and for every ``confidence``
-        batch: the compiled programs price mean-square power of the
-        ``ia`` and ``aa`` algebras only.
+        True for ``ia``, ``taylor`` / ``sna`` and every ``confidence``
+        batch: the compiled program prices mean-square power of the
+        ``aa`` algebra only.
         """
         return propagation_algebra(method) not in _COMPILED or confidence is not None
 
@@ -560,320 +467,28 @@ class BatchedAnalyzer:
             self._widened[key] = moved_format(node, fmt, new_frac, self.node_ranges)
         return self._widened[key]
 
-    def _price_fallback(
-        self,
-        candidates: Sequence[WordLengthAssignment | None],
-        method: str,
-        output: str | None,
-        confidence: float | None,
-    ) -> np.ndarray:
-        """Bit-equivalent per-candidate probes through the incremental engine."""
-        if method not in ANALYSIS_METHODS:
-            raise NoiseModelError(
-                f"unknown analysis method {method!r}; choose from {ANALYSIS_METHODS}"
-            )
-        noise = np.empty(len(candidates))
-        for j, candidate in enumerate(candidates):
-            if candidate is None:
-                noise[j] = np.inf
-                continue
-            self.fallback_probes += 1
-            try:
-                noise[j] = self._engine.noise_power(
-                    candidate, method, output=output, commit=False, confidence=confidence
-                )
-            except (DomainError, DivisionByZeroIntervalError):
-                noise[j] = np.inf
-        return noise
-
     # ------------------------------------------------------------------ #
     # compilation
     # ------------------------------------------------------------------ #
-    def _compile(self, algebra: str, target: str) -> _Program:
-        key = (algebra, target)
-        program = self._programs.get(key)
+    def _compile(self, target: str) -> _Program:
+        """The ``aa`` program of ``target``, compiled on first use."""
+        program = self._programs.get(target)
         if program is None:
             try:
-                values = self._engine._values_of(algebra)
+                values = self._engine._values_of("aa")
             except (DomainError, DivisionByZeroIntervalError) as exc:
-                program = _Program(algebra, target, [], failed=exc)
+                program = _Program(target, [], failed=exc)
             else:
                 analyzer = self._analyzer
                 closure = analyzer._ancestor_closure(target)
                 order = [name for name in analyzer.topo_order if name in closure]
-                if algebra == "ia":
-                    steps = [
-                        (name, self._source_base(name), None,
-                         self._compile_step(analyzer.graph.node(name), values))
-                        for name in order
-                    ]
-                    program = _Program(algebra, target, steps)
-                else:
-                    program = self._compile_aa(target, order, values)
-            self._programs[key] = program
+                program = self._compile_aa(target, order, values)
+            self._programs[target] = program
         return program
 
     def _source_base(self, instance: str) -> str | None:
         """The caller-level node whose own error ``instance`` injects, if any."""
         return _base_name(instance) if instance in self._analyzer._sources_by_node else None
-
-    def _compile_step(
-        self, node: Any, values: Mapping[str, Interval]
-    ) -> Callable[[Dict[str, _Err], _Context], _Err]:
-        """One node's IA error rule as a closure over its scalar constants.
-
-        Each closure mirrors ``DatapathNoiseAnalyzer._error_rule`` for its
-        op — same formulas, same evaluation order, same branch precedence
-        — with the batch axis broadcast through every operation and the
-        scalar structural-zero shortcuts carried as per-lane masks.
-        """
-        op = node.op
-        name = node.name
-
-        if op in (OpType.INPUT, OpType.CONST):
-
-            def rule_leaf(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                return ctx.zero, ctx.zero, ctx.true
-
-            return rule_leaf
-
-        if op is OpType.OUTPUT:
-            a = node.inputs[0]
-
-            def rule_output(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                return E[a]
-
-            return rule_output
-
-        if op is OpType.NEG:
-            a = node.inputs[0]
-
-            def rule_neg(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                lo, hi, z = E[a]
-                return -hi, -lo, z
-
-            return rule_neg
-
-        if op is OpType.SQUARE:
-            a = node.inputs[0]
-            va = values[a]
-
-            def rule_square(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                lo, hi, z = E[a]
-                m_lo, m_hi = _mul_sa(va, lo, hi)
-                s_lo, s_hi = _square_arr(lo, hi)
-                return 2.0 * m_lo + s_lo, 2.0 * m_hi + s_hi, z
-
-            return rule_square
-
-        if op in (OpType.ADD, OpType.SUB):
-            a, b = node.inputs
-            subtract = op is OpType.SUB
-
-            def rule_addsub(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                alo, ahi, za = E[a]
-                blo, bhi, zb = E[b]
-                if subtract:
-                    blo, bhi = -bhi, -blo
-                return alo + blo, ahi + bhi, za & zb
-
-            return rule_addsub
-
-        if op is OpType.MUL:
-            a, b = node.inputs
-            va, vb = values[a], values[b]
-
-            def rule_mul(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                alo, ahi, za = E[a]
-                blo, bhi, zb = E[b]
-                t1_lo, t1_hi = _mul_sa(va, blo, bhi)
-                t2_lo, t2_hi = _mul_sa(vb, alo, ahi)
-                t3_lo, t3_hi = _mul_aa(alo, ahi, blo, bhi)
-                return (t1_lo + t2_lo) + t3_lo, (t1_hi + t2_hi) + t3_hi, za & zb
-
-            return rule_mul
-
-        if op is OpType.DIV:
-            a, b = node.inputs
-            vb = values[b]
-            exact = values[name]
-
-            def rule_div(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                alo, ahi, za = E[a]
-                blo, bhi, zb = E[b]
-                # numerator = ea + (-(exact * eb)); the scalar rule builds
-                # it in exactly this order, with zero terms contributing
-                # exact float zeros on their lanes.
-                s_lo, s_hi = _mul_sa(exact, blo, bhi)
-                num_lo = alo + (-s_hi)
-                num_hi = ahi + (-s_lo)
-                den_lo = vb.lo + blo
-                den_hi = vb.hi + bhi
-                bad = (den_lo <= 0.0) & (den_hi >= 0.0)
-                ctx.invalid |= bad
-                den_lo = np.where(bad, 1.0, den_lo)
-                den_hi = np.where(bad, 1.0, den_hi)
-                r_lo, r_hi = _mul_aa(num_lo, num_hi, 1.0 / den_hi, 1.0 / den_lo)
-                r_lo = np.where(bad, 0.0, r_lo)
-                r_hi = np.where(bad, 0.0, r_hi)
-                return r_lo, r_hi, za & zb
-
-            return rule_div
-
-        if op is OpType.SQRT:
-            a = node.inputs[0]
-            va = values[a]
-            value = values[name]
-
-            def rule_sqrt(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                lo, hi, z = E[a]
-                inner_lo = va.lo + lo
-                inner_hi = va.hi + hi
-                bad = inner_lo < 0.0
-                inner_lo = np.where(bad, 0.0, inner_lo)
-                inner_hi = np.where(bad, 0.0, inner_hi)
-                den_lo = np.sqrt(inner_lo) + value.lo
-                den_hi = np.sqrt(inner_hi) + value.hi
-                bad_den = (den_lo <= 0.0) & (den_hi >= 0.0) & ~z
-                bad = bad | bad_den
-                ctx.invalid |= bad
-                den_lo = np.where(bad, 1.0, den_lo)
-                den_hi = np.where(bad, 1.0, den_hi)
-                r_lo, r_hi = _mul_aa(lo, hi, 1.0 / den_hi, 1.0 / den_lo)
-                # scalar zero-error lanes skip the whole formula (and its
-                # domain checks); invalid lanes are sanitized to 0 so the
-                # garbage cannot reach downstream nodes.
-                r_lo = np.where(z | bad, 0.0, r_lo)
-                r_hi = np.where(z | bad, 0.0, r_hi)
-                return r_lo, r_hi, z
-
-            return rule_sqrt
-
-        if op is OpType.EXP:
-            a = node.inputs[0]
-            value = values[name]
-
-            def rule_exp(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                lo, hi, z = E[a]
-                g_lo = _libm_exp(lo) - 1.0
-                g_hi = _libm_exp(hi) - 1.0
-                r_lo, r_hi = _mul_sa(value, g_lo, g_hi)
-                return r_lo, r_hi, z
-
-            return rule_exp
-
-        if op is OpType.LOG:
-            a = node.inputs[0]
-            va = values[a]
-            recip = va.reciprocal()  # va.lo > 0: the value sweep took its log
-
-            def rule_log(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                lo, hi, z = E[a]
-                ratio_lo, ratio_hi = _mul_sa(recip, lo, hi)
-                inner_lo = ratio_lo + 1.0
-                inner_hi = ratio_hi + 1.0
-                bad = inner_lo <= 0.0
-                ctx.invalid |= bad
-                inner_lo = np.where(bad, 1.0, inner_lo)
-                inner_hi = np.where(bad, 1.0, inner_hi)
-                r_lo = _libm_log(inner_lo)
-                r_hi = _libm_log(inner_hi)
-                r_lo = np.where(z | bad, 0.0, r_lo)
-                r_hi = np.where(z | bad, 0.0, r_hi)
-                return r_lo, r_hi, z
-
-            return rule_log
-
-        if op is OpType.ABS:
-            a = node.inputs[0]
-            operand = values[a]
-            lo_nonneg = operand.lo >= 0.0
-            hi_nonpos = operand.hi <= 0.0
-
-            def rule_abs(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                lo, hi, z = E[a]
-                c1 = (operand.lo + lo >= 0.0) if lo_nonneg else False
-                c2 = (operand.hi + hi <= 0.0) if hi_nonpos else False
-                magnitude = np.maximum(np.abs(lo), np.abs(hi))
-                r_lo = np.where(c1, lo, np.where(c2, -hi, -magnitude))
-                r_hi = np.where(c1, hi, np.where(c2, -lo, magnitude))
-                return r_lo, r_hi, z
-
-            return rule_abs
-
-        if op in (OpType.MIN, OpType.MAX):
-            a, b = node.inputs
-            if a == b:
-
-                def rule_same(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                    return E[a]
-
-                return rule_same
-            diff = values[a] - values[b]
-            is_min = op is OpType.MIN
-            diff_lo_nonneg = diff.lo >= 0.0
-            diff_hi_nonpos = diff.hi <= 0.0
-
-            def rule_minmax(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                alo, ahi, za = E[a]
-                blo, bhi, zb = E[b]
-                ed_lo = alo - bhi
-                ed_hi = ahi - blo
-                c1 = (diff.lo + ed_lo >= 0.0) if diff_lo_nonneg else False
-                c2 = (diff.hi + ed_hi <= 0.0) if diff_hi_nonpos else False
-                # a >= b in both datapaths: min forwards e_b, max e_a.
-                f1_lo, f1_hi, z1 = (blo, bhi, zb) if is_min else (alo, ahi, za)
-                f2_lo, f2_hi, z2 = (alo, ahi, za) if is_min else (blo, bhi, zb)
-                magnitude = np.maximum(np.abs(ed_lo), np.abs(ed_hi))
-                t_lo = (alo + blo + -magnitude) * 0.5
-                t_hi = (ahi + bhi + magnitude) * 0.5
-                r_lo = np.where(c1, f1_lo, np.where(c2, f2_lo, t_lo))
-                r_hi = np.where(c1, f1_hi, np.where(c2, f2_hi, t_hi))
-                z = (za & zb) | (c1 & z1) | (~np.asarray(c1) & c2 & z2)
-                return r_lo, r_hi, z
-
-            return rule_minmax
-
-        if op is OpType.MUX:
-            s, a, b = node.inputs
-            if a == b:
-
-                def rule_mux_same(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                    return E[a]
-
-                return rule_mux_same
-            selector = values[s]
-            enc_a, enc_b = values[a], values[b]
-            sel_lo_nonneg = selector.lo >= 0.0
-            sel_hi_neg = selector.hi < 0.0
-
-            def rule_mux(E: Dict[str, _Err], ctx: _Context) -> _Err:
-                slo, shi, _zs = E[s]
-                alo, ahi, za = E[a]
-                blo, bhi, zb = E[b]
-                c1 = (selector.lo + slo >= 0.0) if sel_lo_nonneg else False
-                c2 = (selector.hi + shi < 0.0) if sel_hi_neg else False
-                can_flip = (slo != 0.0) | (shi != 0.0)
-                hull_lo = np.minimum(alo, blo)
-                hull_hi = np.maximum(ahi, bhi)
-                swap1_lo = (enc_b.lo + blo) - enc_a.hi
-                swap1_hi = (enc_b.hi + bhi) - enc_a.lo
-                swap2_lo = (enc_a.lo + alo) - enc_b.hi
-                swap2_hi = (enc_a.hi + ahi) - enc_b.lo
-                flip_lo = np.minimum(hull_lo, np.minimum(swap1_lo, swap2_lo))
-                flip_hi = np.maximum(hull_hi, np.maximum(swap1_hi, swap2_hi))
-                h_lo = np.where(can_flip, flip_lo, hull_lo)
-                h_hi = np.where(can_flip, flip_hi, hull_hi)
-                r_lo = np.where(c1, alo, np.where(c2, blo, h_lo))
-                r_hi = np.where(c1, ahi, np.where(c2, bhi, h_hi))
-                z = (c1 & za) | (~np.asarray(c1) & c2 & zb)
-                return r_lo, r_hi, z
-
-            return rule_mux
-
-        raise NoiseModelError(
-            f"unsupported operation {op!r} at node {name!r} in batched noise propagation"
-        )
 
     def _compile_aa(
         self, target: str, order: Sequence[str], values: Mapping[str, Any]
@@ -940,7 +555,7 @@ class BatchedAnalyzer:
             else:
                 fn = self._compile_aa_step(node, values, value_lanes, sites, node_support, width)
             steps.append((name, self._source_base(name), own, fn))
-        return _Program("aa", target, steps, support=support, width=width)
+        return _Program(target, steps, support=support, width=width)
 
     @staticmethod
     def _compile_aa_step(
@@ -1233,35 +848,31 @@ class BatchedAnalyzer:
         """The own quantization error of every source base the program reads.
 
         A base no move changes has one format on every lane, so its error
-        is a pair of floats; a moved base gets a pair of per-lane arrays
-        (``(n,)`` for ``ia``, ``(n, 1)`` for ``aa``).
+        is a pair of floats; a moved base gets a pair of ``(n, 1)`` per-lane
+        arrays.
         """
-        algebra = program.algebra
         own: Dict[str, Tuple[Any, Any]] = {}
         for base in program.sources:
-            pair = self._own_pair(algebra, base, assignment.formats[base])
+            pair = self._own_pair(base, assignment.formats[base])
             lanes = moved.get(base)
             if lanes is not None:
                 table = np.full((n, 2), pair)
                 for j, fmt in lanes:
-                    table[j] = self._own_pair(algebra, base, fmt)
-                if algebra == "aa":
-                    pair = (table[:, 0:1], table[:, 1:2])
-                else:
-                    pair = (table[:, 0], table[:, 1])
+                    table[j] = self._own_pair(base, fmt)
+                pair = (table[:, 0:1], table[:, 1:2])
             own[base] = pair
         return own
 
-    def _own_pair(self, algebra: str, base: str, fmt: Any) -> Tuple[float, float]:
-        """One source's own error under ``fmt``, cached per algebra, base and format.
+    def _own_pair(self, base: str, fmt: Any) -> Tuple[float, float]:
+        """One source's own error under ``fmt``, cached per base and format.
 
-        ``ia`` reads the source's error interval as ``(lo, hi)``; ``aa``
-        reads ``AffineForm(midpoint, {e_<inst>: radius})`` of that interval
-        as ``(midpoint, radius)``.  A non-constant source's interval is
+        The error is ``AffineForm(midpoint, {e_<inst>: radius})`` of the
+        source's error interval, read as ``(midpoint, radius)``.  A
+        non-constant source's interval is
         :func:`quantization_error_bounds`; a constant carries its
         deterministic rounding residue, from the scalar :func:`quantize`.
         """
-        key = (algebra, base, fmt.integer_bits, fmt.fractional_bits, fmt.signed)
+        key = (base, fmt.integer_bits, fmt.fractional_bits, fmt.signed)
         pair = self._own_cache.get(key)
         if pair is None:
             node = self._analyzer.original.node(base)
@@ -1272,7 +883,7 @@ class BatchedAnalyzer:
             else:
                 interval = quantization_error_bounds(fmt, quantization)
                 lo, hi = interval.lo, interval.hi
-            pair = (0.5 * (lo + hi), 0.5 * (hi - lo)) if algebra == "aa" else (lo, hi)
+            pair = (0.5 * (lo + hi), 0.5 * (hi - lo))
             self._own_cache[key] = pair
         return pair
 
@@ -1283,79 +894,48 @@ class BatchedAnalyzer:
         moved: Mapping[str, Sequence[Tuple[int, Any]]],
         n: int,
     ) -> np.ndarray:
-        """One compiled pass over ``n`` lanes: the noise power of each."""
-        self.batched_calls += 1
-        own = self._own_errors(program, assignment, moved, n)
-        with np.errstate(all="ignore"):
-            if program.algebra == "ia":
-                return self._execute_ia(program, own, n)
-            return self._execute_aa(program, own, n)
-
-    @staticmethod
-    def _execute_ia(
-        program: _Program, own: Mapping[str, Tuple[Any, Any]], n: int
-    ) -> np.ndarray:
-        ctx = _Context(n)
-        false = ctx.false
-        E: Dict[str, _Err] = {}
-        for name, source_base, _column, fn in program.steps:
-            lo, hi, z = fn(E, ctx)
-            if source_base is not None:
-                own_lo, own_hi = own[source_base]
-                lo = lo + own_lo
-                hi = hi + own_hi
-                z = false
-            E[name] = (lo, hi, z)
-        lo, hi, _z = E[program.target]
-        mean = 0.5 * (lo + hi)
-        width = hi - lo
-        noise = mean * mean + width * width / 12.0
-        noise = np.broadcast_to(noise, (n,))
-        return np.where(ctx.invalid, np.inf, noise)
-
-    @staticmethod
-    def _execute_aa(
-        program: _Program, own: Mapping[str, Tuple[Any, Any]], n: int
-    ) -> np.ndarray:
-        """Run a compiled ``aa`` program; reads ``center² + fsum(c²)/3`` per lane.
+        """One compiled pass over ``n`` lanes: ``center² + fsum(c²)/3`` of each.
 
         A source's own error is ``AffineForm(midpoint, {e_<inst>: radius})``
         of its error interval, added to the rule's result; a source leaf's
         error is that form alone.
         """
-        ctx = _AffineContext(n, program.width)
-        support = program.support
-        leaves = program.leaves
-        E: Dict[str, _Lanes] = {}
-        for name, source_base, column, fn in program.steps:
-            if fn is None:
-                # A source leaf's error is its own error alone; an unmoved
-                # leaf's is the same on every call that gives it its format.
-                own_center, own_radius = own[source_base]
-                key = (name, own_center, own_radius) if isinstance(own_center, float) else None
-                err = leaves.get(key) if key is not None else None
-                if err is None:
-                    err = _source_lanes(
-                        own_center, own_radius, column, program.width, support[name]
-                    )
-                    if key is not None:
-                        leaves[key] = err
-            else:
-                err = fn(E, ctx)
-                if source_base is not None:
+        self.batched_calls += 1
+        own = self._own_errors(program, assignment, moved, n)
+        with np.errstate(all="ignore"):
+            ctx = _AffineContext(n, program.width)
+            support = program.support
+            leaves = program.leaves
+            E: Dict[str, _Lanes] = {}
+            for name, source_base, column, fn in program.steps:
+                if fn is None:
+                    # A source leaf's error is its own error alone; an unmoved
+                    # leaf's is the same on every call that gives it its format.
                     own_center, own_radius = own[source_base]
-                    center = err.center + own_center
-                    coeffs = err.coeffs
-                    lanes = center.shape[0]
-                    if coeffs.shape[0] < lanes:
-                        coeffs = np.repeat(coeffs, lanes, axis=0)
-                    else:
-                        coeffs = coeffs.copy()
-                    coeffs[:, column : column + 1] += own_radius
-                    err = _Lanes(center, coeffs, ctx.false, support[name])
-            E[name] = err
-        out = E[program.target]
-        variance = _fsum_rows(out.coeffs * out.coeffs, out.support) / 3.0
-        noise = out.center * out.center + variance
-        noise = np.broadcast_to(noise[:, 0], (n,))
-        return np.where(ctx.invalid[:, 0], np.inf, noise)
+                    key = (name, own_center, own_radius) if isinstance(own_center, float) else None
+                    err = leaves.get(key) if key is not None else None
+                    if err is None:
+                        err = _source_lanes(
+                            own_center, own_radius, column, program.width, support[name]
+                        )
+                        if key is not None:
+                            leaves[key] = err
+                else:
+                    err = fn(E, ctx)
+                    if source_base is not None:
+                        own_center, own_radius = own[source_base]
+                        center = err.center + own_center
+                        coeffs = err.coeffs
+                        lanes = center.shape[0]
+                        if coeffs.shape[0] < lanes:
+                            coeffs = np.repeat(coeffs, lanes, axis=0)
+                        else:
+                            coeffs = coeffs.copy()
+                        coeffs[:, column : column + 1] += own_radius
+                        err = _Lanes(center, coeffs, ctx.false, support[name])
+                E[name] = err
+            out = E[program.target]
+            variance = _fsum_rows(out.coeffs * out.coeffs, out.support) / 3.0
+            noise = out.center * out.center + variance
+            noise = np.broadcast_to(noise[:, 0], (n,))
+            return np.where(ctx.invalid[:, 0], np.inf, noise)

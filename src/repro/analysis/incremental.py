@@ -28,7 +28,13 @@ O(1) change.
   with :meth:`commit` (see ``OptimizationProblem.notify_accepted``), and
   a candidate that drifts ``>= AUTO_COMMIT_AFTER`` nodes away from the
   committed baseline is committed automatically so un-notified callers
-  degrade gracefully instead of re-propagating ever-growing cones.
+  degrade gracefully instead of re-propagating ever-growing cones;
+* :meth:`probe_moves` prices a whole batch of single-node moves from one
+  design, the batched search's frontier: it commits the design, then per
+  move swaps that node's sources in place, runs its cone into an overlay
+  and swaps them back, with no candidate assignment built or diffed.
+  ``BatchedAnalyzer`` sends it every batch except mean-square ``aa`` /
+  ``pna``, which has a compiled vector program.
 
 The cone re-propagation of ``aa``, ``taylor``, ``sna`` and ``pna``
 calls the very same per-node rules
@@ -53,19 +59,22 @@ at all; the Taylor reductions add the same numbers in the same order.
 (``test_incremental_equals_full_on_random_perturbations``) holds every
 report field to a from-scratch analysis with ``==``,
 ``tests/test_compiled_ia_rules.py`` holds every compiled ``ia`` rule to
-the generic one, and ``tests/test_evaluate_cache.py``
+the generic one, ``tests/test_probe_moves.py`` holds every probed move
+to :meth:`noise_power` of the moved design, and
+``tests/test_evaluate_cache.py``
 (``TestEvaluatorEquivalence``) holds every candidate of whole greedy
 searches to a from-scratch analysis the same way.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from repro.dfg.node import OpType
-from repro.errors import NoiseModelError
+from repro.errors import DivisionByZeroIntervalError, DomainError, NoiseModelError
 from repro.histogram.pdf import HistogramPDF
 from repro.intervals.affine import AffineContext
 from repro.intervals.interval import Interval
@@ -261,6 +270,16 @@ def _compile_ia_rule(analyzer: DatapathNoiseAnalyzer, name: str, node, values) -
     return rule
 
 
+def _checked_method(method: str) -> str:
+    """``method`` lower-cased, or :class:`NoiseModelError` if it is not one."""
+    method = str(method).lower()
+    if method not in ANALYSIS_METHODS:
+        raise NoiseModelError(
+            f"unknown analysis method {method!r}; choose from {ANALYSIS_METHODS}"
+        )
+    return method
+
+
 @dataclass
 class _TargetState:
     """Cached error propagation of one (method, output) pair.
@@ -315,8 +334,12 @@ class IncrementalAnalyzer:
             self._instances: Dict[str, List[str]] | None = None
             self._no_effect_bases: FrozenSet[str] = frozenset()
         else:
+            # The unroller lists a hoisted CONST's one instance once per
+            # time step; listed once here, a format change builds and
+            # installs its source once, and a probe swaps and restores it
+            # once.
             self._instances = {
-                base: insts
+                base: list(dict.fromkeys(insts))
                 for base, insts in unrolled.instances.items()
                 if insts and base not in unrolled.delay_bases
             }
@@ -417,6 +440,32 @@ class IncrementalAnalyzer:
     # ------------------------------------------------------------------ #
     # source / assignment synchronization
     # ------------------------------------------------------------------ #
+    def _instances_of(self, base: str) -> List[str]:
+        """The working-graph instances whose source is ``base``'s format."""
+        return [base] if self._instances is None else self._instances.get(base, [])
+
+    def _source_of(self, inst: str, fmt: Any) -> Any:
+        """The quantization source of ``inst`` under ``fmt`` (``None`` for no format)."""
+        if fmt is None:
+            return None
+        key = (inst, fmt)
+        source = self._source_cache.get(key)
+        if source is None:
+            source = source_for_node(
+                self.analyzer.graph.node(inst), fmt, self.quantization, self.overflow
+            )
+            self._source_cache[key] = source
+        return source
+
+    def _set_sources(self, sources: Sequence[Tuple[str, Any]]) -> None:
+        """Install ``(instance, source)`` pairs; a ``None`` source removes one."""
+        by_node = self.analyzer._sources_by_node
+        for inst, source in sources:
+            if source is None:
+                by_node.pop(inst, None)
+            else:
+                by_node[inst] = source
+
     def _sync_sources(self, assignment: WordLengthAssignment) -> None:
         """Point the analyzer's quantization sources at ``assignment``."""
         if (
@@ -429,31 +478,15 @@ class IncrementalAnalyzer:
             )
         if assignment is self._synced:
             return
-        graph = self.analyzer.graph
-        sources: List[Tuple[str, Any]] = []
-        for base in changed_formats(assignment, self._synced):
-            fmt = assignment.formats.get(base)
-            instances = [base] if self._instances is None else self._instances.get(base, [])
-            for inst in instances:
-                if fmt is None:
-                    sources.append((inst, None))
-                    continue
-                key = (inst, fmt)
-                source = self._source_cache.get(key)
-                if source is None:
-                    source = source_for_node(
-                        graph.node(inst), fmt, self.quantization, self.overflow
-                    )
-                    self._source_cache[key] = source
-                sources.append((inst, source))
         # Applied only once every source is built, so a failure leaves
         # the sources on the previous assignment.
-        by_node = self.analyzer._sources_by_node
-        for inst, source in sources:
-            if source is None:
-                by_node.pop(inst, None)
-            else:
-                by_node[inst] = source
+        self._set_sources(
+            [
+                (inst, self._source_of(inst, assignment.formats.get(base)))
+                for base in changed_formats(assignment, self._synced)
+                for inst in self._instances_of(base)
+            ]
+        )
         self._synced = assignment
 
     # ------------------------------------------------------------------ #
@@ -596,11 +629,7 @@ class IncrementalAnalyzer:
         case it is committed anyway to keep later cones small.
         ``contributions`` is forwarded to :meth:`DatapathNoiseAnalyzer.report`.
         """
-        method = str(method).lower()
-        if method not in ANALYSIS_METHODS:
-            raise NoiseModelError(
-                f"unknown analysis method {method!r}; choose from {ANALYSIS_METHODS}"
-            )
+        method = _checked_method(method)
         analyzer = self.analyzer
         target = analyzer._resolve_output(output)
         # The probabilistic method rides the AA propagation rules and
@@ -630,6 +659,71 @@ class IncrementalAnalyzer:
         target = analyzer._resolve_output(output)
         errors = self._update(assignment, propagation_algebra(method), target, commit)
         return analyzer.effective_noise_power(method, errors[target], confidence)
+
+    def probe_moves(
+        self,
+        assignment: WordLengthAssignment,
+        moves: Sequence[Tuple[str, Any]],
+        method: str,
+        output: str | None = None,
+        confidence: float | None = None,
+    ) -> List[float]:
+        """Noise power of every one-node move from ``assignment``, one cone each.
+
+        ``assignment`` becomes the committed baseline of ``(method,
+        output)``.  Each move ``(base, fmt)`` then swaps ``base``'s
+        quantization sources for ``fmt``'s, re-propagates
+        ``cone_of(base, target)`` into an overlay of the committed errors,
+        reads the noise measure and swaps the sources back, so lane *k*
+        equals ``noise_power(assignment.with_formats({base: fmt}))``
+        without building that assignment or diffing it.
+
+        A move with no format (``fmt`` is ``None``) and a lane whose cone
+        leaves a domain (``DomainError`` / ``DivisionByZeroIntervalError``)
+        price ``inf``; a value sweep that fails prices every lane ``inf``.
+        A baseline that itself leaves a domain has no committed errors, so
+        each probe then propagates the target's whole ancestor closure.
+        Every probe's schedule counts in :attr:`stats`.
+        """
+        method = _checked_method(method)
+        analyzer = self.analyzer
+        target = analyzer._resolve_output(output)
+        algebra = propagation_algebra(method)
+        prices = [math.inf] * len(moves)
+        try:
+            rules = self._rules_of(algebra)
+        except (DomainError, DivisionByZeroIntervalError):
+            return prices
+        whole: Tuple[str, ...] | None = None
+        try:
+            committed: Dict[str, Any] = self._update(assignment, algebra, target, commit=True)
+        except (DomainError, DivisionByZeroIntervalError):
+            committed = {}
+            closure = self.ancestors_of(target)
+            whole = tuple(name for name in analyzer.topo_order if name in closure)
+        by_node = analyzer._sources_by_node
+        recomputed: List[str] = []
+        for lane, (base, fmt) in enumerate(moves):
+            if fmt is None:
+                continue
+            instances = self._instances_of(base)
+            order = whole or self.cone_of(base, target)
+            swapped = [(inst, self._source_of(inst, fmt)) for inst in instances]
+            saved = [(inst, by_node.get(inst)) for inst in instances]
+            errors = _Overlay(committed)
+            try:
+                self._set_sources(swapped)
+                for name in order:
+                    errors[name] = rules[name](errors)
+                prices[lane] = analyzer.effective_noise_power(method, errors[target], confidence)
+            except (DomainError, DivisionByZeroIntervalError):
+                pass
+            finally:
+                self._set_sources(saved)
+            recomputed.extend(order)
+        self.stats.nodes_recomputed += len(recomputed)
+        self.stats.last_recomputed = tuple(recomputed)
+        return prices
 
     def commit(self, assignment: WordLengthAssignment) -> None:
         """Promote ``assignment`` to the committed baseline of every state.

@@ -210,8 +210,8 @@ def _print_document(document: dict) -> None:
             else:
                 print(f"  floor {point['snr_floor_db']:5.1f}dB  infeasible")
         print(
-            f"  {row['analyzer_calls']} analyzer calls, {row['batched_sweeps']} batched "
-            f"sweeps, {row['fallback_probes']} fallback probes, "
+            f"  {row['analyzer_calls']} analyzer calls, {row['batched_sweeps']} aa lane "
+            f"passes, {row['fallback_probes']} move probes, "
             f"{row['total_runtime_s'] * 1e3:.1f}ms"
         )
     print_parallel(document)

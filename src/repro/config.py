@@ -12,7 +12,7 @@ truth that replaces them:
 * :class:`OptimizeConfig` — how to *search* word lengths (strategy,
   SNR floor, cost table, and which engine prices candidates:
   ``incremental`` cone re-propagation, or ``batched``, which adds
-  whole-frontier vectorized pricing on top of it).
+  exact whole-frontier pricing on top of it).
 
 Both are frozen dataclasses: hashable, comparable, safe to share between
 a pipeline, a problem and a benchmark driver without defensive copying.
@@ -134,10 +134,11 @@ class OptimizeConfig:
     engine:
         Candidate-pricing engine.  Every evaluation runs on one
         incremental analyzer that re-propagates changed cones;
-        ``batched`` additionally compiles the graph into a vectorized
-        program that prices whole candidate batches in one array pass
-        (strategies fall back to the incremental engine wherever a
-        batched path does not apply — results are bit-identical).
+        ``batched`` additionally prices whole candidate batches in one
+        call: a compiled vector program for mean-square ``aa`` / ``pna``,
+        one cone probe per move for every other method (strategies fall
+        back to the incremental engine wherever a batched path does not
+        apply — results are bit-identical).
     horizon / bins / max_word_length / min_fractional_bits /
     quantization / overflow:
         Analyzer configuration and search-space box constraints.

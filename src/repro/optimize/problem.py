@@ -448,7 +448,7 @@ class OptimizationProblem:
     def _incremental_engine(self, assignment: WordLengthAssignment):
         """The search's one :class:`IncrementalAnalyzer`, built from ``assignment`` on first use.
 
-        Evaluations and the batched engine's fallback probes share it.
+        Evaluations and the batched engine's move probes share it.
         The design :meth:`notify_accepted` last recorded is committed
         here, before the engine is used, so a probe from the current
         design re-propagates only its own move's cone.
@@ -517,15 +517,14 @@ class OptimizationProblem:
     def batched_engine(self):
         """The problem's lazily-built, shared :class:`BatchedAnalyzer`.
 
-        It is the compiled IA/AA kernel of the problem's one incremental
-        engine, the one evaluations use and :meth:`notify_accepted`
-        commits: it compiles that engine's (unrolled) graph and value
-        enclosures into a vectorized NumPy program once, after which
-        :meth:`price_moves` prices whole batches of candidate shaves in
-        one array pass.  Methods without a compiled program probe the
-        same engine.  Available regardless of :attr:`engine` — strategies
-        consult :attr:`engine` to decide whether to route their inner
-        loops through it.
+        It prices moves on the problem's one incremental engine, the one
+        evaluations use and :meth:`notify_accepted` commits.  Mean-square
+        ``aa`` / ``pna`` batches run a vectorized NumPy program compiled
+        once from that engine's (unrolled) graph and value enclosures;
+        every other batch probes the engine once per move
+        (:meth:`IncrementalAnalyzer.probe_moves`).  Available regardless
+        of :attr:`engine` — strategies consult :attr:`engine` to decide
+        whether to route their inner loops through it.
         """
         state = self._state
         if state.batched is None:
@@ -622,18 +621,19 @@ class OptimizationProblem:
 
     @property
     def batched_calls(self) -> int:
-        """Vectorized sweeps priced by the batched engine (0 if unused)."""
+        """Compiled ``aa`` lane passes the batched engine ran (0 if unused)."""
         batched = self._state.batched
         return batched.batched_calls if batched is not None else 0
 
     @property
     def fallback_probes(self) -> int:
-        """Per-candidate probes the batched engine routed incrementally.
+        """Move probes the batched engine ran on the incremental engine.
 
-        ``taylor`` / ``sna`` (and ``confidence`` problems) have no compiled
-        vector program, so the batched engine answers them one candidate
-        at a time through the problem's shared incremental analyzer; this
-        counts those probes.  Evaluations are not counted.
+        Every batch but mean-square ``aa`` / ``pna`` (so ``ia``, ``taylor``,
+        ``sna`` and every ``confidence`` problem) is priced one cone probe
+        per move on the problem's shared incremental analyzer; this counts
+        those probes, one per lane that has a format.  Evaluations are not
+        counted.
         """
         batched = self._state.batched
         return batched.fallback_probes if batched is not None else 0

@@ -29,8 +29,8 @@ return the same :class:`~repro.optimize.result.OptimizationResult`:
 
 When the problem's :class:`~repro.config.OptimizeConfig` selects the
 ``batched`` engine, greedy's inner loop changes shape without changing
-its contract: it prices *every* unblocked one-bit shave in a single
-vectorized pass (:meth:`OptimizationProblem.price_moves`) and ranks by
+its contract: it prices *every* unblocked one-bit shave in one batched
+call (:meth:`OptimizationProblem.price_moves`) and ranks by
 **exact** noise added instead of the adjoint-gain estimate.  Accepted
 designs are always confirmed through :meth:`OptimizationProblem.evaluate`,
 the one candidate evaluator (the problem's incremental engine), so
@@ -509,7 +509,7 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
         blocked: set[str],
         ranking: _ShaveRanking,
     ) -> Tuple[str, int] | None:
-        """One vectorized pass pricing *every* unblocked one-bit shave.
+        """One batched call pricing *every* unblocked one-bit shave.
 
         Where the scalar path ranks by the adjoint-gain *estimate* of the
         noise added and discovers infeasibility one evaluation at a time,

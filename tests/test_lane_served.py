@@ -18,7 +18,6 @@ import math
 
 import pytest
 
-import repro.analysis.batched as batched_module
 from conftest import reference_noise
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
@@ -223,57 +222,59 @@ class TestLookupGuard:
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("circuit_name", ["fir4", "fft_butterfly", "iir_biquad"])
 def test_probe_after_an_accept_pays_its_cone_and_the_accepted_move(monkeypatch, circuit_name):
-    """The first fallback probe after an accepted move re-propagates no stale cone.
+    """The first probed batch after an accepted move re-propagates no stale cone.
 
-    ``taylor`` prices its lanes by probing the shared engine, and a
-    batched descent's evaluations are served from those lanes, so the
-    engine would never see the accepted design if nothing committed it;
-    every probe would then re-pay the whole drift since the last commit.
+    ``ia`` and ``taylor`` price their lanes by probing the shared engine,
+    and a batched descent's evaluations are served from those lanes, so
+    the engine would never see the accepted design if nothing committed
+    it; every probe would then re-pay the whole drift since the last
+    commit.  The first batch after an accept pays the accepted move's
+    cones once and then one cone per probed lane.
     """
-    problem = make_problem(circuit_name, "taylor", floor=50.0)
-    accepted = []  # (design, nodes changed since the previous accepted design)
+    accepted = []  # designs in the order the search accepted them
     armed = []
     checked = []
+    probed = []
     real_notify = OptimizationProblem.notify_accepted
-    real_noise = IncrementalAnalyzer.noise_power
-    real_fallback = batched_module.BatchedAnalyzer._price_fallback
+    real_price_moves = OptimizationProblem.price_moves
+    real_probe_moves = IncrementalAnalyzer.probe_moves
 
     def notify(self, assignment):
-        previous = accepted[-1][0] if accepted else None
-        changes = None if previous is None else changed_formats(assignment, previous)
-        accepted.append((assignment, changes))
-        armed[:] = [changes] if changes is not None else []
+        if accepted:
+            armed[:] = [changed_formats(assignment, accepted[-1])]
+        accepted.append(assignment)
         real_notify(self, assignment)
 
-    def fallback(self, candidates, *args, **kwargs):
-        fallback.inside = True
-        try:
-            return real_fallback(self, candidates, *args, **kwargs)
-        finally:
-            fallback.inside = False
+    def probe_moves(self, assignment, moves, *args, **kwargs):
+        probed.extend(node for node, fmt in moves if fmt is not None)
+        return real_probe_moves(self, assignment, moves, *args, **kwargs)
 
-    fallback.inside = False
-
-    def noise_power(self, assignment, *args, **kwargs):
-        result = real_noise(self, assignment, *args, **kwargs)
-        if fallback.inside and armed:
+    def price_moves(self, assignment, moves):
+        engine = self._state.incremental
+        before = 0 if engine is None else engine.stats.nodes_recomputed
+        probed.clear()
+        prices = real_price_moves(self, assignment, moves)
+        if armed and probed:
             changes = armed.pop()
-            (node,) = changed_formats(assignment, accepted[-1][0])
-            target = self.analyzer._resolve_output(problem.output)
-            allowed = set(self.cone_of(node, target))
-            for changed in changes:
-                allowed.update(self.cone_of(changed, target))
-            assert set(self.stats.last_recomputed) <= allowed, (node, changes)
-            checked.append(node)
-        return result
+            engine = self._state.incremental
+            target = engine.analyzer._resolve_output(self.output)
+            allowed = sum(len(engine.cone_of(node, target)) for node in (*changes, *probed))
+            assert engine.stats.nodes_recomputed - before <= allowed, changes
+            checked.append(changes)
+        return prices
 
     monkeypatch.setattr(OptimizationProblem, "notify_accepted", notify)
-    monkeypatch.setattr(batched_module.BatchedAnalyzer, "_price_fallback", fallback)
-    monkeypatch.setattr(IncrementalAnalyzer, "noise_power", noise_power)
-    result = get_optimizer("greedy").optimize(problem)
-    assert result.feasible and problem.engine == "batched"
-    assert problem.fallback_probes > 0
-    assert len(checked) >= 3
+    monkeypatch.setattr(OptimizationProblem, "price_moves", price_moves)
+    monkeypatch.setattr(IncrementalAnalyzer, "probe_moves", probe_moves)
+    for method in ("ia", "taylor"):
+        accepted.clear()
+        armed.clear()
+        checked.clear()
+        problem = make_problem(circuit_name, method, floor=50.0)
+        result = get_optimizer("greedy").optimize(problem)
+        assert result.feasible and problem.engine == "batched"
+        assert problem.fallback_probes > 0
+        assert len(checked) >= 3, method
 
 
 #: ``(circuit, method, confidence, analyses, nodes recomputed)`` of two

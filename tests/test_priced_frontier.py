@@ -129,22 +129,24 @@ class TestMemo:
         real_mul = batched_module._aa_mul
         seen = []
 
-        def failing_execute(*args, **kwargs):
-            seen.append(True)
-            raise NoiseModelError("synthetic mid-batch failure")
+        def failing(real):
+            # Fail partway through the batch: the compiled aa sweep, or
+            # the ia probes' cones.
+            def fail_third(*args, **kwargs):
+                seen.append(True)
+                if len(seen) == 3:
+                    raise NoiseModelError("synthetic mid-batch failure")
+                return real(*args, **kwargs)
 
-        def failing_mul(*args, **kwargs):
-            # Fail partway through the compiled aa sweep.
-            seen.append(True)
-            if len(seen) == 3:
-                raise NoiseModelError("synthetic mid-batch failure")
-            return real_mul(*args, **kwargs)
+            return fail_third
 
         with monkeypatch.context() as patch:
             if method == "ia":
-                patch.setattr(engine, "_execute", failing_execute)
+                rules = engine._engine._rules_of(method)
+                for name, rule in list(rules.items()):
+                    patch.setitem(rules, name, failing(rule))
             else:
-                patch.setattr(batched_module, "_aa_mul", failing_mul)
+                patch.setattr(batched_module, "_aa_mul", failing(real_mul))
             if engine_fallback:
                 assert problem.price_moves(design, moves) is None
                 assert [e.stage for e in problem.degradations] == ["batched-price"]

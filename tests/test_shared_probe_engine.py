@@ -1,16 +1,16 @@
 """Batched pricing shares the problem's own incremental engine.
 
-Mean-square ``ia``, ``aa`` and ``pna`` run on compiled vector programs.
-For the other methods (``taylor`` / ``sna``) and ``confidence``
+Mean-square ``aa`` and ``pna`` run on a compiled vector program.  For
+the other methods (``ia``, ``taylor``, ``sna``) and ``confidence``
 problems, ``BatchedAnalyzer.price_moves`` prices each move by probing an
-:class:`IncrementalAnalyzer`.  An optimization problem hands the batched
-engine the same incremental engine its evaluations use, and
-``notify_accepted`` commits it, so a probe re-propagates only its own
-move's cone.  These tests hold every lane to a private engine with
-``==``, count engines and recomputed nodes, bound the nodes a whole
-greedy search re-propagates, check that compiled ``ia`` and ``aa``
-searches never fall back to probes, inject failures into the shared
-engine and into the compiled ``aa`` kernel, and pin golden designs.
+:class:`IncrementalAnalyzer` (``probe_moves``).  An optimization problem
+hands the batched engine the same incremental engine its evaluations
+use, and a probed batch commits the priced design, so a probe
+re-propagates only its own move's cone.  These tests hold every lane to
+a private engine with ``==``, count engines and recomputed nodes, bound
+the nodes a whole greedy search re-propagates, count probed lanes
+against compiled ``aa`` passes, inject failures into the shared engine
+and into the compiled ``aa`` kernel, and pin golden designs.
 They also check that the trusted :class:`AffineForm` constructor behind
 the affine kernels builds exactly what the public constructor builds,
 that the affine reductions do not depend on term order, and that the
@@ -120,7 +120,7 @@ def walk_and_compare(problem, seed, steps=10, width=8):
 
 
 @pytest.mark.parametrize("circuit_name", sorted(CIRCUITS))
-@pytest.mark.parametrize("method", ("aa", "taylor", "sna"))
+@pytest.mark.parametrize("method", ("ia", "aa", "taylor", "sna"))
 def test_shared_probes_equal_private_engine(circuit_name, method):
     problem = make_problem(circuit_name, method)
     assert walk_and_compare(problem, f"{circuit_name}/{method}") > 0
@@ -142,8 +142,9 @@ def test_shared_confidence_probes_equal_private_engine(circuit_name, method, con
 def test_pareto_sweep_builds_one_incremental_engine(monkeypatch, method):
     """One search builds one incremental engine and one analyzer beneath it.
 
-    The batched engine is that incremental engine's compiled kernel: it
-    reads the engine's analyzer rather than building a second one.
+    The batched engine compiles ``aa`` from that incremental engine and
+    probes it for ``ia``: it reads the engine's analyzer rather than
+    building a second one.
     """
     built = []
     analyzers = []
@@ -163,7 +164,10 @@ def test_pareto_sweep_builds_one_incremental_engine(monkeypatch, method):
     problem = make_problem("fir4", method)
     front = pareto_front(problem, [45.0, 55.0, 65.0], strategy="greedy")
     assert front.is_monotone()
-    assert problem.batched_calls > 0 and problem.fallback_probes == 0
+    if method == "aa":
+        assert problem.batched_calls > 0 and problem.fallback_probes == 0
+    else:
+        assert problem.batched_calls == 0 and problem.fallback_probes > 0
     assert built == [problem._state.incremental]
     assert analyzers == [built[0].analyzer]
     assert problem.batched_engine()._engine is built[0]
@@ -216,14 +220,23 @@ def test_greedy_recomputes_under_half_a_graph_per_analysis(circuit_name, method)
 
 
 @pytest.mark.parametrize("circuit_name", ("iir_biquad", "matmul2", "rms_normalize"))
-def test_batched_ia_greedy_prices_every_lane_compiled(circuit_name):
-    """Mean-square ``ia`` frontiers run on the compiled program, never on probes."""
+def test_batched_ia_greedy_probes_every_priced_lane(monkeypatch, circuit_name):
+    """Batched ``ia`` greedy probes each lane the memo sends, and compiles nothing."""
+    real_price_moves = batched_module.BatchedAnalyzer.price_moves
+    lanes = []
+
+    def counting_price_moves(self, assignment, moves, *args, **kwargs):
+        moved = [self._moved_format(assignment, node, frac) for node, frac in moves]
+        lanes.append(sum(fmt is not None for fmt in moved))
+        return real_price_moves(self, assignment, moves, *args, **kwargs)
+
+    monkeypatch.setattr(batched_module.BatchedAnalyzer, "price_moves", counting_price_moves)
     config = SEARCH_CONFIG.replace(method="ia", engine="batched")
     problem = OptimizationProblem.from_circuit(get_circuit(circuit_name), 58.0, config=config)
     assert GreedyBitStealingOptimizer().optimize(problem).feasible
     assert problem.engine == "batched"
-    assert problem.batched_calls > 0
-    assert problem.fallback_probes == 0
+    assert problem.batched_calls == 0
+    assert problem.fallback_probes == sum(lanes) > 0
 
 
 @pytest.mark.parametrize(
@@ -247,16 +260,19 @@ def test_batched_aa_greedy_prices_every_lane_compiled(monkeypatch, circuit_name)
     problem, compiled = search()
     assert problem.batched_calls > 0
     assert problem.fallback_probes == 0
-    monkeypatch.setattr(batched_module, "_COMPILED", ("ia",))
+    monkeypatch.setattr(batched_module, "_COMPILED", ())
     problem, probed = search()
     assert problem.batched_calls == 0 and problem.fallback_probes > 0
     assert compiled == probed
 
 
 def test_shared_engine_failure_degrades_once_and_stays_exact(monkeypatch):
-    # taylor still prices its lanes by probing the shared engine.
-    problem = make_problem("iir_biquad", "taylor")
-    problem.analysis_log = []
+    """A rule that raises mid-cone in a probed batch degrades the search once.
+
+    ``ia`` and ``taylor`` price their lanes by probing the shared engine.
+    The probe restores the engine's sources, so every design the search
+    evaluated afterwards still equals a from-scratch analysis.
+    """
     inside = []
     real_price_moves = batched_module.BatchedAnalyzer.price_moves
 
@@ -268,29 +284,38 @@ def test_shared_engine_failure_degrades_once_and_stays_exact(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(batched_module.BatchedAnalyzer, "price_moves", tracking_price_moves)
-    problem.evaluate(problem.uniform(12))
-    engine = problem._state.incremental
-    real_error_of = engine.analyzer._error_of
-    injected = []
+    for method in ("ia", "taylor"):
+        problem = make_problem("iir_biquad", method)
+        problem.analysis_log = []
+        problem.evaluate(problem.uniform(12))
+        engine = problem._state.incremental
+        injected = []
 
-    def failing_error_of(*args, **kwargs):
-        # Fail once, partway through a probe's cone, mid-sweep.
-        if inside and problem.fallback_probes == 25 and not injected:
-            injected.append(True)
-            raise NoiseModelError("synthetic shared-engine failure")
-        return real_error_of(*args, **kwargs)
+        def failing(rule, problem=problem, injected=injected):
+            def failing_rule(errors):
+                # Fail once, partway through a probe's cone, mid-sweep.
+                if inside and problem.fallback_probes >= 25 and not injected:
+                    injected.append(True)
+                    raise NoiseModelError("synthetic shared-engine failure")
+                return rule(errors)
 
-    monkeypatch.setattr(engine.analyzer, "_error_of", failing_error_of)
-    result = GreedyBitStealingOptimizer().optimize(problem)
-    assert injected and result.feasible
-    assert [(e.stage, e.from_engine, e.to_engine) for e in problem.degradations] == [
-        ("batched-price", "batched", "incremental")
-    ]
-    assert problem._state.incremental is engine
-    evaluations = problem._state.evaluations
-    assert len(problem.analysis_log) > 25
-    for assignment in problem.analysis_log:
-        assert evaluations[assignment.key()].noise_power == reference_noise(problem, assignment)
+            return failing_rule
+
+        rules = engine._rules_of(method)
+        for name, rule in list(rules.items()):
+            rules[name] = failing(rule)
+        result = GreedyBitStealingOptimizer().optimize(problem)
+        assert injected and result.feasible, method
+        assert [(e.stage, e.from_engine, e.to_engine) for e in problem.degradations] == [
+            ("batched-price", "batched", "incremental")
+        ]
+        assert problem._state.incremental is engine
+        evaluations = problem._state.evaluations
+        assert len(problem.analysis_log) > 25
+        for assignment in problem.analysis_log:
+            assert evaluations[assignment.key()].noise_power == reference_noise(
+                problem, assignment
+            )
 
 
 def test_compiled_aa_failure_degrades_once_and_stays_exact(monkeypatch):
