@@ -33,34 +33,37 @@ O(1) change.
   design, the batched search's frontier: it commits the design, then per
   move swaps that node's sources in place, runs its cone into an overlay
   and swaps them back, with no candidate assignment built or diffed.
-  ``BatchedAnalyzer`` sends it every batch except mean-square ``aa`` /
-  ``pna``, which has a compiled vector program.
+  ``BatchedAnalyzer`` sends it every batch of every method.
 
-The cone re-propagation of ``aa``, ``taylor``, ``sna`` and ``pna``
-calls the very same per-node rules
-(:meth:`DatapathNoiseAnalyzer._error_of`) as the full sweep.  ``ia``, the
-scalar search's method, runs a compiled twin of those rules instead: on
-first ``ia`` use the engine builds one closure per working-graph node
-(:func:`_compile_ia_rule`) with its operand names and value enclosures
-bound, which repeats the generic rule's float operations in the same
-order — the same endpoint-product tuples fed to ``min``/``max``, the same
-left fold of live terms, the same float-zero shortcuts — so its errors
-are bit-identical, signed zeros included.  The rare ops (div, sqrt, exp,
-log, abs, min, max, mux) keep the generic rule.
+The cone re-propagation of ``taylor`` and ``sna`` calls the very same
+per-node rules (:meth:`DatapathNoiseAnalyzer._error_of`) as the full
+sweep.  ``ia`` and ``aa`` (which ``pna`` shares), the methods searches
+price most, run compiled twins of those rules instead: on first use the
+engine builds one closure per working-graph node with its operand names
+and value enclosures bound, which repeats the generic rule's float
+operations in the same order — the same float-zero shortcuts, the same
+left folds of live terms, the same interval endpoint products
+(:func:`_compile_ia_rule`) and the same affine products, reciprocals and
+Chebyshev steps on plain ``(center, terms)`` dicts
+(:func:`_compile_aa_rule`) — so their errors are bit-identical, signed
+zeros included.  ``ia``'s rare ops (div, sqrt, exp, log, abs, min, max,
+mux) keep the generic rule; every ``aa`` op is compiled.
 
 Either way incremental reports match a from-scratch analysis exactly,
-for every method.  AA's fresh linearization symbols get other names than
-in a full sweep, but a name only identifies a symbol: each coefficient is
-built by the same float operations.  The AA reductions
-(``AffineForm.radius`` and the AA variance) are ``math.fsum``, which is
-correctly rounded, so they do not depend on the order of a form's terms
-at all; the Taylor reductions add the same numbers in the same order.
+for every method.  AA's linearization symbols get other names than in a
+full sweep (a compiled rule names them after its node and site), but a
+name only identifies a symbol: each coefficient is built by the same
+float operations.  The AA reductions (``AffineForm.radius`` and the AA
+variance) are ``math.fsum``, which is correctly rounded, so they do not
+depend on the order of a form's terms at all; the Taylor reductions add
+the same numbers in the same order.
 ``tests/test_incremental.py``
 (``test_incremental_equals_full_on_random_perturbations``) holds every
 report field to a from-scratch analysis with ``==``,
-``tests/test_compiled_ia_rules.py`` holds every compiled ``ia`` rule to
-the generic one, ``tests/test_probe_moves.py`` holds every probed move
-to :meth:`noise_power` of the moved design, and
+``tests/test_compiled_ia_rules.py`` and ``tests/test_compiled_aa_rules.py``
+hold every compiled rule to the generic one node by node,
+``tests/test_probe_moves.py`` holds every probed move to
+:meth:`noise_power` of the moved design, and
 ``tests/test_evaluate_cache.py``
 (``TestEvaluatorEquivalence``) holds every candidate of whole greedy
 searches to a from-scratch analysis the same way.
@@ -76,8 +79,9 @@ from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Sequence, Tupl
 from repro.dfg.node import OpType
 from repro.errors import DivisionByZeroIntervalError, DomainError, NoiseModelError
 from repro.histogram.pdf import HistogramPDF
-from repro.intervals.affine import AffineContext
+from repro.intervals.affine import AffineContext, AffineForm, _nonzero
 from repro.intervals.interval import Interval
+from repro.intervals.linearize import exp_linearization, log_linearization, sqrt_linearization
 from repro.noisemodel.analyzer import (
     ANALYSIS_METHODS,
     DatapathNoiseAnalyzer,
@@ -264,6 +268,517 @@ def _compile_ia_rule(analyzer: DatapathNoiseAnalyzer, name: str, node, values) -
                 own = source.error_interval
                 return fast(lo + own.lo, hi + own.hi)
             return fast(lo, hi)
+
+    else:
+        return None
+    return rule
+
+
+# ---------------------------------------------------------------------- #
+# the compiled ``aa`` rules
+# ---------------------------------------------------------------------- #
+# The helpers below are AffineForm arithmetic on plain ``(center, terms)``
+# pairs: the same float operations in the same order, without building,
+# cleaning and registering a form per step.  A ``terms`` dict a helper
+# returns is new, so the caller may add to it.
+
+
+def _radius(terms: Mapping[str, float]) -> float:
+    """``AffineForm.radius``: the correctly rounded sum of ``|coeff|``."""
+    return math.fsum(map(abs, terms.values()))
+
+
+def _checked(lo: float, hi: float) -> Tuple[float, float]:
+    """``(lo, hi)``, or the ``IntervalError`` of ``Interval(lo, hi)`` (a NaN bound)."""
+    if not lo <= hi:
+        Interval(lo, hi)
+    return lo, hi
+
+
+def _bounds(center: float, radius: float) -> Tuple[float, float]:
+    """``AffineForm.to_interval``'s endpoints."""
+    return _checked(center - radius, center + radius)
+
+
+def _scaled(terms: Mapping[str, float], factor: float) -> Dict[str, float]:
+    """``AffineForm.scale``'s terms."""
+    return _nonzero({name: coeff * factor for name, coeff in terms.items()})
+
+
+def _folded(terms: Dict[str, float], *others: Mapping[str, float]) -> Dict[str, float]:
+    """``terms`` plus ``others``, per symbol left to right, exact zeros dropped.
+
+    The terms of ``AffineForm.__add__`` and ``sum_of``: a symbol's first
+    coefficient enters as is (``0.0 + c == c`` for the non-zero ``c`` of
+    a form); only a symbol two operands share can cancel.  ``terms`` is
+    updated in place.
+    """
+    shared = False
+    for other in others:
+        common = terms.keys() & other.keys()
+        if common:
+            prior = {name: terms[name] for name in common}
+            terms.update(other)
+            for name in common:
+                terms[name] = prior[name] + other[name]
+            shared = True
+        else:
+            terms.update(other)
+    return _nonzero(terms) if shared else terms
+
+
+def _summed(forms: Sequence[Tuple[float, Mapping[str, float]]]) -> Tuple[float, Dict[str, float]]:
+    """``AffineForm.sum_of`` of two or more ``(center, terms)`` pairs."""
+    center = 0.0
+    for c, _ in forms:
+        center += c
+    (_, first), *rest = forms
+    return center, _folded(dict(first), *[terms for _, terms in rest])
+
+
+def _product(
+    x0: float,
+    xt: Mapping[str, float],
+    xr: float | None,
+    y0: float,
+    yt: Mapping[str, float],
+    yr: float | None,
+    site: str,
+) -> Tuple[float, Dict[str, float]]:
+    """``AffineForm.__mul__``, its linearization symbol named ``site``.
+
+    ``xr``/``yr`` are the radii, or ``None`` to sum them here; a radius is
+    read only when both forms have terms.
+    """
+    if not yt:
+        return x0 * y0, _scaled(xt, y0)
+    if not xt:
+        return y0 * x0, _scaled(yt, x0)
+    if x0 * 0.0 == 0.0 and y0 * 0.0 == 0.0:
+        # Finite centers: a symbol of one form only gets ``c * coeff``
+        # plus the signed zero ``other_center * 0.0``, which changes no
+        # non-zero coefficient.
+        terms = {name: y0 * coeff for name, coeff in xt.items()}
+        common = xt.keys() & yt.keys()
+        terms.update({name: x0 * coeff for name, coeff in yt.items()})
+        for name in common:
+            terms[name] = x0 * yt[name] + y0 * xt[name]
+        terms = _nonzero(terms)
+    else:
+        terms = {}
+        for name in {**dict.fromkeys(xt), **dict.fromkeys(yt)}:
+            value = x0 * yt.get(name, 0.0) + y0 * xt.get(name, 0.0)
+            if value != 0.0:
+                terms[name] = value
+    nonlinear = (_radius(xt) if xr is None else xr) * (_radius(yt) if yr is None else yr)
+    if nonlinear != 0.0:
+        terms[site] = nonlinear
+    return x0 * y0, terms
+
+
+def _inverse(
+    center: float, terms: Mapping[str, float], radius: float, site: str, context: AffineContext
+) -> Tuple[float, Dict[str, float]]:
+    """``AffineForm.reciprocal``, its deviation symbol named ``site``."""
+    a, b = _bounds(center, radius)
+    if a <= 0.0 <= b:
+        form = AffineForm._trusted(center, dict(terms), context)
+        raise DivisionByZeroIntervalError(f"cannot invert {form!r}: encloses zero")
+    alpha = -1.0 / (a * b)
+    root = math.sqrt(a * b)
+    if a > 0:
+        d_max = 1.0 / a + 1.0 / b
+        d_min = 2.0 / root
+    else:
+        d_max = -2.0 / root
+        d_min = 1.0 / a + 1.0 / b
+    zeta = 0.5 * (d_max + d_min)
+    delta = 0.5 * (d_max - d_min)
+    out = _scaled(terms, alpha)
+    if delta != 0.0:
+        out[site] = delta
+    return center * alpha + zeta, out
+
+
+def _curve(
+    center: float,
+    terms: Mapping[str, float],
+    radius: float,
+    linearize: Callable[[float, float], Any],
+    point: Callable[[float], float],
+    site: str,
+) -> Tuple[float, Dict[str, float]]:
+    """``AffineForm.sqrt`` / ``exp`` / ``log`` through ``linearize``.
+
+    The min-max line ``alpha * x + zeta +/- delta`` where it is no wider
+    than the exact image, else the image wrapped in one symbol
+    (``_tightest_selection``); both are named ``site``.  A point
+    enclosure gives ``point(lo)``.
+    """
+    lo, hi = _bounds(center, radius)
+    line = linearize(lo, hi)
+    if line is None:
+        return point(lo), {}
+    alpha, zeta, delta, exact = line
+    out = _scaled(terms, alpha)
+    out_center = center * alpha + zeta
+    if delta != 0.0:
+        out[site] = delta
+    lo, hi = _bounds(out_center, _radius(out))
+    if hi - lo <= exact.hi - exact.lo:
+        return out_center, out
+    radius = exact.radius
+    return exact.midpoint, ({site: radius} if radius != 0.0 else {})
+
+
+def _live_sum(
+    forms: List[Tuple[float, Mapping[str, float]]],
+    own: AffineForm | None,
+    context: AffineContext,
+) -> Any:
+    """``_sum_errors`` of the live ``(center, terms)`` pairs and the node's own term."""
+    if own is not None:
+        forms.append((own.center, own.terms))
+    if len(forms) > 1:
+        return AffineForm._trusted(*_summed(forms), context)
+    return AffineForm._trusted(*forms[0], context) if forms else 0.0
+
+
+def _enclosure(error: Any) -> Tuple[float, float]:
+    """``_enclosure_of``'s endpoints for an ``aa`` error (``0.0`` or a form)."""
+    if error.__class__ is float:
+        return 0.0, 0.0
+    return _bounds(error.center, _radius(error.terms))
+
+
+def _joined(
+    center: float, terms: Dict[str, float], own: AffineForm | None, context: AffineContext
+) -> AffineForm:
+    """``_add_error`` of a new ``(center, terms)`` and the node's own term."""
+    if own is None:
+        return AffineForm._trusted(center, terms, context)
+    return AffineForm._trusted(center + own.center, _folded(terms, own.terms), context)
+
+
+def _forwarded(error: Any, own: AffineForm | None, context: AffineContext) -> Any:
+    """``_add_error`` of an operand's error (``0.0`` or a form) and the node's own term."""
+    if own is None:
+        return error
+    if error.__class__ is float:
+        return own
+    return _joined(error.center, dict(error.terms), own, context)
+
+
+def _own_terms(
+    analyzer: DatapathNoiseAnalyzer, context: AffineContext
+) -> Callable[[str], AffineForm | None]:
+    """``own_of(name)``: the AA error term of ``name``'s current source, or ``None``.
+
+    Built by ``_make_error_term`` once per source object; the engine swaps
+    sources in place, so the source is looked up on every call.
+    """
+    get_source = analyzer._sources_by_node.get
+    built: Dict[int, Tuple[Any, AffineForm]] = {}
+
+    def own_of(name: str) -> AffineForm | None:
+        source = get_source(name)
+        if source is None:
+            return None
+        entry = built.get(id(source))
+        if entry is None or entry[0] is not source:
+            entry = (source, analyzer._make_error_term("aa", source, context))
+            built[id(source)] = entry
+        return entry[1]
+
+    return own_of
+
+
+def _compile_aa_rule(
+    name: str,
+    node,
+    values: Mapping[str, AffineForm],
+    context: AffineContext,
+    own_of: Callable[[str], AffineForm | None],
+) -> ErrorRule | None:
+    """The compiled twin of ``_error_rule(method="aa")`` for one node.
+
+    Operand names, value forms, their radii and enclosures (and LOG's
+    ``1 / va``) are bound here; the node's own term comes from ``own_of``
+    at call time.  Each closure performs the generic rule's float
+    operations in the same order on ``(center, terms)`` pairs — the same
+    float-zero shortcuts, the same left folds, the same
+    ``AffineForm`` product, reciprocal and Chebyshev steps — and sums an
+    error's radius once per call.  Each linearization symbol is named
+    after the node and its site (``~<node>:<k>``) instead of drawn from
+    ``context.fresh()``: a cone re-propagates every consumer of a node
+    it re-propagates, so the names stay unique within any error sweep.
+    The errors therefore equal the generic rule's, signed zeros included,
+    up to those names.  Returns ``None`` for an op with no error rule.
+    """
+    op = node.op
+    s0, s1, s2 = (f"~{name}:{k}" for k in range(3))
+
+    def named(exc: DomainError) -> DomainError:
+        """``_error_of``'s naming of a domain violation."""
+        return DomainError(f"node {name!r} ({op.value}): {exc}", node=name)
+
+    if op is OpType.INPUT or op is OpType.CONST:
+
+        def rule(errors):
+            own = own_of(name)
+            return 0.0 if own is None else own
+
+    elif op is OpType.OUTPUT:
+        (a,) = node.inputs
+
+        def rule(errors):
+            return errors[a]
+
+    elif op is OpType.NEG:
+        (a,) = node.inputs
+
+        def rule(errors):
+            ea = errors[a]
+            own = own_of(name)
+            if ea.__class__ is float:
+                return 0.0 if own is None else own
+            return _joined(-ea.center, {k: -v for k, v in ea.terms.items()}, own, context)
+
+    elif op is OpType.ADD or op is OpType.SUB:
+        a, b = node.inputs
+        negate = op is OpType.SUB
+
+        def rule(errors):
+            ea = errors[a]
+            eb = errors[b]
+            own = own_of(name)
+            forms = []
+            if ea.__class__ is not float:
+                forms.append((ea.center, ea.terms))
+            if eb.__class__ is not float:
+                if negate:
+                    forms.append((-eb.center, {k: -v for k, v in eb.terms.items()}))
+                else:
+                    forms.append((eb.center, eb.terms))
+            return _live_sum(forms, own, context)
+
+    elif op is OpType.MUL:
+        a, b = node.inputs
+        va, vb = values[a], values[b]
+        vac, vat, var_ = va.center, va.terms, va.radius
+        vbc, vbt, vbr = vb.center, vb.terms, vb.radius
+
+        def rule(errors):
+            # va * eb, vb * ea and ea * eb, where live, then own
+            ea = errors[a]
+            eb = errors[b]
+            own = own_of(name)
+            live_a = ea.__class__ is not float
+            live_b = eb.__class__ is not float
+            ra = rb = None
+            if live_a and live_b and ea.terms and eb.terms:
+                ra, rb = _radius(ea.terms), _radius(eb.terms)
+            forms = []
+            if live_b:
+                forms.append(_product(vac, vat, var_, eb.center, eb.terms, rb, s0))
+            if live_a:
+                forms.append(_product(vbc, vbt, vbr, ea.center, ea.terms, ra, s1))
+                if live_b:
+                    forms.append(_product(ea.center, ea.terms, ra, eb.center, eb.terms, rb, s2))
+            return _live_sum(forms, own, context)
+
+    elif op is OpType.SQUARE:
+        (a,) = node.inputs
+        va = values[a]
+        vac, vat, var_ = va.center, va.terms, va.radius
+
+        def rule(errors):
+            # 2.0 * (va * ea) + ea.square() + own
+            ea = errors[a]
+            own = own_of(name)
+            if ea.__class__ is float:
+                return 0.0 if own is None else own
+            center, terms = ea.center, ea.terms
+            radius = _radius(terms)
+            pc, pt = _product(vac, vat, var_, center, terms, radius, s0)
+            half = 0.5 * radius * radius
+            twice = 2.0 * center
+            square = {k: twice * v for k, v in terms.items()}
+            if radius != 0.0:
+                square[s1] = half
+            forms = [(pc * 2.0, _scaled(pt, 2.0)), (center * center + half, _nonzero(square))]
+            return _live_sum(forms, own, context)
+
+    elif op is OpType.DIV:
+        a, b = node.inputs
+        vb, exact = values[b], values[name]
+        vbc, vbt, vbr = vb.center, vb.terms, vb.radius
+        xc, xt, xr = exact.center, exact.terms, exact.radius
+
+        def rule(errors):
+            # (ea - exact * eb) * (1 / (vb + eb)) + own
+            ea = errors[a]
+            eb = errors[b]
+            own = own_of(name)
+            zero_a = ea.__class__ is float
+            if eb.__class__ is float:
+                if zero_a:
+                    return 0.0 if own is None else own
+                nc, nt = ea.center, ea.terms
+                dc, dt, dr = vbc, vbt, vbr
+            else:
+                pc, pt = _product(xc, xt, xr, eb.center, eb.terms, None, s0)
+                negated = {k: -v for k, v in pt.items()}
+                if zero_a:
+                    nc, nt = -pc, negated
+                else:
+                    nc, nt = ea.center + -pc, _folded(dict(ea.terms), negated)
+                dc, dt = vbc + eb.center, _folded(dict(vbt), eb.terms)
+                dr = _radius(dt)
+            rc, rt = _inverse(dc, dt, dr, s1, context)
+            return _joined(*_product(nc, nt, None, rc, rt, None, s2), own, context)
+
+    elif op is OpType.SQRT:
+        (a,) = node.inputs
+        va, value = values[a], values[name]
+        vac, vat = va.center, va.terms
+        root_c, root_t = value.center, value.terms
+
+        def rule(errors):
+            # ea * (1 / (sqrt(va + ea) + value)) + own
+            ea = errors[a]
+            own = own_of(name)
+            if ea.__class__ is float:
+                return 0.0 if own is None else own
+            center, terms = ea.center, ea.terms
+            sc, st = vac + center, _folded(dict(vat), terms)
+            try:
+                sc, st = _curve(sc, st, _radius(st), sqrt_linearization, math.sqrt, s0)
+            except DomainError as exc:  # raised by the linearization, unnamed
+                raise named(exc) from exc
+            dc, dt = sc + root_c, _folded(st, root_t)
+            rc, rt = _inverse(dc, dt, _radius(dt), s1, context)
+            return _joined(*_product(center, terms, None, rc, rt, None, s2), own, context)
+
+    elif op is OpType.EXP:
+        (a,) = node.inputs
+        value = values[name]
+        vc, vt, vr = value.center, value.terms, value.radius
+
+        def rule(errors):
+            # value * (exp(ea) - 1.0) + own
+            ea = errors[a]
+            own = own_of(name)
+            if ea.__class__ is float:
+                return 0.0 if own is None else own
+            terms = ea.terms
+            gc, gt = _curve(ea.center, terms, _radius(terms), exp_linearization, math.exp, s0)
+            return _joined(*_product(vc, vt, vr, gc - 1.0, gt, None, s1), own, context)
+
+    elif op is OpType.LOG:
+        (a,) = node.inputs
+        va = values[a]
+        # The value sweep took va's log, so its enclosure is positive.
+        ic, it = _inverse(va.center, va.terms, va.radius, s0, context)
+        ir = _radius(it)
+
+        def rule(errors):
+            # log(ea * (1 / va) + 1.0) + own
+            ea = errors[a]
+            own = own_of(name)
+            if ea.__class__ is float:
+                return 0.0 if own is None else own
+            qc, qt = _product(ea.center, ea.terms, None, ic, it, ir, s1)
+            try:
+                out = _curve(qc + 1.0, qt, _radius(qt), log_linearization, math.log, s2)
+            except DomainError as exc:  # raised by the linearization, unnamed
+                raise named(exc) from exc
+            return _joined(*out, own, context)
+
+    elif op is OpType.ABS:
+        (a,) = node.inputs
+        operand = values[a].to_interval()
+        olo, ohi = operand.lo, operand.hi
+
+        def rule(errors):
+            # ea, -ea or the sign blur, + own
+            ea = errors[a]
+            own = own_of(name)
+            if ea.__class__ is float:
+                return 0.0 if own is None else own
+            lo, hi = _enclosure(ea)
+            if olo >= 0.0 and olo + lo >= 0.0:
+                return _forwarded(ea, own, context)
+            if ohi <= 0.0 and ohi + hi <= 0.0:
+                return _joined(-ea.center, {k: -v for k, v in ea.terms.items()}, own, context)
+            magnitude = max(abs(lo), abs(hi))
+            return _joined(0.0, {s0: magnitude} if magnitude != 0.0 else {}, own, context)
+
+    elif (op is OpType.MIN or op is OpType.MAX) and node.inputs[0] != node.inputs[1]:
+        a, b = node.inputs
+        diff = values[a].to_interval() - values[b].to_interval()
+        dlo, dhi = diff.lo, diff.hi
+        is_min = op is OpType.MIN
+
+        def rule(errors):
+            ea = errors[a]
+            eb = errors[b]
+            own = own_of(name)
+            zero_a = ea.__class__ is float
+            zero_b = eb.__class__ is float
+            if zero_a and zero_b:
+                return 0.0 if own is None else own
+            alo, ahi = _enclosure(ea)
+            blo, bhi = _enclosure(eb)
+            elo, ehi = alo - bhi, ahi - blo
+            if dlo >= 0.0 and dlo + elo >= 0.0:
+                # a >= b in both datapaths: min forwards e_b, max e_a.
+                return _forwarded(eb if is_min else ea, own, context)
+            if dhi <= 0.0 and dhi + ehi <= 0.0:
+                return _forwarded(ea if is_min else eb, own, context)
+            # (ea + eb + spread) * 0.5, the spread a symbol of |ea - eb|
+            magnitude = max(abs(elo), abs(ehi))
+            spread = (0.0, {s0: magnitude} if magnitude != 0.0 else {})
+            forms = [(e.center, e.terms) for e in (ea, eb) if e.__class__ is not float]
+            tc, tt = _summed([*forms, spread]) if forms else spread
+            return _joined(tc * 0.5, _scaled(tt, 0.5), own, context)
+
+    elif op is OpType.MUX and node.inputs[1] != node.inputs[2]:
+        s, a, b = node.inputs
+        selector = values[s].to_interval()
+        sel_lo, sel_hi = selector.lo, selector.hi
+        enc_a, enc_b = values[a].to_interval(), values[b].to_interval()
+        valo, vahi, vblo, vbhi = enc_a.lo, enc_a.hi, enc_b.lo, enc_b.hi
+
+        def rule(errors):
+            es = errors[s]
+            ea = errors[a]
+            eb = errors[b]
+            own = own_of(name)
+            slo, shi = _enclosure(es)
+            if sel_lo >= 0.0 and sel_lo + slo >= 0.0:
+                return _forwarded(ea, own, context)
+            if sel_hi < 0.0 and sel_hi + shi < 0.0:
+                return _forwarded(eb, own, context)
+            # the hull of both branch errors (and, when the select's
+            # error can flip it, of the branch-swap residuals)
+            alo, ahi = _enclosure(ea)
+            blo, bhi = _enclosure(eb)
+            if slo != 0.0 or shi != 0.0:
+                lo = min(alo, blo, (vblo + blo) - vahi, (valo + alo) - vbhi)
+                hi = max(ahi, bhi, (vbhi + bhi) - valo, (vahi + ahi) - vblo)
+            else:
+                lo, hi = min(alo, blo), max(ahi, bhi)
+            lo, hi = _checked(lo, hi)
+            radius = 0.5 * (hi - lo)
+            return _joined(0.5 * (lo + hi), {s0: radius} if radius != 0.0 else {}, own, context)
+
+    elif op in (OpType.MIN, OpType.MAX, OpType.MUX):
+        # min(x, x), max(x, x) and a mux of one signal forward its error.
+        a = node.inputs[-1]
+
+        def rule(errors):
+            return _forwarded(errors[a], own_of(name), context)
 
     else:
         return None
@@ -510,18 +1025,26 @@ class IncrementalAnalyzer:
     def _rules_of(self, method: str) -> Dict[str, ErrorRule]:
         """One error rule per working-graph node (built once per method).
 
-        ``ia`` nodes get their compiled twin where one exists; every
-        other node calls the generic :meth:`DatapathNoiseAnalyzer._error_of`.
+        ``aa`` nodes (which ``pna`` shares) and the hot ``ia`` ops get
+        their compiled twin; every other node calls the generic
+        :meth:`DatapathNoiseAnalyzer._error_of`.
         """
         rules = self._rules.get(method)
         if rules is None:
             analyzer = self.analyzer
             values = self._values_of(method)
             context = self._contexts[method]
+            if method == "aa":
+                own_of = _own_terms(analyzer, context)
             rules = {}
             for name in analyzer.topo_order:
                 node = analyzer.graph.node(name)
-                rule = _compile_ia_rule(analyzer, name, node, values) if method == "ia" else None
+                if method == "ia":
+                    rule = _compile_ia_rule(analyzer, name, node, values)
+                elif method == "aa":
+                    rule = _compile_aa_rule(name, node, values, context, own_of)
+                else:
+                    rule = None
                 rules[name] = rule or _generic_rule(analyzer, method, name, node, values, context)
             self._rules[method] = rules
         return rules
@@ -532,7 +1055,7 @@ class IncrementalAnalyzer:
         """Bring the cached errors of ``(method, target)`` up to date.
 
         Each re-propagated node runs its rule from :meth:`_rules_of` —
-        compiled float code for the hot ``ia`` ops.  Returns the error
+        compiled float code for ``aa`` and the hot ``ia`` ops.  Returns the error
         mapping reflecting the candidate: the committed ``state.errors``
         dict itself, updated in place, or for non-committing probes an
         :class:`_Overlay` holding just the cone and reading every other

@@ -108,7 +108,6 @@ def _pareto_job(
     row["seed"] = seed
     row["feasible_floors"] = len(front.feasible_points)
     row["analyzer_calls"] = problem.analyzer_calls
-    row["batched_sweeps"] = problem.batched_calls
     row["fallback_probes"] = problem.fallback_probes
     row["all_validated"] = all_validated
     row["total_runtime_s"] = time.perf_counter() - started
@@ -210,8 +209,7 @@ def _print_document(document: dict) -> None:
             else:
                 print(f"  floor {point['snr_floor_db']:5.1f}dB  infeasible")
         print(
-            f"  {row['analyzer_calls']} analyzer calls, {row['batched_sweeps']} aa lane "
-            f"passes, {row['fallback_probes']} move probes, "
+            f"  {row['analyzer_calls']} analyzer calls, {row['fallback_probes']} move probes, "
             f"{row['total_runtime_s'] * 1e3:.1f}ms"
         )
     print_parallel(document)

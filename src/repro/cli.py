@@ -297,7 +297,6 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
         f"\n{feasible}/{len(front.points)} floors feasible; "
         f"curve {'monotone' if monotone else 'NOT MONOTONE'}; "
         f"{problem.analyzer_calls} analyzer calls, "
-        f"{problem.batched_calls} aa lane passes, "
         f"{problem.fallback_probes} move probes"
     )
     if args.out:

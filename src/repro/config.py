@@ -135,8 +135,7 @@ class OptimizeConfig:
         Candidate-pricing engine.  Every evaluation runs on one
         incremental analyzer that re-propagates changed cones;
         ``batched`` additionally prices whole candidate batches in one
-        call: a compiled vector program for mean-square ``aa`` / ``pna``,
-        one cone probe per move for every other method (strategies fall
+        call, one cone probe of that analyzer per move (strategies fall
         back to the incremental engine wherever a batched path does not
         apply — results are bit-identical).
     horizon / bins / max_word_length / min_fractional_bits /

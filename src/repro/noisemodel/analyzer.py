@@ -61,6 +61,7 @@ a zero-initial-state time-stepped simulation of the same length.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Tuple
 
@@ -482,8 +483,9 @@ class DatapathNoiseAnalyzer:
         Shared by the full sweep above and by the incremental engine
         (:class:`repro.analysis.incremental.IncrementalAnalyzer`), which
         re-invokes it only for nodes inside the cone of influence of a
-        word-length change (through a compiled twin for the hot ``ia``
-        ops, see :meth:`_error_rule`); both paths produce the same floats.
+        word-length change (through compiled twins for ``aa`` and the hot
+        ``ia`` ops, see :meth:`_error_rule`); both paths produce the same
+        floats.
         Domain violations name the offending node, like :meth:`_value_of`.
         """
         try:
@@ -504,15 +506,20 @@ class DatapathNoiseAnalyzer:
     ) -> Any:
         """The per-op error rules behind :meth:`_error_of`.
 
-        ``ia`` has a compiled twin for the hot ops (input, const, output,
-        neg, add, sub, mul, square):
-        :func:`repro.analysis.incremental._compile_ia_rule`, which the
-        incremental engine runs instead of this method.  It repeats these
-        rules' float operations in the same order, so a change here must
-        be made there too; ``tests/test_compiled_ia_rules.py``
+        Two methods have compiled twins, which the incremental engine runs
+        instead of this method: ``ia`` for the hot ops (input, const,
+        output, neg, add, sub, mul, square) in
+        :func:`repro.analysis.incremental._compile_ia_rule`, and ``aa``
+        (so also ``pna``) for every op in
+        :func:`repro.analysis.incremental._compile_aa_rule`, together with
+        the :class:`~repro.intervals.affine.AffineForm` arithmetic the
+        ``aa`` rules here call.  Both repeat these rules' float operations
+        in the same order, so a change here (or in that arithmetic) must
+        be made there too.  ``tests/test_compiled_ia_rules.py`` and
+        ``tests/test_compiled_aa_rules.py``
         (``test_every_op_matches_the_generic_rule`` and
-        ``test_generated_graphs_match_node_by_node``) holds the two equal,
-        signed zeros included.
+        ``test_generated_graphs_match_node_by_node`` in each) hold the
+        twins equal to this method, signed zeros included.
         """
         source = self._sources_by_node.get(name)
         own = self._make_error_term(method, source, context) if source else None
@@ -934,7 +941,8 @@ class DatapathNoiseAnalyzer:
 
     @staticmethod
     def _moments_aa(error: AffineForm) -> tuple[float, float]:
-        variance = math.fsum(coeff * coeff for coeff in error.terms.values()) / 3.0
+        coeffs = error.terms.values()
+        variance = math.fsum(map(operator.mul, coeffs, coeffs)) / 3.0
         return error.center, variance
 
     @staticmethod

@@ -518,10 +518,8 @@ class OptimizationProblem:
         """The problem's lazily-built, shared :class:`BatchedAnalyzer`.
 
         It prices moves on the problem's one incremental engine, the one
-        evaluations use and :meth:`notify_accepted` commits.  Mean-square
-        ``aa`` / ``pna`` batches run a vectorized NumPy program compiled
-        once from that engine's (unrolled) graph and value enclosures;
-        every other batch probes the engine once per move
+        evaluations use and :meth:`notify_accepted` commits: every batch
+        probes that engine once per move
         (:meth:`IncrementalAnalyzer.probe_moves`).  Available regardless
         of :attr:`engine` — strategies consult :attr:`engine` to decide
         whether to route their inner loops through it.
@@ -533,8 +531,8 @@ class OptimizationProblem:
             from repro.analysis.batched import BatchedAnalyzer
 
             try:
-                # Compiling reads no committed errors, so an existing engine
-                # is taken as it is, leaving the accepted design uncommitted.
+                # Building reads no committed errors, so an existing engine
+                # is taken as it is; price_moves commits the accepted design.
                 engine = state.incremental
                 if engine is None:
                     engine = self._incremental_engine(self.uniform(self.min_word_length))
@@ -575,9 +573,9 @@ class OptimizationProblem:
         order.  A repeat, subset or re-entered frontier therefore costs
         the engine nothing.  The evaluation cache and its counters are
         untouched here; :meth:`evaluate` later serves a priced move from
-        its lane instead of analyzing it.  A batch priced by probing the
-        incremental engine first commits the design
-        :meth:`notify_accepted` recorded.
+        its lane instead of analyzing it.  Every batch first commits the
+        design :meth:`notify_accepted` recorded, then probes the
+        incremental engine.
 
         A broken batched engine is the problem's call, not the caller's: a
         ``batched`` problem with :attr:`engine_fallback` degrades onto the
@@ -600,9 +598,8 @@ class OptimizationProblem:
         if missing:
             degradable = state.engine == "batched" and self.engine_fallback
             try:
-                engine = self.batched_engine()  # compile failures degrade in there
-                if engine.probes(self.method, self.confidence):
-                    self._incremental_engine(assignment)  # commits the accepted design
+                engine = self.batched_engine()  # build failures degrade in there
+                self._incremental_engine(assignment)  # commits the accepted design
                 noise = engine.price_moves(
                     assignment,
                     missing,
@@ -620,20 +617,12 @@ class OptimizationProblem:
         return np.array([known[move] for move in moves], dtype=np.float64)
 
     @property
-    def batched_calls(self) -> int:
-        """Compiled ``aa`` lane passes the batched engine ran (0 if unused)."""
-        batched = self._state.batched
-        return batched.batched_calls if batched is not None else 0
-
-    @property
     def fallback_probes(self) -> int:
         """Move probes the batched engine ran on the incremental engine.
 
-        Every batch but mean-square ``aa`` / ``pna`` (so ``ia``, ``taylor``,
-        ``sna`` and every ``confidence`` problem) is priced one cone probe
-        per move on the problem's shared incremental analyzer; this counts
-        those probes, one per lane that has a format.  Evaluations are not
-        counted.
+        Every batch is priced one cone probe per move on the problem's
+        shared incremental analyzer; this counts those probes, one per
+        lane that has a format.  Evaluations are not counted.
         """
         batched = self._state.batched
         return batched.fallback_probes if batched is not None else 0

@@ -6,10 +6,9 @@ contracts interlock:
 * the frozen :class:`~repro.config.AnalysisConfig` /
   :class:`~repro.config.OptimizeConfig` objects, the only way to
   configure the public entry points;
-* the :class:`~repro.analysis.batched.BatchedAnalyzer` — whole-graph
-  vectorized pricing that must be **bit-equal** to the from-scratch
-  analyzer and the incremental engine (for IA through the compiled vector program,
-  for every other method through incremental probes);
+* the :class:`~repro.analysis.batched.BatchedAnalyzer` — batched move
+  pricing that must be **bit-equal** to the from-scratch analyzer and the
+  incremental engine (one incremental cone probe per move, every method);
 * one-call Pareto sweeps (:func:`~repro.optimize.pareto.pareto_front`)
   whose curves are monotone by construction;
 * canonical DFG serialization (``to_dict``/``from_dict``/``save``/
@@ -157,8 +156,7 @@ def test_batched_price_moves_matches_evaluate():
 def _check_random_circuit_lanes(circuit, seed, method):
     """Every lane of ``method`` ``==`` a fresh analysis; inf where it raises.
 
-    ``aa`` runs six compiled lane passes and probes nothing; ``ia``
-    probes every lane that has a format and runs no compiled pass.
+    Every lane that has a format is one probe of the incremental engine.
     """
     ranges = infer_ranges(circuit.graph, circuit.input_ranges).ranges
     base = ensure_range_coverage(
@@ -193,10 +191,7 @@ def _check_random_circuit_lanes(circuit, seed, method):
                 assert math.isinf(float(prices[lane])), (seed, trial, lane)
             else:
                 assert float(prices[lane]) == want, (seed, trial, lane)
-    if method == "aa":
-        assert batched.fallback_probes == 0 and batched.batched_calls == 6
-    else:
-        assert batched.fallback_probes == priceable and batched.batched_calls == 0
+    assert batched.fallback_probes == priceable
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -207,11 +202,11 @@ def test_batched_property_random_circuits(random_circuit_factory, seed):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_batched_aa_property_random_circuits(random_circuit_factory, seed):
-    """Compiled AA lanes are exact on generated graphs, inf on domain failures.
+    """Probed AA lanes are exact on generated graphs, inf on domain failures.
 
-    The generator draws every op the compiled program covers (div, sqrt,
-    exp, log, abs, min, max and mux included), so the per-lane Chebyshev
-    steps, the selection blurs and every domain-failure mask run here.
+    The generator draws every op the compiled ``aa`` cone rules cover
+    (div, sqrt, exp, log, abs, min, max and mux included), so their
+    Chebyshev steps, selection blurs and domain failures run here.
     """
     _check_random_circuit_lanes(random_circuit_factory(seed, max_ops=8), seed, "aa")
 
@@ -240,11 +235,10 @@ def test_batched_sqrt_of_an_unformatted_operand_from_zero(method):
     """Lanes skip the sqrt domain checks where the scalar engine skips them.
 
     ``x`` carries no format, so its error is the float ``0.0`` and the
-    scalar sqrt rule returns at once.  The compiled ``aa`` rule still
-    evaluates its formula, and with ``x``'s value enclosure starting at 0
-    the denominator ``sqrt(x) + value`` touches 0; only the float-zero
-    mask keeps those lanes from pricing ``inf``.  ``ia`` probes every
-    lane on the scalar rules, which must skip the same checks.
+    generic sqrt rule returns at once.  With ``x``'s value enclosure
+    starting at 0, the denominator ``sqrt(x) + value`` touches 0, so a
+    compiled rule that evaluated its formula anyway would price those
+    lanes ``inf``.  Every lane is probed, on the compiled rules.
     """
     builder = DFGBuilder("sqrt_from_zero")
     x, w = builder.input("x"), builder.input("w")
@@ -259,10 +253,7 @@ def test_batched_sqrt_of_an_unformatted_operand_from_zero(method):
     batched = BatchedAnalyzer(engine, ranges)
     moves = [(n, f.fractional_bits - k) for n, f in sorted(design.formats.items()) for k in (1, 3)]
     prices = batched.price_moves(design, moves, method, output="y")
-    if method == "aa":
-        assert batched.batched_calls == 1 and batched.fallback_probes == 0
-    else:
-        assert batched.batched_calls == 0 and batched.fallback_probes == len(moves)
+    assert batched.fallback_probes == len(moves)
     for lane, (node, new_frac) in enumerate(moves):
         candidate = ensure_range_coverage(design.with_fractional_bits(node, new_frac), ranges)
         fresh = DatapathNoiseAnalyzer(graph, candidate, input_ranges, horizon=4, bins=8)

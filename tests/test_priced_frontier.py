@@ -126,12 +126,10 @@ class TestMemo:
         design = problem.evaluate(problem.uniform(14)).assignment
         moves = shaves(design, problem.tunable)
         engine = problem.batched_engine()
-        real_mul = batched_module._aa_mul
         seen = []
 
         def failing(real):
-            # Fail partway through the batch: the compiled aa sweep, or
-            # the ia probes' cones.
+            # Fail partway through the batch, inside a probe's cone.
             def fail_third(*args, **kwargs):
                 seen.append(True)
                 if len(seen) == 3:
@@ -141,12 +139,9 @@ class TestMemo:
             return fail_third
 
         with monkeypatch.context() as patch:
-            if method == "ia":
-                rules = engine._engine._rules_of(method)
-                for name, rule in list(rules.items()):
-                    patch.setitem(rules, name, failing(rule))
-            else:
-                patch.setattr(batched_module, "_aa_mul", failing(real_mul))
+            rules = engine._engine._rules_of(method)
+            for name, rule in list(rules.items()):
+                patch.setitem(rules, name, failing(rule))
             if engine_fallback:
                 assert problem.price_moves(design, moves) is None
                 assert [e.stage for e in problem.degradations] == ["batched-price"]
