@@ -21,7 +21,7 @@ Subpackages
     with Monte-Carlo validation and structured reports.
 ``optimize``
     Word-length optimization: hardware cost model, SNR-constrained
-    problem, and search strategies (uniform / greedy / annealing).
+    problem, and search strategies (uniform / greedy / decomposed).
 ``benchmarks``
     The benchmark circuit library and the timed, gated benchmark
     drivers (analysis and optimization).

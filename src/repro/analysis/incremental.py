@@ -2,8 +2,8 @@
 
 A word-length optimizer calls the noise analyzer once per candidate, and
 almost every candidate differs from the previous one at a *single* node
-(greedy bit-stealing) or at most a couple of nodes (annealing moves).  A
-full :class:`~repro.noisemodel.analyzer.DatapathNoiseAnalyzer` run
+(greedy bit-stealing).  A full
+:class:`~repro.noisemodel.analyzer.DatapathNoiseAnalyzer` run
 re-propagates the whole unrolled graph anyway — O(graph) work for an
 O(1) change.
 

@@ -421,7 +421,7 @@ class NoiseAnalysisPipeline:
         from the circuit and an :class:`~repro.config.OptimizeConfig`
         (defaulting the analyzer knobs to the pipeline's own config),
         then runs the requested strategy (``uniform``, ``greedy`` or
-        ``anneal`` — default: the config's) against the config's analysis
+        ``decomposed`` — default: the config's) against the config's analysis
         method and engine.  Extra keywords configure the strategy.
         Returns the full :class:`~repro.optimize.result.OptimizationResult`
         trace; the final design is ``result.assignment`` and can be fed

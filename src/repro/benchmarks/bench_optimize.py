@@ -1,11 +1,10 @@
 """Benchmark driver: word-length optimization across circuits and methods.
 
 Runs every benchmark circuit x analysis method (``ia`` / ``aa`` / ``sna``)
-x optimization strategy (uniform sweep, greedy bit-stealing, simulated
-annealing) against one SNR floor, then validates every returned design
-with the bit-true Monte-Carlo simulator, and writes
-``BENCH_optimize.json`` — the paper's headline uniform-vs-optimized
-experiment as a regression-gated artifact.
+x optimization strategy (uniform sweep, greedy bit-stealing) against one
+SNR floor, then validates every returned design with the bit-true
+Monte-Carlo simulator, and writes ``BENCH_optimize.json`` — the paper's
+headline uniform-vs-optimized experiment as a regression-gated artifact.
 
 Each (circuit x method x strategy) cell is one independent job sharded
 through :class:`~repro.jobs.runner.JobRunner` with a seed derived from
@@ -20,9 +19,8 @@ The exit code is the CI gate.  It is non-zero unless:
 * every strategy found a feasible design for every circuit x method, and
 * every returned design actually meets the SNR floor under Monte-Carlo
   simulation, and
-* for every circuit x method the best *optimized* design (greedy or
-  annealing) is strictly cheaper than the cheapest feasible uniform one,
-  and
+* for every circuit x method the greedy design is strictly cheaper than
+  the cheapest feasible uniform one, and
 * the probabilistic comparison passes: sizing against the pna
   confidence-quantile (99.9% by default) is Monte-Carlo feasible on
   every circuit, never more expensive than sizing against the AA
@@ -63,7 +61,6 @@ from repro.benchmarks.runner_options import (
     print_parallel,
     run_jobs,
     runner_from_args,
-    strategy_options,
     write_document,
 )
 from repro.config import OptimizeConfig
@@ -79,7 +76,7 @@ DEFAULT_OUTPUT = "BENCH_optimize.json"
 METHODS = ("ia", "aa", "sna")
 
 #: Strategies in presentation order; ``uniform`` is the baseline.
-STRATEGIES = ("uniform", "greedy", "anneal")
+STRATEGIES = ("uniform", "greedy")
 
 #: Margin escalation ladder of the per-cell Monte-Carlo validation loop.
 ESCALATION_DB = (0.0, 1.0, 2.0, 4.0)
@@ -104,17 +101,16 @@ def _optimize_job(
     circuit_name: str,
     config: OptimizeConfig,
     mc_samples: int,
-    anneal_iterations: int,
     seed: int,
 ) -> dict:
     """Optimize-and-validate one (circuit, method, strategy) cell.
 
-    Module-level so process workers can pickle it.  All randomness —
-    the annealer's proposal stream and the Monte-Carlo validator — is
-    seeded from ``seed`` (derived from the cell key by the caller), and
-    the validator runs sharded (``config.mc_workers=1``: fixed chunk
-    seeds on the serial backend), so the cell's numbers do not depend on
-    which worker ran it or on how many workers exist.
+    Module-level so process workers can pickle it.  The one source of
+    randomness, the Monte-Carlo validator, is seeded from ``seed``
+    (derived from the cell key by the caller) and runs sharded
+    (``config.mc_workers=1``: fixed chunk seeds on the serial backend),
+    so the cell's numbers do not depend on which worker ran it or on how
+    many workers exist.
 
     ``config.confidence`` selects the noise measure the SNR constraint
     judges; the Monte-Carlo check automatically validates against the
@@ -129,9 +125,7 @@ def _optimize_job(
         )
 
     problem = make_problem(config.margin_db)
-    optimizer = get_optimizer(
-        config.strategy, **strategy_options(config.strategy, seed, anneal_iterations)
-    )
+    optimizer = get_optimizer(config.strategy)
     started = time.perf_counter()
     row: dict = {}
     for attempt, extra in enumerate(ESCALATION_DB):
@@ -193,10 +187,8 @@ def _oracle_job(
 def config_block(
     config: OptimizeConfig,
     methods: Sequence[str] = METHODS,
-    strategies: Sequence[str] = STRATEGIES,
     mc_samples: int = 20_000,
     seed: int = 0,
-    anneal_iterations: int = 120,
     oracle_samples: int = 128,
     oracle_precision_bits: int = 128,
 ) -> dict:
@@ -209,10 +201,9 @@ def config_block(
         "max_word_length": config.max_word_length,
         "mc_samples": mc_samples,
         "seed": seed,
-        "anneal_iterations": anneal_iterations,
         "cost_table": COST_TABLES[config.cost_table].to_dict(),
         "methods": list(methods),
-        "strategies": list(strategies),
+        "strategies": list(STRATEGIES),
         "confidence": config.confidence,
         "oracle_samples": oracle_samples,
         "oracle_precision_bits": oracle_precision_bits,
@@ -241,8 +232,7 @@ def run_optimize_benchmarks(
     """
     names = list(circuits) if circuits else list(CIRCUITS)
     block = config_block(config, **settings)
-    methods, strategies, seed = block["methods"], block["strategies"], block["seed"]
-    job_args = (block["mc_samples"], block["anneal_iterations"])
+    methods, seed = block["methods"], block["seed"]
     cell_config = config.replace(confidence=None, mc_workers=1)
     document: dict = {
         "suite": SUITE,
@@ -254,7 +244,7 @@ def run_optimize_benchmarks(
         (name, method, strategy)
         for name in names
         for method in methods
-        for strategy in strategies
+        for strategy in STRATEGIES
     ]
     specs = [
         JobSpec(
@@ -263,7 +253,7 @@ def run_optimize_benchmarks(
             args=(
                 name,
                 cell_config.replace(method=method, strategy=strategy),
-                *job_args,
+                block["mc_samples"],
                 derive_seed(seed, "optimize", name, method, strategy),
             ),
             seed=derive_seed(seed, "optimize", name, method, strategy),
@@ -289,7 +279,7 @@ def run_optimize_benchmarks(
             args=(
                 name,
                 prob_modes[mode],
-                *job_args,
+                block["mc_samples"],
                 derive_seed(seed, "probabilistic", name, mode),
             ),
             seed=derive_seed(seed, "probabilistic", name, mode),
@@ -335,7 +325,7 @@ def run_optimize_benchmarks(
             rows: dict = {}
             uniform_cost: float | None = None
             best_optimized: float | None = None
-            for strategy in strategies:
+            for strategy in STRATEGIES:
                 row = rows_by_cell[(name, method, strategy)]
                 all_validated = all_validated and row["mc_validated"]
                 rows[strategy] = row
@@ -343,7 +333,7 @@ def run_optimize_benchmarks(
                     continue
                 if strategy == "uniform":
                     uniform_cost = row["cost"]
-                elif best_optimized is None or row["cost"] < best_optimized:
+                else:
                     best_optimized = row["cost"]
             improved = (
                 uniform_cost is not None
@@ -473,7 +463,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     add_driver_arguments(parser, DEFAULT_OUTPUT)
     parser.add_argument("--samples", type=int, default=20_000)
-    parser.add_argument("--anneal-iterations", type=int, default=120)
     parser.add_argument(
         "--oracle-samples",
         type=int,
@@ -486,31 +475,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         choices=list(METHODS),
         help="restrict to specific analysis methods (repeatable)",
     )
-    parser.add_argument(
-        "--strategy",
-        action="append",
-        choices=list(STRATEGIES),
-        help="restrict to specific strategies (repeatable; uniform is always implied)",
-    )
     add_runner_arguments(parser)
     args = parser.parse_args(argv)
 
     config = config_from_args(args, DEFAULTS, FIELDS)
     if args.smoke:
         config = config.replace(**clamped(config, bins=8, horizon=4))
-        vars(args).update(
-            clamped(args, samples=2_000, anneal_iterations=50, oracle_samples=64)
-        )
-    strategies = list(STRATEGIES)
-    if args.strategy:
-        strategies = ["uniform"] + [s for s in STRATEGIES if s != "uniform" and s in args.strategy]
+        vars(args).update(clamped(args, samples=2_000, oracle_samples=64))
     names = args.circuit or list(CIRCUITS)
     settings = dict(
         methods=args.method or METHODS,
-        strategies=strategies,
         mc_samples=args.samples,
         seed=args.seed,
-        anneal_iterations=args.anneal_iterations,
         oracle_samples=args.oracle_samples,
     )
     meta = {"suite": SUITE, "circuits": sorted(names), **config_block(config, **settings)}

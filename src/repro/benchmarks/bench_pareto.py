@@ -76,20 +76,18 @@ def _pareto_job(
     floors: tuple[float, ...],
     config: OptimizeConfig,
     mc_samples: int,
-    anneal_iterations: int,
     seed: int,
 ) -> dict:
     """Sweep-and-validate one circuit (module-level: picklable).
 
-    All randomness — the annealer's proposals (if selected) and the
-    Monte-Carlo validator — is seeded from ``seed`` (derived from the
-    circuit name by the caller), and validation runs the sharded
+    The Monte-Carlo validator is seeded from ``seed`` (derived from the
+    circuit name by the caller) and runs the sharded
     worker-count-independent simulator, so the row does not depend on
     which worker ran it.
     """
     circuit = get_circuit(circuit_name)
     problem = OptimizationProblem.from_circuit(circuit, max(floors), config=config)
-    options = strategy_options(config.strategy, seed, anneal_iterations)
+    options = strategy_options(config.strategy, seed)
     started = time.perf_counter()
     front = problem.pareto(floors, strategy=config.strategy, **options)
     row = front.to_dict()
@@ -119,7 +117,6 @@ def config_block(
     floors: Sequence[float] = DEFAULT_FLOORS,
     mc_samples: int = 20_000,
     seed: int = 0,
-    anneal_iterations: int = 120,
 ) -> dict:
     """The document's ``config`` block; the checkpoint meta adds the circuits."""
     return {
@@ -133,7 +130,6 @@ def config_block(
         "max_word_length": config.max_word_length,
         "mc_samples": mc_samples,
         "seed": seed,
-        "anneal_iterations": anneal_iterations,
     }
 
 
@@ -170,7 +166,6 @@ def run_pareto_benchmarks(
                 floor_tuple,
                 job_config,
                 block["mc_samples"],
-                block["anneal_iterations"],
                 derive_seed(block["seed"], "pareto", name),
             ),
             seed=derive_seed(block["seed"], "pareto", name),
@@ -232,7 +227,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help=f"SNR floor in dB (repeatable; default {list(DEFAULT_FLOORS)})",
     )
     parser.add_argument("--samples", type=int, default=20_000)
-    parser.add_argument("--anneal-iterations", type=int, default=120)
     add_runner_arguments(parser)
     args = parser.parse_args(argv)
 
@@ -240,14 +234,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     floors = args.floors or list(DEFAULT_FLOORS)
     if args.smoke:
         config = config.replace(**clamped(config, bins=8, horizon=4))
-        vars(args).update(clamped(args, samples=2_000, anneal_iterations=50))
+        vars(args).update(clamped(args, samples=2_000))
         floors = args.floors or [50.0, 60.0]
     names = args.circuit or list(CIRCUITS)
     settings = dict(
         floors=floors,
         mc_samples=args.samples,
         seed=args.seed,
-        anneal_iterations=args.anneal_iterations,
     )
     meta = {"suite": SUITE, "circuits": sorted(names), **config_block(config, **settings)}
     document = run_pareto_benchmarks(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from typing import Callable, Dict, List, Mapping
+from typing import Callable, Dict, List
 
 from repro.dfg.trace import TracedCircuit, trace
 from repro.errors import DesignError

@@ -14,7 +14,7 @@ value.  This module turns that value into flags and back:
 :func:`platform_block` / :func:`run_jobs` / :func:`job_row` / :func:`print_parallel`
     The document blocks every job-sharded driver writes and prints.
 :func:`strategy_options`
-    The ``get_optimizer`` options of the anneal / decomposed strategies.
+    The ``get_optimizer`` options of the decomposed strategy.
 
 The fault-tolerance flags are shared too:
 
@@ -110,7 +110,7 @@ CONFIG_FLAGS: dict[str, tuple[str, dict]] = {
     # OptimizeConfig
     "snr_floor_db": ("--snr-floor", {"type": float}),
     "margin_db": ("--margin", {"type": float}),
-    "strategy": ("--strategy", {"help": "uniform / greedy / anneal / decomposed"}),
+    "strategy": ("--strategy", {"help": "uniform / greedy / decomposed"}),
     "method": ("--method", {"help": "ia / aa / taylor / sna / pna"}),
     "confidence": (
         "--confidence",
@@ -263,7 +263,6 @@ def print_parallel(document: dict) -> None:
 def strategy_options(
     strategy: str,
     seed: int,
-    anneal_iterations: int,
     inner: str = "greedy",
     workers: int = 1,
 ) -> dict:
@@ -273,13 +272,8 @@ def strategy_options(
     from the problem's config; only its inner strategy, worker count and
     seed are options.
     """
-    if strategy == "anneal":
-        return {"iterations": anneal_iterations, "seed": seed}
     if strategy == "decomposed":
-        options: dict = {"inner": inner, "workers": workers, "seed": seed}
-        if inner == "anneal":
-            options["inner_options"] = strategy_options(inner, seed, anneal_iterations)
-        return options
+        return {"inner": inner, "workers": workers, "seed": seed}
     return {}
 
 

@@ -110,7 +110,6 @@ def _add_search_arguments(parser, defaults, fields, workers: str | None) -> None
     )
     add_config_arguments(parser, defaults, fields)
     add_driver_arguments(parser, None, workers=workers, circuit=False, smoke=None)
-    parser.add_argument("--anneal-iterations", type=int, default=120)
     parser.add_argument(
         "--checkpoint",
         default=None,
@@ -143,7 +142,7 @@ def _add_optimize_parser(sub) -> None:
     parser.add_argument(
         "--inner",
         default="greedy",
-        help="inner strategy of --strategy decomposed (greedy / anneal / uniform)",
+        help="inner strategy of --strategy decomposed (greedy / uniform)",
     )
 
 
@@ -220,7 +219,6 @@ def _search_checkpoint(
         "circuit": args.circuit,
         "config": dataclasses.asdict(config),
         "seed": args.seed,
-        "anneal_iterations": args.anneal_iterations,
         **extra_meta,
     }
     checkpoint = SearchCheckpoint(args.checkpoint, meta=meta)
@@ -255,9 +253,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         circuit, config.snr_floor_db, config=config.replace(mc_workers=args.workers)
     )
     checkpoint = _search_checkpoint(args, config, "optimize", inner=args.inner)
-    options = strategy_options(
-        config.strategy, args.seed, args.anneal_iterations, inner=args.inner, workers=args.workers
-    )
+    options = strategy_options(config.strategy, args.seed, inner=args.inner, workers=args.workers)
     result = get_optimizer(config.strategy, **options).optimize(problem, checkpoint=checkpoint)
     print(result.summary())
     document = result.to_dict(include_trace=False)
@@ -288,7 +284,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
         floors,
         strategy=config.strategy,
         checkpoint=checkpoint,
-        **strategy_options(config.strategy, args.seed, args.anneal_iterations),
+        **strategy_options(config.strategy, args.seed),
     )
     print(front.summary())
     monotone = front.is_monotone()

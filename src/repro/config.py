@@ -116,7 +116,7 @@ class OptimizeConfig:
     ----------
     strategy:
         Search strategy registry name (``uniform`` / ``greedy`` /
-        ``anneal``).
+        ``decomposed``).
     method:
         Noise-analysis method judging feasibility.
     snr_floor_db / margin_db:

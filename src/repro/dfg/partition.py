@@ -48,7 +48,7 @@ constants are replicated, not negotiated across the cut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.dfg.graph import DFG
 from repro.dfg.node import OpType

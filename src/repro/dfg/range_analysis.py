@@ -22,7 +22,6 @@ from typing import Dict, Mapping
 
 from repro.dfg.evaluate import evaluate_combinational
 from repro.dfg.graph import DFG
-from repro.dfg.node import OpType
 from repro.errors import DFGError
 from repro.fixedpoint.format import FixedPointFormat
 from repro.intervals.interval import Interval

@@ -23,6 +23,7 @@ __all__ = [
     "CycleError",
     "NoiseModelError",
     "OptimizationError",
+    "UnknownOptionError",
     "DesignError",
     "JobError",
     "CheckpointError",
@@ -90,6 +91,13 @@ class NoiseModelError(ReproError):
 
 class OptimizationError(ReproError):
     """Raised when a word-length optimization cannot make progress."""
+
+
+class UnknownOptionError(OptimizationError, TypeError):
+    """Raised when a strategy is given an option its constructor does not take.
+
+    A ``TypeError`` too, as the bare constructor call would have raised.
+    """
 
 
 class DesignError(ReproError):

@@ -14,8 +14,8 @@ Two complementary shapes:
 
 :class:`SearchCheckpoint`
     A single-document JSON snapshot written atomically (temp file +
-    ``os.replace``) for iterative searches (greedy descent, annealing,
-    Pareto sweeps) that persist a small "current state" rather than a
+    ``os.replace``) for iterative searches (greedy descent, decomposed
+    outer loops, Pareto sweeps) that persist a small "current state" rather than a
     stream of results.
 
 Both raise :class:`~repro.errors.CheckpointError` on mismatched

@@ -25,7 +25,6 @@ from repro.optimize.result import IterationRecord, OptimizationResult
 from repro.optimize.strategies import (
     OPTIMIZERS,
     GreedyBitStealingOptimizer,
-    SimulatedAnnealingOptimizer,
     UniformSweepOptimizer,
     WordLengthOptimizer,
     get_optimizer,
@@ -48,7 +47,6 @@ __all__ = [
     "WordLengthOptimizer",
     "UniformSweepOptimizer",
     "GreedyBitStealingOptimizer",
-    "SimulatedAnnealingOptimizer",
     "DecomposedOptimizer",
     "OPTIMIZERS",
     "get_optimizer",

@@ -157,8 +157,7 @@ class DecomposedOptimizer(WordLengthOptimizer):
         ~:data:`AUTO_NODES_PER_PARTITION` arithmetic nodes per piece.
     inner / inner_options:
         Registry name and constructor options of the strategy solving
-        each subproblem (``greedy`` by default; ``anneal`` works too —
-        its seed is derived per (partition, iteration) when not given).
+        each subproblem (``greedy`` by default).
     outer_iterations:
         ADMM-style outer-loop budget (``None``: the config's value).
     workers / timeout_s / retries:
@@ -200,7 +199,8 @@ class DecomposedOptimizer(WordLengthOptimizer):
         self.timeout_s = timeout_s
         self.retries = int(retries)
         self.seed = int(seed)
-        get_optimizer(self.inner)  # fail fast on unknown inner strategies
+        # fail fast on an unknown inner strategy or option, before any job runs
+        get_optimizer(self.inner, **self.inner_options)
 
     # ------------------------------------------------------------------ #
     # plumbing helpers
@@ -403,7 +403,7 @@ class DecomposedOptimizer(WordLengthOptimizer):
                     "output": OBJECTIVE_PORT,
                     "config": self._local_config(problem, floor_db),
                     "inner": self.inner,
-                    "inner_options": self._inner_options_for(part, outer),
+                    "inner_options": dict(self.inner_options),
                     "pinned": dict(sorted(pinned.items())),
                 }
                 specs.append(
@@ -483,13 +483,6 @@ class DecomposedOptimizer(WordLengthOptimizer):
 
         return best, uniform_eval.cost, uniform_w
 
-    def _inner_options_for(self, part: int, outer: int) -> dict:
-        """Options of the inner solver, with a derived seed for anneal."""
-        options = dict(self.inner_options)
-        if self.inner == "anneal" and "seed" not in options:
-            options["seed"] = derive_seed(self.seed, "inner", part, outer)
-        return options
-
     def _snapshot(
         self,
         checkpoint: SearchCheckpoint | None,
@@ -514,8 +507,8 @@ class DecomposedOptimizer(WordLengthOptimizer):
 
 
 # Registered here (not in strategies.py) so the registry import graph
-# stays acyclic; ``get_optimizer`` lazily imports this module on first
-# request for "decomposed".
+# stays acyclic; ``repro.optimize`` imports this module right after
+# ``strategies``, so "decomposed" is registered before any lookup.
 from repro.optimize.strategies import OPTIMIZERS  # noqa: E402
 
 OPTIMIZERS[DecomposedOptimizer.name] = DecomposedOptimizer

@@ -312,7 +312,7 @@ class OptimizationProblem:
         :meth:`WordLengthAssignment.key` of the *widened* assignment: two
         candidates that widen to the same design return the same (cached)
         evaluation, cost nothing, and bump :attr:`evaluate_cache_hits`
-        instead of :attr:`analyzer_calls` — annealing never re-prices a
+        instead of :attr:`analyzer_calls` — a search never re-prices a
         revisited design.  The cache is shared with every
         :meth:`rescoped` view; a hit's ``feasible`` verdict is re-judged
         against this view's floor.  A miss that is one priced move away
@@ -342,8 +342,8 @@ class OptimizationProblem:
         priced and re-prices only the ``affected`` sets of
         :meth:`pricing_neighbourhood` around the nodes whose formats
         differ from that design: O(changed) evaluations of the cost
-        model's compiled per-node pricers for a greedy or annealing probe.  The total is re-summed in graph
-        order, so ``evaluation.cost`` equals
+        model's compiled per-node pricers for a greedy probe.  The total
+        is re-summed in graph order, so ``evaluation.cost`` equals
         ``cost_model.price(graph, evaluation.assignment).total`` exactly.
         Call ``cost_model.price`` directly for a per-node breakdown.
         """

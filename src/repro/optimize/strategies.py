@@ -1,4 +1,4 @@
-"""Word-length search strategies: uniform sweep, greedy descent, annealing.
+"""Word-length search strategies: uniform sweep and greedy descent.
 
 All strategies answer the same question — the cheapest per-node
 word-length assignment whose analyzed output SNR clears the floor — and
@@ -23,9 +23,6 @@ return the same :class:`~repro.optimize.result.OptimizationResult`:
   ranking keeps across steps, and only the shaved side is evaluated, with
   the shaved node's word length substituted; no shaved assignment is
   built, and no shave re-prices the current design.
-* :class:`SimulatedAnnealingOptimizer` performs Metropolis moves (+-1
-  fractional bit on a random node) over an energy mixing cost with an
-  SNR-deficit penalty, keeping the best feasible design it visits.
 
 When the problem's :class:`~repro.config.OptimizeConfig` selects the
 ``batched`` engine, greedy's inner loop changes shape without changing
@@ -48,13 +45,11 @@ from __future__ import annotations
 
 import abc
 import heapq
-import math
+import inspect
 import time
 from typing import Dict, Iterator, List, Tuple
 
-import numpy as np
-
-from repro.errors import NoiseModelError, OptimizationError
+from repro.errors import NoiseModelError, OptimizationError, UnknownOptionError
 from repro.jobs.checkpoint import SearchCheckpoint
 from repro.noisemodel.assignment import WordLengthAssignment, changed_formats
 from repro.optimize.problem import DesignEvaluation, OptimizationProblem
@@ -64,7 +59,6 @@ __all__ = [
     "WordLengthOptimizer",
     "UniformSweepOptimizer",
     "GreedyBitStealingOptimizer",
-    "SimulatedAnnealingOptimizer",
     "OPTIMIZERS",
     "get_optimizer",
 ]
@@ -148,12 +142,12 @@ class WordLengthOptimizer(abc.ABC):
 
         ``checkpoint`` (a :class:`~repro.jobs.checkpoint.SearchCheckpoint`)
         makes the search crash-safe: strategies that support it persist
-        their state as they go (greedy after every accepted shave,
-        annealing periodically), an interrupted run resumes from the
-        snapshot instead of from scratch, and a run that completes
-        clears the snapshot.  The resumed *design* is identical to the
-        uninterrupted one; trace lengths and analyzer-call counts may
-        differ (in-memory caches do not survive a crash).
+        their state as they go (greedy after every accepted shave), an
+        interrupted run resumes from the snapshot instead of from
+        scratch, and a run that completes clears the snapshot.  The
+        resumed *design* is identical to the uninterrupted one; trace
+        lengths and analyzer-call counts may differ (in-memory caches do
+        not survive a crash).
         """
         trace: List[IterationRecord] = []
         calls_before = problem.analyzer_calls
@@ -545,169 +539,31 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
         return best
 
 
-class SimulatedAnnealingOptimizer(WordLengthOptimizer):
-    """Metropolis search over per-node fractional bits.
-
-    Energy is ``cost + penalty * SNR-deficit`` so infeasible states are
-    strongly discouraged but still traversable at high temperature.  The
-    best *feasible* design ever visited is returned (never worse than the
-    cheapest feasible uniform, which seeds the search).
-    """
-
-    name = "anneal"
-
-    def __init__(
-        self,
-        iterations: int = 150,
-        seed: int = 0,
-        cooling: float = 0.95,
-        headroom: int = 0,
-        initial_temperature_scale: float = 0.05,
-        downhill_bias: float = 0.65,
-    ) -> None:
-        if iterations < 1:
-            raise OptimizationError(f"iterations must be >= 1, got {iterations}")
-        if not (0.0 < cooling <= 1.0):
-            raise OptimizationError(f"cooling must be in (0, 1], got {cooling}")
-        if not (0.0 <= downhill_bias <= 1.0):
-            raise OptimizationError(f"downhill_bias must be in [0, 1], got {downhill_bias}")
-        self.iterations = int(iterations)
-        self.seed = seed
-        self.cooling = float(cooling)
-        self.headroom = int(headroom)
-        self.initial_temperature_scale = float(initial_temperature_scale)
-        self.downhill_bias = float(downhill_bias)
-        #: How many Metropolis steps between checkpoint snapshots.
-        self.checkpoint_every = 20
-
-    def _energy(
-        self, problem: OptimizationProblem, evaluation: DesignEvaluation, scale: float
-    ) -> float:
-        deficit = max(0.0, problem.snr_floor_db + problem.margin_db - evaluation.snr_db)
-        return evaluation.cost + scale * deficit
-
-    def _search(
-        self,
-        problem: OptimizationProblem,
-        trace: List[IterationRecord],
-        warm_start: WordLengthAssignment | None = None,
-        checkpoint: SearchCheckpoint | None = None,
-    ) -> Tuple[DesignEvaluation | None, float | None, int | None]:
-        uniform_eval, uniform_w, _last = _sweep_uniform(problem, trace)
-        if uniform_eval is None or uniform_w is None:
-            return None, None, None
-
-        rng = np.random.default_rng(self.seed)
-        start_w = min(uniform_w + self.headroom, problem.max_word_length)
-        if start_w != uniform_w:
-            current = problem.evaluate_uniform(start_w)
-            _record(trace, problem, f"anneal start W={start_w}", current, True)
-        else:
-            current = uniform_eval
-        warm_eval = _evaluate_warm_start(problem, warm_start, trace)
-        if warm_eval is not None and warm_eval.cost < current.cost:
-            current = warm_eval
-        best = uniform_eval if uniform_eval.cost <= current.cost else current
-        if not best.feasible:  # pragma: no cover - both seeds are feasible
-            best = uniform_eval
-        if warm_eval is not None and warm_eval.cost < best.cost:
-            best = warm_eval
-
-        # A snapshot captures the full Metropolis state — step, temperature,
-        # current/best designs and the PCG64 generator state — so a resumed
-        # chain draws the exact same proposal sequence an uninterrupted run
-        # would have.
-        start_step = 0
-        state = checkpoint.load() if checkpoint is not None else None
-        if state and state.get("strategy") == self.name:
-            start_step = int(state.get("step", 0))
-            temperature_override = float(state["temperature"])
-            current = problem.evaluate(WordLengthAssignment.from_doc(state["current"]))
-            _record(trace, problem, "resume current", current, current.feasible)
-            resumed_best = problem.evaluate(WordLengthAssignment.from_doc(state["best"]))
-            _record(trace, problem, "resume best", resumed_best, resumed_best.feasible)
-            if resumed_best.feasible:
-                best = resumed_best
-            rng.bit_generator.state = state["rng"]
-        else:
-            temperature_override = None
-
-        # 1 dB of SNR deficit costs as much as the whole uniform design:
-        # high temperature can wander, low temperature cannot stay infeasible.
-        penalty_scale = uniform_eval.cost
-        temperature = max(self.initial_temperature_scale * current.cost, 1e-9)
-        if temperature_override is not None:
-            temperature = temperature_override
-        tunable = [
-            node
-            for node in problem.tunable
-            if current.assignment.formats.get(node) is not None
-        ]
-        if not tunable:
-            return best, uniform_eval.cost, uniform_w
-
-        current_energy = self._energy(problem, current, penalty_scale)
-        problem.notify_accepted(current.assignment)
-        for _step in range(start_step, self.iterations):
-            node = tunable[int(rng.integers(len(tunable)))]
-            fmt = current.assignment.format_of(node)
-            step = -1 if rng.random() < self.downhill_bias else +1
-            new_frac = fmt.fractional_bits + step
-            new_frac = max(problem.min_fractional_bits, new_frac)
-            # clamp against the format's *actual* integer bits (coverage
-            # widening may have added some), so the word cap truly holds
-            new_frac = min(problem.max_word_length - fmt.integer_bits, new_frac)
-            if new_frac == fmt.fractional_bits:
-                continue
-            candidate = problem.evaluate(
-                current.assignment.with_fractional_bits(node, new_frac)
-            )
-            candidate_energy = self._energy(problem, candidate, penalty_scale)
-            delta = candidate_energy - current_energy
-            accept = delta <= 0.0 or rng.random() < math.exp(-delta / temperature)
-            _record(
-                trace,
-                problem,
-                f"move {node} -> {new_frac} frac (T={temperature:.2f})",
-                candidate,
-                accept,
-            )
-            if accept:
-                current, current_energy = candidate, candidate_energy
-                problem.notify_accepted(current.assignment)
-                if current.feasible and current.cost < best.cost:
-                    best = current
-            temperature = max(temperature * self.cooling, 1e-9)
-            if checkpoint is not None and (_step + 1) % self.checkpoint_every == 0:
-                checkpoint.save(
-                    {
-                        "strategy": self.name,
-                        "step": _step + 1,
-                        "temperature": temperature,
-                        "current": current.assignment.to_doc(),
-                        "best": best.assignment.to_doc(),
-                        "rng": rng.bit_generator.state,
-                    }
-                )
-        return best, uniform_eval.cost, uniform_w
-
-
 #: Strategy registry, keyed by CLI-friendly names.
 OPTIMIZERS: Dict[str, type[WordLengthOptimizer]] = {
     UniformSweepOptimizer.name: UniformSweepOptimizer,
     GreedyBitStealingOptimizer.name: GreedyBitStealingOptimizer,
-    SimulatedAnnealingOptimizer.name: SimulatedAnnealingOptimizer,
 }
 
 
 def get_optimizer(name: str, **options: object) -> WordLengthOptimizer:
-    """Instantiate a strategy by registry name."""
-    if str(name).lower() == "decomposed" and "decomposed" not in OPTIMIZERS:
-        import repro.optimize.decomposed  # noqa: F401 - registers itself
+    """Instantiate a strategy by registry name.
+
+    Raises :class:`OptimizationError` for an unknown name, and its
+    :class:`UnknownOptionError` for an option the strategy's constructor
+    does not take.
+    """
     try:
         factory = OPTIMIZERS[str(name).lower()]
     except KeyError as exc:
         raise OptimizationError(
             f"unknown optimization strategy {name!r}; available: {', '.join(OPTIMIZERS)}"
         ) from exc
+    accepted = inspect.signature(factory).parameters
+    unknown = sorted(set(options) - set(accepted))
+    if unknown:
+        raise UnknownOptionError(
+            f"strategy {factory.name!r} takes no option {', '.join(map(repr, unknown))}; "
+            f"its options: {', '.join(accepted) or 'none'}"
+        )
     return factory(**options)  # type: ignore[arg-type]

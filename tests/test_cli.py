@@ -95,6 +95,20 @@ class TestOptimize:
         assert main(["optimize", "quadratic", "--cost-table", "tnt"]) == 2
         assert "unknown cost table" in capsys.readouterr().err
 
+    def test_retired_anneal_strategy_rejected(self, capsys):
+        assert main(["optimize", "fir4", "--strategy", "anneal"]) == 2
+        assert (
+            "unknown optimization strategy 'anneal'; available: uniform, greedy, decomposed"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command", ["optimize", "pareto"])
+    def test_retired_anneal_iterations_flag_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "fir4", "--anneal-iterations", "50"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --anneal-iterations" in capsys.readouterr().err
+
     def test_batched_engine_flag(self, tmp_path):
         out = tmp_path / "result.json"
         code = main(

@@ -6,7 +6,7 @@ These tests hold every evaluation to a fresh ``HardwareCostModel.price``
 with ``==``.  They cover seeded random walks over library, generated and
 sequential circuits, interleaved across two rescoped views; a
 pricer that raises partway through an update; and golden greedy
-and anneal designs.
+designs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.dfg.node import OpType
 from repro.errors import ReproError
 from repro.optimize import HardwareCostModel, OptimizationProblem
 from repro.optimize.cost import CostLedger
-from repro.optimize.strategies import GreedyBitStealingOptimizer, SimulatedAnnealingOptimizer
+from repro.optimize.strategies import GreedyBitStealingOptimizer
 
 
 def ordered_total(model, graph, assignment):
@@ -247,21 +247,6 @@ GOLDEN_CIRCUITS = {
 #: ``(repr(cost), iterations, design_digest)`` at 55 dB (ia, margin 0,
 #: horizon 4, 8 bins), recorded with full pricing of every evaluation.
 GOLDEN = {
-    ("anneal", "fir_cascade"): (
-        "1548.5999999999997",
-        131,
-        "53c6b396440ef12f8720fe2f45156c2b4ba7520b4c81443fe7e20f80d2101689",
-    ),
-    ("anneal", "iir_biquad"): (
-        "393.35",
-        132,
-        "d9a0d8160627126e4c45df9f3fdb307bc0316e14ea66f4c2f9ff69ea7db88efa",
-    ),
-    ("anneal", "mlp_layer"): (
-        "1731.4900000000005",
-        131,
-        "c4ece02dc99034d7bbabd9220032f004726053debcd525ebb9a26a55e1ea78a6",
-    ),
     ("greedy", "fir_cascade"): (
         "1390.1500000000005",
         173,
@@ -283,11 +268,7 @@ GOLDEN = {
 @pytest.mark.parametrize("strategy,circuit_name", sorted(GOLDEN))
 def test_designs_unchanged(strategy, circuit_name):
     problem = make_problem(GOLDEN_CIRCUITS[circuit_name](), floor=55.0)
-    if strategy == "greedy":
-        optimizer = GreedyBitStealingOptimizer()
-    else:
-        optimizer = SimulatedAnnealingOptimizer(iterations=120, seed=7)
-    result = optimizer.optimize(problem)
+    result = GreedyBitStealingOptimizer().optimize(problem)
     assert result.feasible
     observed = (repr(result.cost), len(result.iterations), design_digest(result))
     assert observed == GOLDEN[(strategy, circuit_name)]

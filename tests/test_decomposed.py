@@ -57,6 +57,22 @@ class TestConstruction:
     def test_registered_in_strategy_registry(self):
         assert isinstance(get_optimizer("decomposed"), DecomposedOptimizer)
 
+    @pytest.mark.parametrize(
+        "inner_options,match",
+        [
+            ({"bogus": 1}, "strategy 'greedy' takes no option 'bogus'"),
+            ({"headroom": -1}, "headroom"),
+        ],
+    )
+    def test_bad_inner_options_rejected_before_any_job(self, monkeypatch, inner_options, match):
+        dispatched = []
+        monkeypatch.setattr(JobRunner, "run", lambda self, specs: dispatched.append(specs))
+        with pytest.raises(OptimizationError, match=match):
+            get_optimizer("decomposed", inner_options=inner_options, partitions=2).optimize(
+                make_problem()
+            )
+        assert dispatched == []
+
 
 class TestQuality:
     @pytest.mark.parametrize("circuit", sorted(CIRCUITS))

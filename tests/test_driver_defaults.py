@@ -126,3 +126,18 @@ def test_bench_help_exits_zero(suite, capsys):
         main(["bench", suite, "--", "--help"])
     assert exited.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "optimize", "--", "--anneal-iterations", "50"],
+        ["bench", "optimize", "--", "--strategy", "greedy"],
+        ["bench", "pareto", "--", "--anneal-iterations", "50"],
+    ],
+)
+def test_retired_driver_flags_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {argv[3]}" in capsys.readouterr().err

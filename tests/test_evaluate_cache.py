@@ -76,7 +76,8 @@ class TestEvaluateMemoization:
 
     def test_trace_records_cache_hits(self):
         problem = make_problem()
-        result = get_optimizer("anneal", iterations=30, seed=3).optimize(problem)
+        result = get_optimizer("greedy").optimize(problem)
+        assert problem.evaluate_cache_hits > 0
         assert result.iterations
         assert all(record.cache_hits >= 0 for record in result.iterations)
         assert result.iterations[-1].cache_hits == problem.evaluate_cache_hits
@@ -127,17 +128,6 @@ class TestEvaluatorEquivalence:
         get_optimizer("greedy").optimize(problem)
         with pytest.raises(AssertionError):
             assert_trajectory_matches_reference(problem)
-
-    def test_annealing_deterministic_across_evaluators(self):
-        results = []
-        for _ in range(2):
-            problem = make_problem()
-            problem.analysis_log = []
-            results.append(get_optimizer("anneal", iterations=40, seed=7).optimize(problem))
-            assert_trajectory_matches_reference(problem)
-        first, second = results
-        assert first.cost == second.cost
-        assert first.assignment.key() == second.assignment.key()
 
     @pytest.mark.parametrize("method", ["ia", "sna"])
     def test_evaluator_paths_agree_on_generated_graphs(self, method, random_circuit_factory):
@@ -193,7 +183,7 @@ class TestForeignModes:
         assert problem.degradations == []
         assert problem.engine == "incremental"
 
-    @pytest.mark.parametrize("strategy", ["greedy", "anneal"])
+    @pytest.mark.parametrize("strategy", ["greedy"])
     def test_truncate_warm_start_raises(self, strategy):
         problem = make_problem("fir4", method="ia")
         warm = with_modes(problem.uniform(14), QuantizationMode.TRUNCATE)

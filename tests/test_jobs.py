@@ -243,7 +243,6 @@ class TestSerialParallelBitIdentity:
             config=bench_optimize.DEFAULTS.replace(snr_floor_db=45.0, horizon=2, bins=8),
             circuits=["quadratic", "fir4", "sigmoid_neuron"],
             methods=("ia",),
-            strategies=("uniform", "greedy"),
             mc_samples=1000,
             seed=2,
         )
@@ -282,7 +281,7 @@ class TestSerialParallelBitIdentity:
                 [
                     sys.executable, "-m", "repro", "bench", "optimize", "--",
                     "--circuit", "quadratic", "--method", "aa",
-                    "--strategy", "greedy", "--snr-floor", "45",
+                    "--snr-floor", "45",
                     "--samples", "1000", "--bins", "8", "--horizon", "2",
                     "--out", str(out),
                 ],

@@ -156,23 +156,13 @@ class TestGreedy:
             [r for r in result.iterations if "shave" in r.action]
         )
 
-
-class TestAnnealing:
-    def test_never_worse_than_uniform_and_deterministic(self):
-        first = get_optimizer("anneal", iterations=40, seed=7).optimize(make_problem())
-        second = get_optimizer("anneal", iterations=40, seed=7).optimize(make_problem())
-        assert first.feasible
-        assert first.baseline_cost is not None
-        assert first.cost <= first.baseline_cost
-        assert first.cost == pytest.approx(second.cost)
-
     def test_bad_options_rejected(self):
-        with pytest.raises(OptimizationError):
-            get_optimizer("anneal", iterations=0)
-        with pytest.raises(OptimizationError):
-            get_optimizer("anneal", cooling=1.5)
-        with pytest.raises(OptimizationError):
+        with pytest.raises(OptimizationError, match="headroom"):
             get_optimizer("greedy", headroom=-1)
+        with pytest.raises(OptimizationError, match="strategy 'greedy' takes no option 'bogus'"):
+            get_optimizer("greedy", bogus=1)
+        with pytest.raises(OptimizationError, match="strategy 'uniform' takes no option"):
+            get_optimizer("uniform", headroom=1)
 
 
 class TestPipelineWiring:
