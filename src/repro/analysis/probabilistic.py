@@ -7,30 +7,31 @@ symbols are the dependency tracking, so correlated reconvergent paths
 combine symbolically instead of being treated as independent — and only
 at the very end reads the form probabilistically: each remaining symbol
 ``eps_i`` is an independent uniform on ``[-1, 1]`` (the standard AA noise
-model), so the output error is the convolution of per-symbol uniforms
-``U(-|c_i|, +|c_i|)`` shifted by the center.  One fused loop performs
-the convolution: it does the float operations of the histogram algebra's
-``uniform().add()`` composition, bit for bit, without building and
-re-validating a histogram object per symbol, and it can resume from the
-prefix of steps it shares with the previous read (:class:`UniformChain`).
+model), so the output error is ``c + sum(r_i * eps_i)``.
 
 Two consumers:
 
-* :meth:`DatapathNoiseAnalyzer.report` attaches the convolved PDF to
+* :meth:`DatapathNoiseAnalyzer.report` attaches the error's histogram to
   the report (``NoiseReport.error_pdf``) so pipelines and tables can show
   distribution-level results next to the worst-case rows.
+  :func:`affine_error_pdf` convolves the per-symbol uniforms in one fused
+  loop that does the float operations of the histogram algebra's
+  ``uniform().add()`` composition, bit for bit.
 * :func:`confidence_noise_power` turns ``OptimizeConfig(confidence=...)``
-  into the noise measure the SNR constraint judges: the squared
-  ``confidence``-quantile of ``|error|`` (``confidence=1.0`` degrades to
-  the squared worst-case enclosure magnitude, which every method can
-  supply).
+  into the noise measure the SNR constraint judges.  ``confidence=1.0``
+  is the squared worst-case enclosure magnitude, which every method can
+  supply.  A fractional confidence reads an affine error through a
+  Chernoff bound on the ``confidence``-quantile of ``|error|`` (Chernoff
+  1952, Hoeffding 1963) with the exact uniform moment-generating function
+  ``sinh(x) / x``: an O(symbols) solve that is never below the true
+  quantile.  An ``sna`` histogram is read as is.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Any, List
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -42,48 +43,9 @@ from repro.noisemodel.analyzer import PDF_METHODS, _enclosure_of
 
 __all__ = [
     "PDF_METHODS",
-    "UniformChain",
     "affine_error_pdf",
     "confidence_noise_power",
 ]
-
-
-class UniformChain:
-    """The steps of the last uniform convolution, kept to resume the next one.
-
-    :func:`affine_error_pdf` convolves strictly left to right, so a call
-    whose ``center``, ``bins`` and leading sorted radii all equal the
-    previous call's (bit for bit) can start from the histogram the
-    previous call had after that shared prefix.  A word-length search
-    re-reads forms that differ only in the narrow tail of their symbols
-    constantly, which makes one chain enough.  It holds at most
-    ``len(radii)`` histograms of ``bins`` bins; the owner decides how long
-    it lives (see :meth:`DatapathNoiseAnalyzer.effective_noise_power`).
-    """
-
-    __slots__ = ("key", "radii", "states")
-
-    def __init__(self) -> None:
-        self.key: tuple | None = None
-        #: ``states[i]`` is the convolution of ``U(radii[0])`` .. ``U(radii[i])``.
-        self.radii: List[float] = []
-        self.states: List[HistogramPDF] = []
-
-    def resume(self, key: tuple, radii: List[float]) -> int:
-        """Drop every step past the prefix shared with ``key``/``radii``; its length."""
-        if key != self.key:
-            self.key = key
-            self.radii.clear()
-            self.states.clear()
-            return 0
-        shared = 0
-        for kept, radius in zip(self.radii, radii):
-            if kept != radius:
-                break
-            shared += 1
-        del self.radii[shared:]
-        del self.states[shared:]
-        return shared
 
 
 #: Radii outside ``[_TINY, _HUGE]`` take the composed step: below the
@@ -145,10 +107,19 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def affine_error_pdf(
-    error: "AffineForm | float", bins: int = 32, *, chain: UniformChain | None = None
-) -> HistogramPDF:
-    """The error distribution encoded by an affine form.
+def _center_and_radii(error: AffineForm) -> Tuple[float, List[float]]:
+    """``error``'s center and its non-zero ``|c_i|``, widest first; all finite."""
+    center = _finite(float(error.center), "an affine form with non-finite center")
+    radii = [abs(coeff) for coeff in error.terms.values() if coeff != 0.0]
+    if not all(map(math.isfinite, radii)):
+        for symbol, coeff in error.terms.items():
+            _finite(coeff, f"an affine form whose {symbol!r} coefficient is")
+    radii.sort(reverse=True)
+    return center, radii
+
+
+def affine_error_pdf(error: "AffineForm | float", bins: int = 32) -> HistogramPDF:
+    """The error distribution encoded by an affine form, as a histogram.
 
     Reads ``center + sum(c_i * eps_i)`` under the AA noise model
     (``eps_i`` i.i.d. uniform on ``[-1, 1]``): the result is the
@@ -159,54 +130,127 @@ def affine_error_pdf(
 
     Convolving widest-first keeps the running support dominated by the
     real spread instead of ping-ponging through near-degenerate bins.
-
-    The result depends on ``error`` and ``bins`` alone.  ``chain`` only
-    lets a caller that reads many similar forms resume from the prefix
-    of steps this call shares with the previous one on the same chain;
-    without it every call convolves from scratch.
     """
     if not isinstance(error, AffineForm):
         return HistogramPDF.point(_finite(float(error), "a non-finite constant error"))
-    center = _finite(float(error.center), "an affine form with non-finite center")
-    radii = []
-    for symbol, coeff in error.terms.items():
-        if coeff != 0.0:
-            radii.append(abs(_finite(coeff, f"an affine form whose {symbol!r} coefficient is")))
-    radii.sort(reverse=True)
+    center, radii = _center_and_radii(error)
     if not radii:
         return HistogramPDF.point(center)
     bins = int(bins)
-    chain = UniformChain() if chain is None else chain
-    # The sign of a zero center is part of the key: "bit for bit".
-    done = chain.resume((center, math.copysign(1.0, center), bins), radii)
-    if done == 0:
-        first = radii[0]
-        start = HistogramPDF.uniform(center - first, center + first, bins=bins)
-        chain.radii.append(first)
-        chain.states.append(start)
-        done = 1
-    pdf = chain.states[-1]
-    # bins >= 1 here: the first step's HistogramPDF.uniform validated it.
+    pdf = HistogramPDF.uniform(center - radii[0], center + radii[0], bins=bins)
+    # bins >= 1 here: HistogramPDF.uniform validated it.
     ramp = np.arange(bins + 1, dtype=float)
     mass = np.full(bins, 1.0 / bins)
-    for radius in radii[done:]:
+    for radius in radii[1:]:
         if bins >= 2 and pdf.probs.size > 1 and _TINY <= radius <= _HUGE:
             pdf = _add_uniform(pdf, radius, ramp, mass)
         else:
             pdf = _add_uniform_composed(pdf, radius, bins)
-        chain.radii.append(radius)
-        chain.states.append(pdf)
-    return pdf.copy()
+    return pdf
 
 
-def _error_distribution(
-    method: str, error: Any, bins: int, chain: UniformChain | None = None
-) -> HistogramPDF:
-    """The propagated error as a distribution, for quantile evaluation."""
+# --------------------------------------------------------------------- #
+# the Chernoff read of a confidence quantile
+# --------------------------------------------------------------------- #
+#: Newton steps of the Chernoff solve; a safeguarded step converges in a
+#: handful, and the cap keeps every result a fixed function of its input.
+_NEWTON_STEPS = 50
+
+
+def _log_mgf(lam: float, center: float, radii: List[float]) -> Tuple[float, float, float]:
+    """``G(lam)``, ``lam * G'(lam)`` and ``lam**2 * G''(lam)``, where
+    ``G(lam) = sum(psi(lam * r_i)) + ln(2 cosh(lam * c))``.
+
+    ``exp(G(lam))`` is ``E[exp(lam * E)] + E[exp(-lam * E)]`` for the
+    error ``E = c + sum(r_i * eps_i)``; ``center`` is ``|c|``.
+    ``psi(x) = ln(sinh(x) / x)`` is the log moment-generating function of
+    a uniform on ``[-1, 1]``; with ``x = lam * r_i`` each symbol adds
+    ``psi(x)``, ``x psi'(x)`` and ``x**2 psi''(x)``.  The Taylor branch
+    avoids the cancellation of ``sinh(x) / x`` near 1 (it stops after a
+    positive term, so it never reads ``psi`` low), and the asymptotic
+    branch avoids ``sinh``'s overflow.
+    """
+    y = lam * center
+    slope = math.tanh(y)
+    value = y + math.log1p(math.exp(-2.0 * y))
+    first = y * slope
+    second = y * y * (1.0 - slope * slope)
+    for radius in radii:
+        x = lam * radius
+        if x < 0.02:
+            x2 = x * x
+            value += x2 * (1.0 / 6.0 - x2 * (1.0 / 180.0 - x2 / 2835.0))
+            first += x2 * (1.0 / 3.0 - x2 * (1.0 / 45.0 - x2 * (2.0 / 945.0)))
+            second += x2 * (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0)))
+        elif x < 20.0:
+            ratio = x / math.sinh(x)
+            value -= math.log(ratio)
+            first += x / math.tanh(x) - 1.0
+            second += 1.0 - ratio * ratio
+        else:
+            value += x - math.log(2.0 * x) + math.log1p(-math.exp(-2.0 * x))
+            first += x - 1.0
+            second += 1.0
+    return value, first, second
+
+
+def _chernoff_quantile(center: float, radii: List[float], confidence: float) -> float:
+    """An upper bound on the ``confidence``-quantile of ``|c + sum(r_i * eps_i)|``.
+
+    ``eps_i`` are independent uniforms on ``[-1, 1]`` and ``radii`` the
+    positive ``r_i``, widest first.  With ``delta = 1 - confidence`` the
+    two one-sided Chernoff tails give, for every ``lam > 0``,
+    ``P(|E| >= t) <= exp(G(lam) - lam * t)`` (:func:`_log_mgf`), so
+    ``t(lam) = (G(lam) + ln(1 / delta)) / lam`` bounds the quantile at any
+    ``lam``; the solve only picks a good one.  It runs safeguarded Newton
+    steps in ``ln(lam)`` on the stationarity condition
+    ``H(lam) = lam * G'(lam) - G(lam) = ln(1 / delta)`` (``H`` rises, as
+    ``H' = lam * G'' >= 0``) from the sub-Gaussian guess, and returns the
+    least ``t`` it evaluated, capped at the worst case ``|c| + sum(r_i)``
+    (the enclosure magnitude ``confidence=1.0`` reads).
+    """
+    worst = abs(center) + math.fsum(radii)
+    # Scaled to the widest of |c| and the radii, so no square overflows.
+    scale = max(abs(center), radii[0])
+    c = abs(center) / scale
+    rs = [radius / scale for radius in radii]
+    variance = math.fsum(r * r for r in rs) / 3.0
+    if variance == 0.0:  # the spread underflows next to the center
+        return worst
+    target = -math.log(1.0 - confidence)
+    lam = math.sqrt(2.0 * (target + math.log(2.0)) / variance)
+    lo, hi = 0.0, math.inf
+    best = math.inf
+    for _ in range(_NEWTON_STEPS):
+        value, first, curvature = _log_mgf(lam, c, rs)
+        best = min(best, (value + target) / lam)
+        excess = first - value - target
+        if excess == 0.0:
+            break
+        if excess < 0.0:
+            lo = lam
+        else:
+            hi = lam
+        # dH / d(ln lam) = lam**2 * G''; a step leaving the bracket of the
+        # root (or a zero slope) doubles or bisects instead.
+        step = lam * math.exp(-excess / curvature) if curvature > 0.0 else math.nan
+        if not lo < step < hi:
+            step = 2.0 * lam if hi == math.inf else 0.5 * (lo + hi)
+        if abs(step - lam) <= 1e-9 * lam:
+            break
+        lam = step
+    return min(best * scale, worst)
+
+
+def _quantile(method: str, error: Any, confidence: float) -> float:
+    """An upper bound on the ``confidence``-quantile of ``|error|``."""
     if isinstance(error, HistogramPDF):
-        return error
-    if isinstance(error, (AffineForm, int, float)):
-        return affine_error_pdf(error, bins=bins, chain=chain)
+        return abs(error).quantile(confidence)
+    if isinstance(error, AffineForm):
+        center, radii = _center_and_radii(error)
+        return _chernoff_quantile(center, radii, confidence) if radii else abs(center)
+    if isinstance(error, (int, float)):
+        return abs(_finite(float(error), "a non-finite constant error"))
     raise NoiseModelError(
         f"method {method!r} propagates {type(error).__name__} errors, which carry "
         f"no distribution; fractional confidence levels need a PDF-producing "
@@ -215,28 +259,22 @@ def _error_distribution(
     )
 
 
-def confidence_noise_power(
-    method: str,
-    error: Any,
-    confidence: float,
-    bins: int = 32,
-    *,
-    chain: UniformChain | None = None,
-) -> float:
+def confidence_noise_power(method: str, error: Any, confidence: float) -> float:
     """The noise measure of an SNR floor held with probability ``confidence``.
 
     ``confidence=1.0`` is the worst case: the squared magnitude of a
     sound enclosure of the error, available for every method.  A
     fractional confidence is the squared ``confidence``-quantile of
-    ``|error|`` read from the propagated error distribution — so a design
-    is accepted exactly when ``P(|error| <= e_floor) >= confidence`` for
-    the error magnitude ``e_floor`` the SNR floor allows.  ``chain`` is
-    handed to :func:`affine_error_pdf`.
+    ``|error|``: read from an ``sna`` histogram as is, and for an affine
+    error bounded from above by :func:`_chernoff_quantile` — so a design
+    is accepted only when ``P(|error| <= e_floor) >= confidence`` for the
+    error magnitude ``e_floor`` the SNR floor allows.  A float error
+    ``v`` reads ``v * v``.
     """
     if not 0.0 < confidence <= 1.0:
         raise NoiseModelError(f"confidence must be in (0, 1], got {confidence!r}")
     if confidence == 1.0:
         magnitude = _enclosure_of(error).magnitude
         return magnitude * magnitude
-    quantile = abs(_error_distribution(method, error, bins, chain)).quantile(confidence)
+    quantile = _quantile(method, error, confidence)
     return quantile * quantile

@@ -285,7 +285,10 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-job wall-clock budget; an expired job is killed (and retried if --retries allows)",
+        help=(
+            "per-job wall-clock budget; an expired job is killed "
+            "(and retried if --retries allows)"
+        ),
     )
     group.add_argument(
         "--retries",

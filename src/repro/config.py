@@ -51,7 +51,8 @@ class AnalysisConfig:
     horizon:
         Unrolling depth / simulated steps for sequential designs.
     bins:
-        Histogram granularity of the SNA method.
+        Histogram granularity of the SNA method and of the displayed pna
+        error PDF (``NoiseReport.error_pdf``); it affects nothing else.
     methods:
         Method subset to run (``None`` = all of
         ``ia, aa, taylor, sna, montecarlo``).
@@ -128,6 +129,9 @@ class OptimizeConfig:
         accepts designs whose floor holds with probability ``c`` — the
         noise measure becomes the squared ``c``-quantile of ``|error|``,
         which requires a PDF-producing method (``pna`` or ``sna``).
+        ``sna`` reads the quantile from its histogram; ``pna`` reads a
+        closed-form Chernoff upper bound on it (never below the true
+        quantile, at most the worst case).
     cost_table:
         Named hardware cost table (see ``repro.optimize.COST_TABLES``);
         an explicit ``cost_model`` argument always wins over this.
@@ -141,6 +145,7 @@ class OptimizeConfig:
     horizon / bins / max_word_length / min_fractional_bits /
     quantization / overflow:
         Analyzer configuration and search-space box constraints.
+        ``bins`` affects SNA and the displayed pna error PDF only.
     mc_workers:
         Default worker count of Monte-Carlo validation.
     engine_fallback:

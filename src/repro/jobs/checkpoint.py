@@ -60,7 +60,9 @@ class JobCheckpoint:
         ``False`` (a fresh run) any existing file is truncated.
     """
 
-    def __init__(self, path: str | os.PathLike, meta: Mapping | None = None, resume: bool = False) -> None:
+    def __init__(
+        self, path: str | os.PathLike, meta: Mapping | None = None, resume: bool = False
+    ) -> None:
         self.path = Path(path)
         self.meta = dict(meta or {})
         self.resume = bool(resume)
@@ -83,7 +85,11 @@ class JobCheckpoint:
         fresh = not (self.resume and self.path.exists())
         self._handle = self.path.open("w" if fresh else "a", encoding="utf-8")
         if fresh:
-            header = {"format": CHECKPOINT_FORMAT, "fingerprint": self.fingerprint, "meta": self.meta}
+            header = {
+                "format": CHECKPOINT_FORMAT,
+                "fingerprint": self.fingerprint,
+                "meta": self.meta,
+            }
             self._write_line(header)
         resumed: Dict[str, JobResult] = {}
         for key, record in records.items():
@@ -222,8 +228,13 @@ class SearchCheckpoint:
         try:
             document = json.loads(self.path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
-            raise CheckpointError(f"search checkpoint {self.path} is not valid JSON: {exc}") from exc
-        if document.get("format") != CHECKPOINT_FORMAT or document.get("fingerprint") != self.fingerprint:
+            raise CheckpointError(
+                f"search checkpoint {self.path} is not valid JSON: {exc}"
+            ) from exc
+        if (
+            document.get("format") != CHECKPOINT_FORMAT
+            or document.get("fingerprint") != self.fingerprint
+        ):
             raise CheckpointError(
                 f"search checkpoint {self.path} belongs to a different run configuration; "
                 "delete it or rerun without --resume"

@@ -70,7 +70,9 @@ class FaultPlan:
             raise JobError(f"fault rate must be in [0, 1], got {self.rate}")
         unknown = [kind for kind in self.kinds if kind not in FAULT_KINDS]
         if unknown or not self.kinds:
-            raise JobError(f"fault kinds must be a non-empty subset of {FAULT_KINDS}, got {self.kinds!r}")
+            raise JobError(
+                f"fault kinds must be a non-empty subset of {FAULT_KINDS}, got {self.kinds!r}"
+            )
         if self.hang_s < 0.0:
             raise JobError(f"hang_s must be >= 0, got {self.hang_s}")
         if int(self.max_faults_per_job) < 0:

@@ -104,7 +104,8 @@ BOUND_METHODS = ("ia", "aa", "taylor")
 #: noise symbols ARE its dependency tracking (correlated reconvergent
 #: paths cancel symbolically) — and only diverges from AA at report /
 #: confidence-quantile time, where the affine form is read as a sum of
-#: independent uniform noise symbols and convolved into an error PDF.
+#: independent uniform noise symbols: convolved into the report's error
+#: PDF, and bounded in closed form for a confidence quantile.
 _PROPAGATION_ALGEBRA = {"pna": "aa"}
 
 
@@ -230,9 +231,6 @@ class DatapathNoiseAnalyzer:
         # value distributions, never on the assignment: one per node.
         self._select_prob_cache: Dict[str, float] = {}
         self._ancestor_cache: Dict[str, frozenset] = {}
-        # The pna confidence read resumes each convolution from the
-        # previous one's shared prefix (repro.analysis.probabilistic).
-        self._pna_chain: Any = None
 
     # ------------------------------------------------------------------ #
     def _resolve_output(self, output: str | None) -> str:
@@ -981,20 +979,15 @@ class DatapathNoiseAnalyzer:
         ``confidence=1.0`` is the worst-case peak: the squared magnitude
         of a sound enclosure of the error (any method).  A fractional
         confidence is the squared ``confidence``-quantile of |error|,
-        read from the propagated error distribution — available for the
-        PDF-producing methods ("pna", "sna").  Successive "pna" reads on
-        this analyzer share one :class:`UniformChain`, which changes their
-        cost but never their result.
+        available for the PDF-producing methods ("pna", "sna"): "sna"
+        reads its histogram, "pna" a Chernoff upper bound on the quantile
+        (:func:`repro.analysis.probabilistic.confidence_noise_power`).
         """
         if confidence is None:
             return self.noise_power_of(method, error)
-        from repro.analysis.probabilistic import UniformChain, confidence_noise_power
+        from repro.analysis.probabilistic import confidence_noise_power
 
-        if self._pna_chain is None:
-            self._pna_chain = UniformChain()
-        return confidence_noise_power(
-            method, error, confidence, bins=self.bins, chain=self._pna_chain
-        )
+        return confidence_noise_power(method, error, confidence)
 
 
 #: ``(mean, variance)`` of a propagated error, per moment-read method

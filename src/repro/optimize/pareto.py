@@ -167,7 +167,8 @@ def pareto_front(
     for floor in unique_floors:
         record = completed.get(_floor_key(floor))
         if record is not None:
-            point = ParetoPoint(**{**record["point"], "word_lengths": dict(record["point"].get("word_lengths", {}))})
+            saved = record["point"]
+            point = ParetoPoint(**{**saved, "word_lengths": dict(saved.get("word_lengths", {}))})
             assignment = (
                 WordLengthAssignment.from_doc(record["assignment"])
                 if record.get("assignment") is not None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -15,14 +16,12 @@ from repro.analysis import (
     NoiseAnalysisPipeline,
     affine_error_pdf,
     confidence_noise_power,
-    probabilistic,
 )
 from repro.analysis.montecarlo import (
     draw_stimulus,
     monte_carlo_error,
     monte_carlo_error_sharded,
 )
-from repro.analysis.probabilistic import UniformChain
 from repro.benchmarks.circuits import get_circuit
 from repro.benchmarks.generators import generate_circuit
 from repro.config import OptimizeConfig
@@ -289,86 +288,14 @@ class TestFusedKernel:
             affine_error_pdf(AffineForm(0.0, {"e1": 0.5}), bins=0)
 
 
-class TestUniformChain:
-    @staticmethod
-    def family(seed):
-        """Forms sharing long prefixes: one base form with varied narrow tails."""
-        base = random_forms(seed, 1)[0]
-        terms = dict(base.terms)
-        narrowest = min(terms, key=lambda name: abs(terms[name]))
-        forms = [base]
-        for factor in (0.5, 2.0, -1.0):
-            forms.append(AffineForm(base.center, {**terms, narrowest: terms[narrowest] * factor}))
-        forms.append(AffineForm(base.center, {**terms, "extra": 1e-13}))
-        forms.append(AffineForm(base.center, {k: v for k, v in terms.items() if k != narrowest}))
-        forms.append(AffineForm(base.center + 1e-3, terms))
-        forms.append(AffineForm(-0.0, terms))
-        forms.append(AffineForm(0.0, terms))
-        return forms
-
-    def test_shuffled_interleaved_reads_match_fresh_calls(self, monkeypatch):
-        forms = [form for seed in (3, 4) for form in self.family(seed)]
-        fresh = {
-            (i, bins): outcome(lambda: affine_error_pdf(form, bins=bins))
-            for i, form in enumerate(forms)
-            for bins in (8, 16)
-        }
-        steps = []
-        fused = probabilistic._add_uniform
-        monkeypatch.setattr(
-            probabilistic,
-            "_add_uniform",
-            lambda pdf, radius, *tables: steps.append(radius) or fused(pdf, radius, *tables),
-        )
-        rng = np.random.default_rng(11)
-        chain = UniformChain()
-        for _round in range(3):
-            for i in rng.permutation(len(forms)):
-                bins = 16 if rng.random() < 0.8 else 8
-                got = outcome(lambda: affine_error_pdf(forms[i], bins=bins, chain=chain))
-                assert_same_outcome(fresh[(int(i), bins)], got)
-                assert len(chain.states) == len(chain.radii) <= len(forms[i].terms)
-        full = 3 * sum(len(form.terms) - 1 for form in forms)
-        assert 0 < len(steps) < full, "the chain never resumed from a shared prefix"
-
-    def test_results_do_not_alias_the_chain(self):
-        form = random_forms(5, 1)[0]
-        chain = UniformChain()
-        first = affine_error_pdf(form, bins=16, chain=chain)
-        expected = first.probs.copy()
-        first.probs[:] = 0.0
-        again = affine_error_pdf(form, bins=16, chain=chain)
-        assert np.array_equal(again.probs, expected)
-
-    def test_failed_step_leaves_a_consistent_chain(self):
-        chain = UniformChain()
-        good = AffineForm(0.0, {"a": 1.0, "b": 0.5})
-        with np.errstate(all="ignore"), pytest.raises(HistogramError):
-            affine_error_pdf(AffineForm(0.0, {f"s{i}": 1e307 for i in range(40)}), chain=chain)
-        assert len(chain.states) == len(chain.radii)
-        assert_same_outcome(
-            outcome(lambda: reference_error_pdf(good, 32)),
-            outcome(lambda: affine_error_pdf(good, chain=chain)),
-        )
-        # The first step can fail too: 1e15 +- 1 has no 32 distinct edges.
-        with pytest.raises(HistogramError, match="strictly increasing"):
-            affine_error_pdf(AffineForm(1e15, {"a": 1.0}), chain=chain)
-        assert len(chain.states) == len(chain.radii) == 0
-        wide = AffineForm(1e15, {"a": 1e3, "b": 1.0})
-        assert_same_outcome(
-            outcome(lambda: reference_error_pdf(wide, 32)),
-            outcome(lambda: affine_error_pdf(wide, chain=chain)),
-        )
-
-
 #: SHA-256 of [assignment doc, repr(cost), [[action, accepted], ...]] of
 #: greedy on mlp_layer:inputs=2,neurons=2 (pna at confidence 0.999, 50 dB,
-#: margin 0, horizon 4, 16 bins), recorded with the composed uniform().add()
-#: convolution the fused, chained kernel replaced.
+#: margin 0, horizon 4, 16 bins), recorded with the Chernoff quantile bound
+#: (the 16-bin convolution it replaced read 780.54 over 207 iterations).
 PNA_GOLDEN = (
-    "780.5399999999998",
-    207,
-    "c9895dbb6b7abf4313c5647cce60d1072e1b937caa7be12240a399b979e19a45",
+    "766.0899999999999",
+    170,
+    "b7e35e5caca15771af66a5776f30f048ac1bc5f6f848ac48ca22a7f02cf9a2d2",
 )
 
 
@@ -419,6 +346,72 @@ class TestConfidenceNoisePower:
             with pytest.raises(NoiseModelError, match="confidence"):
                 confidence_noise_power("pna", self.FORM, bad)
 
+
+#: Confidence levels of the bound's property test; the last one is out of
+#: reach of sampling, so only the cap and the ordering check it.
+LEVELS = (0.5, 0.9, 0.999, 1.0 - 1e-9)
+SAMPLED = 200_000
+
+
+def bound_forms():
+    """Seeded forms: n in {1, 2, 33, 150, 400}, radii over 9 octaves, centers
+    zero, small (3% of the spread) and large (50%), both signs."""
+    rng = np.random.default_rng(35)
+    forms = []
+    for n in (1, 2, 33, 150, 400):
+        for share in (0.0, 0.03, 0.5):
+            coeffs = rng.choice([-1.0, 1.0], size=n) * 2.0 ** rng.uniform(-9.0, 0.0, size=n)
+            coeffs *= 10.0 ** rng.uniform(-6.0, 2.0)
+            center = share * float(np.abs(coeffs).sum()) * rng.choice([-1.0, 1.0])
+            forms.append(AffineForm(center, {f"s{i}": float(c) for i, c in enumerate(coeffs)}))
+    return forms
+
+
+def sampled_quantiles(form, levels, seed):
+    """``levels``-quantiles of ``|form|`` over SAMPLED uniform draws per symbol."""
+    rng = np.random.default_rng(seed)
+    total = np.full(SAMPLED, form.center)
+    for coeff in form.terms.values():
+        total += rng.uniform(-abs(coeff), abs(coeff), size=SAMPLED)
+    return np.quantile(np.abs(total), levels)
+
+
+class TestChernoffBound:
+    @pytest.mark.parametrize("index", range(15))
+    def test_bound_sits_between_the_sampled_quantile_and_the_worst_case(self, index):
+        form = bound_forms()[index]
+        # confidence=1.0 reads the squared worst case |c| + sum(|r_i|).
+        powers = [confidence_noise_power("pna", form, q) for q in LEVELS + (1.0,)]
+        assert powers[-1] == (abs(form.center) + form.radius) ** 2
+        assert powers == sorted(powers), "the bound must rise with the confidence"
+        sampled = sampled_quantiles(form, LEVELS[:-1], seed=index)
+        for level, power, quantile in zip(LEVELS, powers, sampled):
+            assert math.sqrt(power) >= quantile, f"optimistic at confidence {level}"
+
+    @pytest.mark.parametrize("value", [0.0, 0.25, -3.5])
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_a_float_or_symbol_free_error_reads_its_square(self, value, level):
+        assert confidence_noise_power("pna", value, level) == value * value
+        assert confidence_noise_power("pna", AffineForm(value, {}), level) == value * value
+
+    def test_the_bound_depends_on_the_radii_not_their_order_or_signs(self):
+        form = bound_forms()[7]
+        flipped = AffineForm(form.center, {k: -v for k, v in reversed(form.terms.items())})
+        assert confidence_noise_power("pna", form, 0.999) == confidence_noise_power(
+            "pna", flipped, 0.999
+        )
+
+    @pytest.mark.parametrize(
+        "error, named",
+        [
+            (AffineForm(float("nan"), {"e1": 0.5}), "non-finite center nan"),
+            (AffineForm(0.0, {"e1": 0.5, "e2": float("inf")}), "'e2' coefficient is inf"),
+            (float("-inf"), "non-finite constant error -inf"),
+        ],
+    )
+    def test_non_finite_forms_are_named(self, error, named):
+        with pytest.raises(HistogramError, match=named):
+            confidence_noise_power("pna", error, 0.999)
 
 # --------------------------------------------------------------------- #
 # confidence floors through the optimizer
