@@ -5,7 +5,8 @@ Subpackages
 ``intervals``
     Interval, affine and Taylor-model arithmetic (the baselines).
 ``histogram``
-    Histogram (discretized PDF) arithmetic — the SNA numeric core.
+    Histogram (discretized PDF) sums and sampling — PNA's reported error
+    PDF and the Monte-Carlo stimulus.
 ``symbols``
     Symbolic expressions lowered to dataflow graphs.
 ``fixedpoint``

@@ -8,7 +8,7 @@ whole batch to :meth:`IncrementalAnalyzer.probe_moves`, which commits the
 design and prices each move by one cone re-propagation over the
 committed errors.  Every method prices this way: ``ia`` and ``aa`` (which
 ``pna`` shares) cones run the engine's compiled scalar rules, ``taylor``
-and ``sna`` cones the generic ones.  A lane equals the scalar analysis of
+cones the generic ones.  A lane equals the scalar analysis of
 its moved design bit for bit, and a lane that cannot be analyzed (a
 domain violation, or a move with no coverable format) prices ``inf``.
 

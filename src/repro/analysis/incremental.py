@@ -35,7 +35,7 @@ O(1) change.
   and swaps them back, with no candidate assignment built or diffed.
   ``BatchedAnalyzer`` sends it every batch of every method.
 
-The cone re-propagation of ``taylor`` and ``sna`` calls the very same
+The cone re-propagation of ``taylor`` calls the very same
 per-node rules (:meth:`DatapathNoiseAnalyzer._error_of`) as the full
 sweep.  ``ia`` and ``aa`` (which ``pna`` shares), the methods searches
 price most, run compiled twins of those rules instead: on first use the
@@ -78,7 +78,6 @@ from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Sequence, Tupl
 
 from repro.dfg.node import OpType
 from repro.errors import DivisionByZeroIntervalError, DomainError, NoiseModelError
-from repro.histogram.pdf import HistogramPDF
 from repro.intervals.affine import AffineContext, AffineForm, _nonzero
 from repro.intervals.interval import Interval
 from repro.intervals.linearize import exp_linearization, log_linearization, sqrt_linearization
@@ -90,6 +89,7 @@ from repro.noisemodel.analyzer import (
 )
 from repro.noisemodel.assignment import WordLengthAssignment, changed_formats
 from repro.noisemodel.sources import source_for_node
+from repro.utils.mathutils import fsum_or_inf
 
 __all__ = ["IncrementalAnalyzer", "IncrementalStats"]
 
@@ -285,7 +285,7 @@ def _compile_ia_rule(analyzer: DatapathNoiseAnalyzer, name: str, node, values) -
 
 def _radius(terms: Mapping[str, float]) -> float:
     """``AffineForm.radius``: the correctly rounded sum of ``|coeff|``."""
-    return math.fsum(map(abs, terms.values()))
+    return fsum_or_inf(map(abs, terms.values()))
 
 
 def _checked(lo: float, hi: float) -> Tuple[float, float]:
@@ -823,7 +823,6 @@ class IncrementalAnalyzer:
         graph,
         assignment: WordLengthAssignment,
         input_ranges: Mapping[str, Interval],
-        input_pdfs: Mapping[str, HistogramPDF] | None = None,
         horizon: int = 8,
         bins: int = 32,
     ) -> None:
@@ -831,7 +830,6 @@ class IncrementalAnalyzer:
             graph,
             assignment,
             input_ranges,
-            input_pdfs=input_pdfs,
             horizon=horizon,
             bins=bins,
         )
@@ -1137,7 +1135,7 @@ class IncrementalAnalyzer:
     def analyze(
         self,
         assignment: WordLengthAssignment,
-        method: str = "sna",
+        method: str = "pna",
         output: str | None = None,
         commit: bool = True,
         contributions: bool = True,
@@ -1165,7 +1163,7 @@ class IncrementalAnalyzer:
     def noise_power(
         self,
         assignment: WordLengthAssignment,
-        method: str = "sna",
+        method: str = "pna",
         output: str | None = None,
         commit: bool = False,
         confidence: float | None = None,

@@ -16,8 +16,8 @@ which runs, in order:
    :class:`~repro.noisemodel.assignment.WordLengthAssignment` or the
    paper's uniform baseline), with a coverage pass that widens any format
    whose representable range would clip its node's value range;
-4. per-method error propagation (``ia`` / ``aa`` / ``taylor`` / ``sna``
-   / ``pna`` via :class:`~repro.noisemodel.analyzer.DatapathNoiseAnalyzer`),
+4. per-method error propagation (``ia`` / ``aa`` / ``taylor`` / ``pna``
+   via :class:`~repro.noisemodel.analyzer.DatapathNoiseAnalyzer`),
    the vectorized ``montecarlo`` validator, and/or the opt-in
    arbitrary-precision ``oracle`` referee;
 5. report assembly: per-node ranges and formats, per-method error
@@ -73,7 +73,7 @@ class NoiseAnalysisPipeline:
     ----------
     config:
         An :class:`~repro.config.AnalysisConfig` carrying word length,
-        unrolling horizon, SNA bins, the default method subset, and the
+        unrolling horizon, PNA error-PDF bins, the default method subset, and the
         Monte-Carlo budget/seed/workers (default: ``AnalysisConfig()``).
     """
 
@@ -129,14 +129,15 @@ class NoiseAnalysisPipeline:
             the pipeline's ``word_length``.
         method:
             One method name, an iterable of names, or ``None`` for all of
-            ``ia, aa, taylor, sna, pna, montecarlo``.  The
+            ``ia, aa, taylor, pna, montecarlo``.  The
             arbitrary-precision ``oracle`` never runs by default; request
             it by name.
         input_ranges:
             Range per input (``Interval`` or ``(lo, hi)``).  Required
             unless ``circuit`` carries its own.
         input_pdfs:
-            Optional input distributions for SNA and Monte-Carlo.
+            Optional input distributions of the Monte-Carlo and oracle
+            stimulus; the analytic methods enclose the input ranges.
         output:
             Which output to analyze for multi-output designs (the first
             output by default).
@@ -274,7 +275,6 @@ class NoiseAnalysisPipeline:
                         graph,
                         assignment,
                         ranges_in,
-                        input_pdfs=input_pdfs,
                         horizon=self.horizon,
                         bins=self.bins,
                     )

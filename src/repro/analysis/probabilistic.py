@@ -24,7 +24,7 @@ Two consumers:
   Chernoff bound on the ``confidence``-quantile of ``|error|`` (Chernoff
   1952, Hoeffding 1963) with the exact uniform moment-generating function
   ``sinh(x) / x``: an O(symbols) solve that is never below the true
-  quantile.  An ``sna`` histogram is read as is.
+  quantile.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.histogram.arithmetic import _spread_core
 from repro.histogram.pdf import HistogramPDF
 from repro.intervals.affine import AffineForm
 from repro.noisemodel.analyzer import PDF_METHODS, _enclosure_of
+from repro.utils.mathutils import fsum_or_inf
 
 __all__ = [
     "PDF_METHODS",
@@ -209,7 +210,7 @@ def _chernoff_quantile(center: float, radii: List[float], confidence: float) -> 
     least ``t`` it evaluated, capped at the worst case ``|c| + sum(r_i)``
     (the enclosure magnitude ``confidence=1.0`` reads).
     """
-    worst = abs(center) + math.fsum(radii)
+    worst = abs(center) + fsum_or_inf(radii)
     # Scaled to the widest of |c| and the radii, so no square overflows.
     scale = max(abs(center), radii[0])
     c = abs(center) / scale
@@ -244,8 +245,6 @@ def _chernoff_quantile(center: float, radii: List[float], confidence: float) -> 
 
 def _quantile(method: str, error: Any, confidence: float) -> float:
     """An upper bound on the ``confidence``-quantile of ``|error|``."""
-    if isinstance(error, HistogramPDF):
-        return abs(error).quantile(confidence)
     if isinstance(error, AffineForm):
         center, radii = _center_and_radii(error)
         return _chernoff_quantile(center, radii, confidence) if radii else abs(center)
@@ -265,11 +264,10 @@ def confidence_noise_power(method: str, error: Any, confidence: float) -> float:
     ``confidence=1.0`` is the worst case: the squared magnitude of a
     sound enclosure of the error, available for every method.  A
     fractional confidence is the squared ``confidence``-quantile of
-    ``|error|``: read from an ``sna`` histogram as is, and for an affine
-    error bounded from above by :func:`_chernoff_quantile` — so a design
-    is accepted only when ``P(|error| <= e_floor) >= confidence`` for the
-    error magnitude ``e_floor`` the SNR floor allows.  A float error
-    ``v`` reads ``v * v``.
+    ``|error|``, bounded from above by :func:`_chernoff_quantile` for an
+    affine error — so a design is accepted only when
+    ``P(|error| <= e_floor) >= confidence`` for the error magnitude
+    ``e_floor`` the SNR floor allows.  A float error ``v`` reads ``v * v``.
     """
     if not 0.0 < confidence <= 1.0:
         raise NoiseModelError(f"confidence must be in (0, 1], got {confidence!r}")

@@ -1,6 +1,6 @@
 """Benchmark driver: word-length optimization across circuits and methods.
 
-Runs every benchmark circuit x analysis method (``ia`` / ``aa`` / ``sna``)
+Runs every benchmark circuit x analysis method (``ia`` / ``aa``)
 x optimization strategy (uniform sweep, greedy bit-stealing) against one
 SNR floor, then validates every returned design with the bit-true
 Monte-Carlo simulator, and writes ``BENCH_optimize.json`` — the paper's
@@ -72,8 +72,10 @@ __all__ = ["run_optimize_benchmarks", "main", "METHODS", "STRATEGIES"]
 DEFAULT_OUTPUT = "BENCH_optimize.json"
 
 #: Analysis methods the optimization benchmark sweeps (taylor is covered
-#: by bench_analysis; here it adds runtime without a distinct story).
-METHODS = ("ia", "aa", "sna")
+#: by bench_analysis; here it adds runtime without a distinct story, and
+#: pna at the legacy mean-square measure reads exactly aa — its
+#: confidence-quantile sizing is the probabilistic comparison below).
+METHODS = ("ia", "aa")
 
 #: Strategies in presentation order; ``uniform`` is the baseline.
 STRATEGIES = ("uniform", "greedy")

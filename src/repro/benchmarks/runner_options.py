@@ -111,7 +111,7 @@ CONFIG_FLAGS: dict[str, tuple[str, dict]] = {
     "snr_floor_db": ("--snr-floor", {"type": float}),
     "margin_db": ("--margin", {"type": float}),
     "strategy": ("--strategy", {"help": "uniform / greedy / decomposed"}),
-    "method": ("--method", {"help": "ia / aa / taylor / sna / pna"}),
+    "method": ("--method", {"help": "ia / aa / taylor / pna"}),
     "confidence": (
         "--confidence",
         {

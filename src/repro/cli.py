@@ -80,7 +80,6 @@ _SEARCH_FIELDS = (
     "method",
     "confidence",
     "horizon",
-    "bins",
     "max_word_length",
     "cost_table",
     "engine",

@@ -8,7 +8,7 @@ re-declared both as argparse flags.  This module is the single source of
 truth that replaces them:
 
 * :class:`AnalysisConfig` — how to *analyze* a circuit (word length,
-  unrolling horizon, SNA bins, which methods, Monte-Carlo budget).
+  unrolling horizon, PNA error-PDF bins, which methods, Monte-Carlo budget).
 * :class:`OptimizeConfig` — how to *search* word lengths (strategy,
   SNR floor, cost table, and which engine prices candidates:
   ``incremental`` cone re-propagation, or ``batched``, which adds
@@ -51,11 +51,11 @@ class AnalysisConfig:
     horizon:
         Unrolling depth / simulated steps for sequential designs.
     bins:
-        Histogram granularity of the SNA method and of the displayed pna
-        error PDF (``NoiseReport.error_pdf``); it affects nothing else.
+        Histogram granularity of the displayed pna error PDF
+        (``NoiseReport.error_pdf``); it affects nothing else.
     methods:
         Method subset to run (``None`` = all of
-        ``ia, aa, taylor, sna, montecarlo``).
+        ``ia, aa, taylor, pna, montecarlo``).
     mc_samples / seed / mc_workers:
         Monte-Carlo validator budget, RNG seed, and shard workers
         (``None`` keeps the legacy single-stream draw).
@@ -128,10 +128,9 @@ class OptimizeConfig:
         worst-case peak error (any method).  A fractional value ``c``
         accepts designs whose floor holds with probability ``c`` — the
         noise measure becomes the squared ``c``-quantile of ``|error|``,
-        which requires a PDF-producing method (``pna`` or ``sna``).
-        ``sna`` reads the quantile from its histogram; ``pna`` reads a
-        closed-form Chernoff upper bound on it (never below the true
-        quantile, at most the worst case).
+        which requires the PDF-producing method ``pna``.  It reads a
+        closed-form Chernoff upper bound on the quantile (never below
+        the true quantile, at most the worst case).
     cost_table:
         Named hardware cost table (see ``repro.optimize.COST_TABLES``);
         an explicit ``cost_model`` argument always wins over this.
@@ -145,7 +144,8 @@ class OptimizeConfig:
     horizon / bins / max_word_length / min_fractional_bits /
     quantization / overflow:
         Analyzer configuration and search-space box constraints.
-        ``bins`` affects SNA and the displayed pna error PDF only.
+        ``bins`` sizes the displayed pna error PDF only; no search
+        result depends on it.
     mc_workers:
         Default worker count of Monte-Carlo validation.
     engine_fallback:

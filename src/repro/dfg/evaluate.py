@@ -4,8 +4,7 @@ Three evaluation modes cover the needs of the analyses:
 
 * :func:`evaluate_combinational` — single-shot evaluation of a
   combinational graph in *any* algebra (floats, intervals, affine forms,
-  Taylor models, histogram PDFs).  This is what the IA / AA / sequential
-  SNA analyses call.
+  Taylor models).  This is what the range analysis calls.
 * :func:`simulate` — time-stepped floating-point simulation of sequential
   graphs (delay registers hold state between steps).
 * :func:`simulate_fixed_point` — the same time-stepped simulation, but
@@ -267,7 +266,7 @@ def simulate_fixed_point(
     format after each evaluation (nodes without an entry are kept at full
     precision, which models an exact wide intermediate).  The result is
     the actual finite-precision behaviour of the datapath, used as the
-    reference the SNA error predictions are checked against.
+    reference the analytic error predictions are checked against.
     """
     quantization = QuantizationMode.coerce(quantization)
     overflow = OverflowMode.coerce(overflow)

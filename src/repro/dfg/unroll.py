@@ -8,7 +8,7 @@ per step, and each delay register is replaced by a wire from the previous
 step's value of its source (step 0 reads the zero initial state).
 
 This is the bridge that lets the enclosure-algebra analyses (IA / AA /
-Taylor / SNA), which are naturally single-shot, handle filters with
+Taylor / PNA), which are naturally single-shot, handle filters with
 feedback: analyzing the final step of an unrolled graph bounds the error
 after ``steps`` samples, which the time-stepped Monte-Carlo simulators can
 validate sample-for-sample (both start from zero state).

@@ -1,31 +1,20 @@
-"""Histogram (discretized PDF) arithmetic — the numerical core of SNA.
+"""Histogram (discretized PDF) arithmetic.
 
-The paper represents every noise symbol's probability density function as
-a histogram over ``[-1, +1]`` and defines operator semantics by taking
-the Cartesian product of operand bins, applying interval arithmetic to
-each pair, and spreading the product probability over the output bins
-(the "Histogram Method" of Berleant, reference [17]).  This package
-implements that arithmetic, the common PDF shapes used by quantization
-error models, moment/bound statistics and Monte-Carlo sampling.
+The paper represents a distribution as a histogram and defines the sum
+of independent distributions by taking the Cartesian product of operand
+bins, adding each pair with interval arithmetic, and spreading the
+product probability over the output bins (the "Histogram Method" of
+Berleant, reference [17]).  This package keeps what the repository
+reads distributions with: :class:`HistogramPDF`, the sum kernel that
+PNA's reported error PDF is convolved with, and Monte-Carlo sampling.
 """
 
-from repro.histogram.arithmetic import combine_histograms, spread_intervals
+from repro.histogram.arithmetic import combine_histograms
 from repro.histogram.pdf import HistogramPDF
-from repro.histogram.shapes import (
-    gaussian_histogram,
-    quantization_error_histogram,
-)
-from repro.histogram.statistics import HistogramStats, summarize
-from repro.histogram.sampling import empirical_histogram, sample_histogram
+from repro.histogram.sampling import sample_histogram
 
 __all__ = [
     "HistogramPDF",
-    "HistogramStats",
-    "summarize",
     "combine_histograms",
-    "spread_intervals",
-    "gaussian_histogram",
-    "quantization_error_histogram",
     "sample_histogram",
-    "empirical_histogram",
 ]

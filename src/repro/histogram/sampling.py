@@ -1,20 +1,18 @@
-"""Monte-Carlo sampling helpers for histogram PDFs.
+"""Monte-Carlo sampling of histogram PDFs.
 
-Sampling serves two purposes in the reproduction: validating histogram
-arithmetic against brute-force simulation (the "Actual Values" row of
-Table 2) and generating stimulus for the bit-true fixed-point simulator.
+Draws the input stimulus of the bit-true fixed-point simulators (the
+Monte-Carlo validator and the arbitrary-precision oracle) when an input
+carries a PDF instead of a uniform range.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from repro.errors import HistogramError
 from repro.histogram.pdf import HistogramPDF
 
-__all__ = ["sample_histogram", "empirical_histogram", "resample"]
+__all__ = ["sample_histogram"]
 
 
 def sample_histogram(
@@ -29,12 +27,11 @@ def sample_histogram(
     drawn uniformly inside the bin, matching the piecewise-uniform
     interpretation used by the arithmetic.
 
-    The sampler exists partly to *validate* the histogram arithmetic, so
-    it must not paper over mass leaks: when the total bin mass deviates
-    from 1 by more than ``mass_tol`` it raises :class:`HistogramError`
-    instead of silently renormalizing.  Inside the tolerance the float
-    rounding residue is renormalized away so ``rng.choice`` sees an exact
-    probability vector.
+    The sampler must not paper over mass leaks: when the total bin mass
+    deviates from 1 by more than ``mass_tol`` it raises
+    :class:`HistogramError` instead of silently renormalizing.  Inside the
+    tolerance the float rounding residue is renormalized away so
+    ``rng.choice`` sees an exact probability vector.
     """
     if count <= 0:
         raise HistogramError(f"count must be positive, got {count}")
@@ -52,21 +49,3 @@ def sample_histogram(
     hi = pdf.edges[1:][bin_idx]
     return lo + (hi - lo) * rng.random(count)
 
-
-def empirical_histogram(
-    samples: Sequence[float] | np.ndarray,
-    bins: int = 64,
-) -> HistogramPDF:
-    """Build an empirical histogram PDF from raw samples."""
-    return HistogramPDF.from_samples(samples, bins=bins)
-
-
-def resample(
-    pdf: HistogramPDF,
-    bins: int,
-    count: int = 100_000,
-    rng: np.random.Generator | int | None = None,
-) -> HistogramPDF:
-    """Monte-Carlo re-discretization (mainly for cross-checking ``rebin``)."""
-    samples = sample_histogram(pdf, count, rng=rng)
-    return HistogramPDF.from_samples(samples, bins=bins)

@@ -1,9 +1,8 @@
 """Range-analysis substrates: interval, affine and Taylor-model arithmetic.
 
-These are both baselines in the paper's comparison (Table 1) and the
-per-cell kernel of the Symbolic Noise Analysis algorithm: each histogram
-bin is an interval, and every Cartesian combination of bins is evaluated
-with plain interval arithmetic.
+These are the baselines in the paper's comparison (Table 1).  The
+affine forms are also the propagation algebra of the Symbolic Noise
+Analysis method (``pna``): its noise symbols are an affine form's.
 """
 
 from repro.intervals.affine import AffineContext, AffineForm

@@ -34,6 +34,7 @@ from repro.intervals.linearize import (
     log_linearization,
     sqrt_linearization,
 )
+from repro.utils.mathutils import fsum_or_inf
 
 __all__ = ["AffineContext", "AffineForm"]
 
@@ -153,9 +154,10 @@ class AffineForm:
         """Total deviation ``sum(|x_i|)`` — half the enclosing width.
 
         Correctly rounded (:func:`math.fsum`), so it depends neither on the
-        order of :attr:`terms` nor on the Python version.
+        order of :attr:`terms` nor on the Python version; ``+inf`` when the
+        sum passes the float range.
         """
-        return math.fsum(abs(c) for c in self.terms.values())
+        return fsum_or_inf(map(abs, self.terms.values()))
 
     def coefficient(self, name: str) -> float:
         """Coefficient of noise symbol ``name`` (0 when absent)."""

@@ -9,8 +9,8 @@ ignored (which is exactly why the quadratic example of Table 1 is
 overestimated by IA and AA but not by SNA).
 
 The implementation is deliberately dependency-free and immutable so it
-can be used both as a user-facing baseline analysis and as the inner
-kernel of the histogram / Cartesian propagation machinery.
+can be used both as a user-facing baseline analysis and as the algebra
+of the range analysis.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Datapath-level noise analysis: one engine, four enclosure algebras.
+"""Datapath-level noise analysis: one engine, three enclosure algebras.
 
 :class:`DatapathNoiseAnalyzer` propagates *pairs* ``(value, error)``
 through a dataflow graph in topological order.  ``value`` encloses the
@@ -38,16 +38,18 @@ where ``q`` is the node's own quantization error (a
 :class:`~repro.noisemodel.sources.QuantizationSource`) when the node
 carries a fixed-point format.
 
-The same engine runs in four algebras, selected by name:
+The same engine runs in three algebras, selected by name:
 
 * ``"ia"`` — plain :class:`~repro.intervals.interval.Interval` bounds;
 * ``"aa"`` — :class:`~repro.intervals.affine.AffineForm`, keeping
   first-order correlation between value and error terms;
-* ``"taylor"`` — degree-2 :class:`~repro.intervals.taylor.TaylorModel`;
-* ``"sna"`` — :class:`~repro.histogram.pdf.HistogramPDF` distributions
-  (the paper's Symbolic Noise Analysis reading: an interval operand is a
-  uniform random value, every quantization point contributes its error
-  PDF, and the output is a full error distribution, not just bounds).
+* ``"taylor"`` — degree-2 :class:`~repro.intervals.taylor.TaylorModel`.
+
+A fourth method, ``"pna"``, is the paper's Symbolic Noise Analysis: it
+propagates AA's affine forms, so every error keeps the noise symbols it
+is built from, and only the readout treats those symbols as independent
+uniform random variables whose sum is the output error distribution
+(:mod:`repro.analysis.probabilistic`).
 
 One readout, :meth:`DatapathNoiseAnalyzer.report`, turns a propagated
 output error into every method's :class:`NoiseReport`; it and
@@ -71,14 +73,13 @@ from repro.dfg.unroll import UnrolledGraph, unroll_sequential
 from repro.dfg.unroll import base_name as _base_name
 from repro.errors import DomainError, NoiseModelError
 from repro.histogram.pdf import HistogramPDF
-from repro.histogram.statistics import summarize
 from repro.intervals.affine import AffineContext, AffineForm
 from repro.intervals.interval import Interval
 from repro.intervals.taylor import TaylorModel
 from repro.noisemodel.assignment import WordLengthAssignment
 from repro.noisemodel.gains import transfer_gains
 from repro.noisemodel.sources import QuantizationSource, build_sources, sources_by_node
-from repro.utils.mathutils import snr_db, summed
+from repro.utils.mathutils import fsum_or_inf, snr_db, summed
 
 __all__ = [
     "DatapathNoiseAnalyzer",
@@ -89,14 +90,14 @@ __all__ = [
     "propagation_algebra",
 ]
 
-ANALYSIS_METHODS = ("ia", "aa", "taylor", "sna", "pna")
+ANALYSIS_METHODS = ("ia", "aa", "taylor", "pna")
 
 #: Methods whose propagated error carries a full distribution, i.e. the
 #: ones a fractional confidence level can be evaluated against.
-PDF_METHODS = ("pna", "sna")
+PDF_METHODS = ("pna",)
 
 #: Methods whose ``bounds`` soundly enclose the error, i.e. the ones a
-#: sampled error must never escape (the PDF methods bound a binned support).
+#: sampled error must never escape (``pna`` reports ``aa``'s bounds).
 BOUND_METHODS = ("ia", "aa", "taylor")
 
 #: Methods whose propagation reuses another method's term algebra.  The
@@ -118,12 +119,11 @@ def propagation_algebra(method: str) -> str:
 class NoiseReport:
     """Summary of one noise analysis of one output.
 
-    ``bounds`` is a sound worst-case enclosure of the output error for the
-    IA / AA / Taylor methods; for SNA it is the support of the propagated
-    error distribution.  ``mean`` / ``variance`` / ``noise_power`` follow
-    each method's natural probabilistic reading (uniform over the bounds
-    for IA, independent uniform noise symbols for AA and Taylor, the
-    histogram's own moments for SNA).
+    ``bounds`` is a sound worst-case enclosure of the output error.
+    ``mean`` / ``variance`` / ``noise_power`` follow each method's
+    natural probabilistic reading (uniform over the bounds for IA,
+    independent uniform noise symbols for AA, PNA and Taylor).
+    ``error_pdf`` is PNA's output error distribution.
     """
 
     method: str
@@ -169,14 +169,11 @@ class DatapathNoiseAnalyzer:
         Per-node fixed-point formats plus quantization/overflow modes.
     input_ranges:
         Range of every external input (keyed by original input name).
-    input_pdfs:
-        Optional per-input PDFs for the SNA method; inputs without an
-        entry are taken uniform over their range.
     horizon:
         Unrolling depth for sequential graphs (ignored for combinational
         ones).
     bins:
-        Histogram granularity of the SNA method.
+        Histogram granularity of PNA's reported error PDF.
     """
 
     def __init__(
@@ -184,7 +181,6 @@ class DatapathNoiseAnalyzer:
         graph: DFG,
         assignment: WordLengthAssignment,
         input_ranges: Mapping[str, Interval],
-        input_pdfs: Mapping[str, HistogramPDF] | None = None,
         horizon: int = 8,
         bins: int = 32,
     ) -> None:
@@ -194,7 +190,6 @@ class DatapathNoiseAnalyzer:
         self.original = graph
         self.assignment = assignment
         self.input_ranges = dict(input_ranges)
-        self.input_pdfs = dict(input_pdfs or {})
         self.horizon = int(horizon)
         self.bins = int(bins)
 
@@ -220,16 +215,12 @@ class DatapathNoiseAnalyzer:
         # one profile per output serves every (re-)analysis.
         self._gain_cache: Dict[str, Any] = {}
         self._output_cache: Dict[str | None, str] = {}
-        # Error terms for IA / Taylor / SNA depend only on (node, format):
-        # re-analyses that revisit a format (bit-stealing probes toggle
-        # between adjacent precisions constantly) reuse the built term
-        # instead of re-deriving bounds/PDFs.  AA terms are excluded —
-        # they are bound to a propagation's AffineContext and are cheap
-        # to build anyway.
-        self._error_term_cache: Dict[Tuple[str, str, Any], Any] = {}
-        # SNA selection probabilities (min/max/mux) depend only on the
-        # value distributions, never on the assignment: one per node.
-        self._select_prob_cache: Dict[str, float] = {}
+        # Taylor error terms depend only on (node, format): re-analyses
+        # that revisit a format (bit-stealing probes toggle between
+        # adjacent precisions constantly) reuse the built term.  AA terms
+        # are excluded — they are bound to a propagation's AffineContext
+        # and are cheap to build anyway; IA's term is the source's interval.
+        self._error_term_cache: Dict[Tuple[str, Any], Any] = {}
         self._ancestor_cache: Dict[str, frozenset] = {}
 
     # ------------------------------------------------------------------ #
@@ -257,13 +248,6 @@ class DatapathNoiseAnalyzer:
     def _input_range(self, instance: str) -> Interval:
         return self.input_ranges[_base_name(instance)]
 
-    def _input_pdf(self, instance: str) -> HistogramPDF:
-        base = _base_name(instance)
-        if base in self.input_pdfs:
-            return self.input_pdfs[base].rebin(self.bins)
-        interval = self.input_ranges[base]
-        return HistogramPDF.uniform(interval.lo, interval.hi, bins=self.bins)
-
     # ------------------------------------------------------------------ #
     # per-algebra constructors
     # ------------------------------------------------------------------ #
@@ -274,18 +258,14 @@ class DatapathNoiseAnalyzer:
         if method == "aa":
             assert context is not None
             return context.variable(instance, interval.lo, interval.hi)
-        if method == "taylor":
-            return TaylorModel.variable(instance, interval.lo, interval.hi)
-        return self._input_pdf(instance)
+        return TaylorModel.variable(instance, interval.lo, interval.hi)
 
     def _make_const(self, method: str, value: float, context: AffineContext | None) -> Any:
         if method == "ia":
             return Interval.point(value)
         if method == "aa":
             return AffineForm(value, {}, context)
-        if method == "taylor":
-            return TaylorModel.constant_model(value)
-        return HistogramPDF.point(value)
+        return TaylorModel.constant_model(value)
 
     def _make_error_term(
         self, method: str, source: QuantizationSource, context: AffineContext | None
@@ -298,19 +278,14 @@ class DatapathNoiseAnalyzer:
             if interval.radius == 0.0:
                 return AffineForm(interval.midpoint, {}, context)
             return AffineForm(interval.midpoint, {source.symbol: interval.radius}, context)
-        key = (method, source.node, source.fmt)
+        key = (source.node, source.fmt)
         cached = self._error_term_cache.get(key)
         if cached is not None:
             return cached
-        if method == "taylor":
-            if interval.radius == 0.0:
-                term: Any = TaylorModel.constant_model(interval.midpoint)
-            else:
-                term = TaylorModel(
-                    constant=interval.midpoint, linear={source.symbol: interval.radius}
-                )
+        if interval.radius == 0.0:
+            term: Any = TaylorModel.constant_model(interval.midpoint)
         else:
-            term = source.error_pdf(bins=self.bins)
+            term = TaylorModel(constant=interval.midpoint, linear={source.symbol: interval.radius})
         self._error_term_cache[key] = term
         return term
 
@@ -443,8 +418,7 @@ class DatapathNoiseAnalyzer:
         A sign-decided select collapses to the chosen branch.  Otherwise
         IA takes the hull, AA/Taylor model the selection as
         ``(a+b)/2 + (a-b)/2 * eps`` with a fresh ``[-1, 1]`` blend symbol
-        (keeping partial correlation with both branches), and SNA blends
-        the branch distributions with the select's sign probability.
+        (keeping partial correlation with both branches).
         """
         selector = _enclosure_of(vs)
         if selector.lo >= 0.0:
@@ -457,15 +431,8 @@ class DatapathNoiseAnalyzer:
             assert context is not None
             blend = AffineForm(0.0, {context.fresh("sel"): 1.0}, context)
             return (va + vb).scale(0.5) + (va - vb).scale(0.5) * blend
-        if method == "taylor":
-            blend = TaylorModel(0.0, {f"sel_{name}": 1.0})
-            return (va + vb).scale(0.5) + (va - vb).scale(0.5) * blend
-        p = 1.0 - vs.cdf(0.0)
-        if p >= 1.0:
-            return va
-        if p <= 0.0:
-            return vb
-        return HistogramPDF.mixture([(va, p), (vb, 1.0 - p)], bins=self.bins)
+        blend = TaylorModel(0.0, {f"sel_{name}": 1.0})
+        return (va + vb).scale(0.5) + (va - vb).scale(0.5) * blend
 
     def _error_of(
         self,
@@ -609,7 +576,7 @@ class DatapathNoiseAnalyzer:
                 return _add_error(ea, own)
             if operand.hi <= 0.0 and operand.hi + err_enc.hi <= 0.0:
                 return _add_error(-ea, own)
-            return _add_error(self._sign_blur(method, va, ea, context), own)
+            return _add_error(self._sign_blur(method, ea, context), own)
         if node.op in (OpType.MIN, OpType.MAX):
             a, b = node.inputs
             if a == b:  # min(x, x) == max(x, x) == x: error forwards exactly
@@ -629,7 +596,7 @@ class DatapathNoiseAnalyzer:
                 chosen = ea if node.op is OpType.MIN else eb
                 return _add_error(chosen, own)
             return _add_error(
-                self._select_blend(method, name, node.op, va, vb, ea, eb, err_diff, context),
+                self._select_blend(method, ea, eb, err_diff, context),
                 own,
             )
         if node.op is OpType.MUX:
@@ -647,7 +614,7 @@ class DatapathNoiseAnalyzer:
             if selector.hi < 0.0 and selector_q.hi < 0.0:
                 return _add_error(eb, own)
             return _add_error(
-                self._mux_blend(method, vs, va, vb, sel_err, ea, eb, context), own
+                self._mux_blend(method, va, vb, sel_err, ea, eb, context), own
             )
         # DELAY cannot appear after unrolling
         raise NoiseModelError(
@@ -658,23 +625,11 @@ class DatapathNoiseAnalyzer:
     # ------------------------------------------------------------------ #
     # data-dependent selection helpers (abs / min / max / mux)
     # ------------------------------------------------------------------ #
-    def _sign_blur(
-        self, method: str, va: Any, ea: Any, context: AffineContext | None
-    ) -> Any:
+    def _sign_blur(self, method: str, ea: Any, context: AffineContext | None) -> Any:
         """Error of ``|a + e| - |a|`` when the operand's sign is undecided.
 
-        The reverse triangle inequality bounds it by ``|e|``; SNA reads
-        it as the sign-probability mixture of ``e`` and ``-e`` (the exact
-        error away from the kink), whose support is the same bound.
+        The reverse triangle inequality bounds it by ``|e|``.
         """
-        if method == "sna":
-            positive = 1.0 - va.cdf(0.0)
-            ea = _as_pdf(ea)
-            if positive >= 1.0:
-                return ea
-            if positive <= 0.0:
-                return -ea
-            return HistogramPDF.mixture([(ea, positive), (-ea, 1.0 - positive)], bins=self.bins)
         magnitude = _enclosure_of(ea).magnitude
         if method == "ia":
             return Interval(-magnitude, magnitude)
@@ -686,10 +641,6 @@ class DatapathNoiseAnalyzer:
     def _select_blend(
         self,
         method: str,
-        name: str,
-        op: OpType,
-        va: Any,
-        vb: Any,
         ea: Any,
         eb: Any,
         err_diff: Interval,
@@ -700,21 +651,8 @@ class DatapathNoiseAnalyzer:
         Via ``min(x,y) = (x+y-|x-y|)/2`` the error is
         ``(e_a + e_b -+ D)/2`` with ``|D| <= |e_a - e_b|`` (reverse
         triangle inequality on the shared ``|x - y|`` term); the
-        symmetric ``D`` enclosure serves min and max alike.  SNA blends
-        the operand error distributions with the selection probability
-        ``P(a < b)`` instead — the error is exactly one operand's error
-        whenever the selection is strict, and the mixture support equals
-        the hull bound.
+        symmetric ``D`` enclosure serves min and max alike.
         """
-        if method == "sna":
-            p_smaller = self._selection_probability(name, va, vb)
-            weight_a = p_smaller if op is OpType.MIN else 1.0 - p_smaller
-            parts = [(_as_pdf(ea), weight_a), (_as_pdf(eb), 1.0 - weight_a)]
-            if weight_a >= 1.0:
-                return parts[0][0]
-            if weight_a <= 0.0:
-                return parts[1][0]
-            return HistogramPDF.mixture(parts, bins=self.bins)
         magnitude = err_diff.magnitude
         if method == "ia":
             spread: Any = Interval(-magnitude, magnitude)
@@ -728,24 +666,9 @@ class DatapathNoiseAnalyzer:
             return 0.5 * total
         return total.scale(0.5)
 
-    def _selection_probability(self, name: str, va: Any, vb: Any) -> float:
-        """``P(a < b)`` under the SNA value distributions (cached per node).
-
-        Value enclosures never depend on the word-length assignment, so
-        the probability is computed once per node and reused by every
-        (incremental) re-analysis.
-        """
-        cached = self._select_prob_cache.get(name)
-        if cached is None:
-            diff = _as_pdf(va).sub(_as_pdf(vb), bins=self.bins)
-            cached = diff.cdf(0.0)
-            self._select_prob_cache[name] = cached
-        return cached
-
     def _mux_blend(
         self,
         method: str,
-        vs: Any,
         va: Any,
         vb: Any,
         sel_err: Interval,
@@ -759,30 +682,11 @@ class DatapathNoiseAnalyzer:
         flip the comparison (nonzero ``sel_err``), the exact and the
         quantized datapath can take *different* branches near the
         threshold, leaving the branch-swap residuals ``(b + e_b) - a``
-        and ``(a + e_a) - b`` in the output.  SNA weighs the branch
-        errors by the select-sign probability and gives the swap
-        residuals the probability that ``|s|`` falls inside the select
-        error band.
+        and ``(a + e_a) - b`` in the output.
         """
         enc_a, enc_b = _enclosure_of(va), _enclosure_of(vb)
         err_a, err_b = _enclosure_of(ea), _enclosure_of(eb)
         can_flip = sel_err.lo != 0.0 or sel_err.hi != 0.0
-        if method == "sna":
-            p_a = 1.0 - vs.cdf(0.0)
-            p_flip = 0.0
-            if can_flip:
-                m = sel_err.magnitude
-                p_flip = vs.probability_of(Interval(-m, m))
-            parts = [
-                (_as_pdf(ea), p_a * (1.0 - p_flip)),
-                (_as_pdf(eb), (1.0 - p_a) * (1.0 - p_flip)),
-            ]
-            if p_flip > 0.0:
-                swap_ab = _as_pdf(vb).add(_as_pdf(eb)).sub(_as_pdf(va), bins=self.bins)
-                swap_ba = _as_pdf(va).add(_as_pdf(ea)).sub(_as_pdf(vb), bins=self.bins)
-                parts.append((swap_ab, 0.5 * p_flip))
-                parts.append((swap_ba, 0.5 * p_flip))
-            return HistogramPDF.mixture(parts, bins=self.bins)
         members = [err_a, err_b]
         if can_flip:
             members.append((enc_b + err_b) - enc_a)
@@ -822,7 +726,7 @@ class DatapathNoiseAnalyzer:
     # ------------------------------------------------------------------ #
     def analyze(
         self,
-        method: str = "sna",
+        method: str = "pna",
         output: str | None = None,
         contributions: bool = True,
     ) -> NoiseReport:
@@ -856,28 +760,21 @@ class DatapathNoiseAnalyzer:
         float error ``v`` is exact: every method reads mean ``v``, variance
         0, noise power ``v * v`` and bounds ``[v, v]``, as
         :meth:`noise_power_of` does, and its contributions and PDF come
-        from the algebra's point.  Otherwise SNA reads its histogram's
-        statistics; the others read the error's enclosure and
-        :data:`_MOMENTS`.  ``sna`` attaches its error histogram and ``pna``
-        the convolved error PDF.  ``values`` are the value enclosures IA's
+        from the algebra's point.  Otherwise every method reads the
+        error's enclosure and :data:`_MOMENTS`, and ``pna`` attaches the
+        convolved error PDF.  ``values`` are the value enclosures IA's
         contributions linearize around.
         """
         if isinstance(error, float):
             bounds, mean, variance = Interval.point(error), error, 0.0
             noise_power = error * error
             error = self._make_const(propagation_algebra(method), error, None)
-        elif method == "sna":
-            stats = summarize(error)
-            bounds, mean, variance = stats.bounds, stats.mean, stats.variance
-            noise_power = stats.noise_power
         else:
             bounds = _enclosure_of(error)
             mean, variance = _MOMENTS[method](error)
             noise_power = mean * mean + variance
         error_pdf = None
-        if method == "sna":
-            error_pdf = error
-        elif method == "pna":
+        if method == "pna":
             # Lazy import: repro.analysis imports this module at package
             # init.  The convolution treats only *distinct* noise symbols
             # as independent: correlated reconvergent paths already
@@ -894,9 +791,7 @@ class DatapathNoiseAnalyzer:
             noise_power=noise_power,
             source_count=len(self._sources_by_node),
             contributions=(
-                self._contributions(method, target, error, values)
-                if contributions and method != "sna"
-                else {}
+                self._contributions(method, target, error, values) if contributions else {}
             ),
             error_pdf=error_pdf,
         )
@@ -940,7 +835,7 @@ class DatapathNoiseAnalyzer:
     @staticmethod
     def _moments_aa(error: AffineForm) -> tuple[float, float]:
         coeffs = error.terms.values()
-        variance = math.fsum(map(operator.mul, coeffs, coeffs)) / 3.0
+        variance = fsum_or_inf(map(operator.mul, coeffs, coeffs)) / 3.0
         return error.center, variance
 
     @staticmethod
@@ -965,8 +860,6 @@ class DatapathNoiseAnalyzer:
         analytically, without the binning error."""
         if isinstance(error, float):
             return error * error
-        if method == "sna":
-            return error.mean_square()
         mean, variance = _MOMENTS[method](error)
         return mean * mean + variance
 
@@ -979,8 +872,8 @@ class DatapathNoiseAnalyzer:
         ``confidence=1.0`` is the worst-case peak: the squared magnitude
         of a sound enclosure of the error (any method).  A fractional
         confidence is the squared ``confidence``-quantile of |error|,
-        available for the PDF-producing methods ("pna", "sna"): "sna"
-        reads its histogram, "pna" a Chernoff upper bound on the quantile
+        available for the PDF-producing method "pna", which reads a
+        Chernoff upper bound on the quantile
         (:func:`repro.analysis.probabilistic.confidence_noise_power`).
         """
         if confidence is None:
@@ -990,8 +883,7 @@ class DatapathNoiseAnalyzer:
         return confidence_noise_power(method, error, confidence)
 
 
-#: ``(mean, variance)`` of a propagated error, per moment-read method
-#: ("sna" reads its histogram's own statistics instead).
+#: ``(mean, variance)`` of a propagated error, per method.
 _MOMENTS = {
     "ia": DatapathNoiseAnalyzer._moments_ia,
     "aa": DatapathNoiseAnalyzer._moments_aa,
@@ -1014,16 +906,7 @@ def _enclosure_of(value: Any) -> Interval:
         return value.to_interval()
     if isinstance(value, TaylorModel):
         return value.bound()
-    if isinstance(value, HistogramPDF):
-        return value.support
     raise NoiseModelError(f"cannot enclose a value of type {type(value).__name__}")
-
-
-def _as_pdf(value: Any) -> HistogramPDF:
-    """Coerce a propagated SNA term (or exact-zero float) to a histogram."""
-    if isinstance(value, HistogramPDF):
-        return value
-    return HistogramPDF.point(float(value))
 
 
 def _square(value: Any) -> Any:

@@ -3,12 +3,12 @@
 Every node that carries a fixed-point format injects an error where its
 exact result is quantized onto the format grid.  A
 :class:`QuantizationSource` packages that injection point as a noise
-symbol: a name, a sound error interval, and a histogram PDF usable by the
-SNA machinery.
+symbol: a name and a sound error interval, which every analysis method
+reads in its own algebra.
 
 Constants are special-cased: quantizing a known coefficient produces a
 *deterministic* error (``quantize(c) - c``), not a random one, so constant
-sources carry a point interval/PDF at the actual rounding residue.  Delay
+sources carry a point interval at the actual rounding residue.  Delay
 registers and OUTPUT markers are skipped entirely — both forward values
 that were already quantized at their producer.
 """
@@ -22,8 +22,6 @@ from repro.dfg.graph import DFG
 from repro.dfg.node import OpType
 from repro.fixedpoint.format import FixedPointFormat, QuantizationMode
 from repro.fixedpoint.quantize import quantization_error_bounds, quantize
-from repro.histogram.pdf import HistogramPDF
-from repro.histogram.shapes import quantization_error_histogram
 from repro.intervals.interval import Interval
 from repro.noisemodel.assignment import WordLengthAssignment
 
@@ -61,12 +59,6 @@ class QuantizationSource:
     def step(self) -> float:
         """Quantization step of the source's format."""
         return self.fmt.step
-
-    def error_pdf(self, bins: int = 16) -> HistogramPDF:
-        """Histogram PDF of the injected error (a point for constants)."""
-        if self.deterministic or self.error_interval.is_point():
-            return HistogramPDF.point(self.error_interval.midpoint)
-        return quantization_error_histogram(self.fmt.fractional_bits, self.mode.value, bins=bins)
 
     def variance(self) -> float:
         """Variance of the classical error model (0 for constants)."""

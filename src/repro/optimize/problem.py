@@ -6,7 +6,7 @@ An :class:`OptimizationProblem` bundles everything a strategy needs:
 * the constraint — an output SNR floor in dB (plus an optional safety
   margin the analytic model must clear);
 * the objective — a :class:`~repro.optimize.cost.HardwareCostModel`;
-* one noise-analysis method (``ia`` / ``aa`` / ``taylor`` / ``sna``)
+* one noise-analysis method (``ia`` / ``aa`` / ``taylor`` / ``pna``)
   used to judge feasibility, with an analyzer-call counter so strategies
   can report how much analysis their search spent;
 * precomputed per-node noise gains (one adjoint sweep over the unrolled

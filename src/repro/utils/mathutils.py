@@ -10,6 +10,7 @@ __all__ = [
     "integer_bits_for_range",
     "snr_db",
     "summed",
+    "fsum_or_inf",
 ]
 
 
@@ -38,6 +39,19 @@ def summed(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+def fsum_or_inf(values: Iterable[float]) -> float:
+    """:func:`math.fsum` of non-negative ``values``, ``+inf`` past the float range.
+
+    ``math.fsum`` raises ``OverflowError`` when finite terms sum beyond the
+    largest float; a sum of magnitudes (an affine radius, a variance) that
+    large is read as ``+inf``, the value a plain float sum would reach.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def ulp(fractional_bits: int) -> float:

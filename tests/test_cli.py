@@ -72,8 +72,6 @@ class TestOptimize:
                 "40",
                 "--samples",
                 "1000",
-                "--bins",
-                "8",
                 "--horizon",
                 "3",
                 "--out",
@@ -109,11 +107,19 @@ class TestOptimize:
         assert exited.value.code == 2
         assert "unrecognized arguments: --anneal-iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["optimize", "pareto"])
+    def test_search_commands_take_no_bins_flag(self, command, capsys):
+        # bins only sizes a displayed pna error PDF, which no search builds.
+        with pytest.raises(SystemExit) as exited:
+            main([command, "fir4", "--bins", "8"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --bins" in capsys.readouterr().err
+
     def test_batched_engine_flag(self, tmp_path):
         out = tmp_path / "result.json"
         code = main(
             ["optimize", "fir4", "--snr-floor", "50", "--method", "ia",
-             "--engine", "batched", "--samples", "1000", "--bins", "8",
+             "--engine", "batched", "--samples", "1000",
              "--horizon", "3", "--out", str(out)]
         )
         assert code == 0
@@ -127,7 +133,7 @@ class TestPareto:
         out = tmp_path / "front.json"
         code = main(
             ["pareto", circuit, "--method", "ia", "--floor", "45", "--floor", "55",
-             "--floor", "65", "--bins", "8", "--horizon", "3", "--out", str(out)]
+             "--floor", "65", "--horizon", "3", "--out", str(out)]
         )
         assert code == 0
         printed = capsys.readouterr().out
@@ -147,7 +153,7 @@ class TestPareto:
         out = tmp_path / "front.json"
         code = main(
             ["pareto", "fir_cascade:taps=2,samples=4", "--method", "ia", "--floor", "40",
-             "--floor", "50", "--bins", "8", "--horizon", "3", "--out", str(out)]
+             "--floor", "50", "--horizon", "3", "--out", str(out)]
         )
         assert code == 0
         assert [p["snr_floor_db"] for p in json.loads(out.read_text())["points"]] == [40.0, 50.0]

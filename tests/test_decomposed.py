@@ -208,7 +208,6 @@ class TestCLI:
                 "--method", "ia",
                 "--snr-floor", "50",
                 "--samples", "1000",
-                "--bins", "8",
                 "--horizon", "3",
                 "--out", str(out),
             ]

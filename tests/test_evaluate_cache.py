@@ -129,7 +129,7 @@ class TestEvaluatorEquivalence:
         with pytest.raises(AssertionError):
             assert_trajectory_matches_reference(problem)
 
-    @pytest.mark.parametrize("method", ["ia", "sna"])
+    @pytest.mark.parametrize("method", ["ia", "pna"])
     def test_evaluator_paths_agree_on_generated_graphs(self, method, random_circuit_factory):
         """Trajectory equivalence fuzzed over generated circuits.
 

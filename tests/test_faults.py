@@ -684,7 +684,7 @@ class TestCliDiagnostics:
     def test_zero_bins_exits_2(self, capsys):
         from repro.cli import main
 
-        assert main(["optimize", "fir4", "--bins", "0", "--method", "sna"]) == 2
+        assert main(["analyze", "fir4", "--bins", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error:")
         assert "bins" in err

@@ -141,18 +141,18 @@ def test_off_path_perturbation_recomputes_nothing():
     engine = IncrementalAnalyzer(
         circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON, bins=BINS
     )
-    engine.analyze(baseline, "sna", output="x1")
+    engine.analyze(baseline, "pna", output="x1")
     add_node = next(n for n in baseline.formats if n.startswith("add"))
     shaved = baseline.with_fractional_bits(
         add_node, baseline.format_of(add_node).fractional_bits - 1
     )
     before = engine.stats.nodes_recomputed
-    report = engine.analyze(shaved, "sna", output="x1", commit=True)
+    report = engine.analyze(shaved, "pna", output="x1", commit=True)
     assert engine.stats.nodes_recomputed == before
     assert engine.stats.last_recomputed == ()
     want = DatapathNoiseAnalyzer(
         circuit.graph, shaved, circuit.input_ranges, horizon=HORIZON, bins=BINS
-    ).analyze("sna", output="x1")
+    ).analyze("pna", output="x1")
     assert report.noise_power == want.noise_power
 
 

@@ -413,6 +413,12 @@ class TestChernoffBound:
         with pytest.raises(HistogramError, match=named):
             confidence_noise_power("pna", error, 0.999)
 
+    @pytest.mark.parametrize("level", [0.999, 1.0])
+    def test_radii_summing_past_the_float_range_read_inf(self, level):
+        form = AffineForm(0.0, {f"e{i}": 1e307 for i in range(40)})
+        assert form.radius == math.inf
+        assert confidence_noise_power("pna", form, level) == math.inf
+
 # --------------------------------------------------------------------- #
 # confidence floors through the optimizer
 # --------------------------------------------------------------------- #

@@ -22,6 +22,7 @@ from repro.analysis.incremental import IncrementalAnalyzer
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.range_analysis import infer_ranges
+from repro.fixedpoint.format import FixedPointFormat
 from repro.errors import DivisionByZeroIntervalError, DomainError, NoiseModelError
 from repro.intervals.interval import Interval
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer, propagation_algebra
@@ -35,7 +36,6 @@ BINS = 8
 READINGS = (
     *((method, None) for method in ANALYSIS_METHODS),
     ("pna", 0.999),
-    ("sna", 0.999),
     *((method, 1.0) for method in ANALYSIS_METHODS),
 )
 
@@ -196,7 +196,7 @@ def test_hoisted_constant_sources_are_restored_exactly():
     The unroller lists a hoisted CONST's one instance once per time step;
     the engine keeps each instance once, so swapping a constant's sources
     and restoring them leaves the committed source in place, and later
-    ``taylor`` and ``sna`` probes still equal a fresh analysis.
+    ``taylor`` and ``pna`` probes still equal a fresh analysis.
     """
     circuit = get_circuit("iir_biquad")
     ranges = infer_ranges(circuit.graph, circuit.input_ranges).ranges
@@ -222,7 +222,7 @@ def test_hoisted_constant_sources_are_restored_exactly():
         }
 
     assert described(engine.analyzer._sources_by_node) == described(fresh(design)._sources_by_node)
-    for method in ("taylor", "sna"):
+    for method in ("taylor", "pna"):
         got = engine.probe_moves(design, moves, method, circuit.output)
         for (node, fmt), price in zip(moves, got):
             report = fresh(design.with_formats({node: fmt})).analyze(method, output=circuit.output)
@@ -264,3 +264,29 @@ def test_a_baseline_that_leaves_a_domain_probes_whole_closures(method):
     assert math.isinf(got[1])
     closure = len(engine.ancestors_of(engine.analyzer._resolve_output("y")))
     assert engine.stats.nodes_recomputed == 2 * closure
+
+
+@pytest.mark.parametrize("method,confidence", (("pna", 0.999), ("aa", 1.0)))
+def test_an_error_radius_past_the_float_range_prices_inf(method, confidence):
+    """A lane whose output error radius sums past the float range prices ``inf``.
+
+    Forty inputs in [-1e-3, 1e-3] at 0 fractional bits each carry an error
+    of +-0.5, which a gain of 9.1e306 turns into output coefficients whose
+    sum (1.8e308) overflows, while every value enclosure stays finite.
+    """
+    count = 40
+    builder = DFGBuilder("huge_gain_sum")
+    inputs = builder.inputs([f"x{i}" for i in range(count)])
+    gain = builder.const(9.1e306)
+    builder.output(builder.sum_of([x * gain for x in inputs]), name="y")
+    graph = builder.build()
+    input_ranges = {f"x{i}": Interval(-1e-3, 1e-3) for i in range(count)}
+    coarse = FixedPointFormat(1, 0)
+    design = WordLengthAssignment(
+        formats={**{f"x{i}": coarse for i in range(1, count)}, "x0": FixedPointFormat(1, 20)}
+    )
+    engine = IncrementalAnalyzer(graph, design, input_ranges)
+    got = engine.probe_moves(design, [("x0", coarse)], method, "y", confidence)
+    assert got == [math.inf]
+    moved = design.with_formats({"x0": coarse})
+    assert engine.noise_power(moved, method, "y", confidence=confidence) == math.inf

@@ -133,7 +133,7 @@ def walk_and_compare(problem, seed, steps=10, width=8):
 
 
 @pytest.mark.parametrize("circuit_name", sorted(CIRCUITS))
-@pytest.mark.parametrize("method", ("ia", "aa", "taylor", "sna"))
+@pytest.mark.parametrize("method", ("ia", "aa", "taylor", "pna"))
 def test_shared_probes_equal_private_engine(priced_lanes, circuit_name, method):
     problem = make_problem(circuit_name, method)
     assert walk_and_compare(problem, f"{circuit_name}/{method}") > 0
