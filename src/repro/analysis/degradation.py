@@ -10,12 +10,15 @@ that silently lost its fast path is still diagnosable after the fact.
 The incremental engine is the one candidate evaluator and has nothing
 below it: its failures propagate.
 
-Degradation changes *which engine computes* an answer, never the answer
-itself: ``tests/test_api_redesign.py``
+Degradation never changes a noise figure: ``tests/test_api_redesign.py``
 (``test_batched_matches_fresh_and_incremental_all_methods``,
 ``test_batched_property_random_circuits``) holds every batched lane to
-a from-scratch analysis with ``==``, which is what makes the fallback
-safe to take silently.
+a from-scratch analysis with ``==``.  It can change the design a search
+returns, because the engine also picks greedy's ranking rule (see
+:attr:`~repro.config.OptimizeConfig.engine`): a degraded greedy descent
+ranks its remaining shaves by the adjoint-gain estimate instead of the
+exact noise added.  The event log records that the answer came from the
+incremental path.
 """
 
 from __future__ import annotations

@@ -289,7 +289,7 @@ def _radius(terms: Mapping[str, float]) -> float:
 
 
 def _checked(lo: float, hi: float) -> Tuple[float, float]:
-    """``(lo, hi)``, or the ``IntervalError`` of ``Interval(lo, hi)`` (a NaN bound)."""
+    """``(lo, hi)``, or the ``NonFiniteError`` of ``Interval(lo, hi)`` (a NaN bound)."""
     if not lo <= hi:
         Interval(lo, hi)
     return lo, hi
@@ -824,15 +824,8 @@ class IncrementalAnalyzer:
         assignment: WordLengthAssignment,
         input_ranges: Mapping[str, Interval],
         horizon: int = 8,
-        bins: int = 32,
     ) -> None:
-        self.analyzer = DatapathNoiseAnalyzer(
-            graph,
-            assignment,
-            input_ranges,
-            horizon=horizon,
-            bins=bins,
-        )
+        self.analyzer = DatapathNoiseAnalyzer(graph, assignment, input_ranges, horizon=horizon)
         work = self.analyzer.graph
         self._position: Dict[str, int] = {
             name: i for i, name in enumerate(self.analyzer.topo_order)
@@ -1200,8 +1193,10 @@ class IncrementalAnalyzer:
         without building that assignment or diffing it.
 
         A move with no format (``fmt`` is ``None``) and a lane whose cone
-        leaves a domain (``DomainError`` / ``DivisionByZeroIntervalError``)
-        price ``inf``; a value sweep that fails prices every lane ``inf``.
+        leaves a domain (``DomainError`` / ``DivisionByZeroIntervalError``;
+        an error past the float range raises the ``DomainError``
+        subclass ``NonFiniteError``) price ``inf``; a value sweep that
+        fails prices every lane ``inf``.
         A baseline that itself leaves a domain has no committed errors, so
         each probe then propagates the target's whole ancestor closure.
         Every probe's schedule counts in :attr:`stats`.

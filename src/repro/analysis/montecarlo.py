@@ -135,10 +135,6 @@ class MonteCarloResult:
         """Observed ``[min, max]`` error."""
         return Interval(self.lower, self.upper)
 
-    def error_pdf(self, bins: int = 64) -> HistogramPDF:
-        """Empirical histogram of the sampled errors."""
-        return HistogramPDF.from_samples(self.errors, bins=bins)
-
     def enclosed_by(self, bounds: Interval, tol: float = 0.0) -> bool:
         """True when every sampled error lies inside ``bounds``."""
         return bounds.lo - tol <= self.lower and self.upper <= bounds.hi + tol

@@ -73,7 +73,7 @@ class NoiseAnalysisPipeline:
     ----------
     config:
         An :class:`~repro.config.AnalysisConfig` carrying word length,
-        unrolling horizon, PNA error-PDF bins, the default method subset, and the
+        unrolling horizon, the default method subset, and the
         Monte-Carlo budget/seed/workers (default: ``AnalysisConfig()``).
     """
 
@@ -91,7 +91,6 @@ class NoiseAnalysisPipeline:
         self.config = config
         self.word_length = int(config.word_length)
         self.horizon = int(config.horizon)
-        self.bins = int(config.bins)
         self.mc_samples = int(config.mc_samples)
         self.seed = config.seed
         self.mc_workers = config.mc_workers
@@ -272,11 +271,7 @@ class NoiseAnalysisPipeline:
             else:
                 if analyzer is None:
                     analyzer = DatapathNoiseAnalyzer(
-                        graph,
-                        assignment,
-                        ranges_in,
-                        horizon=self.horizon,
-                        bins=self.bins,
+                        graph, assignment, ranges_in, horizon=self.horizon
                     )
                     started = time.perf_counter()
                 report = analyzer.analyze(method_name, output=output)
@@ -428,7 +423,7 @@ class NoiseAnalysisPipeline:
         back into :meth:`analyze` for a complete report.
         """
         if config is None:
-            config = OptimizeConfig(horizon=self.horizon, bins=self.bins)
+            config = OptimizeConfig(horizon=self.horizon)
         problem = self._build_problem(
             circuit, snr_floor_db, config, cost_model, input_ranges, output, name
         )
@@ -458,7 +453,7 @@ class NoiseAnalysisPipeline:
         :class:`~repro.optimize.pareto.ParetoFront`.
         """
         if config is None:
-            config = OptimizeConfig(horizon=self.horizon, bins=self.bins)
+            config = OptimizeConfig(horizon=self.horizon)
         floors = list(floors)
         floor_seed = max(float(f) for f in floors) if floors else config.snr_floor_db
         problem = self._build_problem(

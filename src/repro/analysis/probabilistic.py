@@ -9,34 +9,25 @@ at the very end reads the form probabilistically: each remaining symbol
 ``eps_i`` is an independent uniform on ``[-1, 1]`` (the standard AA noise
 model), so the output error is ``c + sum(r_i * eps_i)``.
 
-Two consumers:
-
-* :meth:`DatapathNoiseAnalyzer.report` attaches the error's histogram to
-  the report (``NoiseReport.error_pdf``) so pipelines and tables can show
-  distribution-level results next to the worst-case rows.
-  :func:`affine_error_pdf` convolves the per-symbol uniforms in one fused
-  loop that does the float operations of the histogram algebra's
-  ``uniform().add()`` composition, bit for bit.
-* :func:`confidence_noise_power` turns ``OptimizeConfig(confidence=...)``
-  into the noise measure the SNR constraint judges.  ``confidence=1.0``
-  is the squared worst-case enclosure magnitude, which every method can
-  supply.  A fractional confidence reads an affine error through a
-  Chernoff bound on the ``confidence``-quantile of ``|error|`` (Chernoff
-  1952, Hoeffding 1963) with the exact uniform moment-generating function
-  ``sinh(x) / x``: an O(symbols) solve that is never below the true
-  quantile.
+The readout is closed-form: :meth:`DatapathNoiseAnalyzer.report` reads
+the moments from ``_MOMENTS``, and :func:`confidence_noise_power` turns
+``OptimizeConfig(confidence=...)`` into the noise measure the SNR
+constraint judges.  ``confidence=1.0`` is the squared worst-case
+enclosure magnitude, which every method can supply.  A fractional
+confidence reads an affine error through a Chernoff bound on the
+``confidence``-quantile of ``|error|`` (Chernoff 1952, Hoeffding 1963)
+with the exact uniform moment-generating function ``sinh(x) / x``: an
+O(symbols) solve that is never below the true quantile.  No analysis
+builds a histogram; :func:`affine_error_pdf` discretizes the error
+distribution on request.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import Any, List, Tuple
 
-import numpy as np
-
-from repro.errors import HistogramError, NoiseModelError
-from repro.histogram.arithmetic import _spread_core
+from repro.errors import NoiseModelError, NonFiniteError
 from repro.histogram.pdf import HistogramPDF
 from repro.intervals.affine import AffineForm
 from repro.noisemodel.analyzer import PDF_METHODS, _enclosure_of
@@ -49,62 +40,9 @@ __all__ = [
 ]
 
 
-#: Radii outside ``[_TINY, _HUGE]`` take the composed step: below the
-#: normal range ``np.linspace`` loses its strictly increasing edges, and
-#: near the top ``2 * radius`` overflows.
-_TINY = sys.float_info.min
-_HUGE = sys.float_info.max / 4.0
-
-
-def _add_uniform(
-    pdf: HistogramPDF, radius: float, ramp: np.ndarray, mass: np.ndarray
-) -> HistogramPDF:
-    """``pdf.add(HistogramPDF.uniform(-radius, radius, bins), bins=bins)``, fused.
-
-    Performs the same float operations in the same order as that
-    composition — ``np.linspace``'s edges, the pairwise ``add`` grid, the
-    pair masses, the hull and its equal-width edges, the scatter and the
-    normalization — without building the uniform or re-validating it.
-    ``ramp`` is ``0.0 .. bins`` (``np.linspace``'s and the combine
-    kernel's ramp) and ``mass`` the uniform's ``1 / bins`` bin masses.
-    The caller guarantees ``bins >= 2``, a ``pdf`` of more than one bin
-    and ``_TINY <= radius <= _HUGE``; the uniform's edges are then finite
-    and strictly increasing, exactly what its constructor would check.
-    A degenerate (point-mass) result takes the composed path.
-    """
-    bins = mass.size
-    # np.linspace(-radius, radius, bins + 1): y = arange * step + start.
-    uniform = ramp * ((radius - -radius) / bins)
-    uniform += -radius
-    uniform[-1] = radius
-    edges_a = pdf.edges
-    flat_lo = np.add.outer(edges_a[:-1], uniform[:-1]).ravel()
-    flat_hi = np.add.outer(edges_a[1:], uniform[1:]).ravel()
-    flat_prob = (pdf.probs[:, None] * mass).ravel()
-    if flat_prob.min() <= 0.0:
-        keep = flat_prob > 0.0
-        flat_lo = flat_lo[keep]
-        flat_hi = flat_hi[keep]
-        flat_prob = flat_prob[keep]
-    if flat_lo.size == 0:
-        return _add_uniform_composed(pdf, radius, bins)
-    hull_lo = float(flat_lo.min())
-    hull_hi = float(flat_hi.max())
-    if hull_hi <= hull_lo:
-        return _add_uniform_composed(pdf, radius, bins)
-    edges = ramp * ((hull_hi - hull_lo) / bins) + hull_lo
-    edges[-1] = hull_hi
-    return HistogramPDF._trusted(edges, _spread_core(flat_lo, flat_hi, flat_prob, edges))
-
-
-def _add_uniform_composed(pdf: HistogramPDF, radius: float, bins: int) -> HistogramPDF:
-    """The validated composition :func:`_add_uniform` fuses (and its errors)."""
-    return pdf.add(HistogramPDF.uniform(-radius, radius, bins=bins), bins=bins)
-
-
 def _finite(value: float, what: str) -> float:
     if not math.isfinite(value):
-        raise HistogramError(f"cannot read an error distribution from {what} {value!r}")
+        raise NonFiniteError(f"cannot read an error distribution from {what} {value!r}")
     return value
 
 
@@ -131,22 +69,16 @@ def affine_error_pdf(error: "AffineForm | float", bins: int = 32) -> HistogramPD
 
     Convolving widest-first keeps the running support dominated by the
     real spread instead of ping-ponging through near-degenerate bins.
+    No analysis calls this; the readouts are closed-form.
     """
     if not isinstance(error, AffineForm):
         return HistogramPDF.point(_finite(float(error), "a non-finite constant error"))
     center, radii = _center_and_radii(error)
     if not radii:
         return HistogramPDF.point(center)
-    bins = int(bins)
     pdf = HistogramPDF.uniform(center - radii[0], center + radii[0], bins=bins)
-    # bins >= 1 here: HistogramPDF.uniform validated it.
-    ramp = np.arange(bins + 1, dtype=float)
-    mass = np.full(bins, 1.0 / bins)
     for radius in radii[1:]:
-        if bins >= 2 and pdf.probs.size > 1 and _TINY <= radius <= _HUGE:
-            pdf = _add_uniform(pdf, radius, ramp, mass)
-        else:
-            pdf = _add_uniform_composed(pdf, radius, bins)
+        pdf = pdf.add(HistogramPDF.uniform(-radius, radius, bins=bins), bins=bins)
     return pdf
 
 

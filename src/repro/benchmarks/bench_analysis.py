@@ -52,7 +52,7 @@ SUITE = "noise-analysis-pipeline"
 
 #: The driver's defaults, and the fields its flags expose.
 DEFAULTS = AnalysisConfig(mc_samples=50_000)
-FIELDS = ("word_length", "horizon", "bins", "mc_samples")
+FIELDS = ("word_length", "horizon", "mc_samples")
 
 
 def _analysis_job(name: str, config: AnalysisConfig) -> dict:
@@ -75,7 +75,6 @@ def config_block(config: AnalysisConfig) -> dict:
     return {
         "word_length": config.word_length,
         "horizon": config.horizon,
-        "bins": config.bins,
         "mc_samples": config.mc_samples,
         "seed": config.seed,
         "methods": list(config.methods or ALL_METHODS),
@@ -154,7 +153,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     config = config_from_args(args, DEFAULTS, FIELDS, seed=args.seed)
     if args.smoke:
-        config = config.replace(**clamped(config, mc_samples=2_000, bins=16, horizon=4))
+        config = config.replace(**clamped(config, mc_samples=2_000, horizon=4))
     names = args.circuit or list(CIRCUITS)
     document = run_benchmarks(
         config,

@@ -87,12 +87,11 @@ SUITE = "word-length-optimization"
 
 #: The driver's defaults (``confidence`` is the level of the
 #: probabilistic-vs-worst-case comparison), and the fields its flags expose.
-DEFAULTS = OptimizeConfig(margin_db=1.0, horizon=6, bins=16, confidence=0.999)
+DEFAULTS = OptimizeConfig(margin_db=1.0, horizon=6, confidence=0.999)
 FIELDS = (
     "snr_floor_db",
     "margin_db",
     "horizon",
-    "bins",
     "max_word_length",
     "cost_table",
     "confidence",
@@ -199,7 +198,6 @@ def config_block(
         "snr_floor_db": config.snr_floor_db,
         "margin_db": config.margin_db,
         "horizon": config.horizon,
-        "bins": config.bins,
         "max_word_length": config.max_word_length,
         "mc_samples": mc_samples,
         "seed": seed,
@@ -482,7 +480,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     config = config_from_args(args, DEFAULTS, FIELDS)
     if args.smoke:
-        config = config.replace(**clamped(config, bins=8, horizon=4))
+        config = config.replace(**clamped(config, horizon=4))
         vars(args).update(clamped(args, samples=2_000, oracle_samples=64))
     names = args.circuit or list(CIRCUITS)
     settings = dict(

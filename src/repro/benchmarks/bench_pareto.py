@@ -67,8 +67,8 @@ SUITE = "pareto-front"
 DEFAULT_FLOORS = (45.0, 50.0, 55.0, 60.0, 65.0)
 
 #: The driver's defaults, and the fields its flags expose.
-DEFAULTS = OptimizeConfig(method="ia", engine="batched", margin_db=1.0, horizon=6, bins=16)
-FIELDS = ("strategy", "method", "engine", "margin_db", "horizon", "bins", "max_word_length")
+DEFAULTS = OptimizeConfig(method="ia", engine="batched", margin_db=1.0, horizon=6)
+FIELDS = ("strategy", "method", "engine", "margin_db", "horizon", "max_word_length")
 
 
 def _pareto_job(
@@ -126,7 +126,6 @@ def config_block(
         "engine": config.engine,
         "margin_db": config.margin_db,
         "horizon": config.horizon,
-        "bins": config.bins,
         "max_word_length": config.max_word_length,
         "mc_samples": mc_samples,
         "seed": seed,
@@ -233,7 +232,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     config = config_from_args(args, DEFAULTS, FIELDS)
     floors = args.floors or list(DEFAULT_FLOORS)
     if args.smoke:
-        config = config.replace(**clamped(config, bins=8, horizon=4))
+        config = config.replace(**clamped(config, horizon=4))
         vars(args).update(clamped(args, samples=2_000))
         floors = args.floors or [50.0, 60.0]
     names = args.circuit or list(CIRCUITS)

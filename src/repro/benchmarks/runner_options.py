@@ -137,7 +137,6 @@ CONFIG_FLAGS: dict[str, tuple[str, dict]] = {
     ),
     # both
     "horizon": ("--horizon", {"type": int}),
-    "bins": ("--bins", {"type": int}),
 }
 
 

@@ -64,7 +64,6 @@ ANALYZE_DEFAULTS = AnalysisConfig()
 ANALYZE_FIELDS = (
     "word_length",
     "horizon",
-    "bins",
     "mc_samples",
     "methods",
     "oracle_samples",
@@ -72,7 +71,7 @@ ANALYZE_FIELDS = (
 )
 
 #: ``repro optimize`` defaults (``repro pareto`` sweeps on the batched engine).
-OPTIMIZE_DEFAULTS = OptimizeConfig(margin_db=1.0, horizon=6, bins=16)
+OPTIMIZE_DEFAULTS = OptimizeConfig(margin_db=1.0, horizon=6)
 PARETO_DEFAULTS = OPTIMIZE_DEFAULTS.replace(engine="batched")
 _SEARCH_FIELDS = (
     "margin_db",

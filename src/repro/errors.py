@@ -16,6 +16,7 @@ __all__ = [
     "DivisionByZeroIntervalError",
     "DomainError",
     "HistogramError",
+    "NonFiniteError",
     "ExpressionError",
     "FixedPointError",
     "DFGError",
@@ -62,7 +63,20 @@ class DomainError(IntervalError):
 
 
 class HistogramError(ReproError):
-    """Raised for malformed histogram PDFs (bad bins, probabilities, ...)."""
+    """Raised for malformed histogram PDFs (bad edges, probabilities, ...)."""
+
+
+class NonFiniteError(DomainError, HistogramError):
+    """Raised when an enclosure overflows the float range.
+
+    A NaN interval bound (``inf - inf``, ``0 * inf``) or a non-finite
+    affine error read as a distribution means the error left the range
+    of float64, the domain every enclosure lives in.  As a
+    :class:`DomainError`, the word-length search prices such a design
+    ``inf``.  It is a :class:`HistogramError` too: the distribution
+    readouts of :mod:`repro.analysis.probabilistic` raise it for a
+    non-finite affine form.
+    """
 
 
 class ExpressionError(ReproError):

@@ -4,9 +4,12 @@ The paper represents a distribution as a histogram and defines the sum
 of independent distributions by taking the Cartesian product of operand
 bins, adding each pair with interval arithmetic, and spreading the
 product probability over the output bins (the "Histogram Method" of
-Berleant, reference [17]).  This package keeps what the repository
-reads distributions with: :class:`HistogramPDF`, the sum kernel that
-PNA's reported error PDF is convolved with, and Monte-Carlo sampling.
+Berleant, reference [17]).  No analysis builds a histogram: ``pna``
+reads its error distribution in closed form.  This package keeps
+:class:`HistogramPDF` for the input PDFs the Monte-Carlo validator and
+the oracle sample, the sum kernel behind
+:func:`~repro.analysis.probabilistic.affine_error_pdf`, and that
+sampling.
 """
 
 from repro.histogram.arithmetic import combine_histograms

@@ -2,11 +2,10 @@
 
 A histogram PDF is the paper's representation of a distribution: a
 contiguous partition of the support into bins, each bin carrying a
-probability, with the density assumed uniform inside every bin.  PNA
-reports its output error distribution in this form
-(:func:`repro.analysis.probabilistic.affine_error_pdf`), and the
-Monte-Carlo validator draws input stimulus from it and bins its sampled
-errors into it.
+probability, with the density assumed uniform inside every bin.  The
+Monte-Carlo validator and the oracle draw input stimulus from it, and
+:func:`repro.analysis.probabilistic.affine_error_pdf` discretizes an
+affine error into it on request.
 """
 
 from __future__ import annotations
@@ -83,10 +82,8 @@ class HistogramPDF:
 
         Only for float arrays that already satisfy every ``__init__``
         invariant except normalization (strictly increasing edges,
-        non-negative probabilities with positive total): the combine
-        kernel and :func:`~repro.analysis.probabilistic.affine_error_pdf`
-        construct exactly that, and their call rate makes the
-        re-validation measurable.  Normalizes.
+        non-negative probabilities with positive total), which the
+        combine kernel constructs.  Normalizes.
         """
         pdf = object.__new__(cls)
         total = probs.sum()
@@ -116,21 +113,6 @@ class HistogramPDF:
         value = float(value)
         half = max(abs(value), 1.0) * _POINT_HALF_WIDTH
         return cls(np.array([value - half, value + half]), np.array([1.0]), normalize=False)
-
-    @classmethod
-    def from_samples(
-        cls, samples: Sequence[Number] | np.ndarray, bins: int = 64
-    ) -> "HistogramPDF":
-        """Empirical histogram of a sample set (used for Monte-Carlo references)."""
-        samples_arr = np.asarray(samples, dtype=float)
-        if samples_arr.size == 0:
-            raise HistogramError("from_samples requires at least one sample")
-        lo = float(samples_arr.min())
-        hi = float(samples_arr.max())
-        if hi <= lo:
-            return cls.point(lo)
-        counts, edges = np.histogram(samples_arr, bins=int(bins), range=(lo, hi))
-        return cls(edges, counts.astype(float))
 
     # ------------------------------------------------------------------ #
     # queries

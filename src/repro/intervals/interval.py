@@ -24,6 +24,7 @@ from repro.errors import (
     DomainError,
     EmptyIntervalError,
     IntervalError,
+    NonFiniteError,
 )
 
 __all__ = ["Interval", "RangeLike", "coerce_interval", "uniform_power"]
@@ -80,7 +81,7 @@ class Interval:
         lo = float(self.lo)
         hi = float(self.hi)
         if math.isnan(lo) or math.isnan(hi):
-            raise IntervalError(f"interval bounds must not be NaN: [{lo}, {hi}]")
+            raise NonFiniteError(f"interval bounds must not be NaN: [{lo}, {hi}]")
         if lo > hi:
             raise IntervalError(f"invalid interval: lo={lo} > hi={hi}")
         object.__setattr__(self, "lo", lo)

@@ -72,7 +72,6 @@ from repro.dfg.node import OpType
 from repro.dfg.unroll import UnrolledGraph, unroll_sequential
 from repro.dfg.unroll import base_name as _base_name
 from repro.errors import DomainError, NoiseModelError
-from repro.histogram.pdf import HistogramPDF
 from repro.intervals.affine import AffineContext, AffineForm
 from repro.intervals.interval import Interval
 from repro.intervals.taylor import TaylorModel
@@ -105,8 +104,8 @@ BOUND_METHODS = ("ia", "aa", "taylor")
 #: noise symbols ARE its dependency tracking (correlated reconvergent
 #: paths cancel symbolically) — and only diverges from AA at report /
 #: confidence-quantile time, where the affine form is read as a sum of
-#: independent uniform noise symbols: convolved into the report's error
-#: PDF, and bounded in closed form for a confidence quantile.
+#: independent uniform noise symbols, whose moments and confidence
+#: quantile it reads in closed form.
 _PROPAGATION_ALGEBRA = {"pna": "aa"}
 
 
@@ -123,7 +122,6 @@ class NoiseReport:
     ``mean`` / ``variance`` / ``noise_power`` follow each method's
     natural probabilistic reading (uniform over the bounds for IA,
     independent uniform noise symbols for AA, PNA and Taylor).
-    ``error_pdf`` is PNA's output error distribution.
     """
 
     method: str
@@ -134,7 +132,6 @@ class NoiseReport:
     noise_power: float
     source_count: int
     contributions: Dict[str, float] = field(default_factory=dict)
-    error_pdf: HistogramPDF | None = None
 
     @property
     def std(self) -> float:
@@ -172,8 +169,6 @@ class DatapathNoiseAnalyzer:
     horizon:
         Unrolling depth for sequential graphs (ignored for combinational
         ones).
-    bins:
-        Histogram granularity of PNA's reported error PDF.
     """
 
     def __init__(
@@ -182,7 +177,6 @@ class DatapathNoiseAnalyzer:
         assignment: WordLengthAssignment,
         input_ranges: Mapping[str, Interval],
         horizon: int = 8,
-        bins: int = 32,
     ) -> None:
         missing = [name for name in graph.inputs() if name not in input_ranges]
         if missing:
@@ -191,7 +185,6 @@ class DatapathNoiseAnalyzer:
         self.assignment = assignment
         self.input_ranges = dict(input_ranges)
         self.horizon = int(horizon)
-        self.bins = int(bins)
 
         if graph.is_sequential:
             unrolled = unroll_sequential(graph, self.horizon)
@@ -759,11 +752,10 @@ class DatapathNoiseAnalyzer:
         The readout of :meth:`analyze` and of the incremental engine.  A
         float error ``v`` is exact: every method reads mean ``v``, variance
         0, noise power ``v * v`` and bounds ``[v, v]``, as
-        :meth:`noise_power_of` does, and its contributions and PDF come
-        from the algebra's point.  Otherwise every method reads the
-        error's enclosure and :data:`_MOMENTS`, and ``pna`` attaches the
-        convolved error PDF.  ``values`` are the value enclosures IA's
-        contributions linearize around.
+        :meth:`noise_power_of` does, and its contributions come from the
+        algebra's point.  Otherwise every method reads the error's
+        enclosure and :data:`_MOMENTS`.  ``values`` are the value
+        enclosures IA's contributions linearize around.
         """
         if isinstance(error, float):
             bounds, mean, variance = Interval.point(error), error, 0.0
@@ -772,16 +764,7 @@ class DatapathNoiseAnalyzer:
         else:
             bounds = _enclosure_of(error)
             mean, variance = _MOMENTS[method](error)
-            noise_power = mean * mean + variance
-        error_pdf = None
-        if method == "pna":
-            # Lazy import: repro.analysis imports this module at package
-            # init.  The convolution treats only *distinct* noise symbols
-            # as independent: correlated reconvergent paths already
-            # combined symbolically during the AA propagation.
-            from repro.analysis.probabilistic import affine_error_pdf
-
-            error_pdf = affine_error_pdf(error, bins=self.bins)
+            noise_power = _mean_square(mean, variance)
         return NoiseReport(
             method=method,
             output=target,
@@ -793,7 +776,6 @@ class DatapathNoiseAnalyzer:
             contributions=(
                 self._contributions(method, target, error, values) if contributions else {}
             ),
-            error_pdf=error_pdf,
         )
 
     def _contributions(
@@ -855,13 +837,11 @@ class DatapathNoiseAnalyzer:
         """Output noise power of a propagated error — the single number the
         word-length search needs per candidate, computed without building
         a full :class:`NoiseReport` (identical to the report's value).
-
-        ``pna`` reads AA's moments, which its PDF's mean-square equals
-        analytically, without the binning error."""
+        ``pna`` reads AA's moments."""
         if isinstance(error, float):
             return error * error
         mean, variance = _MOMENTS[method](error)
-        return mean * mean + variance
+        return _mean_square(mean, variance)
 
     def effective_noise_power(
         self, method: str, error: Any, confidence: float | None = None
@@ -890,6 +870,17 @@ _MOMENTS = {
     "pna": DatapathNoiseAnalyzer._moments_aa,
     "taylor": DatapathNoiseAnalyzer._moments_taylor,
 }
+
+
+def _mean_square(mean: float, variance: float) -> float:
+    """``mean**2 + variance``, or ``inf`` where that is NaN.
+
+    Only an error that overflowed the float range reads NaN here (an IA
+    enclosure ``[-inf, inf]`` has no midpoint), so it prices as the
+    unbounded noise it is.
+    """
+    power = mean * mean + variance
+    return power if power == power else math.inf
 
 
 def _is_zero(value: Any) -> bool:

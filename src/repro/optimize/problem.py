@@ -187,7 +187,6 @@ class OptimizationProblem:
                 "(mean-square power)"
             )
         self.horizon = int(config.horizon)
-        self.bins = int(config.bins)
         self.margin_db = float(config.margin_db)
         self.min_fractional_bits = int(config.min_fractional_bits)
         self.max_word_length = int(config.max_word_length)
@@ -408,7 +407,8 @@ class OptimizationProblem:
 
         A candidate whose errors grow past a nonlinear operator's domain
         premise (``sqrt``/``log`` enclosures crossing their boundary, a
-        divisor enclosure swallowing zero) cannot be analyzed soundly;
+        divisor enclosure swallowing zero, an error past the float
+        range) cannot be analyzed soundly;
         it is reported as infinite noise power — i.e. infeasible — so
         the search simply backs away from it instead of crashing.  Any
         other analysis error propagates: there is no slower engine to
@@ -460,11 +460,7 @@ class OptimizationProblem:
             from repro.analysis.incremental import IncrementalAnalyzer
 
             state.incremental = IncrementalAnalyzer(
-                self.graph,
-                assignment,
-                self.input_ranges,
-                horizon=self.horizon,
-                bins=self.bins,
+                self.graph, assignment, self.input_ranges, horizon=self.horizon
             )
         elif state.accepted is not None:
             accepted, state.accepted = state.accepted, None

@@ -181,7 +181,6 @@ def _attempt_random_graph(rng: random.Random, max_ops: int, ops=None):
 def build_random_circuit(
     seed: int,
     max_ops: int = 10,
-    bins: int = 12,
     validate: bool = True,
     ops: tuple = None,
 ) -> TracedCircuit:
@@ -207,7 +206,7 @@ def build_random_circuit(
                     WordLengthAssignment.uniform(graph, GENERATOR_WORD_LENGTH, ranges),
                     ranges,
                 )
-                analyzer = DatapathNoiseAnalyzer(graph, assignment, input_ranges, bins=bins)
+                analyzer = DatapathNoiseAnalyzer(graph, assignment, input_ranges)
                 for method in ANALYSIS_METHODS:
                     analyzer.analyze(method, contributions=False)
             except (DomainError, DivisionByZeroIntervalError):
@@ -246,11 +245,7 @@ def reference_noise(problem, assignment) -> float:
     ``confidence`` problem is read through ``effective_noise_power``.
     """
     analyzer = DatapathNoiseAnalyzer(
-        problem.graph,
-        assignment,
-        problem.input_ranges,
-        horizon=problem.horizon,
-        bins=problem.bins,
+        problem.graph, assignment, problem.input_ranges, horizon=problem.horizon
     )
     try:
         if problem.confidence is None:

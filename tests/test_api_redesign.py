@@ -107,7 +107,6 @@ def test_batched_matches_fresh_and_incremental_all_methods(name):
             problem.uniform(12),
             problem.input_ranges,
             horizon=problem.horizon,
-            bins=problem.bins,
         )
         for trial, candidate in enumerate(candidates):
             moves = _seeded_moves(candidate, rng, (-2, -1, 1), 2)
@@ -120,7 +119,6 @@ def test_batched_matches_fresh_and_incremental_all_methods(name):
                     design,
                     problem.input_ranges,
                     horizon=problem.horizon,
-                    bins=problem.bins,
                 ).analyze(method, output=problem.output)
                 inc = incremental.noise_power(design, method, output=problem.output, commit=False)
                 got = float(prices[lane])
@@ -162,7 +160,7 @@ def _check_random_circuit_lanes(circuit, seed, method):
     base = ensure_range_coverage(
         WordLengthAssignment.uniform(circuit.graph, 14, ranges), ranges
     )
-    engine = IncrementalAnalyzer(circuit.graph, base, circuit.input_ranges, horizon=6, bins=12)
+    engine = IncrementalAnalyzer(circuit.graph, base, circuit.input_ranges, horizon=6)
     batched = BatchedAnalyzer(engine, ranges)
     rng = random.Random(seed)
     nodes = sorted(base.formats)
@@ -185,7 +183,7 @@ def _check_random_circuit_lanes(circuit, seed, method):
                 if design is None:
                     raise NoiseModelError("uncoverable lane")
                 want = DatapathNoiseAnalyzer(
-                    circuit.graph, design, circuit.input_ranges, horizon=6, bins=12
+                    circuit.graph, design, circuit.input_ranges, horizon=6
                 ).analyze(method, output=circuit.output).noise_power
             except (NoiseModelError, DomainError, DivisionByZeroIntervalError):
                 assert math.isinf(float(prices[lane])), (seed, trial, lane)
@@ -249,14 +247,14 @@ def test_batched_sqrt_of_an_unformatted_operand_from_zero(method):
     uniform = WordLengthAssignment.uniform(graph, 12, ranges)
     design = WordLengthAssignment({n: f for n, f in uniform.formats.items() if n != "x"})
     design = ensure_range_coverage(design, ranges)
-    engine = IncrementalAnalyzer(graph, design, input_ranges, horizon=4, bins=8)
+    engine = IncrementalAnalyzer(graph, design, input_ranges, horizon=4)
     batched = BatchedAnalyzer(engine, ranges)
     moves = [(n, f.fractional_bits - k) for n, f in sorted(design.formats.items()) for k in (1, 3)]
     prices = batched.price_moves(design, moves, method, output="y")
     assert batched.fallback_probes == len(moves)
     for lane, (node, new_frac) in enumerate(moves):
         candidate = ensure_range_coverage(design.with_fractional_bits(node, new_frac), ranges)
-        fresh = DatapathNoiseAnalyzer(graph, candidate, input_ranges, horizon=4, bins=8)
+        fresh = DatapathNoiseAnalyzer(graph, candidate, input_ranges, horizon=4)
         want = fresh.analyze(method, output="y").noise_power
         assert math.isfinite(want) and float(prices[lane]) == want, (node, new_frac)
 
@@ -361,13 +359,13 @@ def test_retired_calling_conventions_raise_type_error(entry, args, kwargs, messa
         elif entry == "problem":
             OptimizationProblem.from_circuit(circuit, 50.0, **kwargs)
         else:
-            pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4, bins=8))
+            pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4))
             pipeline.optimize(circuit, 50.0, **kwargs)
 
 
 def test_pipeline_optimize_matches_config_path():
     circuit = get_circuit("quadratic")
-    pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=12, horizon=4, bins=8))
+    pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=12, horizon=4))
     config = OptimizeConfig(
         snr_floor_db=50.0,
         method="ia",
@@ -390,7 +388,7 @@ def test_pipeline_optimize_matches_config_path():
 
 @pytest.mark.parametrize("name", ["fir4", "sigmoid_neuron"])
 def test_pipeline_pareto_monotone_one_call(name):
-    pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=6, bins=16))
+    pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=6))
     config = OptimizeConfig(method="ia", engine="batched", horizon=6, bins=16)
     front = pipeline.pareto(get_circuit(name), [45.0, 50.0, 55.0, 60.0], config=config)
     assert front.is_monotone()
@@ -506,14 +504,14 @@ def test_dfg_serialization_preserves_semantics():
         WordLengthAssignment.uniform(circuit.graph, 12, ranges), ranges
     )
     want = DatapathNoiseAnalyzer(
-        circuit.graph, assignment, circuit.input_ranges, horizon=6, bins=16
+        circuit.graph, assignment, circuit.input_ranges, horizon=6
     ).analyze("ia", output=circuit.output)
     ranges2 = infer_ranges(rebuilt, circuit.input_ranges).ranges
     assignment2 = ensure_range_coverage(
         WordLengthAssignment.uniform(rebuilt, 12, ranges2), ranges2
     )
     got = DatapathNoiseAnalyzer(
-        rebuilt, assignment2, circuit.input_ranges, horizon=6, bins=16
+        rebuilt, assignment2, circuit.input_ranges, horizon=6
     ).analyze("ia", output=circuit.output)
     assert got.noise_power == want.noise_power
     assert (got.bounds.lo, got.bounds.hi) == (want.bounds.lo, want.bounds.hi)
@@ -545,7 +543,7 @@ def test_dfg_load_rejects_bad_json(tmp_path):
 
 
 def test_enclosure_verdict_tri_state():
-    pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4, bins=8, mc_samples=2_000))
+    pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4, mc_samples=2_000))
     circuit = get_circuit("quadratic")
     no_mc = pipeline.analyze(circuit, method=("ia", "aa"))
     assert no_mc.enclosure == {}

@@ -10,7 +10,7 @@ from repro.benchmarks.bench_analysis import main as bench_main
 from repro.errors import DesignError
 
 SMOKE = NoiseAnalysisPipeline(
-    AnalysisConfig(word_length=10, horizon=4, bins=12, mc_samples=1_500, seed=1)
+    AnalysisConfig(word_length=10, horizon=4, mc_samples=1_500, seed=1)
 )
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.cli import BENCH_SUITES, main
 
-FAST_ANALYZE = ["--samples", "500", "--bins", "8", "--horizon", "2"]
+FAST_ANALYZE = ["--samples", "500", "--horizon", "2"]
 
 
 class TestAnalyze:
@@ -109,9 +109,23 @@ class TestOptimize:
 
     @pytest.mark.parametrize("command", ["optimize", "pareto"])
     def test_search_commands_take_no_bins_flag(self, command, capsys):
-        # bins only sizes a displayed pna error PDF, which no search builds.
+        # No analysis builds a histogram, so no command sizes one.
         with pytest.raises(SystemExit) as exited:
             main([command, "fir4", "--bins", "8"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --bins" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "fir4"],
+            *(["bench", suite, "--"] for suite in ("analysis", "optimize", "pareto")),
+        ],
+        ids=["analyze", "bench-analysis", "bench-optimize", "bench-pareto"],
+    )
+    def test_analyze_and_drivers_take_no_bins_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--bins", "8"])
         assert exited.value.code == 2
         assert "unrecognized arguments: --bins" in capsys.readouterr().err
 

@@ -42,7 +42,6 @@ from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_cover
 GRAPH_COUNT = 200
 
 MC_SAMPLES = 3000
-BINS = 16
 
 #: Modeling factor of the PNA-vs-MC power comparison.
 POWER_FACTOR = 8.0
@@ -60,7 +59,7 @@ def _analyze_seed(seed: int) -> dict:
     assignment = ensure_range_coverage(
         WordLengthAssignment.uniform(circuit.graph, GENERATOR_WORD_LENGTH, ranges), ranges
     )
-    analyzer = DatapathNoiseAnalyzer(circuit.graph, assignment, circuit.input_ranges, bins=BINS)
+    analyzer = DatapathNoiseAnalyzer(circuit.graph, assignment, circuit.input_ranges)
     reports = {
         method: analyzer.analyze(method, contributions=False) for method in ANALYSIS_METHODS
     }
@@ -120,7 +119,7 @@ def test_linear_graphs_nest_ia_superset_aa_superset_mc():
             ranges,
         )
         analyzer = DatapathNoiseAnalyzer(
-            circuit.graph, assignment, circuit.input_ranges, bins=BINS
+            circuit.graph, assignment, circuit.input_ranges
         )
         ia = analyzer.analyze("ia", contributions=False).bounds
         aa = analyzer.analyze("aa", contributions=False).bounds

@@ -49,7 +49,6 @@ def _first_config(monkeypatch, tmp_path, argv):
 ANALYSIS = dict(
     word_length=12,
     horizon=8,
-    bins=32,
     methods=None,
     mc_samples=20_000,
     seed=0,
@@ -69,7 +68,7 @@ OPTIMIZE = dict(
     cost_table="lut4",
     engine="incremental",
     horizon=6,
-    bins=16,
+    bins=32,
     max_word_length=28,
     min_fractional_bits=0,
     quantization="round",
@@ -108,7 +107,6 @@ PINNED = {
             "method": "ia",
             "margin_db": 0.0,
             "horizon": 8,
-            "bins": 32,
         },
     ),
 }

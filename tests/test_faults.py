@@ -545,7 +545,7 @@ class TestPipelineMonteCarloFallback:
         monkeypatch.setattr(pipeline_module, "monte_carlo_error_sharded", _flaky)
         pipeline = NoiseAnalysisPipeline(
             AnalysisConfig(
-                mc_samples=2_000, horizon=4, bins=8, mc_workers=2, mc_fallback=mc_fallback
+                mc_samples=2_000, horizon=4, mc_workers=2, mc_fallback=mc_fallback
             )
         )
         circuit = get_circuit("quadratic")
@@ -682,9 +682,10 @@ class TestCliDiagnostics:
         assert "cost table" in capsys.readouterr().err
 
     def test_zero_bins_exits_2(self, capsys):
+        # A config field the config object rejects: horizon 0.
         from repro.cli import main
 
-        assert main(["analyze", "fir4", "--bins", "0"]) == 2
+        assert main(["analyze", "fir4", "--horizon", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error:")
-        assert "bins" in err
+        assert "horizon must be >= 1" in err

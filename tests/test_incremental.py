@@ -19,7 +19,6 @@ from repro.noisemodel.assignment import (
 )
 
 HORIZON = 5
-BINS = 12
 
 
 def _setup(circuit_name: str):
@@ -49,7 +48,7 @@ def test_incremental_equals_full_on_random_perturbations(circuit_name, method):
     circuit, ranges, baseline = _setup(circuit_name)
     rng = random.Random(f"{circuit_name}/{method}")
     engine = IncrementalAnalyzer(
-        circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON, bins=BINS
+        circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON
     )
     for trial in range(8):
         assignment = _perturb(baseline, ranges, rng, 1 if trial % 2 == 0 else rng.choice((2, 3)))
@@ -57,7 +56,7 @@ def test_incremental_equals_full_on_random_perturbations(circuit_name, method):
             assignment, method, output=circuit.output, commit=bool(trial % 2)
         )
         want = DatapathNoiseAnalyzer(
-            circuit.graph, assignment, circuit.input_ranges, horizon=HORIZON, bins=BINS
+            circuit.graph, assignment, circuit.input_ranges, horizon=HORIZON
         ).analyze(method, output=circuit.output)
         assert got.mean == want.mean
         assert got.variance == want.variance
@@ -71,7 +70,7 @@ def test_incremental_equals_full_on_random_perturbations(circuit_name, method):
 def test_noise_power_fast_path_matches_report(method):
     circuit, ranges, baseline = _setup("iir_biquad")
     engine = IncrementalAnalyzer(
-        circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON, bins=BINS
+        circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON
     )
     rng = random.Random(method)
     for trial in range(4):
@@ -113,7 +112,7 @@ def test_recomputation_never_leaves_the_cone(circuit_name):
     """Property: only nodes downstream of a perturbation are recomputed."""
     circuit, ranges, baseline = _setup(circuit_name)
     engine = IncrementalAnalyzer(
-        circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON, bins=BINS
+        circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON
     )
     engine.analyze(baseline, "ia", output=circuit.output)
     rng = random.Random(circuit_name)
@@ -139,7 +138,7 @@ def test_off_path_perturbation_recomputes_nothing():
     circuit, ranges, baseline = _setup("fft_butterfly")
     # x1 = a - b * twiddle; add1 feeds only output x0.
     engine = IncrementalAnalyzer(
-        circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON, bins=BINS
+        circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON
     )
     engine.analyze(baseline, "pna", output="x1")
     add_node = next(n for n in baseline.formats if n.startswith("add"))
@@ -151,7 +150,7 @@ def test_off_path_perturbation_recomputes_nothing():
     assert engine.stats.nodes_recomputed == before
     assert engine.stats.last_recomputed == ()
     want = DatapathNoiseAnalyzer(
-        circuit.graph, shaved, circuit.input_ranges, horizon=HORIZON, bins=BINS
+        circuit.graph, shaved, circuit.input_ranges, horizon=HORIZON
     ).analyze("pna", output="x1")
     assert report.noise_power == want.noise_power
 
@@ -166,7 +165,7 @@ def test_overlay_probe_leaves_committed_state_untouched():
     circuit, ranges, baseline = _setup("poly3")
     for method in ("aa", "ia"):
         engine = IncrementalAnalyzer(
-            circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON, bins=BINS
+            circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON
         )
         reference = engine.analyze(baseline, method, output=circuit.output)
         state = engine._states[(method, engine.analyzer._resolve_output(circuit.output))]
@@ -213,7 +212,7 @@ def test_incremental_equals_full_on_generated_graphs(method, random_circuit_fact
             WordLengthAssignment.uniform(circuit.graph, 14, ranges), ranges
         )
         engine = IncrementalAnalyzer(
-            circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON, bins=BINS
+            circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON
         )
         rng = random.Random(f"gen/{method}/{offset}")
         for trial in range(4):
@@ -229,7 +228,7 @@ def test_incremental_equals_full_on_generated_graphs(method, random_circuit_fact
                 assignment, method, output=circuit.output, commit=bool(trial % 2)
             )
             want = DatapathNoiseAnalyzer(
-                circuit.graph, assignment, circuit.input_ranges, horizon=HORIZON, bins=BINS
+                circuit.graph, assignment, circuit.input_ranges, horizon=HORIZON
             ).analyze(method, output=circuit.output)
             assert got.noise_power == want.noise_power
             assert got.bounds.lo == want.bounds.lo
@@ -239,7 +238,7 @@ def test_incremental_equals_full_on_generated_graphs(method, random_circuit_fact
 def test_mode_change_is_rejected():
     circuit, ranges, baseline = _setup("quadratic")
     engine = IncrementalAnalyzer(
-        circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON, bins=BINS
+        circuit.graph, baseline, circuit.input_ranges, horizon=HORIZON
     )
     from repro.errors import NoiseModelError
     from repro.fixedpoint.format import QuantizationMode

@@ -222,7 +222,7 @@ class TestShardedMonteCarlo:
 
 
 SMOKE_ANALYSIS = dict(
-    config=AnalysisConfig(word_length=10, horizon=2, bins=8, mc_samples=300, seed=5)
+    config=AnalysisConfig(word_length=10, horizon=2, mc_samples=300, seed=5)
 )
 
 
@@ -282,7 +282,7 @@ class TestSerialParallelBitIdentity:
                     sys.executable, "-m", "repro", "bench", "optimize", "--",
                     "--circuit", "quadratic", "--method", "aa",
                     "--snr-floor", "45",
-                    "--samples", "1000", "--bins", "8", "--horizon", "2",
+                    "--samples", "1000", "--horizon", "2",
                     "--out", str(out),
                 ],
                 capture_output=True,

@@ -3,8 +3,8 @@
 ``DatapathNoiseAnalyzer.report`` turns a propagated output error into a
 ``NoiseReport`` for every method, and ``noise_power_of`` reads the same
 noise power without building one.  The digest below pins every report
-field, ``contributions`` and ``error_pdf`` included, so a change to the
-readout that moves any float fails here.
+field, ``contributions`` included, so a change to the readout that moves
+any float fails here.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.dfg.range_analysis import infer_ranges
+from repro.analysis.probabilistic import affine_error_pdf
 from repro.histogram.pdf import HistogramPDF
 from repro.noisemodel.analyzer import (
     ANALYSIS_METHODS,
@@ -26,17 +27,18 @@ from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_cover
 from repro.utils.mathutils import snr_db
 
 HORIZON = 5
-BINS = 12
 WORD_LENGTH = 12
 
 #: SHA-256 of every report field of the 11 circuits x 4 methods at a
-#: uniform 12-bit word length (horizon 5, 12 bins); see ``_report_fields``.
+#: uniform 12-bit word length (horizon 5); see ``_report_fields``.
 #: Re-recorded when AA radii and variances became ``math.fsum``
 #: reductions: aa/pna bounds, variances, noise powers, contributions and
 #: pna PDFs moved in the last ulp on four circuits.  Re-recorded when the
 #: histogram-propagating ``sna`` method was deleted: the digest of the
 #: previous code over the four remaining methods is this one.
-READOUT_DIGEST = "0d95618489682ed325f20df120b5bb6b4e1ee59127a6aec7658f593bbbd9c879"
+#: Re-recorded when the report lost its pna error PDF: the previous
+#: code's digest over the remaining fields is this one.
+READOUT_DIGEST = "f271743cfe4e0fb678c620bd507d43499fabf8ac6764ef7842a71c0200b31b37"
 
 
 def _analyzer(circuit_name: str) -> tuple[DatapathNoiseAnalyzer, str | None]:
@@ -45,14 +47,11 @@ def _analyzer(circuit_name: str) -> tuple[DatapathNoiseAnalyzer, str | None]:
     design = ensure_range_coverage(
         WordLengthAssignment.uniform(circuit.graph, WORD_LENGTH, ranges), ranges
     )
-    analyzer = DatapathNoiseAnalyzer(
-        circuit.graph, design, circuit.input_ranges, horizon=HORIZON, bins=BINS
-    )
+    analyzer = DatapathNoiseAnalyzer(circuit.graph, design, circuit.input_ranges, horizon=HORIZON)
     return analyzer, circuit.output
 
 
 def _report_fields(report) -> str:
-    pdf = report.error_pdf
     fields = [
         report.method,
         report.output,
@@ -63,7 +62,6 @@ def _report_fields(report) -> str:
         repr(report.noise_power),
         str(report.source_count),
         repr(sorted(report.contributions.items())),
-        "-" if pdf is None else pdf.edges.tobytes().hex() + "/" + pdf.probs.tobytes().hex(),
     ]
     return "|".join(fields)
 
@@ -94,19 +92,18 @@ def test_float_error_reads_as_a_point(method, value):
     assert report.variance == 0.0
     assert report.noise_power == analyzer.noise_power_of(method, value) == value * value
     assert report.source_count == len(analyzer.sources)
-    assert (report.error_pdf is not None) == (method == "pna")
 
 
 @pytest.mark.parametrize("value", [0.0, 0.25])
 def test_pna_float_error_reads_as_the_point_histogram(value):
-    # The report reads the float's exact moments, as noise_power_of does,
-    # and attaches HistogramPDF.point (which spreads its mass over
-    # +-1e-12 * max(|v|, 1)) as the error distribution.
+    # The report reads the float's exact moments, as noise_power_of does;
+    # its distribution, discretized on request, is HistogramPDF.point
+    # (which spreads its mass over +-1e-12 * max(|v|, 1)).
     analyzer, report = _point_report("pna", value)
     assert (report.bounds.lo, report.bounds.hi) == (value, value)
     assert (report.mean, report.variance) == (value, 0.0)
     assert report.noise_power == analyzer.noise_power_of("pna", value) == value * value
-    assert report.error_pdf.edges.tolist() == HistogramPDF.point(value).edges.tolist()
+    assert affine_error_pdf(value).edges.tolist() == HistogramPDF.point(value).edges.tolist()
     assert report.source_count == len(analyzer.sources)
 
 
@@ -125,7 +122,7 @@ def test_pna_reads_aa_moments_and_contributions():
     aa, pna = analyzer.analyze("aa", output=output), analyzer.analyze("pna", output=output)
     for name in ("bounds", "mean", "variance", "noise_power", "contributions"):
         assert getattr(pna, name) == getattr(aa, name)
-    assert pna.contributions and aa.error_pdf is None and pna.error_pdf is not None
+    assert pna.contributions
 
 
 @pytest.mark.parametrize(

@@ -22,16 +22,15 @@ from repro.noisemodel.gains import transfer_gains
 from repro.optimize import HardwareCostModel
 
 HORIZON = 5
-BINS = 16
 
 
-def _analyzer_for(graph, input_ranges, word_length=12, horizon=HORIZON, bins=BINS):
+def _analyzer_for(graph, input_ranges, word_length=12, horizon=HORIZON):
     ranges = infer_ranges(graph, input_ranges).ranges
     assignment = ensure_range_coverage(
         WordLengthAssignment.uniform(graph, word_length, ranges), ranges
     )
     return (
-        DatapathNoiseAnalyzer(graph, assignment, input_ranges, horizon=horizon, bins=bins),
+        DatapathNoiseAnalyzer(graph, assignment, input_ranges, horizon=horizon),
         assignment,
     )
 
@@ -104,7 +103,6 @@ class TestDomainErrors:
             graph,
             WordLengthAssignment({}),
             {"x": Interval(-1.0, 1.0)},
-            bins=BINS,
         )
         with pytest.raises(DomainError) as excinfo:
             analyzer.analyze(method)

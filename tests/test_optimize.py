@@ -167,7 +167,7 @@ class TestGreedy:
 
 class TestPipelineWiring:
     def test_pipeline_optimize_returns_result(self):
-        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4, bins=8))
+        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4))
         result = pipeline.optimize(
             get_circuit("quadratic"),
             snr_floor_db=FLOOR,
@@ -184,12 +184,12 @@ class TestPipelineWiring:
         assert report.results["aa"].snr_db >= FLOOR
 
     def test_unknown_strategy_raises(self):
-        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4, bins=8))
+        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4))
         with pytest.raises(OptimizationError, match="unknown optimization strategy"):
             pipeline.optimize(get_circuit("quadratic"), FLOOR, strategy="gradient")
 
     def test_custom_cost_model_is_used(self):
-        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4, bins=8))
+        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4))
         free = HardwareCostModel(
             HardwareCostModel().table.scaled(0.0, name="free")
         )
@@ -199,7 +199,7 @@ class TestPipelineWiring:
         assert result.cost == 0.0
 
     def test_result_serializes(self):
-        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4, bins=8))
+        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4))
         result = pipeline.optimize(get_circuit("quadratic"), FLOOR, strategy="uniform")
         doc = result.to_dict()
         assert doc["strategy"] == "uniform"

@@ -86,7 +86,7 @@ class TestPipelineOracleMethod:
         assert OPTIONAL_METHODS == ("oracle",)
         assert "oracle" not in ALL_METHODS
         pipeline = NoiseAnalysisPipeline(
-            AnalysisConfig(word_length=10, horizon=2, bins=12, mc_samples=400, seed=0)
+            AnalysisConfig(word_length=10, horizon=2, mc_samples=400, seed=0)
         )
         report = pipeline.analyze(get_circuit("quadratic"))
         assert "oracle" not in report.results
@@ -96,7 +96,6 @@ class TestPipelineOracleMethod:
             AnalysisConfig(
                 word_length=10,
                 horizon=2,
-                bins=12,
                 mc_samples=400,
                 seed=0,
                 oracle_samples=32,

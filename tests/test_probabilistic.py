@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from repro.analysis import (
     affine_error_pdf,
     confidence_noise_power,
 )
+from repro.analysis import probabilistic
 from repro.analysis.montecarlo import (
     draw_stimulus,
     monte_carlo_error,
@@ -127,7 +127,7 @@ class TestStimulusRangeGuard:
         interval = circuit.input_ranges["x"]
         wide = HistogramPDF.uniform(interval.lo - 1.0, interval.hi + 1.0, bins=16)
         pipeline = NoiseAnalysisPipeline(
-            AnalysisConfig(mc_samples=256, horizon=2, bins=8, mc_workers=mc_workers)
+            AnalysisConfig(mc_samples=256, horizon=2, mc_workers=mc_workers)
         )
         with pytest.raises(NoiseModelError, match="outside the declared"):
             pipeline.analyze(circuit, method="montecarlo", input_pdfs={"x": wide})
@@ -176,7 +176,7 @@ class TestPnaMethod:
     def test_pna_is_part_of_the_default_sweep(self):
         assert "pna" in ALL_METHODS
         pipeline = NoiseAnalysisPipeline(
-            AnalysisConfig(word_length=10, horizon=2, bins=16, mc_samples=800, seed=0)
+            AnalysisConfig(word_length=10, horizon=2, mc_samples=800, seed=0)
         )
         report = pipeline.analyze(get_circuit("quadratic"))
         assert "pna" in report.results
@@ -198,77 +198,10 @@ class TestPnaMethod:
 
 
 # --------------------------------------------------------------------- #
-# the fused uniform-convolution kernel
+# affine_error_pdf's error cases
 # --------------------------------------------------------------------- #
-def reference_error_pdf(error, bins):
-    """The composed convolution ``affine_error_pdf`` must reproduce bit for bit."""
-    if not isinstance(error, AffineForm):
-        return HistogramPDF.point(float(error))
-    radii = sorted((abs(c) for c in error.terms.values() if c != 0.0), reverse=True)
-    if not radii:
-        return HistogramPDF.point(error.center)
-    pdf = HistogramPDF.uniform(error.center - radii[0], error.center + radii[0], bins=bins)
-    for radius in radii[1:]:
-        pdf = pdf.add(HistogramPDF.uniform(-radius, radius, bins=bins), bins=bins)
-    return pdf
-
-
-def outcome(read):
-    """``("pdf", edges, probs)``, or ``("raises", message)`` for a HistogramError."""
-    try:
-        pdf = read()
-    except HistogramError as exc:
-        return ("raises", str(exc))
-    return ("pdf", pdf.edges, pdf.probs)
-
-
-def assert_same_outcome(expected, got):
-    assert expected[0] == got[0], (expected, got)
-    if expected[0] == "raises":
-        assert expected[1] == got[1]
-    else:
-        assert np.array_equal(expected[1], got[1]), "edges differ"
-        assert np.array_equal(expected[2], got[2]), "probs differ"
-
-
-def random_forms(seed, count):
-    """Seeded affine forms: 1-40 symbols, radii 1e-12..1e3, some tied radii."""
-    rng = np.random.default_rng(seed)
-    forms = []
-    for k in range(count):
-        terms = int(rng.integers(1, 41))
-        coeffs = rng.choice([-1.0, 1.0], size=terms) * 10.0 ** rng.uniform(-12, 3, size=terms)
-        if k % 3 == 1:
-            coeffs[: max(1, terms // 2)] = coeffs[0]
-        center = 0.0 if k % 2 == 0 else float(rng.normal() * 10.0 ** rng.uniform(-6, 2))
-        forms.append(AffineForm(center, {f"s{i}": float(c) for i, c in enumerate(coeffs)}))
-    return forms
-
-
-TINY = sys.float_info.min
-SPECIAL_FORMS = [
-    AffineForm(0.0, {"a": 0.75}),  # one term
-    AffineForm(-2.5, {"a": 1e-12}),  # one narrow term off zero
-    AffineForm(0.25, {}),  # a constant form
-    0.25,  # a plain constant
-    AffineForm(0.0, {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}),  # all radii equal
-    AffineForm(0.0, {"a": 1.0, "b": TINY, "c": TINY / 2.0}),  # at/below the normal range
-    AffineForm(1.0, {"a": 2.0 * TINY, "b": TINY}),  # only tiny radii
-    AffineForm(1e6, {"a": 1e-12, "b": 1e-12}),  # center swamps the spread
-    AffineForm(0.0, {f"s{i}": 1e307 for i in range(40)}),  # hull overflows
-]
-
-
 class TestFusedKernel:
-    @pytest.mark.parametrize("bins", [1, 2, 16, 32, 64])
-    def test_bit_identical_to_the_composed_convolution(self, bins):
-        forms = SPECIAL_FORMS + random_forms(seed=bins, count=16)
-        with np.errstate(all="ignore"):
-            for form in forms:
-                assert_same_outcome(
-                    outcome(lambda: reference_error_pdf(form, bins)),
-                    outcome(lambda: affine_error_pdf(form, bins=bins)),
-                )
+    """``affine_error_pdf`` names a non-finite form and rejects zero bins."""
 
     @pytest.mark.parametrize(
         "error, named",
@@ -320,6 +253,31 @@ def test_pna_greedy_design_unchanged_on_mlp_layer():
     ]
     digest = hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
     assert (repr(result.cost), len(result.iterations), digest) == PNA_GOLDEN
+
+
+def test_no_analysis_or_search_builds_a_histogram(monkeypatch):
+    """``pna`` reads its error distribution in closed form.
+
+    A pipeline analysis running every method, and a greedy search at
+    confidence 0.999, finish with the PDF convolution and the histogram
+    sum both raising.
+    """
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a histogram was built")
+
+    monkeypatch.setattr(probabilistic, "affine_error_pdf", refuse)
+    monkeypatch.setattr(HistogramPDF, "add", refuse)
+    pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=10, horizon=4, mc_samples=500))
+    report = pipeline.analyze(get_circuit("iir_biquad"), method=ALL_METHODS)
+    assert list(report.results) == list(ALL_METHODS)
+    config = OptimizeConfig(
+        snr_floor_db=50.0, method="pna", confidence=0.999, horizon=4, margin_db=0.0
+    )
+    problem = OptimizationProblem.from_circuit(
+        generate_circuit("mlp_layer:inputs=2,neurons=2"), 50.0, config=config
+    )
+    assert GreedyBitStealingOptimizer().optimize(problem).feasible
 
 
 # --------------------------------------------------------------------- #

@@ -20,6 +20,7 @@ import pytest
 
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
+from repro.config import OptimizeConfig
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.range_analysis import infer_ranges
 from repro.fixedpoint.format import FixedPointFormat
@@ -27,9 +28,9 @@ from repro.errors import DivisionByZeroIntervalError, DomainError, NoiseModelErr
 from repro.intervals.interval import Interval
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer, propagation_algebra
 from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage, moved_format
+from repro.optimize import OptimizationProblem
 
 HORIZON = 4
-BINS = 8
 
 #: ``(method, confidence)`` readings: mean-square power for every method,
 #: the fractional confidence of the PDF methods, and every method's peak.
@@ -64,17 +65,13 @@ def _setup(circuit, seed, word_length=12):
         frac = fmt.fractional_bits + rng.choice((-3, -1, 1))
         moves.append((node, moved_format(node, fmt, frac, ranges)))
     moves.append((nodes[0], None))
-    engine = IncrementalAnalyzer(
-        circuit.graph, base, circuit.input_ranges, horizon=HORIZON, bins=BINS
-    )
+    engine = IncrementalAnalyzer(circuit.graph, base, circuit.input_ranges, horizon=HORIZON)
     return engine, design, moves
 
 
 def _expected(circuit, design, moves, method, confidence):
     """Each move priced by ``noise_power`` on a private engine; ``inf`` where it raises."""
-    private = IncrementalAnalyzer(
-        circuit.graph, design, circuit.input_ranges, horizon=HORIZON, bins=BINS
-    )
+    private = IncrementalAnalyzer(circuit.graph, design, circuit.input_ranges, horizon=HORIZON)
     prices = []
     for node, fmt in moves:
         try:
@@ -201,7 +198,7 @@ def test_hoisted_constant_sources_are_restored_exactly():
     circuit = get_circuit("iir_biquad")
     ranges = infer_ranges(circuit.graph, circuit.input_ranges).ranges
     design = ensure_range_coverage(WordLengthAssignment.uniform(circuit.graph, 12, ranges), ranges)
-    engine = IncrementalAnalyzer(circuit.graph, design, circuit.input_ranges, horizon=6, bins=BINS)
+    engine = IncrementalAnalyzer(circuit.graph, design, circuit.input_ranges, horizon=6)
     assert engine.analyzer.unrolled.instances["const1"] == ["const1@0"] * 6
     assert engine._instances_of("const1") == ["const1@0"]
     moves = []
@@ -211,9 +208,7 @@ def test_hoisted_constant_sources_are_restored_exactly():
     engine.probe_moves(design, moves, "ia", circuit.output)
 
     def fresh(assignment):
-        return DatapathNoiseAnalyzer(
-            circuit.graph, assignment, circuit.input_ranges, horizon=6, bins=BINS
-        )
+        return DatapathNoiseAnalyzer(circuit.graph, assignment, circuit.input_ranges, horizon=6)
 
     def described(sources):
         return {
@@ -290,3 +285,44 @@ def test_an_error_radius_past_the_float_range_prices_inf(method, confidence):
     assert got == [math.inf]
     moved = design.with_formats({"x0": coarse})
     assert engine.noise_power(moved, method, "y", confidence=confidence) == math.inf
+
+
+#: Every reading of the overflow test: mean-square power of each method,
+#: pna's fractional confidence and AA's peak.
+OVERFLOW_READINGS = (*((method, None) for method in ANALYSIS_METHODS), ("pna", 0.999), ("aa", 1.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("reading", OVERFLOW_READINGS, ids=_reading_id)
+def test_an_overflowed_error_prices_inf_in_every_reading(reading):
+    """An error past the float range prices ``inf``, never ``nan`` or an exception.
+
+    Forty inputs in [-1e-3, 1e-3] at 0 fractional bits each carry an error
+    of +-0.5; a gain of 9.1e306 and their sum overflow the error, and a
+    product with the input ``z`` then meets ``inf - inf`` and ``0 * inf``:
+    IA's enclosure is [-inf, inf] (no midpoint), Taylor's remainder a NaN
+    bound, and pna's Chernoff read an ``inf`` coefficient.  Both a probe
+    of ``z`` and the problem's evaluation of the moved design price
+    ``inf``, as a lane that leaves a domain does.
+    """
+    method, confidence = reading
+    count = 40
+    builder = DFGBuilder("huge_gain_product")
+    inputs = builder.inputs([f"x{i}" for i in range(count)])
+    z = builder.input("z")
+    gain = builder.const(9.1e306)
+    builder.output(builder.sum_of([x * gain for x in inputs]) * z, name="y")
+    graph = builder.build()
+    input_ranges = {f"x{i}": Interval(-1e-3, 1e-3) for i in range(count)}
+    input_ranges["z"] = Interval(-1.0, 1.0)
+    config = OptimizeConfig(method=method, confidence=confidence, snr_floor_db=0.0)
+    problem = OptimizationProblem(graph, input_ranges, config=config, output="y")
+    coarse = FixedPointFormat(1, 0)
+    design = problem.uniform(1100).with_formats(
+        {**{f"x{i}": coarse for i in range(count)}, "z": FixedPointFormat(2, 4)}
+    )
+    shaved = FixedPointFormat(2, 3)
+    engine = IncrementalAnalyzer(graph, design, input_ranges)
+    assert engine.probe_moves(design, [("z", shaved)], method, "y", confidence) == [math.inf]
+    evaluation = problem.evaluate(design.with_formats({"z": shaved}))
+    assert evaluation.noise_power == math.inf and not evaluation.feasible

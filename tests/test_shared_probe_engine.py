@@ -110,7 +110,6 @@ def walk_and_compare(problem, seed, steps=10, width=8):
         problem.uniform(12),
         problem.input_ranges,
         horizon=problem.horizon,
-        bins=problem.bins,
     )
     current = views[0].evaluate(views[0].uniform(12))
     views[0].notify_accepted(current.assignment)

@@ -109,7 +109,7 @@ class TestTracedCircuitIntegration:
     def test_pipeline_accepts_traced_circuit(self):
         circuit = trace(_magnitude, {"x": (-1.0, 1.0), "y": (-1.0, 1.0)})
         pipeline = NoiseAnalysisPipeline(
-            AnalysisConfig(word_length=12, bins=12, mc_samples=2000, seed=0)
+            AnalysisConfig(word_length=12, mc_samples=2000, seed=0)
         )
         report = pipeline.analyze(circuit)
         for method in ("ia", "aa", "taylor"):
