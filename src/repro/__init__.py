@@ -5,8 +5,8 @@ Subpackages
 ``intervals``
     Interval, affine and Taylor-model arithmetic (the baselines).
 ``histogram``
-    Histogram (discretized PDF) sums and sampling — the Monte-Carlo
-    stimulus and the on-request ``affine_error_pdf``.
+    Histogram (discretized PDF) sums behind the on-request
+    ``affine_error_pdf``.
 ``symbols``
     Symbolic expressions lowered to dataflow graphs.
 ``fixedpoint``

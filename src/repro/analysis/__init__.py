@@ -4,11 +4,11 @@ This package is the user-facing entry point of the reproduction.  It
 takes a computation (symbolic expression or dataflow graph), a
 word-length assignment, and produces a structured
 :class:`~repro.analysis.report.AnalysisReport` comparing interval
-arithmetic, affine arithmetic, Taylor models, Symbolic Noise Analysis,
-probabilistic noise analysis and Monte-Carlo simulation on the same
-fixed-point design — the experiment at the heart of the paper, packaged
-as one call.  An arbitrary-precision oracle referees the float64
-validator on request.
+arithmetic, affine arithmetic, Taylor models, Symbolic Noise Analysis
+(``pna``) and Monte-Carlo simulation on the same fixed-point design —
+the experiment at the heart of the paper, packaged as one call.  An
+arbitrary-precision oracle referees the float64 validator on request;
+both sample the declared input ranges through one skeleton.
 """
 
 from repro.analysis.batched import BatchedAnalyzer

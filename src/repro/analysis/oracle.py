@@ -14,11 +14,11 @@ module re-runs both simulations in arbitrary-precision arithmetic
   datapath is the true mathematical fixed-point machine rather than
   float64's approximation of it.
 
-Stimulus is drawn through the very same
-:func:`~repro.analysis.montecarlo.draw_stimulus` helper (same RNG
-consumption order), so for equal seeds the oracle and the float64
-validator see *identical* input samples and their per-sample errors are
-directly comparable — :func:`oracle_agreement` quantifies the gap.
+The oracle runs the float64 validator's own skeleton,
+:func:`~repro.analysis.montecarlo.sampled_error`, with only the simulator
+swapped, so for equal seeds the oracle and the float64 validator see
+*identical* input samples and their per-sample errors are directly
+comparable — :func:`oracle_agreement` quantifies the gap.
 
 ``mpmath`` transparently uses ``gmpy2`` as its backing bignum library
 when that package is importable (:data:`HAVE_GMPY2`); nothing else is
@@ -29,17 +29,17 @@ thousands — it is a referee for the validator, not a replacement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping
 
 import numpy as np
 
-from repro.analysis.montecarlo import draw_stimulus, monte_carlo_error
+from repro.analysis.montecarlo import MonteCarloResult, monte_carlo_error, sampled_error
 from repro.dfg.graph import DFG
 from repro.dfg.node import OpType
 from repro.errors import NoiseModelError
 from repro.fixedpoint.format import OverflowMode, QuantizationMode
-from repro.histogram.pdf import HistogramPDF
 from repro.intervals.interval import Interval
 from repro.noisemodel.assignment import WordLengthAssignment
 
@@ -80,24 +80,10 @@ AGREEMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class OracleResult:
+class OracleResult(MonteCarloResult):
     """Arbitrary-precision fixed-point error statistics for one output."""
 
-    output: str
-    samples: int
-    steps: int
-    precision_bits: int
-    lower: float
-    upper: float
-    mean: float
-    variance: float
-    noise_power: float
-    errors: np.ndarray
-
-    @property
-    def bounds(self) -> Interval:
-        """Observed ``[min, max]`` error."""
-        return Interval(self.lower, self.upper)
+    precision_bits: int = DEFAULT_PRECISION_BITS
 
 
 def _require_mpmath() -> None:
@@ -218,57 +204,16 @@ def _simulate_sample(
     return values[output]
 
 
-def oracle_error(
+def _oracle_errors(
     graph: DFG,
     assignment: WordLengthAssignment,
-    input_ranges: Mapping[str, Interval],
-    samples: int = 256,
-    steps: int = 1,
-    input_pdfs: Mapping[str, HistogramPDF] | None = None,
-    output: str | None = None,
-    rng: np.random.Generator | int | None = 0,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    out_of_range: str = "raise",
-) -> OracleResult:
-    """Sample the fixed-point error of one output at exact precision.
-
-    The arbitrary-precision counterpart of
-    :func:`~repro.analysis.montecarlo.monte_carlo_error`: identical
-    stimulus contract (same RNG stream, same support-vs-range policy),
-    but both the reference and the quantized datapath run in mpmath at
-    ``precision_bits`` working precision, with quantization applied in
-    exact arithmetic.
-    """
-    _require_mpmath()
-    if samples < 1:
-        raise NoiseModelError(f"samples must be >= 1, got {samples}")
-    if precision_bits < 64:
-        raise NoiseModelError(
-            f"precision_bits must be >= 64 (the oracle must out-resolve float64), "
-            f"got {precision_bits}"
-        )
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    steps = int(steps) if graph.is_sequential else 1
-
-    outputs = graph.outputs()
-    if output is None:
-        if not outputs:
-            raise NoiseModelError(f"graph {graph.name!r} has no outputs")
-        output = outputs[0]
-    elif output not in outputs:
-        raise NoiseModelError(f"unknown output {output!r}; graph outputs: {outputs}")
-
-    stimulus = draw_stimulus(
-        graph,
-        input_ranges,
-        samples,
-        steps,
-        rng,
-        input_pdfs=input_pdfs,
-        out_of_range=out_of_range,
-    )
-
+    stimulus: Mapping[str, np.ndarray],
+    output: str,
+    steps: int,
+    samples: int,
+    precision_bits: int,
+) -> np.ndarray:
+    """Per-sample bit-true-minus-exact error, both in mpmath."""
     order = graph.topological_order()
     quantization = QuantizationMode.coerce(assignment.quantization)
     overflow = OverflowMode.coerce(assignment.overflow)
@@ -283,18 +228,45 @@ def oracle_error(
                 graph, order, row, assignment.formats, quantization, overflow, output, steps
             )
             errors[i] = float(quantized - exact)
-    errors.setflags(write=False)
-    return OracleResult(
-        output=output,
-        samples=samples,
-        steps=steps,
+    return errors
+
+
+def oracle_error(
+    graph: DFG,
+    assignment: WordLengthAssignment,
+    input_ranges: Mapping[str, Interval],
+    samples: int = 256,
+    steps: int = 1,
+    output: str | None = None,
+    rng: np.random.Generator | int | None = 0,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+) -> OracleResult:
+    """Sample the fixed-point error of one output at exact precision.
+
+    The arbitrary-precision counterpart of
+    :func:`~repro.analysis.montecarlo.monte_carlo_error`: the same
+    :func:`~repro.analysis.montecarlo.sampled_error` skeleton (same RNG
+    stream, same stimulus), but both the reference and the quantized
+    datapath run in mpmath at ``precision_bits`` working precision, with
+    quantization applied in exact arithmetic.
+    """
+    _require_mpmath()
+    if precision_bits < 64:
+        raise NoiseModelError(
+            f"precision_bits must be >= 64 (the oracle must out-resolve float64), "
+            f"got {precision_bits}"
+        )
+    return sampled_error(
+        graph,
+        assignment,
+        input_ranges,
+        samples,
+        steps,
+        output,
+        rng,
+        functools.partial(_oracle_errors, samples=samples, precision_bits=precision_bits),
+        OracleResult,
         precision_bits=precision_bits,
-        lower=float(errors.min()),
-        upper=float(errors.max()),
-        mean=float(errors.mean()),
-        variance=float(errors.var()),
-        noise_power=float(np.mean(errors * errors)),
-        errors=errors,
     )
 
 
@@ -304,7 +276,6 @@ def oracle_agreement(
     input_ranges: Mapping[str, Interval],
     samples: int = 128,
     steps: int = 1,
-    input_pdfs: Mapping[str, HistogramPDF] | None = None,
     output: str | None = None,
     seed: int = 0,
     precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -324,7 +295,6 @@ def oracle_agreement(
         input_ranges,
         samples=samples,
         steps=steps,
-        input_pdfs=input_pdfs,
         output=output,
         rng=seed,
     )
@@ -334,7 +304,6 @@ def oracle_agreement(
         input_ranges,
         samples=samples,
         steps=steps,
-        input_pdfs=input_pdfs,
         output=output,
         rng=seed,
         precision_bits=precision_bits,

@@ -26,23 +26,17 @@ which runs, in order:
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, Iterable, Mapping
 
 from repro.analysis.degradation import DegradationEvent
-from repro.analysis.montecarlo import (
-    MonteCarloResult,
-    monte_carlo_error,
-    monte_carlo_error_sharded,
-)
+from repro.analysis.montecarlo import MonteCarloResult, monte_carlo_validate
 from repro.analysis.report import AnalysisReport, MethodResult
 from repro.config import AnalysisConfig, OptimizeConfig
 from repro.dfg.builder import expression_to_dfg
 from repro.dfg.graph import DFG
 from repro.dfg.range_analysis import infer_ranges
-from repro.errors import JobError, NoiseModelError
-from repro.histogram.pdf import HistogramPDF
+from repro.errors import NoiseModelError
 from repro.intervals.interval import Interval, RangeLike, coerce_interval, uniform_power
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer
 from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
@@ -64,6 +58,30 @@ ALL_METHODS = ANALYSIS_METHODS + ("montecarlo",)
 #: arbitrary-precision oracle walks a scalar mpmath loop per sample, so
 #: it must be asked for explicitly.
 OPTIONAL_METHODS = ("oracle",)
+
+#: Absolute slack when judging an analytic bound against the sampled
+#: ``montecarlo`` errors.
+ENCLOSURE_TOL = 1e-12
+
+
+def _sampled_row(
+    method: str, result: MonteCarloResult, signal_power: float, runtime_s: float
+) -> MethodResult:
+    """The report row of a ``montecarlo`` or ``oracle`` sample."""
+    extra = {"samples": float(result.samples), "steps": float(result.steps)}
+    if method == "oracle":
+        extra["precision_bits"] = float(result.precision_bits)
+    return MethodResult(
+        method=method,
+        lower=result.lower,
+        upper=result.upper,
+        mean=result.mean,
+        variance=result.variance,
+        noise_power=result.noise_power,
+        snr_db=snr_db(signal_power, result.noise_power),
+        runtime_s=runtime_s,
+        extra=extra,
+    )
 
 
 class NoiseAnalysisPipeline:
@@ -94,13 +112,11 @@ class NoiseAnalysisPipeline:
         self.mc_samples = int(config.mc_samples)
         self.seed = config.seed
         self.mc_workers = config.mc_workers
-        self.enclosure_tol = float(config.enclosure_tol)
-        self.mc_fallback = config.mc_fallback
         self.oracle_samples = int(config.oracle_samples)
         self.oracle_precision_bits = int(config.oracle_precision_bits)
         #: :class:`~repro.analysis.degradation.DegradationEvent` log —
         #: appended to (never cleared) whenever a sharded Monte-Carlo
-        #: validation had to fall back to the in-process validator.
+        #: validation had to rerun its shards serially in-process.
         self.degradation_log: list[DegradationEvent] = []
 
     # ------------------------------------------------------------------ #
@@ -111,7 +127,6 @@ class NoiseAnalysisPipeline:
         method: str | Iterable[str] | None = None,
         *,
         input_ranges: Mapping[str, RangeLike] | None = None,
-        input_pdfs: Mapping[str, HistogramPDF] | None = None,
         output: str | None = None,
         name: str | None = None,
     ) -> AnalysisReport:
@@ -133,10 +148,9 @@ class NoiseAnalysisPipeline:
             it by name.
         input_ranges:
             Range per input (``Interval`` or ``(lo, hi)``).  Required
-            unless ``circuit`` carries its own.
-        input_pdfs:
-            Optional input distributions of the Monte-Carlo and oracle
-            stimulus; the analytic methods enclose the input ranges.
+            unless ``circuit`` carries its own.  The analytic methods
+            enclose these ranges, and the ``montecarlo`` and ``oracle``
+            stimulus is drawn uniformly over them.
         output:
             Which output to analyze for multi-output designs (the first
             output by default).
@@ -167,106 +181,12 @@ class NoiseAnalysisPipeline:
 
         for method_name in methods:
             started = time.perf_counter()
-            if method_name == "montecarlo":
-                if self.mc_workers is not None:
-                    seed = self.seed
-                    if seed is None:
-                        # entropy requested alongside sharding: derive the
-                        # chunk seeds from a random base instead of
-                        # dropping the workers
-                        seed = int.from_bytes(os.urandom(4), "big")
-                    try:
-                        mc_result = monte_carlo_error_sharded(
-                            graph,
-                            assignment,
-                            ranges_in,
-                            samples=self.mc_samples,
-                            steps=self.horizon,
-                            input_pdfs=input_pdfs,
-                            output=out_node,
-                            seed=seed,
-                            workers=self.mc_workers,
-                        )
-                    except JobError as exc:
-                        # A dead worker pool should not sink the whole
-                        # analysis: shard serially in-process instead.
-                        # Per-chunk seeds derive from the chunk index, so
-                        # the fallback reproduces the sharded numbers.
-                        if not self.mc_fallback:
-                            raise
-                        self.degradation_log.append(
-                            DegradationEvent(
-                                stage="montecarlo-sharded",
-                                from_engine=f"sharded[{self.mc_workers}]",
-                                to_engine="sharded[1]",
-                                reason=f"{type(exc).__name__}: {exc}",
-                            )
-                        )
-                        mc_result = monte_carlo_error_sharded(
-                            graph,
-                            assignment,
-                            ranges_in,
-                            samples=self.mc_samples,
-                            steps=self.horizon,
-                            input_pdfs=input_pdfs,
-                            output=out_node,
-                            seed=seed,
-                            workers=1,
-                        )
-                else:
-                    mc_result = monte_carlo_error(
-                        graph,
-                        assignment,
-                        ranges_in,
-                        samples=self.mc_samples,
-                        steps=self.horizon,
-                        input_pdfs=input_pdfs,
-                        output=out_node,
-                        rng=self.seed,
-                    )
-                elapsed = time.perf_counter() - started
-                results[method_name] = MethodResult(
-                    method="montecarlo",
-                    lower=mc_result.lower,
-                    upper=mc_result.upper,
-                    mean=mc_result.mean,
-                    variance=mc_result.variance,
-                    noise_power=mc_result.noise_power,
-                    snr_db=snr_db(signal_power, mc_result.noise_power),
-                    runtime_s=elapsed,
-                    extra={"samples": float(mc_result.samples), "steps": float(mc_result.steps)},
-                )
-            elif method_name == "oracle":
-                # late import: keeps mpmath off the hot path of every
-                # default analysis run
-                from repro.analysis.oracle import oracle_error
-
-                oracle_result = oracle_error(
-                    graph,
-                    assignment,
-                    ranges_in,
-                    samples=self.oracle_samples,
-                    steps=self.horizon,
-                    input_pdfs=input_pdfs,
-                    output=out_node,
-                    rng=self.seed,
-                    precision_bits=self.oracle_precision_bits,
-                )
-                elapsed = time.perf_counter() - started
-                results[method_name] = MethodResult(
-                    method="oracle",
-                    lower=oracle_result.lower,
-                    upper=oracle_result.upper,
-                    mean=oracle_result.mean,
-                    variance=oracle_result.variance,
-                    noise_power=oracle_result.noise_power,
-                    snr_db=snr_db(signal_power, oracle_result.noise_power),
-                    runtime_s=elapsed,
-                    extra={
-                        "samples": float(oracle_result.samples),
-                        "steps": float(oracle_result.steps),
-                        "precision_bits": float(oracle_result.precision_bits),
-                    },
+            if method_name in ("montecarlo", "oracle"):
+                sampled = self._sample(method_name, graph, assignment, ranges_in, out_node)
+                if method_name == "montecarlo":
+                    mc_result = sampled
+                results[method_name] = _sampled_row(
+                    method_name, sampled, signal_power, time.perf_counter() - started
                 )
             else:
                 if analyzer is None:
@@ -293,9 +213,7 @@ class NoiseAnalysisPipeline:
                 if method_name in ("montecarlo", "oracle"):
                     # both are empirical samplers, not enclosure claims
                     continue
-                enclosure[method_name] = mc_result.enclosed_by(
-                    result.bounds, tol=self.enclosure_tol
-                )
+                enclosure[method_name] = mc_result.enclosed_by(result.bounds, tol=ENCLOSURE_TOL)
 
         return AnalysisReport(
             circuit=name or graph.name,
@@ -312,6 +230,42 @@ class NoiseAnalysisPipeline:
             signal_power=signal_power,
             results=results,
             enclosure=enclosure,
+        )
+
+    def _sample(
+        self,
+        method: str,
+        graph: DFG,
+        assignment: WordLengthAssignment,
+        input_ranges: Mapping[str, Interval],
+        output: str,
+    ) -> MonteCarloResult:
+        """Run the ``montecarlo`` validator or the ``oracle`` on the declared ranges."""
+        if method == "montecarlo":
+            return monte_carlo_validate(
+                graph,
+                assignment,
+                input_ranges,
+                samples=self.mc_samples,
+                steps=self.horizon,
+                output=output,
+                seed=self.seed,
+                workers=self.mc_workers,
+                degradations=self.degradation_log,
+            )
+        # late import: keeps mpmath off the hot path of every default
+        # analysis run
+        from repro.analysis.oracle import oracle_error
+
+        return oracle_error(
+            graph,
+            assignment,
+            input_ranges,
+            samples=self.oracle_samples,
+            steps=self.horizon,
+            output=output,
+            rng=self.seed,
+            precision_bits=self.oracle_precision_bits,
         )
 
     # ------------------------------------------------------------------ #

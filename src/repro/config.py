@@ -55,14 +55,10 @@ class AnalysisConfig:
         ``ia, aa, taylor, pna, montecarlo``).
     mc_samples / seed / mc_workers:
         Monte-Carlo validator budget, RNG seed, and shard workers
-        (``None`` keeps the legacy single-stream draw).
-    enclosure_tol:
-        Absolute slack when judging sampled-vs-analytic enclosure.
-    mc_fallback:
-        Whether a failing *sharded* Monte-Carlo validation degrades to
-        the in-process single-stream validator (recording a
-        :class:`~repro.analysis.degradation.DegradationEvent`) instead
-        of aborting the whole analysis.
+        (``None`` draws one stream; an integer shards the budget, and a
+        dead worker pool reruns the shards serially, recorded as a
+        :class:`~repro.analysis.degradation.DegradationEvent`).  The
+        stimulus is uniform over the declared input ranges.
     oracle_samples / oracle_precision_bits:
         Budget of the opt-in bit-true arbitrary-precision oracle method
         (``"oracle"`` — never part of the default method set): sample
@@ -75,8 +71,6 @@ class AnalysisConfig:
     mc_samples: int = 20_000
     seed: int | None = 0
     mc_workers: int | None = None
-    enclosure_tol: float = 1e-12
-    mc_fallback: bool = True
     oracle_samples: int = 256
     oracle_precision_bits: int = 128
 

@@ -2,8 +2,7 @@
 
 A histogram PDF is the paper's representation of a distribution: a
 contiguous partition of the support into bins, each bin carrying a
-probability, with the density assumed uniform inside every bin.  The
-Monte-Carlo validator and the oracle draw input stimulus from it, and
+probability, with the density assumed uniform inside every bin.
 :func:`repro.analysis.probabilistic.affine_error_pdf` discretizes an
 affine error into it on request.
 """

@@ -212,12 +212,15 @@ class Interval:
 
     def __mul__(self, other: "Interval | Number") -> "Interval":
         other = _as_interval(other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
+        ll = self.lo * other.lo
+        lh = self.lo * other.hi
+        hl = self.hi * other.lo
+        hh = self.hi * other.hi
+        if ll != ll or lh != lh or hl != hl or hh != hh:
+            # Only ``0 * inf`` is NaN here: an interval holds reals, so a
+            # zero endpoint times an unbounded one contributes 0.
+            ll, lh, hl, hh = (0.0 if p != p else p for p in (ll, lh, hl, hh))
+        products = (ll, lh, hl, hh)
         return Interval._fast(min(products), max(products))
 
     __rmul__ = __mul__

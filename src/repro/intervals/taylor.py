@@ -224,17 +224,20 @@ class TaylorModel:
                 quadratic[key] = quadratic.get(key, 0.0) + coeff_a * coeff_b
 
         # linear x quadratic and quadratic x quadratic are degree >= 3:
-        # bound them into the remainder with |eps| <= 1.
-        def _poly_abs_bound(
-            linear_terms: Mapping[str, float], quad_terms: Mapping[PairKey, float]
-        ) -> float:
-            linear_sum = summed(abs(v) for v in linear_terms.values())
-            return linear_sum + summed(abs(v) for v in quad_terms.values())
+        # bound them into the remainder with |eps| <= 1.  A product with
+        # an empty sum has no terms at all, so it is skipped rather than
+        # computed as ``inf * 0 = nan`` when the other sum overflowed.
+        def _cross_bound(terms_a: Mapping, terms_b: Mapping) -> float:
+            if not terms_a or not terms_b:
+                return 0.0
+            return summed(abs(v) for v in terms_a.values()) * summed(
+                abs(v) for v in terms_b.values()
+            )
 
         cross_hi = (
-            _poly_abs_bound(self.linear, {}) * _poly_abs_bound({}, other.quadratic)
-            + _poly_abs_bound(other.linear, {}) * _poly_abs_bound({}, self.quadratic)
-            + _poly_abs_bound({}, self.quadratic) * _poly_abs_bound({}, other.quadratic)
+            _cross_bound(self.linear, other.quadratic)
+            + _cross_bound(other.linear, self.quadratic)
+            + _cross_bound(self.quadratic, other.quadratic)
         )
         if cross_hi != 0.0:
             remainder = remainder + Interval(-cross_hi, cross_hi)

@@ -142,18 +142,6 @@ class NoiseReport:
         """Signal-to-noise ratio in dB for a given signal power."""
         return snr_db(signal_power, self.noise_power)
 
-    def as_row(self) -> dict:
-        """Plain-dict view for tables and JSON reports."""
-        return {
-            "method": self.method,
-            "lower": self.bounds.lo,
-            "upper": self.bounds.hi,
-            "mean": self.mean,
-            "variance": self.variance,
-            "noise_power": self.noise_power,
-            "sources": self.source_count,
-        }
-
 
 class DatapathNoiseAnalyzer:
     """Propagates quantization errors of a fixed-point datapath.

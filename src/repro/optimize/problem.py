@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -83,7 +82,8 @@ class _SearchState:
     #: ``price_moves``.  A batched failure degrades it to ``incremental``.
     engine: str
     #: Structured :class:`~repro.analysis.degradation.DegradationEvent`
-    #: log of every engine fallback taken.
+    #: log of every fallback taken: a batched engine onto incremental, a
+    #: sharded Monte-Carlo validation onto serial shards.
     degradations: list = field(default_factory=list)
     #: Evaluations by widened-assignment key.  ``feasible`` is the verdict
     #: of the view that analyzed it; readers re-judge it at their floor.
@@ -240,9 +240,9 @@ class OptimizationProblem:
         #: one instead of raising.  Incremental failures always raise.
         self.engine_fallback = config.engine_fallback
         #: Default worker count of :meth:`monte_carlo_snr`.  ``None``
-        #: keeps the legacy single-stream validator; any integer selects
-        #: the sharded validator, whose numbers are identical for every
-        #: worker count (``1`` shards serially, ``N`` in processes).
+        #: draws one stream; any integer selects the sharded validator,
+        #: whose numbers are identical for every worker count (``1``
+        #: shards serially, ``N`` in processes).
         self.mc_workers = config.mc_workers
         # Everything mutable and floor-independent; shared with every
         # rescoped() view by reference.
@@ -675,12 +675,14 @@ class OptimizationProblem:
         """Measured SNR of a design under the bit-true Monte-Carlo simulator.
 
         ``workers`` (default: the problem's ``mc_workers``) selects the
-        sharded validator: the sample budget is split into fixed chunks
-        with per-chunk derived seeds, so the measured SNR is identical
-        whether the chunks run on one worker or many.  ``None`` keeps
-        the legacy single-stream draw; ``seed=None`` with workers set
-        still shards (and still parallelizes) from a fresh OS-entropy
-        base seed.
+        stream topology through
+        :func:`~repro.analysis.montecarlo.monte_carlo_validate`: ``None``
+        draws one stream from ``seed``; an integer shards the budget into
+        fixed chunks with per-chunk derived seeds, so the measured SNR is
+        identical whether the chunks run on one worker or many.  A dead
+        worker pool reruns the shards serially and records a
+        :class:`~repro.analysis.degradation.DegradationEvent` in
+        :attr:`degradations`.
 
         Validation judges at the problem's own :attr:`confidence`, the
         same functional the search optimized: with a confidence set, the
@@ -690,35 +692,19 @@ class OptimizationProblem:
         """
         # Local import: repro.analysis imports repro.optimize at module
         # scope (pipeline wiring); importing back lazily avoids the cycle.
-        from repro.analysis.montecarlo import monte_carlo_error, monte_carlo_error_sharded
+        from repro.analysis.montecarlo import monte_carlo_validate
 
-        if workers is None:
-            workers = self.mc_workers
-        if workers is not None and seed is None:
-            # Entropy requested alongside sharding: derive the chunk
-            # seeds from a random base instead of dropping the workers.
-            seed = int.from_bytes(os.urandom(4), "big")
-        if workers is not None:
-            result = monte_carlo_error_sharded(
-                self.graph,
-                assignment,
-                self.input_ranges,
-                samples=samples,
-                steps=self.horizon,
-                output=self.output,
-                seed=seed,
-                workers=workers,
-            )
-        else:
-            result = monte_carlo_error(
-                self.graph,
-                assignment,
-                self.input_ranges,
-                samples=samples,
-                steps=self.horizon,
-                output=self.output,
-                rng=seed,
-            )
+        result = monte_carlo_validate(
+            self.graph,
+            assignment,
+            self.input_ranges,
+            samples=samples,
+            steps=self.horizon,
+            output=self.output,
+            seed=seed,
+            workers=self.mc_workers if workers is None else workers,
+            degradations=self._state.degradations,
+        )
         if self.confidence is None:
             return self._snr_db(result.noise_power)
         if self.confidence >= 1.0:

@@ -53,8 +53,6 @@ ANALYSIS = dict(
     mc_samples=20_000,
     seed=0,
     mc_workers=None,
-    enclosure_tol=1e-12,
-    mc_fallback=True,
     oracle_samples=256,
     oracle_precision_bits=128,
 )

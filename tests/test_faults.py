@@ -530,38 +530,52 @@ class TestEngineDegradation:
 
 
 class TestPipelineMonteCarloFallback:
-    def _analyze(self, monkeypatch, mc_fallback):
-        import repro.analysis.pipeline as pipeline_module
-        from repro.analysis.pipeline import NoiseAnalysisPipeline
-        from repro.benchmarks.circuits import get_circuit
+    """A dead worker pool reruns the shards serially, for the pipeline and the search."""
 
-        real = pipeline_module.monte_carlo_error_sharded
+    @staticmethod
+    def _break_pool(monkeypatch):
+        import repro.analysis.montecarlo as montecarlo
+
+        real = montecarlo.monte_carlo_error_sharded
 
         def _flaky(*args, **kwargs):
             if kwargs.get("workers") != 1:
                 raise JobError("worker process died (synthetic)")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline_module, "monte_carlo_error_sharded", _flaky)
-        pipeline = NoiseAnalysisPipeline(
-            AnalysisConfig(
-                mc_samples=2_000, horizon=4, mc_workers=2, mc_fallback=mc_fallback
-            )
-        )
-        circuit = get_circuit("quadratic")
-        report = pipeline.analyze(circuit, output=circuit.output)
-        return pipeline, report
+        monkeypatch.setattr(montecarlo, "monte_carlo_error_sharded", _flaky)
 
     def test_sharded_failure_falls_back_to_serial(self, monkeypatch):
-        pipeline, report = self._analyze(monkeypatch, mc_fallback=True)
-        assert "montecarlo" in report.results
-        assert any(
-            event.stage == "montecarlo-sharded" for event in pipeline.degradation_log
-        )
+        from repro.analysis.pipeline import NoiseAnalysisPipeline
+        from repro.benchmarks.circuits import get_circuit
 
-    def test_fallback_disabled_raises(self, monkeypatch):
-        with pytest.raises(JobError):
-            self._analyze(monkeypatch, mc_fallback=False)
+        circuit = get_circuit("quadratic")
+        config = AnalysisConfig(mc_samples=2_000, horizon=4, mc_workers=2)
+        clean = NoiseAnalysisPipeline(config).analyze(circuit, output=circuit.output)
+        self._break_pool(monkeypatch)
+        pipeline = NoiseAnalysisPipeline(config)
+        report = pipeline.analyze(circuit, output=circuit.output)
+        assert [event.stage for event in pipeline.degradation_log] == ["montecarlo-sharded"]
+        assert pipeline.degradation_log[0].from_engine == "sharded[2]"
+        # the serial rerun reproduces the sharded numbers
+        assert report.results["montecarlo"].noise_power == clean.results["montecarlo"].noise_power
+
+    def test_problem_sharded_failure_falls_back_to_serial(self, monkeypatch):
+        from repro.benchmarks.circuits import get_circuit
+        from repro.optimize import OptimizationProblem
+
+        circuit = get_circuit("quadratic")
+        problem = OptimizationProblem.from_circuit(
+            circuit, 40.0, config=OptimizeConfig(method="ia", horizon=4, mc_workers=2)
+        )
+        design = problem.uniform(12)
+        clean = problem.monte_carlo_snr(design, samples=2_000, seed=3)
+        assert problem.degradations == []
+        self._break_pool(monkeypatch)
+        assert problem.monte_carlo_snr(design, samples=2_000, seed=3) == clean
+        assert [event.stage for event in problem.degradations] == ["montecarlo-sharded"]
+        # a rescoped view logs into the same search state
+        assert problem.rescoped(35.0).degradations is problem.degradations
 
 
 # --------------------------------------------------------------------- #

@@ -28,7 +28,6 @@ from repro.config import OptimizeConfig
 from repro.dfg.range_analysis import infer_ranges
 from repro.errors import HistogramError, NoiseModelError, OptimizationError
 from repro.histogram.pdf import HistogramPDF
-from repro.histogram.sampling import sample_histogram
 from repro.intervals.affine import AffineForm
 from repro.intervals.interval import Interval
 from repro.noisemodel.assignment import WordLengthAssignment
@@ -44,116 +43,54 @@ def quadratic_bits(word_length: int = 12):
 
 
 # --------------------------------------------------------------------- #
-# stimulus PDFs vs declared ranges (the validator bugfix)
+# stimulus: the declared ranges are the only source
 # --------------------------------------------------------------------- #
 class TestStimulusRangeGuard:
-    def test_pdf_outside_declared_range_raises(self):
+    def test_missing_range_raises(self):
         circuit, assignment = quadratic_bits()
-        lo, hi = circuit.input_ranges["x"].lo, circuit.input_ranges["x"].hi
-        wide = HistogramPDF.uniform(lo - 1.0, hi + 1.0, bins=16)
-        with pytest.raises(NoiseModelError, match="outside the declared"):
+        with pytest.raises(NoiseModelError, match="missing input range for 'x'"):
+            monte_carlo_error(circuit.graph, assignment, {}, samples=64, rng=0)
+
+    def test_stimulus_is_uniform_over_the_declared_ranges(self):
+        circuit, _ = quadratic_bits()
+        interval = circuit.input_ranges["x"]
+        rng = np.random.default_rng(0)
+        stimulus = draw_stimulus(circuit.graph, circuit.input_ranges, samples=500, steps=3, rng=rng)
+        expected = np.random.default_rng(0).uniform(interval.lo, interval.hi, size=1500)
+        assert stimulus["x"].shape == (500, 3)
+        assert np.array_equal(stimulus["x"], expected.reshape(500, 3))
+
+    @pytest.mark.parametrize("keyword", ["input_pdfs", "out_of_range"])
+    def test_retired_stimulus_keywords_raise_type_error(self, keyword):
+        circuit, assignment = quadratic_bits()
+        with pytest.raises(TypeError, match=keyword):
             monte_carlo_error(
-                circuit.graph,
-                assignment,
-                circuit.input_ranges,
-                samples=64,
-                input_pdfs={"x": wide},
-                rng=0,
+                circuit.graph, assignment, circuit.input_ranges, samples=8, **{keyword: None}
             )
+        with pytest.raises(TypeError, match=keyword):
+            NoiseAnalysisPipeline().analyze(circuit, **{keyword: None})
 
-    def test_clip_policy_clips_into_range(self):
-        circuit, _ = quadratic_bits()
-        interval = circuit.input_ranges["x"]
-        wide = HistogramPDF.uniform(interval.lo - 2.0, interval.hi + 2.0, bins=16)
-        stimulus = draw_stimulus(
-            circuit.graph,
-            circuit.input_ranges,
-            samples=500,
-            steps=1,
-            rng=np.random.default_rng(0),
-            input_pdfs={"x": wide},
-            out_of_range="clip",
-        )
-        draws = stimulus["x"]
-        assert draws.shape == (500, 1)
-        assert draws.min() >= interval.lo and draws.max() <= interval.hi
-        # the clip must actually bite for a PDF this wide
-        assert (draws == interval.lo).any() or (draws == interval.hi).any()
+    def test_sharded_missing_range_raises_in_the_parent(self, monkeypatch):
+        from repro.jobs import JobRunner
 
-    def test_in_range_pdf_accepted_under_default_policy(self):
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a job batch ran on bad stimulus")
+
+        monkeypatch.setattr(JobRunner, "run", no_pool)
         circuit, assignment = quadratic_bits()
-        interval = circuit.input_ranges["x"]
-        narrow = HistogramPDF.uniform(interval.lo / 2, interval.hi / 2, bins=16)
-        result = monte_carlo_error(
-            circuit.graph,
-            assignment,
-            circuit.input_ranges,
-            samples=64,
-            input_pdfs={"x": narrow},
-            rng=0,
-        )
-        assert result.samples == 64
-
-    def test_unknown_policy_rejected(self):
-        circuit, _ = quadratic_bits()
-        with pytest.raises(NoiseModelError, match="unknown out_of_range"):
-            draw_stimulus(
-                circuit.graph,
-                circuit.input_ranges,
-                samples=8,
-                steps=1,
-                rng=np.random.default_rng(0),
-                out_of_range="ignore",
-            )
-
-    def test_sharded_pdf_outside_declared_range_raises_in_the_parent(self):
-        circuit, assignment = quadratic_bits()
-        lo, hi = circuit.input_ranges["x"].lo, circuit.input_ranges["x"].hi
-        wide = HistogramPDF.uniform(lo - 1.0, hi + 1.0, bins=16)
-        with pytest.raises(NoiseModelError, match="outside the declared"):
-            monte_carlo_error_sharded(
-                circuit.graph,
-                assignment,
-                circuit.input_ranges,
-                samples=64,
-                input_pdfs={"x": wide},
-                workers=2,
-            )
+        with pytest.raises(NoiseModelError, match="missing input range for 'x'"):
+            monte_carlo_error_sharded(circuit.graph, assignment, {}, samples=64, workers=2)
 
     @pytest.mark.parametrize("mc_workers", [None, 1, 2])
     def test_pipeline_reports_bad_stimulus_for_any_mc_workers(self, mc_workers):
         """Bad input is a NoiseModelError, never a pool failure to degrade from."""
         circuit = get_circuit("quadratic")
-        interval = circuit.input_ranges["x"]
-        wide = HistogramPDF.uniform(interval.lo - 1.0, interval.hi + 1.0, bins=16)
         pipeline = NoiseAnalysisPipeline(
             AnalysisConfig(mc_samples=256, horizon=2, mc_workers=mc_workers)
         )
-        with pytest.raises(NoiseModelError, match="outside the declared"):
-            pipeline.analyze(circuit, method="montecarlo", input_pdfs={"x": wide})
+        with pytest.raises(NoiseModelError, match="missing input range"):
+            pipeline.analyze(circuit.graph, method="montecarlo", input_ranges={})
         assert pipeline.degradation_log == []
-
-
-# --------------------------------------------------------------------- #
-# histogram sampling mass guard
-# --------------------------------------------------------------------- #
-class TestSampleHistogramMassGuard:
-    def test_leaky_pdf_refused(self):
-        pdf = HistogramPDF.uniform(0.0, 1.0, bins=8)
-        pdf.probs *= 0.5  # simulate a mass leak from a buggy kernel
-        with pytest.raises(HistogramError, match="leaky"):
-            sample_histogram(pdf, 100, rng=0)
-
-    def test_rounding_residue_inside_tolerance_is_renormalized(self):
-        pdf = HistogramPDF.uniform(0.0, 1.0, bins=8)
-        pdf.probs *= 1.0 - 1e-9
-        samples = sample_histogram(pdf, 256, rng=0)
-        assert samples.min() >= 0.0 and samples.max() <= 1.0
-
-    def test_nonpositive_count_rejected(self):
-        pdf = HistogramPDF.uniform(0.0, 1.0, bins=4)
-        with pytest.raises(HistogramError, match="count"):
-            sample_histogram(pdf, 0, rng=0)
 
 
 # --------------------------------------------------------------------- #

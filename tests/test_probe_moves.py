@@ -292,6 +292,25 @@ def test_an_error_radius_past_the_float_range_prices_inf(method, confidence):
 OVERFLOW_READINGS = (*((method, None) for method in ANALYSIS_METHODS), ("pna", 0.999), ("aa", 1.0))
 
 
+def _huge_gain_product():
+    """Forty +-1e-3 inputs times a 9.1e306 gain, summed, times ``z`` in [-1, 1]."""
+    count = 40
+    builder = DFGBuilder("huge_gain_product")
+    inputs = builder.inputs([f"x{i}" for i in range(count)])
+    z = builder.input("z")
+    gain = builder.const(9.1e306)
+    builder.output(builder.sum_of([x * gain for x in inputs]) * z, name="y")
+    input_ranges = {f"x{i}": Interval(-1e-3, 1e-3) for i in range(count)}
+    input_ranges["z"] = Interval(-1.0, 1.0)
+    return builder.build(), input_ranges
+
+
+def _overflowing_design(wide: WordLengthAssignment, z_format: FixedPointFormat):
+    """``wide`` with every ``x`` at 0 fractional bits (an error of +-0.5 each)."""
+    coarse = FixedPointFormat(1, 0)
+    return wide.with_formats({**{f"x{i}": coarse for i in range(40)}, "z": z_format})
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("reading", OVERFLOW_READINGS, ids=_reading_id)
 def test_an_overflowed_error_prices_inf_in_every_reading(reading):
@@ -306,23 +325,37 @@ def test_an_overflowed_error_prices_inf_in_every_reading(reading):
     ``inf``, as a lane that leaves a domain does.
     """
     method, confidence = reading
-    count = 40
-    builder = DFGBuilder("huge_gain_product")
-    inputs = builder.inputs([f"x{i}" for i in range(count)])
-    z = builder.input("z")
-    gain = builder.const(9.1e306)
-    builder.output(builder.sum_of([x * gain for x in inputs]) * z, name="y")
-    graph = builder.build()
-    input_ranges = {f"x{i}": Interval(-1e-3, 1e-3) for i in range(count)}
-    input_ranges["z"] = Interval(-1.0, 1.0)
+    graph, input_ranges = _huge_gain_product()
     config = OptimizeConfig(method=method, confidence=confidence, snr_floor_db=0.0)
     problem = OptimizationProblem(graph, input_ranges, config=config, output="y")
-    coarse = FixedPointFormat(1, 0)
-    design = problem.uniform(1100).with_formats(
-        {**{f"x{i}": coarse for i in range(count)}, "z": FixedPointFormat(2, 4)}
-    )
+    design = _overflowing_design(problem.uniform(1100), FixedPointFormat(2, 4))
     shaved = FixedPointFormat(2, 3)
     engine = IncrementalAnalyzer(graph, design, input_ranges)
     assert engine.probe_moves(design, [("z", shaved)], method, "y", confidence) == [math.inf]
     evaluation = problem.evaluate(design.with_formats({"z": shaved}))
     assert evaluation.noise_power == math.inf and not evaluation.feasible
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_overflowed_error_reads_unbounded_in_every_pipeline_row():
+    """A pipeline analysis of the overflowing graph finishes every analytic row.
+
+    Taylor's product meets ``inf * 0`` twice: a degree-3 cross term whose
+    other factor is an empty sum, and an interval endpoint product of a
+    zero bound with an unbounded one.  Neither may turn into a NaN bound
+    (a ``DomainError``); the row reads ``[-inf, inf]`` and ``inf`` like
+    IA, AA and pna.
+    """
+    from repro.analysis import AnalysisConfig, NoiseAnalysisPipeline
+
+    graph, input_ranges = _huge_gain_product()
+    ranges = infer_ranges(graph, input_ranges).ranges
+    design = _overflowing_design(
+        WordLengthAssignment.uniform(graph, 1100, ranges), FixedPointFormat(2, 3)
+    )
+    methods = ("ia", "aa", "taylor", "pna")
+    report = NoiseAnalysisPipeline(AnalysisConfig()).analyze(
+        graph, design, method=methods, input_ranges=input_ranges, output="y"
+    )
+    rows = {m: (r.lower, r.upper, r.noise_power) for m, r in report.results.items()}
+    assert rows == {m: (-math.inf, math.inf, math.inf) for m in methods}
