@@ -37,6 +37,7 @@ __all__ = [
     "monte_carlo_error",
     "monte_carlo_error_sharded",
     "monte_carlo_validate",
+    "resolve_output",
 ]
 
 #: ``simulate(graph, assignment, stimulus, output, steps)`` -> per-sample
@@ -74,7 +75,8 @@ def _check_stimulus_inputs(graph: DFG, input_ranges: Mapping[str, Interval]) -> 
             raise NoiseModelError(f"missing input range for {name!r}")
 
 
-def _resolve_output(graph: DFG, output: str | None) -> str:
+def resolve_output(graph: DFG, output: str | None) -> str:
+    """``output``, or the graph's first output when ``None``; raises for an unknown one."""
     outputs = graph.outputs()
     if output is None:
         if not outputs:
@@ -163,7 +165,7 @@ def sampled_error(
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     steps = int(steps) if graph.is_sequential else 1
-    output = _resolve_output(graph, output)
+    output = resolve_output(graph, output)
     stimulus = draw_stimulus(graph, input_ranges, samples, steps, rng)
     errors = simulate(graph, assignment, stimulus, output, steps)
     return result_type.of_errors(output, samples, steps, errors, **fields)
@@ -264,7 +266,7 @@ def monte_carlo_error_sharded(
     # Bad input is the caller's error, not a pool failure: reject it here
     # before any chunk job can fail on it.
     _check_stimulus_inputs(graph, input_ranges)
-    output = _resolve_output(graph, output)
+    output = resolve_output(graph, output)
     sizes = [chunk_size] * (samples // chunk_size)
     if samples % chunk_size:
         sizes.append(samples % chunk_size)

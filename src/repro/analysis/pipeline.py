@@ -30,7 +30,7 @@ import time
 from typing import Dict, Iterable, Mapping
 
 from repro.analysis.degradation import DegradationEvent
-from repro.analysis.montecarlo import MonteCarloResult, monte_carlo_validate
+from repro.analysis.montecarlo import MonteCarloResult, monte_carlo_validate, resolve_output
 from repro.analysis.report import AnalysisReport, MethodResult
 from repro.config import AnalysisConfig, OptimizeConfig
 from repro.dfg.builder import expression_to_dfg
@@ -172,7 +172,7 @@ class NoiseAnalysisPipeline:
             assignment = WordLengthAssignment.uniform(graph, self.word_length, ranges)
         assignment = ensure_range_coverage(assignment, ranges)
 
-        out_node = self._resolve_output(graph, output)
+        out_node = resolve_output(graph, output)
         signal_power = uniform_power(ranges[out_node])
 
         analyzer: DatapathNoiseAnalyzer | None = None
@@ -314,17 +314,6 @@ class NoiseAnalysisPipeline:
         if not names:
             raise NoiseModelError("no analysis methods requested")
         return names
-
-    @staticmethod
-    def _resolve_output(graph: DFG, output: str | None) -> str:
-        outputs = graph.outputs()
-        if not outputs:
-            raise NoiseModelError(f"graph {graph.name!r} has no outputs")
-        if output is None:
-            return outputs[0]
-        if output in outputs:
-            return output
-        raise NoiseModelError(f"unknown output {output!r}; graph outputs: {outputs}")
 
     def _build_problem(
         self,

@@ -140,13 +140,11 @@ class OptimizeConfig:
         Ignored: no analysis builds a histogram.  Still accepted and
         checked to be at least 1.
     mc_workers:
-        Default worker count of Monte-Carlo validation.
+        Worker count of Monte-Carlo validation (``None``: one stream).
     engine_fallback:
-        Whether a broken ``batched`` engine degrades onto the
-        incremental one (logged as a
-        :class:`~repro.analysis.degradation.DegradationEvent` on the
-        problem) instead of aborting the search.  That is all it
-        governs: an incremental failure always propagates.
+        Ignored: both engines price on the one incremental analyzer, so
+        there is no engine to fall back to, and a pricing error ends the
+        search.  Still accepted.
     partitions:
         Partition count of the ``decomposed`` strategy (``None`` sizes
         it automatically from the graph: one partition per about

@@ -30,13 +30,7 @@ from repro.dfg.node import OpType
 from repro.dfg.range_analysis import infer_ranges
 from repro.dfg.unroll import base_name as _base_name
 from repro.dfg.unroll import unroll_sequential
-from repro.errors import (
-    DivisionByZeroIntervalError,
-    DomainError,
-    NoiseModelError,
-    OptimizationError,
-    ReproError,
-)
+from repro.errors import DivisionByZeroIntervalError, DomainError, OptimizationError
 from repro.fixedpoint.format import OverflowMode, QuantizationMode
 from repro.intervals.interval import Interval, RangeLike, coerce_interval, uniform_power
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, PDF_METHODS
@@ -76,14 +70,9 @@ class _SearchState:
     does the work.
     """
 
-    #: Candidate-pricing engine (``incremental`` / ``batched``).  Both
-    #: evaluate on the one incremental engine; ``batched`` additionally
-    #: exposes vectorized batch pricing to strategies through
-    #: ``price_moves``.  A batched failure degrades it to ``incremental``.
-    engine: str
     #: Structured :class:`~repro.analysis.degradation.DegradationEvent`
-    #: log of every fallback taken: a batched engine onto incremental, a
-    #: sharded Monte-Carlo validation onto serial shards.
+    #: log of every sharded Monte-Carlo validation whose dead worker pool
+    #: was rerun on serial shards.
     degradations: list = field(default_factory=list)
     #: Evaluations by widened-assignment key.  ``feasible`` is the verdict
     #: of the view that analyzed it; readers re-judge it at their floor.
@@ -236,23 +225,23 @@ class OptimizationProblem:
         #: it actually analyzes, so a caller can replay a search's
         #: candidates through a reference evaluator.  Owned by each view.
         self.analysis_log: list | None = None
-        #: Whether a broken batched engine degrades onto the incremental
-        #: one instead of raising.  Incremental failures always raise.
-        self.engine_fallback = config.engine_fallback
-        #: Default worker count of :meth:`monte_carlo_snr`.  ``None``
-        #: draws one stream; any integer selects the sharded validator,
-        #: whose numbers are identical for every worker count (``1``
-        #: shards serially, ``N`` in processes).
+        #: Worker count of :meth:`monte_carlo_snr`.  ``None`` draws one
+        #: stream; any integer selects the sharded validator, whose
+        #: numbers are identical for every worker count (``1`` shards
+        #: serially, ``N`` in processes).
         self.mc_workers = config.mc_workers
         # Everything mutable and floor-independent; shared with every
         # rescoped() view by reference.
-        self._state = _SearchState(engine=config.engine)
+        self._state = _SearchState()
 
     # Read-only, so no view can fork them; documented on _SearchState.
     analyzer_calls = property(attrgetter("_state.analyzer_calls"))
     evaluate_cache_hits = property(attrgetter("_state.evaluate_cache_hits"))
-    engine = property(attrgetter("_state.engine"))
     degradations = property(attrgetter("_state.degradations"))
+    #: Candidate-pricing engine (:attr:`OptimizeConfig.engine`): strategies
+    #: route their inner loops through :meth:`price_moves` when it is
+    #: ``batched``.  Every evaluation runs on the one incremental engine.
+    engine = property(attrgetter("config.engine"))
 
     def _check_graph(self) -> None:
         """Raise when the graph changed after this problem was built."""
@@ -467,29 +456,6 @@ class OptimizationProblem:
             state.incremental.commit(accepted)
         return state.incremental
 
-    def _degrade(self, stage: str, exc: Exception) -> None:
-        """Move a ``batched`` problem and its views onto incremental, logging why.
-
-        A no-op once the problem is off the batched engine (or never on
-        it), so each search records at most one degradation.
-        """
-        # Local import: repro.analysis imports repro.optimize at module
-        # scope (pipeline wiring); importing back lazily avoids the cycle.
-        from repro.analysis.degradation import DegradationEvent
-
-        state = self._state
-        if state.engine != "batched":
-            return
-        state.degradations.append(
-            DegradationEvent(
-                stage=stage,
-                from_engine="batched",
-                to_engine="incremental",
-                reason=f"{type(exc).__name__}: {exc}",
-            )
-        )
-        state.engine = "incremental"
-
     def notify_accepted(self, assignment: WordLengthAssignment) -> None:
         """Tell the evaluator that ``assignment`` is the search's new current design.
 
@@ -526,29 +492,19 @@ class OptimizationProblem:
             # scope (pipeline wiring); importing back lazily avoids the cycle.
             from repro.analysis.batched import BatchedAnalyzer
 
-            try:
-                # Building reads no committed errors, so an existing engine
-                # is taken as it is; price_moves commits the accepted design.
-                engine = state.incremental
-                if engine is None:
-                    engine = self._incremental_engine(self.uniform(self.min_word_length))
-                state.batched = BatchedAnalyzer(engine, self.ranges)
-            except ReproError as exc:
-                if not self.engine_fallback:
-                    raise
-                self._degrade("batched-compile", exc)
-                if isinstance(exc, NoiseModelError):
-                    raise
-                raise NoiseModelError(
-                    f"batched engine unavailable for {self.name!r}: {exc}"
-                ) from exc
+            # Building reads no committed errors, so an existing engine is
+            # taken as it is; price_moves commits the accepted design.
+            engine = state.incremental
+            if engine is None:
+                engine = self._incremental_engine(self.uniform(self.min_word_length))
+            state.batched = BatchedAnalyzer(engine, self.ranges)
         return state.batched
 
     def price_moves(
         self,
         assignment: WordLengthAssignment,
         moves: Sequence[Tuple[str, int]],
-    ):
+    ) -> np.ndarray:
         """Noise power of every ``(node, new_fractional_bits)`` move at once.
 
         Lane *k* carries exactly the noise power :meth:`evaluate` would
@@ -573,12 +529,9 @@ class OptimizationProblem:
         design :meth:`notify_accepted` recorded, then probes the
         incremental engine.
 
-        A broken batched engine is the problem's call, not the caller's: a
-        ``batched`` problem with :attr:`engine_fallback` degrades onto the
-        incremental engine (recording a
-        :class:`~repro.analysis.degradation.DegradationEvent`) and returns
-        ``None`` — strategies then follow :attr:`engine`.  Otherwise the
-        error propagates.  Neither stores a lane.
+        A batch the engine fails to price raises that error and stores no
+        lane; a lane that cannot be analyzed (a domain violation) is not a
+        failure, it prices ``inf``.
         """
         self._check_graph()
         self._check_modes(assignment)
@@ -592,22 +545,15 @@ class OptimizationProblem:
         known = state.priced.get(key, {})
         missing = [move for move in dict.fromkeys(moves) if move not in known]
         if missing:
-            degradable = state.engine == "batched" and self.engine_fallback
-            try:
-                engine = self.batched_engine()  # build failures degrade in there
-                self._incremental_engine(assignment)  # commits the accepted design
-                noise = engine.price_moves(
-                    assignment,
-                    missing,
-                    method=self.method,
-                    output=self.output,
-                    confidence=self.confidence,
-                )
-            except ReproError as exc:
-                if not degradable:
-                    raise
-                self._degrade("batched-price", exc)
-                return None
+            engine = self.batched_engine()
+            self._incremental_engine(assignment)  # commits the accepted design
+            noise = engine.price_moves(
+                assignment,
+                missing,
+                method=self.method,
+                output=self.output,
+                confidence=self.confidence,
+            )
             known = state.priced.setdefault(key, {})
             known.update(zip(missing, noise.tolist()))
         return np.array([known[move] for move in moves], dtype=np.float64)
@@ -636,10 +582,10 @@ class OptimizationProblem:
         by reference: the immutable circuit data, and the one search
         state holding the engines, gains, pricing neighbourhood, cost
         ledger, evaluation caches, lane-price memo, counters and
-        degradation log.  Work done through any view therefore warms,
-        counts and degrades them all, and a Pareto sweep pays the
-        analyzer only for designs no earlier floor visited.  Cached
-        evaluations are re-judged against the reading view's floor.
+        degradation log.  Work done through any view therefore warms and
+        counts them all, and a Pareto sweep pays the analyzer only for
+        designs no earlier floor visited.  Cached evaluations are
+        re-judged against the reading view's floor.
         """
         margin = self.margin_db if margin_db is None else float(margin_db)
         view = copy.copy(self)  # attributes are immutable or the shared _state
@@ -670,18 +616,16 @@ class OptimizationProblem:
         assignment: WordLengthAssignment,
         samples: int = 20_000,
         seed: int | None = 0,
-        workers: int | None = None,
     ) -> float:
         """Measured SNR of a design under the bit-true Monte-Carlo simulator.
 
-        ``workers`` (default: the problem's ``mc_workers``) selects the
-        stream topology through
-        :func:`~repro.analysis.montecarlo.monte_carlo_validate`: ``None``
-        draws one stream from ``seed``; an integer shards the budget into
-        fixed chunks with per-chunk derived seeds, so the measured SNR is
-        identical whether the chunks run on one worker or many.  A dead
-        worker pool reruns the shards serially and records a
-        :class:`~repro.analysis.degradation.DegradationEvent` in
+        The problem's :attr:`mc_workers` selects the stream topology
+        through :func:`~repro.analysis.montecarlo.monte_carlo_validate`:
+        ``None`` draws one stream from ``seed``; an integer shards the
+        budget into fixed chunks with per-chunk derived seeds, so the
+        measured SNR is identical whether the chunks run on one worker or
+        many.  A dead worker pool reruns the shards serially and records
+        a :class:`~repro.analysis.degradation.DegradationEvent` in
         :attr:`degradations`.
 
         Validation judges at the problem's own :attr:`confidence`, the
@@ -702,7 +646,7 @@ class OptimizationProblem:
             steps=self.horizon,
             output=self.output,
             seed=seed,
-            workers=self.mc_workers if workers is None else workers,
+            workers=self.mc_workers,
             degradations=self._state.degradations,
         )
         if self.confidence is None:

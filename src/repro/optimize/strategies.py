@@ -32,9 +32,8 @@ call (:meth:`OptimizationProblem.price_moves`) and ranks by
 designs are always confirmed through :meth:`OptimizationProblem.evaluate`,
 the one candidate evaluator (the problem's incremental engine), so
 traces and results stay grounded in it whichever engine ranked them.
-Strategies follow :attr:`OptimizationProblem.engine`; whether a broken
-batched engine degrades to the incremental path or aborts the search is
-the problem's decision (``engine_fallback``).
+Strategies follow :attr:`OptimizationProblem.engine` for the whole
+search; an error the batched call raises ends the search.
 
 Every strategy also accepts a ``warm_start`` assignment — Pareto sweeps
 hand the previous floor's solution to the next one so most of the
@@ -452,10 +451,9 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
         ranking = _ShaveRanking(problem, current.assignment)
         problem.notify_accepted(current.assignment)
         for _step in range(self.max_iterations):
-            candidate = None
             if problem.engine == "batched":
                 candidate = self._best_candidate_batched(problem, current, blocked, ranking)
-            if problem.engine != "batched":  # never batched, or degraded just now
+            else:
                 candidate = self._best_candidate(current, blocked, ranking)
             if candidate is None:
                 break
@@ -523,8 +521,6 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
         if not moves:
             return None
         noise = problem.price_moves(current.assignment, moves)
-        if noise is None:  # the problem degraded off the batched engine
-            return None
         threshold = problem.snr_floor_db + problem.margin_db
         best: Tuple[str, int] | None = None
         best_score = 0.0

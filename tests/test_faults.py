@@ -415,16 +415,16 @@ def test_resumed_pareto_keeps_floors_closer_than_six_digits(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# engine degradation
+# engine failures: candidate pricing has no fallback
 # --------------------------------------------------------------------- #
 class TestEngineDegradation:
     @pytest.mark.parametrize("engine_fallback", [True, False], ids=["fallback", "no-fallback"])
     def test_incremental_failure_raises(self, monkeypatch, engine_fallback):
         """The incremental engine is the one evaluator: its failures propagate.
 
-        ``engine_fallback`` governs only batched -> incremental, so there
-        is no rung below and nothing to record; once the fault is gone
-        the same problem evaluates exactly again.
+        ``engine_fallback`` is ignored, so either value raises and records
+        nothing; once the fault is gone the same problem evaluates exactly
+        again.
         """
         from repro.analysis.incremental import IncrementalAnalyzer
         from repro.benchmarks.circuits import get_circuit
@@ -442,11 +442,10 @@ class TestEngineDegradation:
             with pytest.raises(DFGError, match="synthetic incremental-engine failure"):
                 problem.evaluate_uniform(12)
         assert problem.degradations == []
-        assert problem.engine == "incremental"
         design = problem.uniform(12)
         assert problem.evaluate_uniform(12).noise_power == reference_noise(problem, design)
 
-    def test_batched_compile_failure_degrades_to_incremental(self, monkeypatch):
+    def test_batched_compile_failure_raises_and_evaluation_goes_on(self, monkeypatch):
         import repro.analysis.batched as batched_module
         from repro.benchmarks.circuits import get_circuit
         from repro.optimize import OptimizationProblem
@@ -458,13 +457,15 @@ class TestEngineDegradation:
         def _broken_init(self, *args, **kwargs):
             raise DFGError("synthetic batched-compile failure")
 
-        monkeypatch.setattr(batched_module.BatchedAnalyzer, "__init__", _broken_init)
-        with pytest.raises(NoiseModelError):
-            problem.batched_engine()
-        assert problem.engine == "incremental"
-        assert any(event.stage == "batched-compile" for event in problem.degradations)
-        # the problem still evaluates designs on the degraded engine
-        assert problem.evaluate_uniform(12).feasible
+        with monkeypatch.context() as patch:
+            patch.setattr(batched_module.BatchedAnalyzer, "__init__", _broken_init)
+            with pytest.raises(DFGError, match="synthetic batched-compile failure"):
+                problem.batched_engine()
+        assert problem.degradations == [] and problem._state.batched is None
+        # the problem still evaluates designs exactly, and builds the engine once fixed
+        design = problem.uniform(12)
+        assert problem.evaluate_uniform(12).noise_power == reference_noise(problem, design)
+        assert problem.batched_engine() is problem.batched_engine()
 
     @staticmethod
     def _break_batched(monkeypatch, hook: str) -> None:
@@ -475,58 +476,35 @@ class TestEngineDegradation:
 
         monkeypatch.setattr(batched_module.BatchedAnalyzer, hook, _broken)
 
-    @staticmethod
-    def _batched_problem(engine_fallback: bool):
-        from repro.benchmarks.circuits import get_circuit
-        from repro.optimize import OptimizationProblem
-
-        return OptimizationProblem.from_circuit(
-            get_circuit("fir4"),
-            55.0,
-            config=OptimizeConfig(method="ia", engine="batched", engine_fallback=engine_fallback),
-        )
-
     @pytest.mark.parametrize("hook", ["__init__", "price_moves"])
     def test_batched_failure_without_fallback_aborts_greedy(self, monkeypatch, hook):
-        from repro.optimize import get_optimizer
-
-        problem = self._batched_problem(engine_fallback=False)
-        self._break_batched(monkeypatch, hook)
-        with pytest.raises(NoiseModelError, match="synthetic batched"):
-            get_optimizer("greedy").optimize(problem)
-        assert problem.engine == "batched"
-        assert problem.degradations == []
-
-    @pytest.mark.parametrize(
-        "hook, stage", [("__init__", "batched-compile"), ("price_moves", "batched-price")]
-    )
-    def test_batched_failure_with_fallback_degrades_greedy(self, monkeypatch, hook, stage):
+        """A batched engine that fails to build or price ends the search: nothing falls back."""
         from repro.benchmarks.circuits import get_circuit
         from repro.optimize import OptimizationProblem, get_optimizer
 
-        reference = get_optimizer("greedy").optimize(
-            OptimizationProblem.from_circuit(
-                get_circuit("fir4"), 55.0, config=OptimizeConfig(method="ia")
-            )
+        problem = OptimizationProblem.from_circuit(
+            get_circuit("fir4"), 55.0, config=OptimizeConfig(method="ia", engine="batched")
         )
-        problem = self._batched_problem(engine_fallback=True)
         self._break_batched(monkeypatch, hook)
-        result = get_optimizer("greedy").optimize(problem)
-        assert problem.engine == "incremental"
-        assert [event.stage for event in problem.degradations] == [stage]
-        # degraded before its first shave, the search is the incremental one
-        assert result.assignment.key() == reference.assignment.key()
+        with pytest.raises(NoiseModelError, match="synthetic batched"):
+            get_optimizer("greedy").optimize(problem)
+        assert problem.degradations == []
 
     def test_degradation_events_serialize(self):
         from repro.analysis.degradation import DegradationEvent
 
         event = DegradationEvent(
-            stage="batched-compile",
-            from_engine="batched",
-            to_engine="incremental",
-            reason="DFGError: synthetic",
+            stage="montecarlo-sharded",
+            from_engine="sharded[2]",
+            to_engine="sharded[1]",
+            reason="JobError: synthetic",
         )
-        assert json.loads(json.dumps(event.to_dict()))["stage"] == "batched-compile"
+        assert json.loads(json.dumps(event.to_dict())) == {
+            "stage": "montecarlo-sharded",
+            "from_engine": "sharded[2]",
+            "to_engine": "sharded[1]",
+            "reason": "JobError: synthetic",
+        }
 
 
 class TestPipelineMonteCarloFallback:

@@ -205,20 +205,26 @@ class TestShardedMonteCarlo:
         from repro.optimize import OptimizationProblem
 
         circuit, _ = self.problem_bits()
-        problem = OptimizationProblem.from_circuit(
-            circuit,
-            40.0,
-            config=OptimizeConfig(snr_floor_db=40.0, method="ia", mc_workers=1),
-        )
-        assignment = problem.uniform(12)
-        sharded = problem.monte_carlo_snr(assignment, samples=2000, seed=1)
-        again = problem.monte_carlo_snr(assignment, samples=2000, seed=1, workers=2)
-        legacy = problem.monte_carlo_snr(assignment, samples=2000, seed=1, workers=None)
-        assert sharded == again
-        assert np.isfinite(legacy)
-        # entropy + sharding: workers are honored, not dropped
-        entropic = problem.monte_carlo_snr(assignment, samples=2000, seed=None, workers=2)
+        problems = {
+            workers: OptimizationProblem.from_circuit(
+                circuit,
+                40.0,
+                config=OptimizeConfig(snr_floor_db=40.0, method="ia", mc_workers=workers),
+            )
+            for workers in (None, 1, 2)
+        }
+        assignment = problems[None].uniform(12)
+        snr = {
+            workers: problem.monte_carlo_snr(assignment, samples=2000, seed=1)
+            for workers, problem in problems.items()
+        }
+        # the sharded stream is the same on one worker and on two
+        assert snr[1] == snr[2]
+        assert np.isfinite(snr[None])
+        # entropy + sharding: the workers are honored, not dropped
+        entropic = problems[2].monte_carlo_snr(assignment, samples=2000, seed=None)
         assert np.isfinite(entropic)
+        assert all(problem.degradations == [] for problem in problems.values())
 
 
 SMOKE_ANALYSIS = dict(

@@ -28,12 +28,11 @@ BINS = 8
 FLOORS = (45.0, 55.0, 65.0)
 
 
-def make_problem(circuit_name, method="aa", confidence=None, engine_fallback=True):
+def make_problem(circuit_name, method="aa", confidence=None):
     config = OptimizeConfig(
         method=method,
         confidence=confidence,
         engine="batched",
-        engine_fallback=engine_fallback,
         margin_db=1.0,
         horizon=HORIZON,
         bins=BINS,
@@ -120,9 +119,8 @@ class TestMemo:
         assert engine_calls == [moves]
         assert prices[-1] == prices[0]
 
-    @pytest.mark.parametrize("engine_fallback", [True, False])
-    def test_failed_batch_stores_no_lane(self, monkeypatch, engine_calls, method, engine_fallback):
-        problem = make_problem("iir_biquad", method, engine_fallback=engine_fallback)
+    def test_failed_batch_stores_no_lane(self, monkeypatch, engine_calls, method):
+        problem = make_problem("iir_biquad", method)
         design = problem.evaluate(problem.uniform(14)).assignment
         moves = shaves(design, problem.tunable)
         engine = problem.batched_engine()
@@ -142,14 +140,9 @@ class TestMemo:
             rules = engine._engine._rules_of(method)
             for name, rule in list(rules.items()):
                 patch.setitem(rules, name, failing(rule))
-            if engine_fallback:
-                assert problem.price_moves(design, moves) is None
-                assert [e.stage for e in problem.degradations] == ["batched-price"]
-            else:
-                with pytest.raises(NoiseModelError, match="synthetic"):
-                    problem.price_moves(design, moves)
-                assert problem.degradations == []
-        assert seen and problem._state.priced == {}
+            with pytest.raises(NoiseModelError, match="synthetic"):
+                problem.price_moves(design, moves)
+        assert seen and problem._state.priced == {} and problem.degradations == []
         problem.price_moves(design, moves)
         assert engine_calls == [moves, moves]
         assert len(problem._state.priced[design.key()]) == len(moves)
@@ -157,7 +150,7 @@ class TestMemo:
 
 @pytest.mark.parametrize("method", ["ia", "aa"])
 def test_unknown_node_raises_without_degrading(method):
-    """A move naming a node without a format raises instead of degrading the search."""
+    """A move naming a node without a format raises before any lane is priced."""
     problem = make_problem("fir4", method)
     design = problem.evaluate(problem.uniform(14)).assignment
     with pytest.raises(OptimizationError, match="nope"):

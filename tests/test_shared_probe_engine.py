@@ -287,23 +287,26 @@ def test_batched_aa_greedy_prices_every_lane_compiled(priced_lanes, circuit_name
         assert evaluations[assignment.key()].noise_power == reference_noise(problem, assignment)
 
 
-def degrade_mid_search(problem, inside):
-    """Fail one rule of the shared engine once, mid-probe, and search on.
+def fail_mid_search(problem, inside):
+    """Fail one rule of the shared engine once, mid-probe: the error ends the search.
 
-    The search must degrade once, finish feasible, keep its engine, and
-    every design it evaluated must still equal a from-scratch analysis:
-    the failing probe restores the engine's sources.
+    The error propagates out of greedy, stores no lane for its batch and
+    leaves the engine exact: every design the search evaluated equals a
+    from-scratch analysis, because the failing probe restores the
+    engine's sources.  The same problem then searches on to the design a
+    fresh problem finds.
     """
     problem.analysis_log = []
     problem.evaluate(problem.uniform(12))
     engine = problem._state.incremental
-    injected = []
+    priced = problem._state.priced
+    injected = []  # the lanes stored when the fault fires
 
     def failing(rule):
         def failing_rule(errors):
             # Fail once, partway through a probe's cone, mid-sweep.
             if inside and problem.fallback_probes >= 25 and not injected:
-                injected.append(True)
+                injected.append(sum(map(len, priced.values())))
                 raise NoiseModelError("synthetic shared-engine failure")
             return rule(errors)
 
@@ -312,11 +315,13 @@ def degrade_mid_search(problem, inside):
     rules = engine._rules_of(propagation_algebra(problem.method))
     for name, rule in list(rules.items()):
         rules[name] = failing(rule)
+    with pytest.raises(NoiseModelError, match="synthetic shared-engine failure"):
+        GreedyBitStealingOptimizer().optimize(problem)
+    assert injected == [sum(map(len, priced.values()))], problem.method
+    assert problem.degradations == []
     result = GreedyBitStealingOptimizer().optimize(problem)
-    assert injected and result.feasible, problem.method
-    assert [(e.stage, e.from_engine, e.to_engine) for e in problem.degradations] == [
-        ("batched-price", "batched", "incremental")
-    ]
+    fresh = GreedyBitStealingOptimizer().optimize(make_problem("iir_biquad", problem.method))
+    assert result.feasible and result.assignment.key() == fresh.assignment.key()
     assert problem._state.incremental is engine
     evaluations = problem._state.evaluations
     assert len(problem.analysis_log) > 25
@@ -341,24 +346,22 @@ def inside_price_moves(monkeypatch):
     return inside
 
 
-def test_shared_engine_failure_degrades_once_and_stays_exact(inside_price_moves):
-    """A rule that raises mid-cone in a probed batch degrades the search once.
+def test_shared_engine_failure_propagates_and_stays_exact(inside_price_moves):
+    """A rule that raises mid-cone in a probed batch propagates out of greedy.
 
     ``ia`` cones run compiled rules, ``taylor`` cones the generic ones.
     """
     for method in ("ia", "taylor"):
-        degrade_mid_search(make_problem("iir_biquad", method), inside_price_moves)
+        fail_mid_search(make_problem("iir_biquad", method), inside_price_moves)
 
 
-def test_compiled_aa_failure_degrades_once_and_stays_exact(inside_price_moves):
-    """A failure inside a compiled ``aa`` cone rule degrades the search once.
+def test_compiled_aa_failure_propagates_and_stays_exact(inside_price_moves):
+    """A failure inside a compiled ``aa`` cone rule propagates out of greedy.
 
-    The search falls back onto the incremental engine, finishes feasible,
-    and every design it evaluated still equals a from-scratch analysis.
+    The engine stays exact, and the same problem searches on to the
+    design a fresh problem finds.
     """
-    problem = make_problem("iir_biquad")
-    degrade_mid_search(problem, inside_price_moves)
-    assert problem.engine == "incremental"
+    fail_mid_search(make_problem("iir_biquad"), inside_price_moves)
 
 
 def design_digest(result):
