@@ -7,13 +7,13 @@ Subpackages
 ``histogram``
     Histogram (discretized PDF) sums behind the on-request
     ``affine_error_pdf``.
-``symbols``
-    Symbolic expressions lowered to dataflow graphs.
 ``fixedpoint``
     Formats and quantization (scalar and vectorized).
 ``dfg``
-    Dataflow graphs: builders, simulators (scalar and batched),
-    range analysis, sequential unrolling.
+    Dataflow graphs: the wire builder and the trace frontend (the ways
+    in for a circuit, carried by one ``TracedCircuit`` record),
+    simulators (scalar and batched), range analysis, sequential
+    unrolling.
 ``noisemodel``
     Word-length assignments, quantization sources, transfer gains and
     the per-method datapath noise analyzer.
@@ -21,8 +21,10 @@ Subpackages
     The end-to-end :class:`~repro.analysis.pipeline.NoiseAnalysisPipeline`
     with Monte-Carlo validation and structured reports.
 ``optimize``
-    Word-length optimization: hardware cost model, SNR-constrained
-    problem, and search strategies (uniform / greedy / decomposed).
+    Word-length optimization: hardware cost model, the SNR-constrained
+    :class:`~repro.optimize.problem.OptimizationProblem` (the one way to
+    search a circuit), and search strategies (uniform / greedy /
+    decomposed).
 ``benchmarks``
     The benchmark circuit library and the timed, gated benchmark
     drivers (analysis and optimization).

@@ -1,14 +1,17 @@
 """End-to-end noise analysis: pipeline, reports and Monte-Carlo validation.
 
 This package is the user-facing entry point of the reproduction.  It
-takes a computation (symbolic expression or dataflow graph), a
-word-length assignment, and produces a structured
+takes a circuit (a :class:`~repro.dfg.trace.TracedCircuit` from the
+builder or trace frontend, or a bare dataflow graph plus input ranges),
+a word-length assignment, and produces a structured
 :class:`~repro.analysis.report.AnalysisReport` comparing interval
 arithmetic, affine arithmetic, Taylor models, Symbolic Noise Analysis
 (``pna``) and Monte-Carlo simulation on the same fixed-point design —
 the experiment at the heart of the paper, packaged as one call.  An
 arbitrary-precision oracle referees the float64 validator on request;
-both sample the declared input ranges through one skeleton.
+both sample the declared input ranges through one skeleton.  The
+package analyzes only and loads no :mod:`repro.optimize` module; the
+word-length search is :class:`~repro.optimize.problem.OptimizationProblem`.
 """
 
 from repro.analysis.batched import BatchedAnalyzer

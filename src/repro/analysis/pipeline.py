@@ -4,12 +4,13 @@
 call::
 
     pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=12))
-    report = pipeline.analyze(expr_or_dfg, input_ranges={"x": (-4, 3)})
+    report = pipeline.analyze(circuit_or_dfg, input_ranges={"x": (-4, 3)})
 
 which runs, in order:
 
-1. expression lowering (symbolic :class:`~repro.symbols.expression.Expression`
-   inputs become dataflow graphs);
+1. circuit unpacking (a :class:`~repro.dfg.trace.TracedCircuit` brings
+   its graph, input ranges, name and designated output; a bare
+   :class:`~repro.dfg.graph.DFG` needs ``input_ranges``);
 2. interval range analysis (integer-bit sizing, fixpoint-iterated for
    feedback designs);
 3. word-length assignment (a caller-provided
@@ -22,6 +23,9 @@ which runs, in order:
    arbitrary-precision ``oracle`` referee;
 5. report assembly: per-node ranges and formats, per-method error
    bounds / moments / SNR / runtime, and Monte-Carlo enclosure verdicts.
+
+The pipeline analyzes; it does not search.  Word-length optimization
+goes through :class:`~repro.optimize.problem.OptimizationProblem`.
 """
 
 from __future__ import annotations
@@ -32,21 +36,14 @@ from typing import Dict, Iterable, Mapping
 from repro.analysis.degradation import DegradationEvent
 from repro.analysis.montecarlo import MonteCarloResult, monte_carlo_validate, resolve_output
 from repro.analysis.report import AnalysisReport, MethodResult
-from repro.config import AnalysisConfig, OptimizeConfig
-from repro.dfg.builder import expression_to_dfg
+from repro.config import AnalysisConfig
 from repro.dfg.graph import DFG
 from repro.dfg.range_analysis import infer_ranges
+from repro.dfg.trace import TracedCircuit, unpack_circuit
 from repro.errors import NoiseModelError
-from repro.intervals.interval import Interval, RangeLike, coerce_interval, uniform_power
+from repro.intervals.interval import Interval, RangeLike, uniform_power
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer
 from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
-from repro.optimize import (
-    HardwareCostModel,
-    OptimizationProblem,
-    OptimizationResult,
-    get_optimizer,
-)
-from repro.symbols.expression import Expression
 from repro.utils.mathutils import snr_db
 
 __all__ = ["NoiseAnalysisPipeline", "ALL_METHODS", "OPTIONAL_METHODS"]
@@ -107,13 +104,6 @@ class NoiseAnalysisPipeline:
             )
         #: The resolved :class:`AnalysisConfig` this pipeline runs under.
         self.config = config
-        self.word_length = int(config.word_length)
-        self.horizon = int(config.horizon)
-        self.mc_samples = int(config.mc_samples)
-        self.seed = config.seed
-        self.mc_workers = config.mc_workers
-        self.oracle_samples = int(config.oracle_samples)
-        self.oracle_precision_bits = int(config.oracle_precision_bits)
         #: :class:`~repro.analysis.degradation.DegradationEvent` log —
         #: appended to (never cleared) whenever a sharded Monte-Carlo
         #: validation had to rerun its shards serially in-process.
@@ -122,7 +112,7 @@ class NoiseAnalysisPipeline:
     # ------------------------------------------------------------------ #
     def analyze(
         self,
-        circuit: Expression | DFG,
+        circuit: TracedCircuit | DFG,
         assignment: WordLengthAssignment | None = None,
         method: str | Iterable[str] | None = None,
         *,
@@ -135,9 +125,8 @@ class NoiseAnalysisPipeline:
         Parameters
         ----------
         circuit:
-            A symbolic :class:`Expression`, a :class:`DFG`, or any object
-            exposing ``graph`` and ``input_ranges`` attributes (e.g. a
-            benchmark circuit).
+            A :class:`~repro.dfg.trace.TracedCircuit` (what ``trace`` and
+            the benchmark library return) or a bare :class:`DFG`.
         assignment:
             Word-length assignment; defaults to the uniform baseline at
             the pipeline's ``word_length``.
@@ -152,10 +141,16 @@ class NoiseAnalysisPipeline:
             enclose these ranges, and the ``montecarlo`` and ``oracle``
             stimulus is drawn uniformly over them.
         output:
-            Which output to analyze for multi-output designs (the first
-            output by default).
+            Which output to analyze for multi-output designs (default:
+            the circuit's designated output, else the graph's first).
+        name:
+            Report name (default: the circuit's name).
         """
-        graph, ranges_in = self._coerce_circuit(circuit, input_ranges, name)
+        graph, ranges_in, circuit_name, circuit_output = unpack_circuit(
+            circuit, input_ranges, NoiseModelError
+        )
+        if output is None:
+            output = circuit_output
         if method is None and self.config.methods is not None:
             method = self.config.methods
         methods = self._coerce_methods(method)
@@ -169,7 +164,7 @@ class NoiseAnalysisPipeline:
         ranges = range_result.ranges
 
         if assignment is None:
-            assignment = WordLengthAssignment.uniform(graph, self.word_length, ranges)
+            assignment = WordLengthAssignment.uniform(graph, self.config.word_length, ranges)
         assignment = ensure_range_coverage(assignment, ranges)
 
         out_node = resolve_output(graph, output)
@@ -191,7 +186,7 @@ class NoiseAnalysisPipeline:
             else:
                 if analyzer is None:
                     analyzer = DatapathNoiseAnalyzer(
-                        graph, assignment, ranges_in, horizon=self.horizon
+                        graph, assignment, ranges_in, horizon=self.config.horizon
                     )
                     started = time.perf_counter()
                 report = analyzer.analyze(method_name, output=output)
@@ -216,13 +211,13 @@ class NoiseAnalysisPipeline:
                 enclosure[method_name] = mc_result.enclosed_by(result.bounds, tol=ENCLOSURE_TOL)
 
         return AnalysisReport(
-            circuit=name or graph.name,
+            circuit=name or circuit_name,
             output=out_node,
             node_count=len(graph),
             op_counts={op.value: count for op, count in graph.op_histogram().items()},
             sequential=graph.is_sequential,
-            horizon=self.horizon if graph.is_sequential else 1,
-            word_length=self.word_length,
+            horizon=self.config.horizon if graph.is_sequential else 1,
+            word_length=self.config.word_length,
             total_bits=assignment.total_bits(),
             ranges={n: [iv.lo, iv.hi] for n, iv in ranges.items()},
             integer_bits=range_result.integer_bits(),
@@ -241,16 +236,17 @@ class NoiseAnalysisPipeline:
         output: str,
     ) -> MonteCarloResult:
         """Run the ``montecarlo`` validator or the ``oracle`` on the declared ranges."""
+        config = self.config
         if method == "montecarlo":
             return monte_carlo_validate(
                 graph,
                 assignment,
                 input_ranges,
-                samples=self.mc_samples,
-                steps=self.horizon,
+                samples=config.mc_samples,
+                steps=config.horizon,
                 output=output,
-                seed=self.seed,
-                workers=self.mc_workers,
+                seed=config.seed,
+                workers=config.mc_workers,
                 degradations=self.degradation_log,
             )
         # late import: keeps mpmath off the hot path of every default
@@ -261,42 +257,14 @@ class NoiseAnalysisPipeline:
             graph,
             assignment,
             input_ranges,
-            samples=self.oracle_samples,
-            steps=self.horizon,
+            samples=config.oracle_samples,
+            steps=config.horizon,
             output=output,
-            rng=self.seed,
-            precision_bits=self.oracle_precision_bits,
+            rng=config.seed,
+            precision_bits=config.oracle_precision_bits,
         )
 
     # ------------------------------------------------------------------ #
-    def _coerce_circuit(
-        self,
-        circuit: object,
-        input_ranges: Mapping[str, RangeLike] | None,
-        name: str | None,
-    ) -> tuple[DFG, Dict[str, Interval]]:
-        if isinstance(circuit, Expression):
-            graph = expression_to_dfg(circuit, name=name or "expr")
-        elif isinstance(circuit, DFG):
-            graph = circuit
-        elif hasattr(circuit, "graph") and hasattr(circuit, "input_ranges"):
-            graph = circuit.graph  # duck-typed benchmark circuit
-            if input_ranges is None:
-                input_ranges = circuit.input_ranges
-            if name is None:
-                name = getattr(circuit, "name", None)
-        else:
-            raise NoiseModelError(
-                f"cannot analyze {type(circuit).__name__}; pass an Expression or a DFG"
-            )
-        if input_ranges is None:
-            raise NoiseModelError("input_ranges is required (none supplied by the circuit)")
-        ranges_in = {str(k): coerce_interval(v) for k, v in input_ranges.items()}
-        missing = [n for n in graph.inputs() if n not in ranges_in]
-        if missing:
-            raise NoiseModelError(f"missing input ranges for: {', '.join(sorted(missing))}")
-        return graph, ranges_in
-
     @staticmethod
     def _coerce_methods(method: str | Iterable[str] | None) -> list[str]:
         if method is None:
@@ -314,92 +282,3 @@ class NoiseAnalysisPipeline:
         if not names:
             raise NoiseModelError("no analysis methods requested")
         return names
-
-    def _build_problem(
-        self,
-        circuit: Expression | DFG,
-        snr_floor_db: float,
-        config: OptimizeConfig,
-        cost_model: HardwareCostModel | None,
-        input_ranges: Mapping[str, RangeLike] | None,
-        output: str | None,
-        name: str | None,
-    ) -> OptimizationProblem:
-        graph, ranges_in = self._coerce_circuit(circuit, input_ranges, name)
-        if output is None:
-            # honor a duck-typed benchmark circuit's designated output,
-            # matching OptimizationProblem.from_circuit
-            output = getattr(circuit, "output", None)
-        return OptimizationProblem(
-            graph,
-            ranges_in,
-            snr_floor_db=snr_floor_db,
-            cost_model=cost_model,
-            config=config,
-            output=output,
-            name=name or graph.name,
-        )
-
-    def optimize(
-        self,
-        circuit: Expression | DFG,
-        snr_floor_db: float,
-        strategy: str | None = None,
-        config: OptimizeConfig | None = None,
-        *,
-        cost_model: HardwareCostModel | None = None,
-        input_ranges: Mapping[str, RangeLike] | None = None,
-        output: str | None = None,
-        name: str | None = None,
-        **strategy_options: object,
-    ) -> OptimizationResult:
-        """Search for a cheap word-length assignment meeting an SNR floor.
-
-        Builds an :class:`~repro.optimize.problem.OptimizationProblem`
-        from the circuit and an :class:`~repro.config.OptimizeConfig`
-        (defaulting the analyzer knobs to the pipeline's own config),
-        then runs the requested strategy (``uniform``, ``greedy`` or
-        ``decomposed`` — default: the config's) against the config's analysis
-        method and engine.  Extra keywords configure the strategy.
-        Returns the full :class:`~repro.optimize.result.OptimizationResult`
-        trace; the final design is ``result.assignment`` and can be fed
-        back into :meth:`analyze` for a complete report.
-        """
-        if config is None:
-            config = OptimizeConfig(horizon=self.horizon)
-        problem = self._build_problem(
-            circuit, snr_floor_db, config, cost_model, input_ranges, output, name
-        )
-        optimizer = get_optimizer(strategy or config.strategy, **strategy_options)
-        return optimizer.optimize(problem)
-
-    def pareto(
-        self,
-        circuit: Expression | DFG,
-        floors: Iterable[float],
-        strategy: str | None = None,
-        config: OptimizeConfig | None = None,
-        *,
-        cost_model: HardwareCostModel | None = None,
-        input_ranges: Mapping[str, RangeLike] | None = None,
-        output: str | None = None,
-        name: str | None = None,
-        **strategy_options: object,
-    ):
-        """Sweep a cost-vs-SNR Pareto front over several floors in one call.
-
-        Builds one :class:`~repro.optimize.problem.OptimizationProblem`
-        and hands it to :func:`repro.optimize.pareto.pareto_front`:
-        floors are swept tightest-first with warm-started state (shared
-        caches, engines and the previous floor's design), so the curve is
-        monotone by construction.  Returns a
-        :class:`~repro.optimize.pareto.ParetoFront`.
-        """
-        if config is None:
-            config = OptimizeConfig(horizon=self.horizon)
-        floors = list(floors)
-        floor_seed = max(float(f) for f in floors) if floors else config.snr_floor_db
-        problem = self._build_problem(
-            circuit, floor_seed, config, cost_model, input_ranges, output, name
-        )
-        return problem.pareto(floors, strategy=strategy, **strategy_options)

@@ -10,6 +10,6 @@ headline experiment); and :mod:`repro.benchmarks.compare_bench` diffs
 two ``bench_analysis`` reports for the CI regression gate.
 """
 
-from repro.benchmarks.circuits import CIRCUITS, BenchmarkCircuit, all_circuits, get_circuit
+from repro.benchmarks.circuits import CIRCUITS, all_circuits, get_circuit
 
-__all__ = ["BenchmarkCircuit", "CIRCUITS", "get_circuit", "all_circuits"]
+__all__ = ["CIRCUITS", "get_circuit", "all_circuits"]

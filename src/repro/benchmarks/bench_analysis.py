@@ -60,7 +60,7 @@ def _analysis_job(name: str, config: AnalysisConfig) -> dict:
     pipeline = NoiseAnalysisPipeline(config)
     circuit = get_circuit(name)
     started = time.perf_counter()
-    report = pipeline.analyze(circuit, output=circuit.output, method=config.methods)
+    report = pipeline.analyze(circuit, method=config.methods)
     total = time.perf_counter() - started
     entry = report.to_dict()
     entry["description"] = circuit.description

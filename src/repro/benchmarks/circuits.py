@@ -27,65 +27,59 @@ every corner of the analysis stack:
 * ``complex_magnitude`` — ``min(sqrt(x^2 + y^2), limit)``: a saturating
   magnitude with a sign-crossing MIN selection.
 
-The nonlinear five are written through the trace frontend
-(:mod:`repro.dfg.trace`) — plain Python functions executed over tracer
-wires — and wrapped into the same :class:`BenchmarkCircuit` record.
-Every circuit carries its graph, input ranges and a suggested analysis
-output, so a pipeline can consume it directly:
+The linear designs and ``quadratic`` are wired with
+:class:`~repro.dfg.builder.DFGBuilder`; the nonlinear five are written
+through the trace frontend (:mod:`repro.dfg.trace`) — plain Python
+functions executed over tracer wires, whose docstrings become the
+circuit descriptions.  Every circuit is a
+:class:`~repro.dfg.trace.TracedCircuit` carrying its graph, input ranges
+and a suggested analysis output, so a pipeline can consume it directly:
 ``pipeline.analyze(get_circuit("fir4"))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
-from repro.dfg.builder import DFGBuilder, Wire, expression_to_dfg
-from repro.dfg.graph import DFG
-from repro.dfg.trace import exp, fabs, log, maximum, minimum, mux, sqrt, square, trace
+from repro.dfg.builder import DFGBuilder, Wire
+from repro.dfg.trace import (
+    TracedCircuit,
+    exp,
+    fabs,
+    log,
+    maximum,
+    minimum,
+    mux,
+    sqrt,
+    square,
+    trace,
+)
 from repro.errors import DesignError
 from repro.intervals.interval import Interval
-from repro.symbols.expression import Symbol
 
-__all__ = ["BenchmarkCircuit", "CIRCUITS", "get_circuit", "all_circuits"]
-
-
-@dataclass(frozen=True)
-class BenchmarkCircuit:
-    """A ready-to-analyze benchmark design."""
-
-    name: str
-    graph: DFG
-    input_ranges: Dict[str, Interval]
-    description: str
-    output: str | None = None
-    tags: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def sequential(self) -> bool:
-        """True when the design contains delay registers."""
-        return self.graph.is_sequential
+__all__ = ["CIRCUITS", "get_circuit", "all_circuits"]
 
 
-def _quadratic() -> BenchmarkCircuit:
-    x = Symbol("x")
-    graph = expression_to_dfg(x**2 + x, name="quadratic")
-    return BenchmarkCircuit(
+def _quadratic() -> TracedCircuit:
+    builder = DFGBuilder("quadratic")
+    x = builder.input("x")
+    builder.output(x.square() + x, name="out")
+    return TracedCircuit(
         name="quadratic",
-        graph=graph,
+        graph=builder.build(),
         input_ranges={"x": Interval(-4.0, 3.0)},
         description="the paper's quadratic example x^2 + x (repeated operand)",
         tags=("combinational", "nonlinear"),
     )
 
 
-def _poly3() -> BenchmarkCircuit:
+def _poly3() -> TracedCircuit:
     builder = DFGBuilder("poly3")
     x = builder.input("x")
     # Horner form of 0.3 x^3 - 0.5 x^2 + 0.2 x + 0.1
     acc = ((builder.const(0.3) * x + (-0.5)) * x + 0.2) * x + 0.1
     builder.output(acc, name="y")
-    return BenchmarkCircuit(
+    return TracedCircuit(
         name="poly3",
         graph=builder.build(),
         input_ranges={"x": Interval(-1.0, 1.0)},
@@ -94,14 +88,14 @@ def _poly3() -> BenchmarkCircuit:
     )
 
 
-def _fir4() -> BenchmarkCircuit:
+def _fir4() -> TracedCircuit:
     builder = DFGBuilder("fir4")
     x = builder.input("x")
     coefficients = [0.25, 0.5, 0.25, 0.125]
     taps = builder.delayed_taps(x, len(coefficients))
     products = [tap * builder.const(c) for tap, c in zip(taps, coefficients)]
     builder.output(builder.sum_of(products), name="y")
-    return BenchmarkCircuit(
+    return TracedCircuit(
         name="fir4",
         graph=builder.build(),
         input_ranges={"x": Interval(-1.0, 1.0)},
@@ -110,7 +104,7 @@ def _fir4() -> BenchmarkCircuit:
     )
 
 
-def _iir_biquad() -> BenchmarkCircuit:
+def _iir_biquad() -> TracedCircuit:
     # Direct-form-I Butterworth-style biquad, stable low-pass:
     #   y[n] = b0 x[n] + b1 x[n-1] + b2 x[n-2] - a2 y[n-2]   (a1 = 0)
     b0, b1, b2 = 0.2929, 0.5858, 0.2929
@@ -133,7 +127,7 @@ def _iir_biquad() -> BenchmarkCircuit:
     y = feedforward - Wire(builder, "y2") * builder.const(a2)
     graph.connect_delay("y1", y.node_name)
     builder.output(y, name="y")
-    return BenchmarkCircuit(
+    return TracedCircuit(
         name="iir_biquad",
         graph=builder.build(),
         input_ranges={"x": Interval(-1.0, 1.0)},
@@ -142,7 +136,7 @@ def _iir_biquad() -> BenchmarkCircuit:
     )
 
 
-def _fft_butterfly() -> BenchmarkCircuit:
+def _fft_butterfly() -> TracedCircuit:
     builder = DFGBuilder("fft_butterfly")
     a = builder.input("a")
     b = builder.input("b")
@@ -150,7 +144,7 @@ def _fft_butterfly() -> BenchmarkCircuit:
     product = b * twiddle
     builder.output(a + product, name="x0")
     builder.output(a - product, name="x1")
-    return BenchmarkCircuit(
+    return TracedCircuit(
         name="fft_butterfly",
         graph=builder.build(),
         input_ranges={"a": Interval(-1.0, 1.0), "b": Interval(-1.0, 1.0)},
@@ -160,7 +154,7 @@ def _fft_butterfly() -> BenchmarkCircuit:
     )
 
 
-def _matmul2() -> BenchmarkCircuit:
+def _matmul2() -> TracedCircuit:
     builder = DFGBuilder("matmul2")
     a00, a01, a10, a11 = builder.inputs(["a00", "a01", "a10", "a11"])
     b00, b01, b10, b11 = builder.inputs(["b00", "b01", "b10", "b11"])
@@ -169,7 +163,7 @@ def _matmul2() -> BenchmarkCircuit:
     builder.output(a10 * b00 + a11 * b10, name="c10")
     builder.output(a10 * b01 + a11 * b11, name="c11")
     ranges = {name: Interval(-1.0, 1.0) for name in builder.graph.inputs()}
-    return BenchmarkCircuit(
+    return TracedCircuit(
         name="matmul2",
         graph=builder.build(),
         input_ranges=ranges,
@@ -179,20 +173,9 @@ def _matmul2() -> BenchmarkCircuit:
     )
 
 
-def _traced(fn, input_ranges, description, tags) -> BenchmarkCircuit:
-    """Wrap a trace-frontend function into a :class:`BenchmarkCircuit`."""
-    traced = trace(fn, input_ranges)
-    return BenchmarkCircuit(
-        name=traced.name,
-        graph=traced.graph,
-        input_ranges=dict(traced.input_ranges),
-        description=description,
-        tags=tags,
-    )
-
-
-def _newton_inverse() -> BenchmarkCircuit:
+def _newton_inverse() -> TracedCircuit:
     def newton_inverse(d):
+        """two Newton-Raphson reciprocal steps (MUX-predicated guess, ABS clean-up)"""
         # Initial guess predicated on the (always non-negative) operand
         # sign — exercises the sign-decided MUX path — then two
         # Newton-Raphson refinements y <- y * (2 - d * y), and an ABS
@@ -202,16 +185,14 @@ def _newton_inverse() -> BenchmarkCircuit:
         y = y * (2.0 - d * y)
         return fabs(y)
 
-    return _traced(
-        newton_inverse,
-        {"d": (1.0, 2.0)},
-        "two Newton-Raphson reciprocal steps (MUX-predicated guess, ABS clean-up)",
-        ("combinational", "nonlinear", "iterative"),
+    return trace(
+        newton_inverse, {"d": (1.0, 2.0)}, tags=("combinational", "nonlinear", "iterative")
     )
 
 
-def _rms_normalize() -> BenchmarkCircuit:
+def _rms_normalize() -> TracedCircuit:
     def rms_normalize(a, b):
+        """RMS normalization with a MAX-clamped divisor (AGC pattern)"""
         mean_square = (square(a) + square(b)) * 0.5
         rms = sqrt(mean_square)
         # MAX-clamp the divisor: the clamp threshold sits inside the rms
@@ -220,56 +201,51 @@ def _rms_normalize() -> BenchmarkCircuit:
 
     # Input lows sit above hi/3 so even AA's dependency-blind square
     # enclosure stays positive going into the SQRT.
-    return _traced(
+    return trace(
         rms_normalize,
         {"a": (0.5, 1.0), "b": (0.5, 1.0)},
-        "RMS normalization with a MAX-clamped divisor (AGC pattern)",
-        ("combinational", "nonlinear", "selection"),
+        tags=("combinational", "nonlinear", "selection"),
     )
 
 
-def _sigmoid_neuron() -> BenchmarkCircuit:
+def _sigmoid_neuron() -> TracedCircuit:
     def sigmoid_neuron(x):
+        """logistic neuron 1/(1 + exp(-(0.8 x + 0.2))) (EXP into a divide)"""
         activation = x * 0.8 + 0.2
         return 1.0 / (exp(-activation) + 1.0)
 
-    return _traced(
-        sigmoid_neuron,
-        {"x": (-1.0, 1.0)},
-        "logistic neuron 1/(1 + exp(-(0.8 x + 0.2))) (EXP into a divide)",
-        ("combinational", "nonlinear", "activation"),
+    return trace(
+        sigmoid_neuron, {"x": (-1.0, 1.0)}, tags=("combinational", "nonlinear", "activation")
     )
 
 
-def _log_energy() -> BenchmarkCircuit:
+def _log_energy() -> TracedCircuit:
     def log_energy(x, y):
+        """log-power log(x^2 + y^2 + 0.25) (spectral front-end pattern)"""
         return log(square(x) + square(y) + 0.25)
 
-    return _traced(
-        log_energy,
-        {"x": (-1.0, 1.0), "y": (-1.0, 1.0)},
-        "log-power log(x^2 + y^2 + 0.25) (spectral front-end pattern)",
-        ("combinational", "nonlinear"),
+    return trace(
+        log_energy, {"x": (-1.0, 1.0), "y": (-1.0, 1.0)}, tags=("combinational", "nonlinear")
     )
 
 
-def _complex_magnitude() -> BenchmarkCircuit:
+def _complex_magnitude() -> TracedCircuit:
     def complex_magnitude(x, y):
+        """saturating complex magnitude min(sqrt(x^2 + y^2), 1.2) (SQRT + MIN)"""
         magnitude = sqrt(square(x) + square(y))
         return minimum(magnitude, 1.2)
 
     # Input lows sit above hi/3 so even AA's dependency-blind square
     # enclosure stays positive going into the SQRT.
-    return _traced(
+    return trace(
         complex_magnitude,
         {"x": (0.4, 1.0), "y": (0.4, 1.0)},
-        "saturating complex magnitude min(sqrt(x^2 + y^2), 1.2) (SQRT + MIN)",
-        ("combinational", "nonlinear", "selection"),
+        tags=("combinational", "nonlinear", "selection"),
     )
 
 
 #: Registry of circuit builders, in canonical benchmark order.
-CIRCUITS: Dict[str, Callable[[], BenchmarkCircuit]] = {
+CIRCUITS: Dict[str, Callable[[], TracedCircuit]] = {
     "quadratic": _quadratic,
     "poly3": _poly3,
     "fir4": _fir4,
@@ -284,7 +260,7 @@ CIRCUITS: Dict[str, Callable[[], BenchmarkCircuit]] = {
 }
 
 
-def get_circuit(name: str) -> BenchmarkCircuit:
+def get_circuit(name: str) -> TracedCircuit:
     """Instantiate one benchmark circuit by name."""
     try:
         factory = CIRCUITS[name]
@@ -295,6 +271,6 @@ def get_circuit(name: str) -> BenchmarkCircuit:
     return factory()
 
 
-def all_circuits() -> List[BenchmarkCircuit]:
+def all_circuits() -> List[TracedCircuit]:
     """Instantiate every benchmark circuit, in registry order."""
     return [factory() for factory in CIRCUITS.values()]

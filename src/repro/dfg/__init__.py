@@ -2,13 +2,13 @@
 
 A :class:`DFG` is a directed graph of arithmetic operations (the
 "computation tree" of the paper) annotated per node with fixed-point
-characteristics.  The builders turn symbolic expressions or hand-written
-design descriptions into DFGs; the evaluators run them in floating point,
+characteristics.  The builder's wires and the trace frontend turn
+hand-written design descriptions into DFGs; the evaluators run them in floating point,
 in any enclosure algebra, or bit-true in fixed point; the range analysis
 derives the integer bit-widths required at every node.
 """
 
-from repro.dfg.builder import DFGBuilder, Wire, expression_to_dfg
+from repro.dfg.builder import DFGBuilder, Wire
 from repro.dfg.evaluate import (
     evaluate_combinational,
     simulate,
@@ -25,7 +25,7 @@ from repro.dfg.partition import (
     partition_graph,
 )
 from repro.dfg.range_analysis import formats_for_ranges, infer_ranges
-from repro.dfg.trace import TracedCircuit, trace
+from repro.dfg.trace import TracedCircuit, trace, unpack_circuit
 from repro.dfg.unroll import UnrolledGraph, unroll_sequential
 
 __all__ = [
@@ -34,9 +34,9 @@ __all__ = [
     "OpType",
     "trace",
     "TracedCircuit",
+    "unpack_circuit",
     "DFGBuilder",
     "Wire",
-    "expression_to_dfg",
     "evaluate_combinational",
     "simulate",
     "simulate_fixed_point",

@@ -1,14 +1,10 @@
-"""Builders: convenient front-ends for constructing dataflow graphs.
+"""The builder: the wire-level front end for constructing dataflow graphs.
 
-Two styles are supported:
-
-* :func:`expression_to_dfg` turns a symbolic
-  :class:`~repro.symbols.expression.Expression` into a DFG (used by the
-  quadratic case study and by tests that cross-check expression-level and
-  graph-level analyses);
-* :class:`DFGBuilder` provides :class:`Wire` handles with operator
-  overloading, which reads like a tiny hardware description language and
-  is how the filter / FFT / DCT designs are written.
+:class:`DFGBuilder` provides :class:`Wire` handles with operator
+overloading, which reads like a tiny hardware description language and
+is how the filter / FFT designs are written.  The trace frontend
+(:mod:`repro.dfg.trace`) executes a plain Python function over these
+wires.
 """
 
 from __future__ import annotations
@@ -18,19 +14,8 @@ from typing import Dict, Iterable, Union
 from repro.dfg.graph import DFG
 from repro.dfg.node import OpType
 from repro.errors import DFGError
-from repro.symbols.expression import (
-    Add,
-    Constant,
-    Div,
-    Expression,
-    Mul,
-    Neg,
-    Pow,
-    Sub,
-    Symbol,
-)
 
-__all__ = ["Wire", "DFGBuilder", "expression_to_dfg"]
+__all__ = ["Wire", "DFGBuilder"]
 
 Number = Union[int, float]
 
@@ -195,57 +180,3 @@ class DFGBuilder:
         self.graph.validate()
         return self.graph
 
-
-def expression_to_dfg(
-    expression: Expression,
-    name: str = "expr",
-    output_name: str = "out",
-) -> DFG:
-    """Lower a symbolic expression into a dataflow graph.
-
-    Every :class:`~repro.symbols.expression.Symbol` becomes an INPUT node
-    named after the symbol; shared sub-expressions are *not* merged (the
-    graph mirrors the expression tree), except constants which are
-    cached.
-    """
-    graph = DFG(name)
-    const_cache: Dict[float, str] = {}
-    symbol_cache: Dict[str, str] = {}
-
-    def lower(expr: Expression) -> str:
-        if isinstance(expr, Constant):
-            if expr.value not in const_cache:
-                const_cache[expr.value] = graph.add_const(expr.value)
-            return const_cache[expr.value]
-        if isinstance(expr, Symbol):
-            if expr.name not in symbol_cache:
-                symbol_cache[expr.name] = graph.add_input(expr.name)
-            return symbol_cache[expr.name]
-        if isinstance(expr, Neg):
-            return graph.add_neg(lower(expr.operand))
-        if isinstance(expr, Pow):
-            if expr.exponent == 0:
-                if 1.0 not in const_cache:
-                    const_cache[1.0] = graph.add_const(1.0)
-                return const_cache[1.0]
-            base = lower(expr.operand)
-            if expr.exponent == 1:
-                return base
-            result = graph.add_square(base)
-            for _ in range(expr.exponent - 2):
-                result = graph.add_mul(result, base)
-            return result
-        if isinstance(expr, Add):
-            return graph.add_add(lower(expr.left), lower(expr.right))
-        if isinstance(expr, Sub):
-            return graph.add_sub(lower(expr.left), lower(expr.right))
-        if isinstance(expr, Mul):
-            return graph.add_mul(lower(expr.left), lower(expr.right))
-        if isinstance(expr, Div):
-            return graph.add_div(lower(expr.left), lower(expr.right))
-        raise DFGError(f"cannot lower expression node {type(expr).__name__}")
-
-    root = lower(expression)
-    graph.add_output(root, name=output_name)
-    graph.validate()
-    return graph

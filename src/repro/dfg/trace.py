@@ -16,9 +16,12 @@ outputs::
     circuit.graph          # the DFG
     circuit.input_ranges   # {"x": Interval(-1, 1), ...}
 
-The returned :class:`TracedCircuit` is duck-compatible with everything
-that accepts a benchmark circuit (``NoiseAnalysisPipeline.analyze``,
-``OptimizationProblem.from_circuit``, ...).
+The returned :class:`TracedCircuit` is the library's one circuit record:
+the benchmark circuits built with :class:`~repro.dfg.builder.DFGBuilder`
+use it too, and every entry point that takes a circuit
+(``NoiseAnalysisPipeline.analyze``, ``OptimizationProblem.from_circuit``)
+reads it, or a bare :class:`DFG` plus ranges, through
+:func:`unpack_circuit`.
 
 The module-level math helpers (:func:`sqrt`, :func:`exp`, :func:`log`,
 :func:`square`, :func:`fabs`, :func:`minimum`, :func:`maximum`,
@@ -42,12 +45,13 @@ from typing import Callable, Dict, Mapping, Tuple, Union
 
 from repro.dfg.builder import DFGBuilder, Wire
 from repro.dfg.graph import DFG
-from repro.errors import DFGError
+from repro.errors import DFGError, ReproError
 from repro.intervals.interval import Interval, RangeLike, coerce_interval
 
 __all__ = [
     "TracedCircuit",
     "trace",
+    "unpack_circuit",
     "sqrt",
     "exp",
     "log",
@@ -64,7 +68,12 @@ Traceable = Union[Wire, Number]
 
 @dataclass(frozen=True)
 class TracedCircuit:
-    """A DFG built by tracing, plus the metadata analyses expect."""
+    """A DFG plus its input ranges and the metadata analyses expect.
+
+    :func:`trace` returns one; the benchmark library wraps its
+    builder-made graphs in one too.  ``output`` designates the analyzed
+    output of a multi-output design (``None``: the graph's first).
+    """
 
     name: str
     graph: DFG
@@ -75,8 +84,37 @@ class TracedCircuit:
 
     @property
     def sequential(self) -> bool:
-        """True when the traced graph contains delay registers."""
+        """True when the graph contains delay registers."""
         return self.graph.is_sequential
+
+
+def unpack_circuit(
+    circuit: TracedCircuit | DFG,
+    input_ranges: Mapping[str, RangeLike] | None,
+    error: type[ReproError],
+) -> Tuple[DFG, Dict[str, Interval], str, str | None]:
+    """``(graph, input_ranges, name, output)`` of a circuit record or a bare DFG.
+
+    Explicit ``input_ranges`` override a record's own.  A bare DFG is
+    named after its graph and designates no output.  Raises ``error``
+    (the caller's layer's error type) when ``circuit`` is neither, when
+    no ranges are supplied, or when an input has none.
+    """
+    if isinstance(circuit, TracedCircuit):
+        graph, name, output = circuit.graph, circuit.name, circuit.output
+        if input_ranges is None:
+            input_ranges = circuit.input_ranges
+    elif isinstance(circuit, DFG):
+        graph, name, output = circuit, circuit.name, None
+    else:
+        raise error(f"expected a TracedCircuit or a DFG, got {type(circuit).__name__}")
+    if input_ranges is None:
+        raise error("input_ranges is required (none supplied by the circuit)")
+    ranges = {str(k): coerce_interval(v) for k, v in input_ranges.items()}
+    missing = sorted(n for n in graph.inputs() if n not in ranges)
+    if missing:
+        raise error(f"missing input ranges for: {', '.join(missing)}")
+    return graph, ranges, name, output
 
 
 def _first_wire(*values: Traceable) -> Wire | None:

@@ -17,7 +17,6 @@ __all__ = [
     "DomainError",
     "HistogramError",
     "NonFiniteError",
-    "ExpressionError",
     "FixedPointError",
     "DFGError",
     "NodeNotFoundError",
@@ -77,10 +76,6 @@ class NonFiniteError(DomainError, HistogramError):
     readouts of :mod:`repro.analysis.probabilistic` raise it for a
     non-finite affine form.
     """
-
-
-class ExpressionError(ReproError):
-    """Raised when a symbolic expression cannot be built."""
 
 
 class FixedPointError(ReproError):

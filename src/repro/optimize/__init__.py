@@ -5,10 +5,13 @@ strategies in this package search per-node fixed-point word lengths that
 minimize area while staying feasible — the paper's headline experiment
 (uniform vs optimized word lengths) as a reusable subsystem:
 
->>> from repro.analysis import NoiseAnalysisPipeline
->>> result = NoiseAnalysisPipeline().optimize(circuit, snr_floor_db=60.0)
+>>> from repro.benchmarks import get_circuit
+>>> from repro.optimize import OptimizationProblem, get_optimizer
+>>> problem = OptimizationProblem.from_circuit(get_circuit("fir4"), 60.0)
+>>> result = get_optimizer("greedy").optimize(problem)
 >>> result.assignment        # the optimized design
 >>> result.improvement       # fractional saving vs the uniform baseline
+>>> front = problem.pareto([50.0, 55.0, 60.0])   # cost-vs-SNR sweep
 """
 
 from repro.optimize.cost import (

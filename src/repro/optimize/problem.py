@@ -28,6 +28,7 @@ from repro.config import OptimizeConfig
 from repro.dfg.graph import DFG
 from repro.dfg.node import OpType
 from repro.dfg.range_analysis import infer_ranges
+from repro.dfg.trace import TracedCircuit, unpack_circuit
 from repro.dfg.unroll import base_name as _base_name
 from repro.dfg.unroll import unroll_sequential
 from repro.errors import DivisionByZeroIntervalError, DomainError, OptimizationError
@@ -444,8 +445,9 @@ class OptimizationProblem:
         """
         state = self._state
         if state.incremental is None:
-            # Local import: repro.analysis imports repro.optimize at module
-            # scope (pipeline wiring); importing back lazily avoids the cycle.
+            # Local import: building a problem loads no repro.analysis
+            # module, which keeps perfbench's timed set-up free of it; the
+            # engine loads on first use.
             from repro.analysis.incremental import IncrementalAnalyzer
 
             state.incremental = IncrementalAnalyzer(
@@ -488,8 +490,9 @@ class OptimizationProblem:
         """
         state = self._state
         if state.batched is None:
-            # Local import: repro.analysis imports repro.optimize at module
-            # scope (pipeline wiring); importing back lazily avoids the cycle.
+            # Local import: building a problem loads no repro.analysis
+            # module, which keeps perfbench's timed set-up free of it; the
+            # engine loads on first use.
             from repro.analysis.batched import BatchedAnalyzer
 
             # Building reads no committed errors, so an existing engine is
@@ -634,8 +637,9 @@ class OptimizationProblem:
         ``confidence``-quantile of ``|error|`` (``1.0`` = the squared
         peak error); without one it is the mean-square error.
         """
-        # Local import: repro.analysis imports repro.optimize at module
-        # scope (pipeline wiring); importing back lazily avoids the cycle.
+        # Local import: building a problem loads no repro.analysis
+        # module, which keeps perfbench's timed set-up free of it; the
+        # validator loads on first use.
         from repro.analysis.montecarlo import monte_carlo_validate
 
         result = monte_carlo_validate(
@@ -750,26 +754,21 @@ class OptimizationProblem:
     @classmethod
     def from_circuit(
         cls,
-        circuit: object,
+        circuit: TracedCircuit | DFG,
         snr_floor_db: float,
         input_ranges: Mapping[str, RangeLike] | None = None,
         **options: object,
     ) -> "OptimizationProblem":
-        """Build a problem from a duck-typed benchmark circuit or a DFG."""
-        if isinstance(circuit, DFG):
-            graph = circuit
-        elif hasattr(circuit, "graph") and hasattr(circuit, "input_ranges"):
-            graph = circuit.graph
-            if input_ranges is None:
-                input_ranges = circuit.input_ranges
-            options.setdefault("name", getattr(circuit, "name", None))
-            options.setdefault("output", getattr(circuit, "output", None))
-        else:
-            raise OptimizationError(
-                f"cannot optimize {type(circuit).__name__}; pass a DFG or a benchmark circuit"
-            )
-        if input_ranges is None:
-            raise OptimizationError("input_ranges is required (none supplied by the circuit)")
+        """Build a problem from a circuit record or a DFG plus ``input_ranges``.
+
+        A record's name and designated output are the defaults of the
+        ``name`` and ``output`` options.
+        """
+        graph, input_ranges, name, output = unpack_circuit(
+            circuit, input_ranges, OptimizationError
+        )
+        options.setdefault("name", name)
+        options.setdefault("output", output)
         return cls(graph, input_ranges, snr_floor_db, **options)  # type: ignore[arg-type]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -273,7 +273,7 @@ def test_price_moves_rejects_foreign_modes(method):
     )
     with pytest.raises(OptimizationError, match="modes"):
         problem.price_moves(foreign, moves)
-    assert problem.degradations == [] and problem.engine == "batched"
+    assert problem.degradations == []
     assert problem._state.incremental is None and problem._state.batched is None
     # The problem's own modes still price the move exactly.
     lane = problem.price_moves(design, moves)[0]
@@ -338,6 +338,7 @@ RETIRED_KEYWORDS = {
         "overflow": "wrap",
         "mc_workers": 1,
     },
+    # the one search entry point: a strategy takes no config field
     "optimize": {"method": "ia", "margin_db": 0.5, "max_word_length": 20},
 }
 
@@ -359,26 +360,7 @@ def test_retired_calling_conventions_raise_type_error(entry, args, kwargs, messa
         elif entry == "problem":
             OptimizationProblem.from_circuit(circuit, 50.0, **kwargs)
         else:
-            pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4))
-            pipeline.optimize(circuit, 50.0, **kwargs)
-
-
-def test_pipeline_optimize_matches_config_path():
-    circuit = get_circuit("quadratic")
-    pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=12, horizon=4))
-    config = OptimizeConfig(
-        snr_floor_db=50.0,
-        method="ia",
-        margin_db=0.5,
-        max_word_length=20,
-        horizon=4,
-        bins=8,
-    )
-    via_pipeline = pipeline.optimize(circuit, 50.0, config=config)
-    problem = OptimizationProblem.from_circuit(circuit, 50.0, config=config)
-    direct = get_optimizer("greedy").optimize(problem)
-    assert via_pipeline.cost == direct.cost
-    assert via_pipeline.assignment.key() == direct.assignment.key()
+            get_optimizer("greedy", **kwargs)
 
 
 # --------------------------------------------------------------------- #
@@ -387,10 +369,10 @@ def test_pipeline_optimize_matches_config_path():
 
 
 @pytest.mark.parametrize("name", ["fir4", "sigmoid_neuron"])
-def test_pipeline_pareto_monotone_one_call(name):
-    pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=6))
-    config = OptimizeConfig(method="ia", engine="batched", horizon=6, bins=16)
-    front = pipeline.pareto(get_circuit(name), [45.0, 50.0, 55.0, 60.0], config=config)
+def test_problem_pareto_monotone_one_call(name):
+    config = OptimizeConfig(method="ia", engine="batched", horizon=6)
+    problem = OptimizationProblem.from_circuit(get_circuit(name), 60.0, config=config)
+    front = problem.pareto([45.0, 50.0, 55.0, 60.0])
     assert front.is_monotone()
     assert len(front.feasible_points) == 4
     floors = [p.snr_floor_db for p in front.points]

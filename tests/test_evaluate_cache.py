@@ -181,7 +181,6 @@ class TestForeignModes:
             problem.evaluate(foreign)
         assert problem.analyzer_calls == calls
         assert problem.degradations == []
-        assert problem.engine == "incremental"
 
     @pytest.mark.parametrize("strategy", ["greedy"])
     def test_truncate_warm_start_raises(self, strategy):

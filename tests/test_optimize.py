@@ -23,12 +23,19 @@ from repro.optimize import (
 FLOOR = 58.0
 
 
-def make_problem(circuit_name: str = "quadratic", method: str = "aa", **options):
+def make_problem(
+    circuit_name: str = "quadratic",
+    method: str = "aa",
+    cost_model: HardwareCostModel | None = None,
+    **options,
+):
     options.setdefault("horizon", 4)
     options.setdefault("bins", 8)
     options.setdefault("margin_db", 1.0)
     config = OptimizeConfig(snr_floor_db=FLOOR, method=method, **options)
-    return OptimizationProblem.from_circuit(get_circuit(circuit_name), FLOOR, config=config)
+    return OptimizationProblem.from_circuit(
+        get_circuit(circuit_name), FLOOR, config=config, cost_model=cost_model
+    )
 
 
 class TestProblem:
@@ -166,41 +173,35 @@ class TestGreedy:
 
 
 class TestPipelineWiring:
+    """The problem API searches; the pipeline analyzes what it returns."""
+
     def test_pipeline_optimize_returns_result(self):
-        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4))
-        result = pipeline.optimize(
-            get_circuit("quadratic"),
-            snr_floor_db=FLOOR,
-            strategy="greedy",
-            config=OptimizeConfig(method="aa", horizon=4, bins=8),
-        )
+        result = get_optimizer("greedy").optimize(make_problem())
         assert result.strategy == "greedy"
         assert result.method == "aa"
         assert result.feasible
         # the optimized assignment is consumable by the analysis pipeline
+        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4))
         report = pipeline.analyze(
             get_circuit("quadratic"), assignment=result.assignment, method="aa"
         )
         assert report.results["aa"].snr_db >= FLOOR
 
     def test_unknown_strategy_raises(self):
-        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4))
         with pytest.raises(OptimizationError, match="unknown optimization strategy"):
-            pipeline.optimize(get_circuit("quadratic"), FLOOR, strategy="gradient")
+            get_optimizer("gradient")
+        with pytest.raises(OptimizationError, match="unknown optimization strategy"):
+            make_problem().pareto([FLOOR], strategy="gradient")
 
     def test_custom_cost_model_is_used(self):
-        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4))
         free = HardwareCostModel(
             HardwareCostModel().table.scaled(0.0, name="free")
         )
-        result = pipeline.optimize(
-            get_circuit("quadratic"), FLOOR, strategy="uniform", cost_model=free
-        )
+        result = get_optimizer("uniform").optimize(make_problem(cost_model=free))
         assert result.cost == 0.0
 
     def test_result_serializes(self):
-        pipeline = NoiseAnalysisPipeline(AnalysisConfig(horizon=4))
-        result = pipeline.optimize(get_circuit("quadratic"), FLOOR, strategy="uniform")
+        result = get_optimizer("uniform").optimize(make_problem())
         doc = result.to_dict()
         assert doc["strategy"] == "uniform"
         assert doc["iteration_count"] == len(doc["iterations"])

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.analysis import ALL_METHODS, AnalysisConfig, NoiseAnalysisPipeline
+from repro.benchmarks import get_circuit
+from repro.dfg.trace import square, trace
 from repro.errors import NoiseModelError
-from repro.symbols.expression import Symbol
+from repro.optimize import OptimizationProblem
 
 RANGES = {"x": (-4.0, 3.0)}
 
@@ -14,8 +16,7 @@ RANGES = {"x": (-4.0, 3.0)}
 @pytest.fixture(scope="module")
 def quadratic_report():
     pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=12, mc_samples=20_000, seed=0))
-    x = Symbol("x")
-    return pipeline.analyze(x**2 + x, input_ranges=RANGES, name="quadratic")
+    return pipeline.analyze(trace(lambda x: square(x) + x, RANGES, name="quadratic"))
 
 
 class TestQuadraticEndToEnd:
@@ -66,10 +67,8 @@ class TestDivisionCircuit:
     def test_all_methods_handle_division(self):
         """Regression: TaylorModel lacked __truediv__, crashing 'taylor' on DIV."""
         pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=12, mc_samples=4_000, seed=3))
-        x, y = Symbol("x"), Symbol("y")
-        report = pipeline.analyze(
-            x / y, input_ranges={"x": (-1.0, 1.0), "y": (1.0, 2.0)}, name="divider"
-        )
+        divider = trace(lambda x, y: x / y, {"x": (-1.0, 1.0), "y": (1.0, 2.0)}, name="divider")
+        report = pipeline.analyze(divider)
         assert list(report.results) == list(ALL_METHODS)
         for method in ("ia", "aa", "taylor"):
             assert report.enclosure[method], method
@@ -78,19 +77,33 @@ class TestDivisionCircuit:
 class TestPipelineValidation:
     def test_single_method_selection(self):
         pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=10, mc_samples=500))
-        x = Symbol("x")
-        report = pipeline.analyze(x * x, method="ia", input_ranges={"x": (-1.0, 1.0)})
+        report = pipeline.analyze(trace(lambda x: x * x, {"x": (-1.0, 1.0)}), method="ia")
         assert report.methods == ["ia"]
         assert report.enclosure == {}
 
     def test_unknown_method_rejected(self):
         pipeline = NoiseAnalysisPipeline()
-        x = Symbol("x")
+        circuit = trace(lambda x: x + 1.0, {"x": (0.0, 1.0)})
         with pytest.raises(NoiseModelError):
-            pipeline.analyze(x + 1.0, method="spectral", input_ranges={"x": (0.0, 1.0)})
+            pipeline.analyze(circuit, method="spectral")
 
     def test_missing_ranges_rejected(self):
         pipeline = NoiseAnalysisPipeline()
-        x = Symbol("x")
-        with pytest.raises(NoiseModelError):
-            pipeline.analyze(x + 1.0, input_ranges={})
+        graph = trace(lambda x: x + 1.0, {"x": (0.0, 1.0)}).graph
+        with pytest.raises(NoiseModelError, match="missing input ranges"):
+            pipeline.analyze(graph, input_ranges={})
+        with pytest.raises(NoiseModelError, match="input_ranges is required"):
+            pipeline.analyze(graph)
+
+    def test_designated_output_is_analyzed(self):
+        """A circuit's ``output`` is the default; an explicit one still wins."""
+        pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=10))
+        circuit = get_circuit("fft_butterfly")
+        assert circuit.output == "x1"
+        assert pipeline.analyze(circuit, method="ia").output == "x1"
+        assert pipeline.analyze(circuit, method="ia", output="x0").output == "x0"
+        # a bare graph designates nothing: its first output
+        bare = pipeline.analyze(circuit.graph, method="ia", input_ranges=circuit.input_ranges)
+        assert bare.output == "x0"
+        # the search protects the same output
+        assert OptimizationProblem.from_circuit(circuit, 50.0).output == "x1"
