@@ -129,7 +129,9 @@ class NoiseAnalysisPipeline:
             the benchmark library return) or a bare :class:`DFG`.
         assignment:
             Word-length assignment; defaults to the uniform baseline at
-            the pipeline's ``word_length``.
+            the pipeline's ``word_length``.  A caller's assignment is
+            reported with ``word_length=None``: its per-node formats are
+            the record.
         method:
             One method name, an iterable of names, or ``None`` for all of
             ``ia, aa, taylor, pna, montecarlo``.  The
@@ -163,8 +165,9 @@ class NoiseAnalysisPipeline:
             )
         ranges = range_result.ranges
 
+        word_length = self.config.word_length if assignment is None else None
         if assignment is None:
-            assignment = WordLengthAssignment.uniform(graph, self.config.word_length, ranges)
+            assignment = WordLengthAssignment.uniform(graph, word_length, ranges)
         assignment = ensure_range_coverage(assignment, ranges)
 
         out_node = resolve_output(graph, output)
@@ -217,7 +220,7 @@ class NoiseAnalysisPipeline:
             op_counts={op.value: count for op, count in graph.op_histogram().items()},
             sequential=graph.is_sequential,
             horizon=self.config.horizon if graph.is_sequential else 1,
-            word_length=self.config.word_length,
+            word_length=word_length,
             total_bits=assignment.total_bits(),
             ranges={n: [iv.lo, iv.hi] for n, iv in ranges.items()},
             integer_bits=range_result.integer_bits(),

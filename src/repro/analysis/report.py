@@ -74,7 +74,9 @@ class AnalysisReport:
     sequential / horizon:
         Whether the design has state, and the unrolling depth used.
     word_length / total_bits:
-        Summary of the word-length assignment.
+        Summary of the word-length assignment.  ``word_length`` is the
+        uniform baseline's width, or ``None`` for a caller's assignment
+        (``summary()`` then prints its ``min..max`` word lengths).
     ranges / integer_bits / formats:
         Per-node range analysis products and the final formats
         (``describe()`` strings).
@@ -99,7 +101,7 @@ class AnalysisReport:
     op_counts: Dict[str, int]
     sequential: bool
     horizon: int
-    word_length: int
+    word_length: int | None
     total_bits: int
     ranges: Dict[str, List[float]]
     integer_bits: Dict[str, int]
@@ -159,9 +161,14 @@ class AnalysisReport:
 
     def summary(self) -> str:
         """A short human-readable multi-line summary."""
+        width = self.word_length
+        if width is None:
+            # ``describe()`` strings read ``sQ<integer>.<fractional>``.
+            lengths = [sum(map(int, fmt[2:].split("."))) for fmt in self.formats.values()]
+            width = f"{min(lengths)}..{max(lengths)}"
         lines = [
             f"circuit={self.circuit} output={self.output} "
-            f"nodes={self.node_count} W={self.word_length} "
+            f"nodes={self.node_count} W={width} "
             f"{'sequential' if self.sequential else 'combinational'}"
         ]
         for method, result in self.results.items():

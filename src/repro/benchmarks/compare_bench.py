@@ -51,6 +51,7 @@ import os
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
+from repro.jobs.canonical import EXECUTION_COUNTER_KEYS
 from repro.noisemodel.analyzer import BOUND_METHODS
 
 __all__ = [
@@ -64,15 +65,14 @@ __all__ = [
     "main",
 ]
 
-#: Fault-tolerance execution counters: how a run *executed* (retries,
-#: timeouts, resumed cells, injected faults), never what it *computed*.
-#: A base measured without fault injection must diff clean against a
-#: head measured with it, so these are stripped before comparing.
-EXECUTION_COUNTER_KEYS = ("job_attempts", "job_timeouts", "job_resumed", "fault_injection")
-
 
 def strip_execution_counters(document: object) -> object:
-    """Recursively drop the fault-tolerance execution counters."""
+    """Recursively drop the fault-tolerance execution counters.
+
+    They record how a run *executed*, never what it *computed*: a base
+    measured without fault injection must diff clean against a head
+    measured with it.
+    """
     if isinstance(document, dict):
         return {
             key: strip_execution_counters(value)

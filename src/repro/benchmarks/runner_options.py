@@ -23,7 +23,7 @@ The fault-tolerance flags are shared too:
     is killed and respawned; the job is retried if budget remains.
 ``--retries``
     Maximum attempts per job (1 = no retries, the legacy behavior).
-    Backoff between attempts is exponential with deterministic jitter.
+    A failed attempt re-queues at once, behind the jobs still waiting.
 ``--inject-faults`` / ``--fault-kinds``
     Deterministic fault injection (see :mod:`repro.jobs.faults`): each
     (job, attempt) pair draws from a seeded hash, so a faulted run
@@ -58,7 +58,6 @@ from repro.jobs import (
     JobResult,
     JobRunner,
     JobSpec,
-    RetryPolicy,
     summarize_run,
 )
 
@@ -338,7 +337,7 @@ def runner_from_args(args: argparse.Namespace, workers: int, seed: int = 0) -> J
     return JobRunner(
         workers=workers,
         timeout_s=args.timeout,
-        retry=RetryPolicy(max_attempts=retries),
+        max_attempts=retries,
         fault_plan=fault_plan,
     )
 
@@ -359,7 +358,7 @@ def checkpoint_from_args(args: argparse.Namespace, meta: Mapping) -> JobCheckpoi
 
 def fault_summary(runner: JobRunner) -> dict | None:
     """Volatile document block describing active fault injection, if any."""
-    plan = getattr(runner, "fault_plan", None)
+    plan = runner.fault_plan
     if plan is None:
         return None
     return {

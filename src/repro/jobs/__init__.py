@@ -11,11 +11,11 @@ Monte-Carlo validation — decompose into independent
   job *key*, never from scheduling, so any worker count reproduces the
   same numbers;
 * :class:`~repro.jobs.runner.JobRunner` executes a batch through one
-  attempt scheduler, in-process or on a
+  FIFO attempt queue, in-process or on a
   :class:`~concurrent.futures.ProcessPoolExecutor`, returning
   results in submission order, with per-job timeouts, a
-  :class:`~repro.jobs.policy.RetryPolicy` (deterministic jittered
-  backoff), and broken-pool respawn-and-resubmit recovery;
+  ``max_attempts`` budget (a failed attempt re-queues at once, at the
+  back), and broken-pool respawn-and-resubmit recovery;
 * :class:`~repro.jobs.checkpoint.JobCheckpoint` streams finished jobs
   to an append-only JSONL log so an interrupted batch resumes without
   recomputing (and :class:`~repro.jobs.checkpoint.SearchCheckpoint`
@@ -32,21 +32,17 @@ Monte-Carlo validation — decompose into independent
 from repro.jobs.canonical import canonical_document, is_volatile_key
 from repro.jobs.checkpoint import CHECKPOINT_FORMAT, JobCheckpoint, SearchCheckpoint
 from repro.jobs.faults import FAULT_KINDS, FaultPlan
-from repro.jobs.policy import NO_RETRY, ExecutionContext, RetryPolicy
 from repro.jobs.runner import JobRunner, RunStats, execute_job, summarize_run
 from repro.jobs.spec import JobResult, JobSpec, derive_seed
 
 __all__ = [
     "CHECKPOINT_FORMAT",
     "FAULT_KINDS",
-    "ExecutionContext",
     "FaultPlan",
     "JobCheckpoint",
     "JobRunner",
     "JobResult",
     "JobSpec",
-    "NO_RETRY",
-    "RetryPolicy",
     "RunStats",
     "SearchCheckpoint",
     "canonical_document",

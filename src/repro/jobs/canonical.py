@@ -25,21 +25,16 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["canonical_document", "is_volatile_key"]
+__all__ = ["EXECUTION_COUNTER_KEYS", "canonical_document", "is_volatile_key"]
+
+#: Fault-tolerance execution counters: how many tries a row took, its
+#: timeout kills, whether it was replayed from a checkpoint, and the
+#: injected-fault record.  Execution shape, never answer.
+EXECUTION_COUNTER_KEYS = ("job_attempts", "job_timeouts", "job_resumed", "fault_injection")
 
 #: Keys dropped wholesale (execution-shape records and timing-derived
 #: gate verdicts, which may legitimately differ between backends).
-_VOLATILE_KEYS = {
-    "parallel",
-    "workers",
-    "passed",
-    # Fault-tolerance layer: how many tries a row took (and whether it
-    # was replayed from a checkpoint) is execution-shape, not answer.
-    "job_attempts",
-    "job_timeouts",
-    "job_resumed",
-    "fault_injection",
-}
+_VOLATILE_KEYS = {"parallel", "workers", "passed", *EXECUTION_COUNTER_KEYS}
 
 
 def is_volatile_key(key: str) -> bool:

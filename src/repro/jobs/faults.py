@@ -5,7 +5,7 @@ key, and the attempt number — whether an attempt is disturbed and how:
 
 ``"exception"``
     Raise :class:`~repro.errors.FaultInjectionError` before the job body
-    runs (a transient crash the retry policy heals).
+    runs (a transient crash a retry heals).
 ``"hang"``
     Sleep ``hang_s`` seconds before the job body runs, so a runner
     timeout shorter than ``hang_s`` registers a timeout kill.

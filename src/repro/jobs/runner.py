@@ -1,23 +1,25 @@
 """Process-parallel execution of independent job shards, fault-tolerantly.
 
 :class:`JobRunner` runs a batch of :class:`~repro.jobs.spec.JobSpec`
-work units through one attempt scheduler: a min-heap of
-``(ready_at, index, attempt, timeouts)`` entries, and one method,
+work units through one attempt scheduler: a FIFO queue of
+``(index, attempt, timeouts)`` entries, and one method,
 :meth:`JobRunner._settle`, that books every finished attempt (timeout
-conversion, retry and backoff, run statistics, checkpoint record).  A
-retry waits in the heap until its backoff expires, so it never blocks
-the other jobs.  Two executors drain the heap:
+conversion, retry, run statistics, checkpoint record).  First attempts
+run in submission order; a retry joins the back of the queue at once,
+so retries run in the order they failed and no attempt waits.  Two
+executors drain the queue:
 
 in-process
-    Pops the next entry, sleeps until it is ready and runs it with
-    :func:`execute_job`.  It serves ``workers == 1``, runners inside a
-    pool worker, and batches a pool cannot speed up (one pending job,
-    no timeout, no fault plan).  It cannot preempt, so a job past its
+    Pops the next entry and runs it with :func:`execute_job`.  It
+    serves ``workers == 1``, runners inside a pool worker, and batches
+    a pool cannot speed up (one pending job, no timeout, no fault
+    plan).  It cannot preempt, so a job past its
     timeout is detected when it returns and discarded like a killed one.
 pool
     A :class:`concurrent.futures.ProcessPoolExecutor` fed one job per
     submission.  It kills jobs past their deadline, respawns a broken
-    pool and resubmits only the unfinished jobs.
+    pool and resubmits only the unfinished jobs, at the front of the
+    queue.
 
 Both executors return results **in submission order**, never completion
 order, and every per-job seed derives from the job key alone — so a
@@ -25,17 +27,17 @@ merge over the result list is bit-identical for any worker count, any
 retry schedule, and any resume point.  A job that raises is captured as
 a failed :class:`JobResult` (error + traceback), not an exception in
 the parent; a worker that dies without reporting (killed, segfault) is
-retried under the :class:`~repro.jobs.policy.RetryPolicy` and surfaces
-as :class:`JobError` (carrying the already-completed results) only once
-its attempt budget is spent.
+retried like any failed attempt and surfaces as :class:`JobError`
+(carrying the already-completed results) only once its
+``max_attempts`` budget is spent.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import time
 import traceback
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -44,7 +46,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from repro.errors import JobError
 from repro.jobs.checkpoint import JobCheckpoint
 from repro.jobs.faults import FaultPlan
-from repro.jobs.policy import NO_RETRY, ExecutionContext, RetryPolicy
 from repro.jobs.spec import JobResult, JobSpec
 
 __all__ = ["JobRunner", "RunStats", "execute_job", "summarize_run"]
@@ -67,21 +68,22 @@ def _mark_worker_process() -> None:
     os.environ[_WORKER_ENV] = "1"
 
 
-def execute_job(spec: JobSpec, context: ExecutionContext | None = None) -> JobResult:
-    """Run one job, timing it and converting any exception into data.
+def execute_job(
+    spec: JobSpec, attempt: int = 1, fault_plan: FaultPlan | None = None
+) -> JobResult:
+    """Run attempt ``attempt`` of one job, timing it and converting any
+    exception into data.
 
     Module-level so the pool executor can pickle it; the in-process
     executor calls it directly, guaranteeing identical semantics.  The
-    optional ``context`` carries the attempt number and the fault plan
-    (consulted *before* the job body, so injected faults never perturb
-    a surviving attempt's value).
+    ``fault_plan`` is consulted *before* the job body, so an injected
+    fault never perturbs a surviving attempt's value.
     """
-    attempt = context.attempt if context is not None else 1
     wall = time.perf_counter()
     cpu = time.process_time()
     try:
-        if context is not None and context.fault_plan is not None:
-            context.fault_plan.inject(spec.key, attempt)
+        if fault_plan is not None:
+            fault_plan.inject(spec.key, attempt)
         value = spec.fn(*spec.args, **dict(spec.kwargs))
     except Exception as exc:  # noqa: BLE001 - the whole point is capture
         return JobResult(
@@ -135,11 +137,10 @@ class _Batch:
     def __init__(self, specs: Sequence[JobSpec], checkpoint: JobCheckpoint | None) -> None:
         self.specs = specs
         self.checkpoint = checkpoint
-        # Min-heap of (ready_at, index, attempt, timeouts); sorted, so
-        # already a heap.
-        self.pending: List[Tuple[float, int, int, int]] = [
-            (0.0, index, 1, 0) for index in range(len(specs))
-        ]
+        # FIFO of (index, attempt, timeouts) attempts still to run.
+        self.pending: deque[Tuple[int, int, int]] = deque(
+            (index, 1, 0) for index in range(len(specs))
+        )
         self.results: Dict[int, JobResult] = {}
 
     def completed(self) -> List[JobResult]:
@@ -160,10 +161,10 @@ class JobRunner:
         jobs are resubmitted uncharged); in-process the overrun is
         detected after the fact and the result is converted to a
         timeout failure.  Each kill charges one attempt.
-    retry:
-        :class:`~repro.jobs.policy.RetryPolicy` governing re-execution
-        of failed, timed-out, or pool-killed jobs.  The default,
-        :data:`~repro.jobs.policy.NO_RETRY`, runs each job once.
+    max_attempts:
+        Total attempts per job, the first included.  A failed,
+        timed-out or pool-killed attempt is re-queued while budget
+        remains; the default ``1`` runs each job once.
     fault_plan:
         Optional :class:`~repro.jobs.faults.FaultPlan` injecting
         deterministic faults ahead of each attempt — the test harness
@@ -178,12 +179,15 @@ class JobRunner:
         self,
         workers: int = 1,
         timeout_s: float | None = None,
-        retry: RetryPolicy = NO_RETRY,
+        max_attempts: int = 1,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         workers = int(workers)
         if workers < 1:
             raise JobError(f"workers must be >= 1, got {workers}")
+        max_attempts = int(max_attempts)
+        if max_attempts < 1:
+            raise JobError(f"max_attempts must be >= 1, got {max_attempts}")
         if timeout_s is not None and timeout_s <= 0.0:
             raise JobError(f"timeout_s must be > 0, got {timeout_s}")
         # Never nest pools inside a pool worker.
@@ -191,7 +195,7 @@ class JobRunner:
         self.workers = workers
         self.backend = "serial" if workers == 1 or nested else "process"
         self.timeout_s = timeout_s
-        self.retry = retry
+        self.max_attempts = max_attempts
         self.fault_plan = fault_plan
         self.last_stats = RunStats()
 
@@ -279,30 +283,24 @@ class JobRunner:
                 traceback=None,
             )
         result = replace(result, attempts=attempt, timeouts=timeouts, seed=spec.seed)
-        if result.ok or not self.retry.allows(attempt):
+        if result.ok or attempt >= self.max_attempts:
             if batch.checkpoint is not None:
                 batch.checkpoint.record(result)
             batch.results[index] = result
             return
-        self._requeue(batch, index, attempt, timeouts)
+        self._retry(batch, index, attempt, timeouts)
 
-    def _requeue(self, batch: _Batch, index: int, attempt: int, timeouts: int) -> None:
-        spec = batch.specs[index]
+    def _retry(self, batch: _Batch, index: int, attempt: int, timeouts: int) -> None:
         self.last_stats.retries += 1
-        ready_at = time.monotonic() + self.retry.delay_s(spec.key, attempt, spec.seed)
-        heapq.heappush(batch.pending, (ready_at, index, attempt + 1, timeouts))
+        batch.pending.append((index, attempt + 1, timeouts))
 
     # ------------------------------------------------------------------ #
     # in-process executor
     # ------------------------------------------------------------------ #
     def _run_in_process(self, batch: _Batch) -> None:
         while batch.pending:
-            ready_at, index, attempt, timeouts = heapq.heappop(batch.pending)
-            wait_s = ready_at - time.monotonic()
-            if wait_s > 0.0:
-                time.sleep(wait_s)
-            context = ExecutionContext(attempt=attempt, fault_plan=self.fault_plan)
-            result = execute_job(batch.specs[index], context)
+            index, attempt, timeouts = batch.pending.popleft()
+            result = execute_job(batch.specs[index], attempt, self.fault_plan)
             self._settle(batch, index, result, attempt, timeouts)
 
     # ------------------------------------------------------------------ #
@@ -311,7 +309,7 @@ class JobRunner:
     def _run_pool(self, batch: _Batch) -> None:
         workers = min(self.workers, len(batch.specs))
         window = workers * 2
-        max_restarts = len(batch.specs) * self.retry.max_attempts + 4
+        max_restarts = len(batch.specs) * self.max_attempts + 4
         futures: Dict[Future, Tuple[int, int, int, float | None]] = {}
         pool = ProcessPoolExecutor(
             max_workers=workers, initializer=_mark_worker_process
@@ -319,15 +317,11 @@ class JobRunner:
         pool_broken = False
         try:
             while batch.pending or futures:
-                pool, pool_broken = self._submit_ready(
+                pool, pool_broken = self._submit(
                     batch, pool, pool_broken, futures, window, workers, max_restarts
                 )
                 if not futures:
-                    if batch.pending:
-                        wait_s = max(batch.pending[0][0] - time.monotonic(), 0.0)
-                        if wait_s > 0.0:
-                            time.sleep(min(wait_s, _POLL_S))
-                    continue
+                    continue  # a failed submit respawned the pool
                 done, _running = wait(set(futures), timeout=_POLL_S, return_when=FIRST_COMPLETED)
                 for future in done:
                     index, attempt, timeouts, _deadline = futures.pop(future)
@@ -352,18 +346,14 @@ class JobRunner:
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    def _submit_ready(self, batch, pool, pool_broken, futures, window, workers, max_restarts):
+    def _submit(self, batch, pool, pool_broken, futures, window, workers, max_restarts):
         while batch.pending and len(futures) < window and not pool_broken:
-            ready_at, index, attempt, timeouts = batch.pending[0]
-            if ready_at > time.monotonic():
-                break
-            heapq.heappop(batch.pending)
-            context = ExecutionContext(attempt=attempt, fault_plan=self.fault_plan)
+            index, attempt, timeouts = entry = batch.pending.popleft()
             try:
-                future = pool.submit(execute_job, batch.specs[index], context)
+                future = pool.submit(execute_job, batch.specs[index], attempt, self.fault_plan)
             except (BrokenProcessPool, RuntimeError):
                 # The pool died between loop iterations; requeue and respawn.
-                heapq.heappush(batch.pending, (ready_at, index, attempt, timeouts))
+                batch.pending.appendleft(entry)
                 if futures:
                     pool_broken = True
                 else:
@@ -374,8 +364,8 @@ class JobRunner:
         return pool, pool_broken
 
     def _charge_pool_death(self, batch: _Batch, index: int, attempt: int, timeouts: int) -> None:
-        if self.retry.allows(attempt):
-            self._requeue(batch, index, attempt, timeouts)
+        if attempt < self.max_attempts:
+            self._retry(batch, index, attempt, timeouts)
             return
         raise JobError(
             "a worker process died without reporting a result (killed, "
@@ -400,12 +390,10 @@ class JobRunner:
             )
             self._settle(batch, index, killed, attempt, timeouts, killed=True)
         # The pool API cannot kill one task, so terminate every worker
-        # and resubmit the innocent in-flight jobs uncharged.
-        for future, (index, attempt, timeouts, _deadline) in list(futures.items()):
-            if future.done():
-                continue  # finished in the race window; settled next loop
-            futures.pop(future)
-            heapq.heappush(batch.pending, (0.0, index, attempt, timeouts))
+        # and resubmit the innocent in-flight jobs uncharged, ahead of
+        # the queue and in their submission order.
+        innocent = [future for future in futures if not future.done()]
+        batch.pending.extendleft(reversed([futures.pop(future)[:3] for future in innocent]))
         self._terminate_pool(pool)
         return self._respawn(batch, pool, workers, max_restarts)
 
@@ -467,7 +455,6 @@ def summarize_run(runner: JobRunner, results: Sequence[JobResult], wall_s: float
     """
     serial_estimate = sum(result.wall_s for result in results)
     cpu_total = sum(result.cpu_s for result in results)
-    stats = getattr(runner, "last_stats", None) or RunStats()
     return {
         "backend": runner.backend,
         "workers": runner.workers,
@@ -479,5 +466,5 @@ def summarize_run(runner: JobRunner, results: Sequence[JobResult], wall_s: float
         "parallel_speedup": serial_estimate / wall_s if wall_s > 0.0 else float("inf"),
         "cpu_speedup": cpu_total / wall_s if wall_s > 0.0 else float("inf"),
         "attempts": sum(result.attempts for result in results),
-        **stats.to_dict(),
+        **runner.last_stats.to_dict(),
     }

@@ -63,7 +63,6 @@ from repro.dfg.partition import (
 from repro.errors import OptimizationError
 from repro.intervals.interval import Interval, uniform_power
 from repro.jobs.checkpoint import SearchCheckpoint
-from repro.jobs.policy import RetryPolicy
 from repro.jobs.runner import JobRunner
 from repro.jobs.spec import JobSpec, derive_seed
 from repro.noisemodel.assignment import WordLengthAssignment
@@ -220,7 +219,7 @@ class DecomposedOptimizer(WordLengthOptimizer):
         return JobRunner(
             workers=self.workers,
             timeout_s=self.timeout_s,
-            retry=RetryPolicy(max_attempts=self.retries),
+            max_attempts=self.retries,
         )
 
     def _local_config(self, problem: OptimizationProblem, floor_db: float) -> dict:

@@ -40,6 +40,7 @@ from repro.errors import (
 )
 from repro.fixedpoint.format import QuantizationMode
 from repro.intervals.interval import Interval
+from repro.jobs import JobRunner
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer
 from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
 from repro.optimize import (
@@ -340,6 +341,8 @@ RETIRED_KEYWORDS = {
     },
     # the one search entry point: a strategy takes no config field
     "optimize": {"method": "ia", "margin_db": 0.5, "max_word_length": 20},
+    # the retry-policy object: the runner takes ``max_attempts`` directly
+    "runner": {"retry": 3},
 }
 
 
@@ -359,6 +362,8 @@ def test_retired_calling_conventions_raise_type_error(entry, args, kwargs, messa
             NoiseAnalysisPipeline(*args, **kwargs)
         elif entry == "problem":
             OptimizationProblem.from_circuit(circuit, 50.0, **kwargs)
+        elif entry == "runner":
+            JobRunner(**kwargs)
         else:
             get_optimizer("greedy", **kwargs)
 

@@ -30,12 +30,11 @@ from repro.jobs import (
     JobCheckpoint,
     JobRunner,
     JobSpec,
-    NO_RETRY,
-    RetryPolicy,
     SearchCheckpoint,
     canonical_document,
     is_volatile_key,
 )
+from repro.jobs.canonical import EXECUTION_COUNTER_KEYS
 
 
 # --------------------------------------------------------------------- #
@@ -49,32 +48,22 @@ def _boom(value):
     raise ValueError(f"bad value {value}")
 
 
+#: Job bodies that ran in this process, in order (in-process runs only).
+_BODY_ORDER: list = []
+
+
+def _record(value):
+    _BODY_ORDER.append(value)
+    return value
+
+
 def _specs(n=6):
     return [JobSpec(key=f"job/{i}", fn=_triple, args=(i,)) for i in range(n)]
 
 
 # --------------------------------------------------------------------- #
-# policies and plans
+# fault plans
 # --------------------------------------------------------------------- #
-class TestRetryPolicy:
-    def test_allows_counts_attempts(self):
-        policy = RetryPolicy(max_attempts=3)
-        assert policy.allows(1) and policy.allows(2)
-        assert not policy.allows(3)
-        assert not NO_RETRY.allows(1)
-
-    def test_delay_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(max_attempts=4, backoff_s=0.1, backoff_factor=2.0, jitter=0.25)
-        first = policy.delay_s("job/a", 1, seed=7)
-        assert first == policy.delay_s("job/a", 1, seed=7)
-        # jitter stays within +-25% of the exponential schedule
-        for attempt, base in ((1, 0.1), (2, 0.2), (3, 0.4)):
-            delay = policy.delay_s("job/a", attempt, seed=7)
-            assert base * 0.75 <= delay <= base * 1.25
-        # different jobs and attempts draw different jitter
-        assert policy.delay_s("job/a", 1, seed=7) != policy.delay_s("job/b", 1, seed=7)
-
-
 class TestFaultPlan:
     def test_draws_are_deterministic(self):
         plan = FaultPlan(rate=0.5, seed=3)
@@ -114,7 +103,7 @@ class TestRetries:
         for workers in WORKER_COUNTS:
             faulted = JobRunner(
                 workers=workers,
-                retry=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
+                max_attempts=3,
                 fault_plan=FaultPlan(rate=1.0, seed=0, kinds=("exception",)),
             )
             results = faulted.run(_specs(), check=True)
@@ -126,7 +115,7 @@ class TestRetries:
         clean = JobRunner(workers=1).run(_specs(), check=True)
         faulted = JobRunner(
             workers=2,
-            retry=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
+            max_attempts=3,
             fault_plan=FaultPlan(rate=0.6, seed=1, kinds=("exception",)),
         )
         results = faulted.run(_specs(), check=True)
@@ -136,15 +125,40 @@ class TestRetries:
         # Two jobs, so workers=2 runs them on the pool.
         specs = [JobSpec(key="bad", fn=_boom, args=(1,)), JobSpec(key="ok", fn=_triple, args=(1,))]
         for workers in WORKER_COUNTS:
-            runner = JobRunner(
-                workers=workers,
-                retry=RetryPolicy(max_attempts=2, backoff_s=0.0, jitter=0.0),
-            )
+            runner = JobRunner(workers=workers, max_attempts=2)
             results = runner.run(specs)
             assert not results[0].ok, workers
             assert results[0].attempts == 2, workers
             assert results[1].ok and results[1].attempts == 1, workers
             assert runner.last_stats.retries == 1, workers
+
+    def test_max_attempts_must_be_positive(self):
+        with pytest.raises(JobError, match="max_attempts"):
+            JobRunner(max_attempts=0)
+
+    def test_max_attempts_bounds_every_job(self):
+        # Every attempt faults, so each job spends its whole budget.
+        plan = FaultPlan(rate=1.0, seed=0, kinds=("exception",), max_faults_per_job=5)
+        for max_attempts in (1, 3):
+            for workers in WORKER_COUNTS:
+                runner = JobRunner(workers=workers, max_attempts=max_attempts, fault_plan=plan)
+                results = runner.run(_specs(3))
+                assert all(not r.ok for r in results), (max_attempts, workers)
+                assert all(r.attempts == max_attempts for r in results), (max_attempts, workers)
+                assert runner.last_stats.retries == 3 * (max_attempts - 1), (max_attempts, workers)
+
+    def test_retries_run_after_first_attempts_in_failure_order(self):
+        specs = [JobSpec(key=f"job/{i}", fn=_record, args=(i,)) for i in range(8)]
+        for rate in (1.0, 0.5):
+            plan = FaultPlan(rate=rate, seed=3, kinds=("exception",))
+            faulted = [i for i in range(8) if plan.fault_for(f"job/{i}", 1)]
+            clean = [i for i in range(8) if i not in faulted]
+            assert faulted and (clean or rate == 1.0), rate
+            _BODY_ORDER.clear()
+            JobRunner(workers=1, max_attempts=2, fault_plan=plan).run(specs, check=True)
+            # Faults strike before the body, so bodies run as first
+            # attempts succeed, then as retries succeed.
+            assert _BODY_ORDER == clean + faulted, rate
 
     def test_job_error_carries_completed_results(self):
         specs = [
@@ -173,7 +187,7 @@ class TestTimeouts:
         runner = JobRunner(
             workers=2,
             timeout_s=0.5,
-            retry=RetryPolicy(max_attempts=2, backoff_s=0.0, jitter=0.0),
+            max_attempts=2,
             fault_plan=FaultPlan(rate=1.0, seed=0, kinds=("hang",), hang_s=30.0),
         )
         results = runner.run(_specs(2), check=True)
@@ -196,7 +210,7 @@ class TestWorkerCrashes:
         clean = JobRunner(workers=1).run(_specs(4), check=True)
         runner = JobRunner(
             workers=2,
-            retry=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
+            max_attempts=3,
             fault_plan=FaultPlan(rate=1.0, seed=0, kinds=("kill",)),
         )
         results = runner.run(_specs(4), check=True)
@@ -572,7 +586,7 @@ class TestBenchDeterminismUnderFaults:
             workers=2,
             runner=JobRunner(
                 workers=2,
-                retry=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
+                max_attempts=3,
                 fault_plan=FaultPlan(rate=1.0, seed=0, kinds=("exception",)),
             ),
             **kwargs,
@@ -647,6 +661,11 @@ class TestVolatileCounters:
         assert "job_resumed" not in entry["results"]["aa"]
         assert "fault_injection" not in stripped
         assert entry["total_runtime_s"] == 1.0  # the runtime gate still sees this
+        # compare_bench strips nothing that canonical_document keeps
+        flat = {key: 0 for key in (*EXECUTION_COUNTER_KEYS, "attempts", "total_runtime_s")}
+        stripped_keys = set(flat) - set(strip_execution_counters(flat))
+        assert stripped_keys == set(EXECUTION_COUNTER_KEYS)
+        assert all(is_volatile_key(key) for key in stripped_keys)
 
 
 # --------------------------------------------------------------------- #

@@ -8,7 +8,7 @@ from repro.analysis import ALL_METHODS, AnalysisConfig, NoiseAnalysisPipeline
 from repro.benchmarks import get_circuit
 from repro.dfg.trace import square, trace
 from repro.errors import NoiseModelError
-from repro.optimize import OptimizationProblem
+from repro.optimize import OptimizationProblem, get_optimizer
 
 RANGES = {"x": (-4.0, 3.0)}
 
@@ -107,3 +107,19 @@ class TestPipelineValidation:
         assert bare.output == "x0"
         # the search protects the same output
         assert OptimizationProblem.from_circuit(circuit, 50.0).output == "x1"
+
+    def test_mixed_design_reports_its_word_length_span(self):
+        """A caller's assignment has no single width: the header shows its span."""
+        circuit = get_circuit("fir4")
+        design = get_optimizer("greedy").optimize(OptimizationProblem.from_circuit(circuit, 60.0))
+        lengths = design.assignment.word_lengths().values()
+        assert min(lengths) < max(lengths)
+        pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=12))
+        report = pipeline.analyze(circuit, assignment=design.assignment, method="ia")
+        assert report.word_length is None
+        assert report.to_dict()["word_length"] is None
+        assert f"W={min(lengths)}..{max(lengths)} " in report.summary().splitlines()[0]
+        # the uniform baseline still records its one width
+        baseline = pipeline.analyze(circuit, method="ia")
+        assert baseline.to_dict()["word_length"] == 12
+        assert " W=12 " in baseline.summary().splitlines()[0]
