@@ -27,7 +27,8 @@ Subpackages
     decomposed).
 ``benchmarks``
     The benchmark circuit library and the timed, gated benchmark
-    drivers (analysis and optimization).
+    drivers (analysis, optimization, Pareto fronts and scaling) with
+    their regression comparison.
 """
 
 __version__ = "0.2.0"

@@ -38,16 +38,18 @@ O(1) change.
 The cone re-propagation of ``taylor`` calls the very same
 per-node rules (:meth:`DatapathNoiseAnalyzer._error_of`) as the full
 sweep.  ``ia`` and ``aa`` (which ``pna`` shares), the methods searches
-price most, run compiled twins of those rules instead: on first use the
-engine builds one closure per working-graph node with its operand names
-and value enclosures bound, which repeats the generic rule's float
-operations in the same order — the same float-zero shortcuts, the same
-left folds of live terms, the same interval endpoint products
-(:func:`_compile_ia_rule`) and the same affine products, reciprocals and
-Chebyshev steps on plain ``(center, terms)`` dicts
-(:func:`_compile_aa_rule`) — so their errors are bit-identical, signed
-zeros included.  ``ia``'s rare ops (div, sqrt, exp, log, abs, min, max,
-mux) keep the generic rule; every ``aa`` op is compiled.
+price most, run compiled rules instead: on first use the engine builds
+one closure per working-graph node with its operand names and value
+enclosures bound.  An ``ia`` closure (:func:`_compile_ia_rule`) repeats
+the generic rule's interval float operations in the same order — the
+same float-zero shortcuts, the same left folds of live terms, the same
+endpoint products.  An ``aa`` closure (:func:`_compile_aa_rule`) calls
+the very ``(center, terms)`` kernels that :class:`AffineForm` wraps
+(product, square, reciprocal, Chebyshev curve, sum), composed as the
+generic rule composes forms, so the arithmetic exists once.  Both give
+the generic rule's errors bit for bit, signed zeros included.  ``ia``'s
+rare ops (div, sqrt, exp, log, abs, min, max, mux) keep the generic
+rule; every ``aa`` op is compiled.
 
 Either way incremental reports match a from-scratch analysis exactly,
 for every method.  AA's linearization symbols get other names than in a
@@ -78,7 +80,21 @@ from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Sequence, Tupl
 
 from repro.dfg.node import OpType
 from repro.errors import DivisionByZeroIntervalError, DomainError, NoiseModelError
-from repro.intervals.affine import AffineContext, AffineForm, _nonzero
+from repro.intervals.affine import (
+    AffineContext,
+    AffineForm,
+    _bounds,
+    _checked,
+    _curve,
+    _folded,
+    _inverse,
+    _negated,
+    _product,
+    _radius,
+    _scaled,
+    _squared,
+    _summed,
+)
 from repro.intervals.interval import Interval
 from repro.intervals.linearize import exp_linearization, log_linearization, sqrt_linearization
 from repro.noisemodel.analyzer import (
@@ -89,7 +105,6 @@ from repro.noisemodel.analyzer import (
 )
 from repro.noisemodel.assignment import WordLengthAssignment, changed_formats
 from repro.noisemodel.sources import source_for_node
-from repro.utils.mathutils import fsum_or_inf
 
 __all__ = ["IncrementalAnalyzer", "IncrementalStats"]
 
@@ -150,7 +165,7 @@ def _generic_rule(
 
 
 def _compile_ia_rule(analyzer: DatapathNoiseAnalyzer, name: str, node, values) -> ErrorRule | None:
-    """The compiled twin of ``_error_rule(method="ia")`` for one node.
+    """The compiled ``_error_rule(method="ia")`` of one node.
 
     Operand names and value enclosures are bound here; the node's own
     quantization source is read at call time, because the engine swaps
@@ -162,10 +177,17 @@ def _compile_ia_rule(analyzer: DatapathNoiseAnalyzer, name: str, node, values) -
     as one tuple.  The results are therefore bit-identical, signed zeros
     included.  Returns ``None`` for the rare ops, which keep the generic
     rule.
+
+    MUL and SQUARE hand a result with an infinite or NaN endpoint to the
+    generic rule: an unbounded operand error times a zero value endpoint
+    is ``0 * inf``, a NaN product here that ``Interval.__mul__`` reads as
+    0, and ``min``/``max`` over a NaN depend on its position.
     """
     op = node.op
+    inf = math.inf
     get_source = analyzer._sources_by_node.get
     fast = Interval._fast
+    generic = _generic_rule(analyzer, "ia", name, node, values, None)
     if op is OpType.INPUT or op is OpType.CONST:
 
         def rule(errors):
@@ -240,8 +262,10 @@ def _compile_ia_rule(analyzer: DatapathNoiseAnalyzer, name: str, node, values) -
                     lo, hi = lo + min(p), hi + max(p)
             if source:
                 own = source.error_interval
-                return fast(lo + own.lo, hi + own.hi)
-            return fast(lo, hi)
+                lo, hi = lo + own.lo, hi + own.hi
+            if -inf < lo and hi < inf:
+                return fast(lo, hi)
+            return generic(errors)
 
     elif op is OpType.SQUARE:
         (a,) = node.inputs
@@ -266,8 +290,10 @@ def _compile_ia_rule(analyzer: DatapathNoiseAnalyzer, name: str, node, values) -
                 lo, hi = lo + min(slo, shi), hi + max(slo, shi)
             if source:
                 own = source.error_interval
-                return fast(lo + own.lo, hi + own.hi)
-            return fast(lo, hi)
+                lo, hi = lo + own.lo, hi + own.hi
+            if -inf < lo and hi < inf:
+                return fast(lo, hi)
+            return generic(errors)
 
     else:
         return None
@@ -277,158 +303,14 @@ def _compile_ia_rule(analyzer: DatapathNoiseAnalyzer, name: str, node, values) -
 # ---------------------------------------------------------------------- #
 # the compiled ``aa`` rules
 # ---------------------------------------------------------------------- #
-# The helpers below are AffineForm arithmetic on plain ``(center, terms)``
-# pairs: the same float operations in the same order, without building,
-# cleaning and registering a form per step.  A ``terms`` dict a helper
-# returns is new, so the caller may add to it.
+# The rules run AffineForm's own ``(center, terms)`` kernels
+# (``repro.intervals.affine``); the helpers below compose them the way
+# ``DatapathNoiseAnalyzer._error_rule`` composes forms.
 
 
-def _radius(terms: Mapping[str, float]) -> float:
-    """``AffineForm.radius``: the correctly rounded sum of ``|coeff|``."""
-    return fsum_or_inf(map(abs, terms.values()))
-
-
-def _checked(lo: float, hi: float) -> Tuple[float, float]:
-    """``(lo, hi)``, or the ``NonFiniteError`` of ``Interval(lo, hi)`` (a NaN bound)."""
-    if not lo <= hi:
-        Interval(lo, hi)
-    return lo, hi
-
-
-def _bounds(center: float, radius: float) -> Tuple[float, float]:
-    """``AffineForm.to_interval``'s endpoints."""
-    return _checked(center - radius, center + radius)
-
-
-def _scaled(terms: Mapping[str, float], factor: float) -> Dict[str, float]:
-    """``AffineForm.scale``'s terms."""
-    return _nonzero({name: coeff * factor for name, coeff in terms.items()})
-
-
-def _folded(terms: Dict[str, float], *others: Mapping[str, float]) -> Dict[str, float]:
-    """``terms`` plus ``others``, per symbol left to right, exact zeros dropped.
-
-    The terms of ``AffineForm.__add__`` and ``sum_of``: a symbol's first
-    coefficient enters as is (``0.0 + c == c`` for the non-zero ``c`` of
-    a form); only a symbol two operands share can cancel.  ``terms`` is
-    updated in place.
-    """
-    shared = False
-    for other in others:
-        common = terms.keys() & other.keys()
-        if common:
-            prior = {name: terms[name] for name in common}
-            terms.update(other)
-            for name in common:
-                terms[name] = prior[name] + other[name]
-            shared = True
-        else:
-            terms.update(other)
-    return _nonzero(terms) if shared else terms
-
-
-def _summed(forms: Sequence[Tuple[float, Mapping[str, float]]]) -> Tuple[float, Dict[str, float]]:
-    """``AffineForm.sum_of`` of two or more ``(center, terms)`` pairs."""
-    center = 0.0
-    for c, _ in forms:
-        center += c
-    (_, first), *rest = forms
-    return center, _folded(dict(first), *[terms for _, terms in rest])
-
-
-def _product(
-    x0: float,
-    xt: Mapping[str, float],
-    xr: float | None,
-    y0: float,
-    yt: Mapping[str, float],
-    yr: float | None,
-    site: str,
-) -> Tuple[float, Dict[str, float]]:
-    """``AffineForm.__mul__``, its linearization symbol named ``site``.
-
-    ``xr``/``yr`` are the radii, or ``None`` to sum them here; a radius is
-    read only when both forms have terms.
-    """
-    if not yt:
-        return x0 * y0, _scaled(xt, y0)
-    if not xt:
-        return y0 * x0, _scaled(yt, x0)
-    if x0 * 0.0 == 0.0 and y0 * 0.0 == 0.0:
-        # Finite centers: a symbol of one form only gets ``c * coeff``
-        # plus the signed zero ``other_center * 0.0``, which changes no
-        # non-zero coefficient.
-        terms = {name: y0 * coeff for name, coeff in xt.items()}
-        common = xt.keys() & yt.keys()
-        terms.update({name: x0 * coeff for name, coeff in yt.items()})
-        for name in common:
-            terms[name] = x0 * yt[name] + y0 * xt[name]
-        terms = _nonzero(terms)
-    else:
-        terms = {}
-        for name in {**dict.fromkeys(xt), **dict.fromkeys(yt)}:
-            value = x0 * yt.get(name, 0.0) + y0 * xt.get(name, 0.0)
-            if value != 0.0:
-                terms[name] = value
-    nonlinear = (_radius(xt) if xr is None else xr) * (_radius(yt) if yr is None else yr)
-    if nonlinear != 0.0:
-        terms[site] = nonlinear
-    return x0 * y0, terms
-
-
-def _inverse(
-    center: float, terms: Mapping[str, float], radius: float, site: str, context: AffineContext
-) -> Tuple[float, Dict[str, float]]:
-    """``AffineForm.reciprocal``, its deviation symbol named ``site``."""
-    a, b = _bounds(center, radius)
-    if a <= 0.0 <= b:
-        form = AffineForm._trusted(center, dict(terms), context)
-        raise DivisionByZeroIntervalError(f"cannot invert {form!r}: encloses zero")
-    alpha = -1.0 / (a * b)
-    root = math.sqrt(a * b)
-    if a > 0:
-        d_max = 1.0 / a + 1.0 / b
-        d_min = 2.0 / root
-    else:
-        d_max = -2.0 / root
-        d_min = 1.0 / a + 1.0 / b
-    zeta = 0.5 * (d_max + d_min)
-    delta = 0.5 * (d_max - d_min)
-    out = _scaled(terms, alpha)
-    if delta != 0.0:
-        out[site] = delta
-    return center * alpha + zeta, out
-
-
-def _curve(
-    center: float,
-    terms: Mapping[str, float],
-    radius: float,
-    linearize: Callable[[float, float], Any],
-    point: Callable[[float], float],
-    site: str,
-) -> Tuple[float, Dict[str, float]]:
-    """``AffineForm.sqrt`` / ``exp`` / ``log`` through ``linearize``.
-
-    The min-max line ``alpha * x + zeta +/- delta`` where it is no wider
-    than the exact image, else the image wrapped in one symbol
-    (``_tightest_selection``); both are named ``site``.  A point
-    enclosure gives ``point(lo)``.
-    """
-    lo, hi = _bounds(center, radius)
-    line = linearize(lo, hi)
-    if line is None:
-        return point(lo), {}
-    alpha, zeta, delta, exact = line
-    out = _scaled(terms, alpha)
-    out_center = center * alpha + zeta
-    if delta != 0.0:
-        out[site] = delta
-    lo, hi = _bounds(out_center, _radius(out))
-    if hi - lo <= exact.hi - exact.lo:
-        return out_center, out
-    radius = exact.radius
-    return exact.midpoint, ({site: radius} if radius != 0.0 else {})
+def _site(symbol: str) -> Callable[[], str]:
+    """A kernel site that always names its symbol ``symbol``."""
+    return lambda: symbol
 
 
 def _live_sum(
@@ -500,14 +382,13 @@ def _compile_aa_rule(
     context: AffineContext,
     own_of: Callable[[str], AffineForm | None],
 ) -> ErrorRule | None:
-    """The compiled twin of ``_error_rule(method="aa")`` for one node.
+    """The compiled ``_error_rule(method="aa")`` of one node.
 
     Operand names, value forms, their radii and enclosures (and LOG's
     ``1 / va``) are bound here; the node's own term comes from ``own_of``
-    at call time.  Each closure performs the generic rule's float
-    operations in the same order on ``(center, terms)`` pairs — the same
-    float-zero shortcuts, the same left folds, the same
-    ``AffineForm`` product, reciprocal and Chebyshev steps — and sums an
+    at call time.  Each closure composes ``AffineForm``'s own kernels on
+    ``(center, terms)`` pairs as the generic rule composes forms — the
+    same float-zero shortcuts and the same left folds — and sums an
     error's radius once per call.  Each linearization symbol is named
     after the node and its site (``~<node>:<k>``) instead of drawn from
     ``context.fresh()``: a cone re-propagates every consumer of a node
@@ -516,7 +397,7 @@ def _compile_aa_rule(
     up to those names.  Returns ``None`` for an op with no error rule.
     """
     op = node.op
-    s0, s1, s2 = (f"~{name}:{k}" for k in range(3))
+    s0, s1, s2 = (_site(f"~{name}:{k}") for k in range(3))
 
     def named(exc: DomainError) -> DomainError:
         """``_error_of``'s naming of a domain violation."""
@@ -542,7 +423,7 @@ def _compile_aa_rule(
             own = own_of(name)
             if ea.__class__ is float:
                 return 0.0 if own is None else own
-            return _joined(-ea.center, {k: -v for k, v in ea.terms.items()}, own, context)
+            return _joined(-ea.center, _negated(ea.terms), own, context)
 
     elif op is OpType.ADD or op is OpType.SUB:
         a, b = node.inputs
@@ -557,7 +438,7 @@ def _compile_aa_rule(
                 forms.append((ea.center, ea.terms))
             if eb.__class__ is not float:
                 if negate:
-                    forms.append((-eb.center, {k: -v for k, v in eb.terms.items()}))
+                    forms.append((-eb.center, _negated(eb.terms)))
                 else:
                     forms.append((eb.center, eb.terms))
             return _live_sum(forms, own, context)
@@ -601,12 +482,7 @@ def _compile_aa_rule(
             center, terms = ea.center, ea.terms
             radius = _radius(terms)
             pc, pt = _product(vac, vat, var_, center, terms, radius, s0)
-            half = 0.5 * radius * radius
-            twice = 2.0 * center
-            square = {k: twice * v for k, v in terms.items()}
-            if radius != 0.0:
-                square[s1] = half
-            forms = [(pc * 2.0, _scaled(pt, 2.0)), (center * center + half, _nonzero(square))]
+            forms = [(pc * 2.0, _scaled(pt, 2.0)), _squared(center, terms, radius, s1)]
             return _live_sum(forms, own, context)
 
     elif op is OpType.DIV:
@@ -628,14 +504,14 @@ def _compile_aa_rule(
                 dc, dt, dr = vbc, vbt, vbr
             else:
                 pc, pt = _product(xc, xt, xr, eb.center, eb.terms, None, s0)
-                negated = {k: -v for k, v in pt.items()}
+                negated = _negated(pt)
                 if zero_a:
                     nc, nt = -pc, negated
                 else:
                     nc, nt = ea.center + -pc, _folded(dict(ea.terms), negated)
                 dc, dt = vbc + eb.center, _folded(dict(vbt), eb.terms)
                 dr = _radius(dt)
-            rc, rt = _inverse(dc, dt, dr, s1, context)
+            rc, rt = _inverse(dc, dt, dr, s1)
             return _joined(*_product(nc, nt, None, rc, rt, None, s2), own, context)
 
     elif op is OpType.SQRT:
@@ -657,7 +533,7 @@ def _compile_aa_rule(
             except DomainError as exc:  # raised by the linearization, unnamed
                 raise named(exc) from exc
             dc, dt = sc + root_c, _folded(st, root_t)
-            rc, rt = _inverse(dc, dt, _radius(dt), s1, context)
+            rc, rt = _inverse(dc, dt, _radius(dt), s1)
             return _joined(*_product(center, terms, None, rc, rt, None, s2), own, context)
 
     elif op is OpType.EXP:
@@ -679,7 +555,7 @@ def _compile_aa_rule(
         (a,) = node.inputs
         va = values[a]
         # The value sweep took va's log, so its enclosure is positive.
-        ic, it = _inverse(va.center, va.terms, va.radius, s0, context)
+        ic, it = _inverse(va.center, va.terms, va.radius, s0)
         ir = _radius(it)
 
         def rule(errors):
@@ -710,9 +586,9 @@ def _compile_aa_rule(
             if olo >= 0.0 and olo + lo >= 0.0:
                 return _forwarded(ea, own, context)
             if ohi <= 0.0 and ohi + hi <= 0.0:
-                return _joined(-ea.center, {k: -v for k, v in ea.terms.items()}, own, context)
+                return _joined(-ea.center, _negated(ea.terms), own, context)
             magnitude = max(abs(lo), abs(hi))
-            return _joined(0.0, {s0: magnitude} if magnitude != 0.0 else {}, own, context)
+            return _joined(0.0, {s0(): magnitude} if magnitude != 0.0 else {}, own, context)
 
     elif (op is OpType.MIN or op is OpType.MAX) and node.inputs[0] != node.inputs[1]:
         a, b = node.inputs
@@ -738,7 +614,7 @@ def _compile_aa_rule(
                 return _forwarded(ea if is_min else eb, own, context)
             # (ea + eb + spread) * 0.5, the spread a symbol of |ea - eb|
             magnitude = max(abs(elo), abs(ehi))
-            spread = (0.0, {s0: magnitude} if magnitude != 0.0 else {})
+            spread = (0.0, {s0(): magnitude} if magnitude != 0.0 else {})
             forms = [(e.center, e.terms) for e in (ea, eb) if e.__class__ is not float]
             tc, tt = _summed([*forms, spread]) if forms else spread
             return _joined(tc * 0.5, _scaled(tt, 0.5), own, context)
@@ -771,7 +647,7 @@ def _compile_aa_rule(
                 lo, hi = min(alo, blo), max(ahi, bhi)
             lo, hi = _checked(lo, hi)
             radius = 0.5 * (hi - lo)
-            return _joined(0.5 * (lo + hi), {s0: radius} if radius != 0.0 else {}, own, context)
+            return _joined(0.5 * (lo + hi), {s0(): radius} if radius != 0.0 else {}, own, context)
 
     elif op in (OpType.MIN, OpType.MAX, OpType.MUX):
         # min(x, x), max(x, x) and a mux of one signal forward its error.
@@ -1017,7 +893,7 @@ class IncrementalAnalyzer:
         """One error rule per working-graph node (built once per method).
 
         ``aa`` nodes (which ``pna`` shares) and the hot ``ia`` ops get
-        their compiled twin; every other node calls the generic
+        their compiled rule; every other node calls the generic
         :meth:`DatapathNoiseAnalyzer._error_of`.
         """
         rules = self._rules.get(method)

@@ -277,7 +277,7 @@ def monte_carlo_error_sharded(
             args=(
                 graph,
                 assignment,
-                input_ranges,
+                dict(input_ranges),  # a read-only mapping does not pickle
                 size,
                 steps,
                 output,

@@ -56,15 +56,13 @@ from repro.benchmarks.runner_options import (
 from repro.config import OptimizeConfig
 from repro.jobs import JobCheckpoint, JobRunner, JobSpec, derive_seed
 from repro.optimize import OptimizationProblem
+from repro.optimize.pareto import DEFAULT_FLOORS
 
 __all__ = ["run_pareto_benchmarks", "main"]
 
 DEFAULT_OUTPUT = "BENCH_pareto.json"
 
 SUITE = "pareto-front"
-
-#: SNR floors of the default sweep (dB), loosest to tightest.
-DEFAULT_FLOORS = (45.0, 50.0, 55.0, 60.0, 65.0)
 
 #: The driver's defaults, and the fields its flags expose.
 DEFAULTS = OptimizeConfig(method="ia", engine="batched", margin_db=1.0, horizon=6)

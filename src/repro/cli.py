@@ -43,7 +43,6 @@ import sys
 from typing import Sequence
 
 from repro import __version__
-from repro.benchmarks.bench_pareto import DEFAULT_FLOORS
 from repro.benchmarks.runner_options import (
     add_config_arguments,
     add_driver_arguments,
@@ -145,6 +144,8 @@ def _add_optimize_parser(sub) -> None:
 
 
 def _add_pareto_parser(sub) -> None:
+    from repro.optimize.pareto import DEFAULT_FLOORS
+
     parser = sub.add_parser(
         "pareto",
         help="cost-vs-SNR Pareto sweep of one circuit in one call",
@@ -272,6 +273,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
     from repro.optimize import OptimizationProblem
+    from repro.optimize.pareto import DEFAULT_FLOORS
 
     circuit = _resolve_circuit(args.circuit)
     floors = args.floors or list(DEFAULT_FLOORS)

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, Mapping, Sequence, Union
-
-import numpy as np
+from functools import partial
+from typing import Any, Callable, Dict, Mapping, Sequence, Tuple, Union
 
 from repro.errors import DivisionByZeroIntervalError, IntervalError
 from repro.intervals.interval import Interval
@@ -39,6 +38,13 @@ from repro.utils.mathutils import fsum_or_inf
 __all__ = ["AffineContext", "AffineForm"]
 
 Number = Union[int, float]
+
+#: A form as the kernels below take and return it: ``(center, terms)``.
+Pair = Tuple[float, Dict[str, float]]
+
+#: Names the one symbol a kernel adds, when it adds one: ``context.fresh``
+#: for a form, a fixed name for a compiled error rule.
+Site = Callable[[], str]
 
 
 class AffineContext:
@@ -99,11 +105,220 @@ class AffineContext:
 _DEFAULT_CONTEXT = AffineContext()
 
 
+# ---------------------------------------------------------------------- #
+# the (center, terms) kernels
+# ---------------------------------------------------------------------- #
+# Every AffineForm operation below is a thin wrapper around these, and the
+# incremental engine's compiled ``aa`` error rules call them directly on
+# plain ``(center, terms)`` pairs, without building, cleaning and
+# registering a form per step.  A ``terms`` dict a kernel returns is new,
+# so the caller may add to it.  A kernel that adds a linearization symbol
+# names it by calling its ``site`` at that point, so a symbol is drawn
+# only when one is added.
+
+
+def _radius(terms: Mapping[str, float]) -> float:
+    """The correctly rounded sum of ``|coeff|``; ``+inf`` past the float range."""
+    return fsum_or_inf(map(abs, terms.values()))
+
+
+def _checked(lo: float, hi: float) -> Tuple[float, float]:
+    """``(lo, hi)``, or the ``NonFiniteError`` of ``Interval(lo, hi)`` (a NaN bound)."""
+    if not lo <= hi:
+        Interval(lo, hi)
+    return lo, hi
+
+
+def _bounds(center: float, radius: float) -> Tuple[float, float]:
+    """The enclosure ``[center - radius, center + radius]`` as endpoints."""
+    return _checked(center - radius, center + radius)
+
+
 def _nonzero(terms: Dict[str, float]) -> Dict[str, float]:
     """``terms`` without its exact zeros, order kept (``terms`` itself when it has none)."""
     if 0.0 in terms.values():
         return {name: coeff for name, coeff in terms.items() if coeff != 0.0}
     return terms
+
+
+def _negated(terms: Mapping[str, float]) -> Dict[str, float]:
+    """Every coefficient negated (a non-zero one never becomes zero)."""
+    return {name: -coeff for name, coeff in terms.items()}
+
+
+def _scaled(terms: Mapping[str, float], factor: float) -> Dict[str, float]:
+    """Every coefficient times ``factor``, exact zeros dropped."""
+    return _nonzero({name: coeff * factor for name, coeff in terms.items()})
+
+
+def _folded(terms: Dict[str, float], *others: Mapping[str, float]) -> Dict[str, float]:
+    """``terms`` plus ``others``, per symbol left to right, exact zeros dropped.
+
+    A symbol's first coefficient enters as is (``0.0 + c == c`` for the
+    non-zero ``c`` of a form); only a symbol two operands share can
+    cancel.  Symbols keep their first-seen order: a set union would follow
+    the per-process string-hash seed, and so would every float reduction
+    over the terms downstream.  ``terms`` is updated in place.
+    """
+    shared = False
+    for other in others:
+        common = terms.keys() & other.keys()
+        if common:
+            prior = {name: terms[name] for name in common}
+            terms.update(other)
+            for name in common:
+                terms[name] = prior[name] + other[name]
+            shared = True
+        else:
+            terms.update(other)
+    return _nonzero(terms) if shared else terms
+
+
+def _summed(forms: Sequence[Pair]) -> Pair:
+    """The sum of one or more pairs, centers left-folded from ``0.0``."""
+    center = 0.0
+    for c, _ in forms:
+        center += c
+    (_, first), *rest = forms
+    return center, _folded(dict(first), *[terms for _, terms in rest])
+
+
+def _product(
+    x0: float,
+    xt: Mapping[str, float],
+    xr: float | None,
+    y0: float,
+    yt: Mapping[str, float],
+    yr: float | None,
+    site: Site,
+) -> Pair:
+    """The standard AA product of ``x`` and ``y``.
+
+    ``z0 = x0*y0``, ``zi = x0*yi + y0*xi`` (first-order terms), and a new
+    symbol of coefficient ``rad(x)*rad(y)`` bounds the second-order rest.
+    A term-free operand is an exact scalar: no new symbol.  ``xr``/``yr``
+    are the radii, or ``None`` to sum them here; a radius is read only
+    when both forms have terms.
+    """
+    if not yt:
+        return x0 * y0, _scaled(xt, y0)
+    if not xt:
+        return y0 * x0, _scaled(yt, x0)
+    if x0 * 0.0 == 0.0 and y0 * 0.0 == 0.0:
+        # Finite centers: a symbol of one form only gets ``c * coeff``
+        # plus the signed zero ``other_center * 0.0``, which changes no
+        # non-zero coefficient.
+        terms = {name: y0 * coeff for name, coeff in xt.items()}
+        common = xt.keys() & yt.keys()
+        terms.update({name: x0 * coeff for name, coeff in yt.items()})
+        for name in common:
+            terms[name] = x0 * yt[name] + y0 * xt[name]
+        terms = _nonzero(terms)
+    else:
+        terms = {}
+        for name in {**dict.fromkeys(xt), **dict.fromkeys(yt)}:
+            value = x0 * yt.get(name, 0.0) + y0 * xt.get(name, 0.0)
+            if value != 0.0:
+                terms[name] = value
+    nonlinear = (_radius(xt) if xr is None else xr) * (_radius(yt) if yr is None else yr)
+    if nonlinear != 0.0:
+        terms[site()] = nonlinear
+    return x0 * y0, terms
+
+
+def _squared(center: float, terms: Mapping[str, float], radius: float, site: Site) -> Pair:
+    """Dependency-aware square, tighter than the product of a form with itself.
+
+    ``(x0 + d)^2 = x0^2 + 2*x0*d + d^2`` with ``d^2`` in ``[0, rad^2]``
+    re-centred as ``rad^2/2 +/- rad^2/2``.
+    """
+    half = 0.5 * radius * radius
+    twice = 2.0 * center
+    out = {name: twice * coeff for name, coeff in terms.items()}
+    if half != 0.0:
+        out[site()] = half
+    return center * center + half, _nonzero(out)
+
+
+def _inverse(center: float, terms: Mapping[str, float], radius: float, site: Site) -> Pair:
+    """``1 / x`` via the Chebyshev (min-max) linear approximation.
+
+    With the secant slope ``alpha = -1/(a*b)`` the deviation
+    ``d(x) = 1/x - alpha*x`` is equal at both endpoints (``1/a + 1/b``);
+    the opposite extreme is at the interior tangent point
+    ``+/-sqrt(a*b)``.  Using the two endpoints for ``d_max``/``d_min``
+    would make ``delta`` collapse to zero and lose soundness.
+    """
+    a, b = _bounds(center, radius)
+    if a <= 0.0 <= b:
+        raise DivisionByZeroIntervalError(
+            f"cannot invert {_format(center, terms)}: encloses zero"
+        )
+    alpha = -1.0 / (a * b)
+    root = math.sqrt(a * b)
+    if a > 0:
+        d_max = 1.0 / a + 1.0 / b
+        d_min = 2.0 / root
+    else:
+        d_max = -2.0 / root
+        d_min = 1.0 / a + 1.0 / b
+    zeta = 0.5 * (d_max + d_min)
+    delta = 0.5 * (d_max - d_min)
+    out = _scaled(terms, alpha)
+    if delta != 0.0:
+        out[site()] = delta
+    return center * alpha + zeta, out
+
+
+def _tightest(center: float, terms: Dict[str, float], exact: Interval, site: Site) -> Pair:
+    """The correlation-keeping pair, or the exact image ``exact`` in one symbol.
+
+    A Chebyshev line (or the ``(x + y -+ |x - y|) / 2`` min/max
+    construction) keeps shared symbols, but over a wide enclosure its own
+    range can overshoot the exact image of the function — enough to
+    poison downstream domains (an ``exp`` enclosure dipping below zero, a
+    clamped divisor's enclosure dipping through zero).  When the pair is
+    wider than the exact image, the image wrapped in a new symbol is the
+    tighter (and still sound) result: range-tight, correlation-free.
+    """
+    lo, hi = _bounds(center, _radius(terms))
+    if hi - lo <= exact.hi - exact.lo:
+        return center, terms
+    radius = exact.radius
+    return exact.midpoint, ({site(): radius} if radius != 0.0 else {})
+
+
+def _curve(
+    center: float,
+    terms: Mapping[str, float],
+    radius: float,
+    linearize: Callable[[float, float], Any],
+    point: Callable[[float], float],
+    site: Site,
+) -> Pair:
+    """A function through its min-max line ``alpha * x + zeta +/- delta``.
+
+    ``linearize`` gives the line and the exact image over the enclosure
+    (:mod:`repro.intervals.linearize`), and :func:`_tightest` picks the
+    line or the image.  A point enclosure gives ``point(lo)``.
+    """
+    lo, hi = _bounds(center, radius)
+    line = linearize(lo, hi)
+    if line is None:
+        return point(lo), {}
+    alpha, zeta, delta, exact = line
+    out = _scaled(terms, alpha)
+    if delta != 0.0:
+        out[site()] = delta
+    return _tightest(center * alpha + zeta, out, exact, site)
+
+
+def _format(center: float, terms: Mapping[str, float]) -> str:
+    """A form's ``repr``: its center, then its terms by symbol name."""
+    parts = [f"{center:g}"]
+    for name in sorted(terms):
+        parts.append(f"{terms[name]:+g}*{name}")
+    return f"AffineForm({' '.join(parts)})"
 
 
 class AffineForm:
@@ -157,7 +372,7 @@ class AffineForm:
         order of :attr:`terms` nor on the Python version; ``+inf`` when the
         sum passes the float range.
         """
-        return fsum_or_inf(map(abs, self.terms.values()))
+        return _radius(self.terms)
 
     def coefficient(self, name: str) -> float:
         """Coefficient of noise symbol ``name`` (0 when absent)."""
@@ -165,8 +380,7 @@ class AffineForm:
 
     def to_interval(self) -> Interval:
         """The interval enclosure ``[center - radius, center + radius]``."""
-        radius = self.radius
-        return Interval(self.center - radius, self.center + radius)
+        return Interval(*_bounds(self.center, self.radius))
 
     def symbols(self) -> frozenset[str]:
         """Noise symbols with a non-zero coefficient in this form."""
@@ -187,10 +401,7 @@ class AffineForm:
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        parts = [f"{self.center:g}"]
-        for name in sorted(self.terms):
-            parts.append(f"{self.terms[name]:+g}*{name}")
-        return f"AffineForm({' '.join(parts)})"
+        return _format(self.center, self.terms)
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -202,34 +413,26 @@ class AffineForm:
             return AffineForm._trusted(float(other), {}, self.context)
         raise TypeError(f"cannot combine AffineForm with {type(other).__name__}")
 
-    def _merged_symbols(self, other: "AffineForm") -> Iterable[str]:
-        # Insertion-order union, NOT a set union: set iteration order
-        # follows the per-process string-hash seed, so a set here makes
-        # the merged term dict — and every downstream float reduction
-        # over ``terms.values()`` (radius, interval hull) — differ in
-        # the last ulp between worker processes.  Deterministic order is
-        # what lets sharded runs merge bit-identically to serial ones.
-        merged = dict.fromkeys(self.terms)
-        merged.update(dict.fromkeys(other.terms))
-        return merged
+    def _result(self, other: "AffineForm", center: float, terms: Dict[str, float]) -> "AffineForm":
+        """A result of ``self`` and ``other`` in this context.
+
+        An operand from another context brings symbols this one must
+        register, so that result goes through the public constructor.
+        """
+        if other.context is not self.context:
+            return AffineForm(center, terms, self.context)
+        return AffineForm._trusted(center, terms, self.context)
 
     # ------------------------------------------------------------------ #
     # linear arithmetic (exact)
     # ------------------------------------------------------------------ #
     def __neg__(self) -> "AffineForm":
-        # Negating a non-zero coefficient never yields zero.
-        return AffineForm._trusted(
-            -self.center, {k: -v for k, v in self.terms.items()}, self.context
-        )
+        return AffineForm._trusted(-self.center, _negated(self.terms), self.context)
 
     def __add__(self, other: "AffineForm | Number") -> "AffineForm":
         other = self._coerce(other)
-        mine = self.terms.get
-        theirs = other.terms.get
-        terms = {name: mine(name, 0.0) + theirs(name, 0.0) for name in self._merged_symbols(other)}
-        if other.context is not self.context:
-            return AffineForm(self.center + other.center, terms, self.context)
-        return AffineForm._trusted(self.center + other.center, _nonzero(terms), self.context)
+        terms = _folded(dict(self.terms), other.terms)
+        return self._result(other, self.center + other.center, terms)
 
     __radd__ = __add__
 
@@ -245,59 +448,33 @@ class AffineForm:
         items: Sequence["AffineForm | Number"],
         context: AffineContext | None = None,
     ) -> "AffineForm":
-        """N-ary sum over aligned coefficient arrays.
+        """N-ary sum in one pass over the operands' terms.
 
         Chained binary ``+`` rebuilds the merged term dict once per
         operand — O(n * union) dict churn on the analyzer's hot path.
-        Here every symbol is assigned one slot in a shared coefficient
-        array and each operand scatters its coefficients into it, so the
-        whole sum is one O(total terms) pass.  Addition order per symbol
-        matches the left-fold chain, so results are bit-identical to
-        ``a + b + c + ...``.
+        Here each operand's terms are folded into one dict; the addition
+        order per symbol matches the left-fold chain, so results are
+        bit-identical to ``a + b + c + ...`` (the center starts from
+        ``0.0``).
         """
         forms = [item for item in items if isinstance(item, AffineForm)]
-        center = 0.0
-        for item in items:
-            center += item.center if isinstance(item, AffineForm) else float(item)
         if context is None:
             context = forms[0].context if forms else _DEFAULT_CONTEXT
-        if not forms:
-            return cls(center, {}, context)
+        if not items:
+            return cls._trusted(0.0, {}, context)
+        center, terms = _summed(
+            [(item.center, item.terms) if isinstance(item, AffineForm) else (float(item), {})
+             for item in items]
+        )
+        if all(form.context is context for form in forms):
+            return cls._trusted(center, terms, context)
         # Terms of forms from another context must be registered in this one.
-        build = cls._trusted if all(form.context is context for form in forms) else cls
-        if sum(len(form.terms) for form in forms) <= 24:
-            # Below the numpy break-even point a plain single-pass dict
-            # accumulation wins; per-symbol addition order is unchanged.
-            small: Dict[str, float] = {}
-            for form in forms:
-                for name, coeff in form.terms.items():
-                    small[name] = small.get(name, 0.0) + coeff
-            return build(center, _nonzero(small), context)
-        slot: Dict[str, int] = {}
-        for form in forms:
-            for name in form.terms:
-                if name not in slot:
-                    slot[name] = len(slot)
-        coeffs = np.zeros(len(slot), dtype=float)
-        for form in forms:
-            if not form.terms:
-                continue
-            idx = np.fromiter(
-                (slot[name] for name in form.terms), dtype=np.intp, count=len(form.terms)
-            )
-            coeffs[idx] += np.fromiter(form.terms.values(), dtype=float, count=len(form.terms))
-        values = coeffs.tolist()
-        terms = {name: values[i] for name, i in slot.items() if values[i] != 0.0}
-        return build(center, terms, context)
+        return cls(center, terms, context)
 
     def scale(self, factor: Number) -> "AffineForm":
         """Multiply by an exact scalar (no new noise symbol)."""
         factor = float(factor)
-        return AffineForm._trusted(
-            self.center * factor,
-            _nonzero({name: coeff * factor for name, coeff in self.terms.items()}),
-            self.context,
-        )
+        return AffineForm._trusted(self.center * factor, _scaled(self.terms, factor), self.context)
 
     def shift(self, offset: Number) -> "AffineForm":
         """Add an exact scalar."""
@@ -310,154 +487,57 @@ class AffineForm:
         if isinstance(other, (int, float)):
             return self.scale(other)
         other = self._coerce(other)
-        # A term-free operand is an exact scalar: multiply coefficients
-        # directly (no linearization symbol; same floats as the general
-        # path, which would compute center * coeff per symbol anyway).
-        if not other.terms:
-            return self.scale(other.center)
-        if not self.terms:
-            return other.scale(self.center)
-        # Standard AA multiplication:
-        #   z0 = x0*y0
-        #   zi = x0*yi + y0*xi       (first-order terms)
-        #   new symbol with coefficient rad(x)*rad(y)  (second-order bound)
-        center = self.center * other.center
-        x0, y0 = self.center, other.center
-        mine = self.terms.get
-        theirs = other.terms.get
-        terms: Dict[str, float] = {}
-        for name in self._merged_symbols(other):
-            coeff = x0 * theirs(name, 0.0) + y0 * mine(name, 0.0)
-            if coeff != 0.0:
-                terms[name] = coeff
-        nonlinear = self.radius * other.radius
-        if nonlinear != 0.0:
-            terms[self.context.fresh()] = nonlinear
-        if other.context is not self.context:
-            return AffineForm(center, terms, self.context)
-        return AffineForm._trusted(center, terms, self.context)
+        product = _product(
+            self.center, self.terms, None, other.center, other.terms, None, self.context.fresh
+        )
+        return self._result(other, *product)
 
     def __rmul__(self, other: "AffineForm | Number") -> "AffineForm":
         return self * other
 
     def square(self) -> "AffineForm":
-        """Dependency-aware square, tighter than ``self * self``.
-
-        Uses the min-range style approximation
-        ``(x0 + d)^2 = x0^2 + 2*x0*d + d^2`` with ``d^2`` in
-        ``[0, rad^2]`` re-centred as ``rad^2/2 +/- rad^2/2``.
-        """
-        rad = self.radius
-        terms = {name: 2.0 * self.center * coeff for name, coeff in self.terms.items()}
-        center = self.center * self.center + 0.5 * rad * rad
-        if rad != 0.0:
-            terms[self.context.fresh()] = 0.5 * rad * rad
-        return AffineForm(center, terms, self.context)
+        """Dependency-aware square, tighter than ``self * self`` (see :func:`_squared`)."""
+        square = _squared(self.center, self.terms, self.radius, self.context.fresh)
+        return AffineForm._trusted(*square, self.context)
 
     def reciprocal(self) -> "AffineForm":
-        """``1 / self`` via the Chebyshev (min-max) linear approximation.
+        """``1 / self`` via the Chebyshev (min-max) linear approximation (see :func:`_inverse`)."""
+        inverse = _inverse(self.center, self.terms, self.radius, self.context.fresh)
+        return AffineForm._trusted(*inverse, self.context)
 
-        With the secant slope ``alpha = -1/(a*b)`` the deviation
-        ``d(x) = 1/x - alpha*x`` is equal at both endpoints (``1/a + 1/b``);
-        the opposite extreme is at the interior tangent point
-        ``+/-sqrt(a*b)``.  Using the two endpoints for ``d_max``/``d_min``
-        would make ``delta`` collapse to zero and lose soundness.
-        """
-        interval = self.to_interval()
-        if interval.contains(0.0):
-            raise DivisionByZeroIntervalError(f"cannot invert {self!r}: encloses zero")
-        a, b = interval.lo, interval.hi
-        alpha = -1.0 / (a * b)
-        root = math.sqrt(a * b)
-        if a > 0:
-            d_max = 1.0 / a + 1.0 / b
-            d_min = 2.0 / root
-        else:
-            d_max = -2.0 / root
-            d_min = 1.0 / a + 1.0 / b
-        zeta = 0.5 * (d_max + d_min)
-        delta = 0.5 * (d_max - d_min)
-        result = self.scale(alpha).shift(zeta)
-        if delta != 0.0:
-            terms = dict(result.terms)
-            terms[self.context.fresh()] = delta
-            result = AffineForm(result.center, terms, self.context)
-        return result
-
-    def _with_fresh(self, form: "AffineForm", delta: float) -> "AffineForm":
-        """``form`` plus a fresh noise symbol of radius ``delta``."""
-        if delta == 0.0:
-            return form
-        terms = dict(form.terms)
-        terms[self.context.fresh()] = delta
-        return AffineForm(form.center, terms, self.context)
-
-    def _chebyshev(
-        self, alpha: float, zeta: float, delta: float, exact: Interval
+    def _through(
+        self, linearize: Callable[[float, float], Any], point: Callable[[float], float]
     ) -> "AffineForm":
-        """Apply ``alpha * x + zeta +/- delta``, capped by the exact image.
-
-        The min-max line keeps the operand's noise symbols (first-order
-        correlation), but over a wide enclosure its own range overshoots
-        the exact image of the function by up to ``2 * delta`` — enough
-        to push e.g. an ``exp`` enclosure below zero.  When that
-        happens, the exact image wrapped in a fresh symbol is the
-        tighter (and still sound) result.
-        """
-        candidate = self._with_fresh(self.scale(alpha).shift(zeta), delta)
-        return self._tightest_selection(candidate, exact)
+        """A function through its shared Chebyshev coefficients (see :func:`_curve`)."""
+        image = _curve(self.center, self.terms, self.radius, linearize, point, self.context.fresh)
+        return AffineForm._trusted(*image, self.context)
 
     def sqrt(self) -> "AffineForm":
         """Square root via the shared Chebyshev linearization coefficients."""
-        interval = self.to_interval()
-        coeffs = sqrt_linearization(interval.lo, interval.hi)
-        if coeffs is None:
-            return AffineForm(math.sqrt(interval.lo), {}, self.context)
-        return self._chebyshev(*coeffs)
+        return self._through(sqrt_linearization, math.sqrt)
 
     def exp(self) -> "AffineForm":
         """Exponential via the shared Chebyshev linearization coefficients."""
-        interval = self.to_interval()
-        coeffs = exp_linearization(interval.lo, interval.hi)
-        if coeffs is None:
-            return AffineForm(math.exp(interval.lo), {}, self.context)
-        return self._chebyshev(*coeffs)
+        return self._through(exp_linearization, math.exp)
 
     def log(self) -> "AffineForm":
         """Natural logarithm via the shared Chebyshev linearization coefficients."""
-        interval = self.to_interval()
-        coeffs = log_linearization(interval.lo, interval.hi)
-        if coeffs is None:
-            return AffineForm(math.log(interval.lo), {}, self.context)
-        return self._chebyshev(*coeffs)
+        return self._through(log_linearization, math.log)
 
     def __abs__(self) -> "AffineForm":
         """Absolute value; exact when the enclosure's sign is fixed."""
-        interval = self.to_interval()
-        if interval.lo >= 0:
-            return AffineForm(self.center, dict(self.terms), self.context)
-        if interval.hi <= 0:
+        lo, hi = _bounds(self.center, self.radius)
+        if lo >= 0:
+            return AffineForm._trusted(self.center, dict(self.terms), self.context)
+        if hi <= 0:
             return -self
-        return self._chebyshev(*abs_linearization(interval.lo, interval.hi))
+        return self._through(abs_linearization, abs)
 
-    def _tightest_selection(self, candidate: "AffineForm", exact: Interval) -> "AffineForm":
-        """Pick the correlation-keeping ``candidate`` or an exact-image wrap.
-
-        The Chebyshev line (and the ``(x + y -+ |x - y|) / 2`` min/max
-        construction) keeps shared symbols, but over a wide enclosure its
-        own range can overshoot the exact image of the function — enough
-        to poison downstream domains (a clamped divisor's enclosure
-        dipping through zero).  When the formula is looser than the
-        exact image, fall back to wrapping the image in a fresh symbol:
-        range-tight, correlation-free.
-        """
-        enclosure = candidate.to_interval()
-        if enclosure.width <= exact.width:
-            return candidate
-        if exact.radius == 0.0:
-            return AffineForm(exact.midpoint, {}, self.context)
-        return AffineForm(
-            exact.midpoint, {self.context.fresh("sel"): exact.radius}, self.context
+    def _selected(self, candidate: "AffineForm", exact: Interval) -> "AffineForm":
+        """``candidate``, or ``exact`` in a fresh ``sel`` symbol (see :func:`_tightest`)."""
+        site = partial(self.context.fresh, "sel")
+        return AffineForm._trusted(
+            *_tightest(candidate.center, candidate.terms, exact, site), self.context
         )
 
     def minimum(self, other: "AffineForm | Number") -> "AffineForm":
@@ -471,15 +551,13 @@ class AffineForm:
         """
         other = self._coerce(other)
         candidate = (self + other - abs(self - other)).scale(0.5)
-        exact = self.to_interval().minimum(other.to_interval())
-        return self._tightest_selection(candidate, exact)
+        return self._selected(candidate, self.to_interval().minimum(other.to_interval()))
 
     def maximum(self, other: "AffineForm | Number") -> "AffineForm":
         """``max(x, y)`` through ``(x + y + |x - y|) / 2`` (see minimum)."""
         other = self._coerce(other)
         candidate = (self + other + abs(self - other)).scale(0.5)
-        exact = self.to_interval().maximum(other.to_interval())
-        return self._tightest_selection(candidate, exact)
+        return self._selected(candidate, self.to_interval().maximum(other.to_interval()))
 
     def __truediv__(self, other: "AffineForm | Number") -> "AffineForm":
         if isinstance(other, (int, float)):

@@ -308,7 +308,7 @@ class TaylorModel:
     ) -> "TaylorModel":
         """Apply ``alpha * self + zeta +/- delta``, capped by the exact image.
 
-        As in :meth:`AffineForm._chebyshev`: over a wide bound the
+        As in AA (:func:`repro.intervals.affine._curve`): over a wide bound the
         min-max line's own range overshoots the exact function image, so
         when it is looser the exact image (as a pure remainder model) is
         returned instead.

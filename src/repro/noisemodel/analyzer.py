@@ -429,7 +429,7 @@ class DatapathNoiseAnalyzer:
         Shared by the full sweep above and by the incremental engine
         (:class:`repro.analysis.incremental.IncrementalAnalyzer`), which
         re-invokes it only for nodes inside the cone of influence of a
-        word-length change (through compiled twins for ``aa`` and the hot
+        word-length change (through compiled rules for ``aa`` and the hot
         ``ia`` ops, see :meth:`_error_rule`); both paths produce the same
         floats.
         Domain violations name the offending node, like :meth:`_value_of`.
@@ -452,20 +452,21 @@ class DatapathNoiseAnalyzer:
     ) -> Any:
         """The per-op error rules behind :meth:`_error_of`.
 
-        Two methods have compiled twins, which the incremental engine runs
-        instead of this method: ``ia`` for the hot ops (input, const,
-        output, neg, add, sub, mul, square) in
-        :func:`repro.analysis.incremental._compile_ia_rule`, and ``aa``
-        (so also ``pna``) for every op in
-        :func:`repro.analysis.incremental._compile_aa_rule`, together with
-        the :class:`~repro.intervals.affine.AffineForm` arithmetic the
-        ``aa`` rules here call.  Both repeat these rules' float operations
-        in the same order, so a change here (or in that arithmetic) must
-        be made there too.  ``tests/test_compiled_ia_rules.py`` and
+        Two methods have compiled rules, which the incremental engine runs
+        instead of this method, and this method is their reference.
+        ``aa`` (so also ``pna``) compiles every op in
+        :func:`repro.analysis.incremental._compile_aa_rule`, which calls
+        the same ``(center, terms)`` kernels the
+        :class:`~repro.intervals.affine.AffineForm` operations here wrap;
+        it differs from this method only in how it composes them.  ``ia``
+        compiles the hot ops (input, const, output, neg, add, sub, mul,
+        square) in :func:`repro.analysis.incremental._compile_ia_rule`,
+        which repeats this method's interval float operations in the same
+        order.  ``tests/test_compiled_ia_rules.py`` and
         ``tests/test_compiled_aa_rules.py``
         (``test_every_op_matches_the_generic_rule`` and
         ``test_generated_graphs_match_node_by_node`` in each) hold the
-        twins equal to this method, signed zeros included.
+        compiled rules equal to this method, signed zeros included.
         """
         source = self._sources_by_node.get(name)
         own = self._make_error_term(method, source, context) if source else None
@@ -686,7 +687,7 @@ class DatapathNoiseAnalyzer:
     def _sum_errors(self, method: str, terms: List[Any], context: AffineContext | None) -> Any:
         """Left-fold sum of error terms, skipping exact zeros and ``None``.
 
-        The AA path merges all term dicts in one aligned-array pass
+        The AA path merges all term dicts in one pass
         (:meth:`AffineForm.sum_of`) instead of chaining binary adds; the
         result is bit-identical to the chain, just cheaper.
         """

@@ -23,7 +23,11 @@ from typing import Dict, List, Sequence
 from repro.errors import OptimizationError
 from repro.optimize.result import OptimizationResult
 
-__all__ = ["ParetoPoint", "ParetoFront", "pareto_front"]
+__all__ = ["DEFAULT_FLOORS", "ParetoPoint", "ParetoFront", "pareto_front"]
+
+#: SNR floors of the default sweep (dB), loosest to tightest: ``repro
+#: pareto`` and the ``bench_pareto`` driver sweep them.
+DEFAULT_FLOORS = (45.0, 50.0, 55.0, 60.0, 65.0)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import copy
 import dataclasses
 from dataclasses import dataclass, field
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -145,7 +146,10 @@ class OptimizationProblem:
         #: The resolved :class:`OptimizeConfig` this problem searches under.
         self.config = config
         self.graph = graph
-        self.input_ranges = {str(k): coerce_interval(v) for k, v in input_ranges.items()}
+        # The circuit data below is read-only: rescoped() views share it.
+        self.input_ranges: Mapping[str, Interval] = MappingProxyType(
+            {str(k): coerce_interval(v) for k, v in input_ranges.items()}
+        )
         missing = [n for n in graph.inputs() if n not in self.input_ranges]
         if missing:
             raise OptimizationError(f"missing input ranges for: {', '.join(sorted(missing))}")
@@ -193,7 +197,7 @@ class OptimizationProblem:
                 f"range analysis of {graph.name!r} did not converge after "
                 f"{range_result.iterations} iterations (unstable feedback?)"
             )
-        self.ranges: Dict[str, Interval] = range_result.ranges
+        self.ranges: Mapping[str, Interval] = MappingProxyType(range_result.ranges)
 
         outputs = graph.outputs()
         if not outputs:
@@ -206,21 +210,21 @@ class OptimizationProblem:
         self.signal_power = uniform_power(self.ranges[output])
 
         #: Per-node minimum integer bits (range-derived, fixed during search).
-        self.integer_bits: Dict[str, int] = {
-            node.name: integer_bits_for_range(
-                self.ranges[node.name].lo, self.ranges[node.name].hi, signed=True
-            )
-            for node in graph
-            if node.op is not OpType.OUTPUT
-        }
+        self.integer_bits: Mapping[str, int] = MappingProxyType(
+            {
+                node.name: integer_bits_for_range(
+                    self.ranges[node.name].lo, self.ranges[node.name].hi, signed=True
+                )
+                for node in graph
+                if node.op is not OpType.OUTPUT
+            }
+        )
         #: Nodes whose fractional precision a strategy may change.  DELAY
         #: registers are excluded: they forward already-quantized values,
         #: so their nominal format neither injects noise nor sizes hardware.
-        self.tunable: list[str] = [
-            node.name
-            for node in graph
-            if node.op not in (OpType.OUTPUT, OpType.DELAY)
-        ]
+        self.tunable: Tuple[str, ...] = tuple(
+            node.name for node in graph if node.op not in (OpType.OUTPUT, OpType.DELAY)
+        )
 
         #: When set to a list, evaluate() appends every (widened) assignment
         #: it actually analyzes, so a caller can replay a search's
@@ -582,7 +586,9 @@ class OptimizationProblem:
 
         The view owns only its ``config``, ``snr_floor_db``, ``margin_db``
         and ``analysis_log`` (which starts disabled).  It shares the rest
-        by reference: the immutable circuit data, and the one search
+        by reference: the read-only circuit data (``tunable`` is a tuple;
+        ``input_ranges``, ``ranges`` and ``integer_bits`` are read-only
+        mappings, so no view can change its parent's), and the one search
         state holding the engines, gains, pricing neighbourhood, cost
         ledger, evaluation caches, lane-price memo, counters and
         degradation log.  Work done through any view therefore warms and

@@ -257,3 +257,17 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "montecarlo" in proc.stdout
+
+    def test_importing_the_cli_loads_no_benchmark_driver(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.benchmarks.bench_')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -20,21 +20,14 @@ import random
 
 import pytest
 
-from repro.analysis.incremental import (
-    IncrementalAnalyzer,
-    _compile_aa_rule,
-    _curve,
-    _inverse,
-    _product,
-)
+from repro.analysis.incremental import IncrementalAnalyzer, _compile_aa_rule
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.node import OpType
 from repro.errors import DivisionByZeroIntervalError, DomainError, IntervalError
 from repro.fixedpoint.format import QuantizationMode
-from repro.intervals.affine import AffineContext, AffineForm
+from repro.intervals.affine import AffineForm
 from repro.intervals.interval import Interval
-from repro.intervals.linearize import exp_linearization, log_linearization, sqrt_linearization
 from repro.noisemodel.analyzer import DatapathNoiseAnalyzer
 from repro.noisemodel.assignment import WordLengthAssignment
 from test_compiled_ia_rules import (
@@ -274,45 +267,3 @@ def test_domain_violations_raise_like_a_full_analysis(case):
     again = engine.analyze(baseline, "aa")
     assert again.noise_power == reference.noise_power
     assert _parts(engine._states[key].errors[key[1]]) == _parts(committed[key[1]])
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_fused_steps_match_affine_form(seed):
-    """The fused product, reciprocal and Chebyshev steps equal ``AffineForm``'s.
-
-    Large centers with tiny radii reach the branch where the min-max line
-    is kept (its width rounds to the exact image's); wide forms reach the
-    exact-image wrap.
-    """
-    context = AffineContext()
-    rng = random.Random(f"fused/{seed}")
-    kept = 0
-    for _ in range(400):
-        center = rng.choice((1e6, 1e3, 3.0, 0.5, 1e-3, -2.5))
-        scale = abs(center) * 10 ** rng.uniform(-18, -0.5)
-        x = AffineForm(center, {f"s{k}": scale * rng.uniform(-1, 1) for k in range(4)}, context)
-        y = AffineForm(rng.uniform(-2, 2), {f"s{k}": rng.uniform(-1, 1) for k in (1, 5)}, context)
-        got = AffineForm(*_product(x.center, x.terms, None, y.center, y.terms, None, "~"), context)
-        assert _parts(got) == _parts(x * y)
-        try:
-            want = x.reciprocal()
-        except DivisionByZeroIntervalError:
-            with pytest.raises(DivisionByZeroIntervalError):
-                _inverse(x.center, x.terms, x.radius, "~", context)
-        else:
-            got = _inverse(x.center, x.terms, x.radius, "~", context)
-            assert _parts(AffineForm(*got, context)) == _parts(want)
-        steps = [("sqrt", sqrt_linearization, math.sqrt), ("log", log_linearization, math.log)]
-        if center < 100.0:
-            steps.append(("exp", exp_linearization, math.exp))
-        for method, linearize, point in steps:
-            try:
-                want = getattr(x, method)()
-            except (DomainError, ValueError) as exc:  # a domain, or exp's log(0) slope
-                with pytest.raises(type(exc)):
-                    _curve(x.center, x.terms, x.radius, linearize, point, "~")
-                continue
-            center_out, terms_out = _curve(x.center, x.terms, x.radius, linearize, point, "~")
-            assert _parts(AffineForm(center_out, terms_out, context)) == _parts(want)
-            kept += len(terms_out) > 1
-    assert kept > 0

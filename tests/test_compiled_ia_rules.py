@@ -122,6 +122,76 @@ def test_every_op_matches_the_generic_rule(quantization):
     assert COMPILED_OPS < seen_ops
 
 
+#: Unbounded operand errors (an overflowed error sum): times a zero value
+#: endpoint each gives ``0 * inf``, which ``Interval.__mul__`` reads as 0.
+UNBOUNDED_ERRORS = (
+    Interval(-math.inf, math.inf),
+    Interval(-math.inf, -1e-3),
+    Interval(-0.0, math.inf),
+    Interval(2e-3, math.inf),
+)
+
+
+def test_unbounded_operand_errors_read_like_the_generic_rule():
+    """A compiled mul or square fed an unbounded error gives no NaN bound.
+
+    The every-op graph's ``y`` and ``z`` have zero value endpoints, so
+    their products with an infinite error endpoint are ``0 * inf``.
+    """
+    graph, input_ranges = _every_op_graph()
+    baseline = _baseline(graph, input_ranges)
+    engine = IncrementalAnalyzer(graph, baseline, input_ranges)
+    analyzer = engine.analyzer
+    rules = engine._rules_of("ia")
+    values = engine._values["ia"]
+    operands = OPERAND_ERRORS + UNBOUNDED_ERRORS
+    checked = 0
+    for name in analyzer.topo_order:
+        node = graph.node(name)
+        if node.op not in (OpType.MUL, OpType.SQUARE):
+            continue
+        for operand_errors in itertools.product(operands, repeat=len(node.inputs)):
+            if not set(operand_errors) & set(UNBOUNDED_ERRORS):
+                continue
+            errors = dict(zip(node.inputs, operand_errors))
+            want = analyzer._error_of("ia", name, node, values, errors, None)
+            got = rules[name](errors)
+            assert _bits(got) == _bits(want), (name, node.op, operand_errors)
+            checked += 1
+    assert checked > 0
+
+
+def _overflowing_sum_graph():
+    """40 inputs times 9.1e306, summed, times ``a`` in ``[0, 1]``.
+
+    At 0 fractional bits each input's error is ``[-0.5, 0.5]``, so the
+    scaled errors sum past the float range to ``[-inf, inf]``, which the
+    product with ``a`` meets at ``a``'s zero endpoint.
+    """
+    builder = DFGBuilder("overflowing_sum")
+    inputs = [builder.input(f"x{k}") for k in range(40)]
+    a = builder.input("a")
+    total = builder.sum_of([x * builder.const(9.1e306) for x in inputs])
+    builder.output(total * a, name="out")
+    input_ranges = {f"x{k}": Interval(-1e-3, 1e-3) for k in range(40)}
+    input_ranges["a"] = Interval(0.0, 1.0)
+    graph = builder.build()
+    baseline = _baseline(graph, input_ranges, word_length=1022)
+    shaved = baseline.with_formats(
+        {x.node_name: baseline.format_of(x.node_name).with_fractional_bits(0) for x in inputs}
+    )
+    return graph, input_ranges, shaved
+
+
+def test_an_overflowed_error_reads_unbounded_in_both_engines():
+    graph, input_ranges, design = _overflowing_sum_graph()
+    fresh = DatapathNoiseAnalyzer(graph, design, input_ranges).analyze("ia")
+    engine = IncrementalAnalyzer(graph, design, input_ranges)
+    for report in (engine.analyze(design, "ia"), engine.analyze(design, "ia", commit=False)):
+        assert (report.bounds.lo, report.bounds.hi) == (-math.inf, math.inf)
+        assert report.bounds == fresh.bounds and report.noise_power == fresh.noise_power
+
+
 def _shaved(baseline, rng, nodes_changed):
     assignment = baseline
     for node in rng.sample(sorted(baseline.formats), nodes_changed):

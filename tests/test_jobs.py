@@ -266,10 +266,11 @@ class TestSerialParallelBitIdentity:
     def test_hash_seed_independence(self, tmp_path):
         """Different PYTHONHASHSEED must not move a single BENCH bit.
 
-        Regression test for the ``AffineForm._merged_symbols`` set-union
-        bug: set iteration follows the per-process string-hash seed, so
-        any set-ordered float reduction makes worker processes disagree
-        with the parent in the last ulp.
+        Regression test for a set-union bug the affine term merge once
+        had (today's merge is ``_folded`` in ``repro.intervals.affine``):
+        set iteration follows the per-process string-hash seed, so any
+        set-ordered float reduction makes worker processes disagree with
+        the parent in the last ulp.
         """
         import json
         import subprocess

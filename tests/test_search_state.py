@@ -16,6 +16,7 @@ import repro.optimize.problem as problem_module
 from repro.benchmarks.circuits import get_circuit
 from repro.config import OptimizeConfig
 from repro.errors import DFGError
+from repro.intervals.interval import Interval
 from repro.optimize import OptimizationProblem
 
 
@@ -93,3 +94,52 @@ def test_every_view_shares_one_degradation_log(monkeypatch):
             view.batched_engine()
     assert problem.degradations == []
     assert all(view.degradations is problem.degradations for view in views)
+
+
+def _circuit_data(problem):
+    return (
+        problem.tunable,
+        dict(problem.input_ranges),
+        dict(problem.ranges),
+        dict(problem.integer_bits),
+    )
+
+
+def test_a_view_cannot_change_the_shared_circuit_data():
+    """``tunable`` is a tuple and the range maps are read-only mappings."""
+    problem = _batched_problem()
+    view = problem.rescoped(45.0)
+    before = _circuit_data(problem)
+    node, source = problem.tunable[0], next(iter(problem.input_ranges))
+    with pytest.raises(AttributeError):
+        view.tunable.append("extra")
+    with pytest.raises(TypeError):
+        view.tunable[0] = "extra"
+    for mapping, key, value in (
+        (view.input_ranges, source, Interval(-9.0, 9.0)),
+        (view.ranges, node, Interval(-9.0, 9.0)),
+        (view.integer_bits, node, 99),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+        with pytest.raises(TypeError):
+            del mapping[key]
+        with pytest.raises(AttributeError):
+            mapping.update({key: value})
+    assert view.input_ranges is problem.input_ranges and view.ranges is problem.ranges
+    assert _circuit_data(problem) == before
+
+
+def test_sharded_monte_carlo_pickles_the_read_only_ranges():
+    """Two shards on two workers ship ``input_ranges`` to worker processes.
+
+    A shard batch that fails falls back to a serial rerun with a logged
+    degradation, so the log must stay empty.
+    """
+    snrs = []
+    for workers in (1, 2):
+        config = OptimizeConfig(method="ia", mc_workers=workers)
+        problem = OptimizationProblem.from_circuit(get_circuit("fir4"), 55.0, config=config)
+        snrs.append(problem.monte_carlo_snr(problem.uniform(12), samples=5_000, seed=3))
+        assert problem.degradations == []
+    assert snrs[0] == snrs[1] and snrs[0] > 0.0
